@@ -10,6 +10,7 @@ Outputs in the chosen directory:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -159,20 +160,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         plan, options = parse_config(args.config)
         if args.samples is not None:
-            plan = ExperimentPlan(
-                grid=plan.grid, field_spec=plan.field_spec,
-                initial_state=plan.initial_state, observable=plan.observable,
-                t_final=plan.t_final, dt=plan.dt,
-                particle_counts=plan.particle_counts,
-                samples=args.samples, base_seed=plan.base_seed)
+            plan = dataclasses.replace(plan, samples=args.samples)
             options.resolved["samples"] = str(args.samples)
         if args.seed is not None:
-            plan = ExperimentPlan(
-                grid=plan.grid, field_spec=plan.field_spec,
-                initial_state=plan.initial_state, observable=plan.observable,
-                t_final=plan.t_final, dt=plan.dt,
-                particle_counts=plan.particle_counts,
-                samples=plan.samples, base_seed=args.seed)
+            plan = dataclasses.replace(plan, base_seed=args.seed)
             options.resolved["base_seed"] = str(args.seed)
         if args.threads is not None:
             options.threads = args.threads

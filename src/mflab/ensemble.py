@@ -18,8 +18,9 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, MFLabError
 from .grid import LatticeGrid, WaveFunction
 from .hartree import HartreeRunParams, evolve_hartree, hartree_expectation
-from .manybody import (assemble_hamiltonian, build_fock_basis, evolve_manybody,
-                       manybody_expectation, product_state_lift)
+from .manybody import (FockBasis, ManyBodyState, assemble_hamiltonian,
+                       build_fock_basis, evolve_manybody, manybody_expectation,
+                       product_state_lift)
 from .observables import PObservable, operator_norm
 from .random_field import FieldSpec, mix_seed, sample_field
 
@@ -72,9 +73,25 @@ class SummaryRow:
     samples: int
 
 
+Sectors = dict[int, tuple[FockBasis, ManyBodyState]]
+
+
+def _build_sectors(plan: ExperimentPlan) -> Sectors:
+    """Per N, the field-independent sector and the lifted initial state."""
+    sectors = {}
+    for n in plan.particle_counts:
+        basis = build_fock_basis(n, plan.grid, max_rdm_order=plan.observable.p)
+        sectors[n] = (basis, product_state_lift(plan.initial_state, n, basis))
+    return sectors
+
+
 def run_sample(plan: ExperimentPlan, sample_index: int,
-               observable_norm: float | None = None) -> SampleResult:
-    """One realization: Hartree once, many-body once per N, same field."""
+               observable_norm: float | None = None,
+               sectors: Sectors | None = None) -> SampleResult:
+    """One realization: Hartree once, many-body once per N, same field.
+
+    sectors, from the plan, are shared read-only; built here when omitted.
+    """
     if not (0 <= sample_index < plan.samples):
         raise DomainError(
             f"sample_index {sample_index} outside 0..{plan.samples - 1}"
@@ -84,6 +101,8 @@ def run_sample(plan: ExperimentPlan, sample_index: int,
     norm_a = (operator_norm(plan.observable, plan.grid)
               if observable_norm is None else observable_norm)
     try:
+        if sectors is None:
+            sectors = _build_sectors(plan)
         params = HartreeRunParams(t_final=plan.t_final, dt=plan.dt, grid=plan.grid)
         psi_t = evolve_hartree(plan.initial_state, v, params)
         x_h = hartree_expectation(psi_t, plan.observable)
@@ -91,9 +110,8 @@ def run_sample(plan: ExperimentPlan, sample_index: int,
             raise ConsistencyError(f"|X| = {abs(x_h)!r} exceeds the observable norm")
         x_mb = {}
         for n in plan.particle_counts:
-            basis = build_fock_basis(n, plan.grid)
+            basis, psi0 = sectors[n]
             h = assemble_hamiltonian(plan.grid, v, n, basis)
-            psi0 = product_state_lift(plan.initial_state, n, basis)
             psi_n = evolve_manybody(psi0, h, plan.t_final)
             x_mb[n] = manybody_expectation(psi_n, plan.observable, plan.grid,
                                            norm_bound=norm_a)
@@ -104,14 +122,20 @@ def run_sample(plan: ExperimentPlan, sample_index: int,
 
 
 def run_ensemble(plan: ExperimentPlan, threads: int | None = None) -> list[SampleResult]:
-    """All samples, optionally concurrent; output ordered by sample_index."""
+    """All samples, optionally concurrent; output ordered by sample_index.
+
+    The sectors are built first, so a resource limit fails before any sample.
+    """
     norm_a = operator_norm(plan.observable, plan.grid)
+    sectors = _build_sectors(plan)
     indices = range(plan.samples)
     if threads is not None and threads <= 1:
-        return [run_sample(plan, i, observable_norm=norm_a) for i in indices]
+        return [run_sample(plan, i, observable_norm=norm_a, sectors=sectors)
+                for i in indices]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(
-            lambda i: run_sample(plan, i, observable_norm=norm_a), indices))
+            lambda i: run_sample(plan, i, observable_norm=norm_a,
+                                 sectors=sectors), indices))
     return sorted(results, key=lambda r: r.sample_index)
 
 

@@ -1,66 +1,141 @@
 """Exact N-boson dynamics on the lattice.
 
-The symmetric N-particle sector is spanned by occupation vectors over the
-sites. The Hamiltonian is assembled in second-quantized form
-    sum_{x,y} T_{xy} adag_x a_y + (1/2N) sum_{x,y} v(x-y) adag_x adag_y a_y a_x,
-whose pair sum reproduces (1/N) sum_{i<j} v(x_i - x_j) exactly, including
-same-site pairs with weight v(0) n_x (n_x - 1)/2. Propagation uses Lanczos
-exponentiation with adaptive substeps and a dense fallback for small bases.
+A FockBasis is one N-particle sector, built once and only read afterwards:
+the occupation vectors with total N in lexicographic order, where a vector's
+position is its rank in the combinatorial number system (Knuth, TAOCP 4A,
+7.2.1.3), and the field-independent operators: the stacked annihilation maps
+a_x for the reduced density matrices and the one-body CSR matrix
+sum_{x,y} T_{xy} adag_x a_y. For one field the Hamiltonian adds the pair term
+    (1/2N) sum_{x,y} v(x-y) adag_x adag_y a_y a_x = (occ V occ - v(0) N) / 2N,
+which reproduces (1/N) sum_{i<j} v(x_i - x_j) exactly, including same-site
+pairs with weight v(0) n_x (n_x - 1)/2. Propagation is a truncated Taylor
+series of the trace-shifted Hamiltonian with degree and substep count chosen
+from its exact 1-norm (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011); it
+draws no random numbers.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
-from .errors import (ConsistencyError, DimensionError, DomainError,
-                     NumericalError, ResourceError)
+from .errors import ConsistencyError, DimensionError, DomainError, ResourceError
 from .grid import LatticeGrid, WaveFunction, _laplacian_array
 from .observables import PObservable, lift_factor, operator_norm
 
 DIMENSION_CAP = 200_000
-DENSE_FALLBACK_DIM = 500
 
-
-@dataclass(frozen=True)
-class FockBasis:
-    """Lexicographically ordered occupation vectors with a fixed total N."""
-
-    n_particles: int
-    sites: int
-    states: tuple[tuple[int, ...], ...]
-    index: dict  # occupation tuple -> position
-
-    def __len__(self) -> int:
-        return len(self.states)
+# theta_m: the largest ||A||_1 for which the degree-m Taylor polynomial of
+# e^A has a backward error below 2^-53 (Al-Mohy & Higham 2011, Table 3.1, and
+# Higham, Functions of Matrices, Table A.3).
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def fock_dimension(n: int, sites: int) -> int:
     return math.comb(n + sites - 1, n)
 
 
-def _occupations(n: int, sites: int):
-    if sites == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _occupations(n - head, sites - 1):
-            yield (head,) + rest
+def _lexicographic_occupations(n: int, sites: int) -> np.ndarray:
+    """All occupation rows with total n, in lexicographic order.
+
+    Stars and bars: itertools.combinations yields the positions of the
+    sites-1 bars among n+sites-1 slots in lexicographic order, and the gaps
+    between consecutive bars then come out in lexicographic order too.
+    """
+    dim = fock_dimension(n, sites)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(n + sites - 1), sites - 1)),
+        dtype=np.int64, count=dim * (sites - 1)).reshape(dim, sites - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=n + sites - 1) - 1
 
 
-@lru_cache(maxsize=64)
-def _cached_basis(n: int, sites: int) -> FockBasis:
-    states = tuple(_occupations(n, sites))
-    index = {s: i for i, s in enumerate(states)}
-    return FockBasis(n_particles=n, sites=sites, states=states, index=index)
+def _rank(occupations: np.ndarray, n: int) -> np.ndarray:
+    """Lexicographic positions of occupation vectors (last axis) with total n.
+
+    A later vector first differs at some site j-1 by holding more particles
+    there, which leaves fewer than R_j = sum(occ[j:]) particles for the
+    sites - j sites after it: C(R_j - 1 + sites - j, sites - j) completions.
+    """
+    occ = np.asarray(occupations, dtype=np.int64)
+    sites = occ.shape[-1]
+    later = np.array([[math.comb(r - 1 + sites - j, sites - j) for r in range(n + 1)]
+                      for j in range(1, sites)], dtype=np.int64)
+    suffix = np.cumsum(occ[..., ::-1], axis=-1)[..., ::-1]
+    return (fock_dimension(n, sites) - 1
+            - later[np.arange(sites - 1), suffix[..., 1:]].sum(axis=-1))
+
+
+def _annihilator(occ: np.ndarray, n: int) -> scipy.sparse.csr_matrix:
+    """a_x for every site x, stacked: rows x*dim(n-1) + rank(occ - e_x)."""
+    dim, sites = occ.shape
+    sub_dim = fock_dimension(n - 1, sites)
+    rows, cols, vals = [], [], []
+    for x in range(sites):
+        states = np.flatnonzero(occ[:, x])
+        dest = occ[states]
+        dest[:, x] -= 1
+        rows.append(x * sub_dim + _rank(dest, n - 1))
+        cols.append(states)
+        vals.append(np.sqrt(occ[states, x]))
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(sites * sub_dim, dim))
+
+
+def kinetic_matrix(grid: LatticeGrid) -> np.ndarray:
+    """One-particle matrix of -Lap (columns are stencil images of unit vectors)."""
+    units = np.eye(grid.n_sites, dtype=np.complex128)
+    return -np.stack([_laplacian_array(grid, e) for e in units], axis=1).real
+
+
+@dataclass(frozen=True, eq=False)
+class FockBasis:
+    """An N-boson sector on a grid and its field-independent operators.
+
+    occupations[i] is the occupation vector of rank i. annihilators[k] stacks
+    a_x over the sites from the N-k sector to the N-k-1 sector, as a
+    (sites * dim(N-k-1), dim(N-k)) matrix. one_body is the CSR matrix of
+    sum_{x,y} T_{xy} adag_x a_y; its diagonal entries sit at diagonal_slots
+    of its data. All arrays are read-only and may be shared across threads.
+    """
+
+    n_particles: int
+    grid: LatticeGrid
+    occupations: np.ndarray
+    annihilators: tuple[scipy.sparse.csr_matrix, ...]
+    one_body: scipy.sparse.csr_matrix
+    diagonal_slots: np.ndarray
+
+    @property
+    def sites(self) -> int:
+        return self.grid.n_sites
+
+    def __len__(self) -> int:
+        return self.occupations.shape[0]
+
+    def rank(self, occupations) -> np.ndarray:
+        """Positions of occupation vectors (last axis) in this basis."""
+        return _rank(occupations, self.n_particles)
 
 
 def build_fock_basis(n: int, grid: LatticeGrid,
-                     dimension_cap: int = DIMENSION_CAP) -> FockBasis:
+                     dimension_cap: int = DIMENSION_CAP,
+                     max_rdm_order: int | None = None) -> FockBasis:
+    """The N-particle sector, with annihilation maps for RDMs of every order up
+    to max_rdm_order (default and at most N)."""
     if n < 1:
         raise DomainError(f"particle number must be >= 1, got {n}")
     dim = fock_dimension(n, grid.n_sites)
@@ -69,7 +144,31 @@ def build_fock_basis(n: int, grid: LatticeGrid,
             f"Fock sector for N={n}, M={grid.m} (d={grid.d}) has dimension {dim}, "
             f"exceeding the cap {dimension_cap}"
         )
-    return _cached_basis(n, grid.n_sites)
+    depth = n if max_rdm_order is None else min(max_rdm_order, n)
+    occ = _lexicographic_occupations(n, grid.n_sites)
+    annihilators = (_annihilator(occ, n),) + tuple(
+        _annihilator(_lexicographic_occupations(n - k, grid.n_sites), n - k)
+        for k in range(1, depth))
+
+    t = kinetic_matrix(grid)
+    a = annihilators[0]
+    hopping = scipy.sparse.kron(scipy.sparse.csr_matrix(t - np.diag(np.diag(t))),
+                                scipy.sparse.identity(a.shape[0] // grid.n_sites),
+                                format="csr")
+    # A^T (T_offdiag (x) 1) A = sum_{x != y} T_xy adag_x a_y has an empty diagonal;
+    # diag(T) = 2d/h^2 > 0 then makes every diagonal entry nonzero, hence stored
+    one_body = (a.T @ (hopping @ a) + scipy.sparse.diags(occ @ np.diag(t))).tocsr()
+    one_body.sort_indices()
+    rows = np.repeat(np.arange(dim), np.diff(one_body.indptr))
+    slots = np.flatnonzero(one_body.indices == rows)
+    for mat in (one_body, *annihilators):
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.setflags(write=False)
+    occ.setflags(write=False)
+    slots.setflags(write=False)
+    return FockBasis(n_particles=n, grid=grid, occupations=occ,
+                     annihilators=annihilators, one_body=one_body,
+                     diagonal_slots=slots)
 
 
 @dataclass
@@ -99,18 +198,6 @@ class SparseHamiltonian:
     matrix: scipy.sparse.csr_matrix
 
 
-@lru_cache(maxsize=16)
-def kinetic_matrix(grid: LatticeGrid) -> np.ndarray:
-    """One-particle matrix of -Lap (columns are stencil images of unit vectors)."""
-    s = grid.n_sites
-    t = np.zeros((s, s))
-    for j in range(s):
-        e = np.zeros(s)
-        e[j] = 1.0
-        t[:, j] = -_laplacian_array(grid, e.astype(np.complex128)).real
-    return t
-
-
 def interaction_matrix(grid: LatticeGrid, values: np.ndarray) -> np.ndarray:
     """V[x, y] = v(x - y) with periodic differences per axis."""
     v = np.asarray(values).reshape(grid.shape)
@@ -123,41 +210,19 @@ def interaction_matrix(grid: LatticeGrid, values: np.ndarray) -> np.ndarray:
 
 def assemble_hamiltonian(grid: LatticeGrid, v, n: int,
                          basis: FockBasis) -> SparseHamiltonian:
-    if basis.sites != grid.n_sites or basis.n_particles != n:
+    """The sector's one-body operator plus the diagonal pair term of field v."""
+    if basis.grid != grid or basis.n_particles != n:
         raise DimensionError("basis does not match the requested (N, grid)")
     values = np.asarray(v.values, dtype=np.float64).ravel()
     if values.size != grid.n_sites:
         raise DimensionError("field does not live on the given grid")
-    t = kinetic_matrix(grid)
-    vmat = interaction_matrix(grid, values)
-    v0 = float(values[0])
-    hops = [(x, y, t[x, y]) for x in range(basis.sites) for y in range(basis.sites)
-            if x != y and t[x, y] != 0.0]
-    t_diag = np.diag(t)
-
-    dim = len(basis)
-    occ = np.array(basis.states, dtype=np.float64)
-    # interaction + kinetic diagonal; the pair sum is diagonal in occupations
-    diag = occ @ t_diag + (np.einsum("ix,xy,iy->i", occ, vmat, occ) - v0 * n) / (2.0 * n)
-
-    rows, cols, vals = list(range(dim)), list(range(dim)), list(diag)
-    index = basis.index
-    for i, state in enumerate(basis.states):
-        for x, y, txy in hops:
-            ny = state[y]
-            if ny == 0:
-                continue
-            nx = state[x]
-            dest = list(state)
-            dest[y] = ny - 1
-            dest[x] = nx + 1
-            j = index[tuple(dest)]
-            rows.append(j)
-            cols.append(i)
-            vals.append(txy * math.sqrt(ny * (nx + 1)))
-    mat = scipy.sparse.csr_matrix(
-        (np.array(vals), (np.array(rows), np.array(cols))), shape=(dim, dim)
-    )
+    occ = basis.occupations
+    pair = ((occ @ interaction_matrix(grid, values)) * occ).sum(axis=1)
+    one_body = basis.one_body
+    data = one_body.data.copy()
+    data[basis.diagonal_slots] += (pair - float(values[0]) * n) / (2.0 * n)
+    mat = scipy.sparse.csr_matrix((data, one_body.indices, one_body.indptr),
+                                  shape=one_body.shape)
     return SparseHamiltonian(basis=basis, matrix=mat)
 
 
@@ -168,123 +233,63 @@ def product_state_lift(phi: WaveFunction, n: int, basis: FockBasis) -> ManyBodyS
     if basis.sites != phi.grid.n_sites or basis.n_particles != n:
         raise DimensionError("basis does not match (N, grid)")
     u = phi.grid.cell_volume ** 0.5 * phi.amplitudes  # unit l2 vector
-    log_nfact = math.lgamma(n + 1)
-    coeffs = np.empty(len(basis), dtype=np.complex128)
-    for i, state in enumerate(basis.states):
-        w = math.exp(0.5 * (log_nfact - sum(math.lgamma(k + 1) for k in state)))
-        amp = 1.0 + 0.0j
-        for x, k in enumerate(state):
-            if k:
-                amp *= u[x] ** k
-        coeffs[i] = w * amp
+    occ = basis.occupations
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    coeffs = np.exp(0.5 * (log_fact[n] - log_fact[occ].sum(axis=1))).astype(np.complex128)
+    powers = u[None, :] ** np.arange(n + 1)[:, None]  # powers[k, x] = u_x^k
+    for x in range(basis.sites):
+        coeffs *= powers[occ[:, x], x]
     return ManyBodyState(basis=basis, coefficients=coeffs)
 
 
-# --- Krylov propagation ---------------------------------------------------
-
-def _lanczos_apply(mat, c: np.ndarray, tau: float, m: int):
-    """One Krylov step of e^{-i tau H} c; returns (result, error_estimate)."""
-    dim = c.size
-    m = min(m, dim)
-    beta0 = np.linalg.norm(c)
-    if beta0 == 0:
-        return c.copy(), 0.0
-    vs = np.zeros((m, dim), dtype=np.complex128)
-    alphas = np.zeros(m)
-    betas = np.zeros(max(m - 1, 0))
-    vs[0] = c / beta0
-    k = m
-    happy = False
-    for j in range(m):
-        w = mat @ vs[j]
-        alphas[j] = float(np.real(np.vdot(vs[j], w)))
-        w = w - alphas[j] * vs[j]
-        if j > 0:
-            w = w - betas[j - 1] * vs[j - 1]
-        # full reorthogonalization keeps the norm drift below 1e-10
-        proj = vs[: j + 1].conj() @ w
-        w = w - vs[: j + 1].T @ proj
-        beta = np.linalg.norm(w)
-        if j == m - 1:
-            last_beta = beta
-            break
-        if beta < 1e-14:
-            k = j + 1
-            happy = True
-            last_beta = 0.0
-            break
-        betas[j] = beta
-        vs[j + 1] = w / beta
-    evals, evecs = scipy.linalg.eigh_tridiagonal(alphas[:k], betas[: k - 1])
-    y = evecs @ (np.exp(-1j * tau * evals) * evecs[0])
-    err = 0.0 if happy else float(abs(last_beta * y[-1]))
-    out = beta0 * (vs[:k].T @ y)
-    return out, err
-
-
-def krylov_expm_multiply(mat, c: np.ndarray, t: float, krylov_dim: int = 30,
-                         tol: float = 1e-12) -> np.ndarray:
-    """e^{-i t H} c by Lanczos with adaptive substeps on the residual estimate."""
-    if t == 0:
-        return c.copy()
-    cur = c.astype(np.complex128)
-    remaining = float(t)
-    tau = remaining
-    attempts = 0
-    while remaining > 1e-15 * abs(t):
-        tau = min(tau, remaining)
-        out, err = _lanczos_apply(mat, cur, tau, krylov_dim)
-        if err <= tol:
-            cur = out
-            remaining -= tau
-            tau *= 2.0
-        else:
-            tau /= 2.0
-        attempts += 1
-        if attempts > 100_000 or tau < 1e-12 * max(abs(t), 1.0):
-            raise NumericalError(
-                f"Krylov propagation stalled: remaining time {remaining:.3e}, "
-                f"substep {tau:.3e}, last residual estimate {err:.3e}"
-            )
-    return cur
+def _matmul(mat, vec: np.ndarray) -> np.ndarray:
+    """Real sparse matrix times a complex array, without a complex copy of mat."""
+    flat = np.ascontiguousarray(vec).view(np.float64).reshape(vec.shape[0], -1)
+    return (mat @ flat).view(np.complex128).reshape((mat.shape[0],) + vec.shape[1:])
 
 
 def evolve_manybody(psi0: ManyBodyState, h: SparseHamiltonian,
                     t: float) -> ManyBodyState:
-    """Psi_t = e^{-i H t} Psi_0; dense exponential below DENSE_FALLBACK_DIM."""
-    if h.basis is not psi0.basis and h.basis.states != psi0.basis.states:
+    """Psi_t = e^{-i H t} Psi_0 by a truncated Taylor series.
+
+    The series runs on H - mu, mu = tr(H)/dim, in s substeps of degree up to
+    m, where (m, s) minimizes m*s subject to ||t(H - mu)||_1 / s <= theta_m.
+    A substep stops early once two successive terms are below the roundoff.
+    """
+    if (h.basis.n_particles, len(h.basis)) != (psi0.basis.n_particles, len(psi0.basis)):
         raise DimensionError("state and Hamiltonian use different bases")
     if t < 0:
         raise DomainError(f"evolution time must be nonnegative, got {t}")
     if abs(psi0.norm() - 1.0) > 1e-12:
         raise DomainError("evolve_manybody requires a normalized state")
+    f = psi0.coefficients.copy()
     if t == 0:
-        return ManyBodyState(psi0.basis, psi0.coefficients.copy())
-    dim = len(psi0.basis)
-    if dim < DENSE_FALLBACK_DIM:
-        u = scipy.linalg.expm(-1j * t * h.matrix.toarray())
-        out = u @ psi0.coefficients
-    else:
-        out = krylov_expm_multiply(h.matrix, psi0.coefficients, t)
-    return ManyBodyState(psi0.basis, out)
+        return ManyBodyState(psi0.basis, f)
+    mat = h.matrix
+    diag = mat.diagonal()
+    mu = float(diag.mean())
+    col_sums = np.bincount(mat.indices, weights=np.abs(mat.data),
+                           minlength=mat.shape[1])
+    norm = t * float(np.max(col_sums - np.abs(diag) + np.abs(diag - mu)))
+    cost, m = min((m * math.ceil(norm / theta), m) for m, theta in _THETA.items())
+    s = max(cost // m, 1)
+    step = -1j * t / s
+    phase = np.exp(-1j * mu * t / s)
+    for _ in range(s):
+        b = f
+        c1 = np.max(np.abs(b))
+        for j in range(1, m + 1):
+            b = (step / j) * (_matmul(mat, b) - mu * b)
+            c2 = np.max(np.abs(b))
+            f += b
+            if c1 + c2 <= _UNIT_ROUNDOFF * np.max(np.abs(f)):
+                break
+            c1 = c2
+        f *= phase
+    return ManyBodyState(psi0.basis, f)
 
 
 # --- reduced density matrices and expectations ----------------------------
-
-def _apply_annihilation(coeffs: np.ndarray, basis: FockBasis, sub: FockBasis,
-                        x: int) -> np.ndarray:
-    """a_x: coefficients in the N sector -> coefficients in the N-1 sector."""
-    out = np.zeros(len(sub), dtype=np.complex128)
-    sub_index = sub.index
-    for i, state in enumerate(basis.states):
-        k = state[x]
-        if k == 0:
-            continue
-        dest = list(state)
-        dest[x] = k - 1
-        out[sub_index[tuple(dest)]] += math.sqrt(k) * coeffs[i]
-    return out
-
 
 def reduced_density_matrix(psi: ManyBodyState, p: int,
                            grid: LatticeGrid) -> np.ndarray:
@@ -295,21 +300,15 @@ def reduced_density_matrix(psi: ManyBodyState, p: int,
         raise DomainError(f"need 1 <= p <= N, got p={p}, N={n}")
     if sites != grid.n_sites:
         raise DimensionError("state does not live on the given grid")
-    # vectors a_{x_p}...a_{x_1} Psi for every p-tuple, built level by level
-    level = {(): (psi.coefficients, psi.basis)}
-    for _ in range(p):
-        nxt = {}
-        for prefix, (coeffs, basis_k) in level.items():
-            sub = _cached_basis(basis_k.n_particles - 1, sites)
-            for x in range(sites):
-                nxt[prefix + (x,)] = (_apply_annihilation(coeffs, basis_k, sub, x), sub)
-        level = nxt
-    dim = sites ** p
-    vecs = np.empty((dim, len(next(iter(level.values()))[0])), dtype=np.complex128)
-    for flat in range(dim):
-        tup = tuple(np.unravel_index(flat, (sites,) * p))
-        vecs[flat] = level[tup][0]
-    raw = vecs @ vecs.conj().T  # raw[X, Y] = <a_Y Psi, a_X Psi>
+    if p > len(psi.basis.annihilators):
+        raise DomainError(f"the basis was built for RDMs up to order "
+                          f"{len(psi.basis.annihilators)}, got p={p}")
+    # column X of w is a_{x_k}...a_{x_1} Psi, X = (x_1..x_k) in row-major order
+    w = psi.coefficients[:, None]
+    for a in psi.basis.annihilators[:p]:
+        w = _matmul(a, w).reshape(sites, -1, w.shape[1])
+        w = w.transpose(1, 2, 0).reshape(w.shape[1], -1)
+    raw = w.T @ w.conj()  # raw[X, Y] = <a_Y Psi, a_X Psi>
     scale = math.exp(math.lgamma(n - p + 1) - math.lgamma(n + 1))
     return (scale / grid.cell_volume ** p) * raw
 

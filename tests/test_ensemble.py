@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import mflab.ensemble
 from mflab.ensemble import (ExperimentPlan, SampleResult, estimate,
                             run_ensemble, run_sample, tail_diagnostic)
-from mflab.errors import DomainError
+from mflab.errors import DomainError, ResourceError
 from mflab.grid import WaveFunction, build_grid, gaussian_packet
 from mflab.hartree import lattice_dispersion
 from mflab.observables import condensate_projector, operator_norm
@@ -67,6 +68,16 @@ def test_sample_index_out_of_range():
     plan = _plan(RANDOM_SPEC, samples=2)
     with pytest.raises(DomainError):
         run_sample(plan, 2)
+
+
+def test_over_cap_sector_fails_before_any_hartree_work(monkeypatch):
+    def no_hartree(*args, **kwargs):
+        raise AssertionError("Hartree ran before the sectors were built")
+
+    monkeypatch.setattr(mflab.ensemble, "evolve_hartree", no_hartree)
+    plan = _plan(RANDOM_SPEC, counts=(2, 30))  # N=30 on 8 sites: dim 10,295,472
+    with pytest.raises(ResourceError, match=r"N=30, M=8 \(d=1\)"):
+        run_ensemble(plan, threads=2)
 
 
 def test_particle_counts_must_ascend():

@@ -11,8 +11,8 @@ from mflab.hartree import lattice_dispersion
 from mflab.manybody import (ManyBodyState, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
                             evolve_manybody, kinetic_matrix,
-                            krylov_expm_multiply, manybody_expectation,
-                            product_state_lift, reduced_density_matrix)
+                            manybody_expectation, product_state_lift,
+                            reduced_density_matrix)
 from mflab.observables import (PObservable, condensate_projector, lift_factor,
                                operator_norm)
 from mflab.random_field import FieldSpec, sample_field
@@ -39,15 +39,22 @@ def test_basis_matches_brute_force_enumeration():
     basis = build_fock_basis(2, g)
     brute = sorted({occ for occ in itertools.product(range(3), repeat=3)
                     if sum(occ) == 2})
-    assert list(basis.states) == brute
-    for i, s in enumerate(basis.states):
-        assert basis.index[s] == i
+    assert [tuple(occ) for occ in basis.occupations.tolist()] == brute
+    for i, s in enumerate(brute):
+        assert basis.rank(s) == i
 
 
 def test_basis_ordering_is_lexicographic():
     g = build_grid(1, 4, 4.0)
     basis = build_fock_basis(3, g)
-    assert list(basis.states) == sorted(basis.states)
+    states = [tuple(occ) for occ in basis.occupations.tolist()]
+    assert states == sorted(states)
+
+
+@pytest.mark.parametrize("d,m,n", [(1, 8, 4), (2, 4, 3)])
+def test_rank_round_trip(d, m, n):
+    basis = build_fock_basis(n, build_grid(d, m, float(m)))
+    assert np.array_equal(basis.rank(basis.occupations), np.arange(len(basis)))
 
 
 def test_dimension_cap_enforced():
@@ -66,8 +73,7 @@ def test_single_particle_hamiltonian_is_kinetic_matrix():
     # basis states are lexicographic: occupation at site (M-1-i) ... map explicitly
     t = kinetic_matrix(g)
     dense = h.matrix.toarray()
-    perm = [basis.states.index(tuple(1 if j == x else 0 for j in range(5)))
-            for x in range(5)]
+    perm = basis.rank(np.eye(5, dtype=int))
     assert np.max(np.abs(dense[np.ix_(perm, perm)] - t)) < 1e-12
 
 
@@ -93,7 +99,7 @@ def _occupation_to_full(coeffs, basis, sites):
         flat = 0
         for x in tup:
             flat = flat * sites + x
-        full[flat] = coeffs[basis.index[occ]] * w
+        full[flat] = coeffs[basis.rank(occ)] * w
     return full
 
 
@@ -149,7 +155,7 @@ def test_lift_fully_condensed():
     state = product_state_lift(phi, 2, basis)
     expected = {(2, 0): 1.0, (1, 1): 0.0, (0, 2): 0.0}
     for occ, val in expected.items():
-        assert state.coefficients[basis.index[occ]] == pytest.approx(val, abs=1e-14)
+        assert state.coefficients[basis.rank(occ)] == pytest.approx(val, abs=1e-14)
 
 
 def test_lift_uniform_two_site():
@@ -157,7 +163,8 @@ def test_lift_uniform_two_site():
     phi = normalize(WaveFunction(g, np.ones(2, dtype=complex)))
     basis = build_fock_basis(2, g)
     state = product_state_lift(phi, 2, basis)
-    got = {occ: state.coefficients[basis.index[occ]] for occ in basis.states}
+    got = {tuple(occ): c for occ, c in zip(basis.occupations.tolist(),
+                                           state.coefficients)}
     assert got[(2, 0)] == pytest.approx(0.5, abs=1e-14)
     assert got[(1, 1)] == pytest.approx(1 / math.sqrt(2), abs=1e-14)
     assert got[(0, 2)] == pytest.approx(0.5, abs=1e-14)
@@ -226,15 +233,35 @@ def test_hamiltonian_shift_is_global_phase():
 
 
 def test_krylov_matches_dense_exponential():
-    g = build_grid(1, 4, 4.0)
-    basis = build_fock_basis(2, g)
-    v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,), seed=17)
-    h = assemble_hamiltonian(g, v, 2, basis)
-    psi = product_state_lift(gaussian_packet(g), 2, basis)
-    krylov = krylov_expm_multiply(h.matrix, psi.coefficients, 0.5)
-    dense = scipy.linalg.expm(-1j * 0.5 * h.matrix.toarray()) @ psi.coefficients
-    assert np.linalg.norm(krylov - dense) < 1e-9
-    assert abs(np.linalg.norm(krylov) - 1.0) < 1e-10
+    # dimension 10 at t = 0.5, and dimension 330 at t = 4 (||tH||_1 ~ 42)
+    for m, n, t in ((4, 2, 0.5), (8, 4, 4.0)):
+        g = build_grid(1, m, float(m))
+        basis = build_fock_basis(n, g)
+        v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,), seed=17)
+        h = assemble_hamiltonian(g, v, n, basis)
+        psi = product_state_lift(gaussian_packet(g), n, basis)
+        taylor = evolve_manybody(psi, h, t).coefficients
+        dense = scipy.linalg.expm(-1j * t * h.matrix.toarray()) @ psi.coefficients
+        assert np.linalg.norm(taylor - dense) < 1e-9
+        assert abs(np.linalg.norm(taylor) - 1.0) < 1e-10
+
+
+def test_propagation_draws_no_random_numbers():
+    # ||tH||_1 ~ 69, where scipy's expm_multiply draws from numpy's global RNG
+    g = build_grid(1, 8, 8.0)
+    basis = build_fock_basis(6, g)
+    v = _field(g, base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3, 0.1), seed=5)
+    h = assemble_hamiltonian(g, v, 6, basis)
+    psi = product_state_lift(gaussian_packet(g), 6, basis)
+    blobs = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        blobs.append(evolve_manybody(psi, h, 4.0).coefficients.tobytes())
+        after = np.random.get_state()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+    assert blobs[0] == blobs[1]
 
 
 def test_propagation_is_unitary_and_conserves_energy():
