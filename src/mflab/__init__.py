@@ -8,10 +8,11 @@ the mean-field expectations shrinks as N grows.
 from .ensemble import (ExperimentPlan, SampleResult, SummaryRow, estimate,
                        run_ensemble, run_sample, tail_diagnostic)
 from .grid import (LatticeGrid, WaveFunction, build_grid, convolve,
-                   gaussian_packet, laplacian_apply, normalize, plane_wave,
-                   uniform_state)
-from .hartree import (HartreeRunParams, evolve_hartree, hartree_expectation,
-                      hartree_step)
+                   convolve_spectrum, gaussian_packet, laplacian_apply,
+                   normalize, plane_wave, uniform_state)
+from .hartree import (HartreeRunParams, evolve_hartree, evolve_hartree_batch,
+                      field_spectra, hartree_expectation, hartree_step,
+                      potential_phase)
 from .manybody import (FockBasis, ManyBodyState, SparseHamiltonian,
                        assemble_hamiltonian, build_fock_basis, evolve_manybody,
                        manybody_expectation, product_state_lift,
@@ -25,9 +26,10 @@ __all__ = [
     "ExperimentPlan", "SampleResult", "SummaryRow", "estimate",
     "run_ensemble", "run_sample", "tail_diagnostic",
     "LatticeGrid", "WaveFunction", "build_grid", "convolve",
-    "gaussian_packet", "laplacian_apply", "normalize", "plane_wave",
-    "uniform_state",
-    "HartreeRunParams", "evolve_hartree", "hartree_expectation", "hartree_step",
+    "convolve_spectrum", "gaussian_packet", "laplacian_apply", "normalize",
+    "plane_wave", "uniform_state",
+    "HartreeRunParams", "evolve_hartree", "evolve_hartree_batch",
+    "field_spectra", "hartree_expectation", "hartree_step", "potential_phase",
     "FockBasis", "ManyBodyState", "SparseHamiltonian", "assemble_hamiltonian",
     "build_fock_basis", "evolve_manybody", "manybody_expectation",
     "product_state_lift", "reduced_density_matrix",

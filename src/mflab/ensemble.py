@@ -10,6 +10,7 @@ worker count.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -17,12 +18,12 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, MFLabError
 from .grid import LatticeGrid, WaveFunction
-from .hartree import HartreeRunParams, evolve_hartree, hartree_expectation
+from .hartree import HartreeRunParams, evolve_hartree_batch, hartree_expectation
 from .manybody import (FockBasis, ManyBodyState, assemble_hamiltonian,
                        build_fock_basis, evolve_manybody, manybody_expectation,
                        product_state_lift)
 from .observables import PObservable, operator_norm
-from .random_field import FieldSpec, mix_seed, sample_field
+from .random_field import FieldSpec, RandomField, mix_seed, sample_field
 
 
 @dataclass(frozen=True)
@@ -85,26 +86,45 @@ def _build_sectors(plan: ExperimentPlan) -> Sectors:
     return sectors
 
 
+def _in_sample(exc: MFLabError, plan: ExperimentPlan, i: int) -> MFLabError:
+    """The same error, prefixed with the sample it happened in."""
+    return type(exc)(f"sample {i} (seed {mix_seed(plan.base_seed, i)}): {exc}")
+
+
+def _hartree_flows(plan: ExperimentPlan, indices: Sequence[int]
+                   ) -> list[tuple[RandomField, WaveFunction]]:
+    """Each sample's field and psi_t, from one batched Hartree flow."""
+    fields = [sample_field(plan.field_spec, mix_seed(plan.base_seed, i), plan.grid)
+              for i in indices]
+    try:
+        params = HartreeRunParams(t_final=plan.t_final, dt=plan.dt, grid=plan.grid)
+        states = evolve_hartree_batch(plan.initial_state, fields, params)
+    except MFLabError as exc:
+        raise _in_sample(exc, plan, indices[getattr(exc, "row", 0)]) from exc
+    return list(zip(fields, states))
+
+
 def run_sample(plan: ExperimentPlan, sample_index: int,
                observable_norm: float | None = None,
-               sectors: Sectors | None = None) -> SampleResult:
+               sectors: Sectors | None = None,
+               hartree: tuple[RandomField, WaveFunction] | None = None
+               ) -> SampleResult:
     """One realization: Hartree once, many-body once per N, same field.
 
-    sectors, from the plan, are shared read-only; built here when omitted.
+    sectors, from the plan, are shared read-only; hartree is this sample's
+    field and psi_t from the batched flow. Each is computed here when omitted,
+    the flow as a batch of one.
     """
     if not (0 <= sample_index < plan.samples):
         raise DomainError(
             f"sample_index {sample_index} outside 0..{plan.samples - 1}"
         )
-    seed = mix_seed(plan.base_seed, sample_index)
-    v = sample_field(plan.field_spec, seed, plan.grid)
     norm_a = (operator_norm(plan.observable, plan.grid)
               if observable_norm is None else observable_norm)
+    if sectors is None:
+        sectors = _build_sectors(plan)
+    v, psi_t = _hartree_flows(plan, [sample_index])[0] if hartree is None else hartree
     try:
-        if sectors is None:
-            sectors = _build_sectors(plan)
-        params = HartreeRunParams(t_final=plan.t_final, dt=plan.dt, grid=plan.grid)
-        psi_t = evolve_hartree(plan.initial_state, v, params)
         x_h = hartree_expectation(psi_t, plan.observable)
         if abs(x_h) > norm_a + 1e-12:
             raise ConsistencyError(f"|X| = {abs(x_h)!r} exceeds the observable norm")
@@ -116,27 +136,31 @@ def run_sample(plan: ExperimentPlan, sample_index: int,
             x_mb[n] = manybody_expectation(psi_n, plan.observable, plan.grid,
                                            norm_bound=norm_a)
     except MFLabError as exc:
-        raise type(exc)(f"sample {sample_index} (seed {seed}): {exc}") from exc
-    return SampleResult(sample_index=sample_index, seed=seed,
+        raise _in_sample(exc, plan, sample_index) from exc
+    return SampleResult(sample_index=sample_index,
+                        seed=mix_seed(plan.base_seed, sample_index),
                         x_hartree=x_h, x_manybody=x_mb)
 
 
 def run_ensemble(plan: ExperimentPlan, threads: int | None = None) -> list[SampleResult]:
     """All samples, optionally concurrent; output ordered by sample_index.
 
-    The sectors are built first, so a resource limit fails before any sample.
+    The sectors are built first, so a resource limit fails before any sample;
+    then the Hartree flow runs once for all fields, and the many-body work of
+    each sample is one task.
     """
     norm_a = operator_norm(plan.observable, plan.grid)
     sectors = _build_sectors(plan)
-    indices = range(plan.samples)
+    flows = _hartree_flows(plan, range(plan.samples))
+
+    def one(i: int) -> SampleResult:
+        return run_sample(plan, i, observable_norm=norm_a, sectors=sectors,
+                          hartree=flows[i])
+
     if threads is not None and threads <= 1:
-        return [run_sample(plan, i, observable_norm=norm_a, sectors=sectors)
-                for i in indices]
+        return [one(i) for i in range(plan.samples)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(
-            lambda i: run_sample(plan, i, observable_norm=norm_a,
-                                 sectors=sectors), indices))
-    return sorted(results, key=lambda r: r.sample_index)
+        return list(pool.map(one, range(plan.samples)))
 
 
 def estimate(results: list[SampleResult]) -> list[SummaryRow]:

@@ -110,9 +110,16 @@ def convolve(grid: LatticeGrid, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
             f"convolve expects vectors of {grid.n_sites} sites, got {v.size} and {rho.size}"
         )
     fv = np.fft.fftn(v.reshape(grid.shape))
-    fr = np.fft.fftn(rho.reshape(grid.shape))
-    out = np.fft.ifftn(fv * fr).real.ravel()
-    return grid.cell_volume * out
+    return convolve_spectrum(grid, fv, rho.reshape(grid.shape)).ravel()
+
+
+def convolve_spectrum(grid: LatticeGrid, fv: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """v*rho from fv = fftn(v), over the trailing grid axes of rho.
+
+    rho is shaped like the grid, or (S, *grid.shape) for a batch; fv broadcasts.
+    """
+    axes = tuple(range(-grid.d, 0))
+    return grid.cell_volume * np.fft.ifftn(fv * np.fft.fftn(rho, axes=axes), axes=axes).real
 
 
 # --- initial single-particle states ---------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mflab.ensemble
+import mflab.hartree
 from mflab.ensemble import (ExperimentPlan, SampleResult, estimate,
                             run_ensemble, run_sample, tail_diagnostic)
 from mflab.errors import DomainError, ResourceError
@@ -74,10 +75,47 @@ def test_over_cap_sector_fails_before_any_hartree_work(monkeypatch):
     def no_hartree(*args, **kwargs):
         raise AssertionError("Hartree ran before the sectors were built")
 
-    monkeypatch.setattr(mflab.ensemble, "evolve_hartree", no_hartree)
+    monkeypatch.setattr(mflab.ensemble, "evolve_hartree_batch", no_hartree)
     plan = _plan(RANDOM_SPEC, counts=(2, 30))  # N=30 on 8 sites: dim 10,295,472
     with pytest.raises(ResourceError, match=r"N=30, M=8 \(d=1\)"):
         run_ensemble(plan, threads=2)
+    # the patched name is the one run_ensemble calls, so the check above bites
+    with pytest.raises(AssertionError, match="Hartree ran"):
+        run_ensemble(_plan(RANDOM_SPEC), threads=2)
+
+
+def test_run_sample_alone_equals_ensemble_rows():
+    plan = _plan(RANDOM_SPEC, samples=5)
+
+    def values(r):
+        return np.array([r.x_hartree, *r.x_manybody.values(), *r.y.values()])
+
+    serial = run_ensemble(plan, threads=1)
+    threaded = run_ensemble(plan, threads=2)
+    smaller = run_ensemble(_plan(RANDOM_SPEC, samples=3), threads=1)
+    for i in range(plan.samples):
+        alone = run_sample(plan, i)
+        for row in (serial[i], threaded[i]) + ((smaller[i],) if i < 3 else ()):
+            assert row.seed == alone.seed
+            assert np.array_equal(values(row), values(alone))
+
+
+def test_hartree_norm_failure_names_sample_and_seed(monkeypatch):
+    step = mflab.hartree.hartree_step
+
+    def leaky_step(psi, *args):
+        out = step(psi, *args)
+        out[-1] *= 1.0 + 1e-9  # the last field of the batch drifts
+        return out
+
+    monkeypatch.setattr(mflab.hartree, "hartree_step", leaky_step)
+    plan = _plan(RANDOM_SPEC, samples=4)
+    seed = mix_seed(plan.base_seed, 3)
+    with pytest.raises(DomainError, match=rf"^sample 3 \(seed {seed}\): Hartree norm"):
+        run_ensemble(plan, threads=2)
+    seed = mix_seed(plan.base_seed, 1)
+    with pytest.raises(DomainError, match=rf"^sample 1 \(seed {seed}\): Hartree norm"):
+        run_sample(plan, 1)
 
 
 def test_particle_counts_must_ascend():

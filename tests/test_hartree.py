@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from mflab.errors import ConsistencyError, DimensionError
+from mflab.errors import ConsistencyError, DimensionError, DomainError
 from mflab.grid import (WaveFunction, build_grid, convolve, gaussian_packet,
                         normalize, plane_wave)
-from mflab.hartree import (HartreeRunParams, evolve_hartree, hartree_energy,
+from mflab.hartree import (HartreeRunParams, evolve_hartree,
+                           evolve_hartree_batch, field_spectra, hartree_energy,
                            hartree_expectation, hartree_step,
-                           lattice_dispersion)
+                           lattice_dispersion, potential_phase)
 from mflab.observables import PObservable, condensate_projector, operator_norm
 from mflab.random_field import FieldSpec, sample_field
 
@@ -19,31 +20,47 @@ def _field(base="zero", mean=0.0, sigmas=(), seed=0, grid=GRID):
                                   mode_stddevs=sigmas), seed, grid)
 
 
+def _batch(psi, copies=1, grid=GRID):
+    """psi repeated as a (copies, *grid.shape) batch."""
+    return np.repeat(psi.amplitudes.reshape(1, *grid.shape), copies, axis=0)
+
+
+def _step(psi, fields, dt, grid=GRID):
+    phases = np.exp(-1j * dt * lattice_dispersion(grid))
+    return hartree_step(_batch(psi, len(fields), grid), field_spectra(fields, grid),
+                        dt, grid, phases)
+
+
 def test_free_step_multiplies_plane_wave_by_dispersion_phase():
     psi = plane_wave(GRID, 1)
     v = _field()  # identically zero
     dt = 0.01
-    out = hartree_step(psi, v, dt)
+    out = _step(psi, [v], dt)
     lam = lattice_dispersion(GRID).ravel()[1]  # mode k=1
     expected = np.exp(-1j * dt * lam) * psi.amplitudes
-    assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
+    assert np.max(np.abs(out[0] - expected)) < 1e-13
 
 
 def test_kinetic_disabled_leaves_pure_nonlinear_phase():
     psi = gaussian_packet(GRID)
     v = _field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3), seed=3)
     dt = 0.05
-    out = hartree_step(psi, v, dt, kinetic=False)
+    fv = field_spectra([v], GRID)
+    # the two half-step phases of a Strang step, without the kinetic step
+    out = potential_phase(potential_phase(_batch(psi), fv, dt / 2, GRID),
+                          fv, dt / 2, GRID)
     w = convolve(GRID, v.values, np.abs(psi.amplitudes) ** 2)
     expected = psi.amplitudes * np.exp(-1j * dt * w)
-    assert np.max(np.abs(out.amplitudes - expected)) < 1e-14
+    assert np.max(np.abs(out[0] - expected)) < 1e-14
 
 
 def test_step_preserves_norm():
     psi = gaussian_packet(GRID)
-    v = _field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5,), seed=1)
-    out = hartree_step(psi, v, 0.01)
-    assert abs(out.norm() - psi.norm()) < 1e-12
+    fields = [_field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5,), seed=s)
+              for s in (1, 2)]
+    out = _step(psi, fields, 0.01)
+    for row in out:
+        assert abs(WaveFunction(GRID, row).norm() - psi.norm()) < 1e-12
 
 
 def test_norm_conserved_over_thousand_steps():
@@ -53,6 +70,52 @@ def test_norm_conserved_over_thousand_steps():
     out = evolve_hartree(psi, v, params)
     assert params.steps == 1000
     assert abs(out.norm() - 1.0) < 1e-10
+
+
+def test_norm_conserved_over_hundred_thousand_steps():
+    # roundoff drifts the norm by about 2.7e-17 per step, 2.3e-12 here: more
+    # than a fixed 1e-12, well inside 1e-12 plus one ulp per step
+    psi = gaussian_packet(GRID)
+    v = _field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3, 0.1), seed=5)
+    params = HartreeRunParams(t_final=100.0, dt=1e-3, grid=GRID)
+    out = evolve_hartree(psi, v, params)
+    assert params.steps == 100_000
+    assert abs(out.norm() - 1.0) < 1e-12 + params.steps * np.finfo(float).eps
+
+
+def test_non_unit_initial_state_rejected():
+    psi = WaveFunction(GRID, 1.001 * gaussian_packet(GRID).amplitudes)
+    with pytest.raises(DomainError, match="unit state"):
+        evolve_hartree(psi, _field(), HartreeRunParams(0.1, 0.01, GRID))
+
+
+def test_exit_norm_check_names_the_drifting_field(monkeypatch):
+    import mflab.hartree
+
+    def leaky_step(psi, *args):
+        out = hartree_step(psi, *args)
+        out[2] *= 1.0 + 1e-9
+        return out
+
+    monkeypatch.setattr(mflab.hartree, "hartree_step", leaky_step)
+    fields = [_field(sigmas=(0.5,), seed=s) for s in range(4)]
+    with pytest.raises(DomainError, match="norm drifted") as info:
+        evolve_hartree_batch(gaussian_packet(GRID), fields,
+                             HartreeRunParams(0.1, 0.01, GRID))
+    assert info.value.row == 2
+
+
+@pytest.mark.parametrize("grid", [GRID, build_grid(2, 8, 8.0)],
+                         ids=["d1", "d2"])
+def test_batch_equals_fields_evolved_alone(grid):
+    psi = gaussian_packet(grid)
+    fields = [_field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3, 0.1),
+                     seed=s, grid=grid) for s in range(5)]
+    params = HartreeRunParams(0.25, 0.25 / 64, grid)
+    batch = evolve_hartree_batch(psi, fields, params)
+    for v, together in zip(fields, batch):
+        alone = evolve_hartree(psi, v, params)
+        assert np.array_equal(together.amplitudes, alone.amplitudes)
 
 
 def test_zero_time_is_identity():
@@ -166,7 +229,9 @@ def test_grid_mismatch_rejected():
     other = build_grid(1, 8, 4.0)
     v = _field(grid=other)
     with pytest.raises(DimensionError):
-        hartree_step(psi, v, 0.01)
+        _step(psi, [v], 0.01)
+    with pytest.raises(DimensionError):
+        evolve_hartree(psi, v, HartreeRunParams(0.1, 0.01, GRID))
 
 
 def test_params_snap_dt_to_horizon():
