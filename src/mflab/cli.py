@@ -1,7 +1,8 @@
 """Command-line front-end: run an experiment plan and serialize the results.
 
 Outputs in the chosen directory:
-  config.resolved  the fully resolved configuration actually used
+  config.resolved  the fully resolved configuration actually used; written
+                   last, it marks the directory as holding a complete run
   samples.csv      per-(sample, N) values: X_N, X and the gap Y_N
   summary.csv      per-N ensemble means with 95% confidence half-widths
   report.txt       convergence table, tail diagnostics and an informational
@@ -10,7 +11,6 @@ Outputs in the chosen directory:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -116,10 +116,9 @@ def run_experiment(plan: ExperimentPlan, options: RunOptions) -> int:
         return 1
 
     try:
-        threads = options.threads if options.threads > 0 else (os.cpu_count() or 1)
         norm_a = operator_norm(plan.observable, plan.grid)
         beta = options.beta if options.beta is not None else norm_a / 2
-        results = run_ensemble(plan, threads=threads)
+        results = run_ensemble(plan)
         rows = estimate(results)
         for row in rows:
             gap = abs(row.mean_x_hartree - row.mean_x_manybody)
@@ -133,10 +132,14 @@ def run_experiment(plan: ExperimentPlan, options: RunOptions) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    _write_atomic(out_dir / "config.resolved", format_resolved(options.resolved))
+    # config.resolved is the commit marker: removed before the first write and
+    # written last, so a directory holds a complete run iff it has that file.
+    marker = out_dir / "config.resolved"
+    marker.unlink(missing_ok=True)
     _write_atomic(out_dir / "samples.csv", samples_csv_text(results))
     _write_atomic(out_dir / "summary.csv", summary_csv_text(rows))
     _write_atomic(out_dir / "report.txt", report_text(rows, norm_a, beta, tails))
+    _write_atomic(marker, format_resolved(options.resolved))
     return 0
 
 
@@ -147,30 +150,19 @@ def main(argv: list[str] | None = None) -> int:
                     "flow over sampled random interactions.",
     )
     parser.add_argument("--config", required=True, help="experiment config file")
-    parser.add_argument("--out-dir", default=None,
-                        help="output directory (default: config output_dir)")
-    parser.add_argument("--samples", type=int, default=None,
-                        help="override the number of Monte Carlo samples")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the base seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: available cores)")
+    parser.add_argument("--out-dir", help="output directory (default: config output_dir)")
+    parser.add_argument("--samples", help="override the number of Monte Carlo samples")
+    parser.add_argument("--seed", help="override the base seed")
+    parser.add_argument("--threads", type=int,
+                        help="ignored: runs are sequential; still accepted because "
+                             "perfbench/run.py passes it")
     args = parser.parse_args(argv)
+    flags = {"samples": args.samples, "base_seed": args.seed,
+             "output_dir": args.out_dir}
 
     try:
-        plan, options = parse_config(args.config)
-        if args.samples is not None:
-            plan = dataclasses.replace(plan, samples=args.samples)
-            options.resolved["samples"] = str(args.samples)
-        if args.seed is not None:
-            plan = dataclasses.replace(plan, base_seed=args.seed)
-            options.resolved["base_seed"] = str(args.seed)
-        if args.threads is not None:
-            options.threads = args.threads
-            options.resolved["threads"] = str(args.threads)
-        if args.out_dir is not None:
-            options.output_dir = args.out_dir
-            options.resolved["output_dir"] = args.out_dir
+        plan, options = parse_config(
+            args.config, {k: v for k, v in flags.items() if v is not None})
     except MFLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,12 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .ensemble import ExperimentPlan
 from .grid import LatticeGrid, WaveFunction, build_grid, gaussian_packet, \
     plane_wave, uniform_state
 from .observables import PObservable, condensate_projector, site_multiplier
-from .random_field import FieldSpec
+from .random_field import FieldSpec, check_mode_count
 
 _DEFAULTS = {
     "dimension": "1",
@@ -25,7 +25,6 @@ _DEFAULTS = {
     "particle_counts": "2,4,6",
     "samples": "64",
     "base_seed": "20240817",
-    "threads": "0",                # 0 -> available cores
     "field.base": "zero",
     "field.gaussian_mean": "0.0",
     "field.sigmas": "",
@@ -45,7 +44,6 @@ _DEFAULTS = {
 
 @dataclass
 class RunOptions:
-    threads: int          # 0 means "use available cores"
     output_dir: str
     beta: float | None    # None means "observable norm / 2"
     resolved: dict[str, str]
@@ -146,11 +144,16 @@ def _build_observable(cfg: dict, grid: LatticeGrid,
     raise ConfigError(f"key 'observable.kind': unknown observable {kind!r}")
 
 
-def parse_config(path: str | Path) -> tuple[ExperimentPlan, RunOptions]:
-    """Read, validate and resolve a config file into a runnable plan."""
-    user = _parse_kv_file(path)
+def parse_config(path: str | Path, overrides: dict[str, str] | None = None
+                 ) -> tuple[ExperimentPlan, RunOptions]:
+    """Read, validate and resolve a config file into a runnable plan.
+
+    overrides (key -> value strings, e.g. from command-line flags) replace the
+    file's values before resolution, so they pass the same checks.
+    """
     cfg = dict(_DEFAULTS)
-    cfg.update(user)
+    cfg.update(_parse_kv_file(path))
+    cfg.update(overrides or {})
 
     grid = build_grid(_get_int(cfg, "dimension"), _get_int(cfg, "sites"),
                       _get_float(cfg, "box_length"))
@@ -162,52 +165,38 @@ def parse_config(path: str | Path) -> tuple[ExperimentPlan, RunOptions]:
     if dt <= 0:
         raise ConfigError("key 'dt': must be positive")
 
-    counts = _int_list(cfg, "particle_counts")
-    if not counts:
-        raise ConfigError("key 'particle_counts': must be a nonempty comma list")
-    if any(b <= a for a, b in zip(counts, counts[1:])):
-        raise ConfigError("key 'particle_counts': particle_counts must be "
-                          "strictly ascending")
-
-    sigmas = _float_list(cfg, "field.sigmas")
-    if len(sigmas) >= grid.m / 2:
-        raise ConfigError(
-            f"key 'field.sigmas': {len(sigmas)} modes violate the K < M/2 rule "
-            f"(M = {grid.m} sites per axis)"
-        )
     field_spec = FieldSpec(
         base=cfg["field.base"],
         gaussian_mean=_get_float(cfg, "field.gaussian_mean"),
-        mode_stddevs=sigmas,
+        mode_stddevs=_float_list(cfg, "field.sigmas"),
         enforce_even=_get_bool(cfg, "field.enforce_even"),
     )
+    check_mode_count(field_spec, grid)
 
     phi = _build_initial_state(cfg, grid)
     observable = _build_observable(cfg, grid, phi)
 
-    samples = _get_int(cfg, "samples")
-    if samples < 1:
-        raise ConfigError("key 'samples': must be >= 1")
     base_seed = _get_int(cfg, "base_seed")
     if not (0 <= base_seed < 2 ** 64):
         raise ConfigError("key 'base_seed': must fit in 64 unsigned bits")
-    threads = _get_int(cfg, "threads")
-    if threads < 0:
-        raise ConfigError("key 'threads': must be >= 0 (0 = available cores)")
 
     beta = None if cfg["beta"] == "auto" else _get_float(cfg, "beta")
     if beta is not None and beta <= 0:
         raise ConfigError("key 'beta': must be positive (or 'auto')")
 
-    plan = ExperimentPlan(
-        grid=grid, field_spec=field_spec, initial_state=phi,
-        observable=observable, t_final=t_final, dt=dt,
-        particle_counts=counts, samples=samples, base_seed=base_seed,
-    )
+    try:
+        plan = ExperimentPlan(
+            grid=grid, field_spec=field_spec, initial_state=phi,
+            observable=observable, t_final=t_final, dt=dt,
+            particle_counts=_int_list(cfg, "particle_counts"),
+            samples=_get_int(cfg, "samples"), base_seed=base_seed,
+        )
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     resolved = dict(cfg)
     resolved["dt"] = repr(dt)
-    options = RunOptions(threads=threads, output_dir=cfg["output_dir"],
-                         beta=beta, resolved=resolved)
+    options = RunOptions(output_dir=cfg["output_dir"], beta=beta,
+                         resolved=resolved)
     return plan, options
 
 

@@ -3,15 +3,15 @@
 Each sample draws one interaction realization and runs the Hartree flow and
 the exact N-body dynamics for every N in the sweep against that same field
 (common random numbers), so the pathwise gap Y_N = |X - X_N| is estimated
-with low variance. Samples are independent work units; aggregation is a
-deterministic fold over sample_index, so results do not depend on the
-worker count.
+with low variance. A run is one sequential pipeline: build the sectors, run
+one batched Hartree flow over every field, then the many-body work of each
+sample in order. Each field is seeded from (base_seed, sample_index), so a
+sample's values do not depend on which other samples run with it.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +19,8 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, MFLabError
 from .grid import LatticeGrid, WaveFunction
 from .hartree import HartreeRunParams, evolve_hartree_batch, hartree_expectation
-from .manybody import (FockBasis, ManyBodyState, assemble_hamiltonian,
-                       build_fock_basis, evolve_manybody, manybody_expectation,
-                       product_state_lift)
+from .manybody import (assemble_hamiltonian, build_fock_basis, evolve_manybody,
+                       manybody_expectation, product_state_lift)
 from .observables import PObservable, operator_norm
 from .random_field import FieldSpec, RandomField, mix_seed, sample_field
 
@@ -74,18 +73,6 @@ class SummaryRow:
     samples: int
 
 
-Sectors = dict[int, tuple[FockBasis, ManyBodyState]]
-
-
-def _build_sectors(plan: ExperimentPlan) -> Sectors:
-    """Per N, the field-independent sector and the lifted initial state."""
-    sectors = {}
-    for n in plan.particle_counts:
-        basis = build_fock_basis(n, plan.grid, max_rdm_order=plan.observable.p)
-        sectors[n] = (basis, product_state_lift(plan.initial_state, n, basis))
-    return sectors
-
-
 def _in_sample(exc: MFLabError, plan: ExperimentPlan, i: int) -> MFLabError:
     """The same error, prefixed with the sample it happened in."""
     return type(exc)(f"sample {i} (seed {mix_seed(plan.base_seed, i)}): {exc}")
@@ -104,63 +91,49 @@ def _hartree_flows(plan: ExperimentPlan, indices: Sequence[int]
     return list(zip(fields, states))
 
 
-def run_sample(plan: ExperimentPlan, sample_index: int,
-               observable_norm: float | None = None,
-               sectors: Sectors | None = None,
-               hartree: tuple[RandomField, WaveFunction] | None = None
-               ) -> SampleResult:
-    """One realization: Hartree once, many-body once per N, same field.
+def _run_samples(plan: ExperimentPlan, indices: Sequence[int]) -> list[SampleResult]:
+    """The samples at indices, in that order, against the same plan.
 
-    sectors, from the plan, are shared read-only; hartree is this sample's
-    field and psi_t from the batched flow. Each is computed here when omitted,
-    the flow as a batch of one.
+    Every sector and lifted initial state is built first, so a resource limit
+    fails before any Hartree work; then the Hartree flow runs once for all the
+    fields, and each sample does its many-body work against its own field.
     """
+    norm_a = operator_norm(plan.observable, plan.grid)
+    sectors = {}
+    for n in plan.particle_counts:
+        basis = build_fock_basis(n, plan.grid, max_rdm_order=plan.observable.p)
+        sectors[n] = (basis, product_state_lift(plan.initial_state, n, basis))
+    results = []
+    for i, (v, psi_t) in zip(indices, _hartree_flows(plan, indices)):
+        try:
+            x_h = hartree_expectation(psi_t, plan.observable)
+            if abs(x_h) > norm_a + 1e-12:
+                raise ConsistencyError(f"|X| = {abs(x_h)!r} exceeds the observable norm")
+            x_mb = {}
+            for n, (basis, psi0) in sectors.items():
+                h = assemble_hamiltonian(plan.grid, v, n, basis)
+                psi_n = evolve_manybody(psi0, h, plan.t_final)
+                x_mb[n] = manybody_expectation(psi_n, plan.observable, plan.grid,
+                                               norm_bound=norm_a)
+        except MFLabError as exc:
+            raise _in_sample(exc, plan, i) from exc
+        results.append(SampleResult(sample_index=i, seed=mix_seed(plan.base_seed, i),
+                                    x_hartree=x_h, x_manybody=x_mb))
+    return results
+
+
+def run_sample(plan: ExperimentPlan, sample_index: int) -> SampleResult:
+    """One realization: Hartree once, many-body once per N, same field."""
     if not (0 <= sample_index < plan.samples):
         raise DomainError(
             f"sample_index {sample_index} outside 0..{plan.samples - 1}"
         )
-    norm_a = (operator_norm(plan.observable, plan.grid)
-              if observable_norm is None else observable_norm)
-    if sectors is None:
-        sectors = _build_sectors(plan)
-    v, psi_t = _hartree_flows(plan, [sample_index])[0] if hartree is None else hartree
-    try:
-        x_h = hartree_expectation(psi_t, plan.observable)
-        if abs(x_h) > norm_a + 1e-12:
-            raise ConsistencyError(f"|X| = {abs(x_h)!r} exceeds the observable norm")
-        x_mb = {}
-        for n in plan.particle_counts:
-            basis, psi0 = sectors[n]
-            h = assemble_hamiltonian(plan.grid, v, n, basis)
-            psi_n = evolve_manybody(psi0, h, plan.t_final)
-            x_mb[n] = manybody_expectation(psi_n, plan.observable, plan.grid,
-                                           norm_bound=norm_a)
-    except MFLabError as exc:
-        raise _in_sample(exc, plan, sample_index) from exc
-    return SampleResult(sample_index=sample_index,
-                        seed=mix_seed(plan.base_seed, sample_index),
-                        x_hartree=x_h, x_manybody=x_mb)
+    return _run_samples(plan, [sample_index])[0]
 
 
-def run_ensemble(plan: ExperimentPlan, threads: int | None = None) -> list[SampleResult]:
-    """All samples, optionally concurrent; output ordered by sample_index.
-
-    The sectors are built first, so a resource limit fails before any sample;
-    then the Hartree flow runs once for all fields, and the many-body work of
-    each sample is one task.
-    """
-    norm_a = operator_norm(plan.observable, plan.grid)
-    sectors = _build_sectors(plan)
-    flows = _hartree_flows(plan, range(plan.samples))
-
-    def one(i: int) -> SampleResult:
-        return run_sample(plan, i, observable_norm=norm_a, sectors=sectors,
-                          hartree=flows[i])
-
-    if threads is not None and threads <= 1:
-        return [one(i) for i in range(plan.samples)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(plan.samples)))
+def run_ensemble(plan: ExperimentPlan) -> list[SampleResult]:
+    """All samples, one after another, ordered by sample_index."""
+    return _run_samples(plan, range(plan.samples))
 
 
 def estimate(results: list[SampleResult]) -> list[SummaryRow]:

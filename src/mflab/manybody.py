@@ -109,7 +109,8 @@ class FockBasis:
     a_x over the sites from the N-k sector to the N-k-1 sector, as a
     (sites * dim(N-k-1), dim(N-k)) matrix. one_body is the CSR matrix of
     sum_{x,y} T_{xy} adag_x a_y; its diagonal entries sit at diagonal_slots
-    of its data. All arrays are read-only and may be shared across threads.
+    of its data. All arrays are read-only, so the one basis built per plan
+    serves every sample and no sample can alter it for the next.
     """
 
     n_particles: int

@@ -98,14 +98,20 @@ def _base_profile(base: str, grid: LatticeGrid) -> np.ndarray:
     return amplitude * out.ravel()
 
 
-def sample_field(spec: FieldSpec, seed: int, grid: LatticeGrid) -> RandomField:
-    """Draw one realization; bit-identical for identical (spec, seed, grid)."""
+def check_mode_count(spec: FieldSpec, grid: LatticeGrid) -> None:
+    """Reject K >= M/2 Gaussian modes: the grid would alias them."""
     K = len(spec.mode_stddevs)
     if K >= grid.m / 2:
         raise ConfigError(
             f"{K} Gaussian modes requested but K < M/2 = {grid.m / 2} is required "
             "(no aliased modes)"
         )
+
+
+def sample_field(spec: FieldSpec, seed: int, grid: LatticeGrid) -> RandomField:
+    """Draw one realization; bit-identical for identical (spec, seed, grid)."""
+    check_mode_count(spec, grid)
+    K = len(spec.mode_stddevs)
     values = _base_profile(spec.base, grid) + spec.gaussian_mean
     if K > 0:
         rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))

@@ -1,7 +1,6 @@
 """Acceptance suite: each criterion prints one PASS/FAIL line when it runs."""
 import itertools
 import math
-import os
 import time
 
 import numpy as np
@@ -25,7 +24,6 @@ from mflab.random_field import FieldSpec, sample_field
 GRID = build_grid(1, 8, 8.0)
 PHI = gaussian_packet(GRID)
 OBS = condensate_projector(PHI)
-THREADS = os.cpu_count() or 1
 
 CONSTANT_SPEC = FieldSpec(base="zero", gaussian_mean=0.7)
 RANDOM_SPEC = FieldSpec(base="gaussian_bump(1.0, 1.5)",
@@ -48,12 +46,12 @@ def _verdict(num, name, ok):
 
 @pytest.fixture(scope="module")
 def constant_results():
-    return run_ensemble(CONSTANT_PLAN, threads=THREADS)
+    return run_ensemble(CONSTANT_PLAN)
 
 
 @pytest.fixture(scope="module")
 def convergence_results():
-    return run_ensemble(CONVERGENCE_PLAN, threads=THREADS)
+    return run_ensemble(CONVERGENCE_PLAN)
 
 
 def test_criterion_1_constant_interaction_exactness(constant_results):
@@ -230,15 +228,14 @@ def test_criterion_5_oracle_equivalence():
 
 
 def test_criterion_6_determinism_across_runs_and_threads(tmp_path):
-    name = "byte-identical CSV outputs across runs and thread counts"
+    name = "byte-identical CSV outputs across runs"
     ok = False
     try:
         resolved = {"placeholder": "acceptance determinism run"}
         blobs = []
-        for threads, sub in ((1, "run-a"), (8, "run-b")):
-            options = RunOptions(threads=threads,
-                                 output_dir=str(tmp_path / sub),
-                                 beta=None, resolved=resolved)
+        for sub in ("run-a", "run-b"):
+            options = RunOptions(output_dir=str(tmp_path / sub), beta=None,
+                                 resolved=resolved)
             assert run_experiment(CONVERGENCE_PLAN, options) == 0
             blobs.append(((tmp_path / sub / "samples.csv").read_bytes(),
                           (tmp_path / sub / "summary.csv").read_bytes()))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mflab.cli
 from mflab.cli import main, run_experiment
 from mflab.config import parse_config
 from mflab.errors import ConfigError
@@ -90,7 +91,7 @@ def test_samples_csv_round_trip(tmp_path):
     options.output_dir = str(tmp_path / "out")
     assert run_experiment(plan, options) == 0
     results = {(r.sample_index, n): (r.x_manybody[n], r.x_hartree, r.y[n])
-               for r in run_ensemble(plan, threads=1)
+               for r in run_ensemble(plan)
                for n in r.x_manybody}
     lines = (tmp_path / "out" / "samples.csv").read_text().splitlines()
     assert lines[0] == "sample_index,seed,N,x_manybody,x_hartree,y"
@@ -122,15 +123,34 @@ def test_summary_csv_schema(tmp_path):
 
 
 def test_outputs_identical_across_thread_counts(tmp_path):
-    plan, options = parse_config(_write(tmp_path, SMALL_RUN))
+    # --threads is accepted and ignored: both runs are the same sequential run
+    cfg = _write(tmp_path, SMALL_RUN)
     blobs = []
-    for threads, sub in ((1, "a"), (8, "b")):
-        options.threads = threads
-        options.output_dir = str(tmp_path / sub)
-        assert run_experiment(plan, options) == 0
-        blobs.append(((tmp_path / sub / "samples.csv").read_bytes(),
-                      (tmp_path / sub / "summary.csv").read_bytes()))
+    for threads, sub in (("1", "a"), ("8", "b")):
+        out = tmp_path / sub
+        assert main(["--config", str(cfg), "--out-dir", str(out),
+                     "--threads", threads]) == 0
+        blobs.append(((out / "samples.csv").read_bytes(),
+                      (out / "summary.csv").read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+def test_failed_write_leaves_no_commit_marker(tmp_path, monkeypatch):
+    plan, options = parse_config(_write(tmp_path, SMALL_RUN))
+    options.output_dir = str(tmp_path / "out")
+    assert run_experiment(plan, options) == 0  # an earlier complete run
+    assert (tmp_path / "out" / "config.resolved").is_file()
+    write = mflab.cli._write_atomic
+
+    def failing_write(path, text):
+        if path.name == "summary.csv":
+            raise OSError("disk full")
+        write(path, text)
+
+    monkeypatch.setattr(mflab.cli, "_write_atomic", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(plan, options)
+    assert not (tmp_path / "out" / "config.resolved").exists()
 
 
 def test_unwritable_out_dir_leaves_nothing_behind(tmp_path):
@@ -153,7 +173,20 @@ def test_main_with_overrides(tmp_path):
     resolved = (out / "config.resolved").read_text()
     assert "samples = 2" in resolved
     assert "base_seed = 5" in resolved
-    assert "threads = 1" in resolved
+    assert "threads" not in resolved
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "must fit in 64 unsigned bits"),
+    ("--seed", "18446744073709551621", "must fit in 64 unsigned bits"),
+    ("--samples", "0", "samples must be >= 1"),
+], ids=["negative-seed", "seed-above-64-bits", "zero-samples"])
+def test_main_validates_overrides(tmp_path, capsys, flag, value, message):
+    cfg = _write(tmp_path, SMALL_RUN)
+    out = tmp_path / "cli-out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

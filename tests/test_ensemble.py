@@ -30,7 +30,7 @@ RANDOM_SPEC = FieldSpec(base="gaussian_bump(1.0, 1.5)",
 
 def test_deterministic_field_gives_identical_samples():
     plan = _plan(FieldSpec(base="cosine(0.8, 1)"), samples=3)
-    results = run_ensemble(plan, threads=1)
+    results = run_ensemble(plan)
     first = results[0]
     for r in results[1:]:
         assert r.x_hartree == first.x_hartree
@@ -42,7 +42,7 @@ def test_deterministic_field_gives_identical_samples():
 def test_constant_field_gap_vanishes():
     plan = _plan(FieldSpec(base="zero", gaussian_mean=0.7), counts=(1, 2, 3),
                  samples=2)
-    for r in run_ensemble(plan, threads=1):
+    for r in run_ensemble(plan):
         assert all(y < 1e-8 for y in r.y.values())
 
 
@@ -78,10 +78,10 @@ def test_over_cap_sector_fails_before_any_hartree_work(monkeypatch):
     monkeypatch.setattr(mflab.ensemble, "evolve_hartree_batch", no_hartree)
     plan = _plan(RANDOM_SPEC, counts=(2, 30))  # N=30 on 8 sites: dim 10,295,472
     with pytest.raises(ResourceError, match=r"N=30, M=8 \(d=1\)"):
-        run_ensemble(plan, threads=2)
+        run_ensemble(plan)
     # the patched name is the one run_ensemble calls, so the check above bites
     with pytest.raises(AssertionError, match="Hartree ran"):
-        run_ensemble(_plan(RANDOM_SPEC), threads=2)
+        run_ensemble(_plan(RANDOM_SPEC))
 
 
 def test_run_sample_alone_equals_ensemble_rows():
@@ -90,12 +90,12 @@ def test_run_sample_alone_equals_ensemble_rows():
     def values(r):
         return np.array([r.x_hartree, *r.x_manybody.values(), *r.y.values()])
 
-    serial = run_ensemble(plan, threads=1)
-    threaded = run_ensemble(plan, threads=2)
-    smaller = run_ensemble(_plan(RANDOM_SPEC, samples=3), threads=1)
+    first = run_ensemble(plan)
+    second = run_ensemble(plan)
+    smaller = run_ensemble(_plan(RANDOM_SPEC, samples=3))
     for i in range(plan.samples):
         alone = run_sample(plan, i)
-        for row in (serial[i], threaded[i]) + ((smaller[i],) if i < 3 else ()):
+        for row in (first[i], second[i]) + ((smaller[i],) if i < 3 else ()):
             assert row.seed == alone.seed
             assert np.array_equal(values(row), values(alone))
 
@@ -112,7 +112,7 @@ def test_hartree_norm_failure_names_sample_and_seed(monkeypatch):
     plan = _plan(RANDOM_SPEC, samples=4)
     seed = mix_seed(plan.base_seed, 3)
     with pytest.raises(DomainError, match=rf"^sample 3 \(seed {seed}\): Hartree norm"):
-        run_ensemble(plan, threads=2)
+        run_ensemble(plan)
     seed = mix_seed(plan.base_seed, 1)
     with pytest.raises(DomainError, match=rf"^sample 1 \(seed {seed}\): Hartree norm"):
         run_sample(plan, 1)
@@ -147,7 +147,7 @@ def test_estimate_statistics_against_direct_oracle():
 
 def test_estimate_triangle_inequality():
     plan = _plan(RANDOM_SPEC, samples=6)
-    rows = estimate(run_ensemble(plan, threads=2))
+    rows = estimate(run_ensemble(plan))
     for row in rows:
         assert abs(row.mean_x_hartree - row.mean_x_manybody) <= row.mean_y + 1e-12
 
@@ -160,14 +160,14 @@ def test_estimate_rejects_empty():
 def test_pathwise_bound_holds():
     plan = _plan(RANDOM_SPEC, samples=6)
     bound = operator_norm(OBS, GRID)
-    for r in run_ensemble(plan, threads=1):
+    for r in run_ensemble(plan):
         assert abs(r.x_hartree) <= bound + 1e-12
         assert all(abs(x) <= bound + 1e-12 for x in r.x_manybody.values())
 
 
 def test_tail_diagnostic_behaviour():
     plan = _plan(RANDOM_SPEC, samples=6)
-    results = run_ensemble(plan, threads=1)
+    results = run_ensemble(plan)
     bound = operator_norm(OBS, GRID)
     above, h_above = tail_diagnostic(results, 1.1 * bound)
     assert h_above == 0.0
@@ -192,9 +192,10 @@ def test_tail_diagnostic_behaviour():
 
 def test_reproducible_across_thread_counts():
     plan = _plan(RANDOM_SPEC, samples=6)
-    serial = run_ensemble(plan, threads=1)
-    threaded = run_ensemble(plan, threads=4)
-    for a, b in zip(serial, threaded):
+    first = run_ensemble(plan)
+    second = run_ensemble(plan)
+    assert [r.sample_index for r in first] == list(range(plan.samples))
+    for a, b in zip(first, second):
         assert a.sample_index == b.sample_index
         assert a.seed == b.seed
         assert a.x_hartree == b.x_hartree
@@ -204,6 +205,6 @@ def test_reproducible_across_thread_counts():
 
 def test_mean_gap_shrinks_with_n():
     plan = _plan(RANDOM_SPEC, counts=(2, 4), samples=8, t=0.5)
-    rows = estimate(run_ensemble(plan, threads=4))
+    rows = estimate(run_ensemble(plan))
     by_n = {row.n: row.mean_y for row in rows}
     assert by_n[4] < by_n[2]
