@@ -11,7 +11,6 @@ Outputs in the chosen directory:
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import tempfile
@@ -23,7 +22,6 @@ from .config import RunOptions, format_resolved, parse_config
 from .ensemble import (ExperimentPlan, SampleResult, SummaryRow, estimate,
                        run_ensemble, tail_diagnostic)
 from .errors import ConsistencyError, MFLabError
-from .observables import operator_norm
 
 
 def _fmt(x: float) -> str:
@@ -116,7 +114,7 @@ def run_experiment(plan: ExperimentPlan, options: RunOptions) -> int:
         return 1
 
     try:
-        norm_a = operator_norm(plan.observable, plan.grid)
+        norm_a = plan.observable_norm
         beta = options.beta if options.beta is not None else norm_a / 2
         results = run_ensemble(plan)
         rows = estimate(results)
@@ -135,11 +133,15 @@ def run_experiment(plan: ExperimentPlan, options: RunOptions) -> int:
     # config.resolved is the commit marker: removed before the first write and
     # written last, so a directory holds a complete run iff it has that file.
     marker = out_dir / "config.resolved"
-    marker.unlink(missing_ok=True)
-    _write_atomic(out_dir / "samples.csv", samples_csv_text(results))
-    _write_atomic(out_dir / "summary.csv", summary_csv_text(rows))
-    _write_atomic(out_dir / "report.txt", report_text(rows, norm_a, beta, tails))
-    _write_atomic(marker, format_resolved(options.resolved))
+    try:
+        marker.unlink(missing_ok=True)
+        _write_atomic(out_dir / "samples.csv", samples_csv_text(results))
+        _write_atomic(out_dir / "summary.csv", summary_csv_text(rows))
+        _write_atomic(out_dir / "report.txt", report_text(rows, norm_a, beta, tails))
+        _write_atomic(marker, format_resolved(options.resolved))
+    except OSError as exc:
+        print(f"error: cannot write results to {out_dir}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -153,7 +153,10 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None
     """
     cfg = dict(_DEFAULTS)
     cfg.update(_parse_kv_file(path))
-    cfg.update(overrides or {})
+    for key, value in (overrides or {}).items():
+        if key not in _DEFAULTS:
+            raise ConfigError(f"override: unknown key {key!r}")
+        cfg[key] = value
 
     grid = build_grid(_get_int(cfg, "dimension"), _get_int(cfg, "sites"),
                       _get_float(cfg, "box_length"))

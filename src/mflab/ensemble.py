@@ -27,6 +27,8 @@ from .random_field import FieldSpec, RandomField, mix_seed, sample_field
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """One experiment; observable_norm is derived once, at construction."""
+
     grid: LatticeGrid
     field_spec: FieldSpec
     initial_state: WaveFunction
@@ -36,6 +38,7 @@ class ExperimentPlan:
     particle_counts: tuple[int, ...]
     samples: int
     base_seed: int
+    observable_norm: float = field(init=False)
 
     def __post_init__(self):
         counts = tuple(int(n) for n in self.particle_counts)
@@ -48,6 +51,8 @@ class ExperimentPlan:
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
         object.__setattr__(self, "particle_counts", counts)
+        object.__setattr__(self, "observable_norm",
+                           operator_norm(self.observable, self.grid))
 
 
 @dataclass
@@ -56,11 +61,11 @@ class SampleResult:
     seed: int
     x_hartree: float
     x_manybody: dict[int, float]
-    y: dict[int, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.y:
-            self.y = {n: abs(self.x_hartree - x) for n, x in self.x_manybody.items()}
+    @property
+    def y(self) -> dict[int, float]:
+        """The gap Y_N = |X - X_N| per N."""
+        return {n: abs(self.x_hartree - x) for n, x in self.x_manybody.items()}
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,7 @@ def _hartree_flows(plan: ExperimentPlan, indices: Sequence[int]
     fields = [sample_field(plan.field_spec, mix_seed(plan.base_seed, i), plan.grid)
               for i in indices]
     try:
-        params = HartreeRunParams(t_final=plan.t_final, dt=plan.dt, grid=plan.grid)
+        params = HartreeRunParams(t_final=plan.t_final, dt=plan.dt)
         states = evolve_hartree_batch(plan.initial_state, fields, params)
     except MFLabError as exc:
         raise _in_sample(exc, plan, indices[getattr(exc, "row", 0)]) from exc
@@ -98,11 +103,11 @@ def _run_samples(plan: ExperimentPlan, indices: Sequence[int]) -> list[SampleRes
     fails before any Hartree work; then the Hartree flow runs once for all the
     fields, and each sample does its many-body work against its own field.
     """
-    norm_a = operator_norm(plan.observable, plan.grid)
-    sectors = {}
+    norm_a = plan.observable_norm
+    sectors = []
     for n in plan.particle_counts:
         basis = build_fock_basis(n, plan.grid, max_rdm_order=plan.observable.p)
-        sectors[n] = (basis, product_state_lift(plan.initial_state, n, basis))
+        sectors.append((basis, product_state_lift(plan.initial_state, basis)))
     results = []
     for i, (v, psi_t) in zip(indices, _hartree_flows(plan, indices)):
         try:
@@ -110,11 +115,10 @@ def _run_samples(plan: ExperimentPlan, indices: Sequence[int]) -> list[SampleRes
             if abs(x_h) > norm_a + 1e-12:
                 raise ConsistencyError(f"|X| = {abs(x_h)!r} exceeds the observable norm")
             x_mb = {}
-            for n, (basis, psi0) in sectors.items():
-                h = assemble_hamiltonian(plan.grid, v, n, basis)
-                psi_n = evolve_manybody(psi0, h, plan.t_final)
-                x_mb[n] = manybody_expectation(psi_n, plan.observable, plan.grid,
-                                               norm_bound=norm_a)
+            for basis, psi0 in sectors:
+                psi_n = evolve_manybody(psi0, assemble_hamiltonian(basis, v), plan.t_final)
+                x_mb[basis.n_particles] = manybody_expectation(
+                    psi_n, plan.observable, norm_bound=norm_a)
         except MFLabError as exc:
             raise _in_sample(exc, plan, i) from exc
         results.append(SampleResult(sample_index=i, seed=mix_seed(plan.base_seed, i),

@@ -17,10 +17,6 @@ class DomainError(MFLabError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class NumericalError(MFLabError):
-    """An iterative numerical procedure failed to converge."""
-
-
 class ResourceError(MFLabError):
     """A configured resource limit (e.g. basis dimension cap) was exceeded."""
 

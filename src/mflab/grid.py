@@ -5,6 +5,7 @@ quantities converge to their continuum counterparts under refinement.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,11 @@ def convolve_spectrum(grid: LatticeGrid, fv: np.ndarray, rho: np.ndarray) -> np.
     return grid.cell_volume * np.fft.ifftn(fv * np.fft.fftn(rho, axes=axes), axes=axes).real
 
 
+def separable_profile(grid: LatticeGrid, prof: np.ndarray) -> np.ndarray:
+    """prof(x_1) * ... * prof(x_d) from one axis profile, flattened row-major."""
+    return functools.reduce(np.multiply.outer, [prof] * grid.d).ravel()
+
+
 # --- initial single-particle states ---------------------------------------
 
 def gaussian_packet(grid: LatticeGrid, center: float | None = None,
@@ -133,11 +139,8 @@ def gaussian_packet(grid: LatticeGrid, center: float | None = None,
     x = grid.axis_coordinates()
     # minimal-image distance on the circle
     dx = (x - c + L / 2) % L - L / 2
-    prof = np.exp(-dx ** 2 / (2.0 * w ** 2))
-    amps = prof
-    for _ in range(grid.d - 1):
-        amps = np.multiply.outer(amps, prof)
-    return normalize(WaveFunction(grid, amps.ravel().astype(np.complex128)))
+    amps = separable_profile(grid, np.exp(-dx ** 2 / (2.0 * w ** 2)))
+    return normalize(WaveFunction(grid, amps.astype(np.complex128)))
 
 
 def uniform_state(grid: LatticeGrid) -> WaveFunction:

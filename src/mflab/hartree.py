@@ -29,11 +29,13 @@ _NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HartreeRunParams:
-    """Evolution horizon and step size; dt is snapped so steps*dt = t_final."""
+    """Evolution horizon and step size; dt is snapped so steps*dt = t_final.
+
+    The grid is not a parameter: the flow runs on the initial state's grid.
+    """
 
     t_final: float
     dt: float
-    grid: LatticeGrid
 
     def __post_init__(self):
         if self.t_final < 0:
@@ -80,14 +82,12 @@ def hartree_step(psi: np.ndarray, fv: np.ndarray, dt: float, grid: LatticeGrid,
 
 def evolve_hartree_batch(phi: WaveFunction, fields: Sequence[RandomField],
                          params: HartreeRunParams) -> list[WaveFunction]:
-    """psi_t of phi under each field, all fields advanced together.
+    """psi_t of phi under each field, all fields advanced together on phi's grid.
 
     The norm is checked at entry to 1e-12, and per field at exit to 1e-12 plus
     an ulp per step of roundoff; an exit failure carries its field's `row`.
     """
-    grid = params.grid
-    if phi.grid != grid:
-        raise DimensionError("initial state does not live on the run grid")
+    grid = phi.grid
     fv = field_spectra(fields, grid)
     if abs(phi.norm() - 1.0) > _NORM_TOL:
         raise DomainError(f"the Hartree flow requires a unit state, norm = {phi.norm()!r}")

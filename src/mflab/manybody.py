@@ -209,16 +209,16 @@ def interaction_matrix(grid: LatticeGrid, values: np.ndarray) -> np.ndarray:
     return v[tuple(diff)]
 
 
-def assemble_hamiltonian(grid: LatticeGrid, v, n: int,
-                         basis: FockBasis) -> SparseHamiltonian:
-    """The sector's one-body operator plus the diagonal pair term of field v."""
-    if basis.grid != grid or basis.n_particles != n:
-        raise DimensionError("basis does not match the requested (N, grid)")
+def assemble_hamiltonian(basis: FockBasis, v) -> SparseHamiltonian:
+    """The sector's one-body operator plus the diagonal pair term of field v,
+    on the basis's grid and particle number."""
+    n = basis.n_particles
     values = np.asarray(v.values, dtype=np.float64).ravel()
-    if values.size != grid.n_sites:
-        raise DimensionError("field does not live on the given grid")
+    if values.size != basis.sites:
+        raise DimensionError(
+            f"field has {values.size} sites, the basis grid has {basis.sites}")
     occ = basis.occupations
-    pair = ((occ @ interaction_matrix(grid, values)) * occ).sum(axis=1)
+    pair = ((occ @ interaction_matrix(basis.grid, values)) * occ).sum(axis=1)
     one_body = basis.one_body
     data = one_body.data.copy()
     data[basis.diagonal_slots] += (pair - float(values[0]) * n) / (2.0 * n)
@@ -227,12 +227,14 @@ def assemble_hamiltonian(grid: LatticeGrid, v, n: int,
     return SparseHamiltonian(basis=basis, matrix=mat)
 
 
-def product_state_lift(phi: WaveFunction, n: int, basis: FockBasis) -> ManyBodyState:
-    """Coefficients of the N-fold product state phi^(x)N in the occupation basis."""
+def product_state_lift(phi: WaveFunction, basis: FockBasis) -> ManyBodyState:
+    """Coefficients of the N-fold product state phi^(x)N in the occupation
+    basis, N being the basis's particle number."""
     if abs(phi.norm() - 1.0) > 1e-12:
         raise DomainError(f"product lift requires a unit state, norm = {phi.norm()!r}")
-    if basis.sites != phi.grid.n_sites or basis.n_particles != n:
-        raise DimensionError("basis does not match (N, grid)")
+    if phi.grid != basis.grid:
+        raise DimensionError("state does not live on the basis grid")
+    n = basis.n_particles
     u = phi.grid.cell_volume ** 0.5 * phi.amplitudes  # unit l2 vector
     occ = basis.occupations
     log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
@@ -292,15 +294,12 @@ def evolve_manybody(psi0: ManyBodyState, h: SparseHamiltonian,
 
 # --- reduced density matrices and expectations ----------------------------
 
-def reduced_density_matrix(psi: ManyBodyState, p: int,
-                           grid: LatticeGrid) -> np.ndarray:
+def reduced_density_matrix(psi: ManyBodyState, p: int) -> np.ndarray:
     """Trace-one p-particle reduced density matrix as a kernel on lattice^p."""
     n = psi.basis.n_particles
     sites = psi.basis.sites
     if p < 1 or p > n:
         raise DomainError(f"need 1 <= p <= N, got p={p}, N={n}")
-    if sites != grid.n_sites:
-        raise DimensionError("state does not live on the given grid")
     if p > len(psi.basis.annihilators):
         raise DomainError(f"the basis was built for RDMs up to order "
                           f"{len(psi.basis.annihilators)}, got p={p}")
@@ -311,16 +310,21 @@ def reduced_density_matrix(psi: ManyBodyState, p: int,
         w = w.transpose(1, 2, 0).reshape(w.shape[1], -1)
     raw = w.T @ w.conj()  # raw[X, Y] = <a_Y Psi, a_X Psi>
     scale = math.exp(math.lgamma(n - p + 1) - math.lgamma(n + 1))
-    return (scale / grid.cell_volume ** p) * raw
+    return (scale / psi.basis.grid.cell_volume ** p) * raw
 
 
-def manybody_expectation(psi: ManyBodyState, a: PObservable, grid: LatticeGrid,
+def manybody_expectation(psi: ManyBodyState, a: PObservable,
                          norm_bound: float | None = None) -> float:
-    """X_N = lift_factor(N, p) * Tr(a gamma^(p)), with the pathwise bound checked."""
+    """X_N = lift_factor(N, p) * Tr(a gamma^(p)), with the pathwise bound checked.
+
+    norm_bound is the observable's norm on the basis grid; a plan passes its
+    own, and standalone callers may leave it to be computed here.
+    """
     n = psi.basis.n_particles
+    grid = psi.basis.grid
     if a.p > n:
         raise DomainError(f"observable acts on {a.p} particles but N = {n}")
-    gamma = reduced_density_matrix(psi, a.p, grid)
+    gamma = reduced_density_matrix(psi, a.p)
     weight = grid.cell_volume ** (2 * a.p)
     val = weight * np.sum(a.kernel * gamma.T)
     if abs(val.imag) >= 1e-10:

@@ -7,12 +7,12 @@ coordinate blocks in both arguments.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalError
-from .grid import LatticeGrid, WaveFunction
+from .errors import DimensionError, DomainError
+from .grid import LatticeGrid, WaveFunction, separable_profile
 
 
 def block_permutation_indices(p: int, sites: int) -> list[np.ndarray]:
@@ -78,45 +78,24 @@ class PObservable:
         return bool(np.max(np.abs(self.kernel - self.kernel.conj().T)) <= tol)
 
 
-def _symmetric_project(z: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(z)
-    for idx in maps:
-        out += z[idx]
-    return out / len(maps)
-
-
-def operator_norm(a: PObservable, grid: LatticeGrid, tol: float = 1e-8,
-                  max_iter: int = 10000) -> float:
+def operator_norm(a: PObservable, grid: LatticeGrid) -> float:
     """Spectral norm of h^{dp} K restricted to the permutation-symmetric subspace.
 
-    Power iteration on (P B P)^* (P B P) with a deterministic start vector.
+    The subspace has an orthonormal basis Q with one normalized indicator
+    column per orbit of the block permutations (Q is the identity for p = 1),
+    so the norm is the largest singular value of Q^T (h^{dp} K) Q.
     """
     sites = a.sites
     if sites != grid.n_sites:
         raise DimensionError(
             f"kernel is built over {sites} sites, grid has {grid.n_sites}"
         )
-    B = (grid.cell_volume ** a.p) * a.kernel
-    maps = block_permutation_indices(a.p, sites)
-    rng = np.random.default_rng(12345)
-    z = rng.standard_normal(B.shape[0]) + 1j * rng.standard_normal(B.shape[0])
-    z = _symmetric_project(z, maps)
-    z /= np.linalg.norm(z)
-    for _ in range(max_iter):
-        w = _symmetric_project(B @ z, maps)
-        y = _symmetric_project(B.conj().T @ w, maps)
-        lam = float(np.real(np.vdot(z, y)))  # Rayleigh quotient of (PBP)^* PBP
-        if lam <= 0.0 and np.linalg.norm(y) == 0.0:
-            return 0.0
-        # Hermitian residual bound: |lam - lam_true| <= ||y - lam z||
-        residual = float(np.linalg.norm(y - lam * z))
-        ynorm = np.linalg.norm(y)
-        z = y / ynorm
-        if residual <= 0.5 * tol * abs(lam):
-            return float(np.sqrt(max(lam, 0.0)))
-    raise NumericalError(
-        f"operator-norm power iteration did not converge in {max_iter} iterations"
-    )
+    maps = np.stack(block_permutation_indices(a.p, sites))
+    _, orbit = np.unique(maps.min(axis=0), return_inverse=True)
+    q = np.zeros((orbit.size, orbit.max() + 1))
+    q[np.arange(orbit.size), orbit] = 1.0
+    q /= np.sqrt(q.sum(axis=0))
+    return float(np.linalg.norm(q.T @ ((grid.cell_volume ** a.p) * a.kernel) @ q, 2))
 
 
 def lift_factor(n: int, p: int) -> float:
@@ -148,10 +127,6 @@ def site_multiplier(grid: LatticeGrid, amplitude: float = 1.0,
     For d > 1 the profile is a product of the axis profiles.
     """
     x = grid.axis_coordinates()
-    prof = np.cos(2.0 * np.pi * mode * x / grid.length)
-    f = prof
-    for _ in range(grid.d - 1):
-        f = np.multiply.outer(f, prof)
-    f = amplitude * f.ravel()
+    f = amplitude * separable_profile(grid, np.cos(2.0 * np.pi * mode * x / grid.length))
     kernel = np.diag(f.astype(np.complex128)) / grid.cell_volume
     return PObservable.from_kernel(1, kernel)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import LatticeGrid
+from .grid import LatticeGrid, separable_profile
 
 _MASK64 = (1 << 64) - 1
 
@@ -84,18 +84,10 @@ def _base_profile(base: str, grid: LatticeGrid) -> np.ndarray:
     if name == "gaussian_bump":
         amplitude, width = params
         dx = (x + L / 2) % L - L / 2  # minimal-image distance to 0
-        prof = np.exp(-dx ** 2 / (2.0 * width ** 2))
-        out = prof
-        for _ in range(grid.d - 1):
-            out = np.multiply.outer(out, prof)
-        return amplitude * out.ravel()
+        return amplitude * separable_profile(grid, np.exp(-dx ** 2 / (2.0 * width ** 2)))
     # cosine(amplitude, mode)
     amplitude, mode = params
-    prof = np.cos(2.0 * np.pi * mode * x / L)
-    out = prof
-    for _ in range(grid.d - 1):
-        out = np.multiply.outer(out, prof)
-    return amplitude * out.ravel()
+    return amplitude * separable_profile(grid, np.cos(2.0 * np.pi * mode * x / L))
 
 
 def check_mode_count(spec: FieldSpec, grid: LatticeGrid) -> None:

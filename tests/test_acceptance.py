@@ -113,15 +113,15 @@ def test_criterion_4_conservation_suite():
     try:
         v = sample_field(RANDOM_SPEC, 20240817, GRID)
         # Hartree norm over 10^3 steps
-        params = HartreeRunParams(t_final=1.0, dt=1e-3, grid=GRID)
+        params = HartreeRunParams(t_final=1.0, dt=1e-3)
         assert params.steps == 1000
         psi_t = evolve_hartree(PHI, v, params)
         assert abs(psi_t.norm() - 1.0) < 1e-10
         # many-body norm and energy
         n = 5
         basis = build_fock_basis(n, GRID)
-        h = assemble_hamiltonian(GRID, v, n, basis)
-        psi0 = product_state_lift(PHI, n, basis)
+        h = assemble_hamiltonian(basis, v)
+        psi0 = product_state_lift(PHI, basis)
         e0 = energy_expectation(psi0, h)
         psi_n = evolve_manybody(psi0, h, 1.0)
         assert abs(psi_n.norm() - 1.0) < 1e-10
@@ -171,8 +171,8 @@ def test_criterion_5_oracle_equivalence():
         basis = build_fock_basis(n, GRID)
         assert len(basis) <= 2000
         v = sample_field(RANDOM_SPEC, 31337, GRID)
-        h = assemble_hamiltonian(GRID, v, n, basis)
-        psi0 = product_state_lift(PHI, n, basis)
+        h = assemble_hamiltonian(basis, v)
+        psi0 = product_state_lift(PHI, basis)
         taylor = evolve_manybody(psi0, h, 0.5).coefficients
         dense = scipy.linalg.expm(-1j * 0.5 * h.matrix.toarray()) @ psi0.coefficients
         assert np.linalg.norm(taylor - dense) < 1e-9
@@ -205,7 +205,7 @@ def test_criterion_5_oracle_equivalence():
                 c /= np.linalg.norm(c)
                 full = _occupation_to_full(c, b3, 3)
                 oracle = np.vdot(full, lifted @ full).real
-                got = manybody_expectation(ManyBodyState(b3, c), a, g3)
+                got = manybody_expectation(ManyBodyState(b3, c), a)
                 assert abs(got - oracle) < 1e-10
 
         # (d) second- vs first-quantized Hamiltonian, N = 2, M = 3
@@ -213,7 +213,7 @@ def test_criterion_5_oracle_equivalence():
         b2 = build_fock_basis(2, g3)
         v3 = sample_field(FieldSpec(base="gaussian_bump(1.0, 0.8)",
                                     mode_stddevs=(0.6,)), 99, g3)
-        h2q = assemble_hamiltonian(g3, v3, 2, b2).matrix.toarray()
+        h2q = assemble_hamiltonian(b2, v3).matrix.toarray()
         t = kinetic_matrix(g3)
         pair = np.array([v3.values[(x - y) % 3]
                          for x in range(3) for y in range(3)])

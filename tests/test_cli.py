@@ -135,7 +135,7 @@ def test_outputs_identical_across_thread_counts(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_failed_write_leaves_no_commit_marker(tmp_path, monkeypatch):
+def test_failed_write_leaves_no_commit_marker(tmp_path, monkeypatch, capsys):
     plan, options = parse_config(_write(tmp_path, SMALL_RUN))
     options.output_dir = str(tmp_path / "out")
     assert run_experiment(plan, options) == 0  # an earlier complete run
@@ -148,8 +148,10 @@ def test_failed_write_leaves_no_commit_marker(tmp_path, monkeypatch):
         write(path, text)
 
     monkeypatch.setattr(mflab.cli, "_write_atomic", failing_write)
-    with pytest.raises(OSError, match="disk full"):
-        run_experiment(plan, options)
+    capsys.readouterr()
+    assert run_experiment(plan, options) == 1
+    err = capsys.readouterr().err
+    assert "cannot write results" in err and "disk full" in err
     assert not (tmp_path / "out" / "config.resolved").exists()
 
 
@@ -187,6 +189,12 @@ def test_main_validates_overrides(tmp_path, capsys, flag, value, message):
     assert main(["--config", str(cfg), "--out-dir", str(out), flag, value]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unknown_override_key_rejected(tmp_path):
+    cfg = _write(tmp_path, SMALL_RUN)
+    with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+        parse_config(cfg, {"bogus": "1"})
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

@@ -66,7 +66,7 @@ def test_step_preserves_norm():
 def test_norm_conserved_over_thousand_steps():
     psi = gaussian_packet(GRID)
     v = _field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3, 0.1), seed=5)
-    params = HartreeRunParams(t_final=1.0, dt=1e-3, grid=GRID)
+    params = HartreeRunParams(t_final=1.0, dt=1e-3)
     out = evolve_hartree(psi, v, params)
     assert params.steps == 1000
     assert abs(out.norm() - 1.0) < 1e-10
@@ -77,7 +77,7 @@ def test_norm_conserved_over_hundred_thousand_steps():
     # than a fixed 1e-12, well inside 1e-12 plus one ulp per step
     psi = gaussian_packet(GRID)
     v = _field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3, 0.1), seed=5)
-    params = HartreeRunParams(t_final=100.0, dt=1e-3, grid=GRID)
+    params = HartreeRunParams(t_final=100.0, dt=1e-3)
     out = evolve_hartree(psi, v, params)
     assert params.steps == 100_000
     assert abs(out.norm() - 1.0) < 1e-12 + params.steps * np.finfo(float).eps
@@ -86,7 +86,7 @@ def test_norm_conserved_over_hundred_thousand_steps():
 def test_non_unit_initial_state_rejected():
     psi = WaveFunction(GRID, 1.001 * gaussian_packet(GRID).amplitudes)
     with pytest.raises(DomainError, match="unit state"):
-        evolve_hartree(psi, _field(), HartreeRunParams(0.1, 0.01, GRID))
+        evolve_hartree(psi, _field(), HartreeRunParams(0.1, 0.01))
 
 
 def test_exit_norm_check_names_the_drifting_field(monkeypatch):
@@ -101,7 +101,7 @@ def test_exit_norm_check_names_the_drifting_field(monkeypatch):
     fields = [_field(sigmas=(0.5,), seed=s) for s in range(4)]
     with pytest.raises(DomainError, match="norm drifted") as info:
         evolve_hartree_batch(gaussian_packet(GRID), fields,
-                             HartreeRunParams(0.1, 0.01, GRID))
+                             HartreeRunParams(0.1, 0.01))
     assert info.value.row == 2
 
 
@@ -111,7 +111,7 @@ def test_batch_equals_fields_evolved_alone(grid):
     psi = gaussian_packet(grid)
     fields = [_field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3, 0.1),
                      seed=s, grid=grid) for s in range(5)]
-    params = HartreeRunParams(0.25, 0.25 / 64, grid)
+    params = HartreeRunParams(0.25, 0.25 / 64)
     batch = evolve_hartree_batch(psi, fields, params)
     for v, together in zip(fields, batch):
         alone = evolve_hartree(psi, v, params)
@@ -121,7 +121,7 @@ def test_batch_equals_fields_evolved_alone(grid):
 def test_zero_time_is_identity():
     psi = gaussian_packet(GRID)
     v = _field(sigmas=(0.5,), seed=2)
-    params = HartreeRunParams(t_final=0.0, dt=0.1, grid=GRID)
+    params = HartreeRunParams(t_final=0.0, dt=0.1)
     out = evolve_hartree(psi, v, params)
     assert np.array_equal(out.amplitudes, psi.amplitudes)
 
@@ -131,7 +131,7 @@ def test_constant_interaction_is_global_phase():
     c = 0.7
     v_const = _field(mean=c)
     v_zero = _field()
-    params = HartreeRunParams(t_final=0.5, dt=0.5 / 512, grid=GRID)
+    params = HartreeRunParams(t_final=0.5, dt=0.5 / 512)
     out = evolve_hartree(psi, v_const, params)
     free = evolve_hartree(psi, v_zero, params)
     overlap = free.inner(out)
@@ -144,7 +144,7 @@ def test_strang_splitting_is_second_order():
     t = 0.5
 
     def terminal(dt):
-        return evolve_hartree(psi, v, HartreeRunParams(t, dt, GRID)).amplitudes
+        return evolve_hartree(psi, v, HartreeRunParams(t, dt)).amplitudes
 
     ref = terminal(t / 1024)  # dt/16 reference
     err_coarse = np.linalg.norm(terminal(t / 64) - ref)
@@ -156,7 +156,7 @@ def test_energy_drift_is_small():
     psi = gaussian_packet(GRID)
     v = _field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3, 0.1), seed=4)
     e0 = hartree_energy(psi, v)
-    out = evolve_hartree(psi, v, HartreeRunParams(0.5, 0.5 / 512, GRID))
+    out = evolve_hartree(psi, v, HartreeRunParams(0.5, 0.5 / 512))
     e1 = hartree_energy(out, v)
     assert abs(e1 - e0) / abs(e0) < 1e-6
 
@@ -164,7 +164,7 @@ def test_energy_drift_is_small():
 def test_time_reversal_returns_initial_state():
     psi = gaussian_packet(GRID)
     v = _field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3), seed=6)
-    params = HartreeRunParams(0.5, 0.5 / 512, GRID)
+    params = HartreeRunParams(0.5, 0.5 / 512)
     fwd = evolve_hartree(psi, v, params)
     # v is real, so conjugation implements the backward flow
     back = evolve_hartree(WaveFunction(GRID, fwd.amplitudes.conj()), v, params)
@@ -231,9 +231,9 @@ def test_grid_mismatch_rejected():
     with pytest.raises(DimensionError):
         _step(psi, [v], 0.01)
     with pytest.raises(DimensionError):
-        evolve_hartree(psi, v, HartreeRunParams(0.1, 0.01, GRID))
+        evolve_hartree(psi, v, HartreeRunParams(0.1, 0.01))
 
 
 def test_params_snap_dt_to_horizon():
-    params = HartreeRunParams(t_final=1.0, dt=0.3, grid=GRID)
+    params = HartreeRunParams(t_final=1.0, dt=0.3)
     assert params.steps * params.effective_dt == pytest.approx(1.0, abs=1e-15)

@@ -69,7 +69,7 @@ def test_single_particle_hamiltonian_is_kinetic_matrix():
     g = build_grid(1, 5, 5.0)
     v = _field(g, base="gaussian_bump(2.0, 1.0)", sigmas=(0.4,), seed=7)
     basis = build_fock_basis(1, g)
-    h = assemble_hamiltonian(g, v, 1, basis)
+    h = assemble_hamiltonian(basis, v)
     # basis states are lexicographic: occupation at site (M-1-i) ... map explicitly
     t = kinetic_matrix(g)
     dense = h.matrix.toarray()
@@ -82,8 +82,8 @@ def test_constant_interaction_shifts_by_scalar(n):
     g = build_grid(1, 4, 4.0)
     c = 0.9
     basis = build_fock_basis(n, g)
-    h_const = assemble_hamiltonian(g, _field(g, mean=c), n, basis).matrix.toarray()
-    h_free = assemble_hamiltonian(g, _field(g), n, basis).matrix.toarray()
+    h_const = assemble_hamiltonian(basis, _field(g, mean=c)).matrix.toarray()
+    h_free = assemble_hamiltonian(basis, _field(g)).matrix.toarray()
     shift = c * (n - 1) / 2  # (1/N) * binom(N,2) * c
     assert np.max(np.abs(h_const - h_free - shift * np.eye(len(basis)))) < 1e-12
 
@@ -125,7 +125,7 @@ def test_hamiltonian_matches_first_quantized_projection():
     n = 2
     v = _field(g, base="gaussian_bump(1.0, 0.8)", sigmas=(0.6,), seed=11)
     basis = build_fock_basis(n, g)
-    h2q = assemble_hamiltonian(g, v, n, basis).matrix.toarray()
+    h2q = assemble_hamiltonian(basis, v).matrix.toarray()
 
     t = kinetic_matrix(g)
     eye = np.eye(3)
@@ -142,7 +142,7 @@ def test_hamiltonian_matches_first_quantized_projection():
 def test_hamiltonian_is_hermitian():
     g = build_grid(1, 4, 4.0)
     v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,), seed=13)
-    h = assemble_hamiltonian(g, v, 3, build_fock_basis(3, g)).matrix
+    h = assemble_hamiltonian(build_fock_basis(3, g), v).matrix
     assert abs(h - h.T).max() < 1e-12
 
 
@@ -152,7 +152,7 @@ def test_lift_fully_condensed():
     g = build_grid(1, 2, 2.0)
     phi = WaveFunction(g, np.array([g.h ** -0.5, 0.0], dtype=complex))
     basis = build_fock_basis(2, g)
-    state = product_state_lift(phi, 2, basis)
+    state = product_state_lift(phi, basis)
     expected = {(2, 0): 1.0, (1, 1): 0.0, (0, 2): 0.0}
     for occ, val in expected.items():
         assert state.coefficients[basis.rank(occ)] == pytest.approx(val, abs=1e-14)
@@ -162,7 +162,7 @@ def test_lift_uniform_two_site():
     g = build_grid(1, 2, 2.0)
     phi = normalize(WaveFunction(g, np.ones(2, dtype=complex)))
     basis = build_fock_basis(2, g)
-    state = product_state_lift(phi, 2, basis)
+    state = product_state_lift(phi, basis)
     got = {tuple(occ): c for occ, c in zip(basis.occupations.tolist(),
                                            state.coefficients)}
     assert got[(2, 0)] == pytest.approx(0.5, abs=1e-14)
@@ -176,7 +176,7 @@ def test_lift_is_normalized(n, m):
     rng = np.random.default_rng(n * m)
     phi = normalize(WaveFunction(g, rng.standard_normal(m)
                                  + 1j * rng.standard_normal(m)))
-    state = product_state_lift(phi, n, build_fock_basis(n, g))
+    state = product_state_lift(phi, build_fock_basis(n, g))
     assert abs(state.norm() - 1.0) < 1e-12
 
 
@@ -184,7 +184,7 @@ def test_lift_rejects_unnormalized_state():
     g = build_grid(1, 3, 3.0)
     phi = WaveFunction(g, np.ones(3, dtype=complex))
     with pytest.raises(DomainError):
-        product_state_lift(phi, 2, build_fock_basis(2, g))
+        product_state_lift(phi, build_fock_basis(2, g))
 
 
 def test_lift_matches_full_tensor_power():
@@ -194,7 +194,7 @@ def test_lift_matches_full_tensor_power():
                                  + 1j * rng.standard_normal(3)))
     n = 3
     basis = build_fock_basis(n, g)
-    state = product_state_lift(phi, n, basis)
+    state = product_state_lift(phi, basis)
     full = _occupation_to_full(state.coefficients, basis, 3)
     u = g.h ** 0.5 * phi.amplitudes
     tensor = u
@@ -208,8 +208,8 @@ def test_lift_matches_full_tensor_power():
 def test_zero_time_propagation_is_identity():
     g = build_grid(1, 4, 4.0)
     basis = build_fock_basis(2, g)
-    h = assemble_hamiltonian(g, _field(g, sigmas=(0.5,), seed=2), 2, basis)
-    psi = product_state_lift(gaussian_packet(g), 2, basis)
+    h = assemble_hamiltonian(basis, _field(g, sigmas=(0.5,), seed=2))
+    psi = product_state_lift(gaussian_packet(g), basis)
     out = evolve_manybody(psi, h, 0.0)
     assert np.array_equal(out.coefficients, psi.coefficients)
 
@@ -219,17 +219,17 @@ def test_hamiltonian_shift_is_global_phase():
 
     g = build_grid(1, 4, 4.0)
     basis = build_fock_basis(2, g)
-    h = assemble_hamiltonian(g, _field(g, sigmas=(0.5,), seed=3), 2, basis)
+    h = assemble_hamiltonian(basis, _field(g, sigmas=(0.5,), seed=3))
     c, t = 1.3, 0.4
     shifted = type(h)(basis=basis,
                       matrix=(h.matrix + c * scipy.sparse.eye(len(basis))).tocsr())
-    psi = product_state_lift(gaussian_packet(g), 2, basis)
+    psi = product_state_lift(gaussian_packet(g), basis)
     a = evolve_manybody(psi, h, t)
     b = evolve_manybody(psi, shifted, t)
     assert np.max(np.abs(b.coefficients - np.exp(-1j * c * t) * a.coefficients)) < 1e-9
     obs = condensate_projector(gaussian_packet(g))
-    assert manybody_expectation(a, obs, g) == pytest.approx(
-        manybody_expectation(b, obs, g), abs=1e-9)
+    assert manybody_expectation(a, obs) == pytest.approx(
+        manybody_expectation(b, obs), abs=1e-9)
 
 
 def test_krylov_matches_dense_exponential():
@@ -238,8 +238,8 @@ def test_krylov_matches_dense_exponential():
         g = build_grid(1, m, float(m))
         basis = build_fock_basis(n, g)
         v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,), seed=17)
-        h = assemble_hamiltonian(g, v, n, basis)
-        psi = product_state_lift(gaussian_packet(g), n, basis)
+        h = assemble_hamiltonian(basis, v)
+        psi = product_state_lift(gaussian_packet(g), basis)
         taylor = evolve_manybody(psi, h, t).coefficients
         dense = scipy.linalg.expm(-1j * t * h.matrix.toarray()) @ psi.coefficients
         assert np.linalg.norm(taylor - dense) < 1e-9
@@ -251,8 +251,8 @@ def test_propagation_draws_no_random_numbers():
     g = build_grid(1, 8, 8.0)
     basis = build_fock_basis(6, g)
     v = _field(g, base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3, 0.1), seed=5)
-    h = assemble_hamiltonian(g, v, 6, basis)
-    psi = product_state_lift(gaussian_packet(g), 6, basis)
+    h = assemble_hamiltonian(basis, v)
+    psi = product_state_lift(gaussian_packet(g), basis)
     blobs = []
     for seed in (1, 2):
         np.random.seed(seed)
@@ -268,8 +268,8 @@ def test_propagation_is_unitary_and_conserves_energy():
     g = build_grid(1, 6, 6.0)
     basis = build_fock_basis(3, g)
     v = _field(g, base="gaussian_bump(1.0, 1.2)", sigmas=(0.5, 0.2), seed=19)
-    h = assemble_hamiltonian(g, v, 3, basis)
-    psi = product_state_lift(gaussian_packet(g), 3, basis)
+    h = assemble_hamiltonian(basis, v)
+    psi = product_state_lift(gaussian_packet(g), basis)
     e0 = energy_expectation(psi, h)
     out = evolve_manybody(psi, h, 1.0)
     assert abs(out.norm() - 1.0) < 1e-10
@@ -283,8 +283,8 @@ def test_rdm_of_product_state_is_projector():
     rng = np.random.default_rng(23)
     phi = normalize(WaveFunction(g, rng.standard_normal(4)
                                  + 1j * rng.standard_normal(4)))
-    psi = product_state_lift(phi, 3, build_fock_basis(3, g))
-    gamma = reduced_density_matrix(psi, 1, g)
+    psi = product_state_lift(phi, build_fock_basis(3, g))
+    gamma = reduced_density_matrix(psi, 1)
     expected = np.outer(phi.amplitudes, phi.amplitudes.conj())
     assert np.max(np.abs(gamma - expected)) < 1e-12
 
@@ -297,7 +297,7 @@ def test_rdm_trace_hermiticity_positivity(p):
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     coeffs /= np.linalg.norm(coeffs)
     psi = ManyBodyState(basis, coeffs)
-    gamma = reduced_density_matrix(psi, p, g)
+    gamma = reduced_density_matrix(psi, p)
     trace = g.cell_volume ** p * np.trace(gamma)
     assert trace.real == pytest.approx(1.0, abs=1e-12)
     assert abs(trace.imag) < 1e-12
@@ -308,9 +308,9 @@ def test_rdm_trace_hermiticity_positivity(p):
 
 def test_rdm_domain_errors():
     g = build_grid(1, 3, 3.0)
-    psi = product_state_lift(gaussian_packet(g), 2, build_fock_basis(2, g))
+    psi = product_state_lift(gaussian_packet(g), build_fock_basis(2, g))
     with pytest.raises(DomainError):
-        reduced_density_matrix(psi, 3, g)
+        reduced_density_matrix(psi, 3)
 
 
 # --- expectations ---------------------------------------------------------
@@ -339,7 +339,7 @@ def test_expectation_matches_lifted_operator_oracle(p):
         psi = ManyBodyState(basis, coeffs)
         full = _occupation_to_full(coeffs, basis, 3)
         oracle = np.vdot(full, _lifted_operator_dense(a, n, g) @ full).real
-        got = manybody_expectation(psi, a, g)
+        got = manybody_expectation(psi, a)
         assert got == pytest.approx(oracle, abs=1e-10)
 
 
@@ -348,10 +348,10 @@ def test_expectation_of_initial_product_state():
     n = 3
     phi = gaussian_packet(g)
     basis = build_fock_basis(n, g)
-    psi = product_state_lift(phi, n, basis)
+    psi = product_state_lift(phi, basis)
     for p in (1, 2):
         a = condensate_projector(phi, p=p)
-        got = manybody_expectation(psi, a, g)
+        got = manybody_expectation(psi, a)
         # at t=0 the state is phi^(x)N, so Tr(a gamma) = <phi^p, a phi^p> = 1
         assert got == pytest.approx(lift_factor(n, p), abs=1e-12)
 
@@ -361,11 +361,11 @@ def test_single_particle_sector_is_free_evolution():
     phi = gaussian_packet(g)
     v = _field(g, base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3), seed=37)
     basis = build_fock_basis(1, g)
-    h = assemble_hamiltonian(g, v, 1, basis)
-    psi0 = product_state_lift(phi, 1, basis)
+    h = assemble_hamiltonian(basis, v)
+    psi0 = product_state_lift(phi, basis)
     psi_t = evolve_manybody(psi0, h, 0.5)
     a = condensate_projector(phi)
-    x1 = manybody_expectation(psi_t, a, g)
+    x1 = manybody_expectation(psi_t, a)
     # free lattice evolution via Fourier phases; interaction is absent at N=1
     spec = np.fft.fft(phi.amplitudes)
     free = np.fft.ifft(spec * np.exp(-1j * 0.5 * lattice_dispersion(g).ravel()))
@@ -383,21 +383,21 @@ def test_expectation_respects_norm_bound():
     for _ in range(5):
         coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         coeffs /= np.linalg.norm(coeffs)
-        x = manybody_expectation(ManyBodyState(basis, coeffs), a, g,
+        x = manybody_expectation(ManyBodyState(basis, coeffs), a,
                                  norm_bound=bound)
         assert abs(x) <= bound + 1e-12
 
 
 def test_expectation_p_larger_than_n_rejected():
     g = build_grid(1, 3, 3.0)
-    psi = product_state_lift(gaussian_packet(g), 1, build_fock_basis(1, g))
+    psi = product_state_lift(gaussian_packet(g), build_fock_basis(1, g))
     a = condensate_projector(gaussian_packet(g), p=2)
     with pytest.raises(DomainError):
-        manybody_expectation(psi, a, g)
+        manybody_expectation(psi, a)
 
 
 def test_assemble_rejects_mismatched_basis():
     g = build_grid(1, 4, 4.0)
     basis = build_fock_basis(2, g)
     with pytest.raises(DimensionError):
-        assemble_hamiltonian(g, _field(g), 3, basis)
+        assemble_hamiltonian(basis, _field(build_grid(1, 5, 5.0)))

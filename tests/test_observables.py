@@ -86,6 +86,41 @@ def test_operator_norm_p2_matches_dense_eigensolver():
     assert operator_norm(a, g) == pytest.approx(dense, rel=1e-8)
 
 
+def test_operator_norm_p3_matches_combinations_basis():
+    # orthonormal symmetric basis from multisets of sites, independent of the
+    # orbit construction in operator_norm
+    rng = np.random.default_rng(17)
+    sites, p = 3, 3
+    g = build_grid(1, sites, 2.0)
+    raw = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
+    # a large eigenvalue on the antisymmetric vector, which the restriction
+    # must not see
+    anti = np.zeros(27)
+    for perm in itertools.permutations(range(p)):
+        sign = np.linalg.det(np.eye(p)[list(perm)])
+        anti[np.ravel_multi_index(perm, (sites,) * p)] = sign / math.sqrt(6)
+    a = PObservable.from_kernel(p, raw + raw.conj().T + 100.0 * np.outer(anti, anti))
+    cols = []
+    for combo in itertools.combinations_with_replacement(range(sites), p):
+        perms = set(itertools.permutations(combo))
+        e = np.zeros(sites ** p)
+        for perm in perms:
+            e[np.ravel_multi_index(perm, (sites,) * p)] = 1.0 / math.sqrt(len(perms))
+        cols.append(e)
+    q = np.array(cols).T
+    assert q.shape == (27, 10)
+    restricted = q.T @ (g.cell_volume ** p * a.kernel) @ q
+    dense = float(np.max(np.abs(np.linalg.eigvalsh(restricted))))
+    assert operator_norm(a, g) == pytest.approx(dense, rel=1e-12)
+
+
+def test_operator_norm_near_degenerate_site_multiplier():
+    # the top two singular values, 1 and cos(pi/101), differ by about 5e-4;
+    # the norm must still come out exactly
+    g = build_grid(1, 101, 101.0)
+    assert operator_norm(site_multiplier(g), g) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_symmetrize_kernel_is_idempotent():
     rng = np.random.default_rng(9)
     raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
