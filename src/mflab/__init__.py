@@ -13,10 +13,9 @@ from .grid import (LatticeGrid, WaveFunction, build_grid, convolve,
 from .hartree import (HartreeRunParams, evolve_hartree, evolve_hartree_batch,
                       field_spectra, hartree_expectation, hartree_step,
                       potential_phase)
-from .manybody import (FockBasis, ManyBodyState, SparseHamiltonian,
-                       assemble_hamiltonian, build_fock_basis, evolve_manybody,
-                       manybody_expectation, product_state_lift,
-                       reduced_density_matrix)
+from .manybody import (FockBasis, ManyBodyState, assemble_hamiltonian,
+                       build_fock_basis, evolve_manybody, manybody_expectation,
+                       product_state_lift, reduced_density_matrix)
 from .observables import (PObservable, condensate_projector, lift_factor,
                           operator_norm, site_multiplier)
 from .random_field import (FieldSpec, RandomField, field_bound, mix_seed,
@@ -30,7 +29,7 @@ __all__ = [
     "plane_wave", "uniform_state",
     "HartreeRunParams", "evolve_hartree", "evolve_hartree_batch",
     "field_spectra", "hartree_expectation", "hartree_step", "potential_phase",
-    "FockBasis", "ManyBodyState", "SparseHamiltonian", "assemble_hamiltonian",
+    "FockBasis", "ManyBodyState", "assemble_hamiltonian",
     "build_fock_basis", "evolve_manybody", "manybody_expectation",
     "product_state_lift", "reduced_density_matrix",
     "PObservable", "condensate_projector", "lift_factor", "operator_norm",

@@ -152,7 +152,4 @@ def plane_wave(grid: LatticeGrid, mode: int = 1) -> WaveFunction:
     """e^{2 pi i mode x / L} along the first axis, unit h-weighted norm."""
     x = grid.axis_coordinates()
     phase = np.exp(2j * np.pi * mode * x / grid.length)
-    amps = phase
-    for _ in range(grid.d - 1):
-        amps = np.multiply.outer(amps, np.ones(grid.m))
-    return normalize(WaveFunction(grid, amps.ravel()))
+    return normalize(WaveFunction(grid, np.repeat(phase, grid.m ** (grid.d - 1))))

@@ -5,13 +5,15 @@ the occupation vectors with total N in lexicographic order, where a vector's
 position is its rank in the combinatorial number system (Knuth, TAOCP 4A,
 7.2.1.3), and the field-independent operators: the stacked annihilation maps
 a_x for the reduced density matrices and the one-body CSR matrix
-sum_{x,y} T_{xy} adag_x a_y. For one field the Hamiltonian adds the pair term
-    (1/2N) sum_{x,y} v(x-y) adag_x adag_y a_y a_x = (occ V occ - v(0) N) / 2N,
+sum_{x,y} T_{xy} adag_x a_y. A field enters only through the pair term,
+which is diagonal in the occupation basis:
+    h = (1/2N) sum_{x,y} v(x-y) adag_x adag_y a_y a_x = (occ V occ - v(0) N) / 2N,
 which reproduces (1/N) sum_{i<j} v(x_i - x_j) exactly, including same-site
-pairs with weight v(0) n_x (n_x - 1)/2. Propagation is a truncated Taylor
-series of the trace-shifted Hamiltonian with degree and substep count chosen
-from its exact 1-norm (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011); it
-draws no random numbers.
+pairs with weight v(0) n_x (n_x - 1)/2. So a field's Hamiltonian is the
+(dim,) array h, and H = one_body + diag(h) with one one_body for every field.
+Propagation is a truncated Taylor series of the trace-shifted Hamiltonian
+with degree and substep count chosen from its exact 1-norm (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33, 2011); it draws no random numbers.
 """
 from __future__ import annotations
 
@@ -108,9 +110,9 @@ class FockBasis:
     occupations[i] is the occupation vector of rank i. annihilators[k] stacks
     a_x over the sites from the N-k sector to the N-k-1 sector, as a
     (sites * dim(N-k-1), dim(N-k)) matrix. one_body is the CSR matrix of
-    sum_{x,y} T_{xy} adag_x a_y; its diagonal entries sit at diagonal_slots
-    of its data. All arrays are read-only, so the one basis built per plan
-    serves every sample and no sample can alter it for the next.
+    sum_{x,y} T_{xy} adag_x a_y, kinetic diagonal included. All arrays are
+    read-only, so the one basis built per plan serves every sample and no
+    sample can alter it for the next.
     """
 
     n_particles: int
@@ -118,7 +120,6 @@ class FockBasis:
     occupations: np.ndarray
     annihilators: tuple[scipy.sparse.csr_matrix, ...]
     one_body: scipy.sparse.csr_matrix
-    diagonal_slots: np.ndarray
 
     @property
     def sites(self) -> int:
@@ -156,20 +157,15 @@ def build_fock_basis(n: int, grid: LatticeGrid,
     hopping = scipy.sparse.kron(scipy.sparse.csr_matrix(t - np.diag(np.diag(t))),
                                 scipy.sparse.identity(a.shape[0] // grid.n_sites),
                                 format="csr")
-    # A^T (T_offdiag (x) 1) A = sum_{x != y} T_xy adag_x a_y has an empty diagonal;
-    # diag(T) = 2d/h^2 > 0 then makes every diagonal entry nonzero, hence stored
+    # A^T (T_offdiag (x) 1) A = sum_{x != y} T_xy adag_x a_y, plus sum_x T_xx n_x
     one_body = (a.T @ (hopping @ a) + scipy.sparse.diags(occ @ np.diag(t))).tocsr()
     one_body.sort_indices()
-    rows = np.repeat(np.arange(dim), np.diff(one_body.indptr))
-    slots = np.flatnonzero(one_body.indices == rows)
     for mat in (one_body, *annihilators):
         for arr in (mat.data, mat.indices, mat.indptr):
             arr.setflags(write=False)
     occ.setflags(write=False)
-    slots.setflags(write=False)
     return FockBasis(n_particles=n, grid=grid, occupations=occ,
-                     annihilators=annihilators, one_body=one_body,
-                     diagonal_slots=slots)
+                     annihilators=annihilators, one_body=one_body)
 
 
 @dataclass
@@ -191,14 +187,6 @@ class ManyBodyState:
         return float(np.linalg.norm(self.coefficients))
 
 
-@dataclass
-class SparseHamiltonian:
-    """Real symmetric sparse matrix over a Fock basis."""
-
-    basis: FockBasis
-    matrix: scipy.sparse.csr_matrix
-
-
 def interaction_matrix(grid: LatticeGrid, values: np.ndarray) -> np.ndarray:
     """V[x, y] = v(x - y) with periodic differences per axis."""
     v = np.asarray(values).reshape(grid.shape)
@@ -209,9 +197,9 @@ def interaction_matrix(grid: LatticeGrid, values: np.ndarray) -> np.ndarray:
     return v[tuple(diff)]
 
 
-def assemble_hamiltonian(basis: FockBasis, v) -> SparseHamiltonian:
-    """The sector's one-body operator plus the diagonal pair term of field v,
-    on the basis's grid and particle number."""
+def assemble_hamiltonian(basis: FockBasis, v) -> np.ndarray:
+    """The pair diagonal h of field v on the basis's sector, as a float64
+    (dim,) array; the sector's Hamiltonian is H = basis.one_body + diag(h)."""
     n = basis.n_particles
     values = np.asarray(v.values, dtype=np.float64).ravel()
     if values.size != basis.sites:
@@ -219,12 +207,7 @@ def assemble_hamiltonian(basis: FockBasis, v) -> SparseHamiltonian:
             f"field has {values.size} sites, the basis grid has {basis.sites}")
     occ = basis.occupations
     pair = ((occ @ interaction_matrix(basis.grid, values)) * occ).sum(axis=1)
-    one_body = basis.one_body
-    data = one_body.data.copy()
-    data[basis.diagonal_slots] += (pair - float(values[0]) * n) / (2.0 * n)
-    mat = scipy.sparse.csr_matrix((data, one_body.indices, one_body.indptr),
-                                  shape=one_body.shape)
-    return SparseHamiltonian(basis=basis, matrix=mat)
+    return (pair - float(values[0]) * n) / (2.0 * n)
 
 
 def product_state_lift(phi: WaveFunction, basis: FockBasis) -> ManyBodyState:
@@ -251,16 +234,20 @@ def _matmul(mat, vec: np.ndarray) -> np.ndarray:
     return (mat @ flat).view(np.complex128).reshape((mat.shape[0],) + vec.shape[1:])
 
 
-def evolve_manybody(psi0: ManyBodyState, h: SparseHamiltonian,
-                    t: float) -> ManyBodyState:
-    """Psi_t = e^{-i H t} Psi_0 by a truncated Taylor series.
+def _check_diagonal(basis: FockBasis, h) -> None:
+    if np.shape(h) != (len(basis),):
+        raise DimensionError(
+            f"pair diagonal has shape {np.shape(h)}, the basis has {len(basis)} states")
+
+
+def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodyState:
+    """Psi_t = e^{-i H t} Psi_0, H = one_body + diag(h), by a truncated Taylor series.
 
     The series runs on H - mu, mu = tr(H)/dim, in s substeps of degree up to
     m, where (m, s) minimizes m*s subject to ||t(H - mu)||_1 / s <= theta_m.
     A substep stops early once two successive terms are below the roundoff.
     """
-    if (h.basis.n_particles, len(h.basis)) != (psi0.basis.n_particles, len(psi0.basis)):
-        raise DimensionError("state and Hamiltonian use different bases")
+    _check_diagonal(psi0.basis, h)
     if t < 0:
         raise DomainError(f"evolution time must be nonnegative, got {t}")
     if abs(psi0.norm() - 1.0) > 1e-12:
@@ -268,12 +255,13 @@ def evolve_manybody(psi0: ManyBodyState, h: SparseHamiltonian,
     f = psi0.coefficients.copy()
     if t == 0:
         return ManyBodyState(psi0.basis, f)
-    mat = h.matrix
-    diag = mat.diagonal()
-    mu = float(diag.mean())
+    mat = psi0.basis.one_body
+    kin = mat.diagonal()
+    mu = float((kin + h).mean())
+    shift = h - mu
     col_sums = np.bincount(mat.indices, weights=np.abs(mat.data),
                            minlength=mat.shape[1])
-    norm = t * float(np.max(col_sums - np.abs(diag) + np.abs(diag - mu)))
+    norm = t * float(np.max(col_sums - np.abs(kin) + np.abs(kin + shift)))
     cost, m = min((m * math.ceil(norm / theta), m) for m, theta in _THETA.items())
     s = max(cost // m, 1)
     step = -1j * t / s
@@ -282,7 +270,7 @@ def evolve_manybody(psi0: ManyBodyState, h: SparseHamiltonian,
         b = f
         c1 = np.max(np.abs(b))
         for j in range(1, m + 1):
-            b = (step / j) * (_matmul(mat, b) - mu * b)
+            b = (step / j) * (_matmul(mat, b) + shift * b)
             c2 = np.max(np.abs(b))
             f += b
             if c1 + c2 <= _UNIT_ROUNDOFF * np.max(np.abs(f)):
@@ -322,8 +310,6 @@ def manybody_expectation(psi: ManyBodyState, a: PObservable,
     """
     n = psi.basis.n_particles
     grid = psi.basis.grid
-    if a.p > n:
-        raise DomainError(f"observable acts on {a.p} particles but N = {n}")
     gamma = reduced_density_matrix(psi, a.p)
     weight = grid.cell_volume ** (2 * a.p)
     val = weight * np.sum(a.kernel * gamma.T)
@@ -340,6 +326,8 @@ def manybody_expectation(psi: ManyBodyState, a: PObservable,
     return x
 
 
-def energy_expectation(psi: ManyBodyState, h: SparseHamiltonian) -> float:
-    val = np.vdot(psi.coefficients, h.matrix @ psi.coefficients)
-    return float(val.real)
+def energy_expectation(psi: ManyBodyState, h: np.ndarray) -> float:
+    """<Psi, H Psi> for H = one_body + diag(h)."""
+    _check_diagonal(psi.basis, h)
+    c = psi.coefficients
+    return float(np.vdot(c, psi.basis.one_body @ c + h * c).real)

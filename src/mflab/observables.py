@@ -20,21 +20,9 @@ def block_permutation_indices(p: int, sites: int) -> list[np.ndarray]:
 
     Index X = (x_1..x_p) is flattened row-major with x_1 most significant.
     """
-    dim = sites ** p
-    flat = np.arange(dim)
-    digits = []
-    rest = flat
-    for _ in range(p):
-        digits.append(rest % sites)
-        rest = rest // sites
-    digits = digits[::-1]  # digits[0] = x_1
-    maps = []
-    for perm in itertools.permutations(range(p)):
-        idx = np.zeros(dim, dtype=np.int64)
-        for pos in range(p):
-            idx = idx * sites + digits[perm[pos]]
-        maps.append(idx)
-    return maps
+    flat = np.arange(sites ** p).reshape((sites,) * p)
+    return [flat.transpose(np.argsort(perm)).ravel()
+            for perm in itertools.permutations(range(p))]
 
 
 def symmetrize_kernel(kernel: np.ndarray, p: int, sites: int) -> np.ndarray:

@@ -76,7 +76,11 @@ def test_operator_norm_p2_matches_dense_eigensolver():
     rng = np.random.default_rng(5)
     g = build_grid(1, 4, 4.0)
     raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    herm = raw + raw.conj().T
+    # a large eigenvalue on an antisymmetric vector, which the restriction
+    # must not see
+    anti = np.zeros(16)
+    anti[0 * 4 + 1], anti[1 * 4 + 0] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+    herm = raw + raw.conj().T + 100.0 * np.outer(anti, anti)
     a = PObservable.from_kernel(2, herm)
     basis = _symmetric_basis_p2(4)
     assert basis.shape == (16, 10)  # 10-dimensional symmetric subspace
@@ -170,3 +174,10 @@ def test_all_block_permutations_present():
     assert len(maps) == math.factorial(3)
     flats = {tuple(m) for m in maps}
     assert len(flats) == 6
+    # each map sends X = (x_1..x_p) to (x_perm(1)..x_perm(p)), row-major
+    for p, sites in ((3, 2), (2, 5), (4, 3)):
+        maps = block_permutation_indices(p, sites)
+        for perm, idx in zip(itertools.permutations(range(p)), maps):
+            for flat, x in enumerate(itertools.product(range(sites), repeat=p)):
+                assert idx[flat] == np.ravel_multi_index([x[k] for k in perm],
+                                                         (sites,) * p)
