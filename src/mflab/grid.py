@@ -114,13 +114,25 @@ def convolve(grid: LatticeGrid, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return convolve_spectrum(grid, fv, rho.reshape(grid.shape)).ravel()
 
 
+def grid_fft(a: np.ndarray, d: int, transform=np.fft.fft) -> np.ndarray:
+    """fftn of a over its trailing d axes (ifftn with transform=np.fft.ifft).
+
+    One 1-D call per axis, last axis first as np.fft.fftn orders them, so the
+    result is bitwise that of fftn without its per-call argument handling,
+    which dominates at a few lattice points.
+    """
+    for axis in range(-1, -d - 1, -1):
+        a = transform(a, axis=axis)
+    return a
+
+
 def convolve_spectrum(grid: LatticeGrid, fv: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """v*rho from fv = fftn(v), over the trailing grid axes of rho.
 
     rho is shaped like the grid, or (S, *grid.shape) for a batch; fv broadcasts.
     """
-    axes = tuple(range(-grid.d, 0))
-    return grid.cell_volume * np.fft.ifftn(fv * np.fft.fftn(rho, axes=axes), axes=axes).real
+    spectrum = fv * grid_fft(rho, grid.d)
+    return grid.cell_volume * grid_fft(spectrum, grid.d, np.fft.ifft).real
 
 
 def separable_profile(grid: LatticeGrid, prof: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DimensionError, DomainError
 from .grid import (LatticeGrid, WaveFunction, _laplacian_array, convolve,
-                   convolve_spectrum)
+                   convolve_spectrum, grid_fft)
 from .observables import PObservable
 from .random_field import RandomField
 
@@ -74,9 +74,8 @@ def potential_phase(psi: np.ndarray, fv: np.ndarray, dt: float,
 def hartree_step(psi: np.ndarray, fv: np.ndarray, dt: float, grid: LatticeGrid,
                  kinetic_phases: np.ndarray) -> np.ndarray:
     """One Strang step of the batch psi, shape (S, *grid.shape)."""
-    axes = tuple(range(-grid.d, 0))
     out = potential_phase(psi, fv, dt / 2, grid)
-    out = np.fft.ifftn(np.fft.fftn(out, axes=axes) * kinetic_phases, axes=axes)
+    out = grid_fft(grid_fft(out, grid.d) * kinetic_phases, grid.d, np.fft.ifft)
     return potential_phase(out, fv, dt / 2, grid)
 
 

@@ -11,9 +11,9 @@ which is diagonal in the occupation basis:
 which reproduces (1/N) sum_{i<j} v(x_i - x_j) exactly, including same-site
 pairs with weight v(0) n_x (n_x - 1)/2. So a field's Hamiltonian is the
 (dim,) array h, and H = one_body + diag(h) with one one_body for every field.
-Propagation is a truncated Taylor series of the trace-shifted Hamiltonian
-with degree and substep count chosen from its exact 1-norm (Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33, 2011); it draws no random numbers.
+Propagation is one Chebyshev expansion of e^{-iHt} (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81, 3967, 1984) over the Gershgorin interval of H, truncated
+by a proven bound on its Bessel-coefficient tail; it draws no random numbers.
 """
 from __future__ import annotations
 
@@ -30,18 +30,6 @@ from .observables import PObservable, lift_factor, operator_norm
 
 DIMENSION_CAP = 200_000
 
-# theta_m: the largest ||A||_1 for which the degree-m Taylor polynomial of
-# e^A has a backward error below 2^-53 (Al-Mohy & Higham 2011, Table 3.1, and
-# Higham, Functions of Matrices, Table A.3).
-_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -110,7 +98,9 @@ class FockBasis:
     occupations[i] is the occupation vector of rank i. annihilators[k] stacks
     a_x over the sites from the N-k sector to the N-k-1 sector, as a
     (sites * dim(N-k-1), dim(N-k)) matrix. one_body is the CSR matrix of
-    sum_{x,y} T_{xy} adag_x a_y, kinetic diagonal included. All arrays are
+    sum_{x,y} T_{xy} adag_x a_y, kinetic diagonal included; kinetic is its
+    diagonal and radius its off-diagonal absolute row sums (Gershgorin radii),
+    the field-independent parts of the spectral interval. All arrays are
     read-only, so the one basis built per plan serves every sample and no
     sample can alter it for the next.
     """
@@ -120,6 +110,8 @@ class FockBasis:
     occupations: np.ndarray
     annihilators: tuple[scipy.sparse.csr_matrix, ...]
     one_body: scipy.sparse.csr_matrix
+    kinetic: np.ndarray
+    radius: np.ndarray
 
     @property
     def sites(self) -> int:
@@ -160,12 +152,20 @@ def build_fock_basis(n: int, grid: LatticeGrid,
     # A^T (T_offdiag (x) 1) A = sum_{x != y} T_xy adag_x a_y, plus sum_x T_xx n_x
     one_body = (a.T @ (hopping @ a) + scipy.sparse.diags(occ @ np.diag(t))).tocsr()
     one_body.sort_indices()
+    kinetic = one_body.diagonal()
+    # every diagonal entry N T_xx > 0 is stored, so setdiag only overwrites;
+    # made after the product above is freed, the copy does not raise the peak
+    offdiag = abs(one_body)
+    offdiag.setdiag(0)
+    radius = np.asarray(offdiag.sum(axis=1)).ravel()
     for mat in (one_body, *annihilators):
         for arr in (mat.data, mat.indices, mat.indptr):
             arr.setflags(write=False)
-    occ.setflags(write=False)
+    for arr in (occ, kinetic, radius):
+        arr.setflags(write=False)
     return FockBasis(n_particles=n, grid=grid, occupations=occ,
-                     annihilators=annihilators, one_body=one_body)
+                     annihilators=annihilators, one_body=one_body,
+                     kinetic=kinetic, radius=radius)
 
 
 @dataclass
@@ -240,44 +240,81 @@ def _check_diagonal(basis: FockBasis, h) -> None:
             f"pair diagonal has shape {np.shape(h)}, the basis has {len(basis)} states")
 
 
-def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodyState:
-    """Psi_t = e^{-i H t} Psi_0, H = one_body + diag(h), by a truncated Taylor series.
+def _spectral_interval(basis: FockBasis, h: np.ndarray) -> tuple[float, float]:
+    """Center c and half-width r of the Gershgorin interval of
+    H = one_body + diag(h), which holds every eigenvalue of H.
 
-    The series runs on H - mu, mu = tr(H)/dim, in s substeps of degree up to
-    m, where (m, s) minimizes m*s subject to ||t(H - mu)||_1 / s <= theta_m.
-    A substep stops early once two successive terms are below the roundoff.
+    r > 0: build_grid requires m >= 2 sites, so every sector has hopping.
+    """
+    d = basis.kinetic + h
+    lo = float(np.min(d - basis.radius))
+    hi = float(np.max(d + basis.radius))
+    return (hi + lo) / 2, (hi - lo) / 2
+
+
+def _chebyshev_degree(x: float) -> int:
+    """The smallest k >= 1 with 2 (x/2)^{k+1}/(k+1)! / (1 - x/(2(k+2))) <= 2^-53.
+
+    |J_j(x)| <= (x/2)^j / j! (DLMF 10.14.4), and past j = k+1 successive bounds
+    shrink by at least x/(2(k+2)) < 1, so this bounds sum_{j>k} 2|J_j(x)|.
+    """
+    k = 1
+    while True:
+        q = x / (2.0 * (k + 2))
+        if q < 1 and (math.log(2.0) + (k + 1) * math.log(x / 2) - math.lgamma(k + 2)
+                      - math.log1p(-q)) <= math.log(_UNIT_ROUNDOFF):
+            return k
+        k += 1
+
+
+def _bessel_j(x: float, k: int) -> np.ndarray:
+    """J_0(x), ..., J_k(x) for x > 0 by Miller's backward recurrence.
+
+    The recurrence J_{n-1} = (2n/x) J_n - J_{n+1} runs down from J_{s+1} = 0,
+    J_s = 1 at an even s well past k (Numerical Recipes, bessj), is rescaled
+    before it can overflow, and is normalized by J_0 + 2 sum_n J_{2n} = 1.
+    """
+    s = k + 2 + math.isqrt(160 * k)
+    s += s % 2
+    j = [0.0, 1.0]
+    for n in range(s, 0, -1):
+        j.append(2.0 * n / x * j[-1] - j[-2])
+        if abs(j[-1]) > 1e250:
+            j = [val * 1e-250 for val in j]
+    j = np.array(j[:0:-1])  # J_0 .. J_s, unnormalized
+    return j[:k + 1] / (j[0] + 2.0 * j[2::2].sum())
+
+
+def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodyState:
+    """Psi_t = e^{-i H t} Psi_0, H = one_body + diag(h), by one Chebyshev expansion.
+
+    With [c - r, c + r] the Gershgorin interval of H and A = (H - c)/r,
+    e^{-iHt} = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(A). The series
+    stops at the degree K whose Bessel tail is provably below 2^-53, and
+    T_k(A) Psi_0 follows the three-term recurrence, one sparse product per degree.
     """
     _check_diagonal(psi0.basis, h)
     if t < 0:
         raise DomainError(f"evolution time must be nonnegative, got {t}")
     if abs(psi0.norm() - 1.0) > 1e-12:
         raise DomainError("evolve_manybody requires a normalized state")
-    f = psi0.coefficients.copy()
+    f = psi0.coefficients
     if t == 0:
-        return ManyBodyState(psi0.basis, f)
+        return ManyBodyState(psi0.basis, f.copy())
     mat = psi0.basis.one_body
-    kin = mat.diagonal()
-    mu = float((kin + h).mean())
-    shift = h - mu
-    col_sums = np.bincount(mat.indices, weights=np.abs(mat.data),
-                           minlength=mat.shape[1])
-    norm = t * float(np.max(col_sums - np.abs(kin) + np.abs(kin + shift)))
-    cost, m = min((m * math.ceil(norm / theta), m) for m, theta in _THETA.items())
-    s = max(cost // m, 1)
-    step = -1j * t / s
-    phase = np.exp(-1j * mu * t / s)
-    for _ in range(s):
-        b = f
-        c1 = np.max(np.abs(b))
-        for j in range(1, m + 1):
-            b = (step / j) * (_matmul(mat, b) + shift * b)
-            c2 = np.max(np.abs(b))
-            f += b
-            if c1 + c2 <= _UNIT_ROUNDOFF * np.max(np.abs(f)):
-                break
-            c1 = c2
-        f *= phase
-    return ManyBodyState(psi0.basis, f)
+    c, r = _spectral_interval(psi0.basis, h)
+    x = r * t
+    k = _chebyshev_degree(x)
+    coef = 2.0 * np.array([1, -1j, -1, 1j])[np.arange(k + 1) % 4] * _bessel_j(x, k)
+    coef[0] /= 2
+    shift = h - c
+    prev, cur = f, (_matmul(mat, f) + shift * f) / r
+    out = coef[0] * prev + coef[1] * cur
+    for a in coef[2:]:
+        prev, cur = cur, (2.0 / r) * (_matmul(mat, cur) + shift * cur) - prev
+        out += a * cur
+    out *= np.exp(-1j * c * t)
+    return ManyBodyState(psi0.basis, out)
 
 
 # --- reduced density matrices and expectations ----------------------------

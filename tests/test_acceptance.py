@@ -166,17 +166,17 @@ def test_criterion_5_oracle_equivalence():
     name = "oracle equivalence (propagator, FFT, operator lift, Hamiltonian)"
     ok = False
     try:
-        # (a) Taylor propagator vs dense matrix exponential, basis dimension 1716
+        # (a) propagator vs dense matrix exponential, basis dimension 1716
         n = 6
         basis = build_fock_basis(n, GRID)
         assert len(basis) <= 2000
         v = sample_field(RANDOM_SPEC, 31337, GRID)
         h = assemble_hamiltonian(basis, v)
         psi0 = product_state_lift(PHI, basis)
-        taylor = evolve_manybody(psi0, h, 0.5).coefficients
+        propagated = evolve_manybody(psi0, h, 0.5).coefficients
         dense_h = basis.one_body.toarray() + np.diag(h)
         dense = scipy.linalg.expm(-1j * 0.5 * dense_h) @ psi0.coefficients
-        assert np.linalg.norm(taylor - dense) < 1e-9
+        assert np.linalg.norm(propagated - dense) < 1e-9
 
         # (b) FFT vs direct double-sum convolution
         rng = np.random.default_rng(0)

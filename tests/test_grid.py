@@ -3,7 +3,8 @@ import pytest
 
 from mflab.errors import ConfigError, DimensionError
 from mflab.grid import (WaveFunction, build_grid, convolve, gaussian_packet,
-                        laplacian_apply, normalize, plane_wave, uniform_state)
+                        grid_fft, laplacian_apply, normalize, plane_wave,
+                        uniform_state)
 
 
 def test_build_grid_examples():
@@ -140,6 +141,17 @@ def test_convolve_even_kernel_commutes_with_reflection():
     rho = rng.standard_normal(8)
     assert np.allclose(convolve(g, v, refl(rho)), refl(convolve(g, v, rho)),
                        atol=1e-12)
+
+
+@pytest.mark.parametrize("shape,d", [((1, 8), 1), ((16, 8), 1), ((2, 4, 4), 2),
+                                     ((3, 4, 4, 4), 3), ((5, 6), 2)])
+def test_grid_fft_is_bitwise_fftn(shape, d):
+    rng = np.random.default_rng(len(shape) + d)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axes = tuple(range(-d, 0))
+    assert np.array_equal(grid_fft(a, d), np.fft.fftn(a, axes=axes))
+    assert np.array_equal(grid_fft(a, d, np.fft.ifft), np.fft.ifftn(a, axes=axes))
+    assert np.array_equal(grid_fft(a.real, d), np.fft.fftn(a.real, axes=axes))
 
 
 def test_convolve_size_mismatch():

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from mflab.errors import DimensionError, DomainError, ResourceError
 from mflab.grid import WaveFunction, build_grid, gaussian_packet, normalize
 from mflab.hartree import lattice_dispersion
-from mflab.manybody import (ManyBodyState, assemble_hamiltonian,
+from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree,
+                            _spectral_interval, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
                             evolve_manybody, kinetic_matrix,
                             manybody_expectation, product_state_lift,
@@ -232,18 +234,55 @@ def test_hamiltonian_shift_is_global_phase():
 
 
 def test_krylov_matches_dense_exponential():
-    # dimension 10 at t = 0.5, and dimension 330 at t = 4 (||tH||_1 ~ 42)
-    for m, n, t in ((4, 2, 0.5), (8, 4, 4.0)):
+    # dimension 10 at t = 0.5, dimension 330 at t = 4 (||tH||_1 ~ 42), and
+    # dimension 330 at t = 40, where the Chebyshev degree runs to the hundreds
+    for m, n, t in ((4, 2, 0.5), (8, 4, 4.0), (8, 4, 40.0)):
         g = build_grid(1, m, float(m))
         basis = build_fock_basis(n, g)
         v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,), seed=17)
         h = assemble_hamiltonian(basis, v)
         psi = product_state_lift(gaussian_packet(g), basis)
-        taylor = evolve_manybody(psi, h, t).coefficients
+        propagated = evolve_manybody(psi, h, t).coefficients
         dense_h = basis.one_body.toarray() + np.diag(h)
         dense = scipy.linalg.expm(-1j * t * dense_h) @ psi.coefficients
-        assert np.linalg.norm(taylor - dense) < 1e-9
-        assert abs(np.linalg.norm(taylor) - 1.0) < 1e-10
+        assert np.linalg.norm(propagated - dense) < 1e-9
+        assert abs(np.linalg.norm(propagated) - 1.0) < 1e-10
+
+
+BESSEL_ARGUMENTS = (1e-3, 0.5, 3.0, 30.0, 120.0, 700.0)
+
+
+@pytest.mark.parametrize("x", BESSEL_ARGUMENTS)
+def test_bessel_coefficients_match_scipy(x):
+    k = _chebyshev_degree(x)
+    got = _bessel_j(x, k)
+    assert got.shape == (k + 1,)
+    assert np.max(np.abs(got - scipy.special.jv(np.arange(k + 1), x))) < 1e-13
+
+
+@pytest.mark.parametrize("x", BESSEL_ARGUMENTS)
+def test_chebyshev_degree_bounds_bessel_tail(x):
+    k = _chebyshev_degree(x)
+    # the terms past k + 200 are below 1e-300 for every x here
+    tail = 2.0 * np.sum(np.abs(scipy.special.jv(np.arange(k + 1, k + 200), x)))
+    assert tail <= 2.0 ** -53
+
+
+@pytest.mark.parametrize("d,m,n", [(1, 2, 3), (1, 6, 3), (2, 3, 2)])
+def test_gershgorin_interval_contains_spectrum(d, m, n):
+    g = build_grid(d, m, float(m))
+    basis = build_fock_basis(n, g)
+    one_body = basis.one_body.toarray()
+    off = np.abs(one_body - np.diag(np.diag(one_body))).sum(axis=1)
+    assert np.array_equal(basis.kinetic, np.diag(one_body))
+    assert np.max(np.abs(basis.radius - off)) < 1e-12
+    v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,) * ((m - 1) // 2),
+               seed=43)  # as many modes as the grid admits, none at m = 2
+    h = assemble_hamiltonian(basis, v)
+    c, r = _spectral_interval(basis, h)
+    evals = np.linalg.eigvalsh(one_body + np.diag(h))
+    assert r > 0
+    assert c - r <= evals[0] and evals[-1] <= c + r
 
 
 def test_propagation_draws_no_random_numbers():

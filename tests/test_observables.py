@@ -137,9 +137,17 @@ def test_operator_norm_invariant_under_resymmetrization():
     rng = np.random.default_rng(13)
     g = build_grid(1, 4, 2.0)
     raw = rng.standard_normal((16, 16))
-    a = PObservable.from_kernel(2, raw + raw.T)
+    # a large eigenvalue on an antisymmetric vector: symmetrizing keeps it,
+    # and the restriction must not see it
+    anti = np.zeros(16)
+    anti[1 * 4 + 2], anti[2 * 4 + 1] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+    a = PObservable.from_kernel(2, raw + raw.T + 100.0 * np.outer(anti, anti))
     a2 = PObservable.from_kernel(2, a.kernel)  # symmetrize again
-    assert operator_norm(a, g) == pytest.approx(operator_norm(a2, g), rel=1e-8)
+    basis = _symmetric_basis_p2(4)
+    restricted = basis.T @ (g.cell_volume ** 2 * a.kernel) @ basis
+    dense = float(np.max(np.abs(np.linalg.eigvalsh(restricted))))
+    assert operator_norm(a, g) == pytest.approx(dense, rel=1e-8)
+    assert operator_norm(a2, g) == pytest.approx(dense, rel=1e-8)
 
 
 def test_kernel_block_symmetry_enforced():
