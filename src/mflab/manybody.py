@@ -5,19 +5,23 @@ the occupation vectors with total N in lexicographic order, where a vector's
 position is its rank in the combinatorial number system (Knuth, TAOCP 4A,
 7.2.1.3), and the field-independent operators: the stacked annihilation maps
 a_x for the reduced density matrices and the one-body CSR matrix
-sum_{x,y} T_{xy} adag_x a_y. A field enters only through the pair term,
+sum_{x,y} T_{xy} adag_x a_y. The sectors are built upward from the vacuum:
+adding a particle at x changes a vector's rank by sums over one lookup table,
+so each annihilator is written directly as a CSR matrix with one entry a row,
+and one_body row by row from the top annihilator, with no sparse products.
+A field enters only through the pair term,
 which is diagonal in the occupation basis:
     h = (1/2N) sum_{x,y} v(x-y) adag_x adag_y a_y a_x = (occ V occ - v(0) N) / 2N,
 which reproduces (1/N) sum_{i<j} v(x_i - x_j) exactly, including same-site
 pairs with weight v(0) n_x (n_x - 1)/2. So a field's Hamiltonian is the
 (dim,) array h, and H = one_body + diag(h) with one one_body for every field.
 Propagation is one Chebyshev expansion of e^{-iHt} (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 3967, 1984) over the Gershgorin interval of H, truncated
-by a proven bound on its Bessel-coefficient tail; it draws no random numbers.
+J. Chem. Phys. 81, 3967, 1984) over an interval that provably holds the
+spectrum of H, from the lattice dispersion and min/max of h, truncated by a
+proven bound on its Bessel-coefficient tail; it draws no random numbers.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +30,7 @@ import scipy.sparse
 
 from .errors import ConsistencyError, DimensionError, DomainError, ResourceError
 from .grid import LatticeGrid, WaveFunction, _laplacian_array
+from .hartree import lattice_dispersion
 from .observables import PObservable, lift_factor, operator_norm
 
 DIMENSION_CAP = 200_000
@@ -37,19 +42,11 @@ def fock_dimension(n: int, sites: int) -> int:
     return math.comb(n + sites - 1, n)
 
 
-def _lexicographic_occupations(n: int, sites: int) -> np.ndarray:
-    """All occupation rows with total n, in lexicographic order.
-
-    Stars and bars: itertools.combinations yields the positions of the
-    sites-1 bars among n+sites-1 slots in lexicographic order, and the gaps
-    between consecutive bars then come out in lexicographic order too.
-    """
-    dim = fock_dimension(n, sites)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(n + sites - 1), sites - 1)),
-        dtype=np.int64, count=dim * (sites - 1)).reshape(dim, sites - 1)
-    return np.diff(bars, axis=1, prepend=-1, append=n + sites - 1) - 1
+def _later(sites: int, n: int) -> np.ndarray:
+    """later[j-1, r] = C(r - 1 + sites - j, sites - j) for 1 <= j < sites and
+    0 <= r <= n: the ways to put fewer than r particles on the sites j.."""
+    return np.array([[math.comb(r - 1 + sites - j, sites - j) for r in range(n + 1)]
+                     for j in range(1, sites)], dtype=np.int64)
 
 
 def _rank(occupations: np.ndarray, n: int) -> np.ndarray:
@@ -57,32 +54,44 @@ def _rank(occupations: np.ndarray, n: int) -> np.ndarray:
 
     A later vector first differs at some site j-1 by holding more particles
     there, which leaves fewer than R_j = sum(occ[j:]) particles for the
-    sites - j sites after it: C(R_j - 1 + sites - j, sites - j) completions.
+    sites - j sites after it: later[j-1, R_j] completions.
     """
     occ = np.asarray(occupations, dtype=np.int64)
     sites = occ.shape[-1]
-    later = np.array([[math.comb(r - 1 + sites - j, sites - j) for r in range(n + 1)]
-                      for j in range(1, sites)], dtype=np.int64)
     suffix = np.cumsum(occ[..., ::-1], axis=-1)[..., ::-1]
     return (fock_dimension(n, sites) - 1
-            - later[np.arange(sites - 1), suffix[..., 1:]].sum(axis=-1))
+            - _later(sites, n)[np.arange(sites - 1), suffix[..., 1:]].sum(axis=-1))
 
 
-def _annihilator(occ: np.ndarray, n: int) -> scipy.sparse.csr_matrix:
-    """a_x for every site x, stacked: rows x*dim(n-1) + rank(occ - e_x)."""
-    dim, sites = occ.shape
-    sub_dim = fock_dimension(n - 1, sites)
-    rows, cols, vals = [], [], []
-    for x in range(sites):
-        states = np.flatnonzero(occ[:, x])
-        dest = occ[states]
-        dest[:, x] -= 1
-        rows.append(x * sub_dim + _rank(dest, n - 1))
-        cols.append(states)
-        vals.append(np.sqrt(occ[states, x]))
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(sites * sub_dim, dim))
+def _add_particle(occ: np.ndarray, n: int) -> tuple[np.ndarray, scipy.sparse.csr_matrix]:
+    """The n-particle sector from the lexicographic (n-1)-particle occupations occ.
+
+    Returns the n-particle occupations, in lexicographic order, and the stacked
+    annihilator a_x from it, a (sites * dim(n-1), dim(n)) CSR matrix whose row
+    x*dim(n-1) + k holds one entry, sqrt(occ[k, x] + 1), at column
+    rank(k + e_x). A particle at x raises R_j by one for j <= x, so by _rank
+    that column is dim - 1 - sum_{j<=x} later[j-1, R_j + 1]
+    - sum_{j>x} later[j-1, R_j], with R_j the suffix sums of k.
+    """
+    sub_dim, sites = occ.shape
+    later = _later(sites, n)
+    suffix = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
+    j = np.arange(sites - 1)
+    skipped = np.zeros((sub_dim, sites), dtype=np.int64)
+    np.cumsum(later[j, suffix[:, 1:] + 1], axis=1, out=skipped[:, 1:])
+    skipped[:, :-1] += np.cumsum(later[j, suffix[:, 1:]][:, ::-1], axis=1)[:, ::-1]
+    cols = (fock_dimension(n, sites) - 1 - skipped).T
+    # each n-particle vector is k + e_x for exactly one x at or before k's
+    # first particle, i.e. with sum(occ[k, x:]) = n - 1
+    ks, xs = np.nonzero(suffix == n - 1)
+    dest = cols[xs, ks]
+    raised = np.empty((dest.size, sites), dtype=np.int64)
+    raised[dest] = occ[ks]
+    raised[dest, xs] += 1
+    a = scipy.sparse.csr_matrix(
+        (np.sqrt(occ.T + 1).ravel(), cols.ravel(), np.arange(cols.size + 1)),
+        shape=(cols.size, dest.size))
+    return raised, a
 
 
 def kinetic_matrix(grid: LatticeGrid) -> np.ndarray:
@@ -97,12 +106,13 @@ class FockBasis:
 
     occupations[i] is the occupation vector of rank i. annihilators[k] stacks
     a_x over the sites from the N-k sector to the N-k-1 sector, as a
-    (sites * dim(N-k-1), dim(N-k)) matrix. one_body is the CSR matrix of
-    sum_{x,y} T_{xy} adag_x a_y, kinetic diagonal included; kinetic is its
-    diagonal and radius its off-diagonal absolute row sums (Gershgorin radii),
-    the field-independent parts of the spectral interval. All arrays are
-    read-only, so the one basis built per plan serves every sample and no
-    sample can alter it for the next.
+    (sites * dim(N-k-1), dim(N-k)) matrix with one entry a row. one_body is
+    the CSR matrix of sum_{x,y} T_{xy} adag_x a_y, kinetic diagonal included,
+    with sorted rows. All are built by build_fock_basis from rank arithmetic,
+    each array written once. The spectral interval of propagation needs no
+    per-basis array: it comes from the lattice dispersion and N. All arrays
+    are read-only, so the one basis built per plan serves every sample and
+    no sample can alter it for the next.
     """
 
     n_particles: int
@@ -110,8 +120,6 @@ class FockBasis:
     occupations: np.ndarray
     annihilators: tuple[scipy.sparse.csr_matrix, ...]
     one_body: scipy.sparse.csr_matrix
-    kinetic: np.ndarray
-    radius: np.ndarray
 
     @property
     def sites(self) -> int:
@@ -123,6 +131,54 @@ class FockBasis:
     def rank(self, occupations) -> np.ndarray:
         """Positions of occupation vectors (last axis) in this basis."""
         return _rank(occupations, self.n_particles)
+
+
+def _one_body(a: scipy.sparse.csr_matrix, occ: np.ndarray,
+              t: np.ndarray) -> scipy.sparse.csr_matrix:
+    """CSR of sum_{x,y} T_xy adag_x a_y on the sector with occupations occ
+    and stacked annihilator a, as _add_particle builds them.
+
+    Row i holds its diagonal sum_x T_xx n_x, then, for each occupied x of i
+    (k = i - e_x, read from a's CSC) and each neighbour y of x, the entry at
+    column rank(k + e_y) with value a_x(k) * (T_xy * a_y(k)), where a_x(k) is
+    the one entry of a's row x*dim(N-1) + k and rank(k + e_y) is its column
+    for y. Its rows are sorted last.
+    """
+    sites = t.shape[0]
+    dim = occ.shape[0]
+    sub_dim = a.shape[0] // sites
+    diagonal = occ @ np.diag(t)  # first: it makes a float copy of occ
+    off = t - np.diag(np.diag(t))
+    # the periodic stencil gives every site the same number of neighbours
+    nbr = np.nonzero(off)[1].reshape(sites, -1)
+    amp = off[np.arange(sites)[:, None], nbr]
+    deg = nbr.shape[1]
+    csc = a.tocsc()
+    x, k = np.divmod(csc.indices, sub_dim)
+    # row i holds its diagonal, then deg entries per entry of a's column i
+    indptr = np.arange(dim + 1) + deg * csc.indptr
+    slot = np.repeat(np.arange(dim), np.diff(csc.indptr)) + deg * np.arange(x.size)
+    index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+    indices = np.empty(indptr[-1], dtype=index)
+    data = np.empty(indptr[-1])
+    indices[indptr[:-1]] = np.arange(dim)
+    data[indptr[:-1]] = diagonal
+    # one neighbour slot per pass, updated in place, so that few arrays of
+    # a's size are alive beside indices and data
+    for y, t_xy in zip(nbr.T, amp.T):
+        slot += 1
+        row = y[x]
+        row *= sub_dim
+        row += k  # a's row y*dim(N-1) + k
+        indices[slot] = a.indices[row]
+        value = t_xy[x]
+        value *= a.data[row]
+        value *= csc.data  # a_x(k) * (T_xy * a_y(k)), rounded as A^T (T A) rounds it
+        data[slot] = value
+    one_body = scipy.sparse.csr_matrix((data, indices, indptr.astype(index)),
+                                       shape=(dim, dim))
+    one_body.sort_indices()
+    return one_body
 
 
 def build_fock_basis(n: int, grid: LatticeGrid,
@@ -139,33 +195,19 @@ def build_fock_basis(n: int, grid: LatticeGrid,
             f"exceeding the cap {dimension_cap}"
         )
     depth = n if max_rdm_order is None else min(max_rdm_order, n)
-    occ = _lexicographic_occupations(n, grid.n_sites)
-    annihilators = (_annihilator(occ, n),) + tuple(
-        _annihilator(_lexicographic_occupations(n - k, grid.n_sites), n - k)
-        for k in range(1, depth))
-
-    t = kinetic_matrix(grid)
-    a = annihilators[0]
-    hopping = scipy.sparse.kron(scipy.sparse.csr_matrix(t - np.diag(np.diag(t))),
-                                scipy.sparse.identity(a.shape[0] // grid.n_sites),
-                                format="csr")
-    # A^T (T_offdiag (x) 1) A = sum_{x != y} T_xy adag_x a_y, plus sum_x T_xx n_x
-    one_body = (a.T @ (hopping @ a) + scipy.sparse.diags(occ @ np.diag(t))).tocsr()
-    one_body.sort_indices()
-    kinetic = one_body.diagonal()
-    # every diagonal entry N T_xx > 0 is stored, so setdiag only overwrites;
-    # made after the product above is freed, the copy does not raise the peak
-    offdiag = abs(one_body)
-    offdiag.setdiag(0)
-    radius = np.asarray(offdiag.sum(axis=1)).ravel()
+    occ = np.zeros((1, grid.n_sites), dtype=np.int64)
+    annihilators = ()
+    for particles in range(1, n + 1):
+        occ, a = _add_particle(occ, particles)
+        if particles > n - depth:
+            annihilators = (a,) + annihilators
+    one_body = _one_body(annihilators[0], occ, kinetic_matrix(grid))
     for mat in (one_body, *annihilators):
         for arr in (mat.data, mat.indices, mat.indptr):
             arr.setflags(write=False)
-    for arr in (occ, kinetic, radius):
-        arr.setflags(write=False)
+    occ.setflags(write=False)
     return FockBasis(n_particles=n, grid=grid, occupations=occ,
-                     annihilators=annihilators, one_body=one_body,
-                     kinetic=kinetic, radius=radius)
+                     annihilators=annihilators, one_body=one_body)
 
 
 @dataclass
@@ -241,14 +283,18 @@ def _check_diagonal(basis: FockBasis, h) -> None:
 
 
 def _spectral_interval(basis: FockBasis, h: np.ndarray) -> tuple[float, float]:
-    """Center c and half-width r of the Gershgorin interval of
-    H = one_body + diag(h), which holds every eigenvalue of H.
+    """Center c and half-width r of an interval that holds every eigenvalue of
+    H = one_body + diag(h).
 
-    r > 0: build_grid requires m >= 2 sites, so every sector has hopping.
+    one_body is the second quantization of T = -Lap, whose eigenvalues are
+    lattice_dispersion, so on the N sector its spectrum lies in
+    [N min lambda, N max lambda]; by Weyl's inequality diag(h) widens that by
+    [min h, max h]. r > 0: build_grid requires m >= 2, so max lambda > 0 = min lambda.
     """
-    d = basis.kinetic + h
-    lo = float(np.min(d - basis.radius))
-    hi = float(np.max(d + basis.radius))
+    lam = lattice_dispersion(basis.grid)
+    n = basis.n_particles
+    lo = n * float(lam.min()) + float(np.min(h))
+    hi = n * float(lam.max()) + float(np.max(h))
     return (hi + lo) / 2, (hi - lo) / 2
 
 
@@ -288,7 +334,7 @@ def _bessel_j(x: float, k: int) -> np.ndarray:
 def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodyState:
     """Psi_t = e^{-i H t} Psi_0, H = one_body + diag(h), by one Chebyshev expansion.
 
-    With [c - r, c + r] the Gershgorin interval of H and A = (H - c)/r,
+    With [c - r, c + r] an interval holding the spectrum of H and A = (H - c)/r,
     e^{-iHt} = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(A). The series
     stops at the degree K whose Bessel tail is provably below 2^-53, and
     T_k(A) Psi_0 follows the three-term recurrence, one sparse product per degree.
@@ -367,4 +413,4 @@ def energy_expectation(psi: ManyBodyState, h: np.ndarray) -> float:
     """<Psi, H Psi> for H = one_body + diag(h)."""
     _check_diagonal(psi.basis, h)
     c = psi.coefficients
-    return float(np.vdot(c, psi.basis.one_body @ c + h * c).real)
+    return float(np.vdot(c, _matmul(psi.basis.one_body, c) + h * c).real)

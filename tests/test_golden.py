@@ -22,7 +22,7 @@ def _rows(path):
         return list(csv.DictReader(fh))
 
 
-@pytest.mark.parametrize("workload", ["convergence", "reach", "long_time"])
+@pytest.mark.parametrize("workload", ["convergence", "reach", "long_time", "smoke"])
 def test_workload_matches_golden(workload, tmp_path):
     status = main(["--config", str(PERFBENCH / "workloads" / f"{workload}.cfg"),
                    "--seed", str(GOLDEN_SEED), "--out-dir", str(tmp_path)])

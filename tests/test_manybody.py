@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.special
 
 from mflab.errors import DimensionError, DomainError, ResourceError
 from mflab.grid import WaveFunction, build_grid, gaussian_packet, normalize
 from mflab.hartree import lattice_dispersion
-from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree,
+from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree, _rank,
                             _spectral_interval, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
                             evolve_manybody, kinetic_matrix,
@@ -57,6 +58,57 @@ def test_basis_ordering_is_lexicographic():
 def test_rank_round_trip(d, m, n):
     basis = build_fock_basis(n, build_grid(d, m, float(m)))
     assert np.array_equal(basis.rank(basis.occupations), np.arange(len(basis)))
+
+
+def _reference_occupations(n, sites):
+    """Stars and bars: the sites-1 bar positions in lexicographic order."""
+    dim = math.comb(n + sites - 1, n)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(n + sites - 1), sites - 1)),
+        dtype=np.int64, count=dim * (sites - 1)).reshape(dim, sites - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=n + sites - 1) - 1
+
+
+def _reference_annihilator(occ, n):
+    """a_x stacked over x from COO triplets: rows x*dim(n-1) + rank(occ - e_x)."""
+    dim, sites = occ.shape
+    sub_dim = math.comb(n - 1 + sites - 1, n - 1)
+    rows, cols, vals = [], [], []
+    for x in range(sites):
+        states = np.flatnonzero(occ[:, x])
+        dest = occ[states]
+        dest[:, x] -= 1
+        rows.append(x * sub_dim + _rank(dest, n - 1))
+        cols.append(states)
+        vals.append(np.sqrt(occ[states, x]))
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(sites * sub_dim, dim))
+
+
+@pytest.mark.parametrize("d,m,n,p", [(1, 2, 3, 3), (1, 5, 1, 1), (1, 8, 8, 2),
+                                     (2, 3, 2, 2), (2, 4, 4, 1), (3, 2, 3, 3)])
+def test_basis_is_bitwise_the_sparse_product_construction(d, m, n, p):
+    g = build_grid(d, m, 0.7 * m)  # spacing 0.7: products round, so their order shows
+    basis = build_fock_basis(n, g, max_rdm_order=p)
+    occ = _reference_occupations(n, g.n_sites)
+    annihilators = [_reference_annihilator(_reference_occupations(n - k, g.n_sites), n - k)
+                    for k in range(p)]
+    t = kinetic_matrix(g)
+    a = annihilators[0]
+    hopping = scipy.sparse.kron(scipy.sparse.csr_matrix(t - np.diag(np.diag(t))),
+                                scipy.sparse.identity(a.shape[0] // g.n_sites),
+                                format="csr")
+    # A^T (T_offdiag (x) 1) A = sum_{x != y} T_xy adag_x a_y, plus sum_x T_xx n_x
+    one_body = (a.T @ (hopping @ a) + scipy.sparse.diags(occ @ np.diag(t))).tocsr()
+    one_body.sort_indices()
+    assert np.array_equal(basis.occupations, occ)
+    assert len(basis.annihilators) == p
+    for got, want in zip((basis.one_body, *basis.annihilators), (one_body, *annihilators)):
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
 
 def test_dimension_cap_enforced():
@@ -270,18 +322,19 @@ def test_chebyshev_degree_bounds_bessel_tail(x):
 
 @pytest.mark.parametrize("d,m,n", [(1, 2, 3), (1, 6, 3), (2, 3, 2)])
 def test_gershgorin_interval_contains_spectrum(d, m, n):
+    # the dGamma(T) + Weyl interval holds the spectrum and is no wider than
+    # the Gershgorin interval of the same H
     g = build_grid(d, m, float(m))
     basis = build_fock_basis(n, g)
-    one_body = basis.one_body.toarray()
-    off = np.abs(one_body - np.diag(np.diag(one_body))).sum(axis=1)
-    assert np.array_equal(basis.kinetic, np.diag(one_body))
-    assert np.max(np.abs(basis.radius - off)) < 1e-12
     v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,) * ((m - 1) // 2),
                seed=43)  # as many modes as the grid admits, none at m = 2
     h = assemble_hamiltonian(basis, v)
+    dense = basis.one_body.toarray() + np.diag(h)
+    radius = np.abs(dense - np.diag(np.diag(dense))).sum(axis=1)
+    gershgorin = (np.max(np.diag(dense) + radius) - np.min(np.diag(dense) - radius)) / 2
     c, r = _spectral_interval(basis, h)
-    evals = np.linalg.eigvalsh(one_body + np.diag(h))
-    assert r > 0
+    evals = np.linalg.eigvalsh(dense)
+    assert 0 < r <= gershgorin
     assert c - r <= evals[0] and evals[-1] <= c + r
 
 
