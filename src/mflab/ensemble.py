@@ -19,8 +19,8 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, MFLabError
 from .grid import LatticeGrid, WaveFunction
 from .hartree import HartreeRunParams, evolve_hartree_batch, hartree_expectation
-from .manybody import (assemble_hamiltonian, build_fock_basis, evolve_manybody,
-                       manybody_expectation, product_state_lift)
+from .manybody import (assemble_hamiltonian, build_fock_basis, check_fock_dimension,
+                       evolve_manybody, manybody_expectation, product_state_lift)
 from .observables import PObservable, operator_norm
 from .random_field import FieldSpec, RandomField, mix_seed, sample_field
 
@@ -48,6 +48,9 @@ class ExperimentPlan:
             raise DomainError("particle_counts must be strictly ascending")
         if counts[0] < 1:
             raise DomainError("particle counts must be positive")
+        if self.observable.p > counts[0]:
+            raise DomainError(f"observable.p = {self.observable.p} exceeds the "
+                              f"smallest particle count {counts[0]}")
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
         object.__setattr__(self, "particle_counts", counts)
@@ -99,14 +102,17 @@ def _hartree_flows(plan: ExperimentPlan, indices: Sequence[int]
 def _run_samples(plan: ExperimentPlan, indices: Sequence[int]) -> list[SampleResult]:
     """The samples at indices, in that order, against the same plan.
 
-    Every sector and lifted initial state is built first, so a resource limit
-    fails before any Hartree work; then the Hartree flow runs once for all the
-    fields, and each sample does its many-body work against its own field.
+    Every sector and lifted initial state is built first, in one climb from
+    the vacuum after the largest sector has passed the dimension cap, so a
+    resource limit fails before any work; then the Hartree flow runs once for
+    all the fields, and each sample does its many-body work against its own field.
     """
     norm_a = plan.observable_norm
-    sectors = []
+    check_fock_dimension(plan.particle_counts[-1], plan.grid)
+    sectors, basis = [], None
     for n in plan.particle_counts:
-        basis = build_fock_basis(n, plan.grid, max_rdm_order=plan.observable.p)
+        basis = build_fock_basis(n, plan.grid, max_rdm_order=plan.observable.p,
+                                 below=basis)
         sectors.append((basis, product_state_lift(plan.initial_state, basis)))
     results = []
     for i, (v, psi_t) in zip(indices, _hartree_flows(plan, indices)):

@@ -9,6 +9,7 @@ sum_{x,y} T_{xy} adag_x a_y. The sectors are built upward from the vacuum:
 adding a particle at x changes a vector's rank by sums over one lookup table,
 so each annihilator is written directly as a CSR matrix with one entry a row,
 and one_body row by row from the top annihilator, with no sparse products.
+The sectors of a sweep of N come from one climb: each starts at the one below.
 A field enters only through the pair term,
 which is diagonal in the occupation basis:
     h = (1/2N) sum_{x,y} v(x-y) adag_x adag_y a_y a_x = (occ V occ - v(0) N) / 2N,
@@ -36,6 +37,8 @@ from .observables import PObservable, lift_factor, operator_norm
 DIMENSION_CAP = 200_000
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+
+_BLOCK_ROWS = 4096
 
 
 def fock_dimension(n: int, sites: int) -> int:
@@ -66,16 +69,17 @@ def _rank(occupations: np.ndarray, n: int) -> np.ndarray:
 def _add_particle(occ: np.ndarray, n: int) -> tuple[np.ndarray, scipy.sparse.csr_matrix]:
     """The n-particle sector from the lexicographic (n-1)-particle occupations occ.
 
-    Returns the n-particle occupations, in lexicographic order, and the stacked
-    annihilator a_x from it, a (sites * dim(n-1), dim(n)) CSR matrix whose row
-    x*dim(n-1) + k holds one entry, sqrt(occ[k, x] + 1), at column
-    rank(k + e_x). A particle at x raises R_j by one for j <= x, so by _rank
-    that column is dim - 1 - sum_{j<=x} later[j-1, R_j + 1]
+    Returns the n-particle occupations, in lexicographic order and in the
+    narrowest unsigned dtype that holds n (the rank arithmetic is int64), and
+    the stacked annihilator a_x from it, a (sites * dim(n-1), dim(n)) CSR
+    matrix whose row x*dim(n-1) + k holds one entry, sqrt(occ[k, x] + 1), at
+    column rank(k + e_x). A particle at x raises R_j by one for j <= x, so by
+    _rank that column is dim - 1 - sum_{j<=x} later[j-1, R_j + 1]
     - sum_{j>x} later[j-1, R_j], with R_j the suffix sums of k.
     """
     sub_dim, sites = occ.shape
     later = _later(sites, n)
-    suffix = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
+    suffix = np.cumsum(occ[:, ::-1], axis=1, dtype=np.int64)[:, ::-1]
     j = np.arange(sites - 1)
     skipped = np.zeros((sub_dim, sites), dtype=np.int64)
     np.cumsum(later[j, suffix[:, 1:] + 1], axis=1, out=skipped[:, 1:])
@@ -85,11 +89,12 @@ def _add_particle(occ: np.ndarray, n: int) -> tuple[np.ndarray, scipy.sparse.csr
     # first particle, i.e. with sum(occ[k, x:]) = n - 1
     ks, xs = np.nonzero(suffix == n - 1)
     dest = cols[xs, ks]
-    raised = np.empty((dest.size, sites), dtype=np.int64)
+    raised = np.empty((dest.size, sites), dtype=np.min_scalar_type(n))
     raised[dest] = occ[ks]
     raised[dest, xs] += 1
+    # + 1.0: the weights must be float64, and sqrt of a uint8 is a float16
     a = scipy.sparse.csr_matrix(
-        (np.sqrt(occ.T + 1).ravel(), cols.ravel(), np.arange(cols.size + 1)),
+        (np.sqrt(occ.T + 1.0).ravel(), cols.ravel(), np.arange(cols.size + 1)),
         shape=(cols.size, dest.size))
     return raised, a
 
@@ -104,7 +109,10 @@ def kinetic_matrix(grid: LatticeGrid) -> np.ndarray:
 class FockBasis:
     """An N-boson sector on a grid and its field-independent operators.
 
-    occupations[i] is the occupation vector of rank i. annihilators[k] stacks
+    occupations[i] is the occupation vector of rank i, in the narrowest
+    unsigned dtype that holds N (uint8 up to N = 255), so it takes dim * sites
+    bytes; the pair diagonal and the lift read it in row blocks, so their
+    temporaries take O(dim) bytes, not 8 * dim * sites. annihilators[k] stacks
     a_x over the sites from the N-k sector to the N-k-1 sector, as a
     (sites * dim(N-k-1), dim(N-k)) matrix with one entry a row. one_body is
     the CSR matrix of sum_{x,y} T_{xy} adag_x a_y, kinetic diagonal included,
@@ -133,6 +141,17 @@ class FockBasis:
         return _rank(occupations, self.n_particles)
 
 
+def _blocks(length: int) -> list[slice]:
+    """Consecutive slices of at most _BLOCK_ROWS that cover range(length).
+
+    A step over the rows of a (dim, sites) array, or over an annihilator's
+    entries, runs block by block, so that its temporaries take
+    O(_BLOCK_ROWS * sites) bytes, not O(dim * sites); a step that treats each
+    row alone gives the same bits as one pass over all rows.
+    """
+    return [slice(i, i + _BLOCK_ROWS) for i in range(0, length, _BLOCK_ROWS)]
+
+
 def _one_body(a: scipy.sparse.csr_matrix, occ: np.ndarray,
               t: np.ndarray) -> scipy.sparse.csr_matrix:
     """CSR of sum_{x,y} T_xy adag_x a_y on the sector with occupations occ
@@ -153,54 +172,81 @@ def _one_body(a: scipy.sparse.csr_matrix, occ: np.ndarray,
     nbr = np.nonzero(off)[1].reshape(sites, -1)
     amp = off[np.arange(sites)[:, None], nbr]
     deg = nbr.shape[1]
+    nnz = dim + deg * a.nnz
+    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
     csc = a.tocsc()
-    x, k = np.divmod(csc.indices, sub_dim)
+    x, k = np.divmod(csc.indices.astype(index, copy=False), sub_dim)
     # row i holds its diagonal, then deg entries per entry of a's column i
-    indptr = np.arange(dim + 1) + deg * csc.indptr
-    slot = np.repeat(np.arange(dim), np.diff(csc.indptr)) + deg * np.arange(x.size)
-    index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
-    indices = np.empty(indptr[-1], dtype=index)
-    data = np.empty(indptr[-1])
+    indptr = (np.arange(dim + 1) + deg * csc.indptr).astype(index)
+    slot = np.arange(0, deg * x.size, deg, dtype=index)
+    slot += np.repeat(np.arange(dim, dtype=index), np.diff(csc.indptr))
+    a_x = csc.data  # the rest of the CSC copy is freed here
+    del csc
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz)
     indices[indptr[:-1]] = np.arange(dim)
     data[indptr[:-1]] = diagonal
-    # one neighbour slot per pass, updated in place, so that few arrays of
-    # a's size are alive beside indices and data
-    for y, t_xy in zip(nbr.T, amp.T):
-        slot += 1
-        row = y[x]
-        row *= sub_dim
-        row += k  # a's row y*dim(N-1) + k
-        indices[slot] = a.indices[row]
-        value = t_xy[x]
-        value *= a.data[row]
-        value *= csc.data  # a_x(k) * (T_xy * a_y(k)), rounded as A^T (T A) rounds it
-        data[slot] = value
-    one_body = scipy.sparse.csr_matrix((data, indices, indptr.astype(index)),
-                                       shape=(dim, dim))
+    # a block of a's entries at a time, one neighbour slot per pass, so that
+    # no temporary beside indices and data has more than _BLOCK_ROWS entries
+    for entries in _blocks(x.size):
+        x_e, k_e, a_e = x[entries].astype(np.intp), k[entries], a_x[entries]
+        slot_e = slot[entries].astype(np.intp)
+        for y, t_xy in zip(nbr.T, amp.T):
+            slot_e += 1
+            row = y[x_e]
+            row *= sub_dim
+            row += k_e  # a's row y*dim(N-1) + k
+            indices[slot_e] = a.indices[row]
+            value = t_xy[x_e]
+            value *= a.data[row]
+            value *= a_e  # a_x(k) * (T_xy * a_y(k)), rounded as A^T (T A) rounds it
+            data[slot_e] = value
+    one_body = scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
     one_body.sort_indices()
     return one_body
 
 
-def build_fock_basis(n: int, grid: LatticeGrid,
-                     dimension_cap: int = DIMENSION_CAP,
-                     max_rdm_order: int | None = None) -> FockBasis:
-    """The N-particle sector, with annihilation maps for RDMs of every order up
-    to max_rdm_order (default and at most N)."""
-    if n < 1:
-        raise DomainError(f"particle number must be >= 1, got {n}")
+def check_fock_dimension(n: int, grid: LatticeGrid,
+                         dimension_cap: int = DIMENSION_CAP) -> None:
+    """Fail with a ResourceError if the N-particle sector exceeds dimension_cap."""
     dim = fock_dimension(n, grid.n_sites)
     if dim > dimension_cap:
         raise ResourceError(
             f"Fock sector for N={n}, M={grid.m} (d={grid.d}) has dimension {dim}, "
             f"exceeding the cap {dimension_cap}"
         )
+
+
+def build_fock_basis(n: int, grid: LatticeGrid,
+                     dimension_cap: int = DIMENSION_CAP,
+                     max_rdm_order: int | None = None,
+                     below: FockBasis | None = None) -> FockBasis:
+    """The N-particle sector, with annihilation maps for RDMs of every order up
+    to max_rdm_order (default and at most N).
+
+    The climb starts at the vacuum, or at below: a sector of fewer particles on
+    the same grid, built for the same max_rdm_order. So the sectors of a sweep
+    come from one climb, each bitwise equal to its own climb from the vacuum.
+    """
+    if n < 1:
+        raise DomainError(f"particle number must be >= 1, got {n}")
+    check_fock_dimension(n, grid, dimension_cap)
     depth = n if max_rdm_order is None else min(max_rdm_order, n)
-    occ = np.zeros((1, grid.n_sites), dtype=np.int64)
-    annihilators = ()
-    for particles in range(1, n + 1):
+    if below is None:
+        start, occ, annihilators = 0, np.zeros((1, grid.n_sites), dtype=np.uint8), ()
+    elif below.grid != grid or below.n_particles >= n:
+        raise DomainError(f"cannot climb to N={n} from the N={below.n_particles} "
+                          f"sector of another grid or of as many particles")
+    elif len(below.annihilators) < depth - (n - below.n_particles):
+        raise DomainError(f"the N={below.n_particles} sector holds annihilators for "
+                          f"RDMs up to order {len(below.annihilators)}, too few for "
+                          f"order {depth} at N={n}")
+    else:
+        start, occ = below.n_particles, below.occupations
+        annihilators = below.annihilators
+    for particles in range(start + 1, n + 1):
         occ, a = _add_particle(occ, particles)
-        if particles > n - depth:
-            annihilators = (a,) + annihilators
+        annihilators = ((a,) + annihilators)[:depth]
     one_body = _one_body(annihilators[0], occ, kinetic_matrix(grid))
     for mat in (one_body, *annihilators):
         for arr in (mat.data, mat.indices, mat.indptr):
@@ -248,7 +294,10 @@ def assemble_hamiltonian(basis: FockBasis, v) -> np.ndarray:
         raise DimensionError(
             f"field has {values.size} sites, the basis grid has {basis.sites}")
     occ = basis.occupations
-    pair = ((occ @ interaction_matrix(basis.grid, values)) * occ).sum(axis=1)
+    v_mat = interaction_matrix(basis.grid, values)
+    pair = np.empty(len(occ))
+    for rows in _blocks(len(occ)):
+        pair[rows] = ((occ[rows] @ v_mat) * occ[rows]).sum(axis=1)
     return (pair - float(values[0]) * n) / (2.0 * n)
 
 
@@ -263,7 +312,10 @@ def product_state_lift(phi: WaveFunction, basis: FockBasis) -> ManyBodyState:
     u = phi.grid.cell_volume ** 0.5 * phi.amplitudes  # unit l2 vector
     occ = basis.occupations
     log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-    coeffs = np.exp(0.5 * (log_fact[n] - log_fact[occ].sum(axis=1))).astype(np.complex128)
+    log_norm = np.empty(len(occ))
+    for rows in _blocks(len(occ)):
+        log_norm[rows] = log_fact[occ[rows]].sum(axis=1)
+    coeffs = np.exp(0.5 * (log_fact[n] - log_norm)).astype(np.complex128)
     powers = u[None, :] ** np.arange(n + 1)[:, None]  # powers[k, x] = u_x^k
     for x in range(basis.sites):
         coeffs *= powers[occ[:, x], x]
@@ -379,7 +431,9 @@ def reduced_density_matrix(psi: ManyBodyState, p: int) -> np.ndarray:
     for a in psi.basis.annihilators[:p]:
         w = _matmul(a, w).reshape(sites, -1, w.shape[1])
         w = w.transpose(1, 2, 0).reshape(w.shape[1], -1)
-    raw = w.T @ w.conj()  # raw[X, Y] = <a_Y Psi, a_X Psi>
+    # raw[X, Y] = <a_Y Psi, a_X Psi>, with a conjugated copy of one row block
+    # at a time, not of all of w
+    raw = sum(w[rows].T @ w[rows].conj() for rows in _blocks(len(w)))
     scale = math.exp(math.lgamma(n - p + 1) - math.lgamma(n + 1))
     return (scale / psi.basis.grid.cell_volume ** p) * raw
 

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mflab
 import mflab.cli
 from mflab.cli import main, run_experiment
 from mflab.config import parse_config
@@ -202,6 +207,29 @@ def test_main_reports_config_errors(tmp_path, capsys):
     status = main(["--config", str(cfg)])
     assert status == 2
     assert "strictly ascending" in capsys.readouterr().err
+
+
+def test_main_rejects_observable_order_above_smallest_count(tmp_path, capsys):
+    cfg = _write(tmp_path, SMALL_RUN + "observable.p = 2\n")  # particle_counts = 1,2
+    out = tmp_path / "cli-out"
+    assert main(["--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "observable.p = 2 exceeds the smallest particle count 1" in err
+    assert "sample" not in err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_unused_scipy_modules_unloaded():
+    # importing mflab.cli is part of every run's wall time
+    unused = ("scipy.special", "scipy.linalg", "scipy.sparse.linalg", "scipy.fft")
+    src = str(Path(mflab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, mflab.cli; "
+            f"print(sorted(m for m in {unused!r} if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_constant_field_report_shows_exactness(tmp_path):

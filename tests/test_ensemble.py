@@ -84,6 +84,23 @@ def test_over_cap_sector_fails_before_any_hartree_work(monkeypatch):
         run_ensemble(_plan(RANDOM_SPEC))
 
 
+def test_over_cap_sector_fails_before_any_sector_is_built(monkeypatch):
+    built = []
+    build = mflab.ensemble.build_fock_basis
+
+    def recording_build(n, *args, **kwargs):
+        built.append(n)
+        return build(n, *args, **kwargs)
+
+    monkeypatch.setattr(mflab.ensemble, "build_fock_basis", recording_build)
+    with pytest.raises(ResourceError, match=r"N=30, M=8 \(d=1\)"):
+        run_ensemble(_plan(RANDOM_SPEC, counts=(2, 3, 30)))
+    assert built == []
+    # the patched name is the one run_ensemble calls, and it climbs once
+    run_ensemble(_plan(RANDOM_SPEC, counts=(2, 3), samples=1))
+    assert built == [2, 3]
+
+
 def test_run_sample_alone_equals_ensemble_rows():
     plan = _plan(RANDOM_SPEC, samples=5)
 

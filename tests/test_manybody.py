@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from mflab.hartree import lattice_dispersion
 from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree, _rank,
                             _spectral_interval, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
-                            evolve_manybody, kinetic_matrix,
-                            manybody_expectation, product_state_lift,
-                            reduced_density_matrix)
+                            evolve_manybody, interaction_matrix,
+                            kinetic_matrix, manybody_expectation,
+                            product_state_lift, reduced_density_matrix)
 from mflab.observables import (PObservable, condensate_projector, lift_factor,
                                operator_norm)
 from mflab.random_field import FieldSpec, sample_field
@@ -115,6 +116,72 @@ def test_dimension_cap_enforced():
     g = build_grid(1, 8, 8.0)
     with pytest.raises(ResourceError, match=r"N=30.*M=8"):
         build_fock_basis(30, g, dimension_cap=1000)
+
+
+@pytest.mark.parametrize("d,m,n", [(1, 2, 300), (2, 4, 6)])
+def test_occupations_are_narrow_and_weights_float64(d, m, n):
+    g = build_grid(d, m, 2.0 * m)
+    lower = build_fock_basis(n - 1, g, max_rdm_order=2)
+    basis = build_fock_basis(n, g, max_rdm_order=2, below=lower)
+    occ = basis.occupations
+    assert occ.dtype == np.min_scalar_type(n)  # uint16 at N=300, uint8 at N=6
+    assert np.array_equal(basis.rank(occ), np.arange(len(basis)))
+    # row x*dim(N-k-1) + j of annihilators[k] holds sqrt(n_x) of its column's
+    # state in the N-k sector, i.e. sqrt(m_x + 1) for the state j below it
+    for a, upper in zip(basis.annihilators, (basis, lower)):
+        assert a.data.dtype == np.float64
+        x = np.arange(a.shape[0]) // (a.shape[0] // g.n_sites)
+        want = np.sqrt(upper.occupations[a.indices, x].astype(np.float64))
+        assert np.array_equal(a.data, want)
+    v = _field(g, base="gaussian_bump(1.0, 1.5)", mean=0.3)
+    values = np.asarray(v.values, dtype=np.float64).ravel()
+    occ64 = occ.astype(np.int64)
+    pair = ((occ64 @ interaction_matrix(g, values)) * occ64).sum(axis=1)
+    np.testing.assert_allclose(assemble_hamiltonian(basis, v),
+                               (pair - values[0] * n) / (2.0 * n),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_climb_from_a_lower_sector_is_bitwise_the_climb_from_the_vacuum():
+    g = build_grid(2, 3, 3.0)
+    sectors, below = [], None
+    for n in (1, 3, 4):
+        below = build_fock_basis(n, g, max_rdm_order=2, below=below)
+        sectors.append(below)
+    for basis in sectors:
+        alone = build_fock_basis(basis.n_particles, g, max_rdm_order=2)
+        assert np.array_equal(basis.occupations, alone.occupations)
+        assert basis.occupations.dtype == alone.occupations.dtype
+        assert len(basis.annihilators) == len(alone.annihilators)
+        for got, want in zip((basis.one_body, *basis.annihilators),
+                             (alone.one_body, *alone.annihilators)):
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+    with pytest.raises(DomainError, match="cannot climb"):
+        build_fock_basis(3, g, below=sectors[1])
+    with pytest.raises(DomainError, match="cannot climb"):
+        build_fock_basis(5, build_grid(2, 3, 6.0), below=sectors[1])
+    with pytest.raises(DomainError, match="order 1, too few for order 3"):
+        build_fock_basis(5, g, max_rdm_order=3,
+                         below=build_fock_basis(4, g, max_rdm_order=1))
+
+
+def test_per_field_steps_allocate_o_dim_bytes():
+    g = build_grid(2, 4, 8.0)  # the reach workload's N=6 sector
+    basis = build_fock_basis(6, g, max_rdm_order=1)
+    assert (len(basis), basis.sites) == (54_264, 16)
+    v = _field(g, base="gaussian_bump(1.0, 1.5)", sigmas=(0.5,), seed=3)
+    phi = gaussian_packet(g)
+    limit = len(basis) * basis.sites * 8 / 2  # half of one (dim, sites) float64
+    for step in (lambda: assemble_hamiltonian(basis, v),
+                 lambda: product_state_lift(phi, basis)):
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 # --- Hamiltonian ----------------------------------------------------------
