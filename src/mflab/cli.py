@@ -120,7 +120,7 @@ def run_experiment(plan: ExperimentPlan, options: RunOptions) -> int:
         rows = estimate(results)
         for row in rows:
             gap = abs(row.mean_x_hartree - row.mean_x_manybody)
-            if gap > row.mean_y + 1e-12:
+            if not (gap <= row.mean_y + 1e-12):
                 raise ConsistencyError(
                     f"triangle inequality violated at N={row.n}: "
                     f"|mean_X - mean_X_N| = {gap!r} > mean_Y = {row.mean_y!r}"

@@ -7,6 +7,8 @@ with low variance. A run is one sequential pipeline: build the sectors, run
 one batched Hartree flow over every field, then the many-body work of each
 sample in order. Each field is seeded from (base_seed, sample_index), so a
 sample's values do not depend on which other samples run with it.
+The plan derives the observable norm and the Hartree time grid once, at
+construction, and _run_samples checks every |X| and |X_N| against that norm.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .random_field import FieldSpec, RandomField, mix_seed, sample_field
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One experiment; observable_norm is derived once, at construction."""
+    """One experiment; observable_norm and hartree_params are derived at construction."""
 
     grid: LatticeGrid
     field_spec: FieldSpec
@@ -39,6 +41,7 @@ class ExperimentPlan:
     samples: int
     base_seed: int
     observable_norm: float = field(init=False)
+    hartree_params: HartreeRunParams = field(init=False)
 
     def __post_init__(self):
         counts = tuple(int(n) for n in self.particle_counts)
@@ -54,6 +57,7 @@ class ExperimentPlan:
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
         object.__setattr__(self, "particle_counts", counts)
+        object.__setattr__(self, "hartree_params", HartreeRunParams(self.t_final, self.dt))
         object.__setattr__(self, "observable_norm",
                            operator_norm(self.observable, self.grid))
 
@@ -92,11 +96,18 @@ def _hartree_flows(plan: ExperimentPlan, indices: Sequence[int]
     fields = [sample_field(plan.field_spec, mix_seed(plan.base_seed, i), plan.grid)
               for i in indices]
     try:
-        params = HartreeRunParams(t_final=plan.t_final, dt=plan.dt)
-        states = evolve_hartree_batch(plan.initial_state, fields, params)
+        states = evolve_hartree_batch(plan.initial_state, fields, plan.hartree_params)
     except MFLabError as exc:
         raise _in_sample(exc, plan, indices[getattr(exc, "row", 0)]) from exc
     return list(zip(fields, states))
+
+
+def _bounded(x: float, name: str, plan: ExperimentPlan) -> float:
+    """x, once |x| <= the observable norm + 1e-12; NaN fails too."""
+    if not (abs(x) <= plan.observable_norm + 1e-12):
+        raise ConsistencyError(f"|{name}| = {abs(x)!r} exceeds the observable "
+                               f"norm {plan.observable_norm!r}")
+    return x
 
 
 def _run_samples(plan: ExperimentPlan, indices: Sequence[int]) -> list[SampleResult]:
@@ -107,7 +118,6 @@ def _run_samples(plan: ExperimentPlan, indices: Sequence[int]) -> list[SampleRes
     resource limit fails before any work; then the Hartree flow runs once for
     all the fields, and each sample does its many-body work against its own field.
     """
-    norm_a = plan.observable_norm
     check_fock_dimension(plan.particle_counts[-1], plan.grid)
     sectors, basis = [], None
     for n in plan.particle_counts:
@@ -117,14 +127,12 @@ def _run_samples(plan: ExperimentPlan, indices: Sequence[int]) -> list[SampleRes
     results = []
     for i, (v, psi_t) in zip(indices, _hartree_flows(plan, indices)):
         try:
-            x_h = hartree_expectation(psi_t, plan.observable)
-            if abs(x_h) > norm_a + 1e-12:
-                raise ConsistencyError(f"|X| = {abs(x_h)!r} exceeds the observable norm")
+            x_h = _bounded(hartree_expectation(psi_t, plan.observable), "X", plan)
             x_mb = {}
             for basis, psi0 in sectors:
                 psi_n = evolve_manybody(psi0, assemble_hamiltonian(basis, v), plan.t_final)
-                x_mb[basis.n_particles] = manybody_expectation(
-                    psi_n, plan.observable, norm_bound=norm_a)
+                x_mb[basis.n_particles] = _bounded(
+                    manybody_expectation(psi_n, plan.observable), "X_N", plan)
         except MFLabError as exc:
             raise _in_sample(exc, plan, i) from exc
         results.append(SampleResult(sample_index=i, seed=mix_seed(plan.base_seed, i),

@@ -38,8 +38,8 @@ class HartreeRunParams:
     dt: float
 
     def __post_init__(self):
-        if self.t_final < 0:
-            raise DomainError(f"t_final must be nonnegative, got {self.t_final}")
+        if not (0 <= self.t_final < np.inf):
+            raise DomainError(f"t_final must be finite and nonnegative, got {self.t_final}")
         if not (self.dt > 0):
             raise DomainError(f"dt must be positive, got {self.dt}")
 
@@ -88,7 +88,7 @@ def evolve_hartree_batch(phi: WaveFunction, fields: Sequence[RandomField],
     """
     grid = phi.grid
     fv = field_spectra(fields, grid)
-    if abs(phi.norm() - 1.0) > _NORM_TOL:
+    if not (abs(phi.norm() - 1.0) <= _NORM_TOL):
         raise DomainError(f"the Hartree flow requires a unit state, norm = {phi.norm()!r}")
     steps, dt = params.steps, params.effective_dt
     phases = np.exp(-1j * dt * lattice_dispersion(grid))
@@ -97,7 +97,7 @@ def evolve_hartree_batch(phi: WaveFunction, fields: Sequence[RandomField],
         psi = hartree_step(psi, fv, dt, grid, phases)
     states = [WaveFunction(grid, row) for row in psi]
     for row, state in enumerate(states):
-        if abs(state.norm() - 1.0) > _NORM_TOL + steps * np.finfo(float).eps:
+        if not (abs(state.norm() - 1.0) <= _NORM_TOL + steps * np.finfo(float).eps):
             exc = DomainError(f"Hartree norm drifted to {state.norm()!r} after {steps} steps")
             exc.row = row
             raise exc
@@ -119,7 +119,7 @@ def hartree_expectation(psi: WaveFunction, a: PObservable) -> float:
     for _ in range(a.p - 1):
         vec = np.kron(vec, psi.amplitudes)
     val = grid.cell_volume ** (2 * a.p) * np.vdot(vec, a.kernel @ vec)
-    if abs(val.imag) >= 1e-10:
+    if not (abs(val.imag) < 1e-10):
         raise ConsistencyError(f"expectation has imaginary part {val.imag:.3e}; "
                                "observable not self-adjoint?")
     return float(val.real)

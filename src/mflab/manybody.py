@@ -20,6 +20,8 @@ Propagation is one Chebyshev expansion of e^{-iHt} (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967, 1984) over an interval that provably holds the
 spectrum of H, from the lattice dispersion and min/max of h, truncated by a
 proven bound on its Bessel-coefficient tail; it draws no random numbers.
+DIMENSION_CAP caps each sector, and _MAX_RT the product r*t that sets the degree;
+ensemble checks the pathwise bound |X_N| <= ||a|| against the plan's norm.
 """
 from __future__ import annotations
 
@@ -32,9 +34,11 @@ import scipy.sparse
 from .errors import ConsistencyError, DimensionError, DomainError, ResourceError
 from .grid import LatticeGrid, WaveFunction, _laplacian_array
 from .hartree import lattice_dispersion
-from .observables import PObservable, lift_factor, operator_norm
+from .observables import PObservable, lift_factor
 
 DIMENSION_CAP = 200_000
+# r*t at most 1e4 allows Chebyshev degree 13,623 (long_time needs at most 153)
+_MAX_RT = 1e4
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -173,16 +177,16 @@ def _one_body(a: scipy.sparse.csr_matrix, occ: np.ndarray,
     amp = off[np.arange(sites)[:, None], nbr]
     deg = nbr.shape[1]
     nnz = dim + deg * a.nnz
-    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    # int32 indices: under DIMENSION_CAP, nnz is at most 4,609,521 (d=3, M=3, N=5)
     csc = a.tocsc()
-    x, k = np.divmod(csc.indices.astype(index, copy=False), sub_dim)
+    x, k = np.divmod(csc.indices.astype(np.int32, copy=False), sub_dim)
     # row i holds its diagonal, then deg entries per entry of a's column i
-    indptr = (np.arange(dim + 1) + deg * csc.indptr).astype(index)
-    slot = np.arange(0, deg * x.size, deg, dtype=index)
-    slot += np.repeat(np.arange(dim, dtype=index), np.diff(csc.indptr))
+    indptr = (np.arange(dim + 1) + deg * csc.indptr).astype(np.int32)
+    slot = np.arange(0, deg * x.size, deg, dtype=np.int32)
+    slot += np.repeat(np.arange(dim, dtype=np.int32), np.diff(csc.indptr))
     a_x = csc.data  # the rest of the CSC copy is freed here
     del csc
-    indices = np.empty(nnz, dtype=index)
+    indices = np.empty(nnz, dtype=np.int32)
     data = np.empty(nnz)
     indices[indptr[:-1]] = np.arange(dim)
     data[indptr[:-1]] = diagonal
@@ -206,20 +210,17 @@ def _one_body(a: scipy.sparse.csr_matrix, occ: np.ndarray,
     return one_body
 
 
-def check_fock_dimension(n: int, grid: LatticeGrid,
-                         dimension_cap: int = DIMENSION_CAP) -> None:
-    """Fail with a ResourceError if the N-particle sector exceeds dimension_cap."""
+def check_fock_dimension(n: int, grid: LatticeGrid) -> None:
+    """Fail with a ResourceError if the N-particle sector exceeds DIMENSION_CAP."""
     dim = fock_dimension(n, grid.n_sites)
-    if dim > dimension_cap:
+    if dim > DIMENSION_CAP:
         raise ResourceError(
             f"Fock sector for N={n}, M={grid.m} (d={grid.d}) has dimension {dim}, "
-            f"exceeding the cap {dimension_cap}"
+            f"exceeding the cap {DIMENSION_CAP}"
         )
 
 
-def build_fock_basis(n: int, grid: LatticeGrid,
-                     dimension_cap: int = DIMENSION_CAP,
-                     max_rdm_order: int | None = None,
+def build_fock_basis(n: int, grid: LatticeGrid, max_rdm_order: int | None = None,
                      below: FockBasis | None = None) -> FockBasis:
     """The N-particle sector, with annihilation maps for RDMs of every order up
     to max_rdm_order (default and at most N).
@@ -230,7 +231,7 @@ def build_fock_basis(n: int, grid: LatticeGrid,
     """
     if n < 1:
         raise DomainError(f"particle number must be >= 1, got {n}")
-    check_fock_dimension(n, grid, dimension_cap)
+    check_fock_dimension(n, grid)
     depth = n if max_rdm_order is None else min(max_rdm_order, n)
     if below is None:
         start, occ, annihilators = 0, np.zeros((1, grid.n_sites), dtype=np.uint8), ()
@@ -304,7 +305,7 @@ def assemble_hamiltonian(basis: FockBasis, v) -> np.ndarray:
 def product_state_lift(phi: WaveFunction, basis: FockBasis) -> ManyBodyState:
     """Coefficients of the N-fold product state phi^(x)N in the occupation
     basis, N being the basis's particle number."""
-    if abs(phi.norm() - 1.0) > 1e-12:
+    if not (abs(phi.norm() - 1.0) <= 1e-12):
         raise DomainError(f"product lift requires a unit state, norm = {phi.norm()!r}")
     if phi.grid != basis.grid:
         raise DimensionError("state does not live on the basis grid")
@@ -390,11 +391,13 @@ def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodySta
     e^{-iHt} = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(A). The series
     stops at the degree K whose Bessel tail is provably below 2^-53, and
     T_k(A) Psi_0 follows the three-term recurrence, one sparse product per degree.
+    A ResourceError stops r*t above _MAX_RT, or not a number, before the degree
+    search, which thus always ends.
     """
     _check_diagonal(psi0.basis, h)
-    if t < 0:
+    if not (t >= 0):
         raise DomainError(f"evolution time must be nonnegative, got {t}")
-    if abs(psi0.norm() - 1.0) > 1e-12:
+    if not (abs(psi0.norm() - 1.0) <= 1e-12):
         raise DomainError("evolve_manybody requires a normalized state")
     f = psi0.coefficients
     if t == 0:
@@ -402,6 +405,9 @@ def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodySta
     mat = psi0.basis.one_body
     c, r = _spectral_interval(psi0.basis, h)
     x = r * t
+    if not (x <= _MAX_RT):
+        raise ResourceError(f"propagation needs r*t = {x!r} (half-width {r!r}, "
+                            f"t = {t!r}), beyond the cap {_MAX_RT}")
     k = _chebyshev_degree(x)
     coef = 2.0 * np.array([1, -1j, -1, 1j])[np.arange(k + 1) % 4] * _bessel_j(x, k)
     coef[0] /= 2
@@ -438,29 +444,17 @@ def reduced_density_matrix(psi: ManyBodyState, p: int) -> np.ndarray:
     return (scale / psi.basis.grid.cell_volume ** p) * raw
 
 
-def manybody_expectation(psi: ManyBodyState, a: PObservable,
-                         norm_bound: float | None = None) -> float:
-    """X_N = lift_factor(N, p) * Tr(a gamma^(p)), with the pathwise bound checked.
-
-    norm_bound is the observable's norm on the basis grid; a plan passes its
-    own, and standalone callers may leave it to be computed here.
-    """
-    n = psi.basis.n_particles
-    grid = psi.basis.grid
+def manybody_expectation(psi: ManyBodyState, a: PObservable) -> float:
+    """X_N = lift_factor(N, p) * Tr(a gamma^(p)); a plan checks |X_N| <= ||a||."""
+    if a.sites != psi.basis.sites:
+        raise DimensionError("observable kernel does not match the basis grid")
     gamma = reduced_density_matrix(psi, a.p)
-    weight = grid.cell_volume ** (2 * a.p)
-    val = weight * np.sum(a.kernel * gamma.T)
-    if abs(val.imag) >= 1e-10:
+    val = psi.basis.grid.cell_volume ** (2 * a.p) * np.sum(a.kernel * gamma.T)
+    if not (abs(val.imag) < 1e-10):
         raise ConsistencyError(
             f"many-body expectation has imaginary residue {val.imag:.3e}"
         )
-    x = float(val.real) * lift_factor(n, a.p)
-    bound = operator_norm(a, grid) if norm_bound is None else norm_bound
-    if abs(x) > bound + 1e-12:
-        raise ConsistencyError(
-            f"|X_N| = {abs(x)!r} exceeds the observable norm {bound!r}"
-        )
-    return x
+    return float(val.real) * lift_factor(psi.basis.n_particles, a.p)
 
 
 def energy_expectation(psi: ManyBodyState, h: np.ndarray) -> float:

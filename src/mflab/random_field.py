@@ -8,6 +8,7 @@ results do not depend on execution order.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -48,8 +49,17 @@ class RandomField:
 
     grid: LatticeGrid
     values: np.ndarray
-    seed: int
-    spec: FieldSpec
+
+
+def parse_finite(text: str, key: str) -> float:
+    """float(text); a ConfigError naming key unless that is a finite number."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {text!r}")
+    return val
 
 
 _BASE_RE = re.compile(r"^\s*(\w+)\s*(?:\(\s*([^)]*)\))?\s*$")
@@ -60,7 +70,7 @@ def _parse_base(base: str) -> tuple[str, list[float]]:
     if not m:
         raise ConfigError(f"cannot parse field base preset {base!r}")
     name, args = m.group(1), m.group(2)
-    params = [float(tok) for tok in args.split(",")] if args else []
+    params = [parse_finite(tok, "field.base") for tok in args.split(",")] if args else []
     if name == "zero":
         if params:
             raise ConfigError("'zero' base takes no parameters")
@@ -124,7 +134,7 @@ def sample_field(spec: FieldSpec, seed: int, grid: LatticeGrid) -> RandomField:
     if spec.enforce_even:
         values = _symmetrize_even(values, grid)
     values.setflags(write=False)
-    return RandomField(grid=grid, values=values, seed=int(seed), spec=spec)
+    return RandomField(grid=grid, values=values)
 
 
 def _symmetrize_even(values: np.ndarray, grid: LatticeGrid) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import mflab.cli
 from mflab.cli import main, run_experiment
 from mflab.config import parse_config
 from mflab.errors import ConfigError
+from mflab.random_field import mix_seed
 
 
 MINIMAL = "dimension = 1\nsites = 8\n"
@@ -194,6 +196,42 @@ def test_main_validates_overrides(tmp_path, capsys, flag, value, message):
     assert main(["--config", str(cfg), "--out-dir", str(out), flag, value]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line, key", [
+    ("box_length = inf", "box_length"),
+    ("t_final = inf", "t_final"),
+    ("field.gaussian_mean = nan", "field.gaussian_mean"),
+    ("field.sigmas = 0.5,inf", "field.sigmas"),
+    ("field.base = gaussian_bump(nan, 1.5)", "field.base"),
+    ("beta = nan", "beta"),
+])
+def test_main_rejects_non_finite_numbers(tmp_path, capsys, line, key):
+    cfg = _write(tmp_path, MINIMAL + line + "\n")
+    out = tmp_path / "cli-out"
+    assert main(["--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert f"key '{key}': expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("dt = 0", "dt must be positive"),
+    ("t_final = -1", "t_final must be finite and nonnegative"),
+])
+def test_time_grid_is_checked_by_the_plan(tmp_path, line, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(_write(tmp_path, MINIMAL + line + "\n"))
+
+
+@pytest.mark.parametrize("line", ["field.base = gaussian_bump(1e10, 1.5)",
+                                  "field.gaussian_mean = 1e308"])
+def test_main_fails_fast_on_a_field_beyond_the_propagation_cap(tmp_path, capsys, line):
+    cfg = _write(tmp_path, MINIMAL + "samples = 2\n" + line + "\n")
+    start = time.perf_counter()
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 10
+    last = capsys.readouterr().err.splitlines()[-1]  # numpy may warn before it
+    assert last.startswith(f"error: sample 0 (seed {mix_seed(20240817, 0)}): ")
 
 
 def test_unknown_override_key_rejected(tmp_path):

@@ -5,9 +5,9 @@ import mflab.ensemble
 import mflab.hartree
 from mflab.ensemble import (ExperimentPlan, SampleResult, estimate,
                             run_ensemble, run_sample, tail_diagnostic)
-from mflab.errors import DomainError, ResourceError
+from mflab.errors import ConsistencyError, DomainError, ResourceError
 from mflab.grid import WaveFunction, build_grid, gaussian_packet
-from mflab.hartree import lattice_dispersion
+from mflab.hartree import HartreeRunParams, lattice_dispersion
 from mflab.observables import condensate_projector, operator_norm
 from mflab.random_field import FieldSpec, mix_seed
 
@@ -133,6 +133,36 @@ def test_hartree_norm_failure_names_sample_and_seed(monkeypatch):
     seed = mix_seed(plan.base_seed, 1)
     with pytest.raises(DomainError, match=rf"^sample 1 \(seed {seed}\): Hartree norm"):
         run_sample(plan, 1)
+
+    def nan_step(psi, *args):
+        out = step(psi, *args)
+        out[-1] = np.nan  # a NaN norm must fail the exit check, not pass it
+        return out
+
+    monkeypatch.setattr(mflab.hartree, "hartree_step", nan_step)
+    seed = mix_seed(plan.base_seed, 3)
+    with pytest.raises(DomainError, match=rf"^sample 3 \(seed {seed}\): Hartree norm"):
+        run_ensemble(plan)
+
+
+@pytest.mark.parametrize("name", ["hartree_expectation", "manybody_expectation"])
+@pytest.mark.parametrize("excess", [1.0, np.nan])
+def test_expectation_beyond_the_observable_norm_names_the_sample(monkeypatch, name, excess):
+    plan = _plan(RANDOM_SPEC, samples=2)
+    monkeypatch.setattr(mflab.ensemble, name, lambda *args: plan.observable_norm + excess)
+    seed = mix_seed(plan.base_seed, 0)
+    with pytest.raises(ConsistencyError, match=rf"^sample 0 \(seed {seed}\): \|X(_N)?\| "
+                                               r"= .* exceeds the observable norm"):
+        run_ensemble(plan)
+
+
+def test_plan_builds_and_checks_its_time_grid_once():
+    with pytest.raises(DomainError, match="dt must be positive"):
+        ExperimentPlan(grid=GRID, field_spec=RANDOM_SPEC, initial_state=PHI,
+                       observable=OBS, t_final=0.25, dt=0, particle_counts=(2,),
+                       samples=1, base_seed=1)
+    plan = _plan(RANDOM_SPEC)
+    assert plan.hartree_params == HartreeRunParams(plan.t_final, plan.dt)
 
 
 def test_particle_counts_must_ascend():

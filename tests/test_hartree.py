@@ -126,6 +126,13 @@ def test_zero_time_is_identity():
     assert np.array_equal(out.amplitudes, psi.amplitudes)
 
 
+@pytest.mark.parametrize("t_final, dt", [(-1.0, 0.1), (np.nan, 0.1), (np.inf, 0.1),
+                                         (1.0, 0.0), (1.0, np.nan)])
+def test_run_params_reject_a_time_grid_out_of_range(t_final, dt):
+    with pytest.raises(DomainError, match="t_final must be finite|dt must be positive"):
+        HartreeRunParams(t_final, dt)
+
+
 def test_constant_interaction_is_global_phase():
     psi = gaussian_packet(GRID)
     c = 0.7

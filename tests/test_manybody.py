@@ -115,7 +115,7 @@ def test_basis_is_bitwise_the_sparse_product_construction(d, m, n, p):
 def test_dimension_cap_enforced():
     g = build_grid(1, 8, 8.0)
     with pytest.raises(ResourceError, match=r"N=30.*M=8"):
-        build_fock_basis(30, g, dimension_cap=1000)
+        build_fock_basis(30, g)  # dimension 10,295,472
 
 
 @pytest.mark.parametrize("d,m,n", [(1, 2, 300), (2, 4, 6)])
@@ -303,6 +303,19 @@ def test_lift_is_normalized(n, m):
     assert abs(state.norm() - 1.0) < 1e-12
 
 
+def test_nan_state_or_time_fails_the_domain_checks():
+    g = build_grid(1, 4, 4.0)
+    basis = build_fock_basis(2, g)
+    with pytest.raises(DomainError, match="unit state"):
+        product_state_lift(WaveFunction(g, np.full(4, np.nan)), basis)
+    psi = product_state_lift(gaussian_packet(g), basis)
+    with pytest.raises(DomainError, match="nonnegative"):
+        evolve_manybody(psi, np.zeros(len(basis)), math.nan)
+    psi.coefficients[0] = np.nan
+    with pytest.raises(DomainError, match="normalized"):
+        evolve_manybody(psi, np.zeros(len(basis)), 0.5)
+
+
 def test_lift_rejects_unnormalized_state():
     g = build_grid(1, 3, 3.0)
     phi = WaveFunction(g, np.ones(3, dtype=complex))
@@ -403,6 +416,17 @@ def test_gershgorin_interval_contains_spectrum(d, m, n):
     evals = np.linalg.eigvalsh(dense)
     assert 0 < r <= gershgorin
     assert c - r <= evals[0] and evals[-1] <= c + r
+
+
+@pytest.mark.parametrize("fill, t", [(np.nan, 0.5), (np.inf, 0.5), (0.0, 1e12)],
+                         ids=["nan-h", "inf-h", "huge-t"])
+def test_propagation_beyond_the_rt_cap_fails_before_the_degree_search(fill, t):
+    # the degree grows like e*r*t/2, so an uncapped search on these would not end
+    g = build_grid(1, 4, 4.0)
+    basis = build_fock_basis(2, g)
+    psi = product_state_lift(gaussian_packet(g), basis)
+    with pytest.raises(ResourceError, match="beyond the cap"):
+        evolve_manybody(psi, np.full(len(basis), fill), t)
 
 
 def test_propagation_draws_no_random_numbers():
@@ -542,9 +566,16 @@ def test_expectation_respects_norm_bound():
     for _ in range(5):
         coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         coeffs /= np.linalg.norm(coeffs)
-        x = manybody_expectation(ManyBodyState(basis, coeffs), a,
-                                 norm_bound=bound)
+        x = manybody_expectation(ManyBodyState(basis, coeffs), a)
         assert abs(x) <= bound + 1e-12
+
+
+def test_expectation_rejects_observable_of_another_grid():
+    g = build_grid(1, 4, 4.0)
+    psi = product_state_lift(gaussian_packet(g), build_fock_basis(2, g))
+    a = condensate_projector(gaussian_packet(build_grid(1, 5, 5.0)))
+    with pytest.raises(DimensionError, match="does not match the basis grid"):
+        manybody_expectation(psi, a)
 
 
 def test_expectation_p_larger_than_n_rejected():
