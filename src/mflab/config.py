@@ -3,7 +3,8 @@
 Unknown keys are rejected; missing keys fall back to the defaults below. The
 fully resolved configuration is echoed next to the results so a run can be
 reproduced from its output directory alone. Numbers must be finite; the
-ranges of t_final, dt and the particle counts are ExperimentPlan's to check.
+ranges of t_final, dt and the particle counts are ExperimentPlan's to check,
+and that of beta is ensemble.check_beta's.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, DomainError
-from .ensemble import ExperimentPlan
+from .ensemble import ExperimentPlan, check_beta
 from .grid import LatticeGrid, WaveFunction, build_grid, gaussian_packet, \
     plane_wave, uniform_state
 from .observables import PObservable, condensate_projector, site_multiplier
@@ -29,7 +30,6 @@ _DEFAULTS = {
     "field.base": "zero",
     "field.gaussian_mean": "0.0",
     "field.sigmas": "",
-    "field.enforce_even": "true",
     "observable.kind": "condensate_projector",
     "observable.p": "1",
     "observable.amplitude": "1.0",
@@ -80,15 +80,6 @@ def _get_int(cfg: dict, key: str) -> int:
 
 def _get_float(cfg: dict, key: str) -> float:
     return parse_finite(cfg[key], key)
-
-
-def _get_bool(cfg: dict, key: str) -> bool:
-    val = cfg[key].lower()
-    if val in ("true", "1", "yes"):
-        return True
-    if val in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"key {key!r}: expected boolean, got {cfg[key]!r}")
 
 
 def _float_list(cfg: dict, key: str) -> tuple[float, ...]:
@@ -160,7 +151,6 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None
         base=cfg["field.base"],
         gaussian_mean=_get_float(cfg, "field.gaussian_mean"),
         mode_stddevs=_float_list(cfg, "field.sigmas"),
-        enforce_even=_get_bool(cfg, "field.enforce_even"),
     )
     check_mode_count(field_spec, grid)
 
@@ -172,10 +162,10 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None
         raise ConfigError("key 'base_seed': must fit in 64 unsigned bits")
 
     beta = None if cfg["beta"] == "auto" else _get_float(cfg, "beta")
-    if beta is not None and beta <= 0:
-        raise ConfigError("key 'beta': must be positive (or 'auto')")
 
     try:
+        if beta is not None:
+            check_beta(beta)
         plan = ExperimentPlan(
             grid=grid, field_spec=field_spec, initial_state=phi,
             observable=observable, t_final=t_final, dt=dt,

@@ -93,8 +93,12 @@ def _in_sample(exc: MFLabError, plan: ExperimentPlan, i: int) -> MFLabError:
 def _hartree_flows(plan: ExperimentPlan, indices: Sequence[int]
                    ) -> list[tuple[RandomField, WaveFunction]]:
     """Each sample's field and psi_t, from one batched Hartree flow."""
-    fields = [sample_field(plan.field_spec, mix_seed(plan.base_seed, i), plan.grid)
-              for i in indices]
+    fields = []
+    for i in indices:
+        try:
+            fields.append(sample_field(plan.field_spec, mix_seed(plan.base_seed, i), plan.grid))
+        except MFLabError as exc:
+            raise _in_sample(exc, plan, i) from exc
     try:
         states = evolve_hartree_batch(plan.initial_state, fields, plan.hartree_params)
     except MFLabError as exc:
@@ -178,11 +182,16 @@ def estimate(results: list[SampleResult]) -> list[SummaryRow]:
     return rows
 
 
+def check_beta(beta: float) -> None:
+    """Reject a tail threshold that is not positive; NaN fails too."""
+    if not (beta > 0):
+        raise DomainError(f"beta must be positive, got {beta!r}")
+
+
 def tail_diagnostic(results: list[SampleResult], beta: float
                     ) -> tuple[dict[int, float], float]:
     """Empirical E(|X_N| 1{|X_N| >= beta}) per N, and the same for X."""
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    check_beta(beta)
     if not results:
         raise DomainError("cannot diagnose an empty result set")
     counts = sorted(results[0].x_manybody)

@@ -1,7 +1,10 @@
 """Seeded sampling of the random interaction v = v1 + v2.
 
 v2 is a finite Fourier sum with independent Gaussian mode coefficients, so
-every realization is automatically bounded. Sampling is a pure function of
+every realization is bounded. sample_field returns its even part, v(x) = v(-x):
+the N-body pair term sees only the even part of v and the Hartree term
+v * |psi|^2 all of it, so only an even v gives both dynamics one interaction.
+A non-finite realization is a DomainError. Sampling is a pure function of
 (spec, seed, grid): the generator is counter-based (Philox) and keyed by the
 seed, and ensemble members derive their seeds through a fixed 64-bit mix so
 results do not depend on execution order.
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .grid import LatticeGrid, separable_profile
 
 _MASK64 = (1 << 64) - 1
@@ -35,10 +38,9 @@ class FieldSpec:
     base: str = "zero"
     gaussian_mean: float = 0.0
     mode_stddevs: tuple[float, ...] = ()
-    enforce_even: bool = True
 
     def __post_init__(self):
-        if any(s < 0 for s in self.mode_stddevs):
+        if not all(s >= 0 for s in self.mode_stddevs):  # NaN fails too
             raise ConfigError("mode standard deviations must be nonnegative")
         _parse_base(self.base)  # validate eagerly
 
@@ -111,38 +113,33 @@ def check_mode_count(spec: FieldSpec, grid: LatticeGrid) -> None:
 
 
 def sample_field(spec: FieldSpec, seed: int, grid: LatticeGrid) -> RandomField:
-    """Draw one realization; bit-identical for identical (spec, seed, grid)."""
+    """Draw one even, finite realization; bit-identical for identical
+    (spec, seed, grid). A DomainError if a value is not finite."""
     check_mode_count(spec, grid)
     K = len(spec.mode_stddevs)
-    values = _base_profile(spec.base, grid) + spec.gaussian_mean
-    if K > 0:
-        rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
-        coeffs = rng.standard_normal((grid.d, K, 2))
-        sigmas = np.asarray(spec.mode_stddevs)
-        x = grid.axis_coordinates()
-        vals = values.reshape(grid.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        vals = (_base_profile(spec.base, grid) + spec.gaussian_mean).reshape(grid.shape)
+        if K > 0:
+            rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
+            coeffs = rng.standard_normal((grid.d, K, 2))
+            sig = np.asarray(spec.mode_stddevs)
+            x = grid.axis_coordinates()
+            ang = 2.0 * np.pi * np.arange(1, K + 1)[:, None] * x / grid.length
+            for axis in range(grid.d):
+                a, b = coeffs[axis].T
+                axis_field = (sig[:, None] * (a[:, None] * np.cos(ang)
+                                              + b[:, None] * np.sin(ang))).sum(axis=0)
+                # (m, 1, ..., 1) broadcasts along `axis` of the grid's shape
+                vals = vals + axis_field.reshape((grid.m,) + (1,) * (grid.d - 1 - axis))
+        reflected = vals
         for axis in range(grid.d):
-            axis_field = np.zeros(grid.m)
-            for k in range(1, K + 1):
-                a_k, b_k = coeffs[axis, k - 1]
-                ang = 2.0 * np.pi * k * x / grid.length
-                axis_field += sigmas[k - 1] * (a_k * np.cos(ang) + b_k * np.sin(ang))
-            shape = [1] * grid.d
-            shape[axis] = grid.m
-            vals = vals + axis_field.reshape(shape)
-        values = vals.ravel()
-    if spec.enforce_even:
-        values = _symmetrize_even(values, grid)
+            reflected = np.flip(np.roll(reflected, -1, axis=axis), axis=axis)
+        values = (0.5 * (vals + reflected)).ravel()
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"sampled field is not finite (max |v| = "
+                          f"{float(np.max(np.abs(values)))!r})")
     values.setflags(write=False)
     return RandomField(grid=grid, values=values)
-
-
-def _symmetrize_even(values: np.ndarray, grid: LatticeGrid) -> np.ndarray:
-    v = values.reshape(grid.shape)
-    reflected = v
-    for axis in range(grid.d):
-        reflected = np.flip(np.roll(reflected, -1, axis=axis), axis=axis)
-    return (0.5 * (v + reflected)).ravel()
 
 
 def field_bound(field: RandomField) -> float:

@@ -1,8 +1,10 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,9 @@ import pytest
 
 import mflab
 import mflab.cli
+import mflab.hartree
 from mflab.cli import main, run_experiment
-from mflab.config import parse_config
+from mflab.config import _DEFAULTS, parse_config
 from mflab.errors import ConfigError
 from mflab.random_field import mix_seed
 
@@ -62,9 +65,19 @@ def test_oversized_sigma_list_rejected(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    path = _write(tmp_path, MINIMAL + "volume = 3\n")
-    with pytest.raises(ConfigError, match="unknown key 'volume'"):
-        parse_config(path)
+    for key, value in [("volume", "3"), ("field.enforce_even", "true")]:
+        path = _write(tmp_path, MINIMAL + f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(path)
+
+
+def test_readme_config_table_lists_exactly_the_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Configuration", 1)[1].split("\n\n| key |", 1)[1]
+    rows = [line for line in table.split("\n\n", 1)[0].splitlines()
+            if line.startswith("| `")]
+    keys = [k for row in rows for k in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert keys == list(_DEFAULTS)
 
 
 def test_missing_file_rejected(tmp_path):
@@ -212,6 +225,29 @@ def test_main_rejects_non_finite_numbers(tmp_path, capsys, line, key):
     assert main(["--config", str(cfg), "--out-dir", str(out)]) == 2
     assert f"key '{key}': expected a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["beta = 0", "beta = -1"])
+def test_main_rejects_non_positive_beta(tmp_path, capsys, line):
+    cfg = _write(tmp_path, MINIMAL + line + "\n")
+    out = tmp_path / "cli-out"
+    assert main(["--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_stops_a_non_finite_field_before_any_hartree_step(tmp_path, capsys,
+                                                                monkeypatch):
+    calls = []
+    monkeypatch.setattr(mflab.hartree, "hartree_step", lambda *args: calls.append(1))
+    cfg = _write(tmp_path, MINIMAL + "field.gaussian_mean = 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: sample 0 (seed {mix_seed(20240817, 0)}): sampled field is not finite "
+        "(max |v| = inf)"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("line, message", [

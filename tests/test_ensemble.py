@@ -233,8 +233,9 @@ def test_tail_diagnostic_behaviour():
         for n in cur:
             assert cur[n] <= prev[n] + 1e-15
         prev = cur
-    with pytest.raises(DomainError):
-        tail_diagnostic(results, 0.0)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError, match="beta must be positive"):
+            tail_diagnostic(results, bad)
 
 
 def test_reproducible_across_thread_counts():

@@ -19,7 +19,7 @@ from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree, _rank,
                             product_state_lift, reduced_density_matrix)
 from mflab.observables import (PObservable, condensate_projector, lift_factor,
                                operator_norm)
-from mflab.random_field import FieldSpec, sample_field
+from mflab.random_field import FieldSpec, RandomField, sample_field
 
 
 def _field(grid, base="zero", mean=0.0, sigmas=(), seed=0):
@@ -259,6 +259,19 @@ def test_hamiltonian_matches_first_quantized_projection():
                      for i in range(6)]).T.real
     h1q = cols.T @ h_full @ cols
     assert np.max(np.abs(h2q - h1q)) < 1e-12
+
+
+@pytest.mark.parametrize("d, m, n", [(1, 6, 2), (1, 5, 3), (2, 3, 2), (2, 3, 3)])
+def test_pair_diagonal_sees_only_the_even_part_of_v(d, m, n):
+    # why every field is even: Hartree's v * |psi|^2 would see the odd part
+    g = build_grid(d, m, 0.9 * m)
+    v = np.random.default_rng(17).standard_normal(g.shape)
+    even = 0.5 * (v + v[np.ix_(*[(-np.arange(m)) % m] * d)])
+    assert not np.allclose(v, even)
+    basis = build_fock_basis(n, g)
+    h = assemble_hamiltonian(basis, RandomField(g, v.ravel()))
+    h_even = assemble_hamiltonian(basis, RandomField(g, even.ravel()))
+    assert np.allclose(h, h_even, rtol=0, atol=1e-13)
 
 
 def test_hamiltonian_is_hermitian():

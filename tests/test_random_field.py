@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from mflab.errors import ConfigError
+from mflab.errors import ConfigError, DomainError
 from mflab.grid import build_grid
-from mflab.random_field import (FieldSpec, field_bound, mix_seed, sample_field)
+from mflab.random_field import (FieldSpec, _base_profile, field_bound, mix_seed,
+                                sample_field)
 
 
 GRID = build_grid(1, 8, 8.0)
@@ -47,26 +50,67 @@ def test_sampling_is_bit_deterministic():
 
 
 def test_evenness_after_symmetrization():
-    spec = FieldSpec(base="zero", mode_stddevs=(1.0, 0.5, 0.2), enforce_even=True)
-    for seed in range(10):
-        vals = sample_field(spec, seed, GRID).values
-        m = GRID.m
-        for j in range(m):
-            assert vals[j] == pytest.approx(vals[(m - j) % m], abs=1e-15)
+    # v equals its reflection bitwise: 0.5 * (a + b) is commutative
+    for d, m, sigmas in [(1, 8, (1.0, 0.5, 0.2)), (1, 7, (0.8, 0.3)), (2, 4, (1.0,)),
+                         (2, 5, (0.6, 0.4)), (3, 4, (0.9,)), (3, 5, (0.5, 0.25))]:
+        g = build_grid(d, m, 0.9 * m)
+        reflect = np.ix_(*[(-np.arange(m)) % m] * d)
+        for base in ("zero", "gaussian_bump(0.7, 1.1)", "cosine(1.3, 1)"):
+            spec = FieldSpec(base=base, gaussian_mean=0.3, mode_stddevs=sigmas)
+            for seed in range(5):
+                vals = sample_field(spec, seed, g).values.reshape(g.shape)
+                assert np.array_equal(vals, vals[reflect])
 
 
-def test_evenness_2d():
-    g = build_grid(2, 4, 4.0)
-    spec = FieldSpec(base="zero", mode_stddevs=(1.0,), enforce_even=True)
-    vals = sample_field(spec, 3, g).values.reshape(g.shape)
-    for j in range(4):
-        for k in range(4):
-            assert vals[j, k] == pytest.approx(vals[(4 - j) % 4, (4 - k) % 4],
-                                               abs=1e-15)
+def _loop_reference(spec, seed, grid):
+    """sample_field as one Python loop per mode, then the even part."""
+    vals = (_base_profile(spec.base, grid) + spec.gaussian_mean).reshape(grid.shape)
+    K = len(spec.mode_stddevs)
+    if K > 0:
+        coeffs = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
+            (grid.d, K, 2))
+        x = grid.axis_coordinates()
+        for axis in range(grid.d):
+            axis_field = np.zeros(grid.m)
+            for k in range(1, K + 1):
+                a_k, b_k = coeffs[axis, k - 1]
+                ang = 2.0 * np.pi * k * x / grid.length
+                axis_field += spec.mode_stddevs[k - 1] * (a_k * np.cos(ang)
+                                                          + b_k * np.sin(ang))
+            shape = [1] * grid.d
+            shape[axis] = grid.m
+            vals = vals + axis_field.reshape(shape)
+    reflected = vals
+    for axis in range(grid.d):
+        reflected = np.flip(np.roll(reflected, -1, axis=axis), axis=axis)
+    return (0.5 * (vals + reflected)).ravel()
+
+
+@pytest.mark.parametrize("d, sites", [(1, (2, 5, 8, 33, 101)), (2, (3, 8, 13)),
+                                      (3, (4, 7))], ids=["d1", "d2", "d3"])
+def test_mode_sums_are_bitwise_the_loop_reference(d, sites):
+    rng = np.random.default_rng(d)
+    for m in sites:
+        g = build_grid(d, m, 0.7 * m + 0.3)
+        for K in range((m + 1) // 2):  # every K < M/2
+            spec = FieldSpec(base="gaussian_bump(0.7, 1.1)", gaussian_mean=0.17,
+                             mode_stddevs=tuple(rng.uniform(0, 2, K)))
+            for seed in (0, 1, 2**64 - 1):
+                assert np.array_equal(sample_field(spec, seed, g).values,
+                                      _loop_reference(spec, seed, g))
+
+
+def test_non_finite_field_rejected_where_it_is_made():
+    for spec in (FieldSpec(gaussian_mean=1e308), FieldSpec(gaussian_mean=float("nan")),
+                 FieldSpec(mode_stddevs=(1e308, 1e308))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is the error below, not a warning
+            with pytest.raises(DomainError, match="sampled field is not finite"):
+                sample_field(spec, 3, GRID)
 
 
 def test_single_mode_is_pure_cosine_when_even():
-    spec = FieldSpec(base="zero", mode_stddevs=(1.0,), enforce_even=True)
+    spec = FieldSpec(base="zero", mode_stddevs=(1.0,))
     x = GRID.axis_coordinates()
     cos1 = np.cos(2 * np.pi * x / GRID.length)
     for seed in range(5):
@@ -78,8 +122,7 @@ def test_single_mode_is_pure_cosine_when_even():
 
 def test_site_mean_over_many_seeds():
     mean = 0.25
-    spec = FieldSpec(base="zero", gaussian_mean=mean, mode_stddevs=(1.0,),
-                     enforce_even=True)
+    spec = FieldSpec(base="zero", gaussian_mean=mean, mode_stddevs=(1.0,))
     n = 10_000
     acc = np.zeros(GRID.n_sites)
     acc2 = np.zeros(GRID.n_sites)
@@ -98,7 +141,7 @@ def test_site_mean_over_many_seeds():
 
 def test_mode_coefficient_variance_calibration():
     s = 0.7
-    spec = FieldSpec(base="zero", mode_stddevs=(s,), enforce_even=True)
+    spec = FieldSpec(base="zero", mode_stddevs=(s,))
     x = GRID.axis_coordinates()
     cos1 = np.cos(2 * np.pi * x / GRID.length)
     n = 10_000
@@ -118,8 +161,9 @@ def test_too_many_modes_rejected():
 
 
 def test_negative_sigma_rejected():
-    with pytest.raises(ConfigError):
-        FieldSpec(base="zero", mode_stddevs=(-0.1,))
+    for s in (-0.1, float("nan")):
+        with pytest.raises(ConfigError):
+            FieldSpec(base="zero", mode_stddevs=(0.5, s))
 
 
 def test_bad_base_preset_rejected():
