@@ -62,6 +62,15 @@ def test_evenness_after_symmetrization():
                 assert np.array_equal(vals, vals[reflect])
 
 
+def test_evenness_2d():
+    g = build_grid(2, 4, 4.0)
+    spec = FieldSpec(base="zero", mode_stddevs=(1.0,))
+    vals = sample_field(spec, 3, g).values.reshape(g.shape)
+    for j in range(4):
+        for k in range(4):
+            assert vals[j, k] == vals[(4 - j) % 4, (4 - k) % 4]
+
+
 def _loop_reference(spec, seed, grid):
     """sample_field as one Python loop per mode, then the even part."""
     vals = (_base_profile(spec.base, grid) + spec.gaussian_mean).reshape(grid.shape)
