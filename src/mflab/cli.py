@@ -114,8 +114,6 @@ def run_experiment(plan: ExperimentPlan, options: RunOptions) -> int:
         return 1
 
     try:
-        norm_a = plan.observable_norm
-        beta = options.beta if options.beta is not None else norm_a / 2
         results = run_ensemble(plan)
         rows = estimate(results)
         for row in rows:
@@ -125,7 +123,7 @@ def run_experiment(plan: ExperimentPlan, options: RunOptions) -> int:
                     f"triangle inequality violated at N={row.n}: "
                     f"|mean_X - mean_X_N| = {gap!r} > mean_Y = {row.mean_y!r}"
                 )
-        tails = tail_diagnostic(results, beta)
+        tails = tail_diagnostic(results, options.beta)
     except MFLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -137,7 +135,8 @@ def run_experiment(plan: ExperimentPlan, options: RunOptions) -> int:
         marker.unlink(missing_ok=True)
         _write_atomic(out_dir / "samples.csv", samples_csv_text(results))
         _write_atomic(out_dir / "summary.csv", summary_csv_text(rows))
-        _write_atomic(out_dir / "report.txt", report_text(rows, norm_a, beta, tails))
+        _write_atomic(out_dir / "report.txt",
+                      report_text(rows, plan.observable_norm, options.beta, tails))
         _write_atomic(marker, format_resolved(options.resolved))
     except OSError as exc:
         print(f"error: cannot write results to {out_dir}: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@ Unknown keys are rejected; missing keys fall back to the defaults below. The
 fully resolved configuration is echoed next to the results so a run can be
 reproduced from its output directory alone. Numbers must be finite; the
 ranges of t_final, dt and the particle counts are ExperimentPlan's to check,
-and that of beta is ensemble.check_beta's.
+and that of beta is ensemble.check_beta's, after `beta = auto` resolves here
+to half the plan's observable norm.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ _DEFAULTS = {
 @dataclass
 class RunOptions:
     output_dir: str
-    beta: float | None    # None means "observable norm / 2"
+    beta: float
     resolved: dict[str, str]
 
 
@@ -161,11 +162,7 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None
     if not (0 <= base_seed < 2 ** 64):
         raise ConfigError("key 'base_seed': must fit in 64 unsigned bits")
 
-    beta = None if cfg["beta"] == "auto" else _get_float(cfg, "beta")
-
     try:
-        if beta is not None:
-            check_beta(beta)
         plan = ExperimentPlan(
             grid=grid, field_spec=field_spec, initial_state=phi,
             observable=observable, t_final=t_final, dt=dt,
@@ -174,6 +171,15 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None
         )
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    auto = cfg["beta"] == "auto"
+    beta = plan.observable_norm / 2 if auto else _get_float(cfg, "beta")
+    try:
+        check_beta(beta)
+    except DomainError as exc:
+        message = str(exc)
+        if auto:
+            message += f" (auto: half the observable norm {plan.observable_norm!r})"
+        raise ConfigError(message) from exc
     resolved = dict(cfg)
     resolved["dt"] = repr(dt)
     options = RunOptions(output_dir=cfg["output_dir"], beta=beta,

@@ -3,12 +3,13 @@
 Each sample draws one interaction realization and runs the Hartree flow and
 the exact N-body dynamics for every N in the sweep against that same field
 (common random numbers), so the pathwise gap Y_N = |X - X_N| is estimated
-with low variance. A run is one sequential pipeline: build the sectors, run
-one batched Hartree flow over every field, then the many-body work of each
-sample in order. Each field is seeded from (base_seed, sample_index), so a
-sample's values do not depend on which other samples run with it.
-The plan derives the observable norm and the Hartree time grid once, at
-construction, and _run_samples checks every |X| and |X_N| against that norm.
+with low variance. A run is one sequential pipeline: build each N's sector,
+run one batched Hartree flow over every field, then the many-body work of
+each sample in order. Each field is seeded from (base_seed, sample_index), so
+a sample's values do not depend on which other samples run with it.
+The plan checks its largest sector against the dimension cap and derives the
+observable norm and the Hartree time grid once, at construction, and
+_run_samples checks every |X| and |X_N| against that norm.
 """
 from __future__ import annotations
 
@@ -29,7 +30,8 @@ from .random_field import FieldSpec, RandomField, mix_seed, sample_field
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One experiment; observable_norm and hartree_params are derived at construction."""
+    """One experiment, whose largest Fock sector is within the dimension cap;
+    observable_norm and hartree_params are derived at construction."""
 
     grid: LatticeGrid
     field_spec: FieldSpec
@@ -54,6 +56,7 @@ class ExperimentPlan:
         if self.observable.p > counts[0]:
             raise DomainError(f"observable.p = {self.observable.p} exceeds the "
                               f"smallest particle count {counts[0]}")
+        check_fock_dimension(counts[-1], self.grid)
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
         object.__setattr__(self, "particle_counts", counts)
@@ -117,16 +120,14 @@ def _bounded(x: float, name: str, plan: ExperimentPlan) -> float:
 def _run_samples(plan: ExperimentPlan, indices: Sequence[int]) -> list[SampleResult]:
     """The samples at indices, in that order, against the same plan.
 
-    Every sector and lifted initial state is built first, in one climb from
-    the vacuum after the largest sector has passed the dimension cap, so a
-    resource limit fails before any work; then the Hartree flow runs once for
-    all the fields, and each sample does its many-body work against its own field.
+    Each N's sector and lifted initial state are built first, so the work
+    done once per plan precedes the first field; then the Hartree flow runs
+    once for all the fields, and each sample does its many-body work against
+    its own field.
     """
-    check_fock_dimension(plan.particle_counts[-1], plan.grid)
-    sectors, basis = [], None
+    sectors = []
     for n in plan.particle_counts:
-        basis = build_fock_basis(n, plan.grid, max_rdm_order=plan.observable.p,
-                                 below=basis)
+        basis = build_fock_basis(n, plan.grid, max_rdm_order=plan.observable.p)
         sectors.append((basis, product_state_lift(plan.initial_state, basis)))
     results = []
     for i, (v, psi_t) in zip(indices, _hartree_flows(plan, indices)):

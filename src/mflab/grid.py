@@ -79,9 +79,10 @@ class WaveFunction:
 
 
 def normalize(psi: WaveFunction) -> WaveFunction:
+    """psi scaled to unit norm; a DomainError unless its norm is finite and positive."""
     n = psi.norm()
-    if n == 0:
-        raise DomainError("cannot normalize the zero vector")
+    if not (0 < n < np.inf):
+        raise DomainError(f"cannot normalize a state of norm {n!r}")
     return WaveFunction(psi.grid, psi.amplitudes / n)
 
 
@@ -151,7 +152,8 @@ def gaussian_packet(grid: LatticeGrid, center: float | None = None,
     x = grid.axis_coordinates()
     # minimal-image distance on the circle
     dx = (x - c + L / 2) % L - L / 2
-    amps = separable_profile(grid, np.exp(-dx ** 2 / (2.0 * w ** 2)))
+    with np.errstate(all="ignore"):  # a non-finite profile fails in normalize
+        amps = separable_profile(grid, np.exp(-dx ** 2 / (2.0 * w ** 2)))
     return normalize(WaveFunction(grid, amps.astype(np.complex128)))
 
 

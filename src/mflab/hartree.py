@@ -25,11 +25,14 @@ from .observables import PObservable
 from .random_field import RandomField
 
 _NORM_TOL = 1e-12
+# about 2,000 times the default t_final / dt of 512 steps
+_MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
 class HartreeRunParams:
-    """Evolution horizon and step size; dt is snapped so steps*dt = t_final.
+    """Evolution horizon and step size; dt is snapped so steps*dt = t_final,
+    and t_final / dt is at most _MAX_STEPS.
 
     The grid is not a parameter: the flow runs on the initial state's grid.
     """
@@ -42,6 +45,10 @@ class HartreeRunParams:
             raise DomainError(f"t_final must be finite and nonnegative, got {self.t_final}")
         if not (self.dt > 0):
             raise DomainError(f"dt must be positive, got {self.dt}")
+        if not (self.t_final / self.dt <= _MAX_STEPS):
+            raise DomainError(f"dt = {self.dt!r} needs t_final / dt = "
+                              f"{self.t_final / self.dt!r} steps, "
+                              f"beyond the cap {_MAX_STEPS}")
 
     @property
     def steps(self) -> int:

@@ -5,12 +5,11 @@ the occupation vectors with total N in lexicographic order, where a vector's
 position is its rank in the combinatorial number system (Knuth, TAOCP 4A,
 7.2.1.3), and the field-independent operators: the stacked annihilation maps
 a_x for the reduced density matrices and the one-body CSR matrix
-sum_{x,y} T_{xy} adag_x a_y. The sectors are built upward from the vacuum:
-adding a particle at x changes a vector's rank by sums over one lookup table,
-so each annihilator is written directly as a CSR matrix with one entry a row,
-and one_body row by row from the top annihilator, with no sparse products.
-The sectors of a sweep of N come from one climb: each starts at the one below.
-A field enters only through the pair term,
+sum_{x,y} T_{xy} adag_x a_y. Each sector is built on its own, upward from
+the vacuum: adding a particle at x changes a vector's rank by sums over one
+lookup table, so each annihilator is written directly as a CSR matrix with one
+entry a row, and one_body row by row from the top annihilator, with no sparse
+products. A field enters only through the pair term,
 which is diagonal in the occupation basis:
     h = (1/2N) sum_{x,y} v(x-y) adag_x adag_y a_y a_x = (occ V occ - v(0) N) / 2N,
 which reproduces (1/N) sum_{i<j} v(x_i - x_j) exactly, including same-site
@@ -220,32 +219,16 @@ def check_fock_dimension(n: int, grid: LatticeGrid) -> None:
         )
 
 
-def build_fock_basis(n: int, grid: LatticeGrid, max_rdm_order: int | None = None,
-                     below: FockBasis | None = None) -> FockBasis:
-    """The N-particle sector, with annihilation maps for RDMs of every order up
-    to max_rdm_order (default and at most N).
-
-    The climb starts at the vacuum, or at below: a sector of fewer particles on
-    the same grid, built for the same max_rdm_order. So the sectors of a sweep
-    come from one climb, each bitwise equal to its own climb from the vacuum.
-    """
+def build_fock_basis(n: int, grid: LatticeGrid,
+                     max_rdm_order: int | None = None) -> FockBasis:
+    """The N-particle sector, climbed from the vacuum, with annihilation maps
+    for RDMs of every order up to max_rdm_order (default and at most N)."""
     if n < 1:
         raise DomainError(f"particle number must be >= 1, got {n}")
     check_fock_dimension(n, grid)
     depth = n if max_rdm_order is None else min(max_rdm_order, n)
-    if below is None:
-        start, occ, annihilators = 0, np.zeros((1, grid.n_sites), dtype=np.uint8), ()
-    elif below.grid != grid or below.n_particles >= n:
-        raise DomainError(f"cannot climb to N={n} from the N={below.n_particles} "
-                          f"sector of another grid or of as many particles")
-    elif len(below.annihilators) < depth - (n - below.n_particles):
-        raise DomainError(f"the N={below.n_particles} sector holds annihilators for "
-                          f"RDMs up to order {len(below.annihilators)}, too few for "
-                          f"order {depth} at N={n}")
-    else:
-        start, occ = below.n_particles, below.occupations
-        annihilators = below.annihilators
-    for particles in range(start + 1, n + 1):
+    occ, annihilators = np.zeros((1, grid.n_sites), dtype=np.uint8), ()
+    for particles in range(1, n + 1):
         occ, a = _add_particle(occ, particles)
         annihilators = ((a,) + annihilators)[:depth]
     one_body = _one_body(annihilators[0], occ, kinetic_matrix(grid))

@@ -117,7 +117,7 @@ def sample_field(spec: FieldSpec, seed: int, grid: LatticeGrid) -> RandomField:
     (spec, seed, grid). A DomainError if a value is not finite."""
     check_mode_count(spec, grid)
     K = len(spec.mode_stddevs)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
         vals = (_base_profile(spec.base, grid) + spec.gaussian_mean).reshape(grid.shape)
         if K > 0:
             rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))

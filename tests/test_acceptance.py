@@ -235,7 +235,8 @@ def test_criterion_6_determinism_across_runs_and_threads(tmp_path):
         resolved = {"placeholder": "acceptance determinism run"}
         blobs = []
         for sub in ("run-a", "run-b"):
-            options = RunOptions(output_dir=str(tmp_path / sub), beta=None,
+            options = RunOptions(output_dir=str(tmp_path / sub),
+                                 beta=CONVERGENCE_PLAN.observable_norm / 2,
                                  resolved=resolved)
             assert run_experiment(CONVERGENCE_PLAN, options) == 0
             blobs.append(((tmp_path / sub / "samples.csv").read_bytes(),

@@ -48,7 +48,9 @@ def test_minimal_config_uses_defaults(tmp_path):
     assert plan.particle_counts == (2, 4, 6)
     assert plan.samples == 64
     assert plan.observable.p == 1
-    assert options.beta is None
+    assert options.beta == plan.observable_norm / 2
+    assert options.beta == pytest.approx(0.5)  # the projector has norm 1
+    assert options.resolved["beta"] == "auto"
     assert options.output_dir == "./out"
 
 
@@ -227,12 +229,19 @@ def test_main_rejects_non_finite_numbers(tmp_path, capsys, line, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["beta = 0", "beta = -1"])
-def test_main_rejects_non_positive_beta(tmp_path, capsys, line):
+@pytest.mark.parametrize("line, message", [
+    pytest.param("beta = 0", "beta must be positive, got 0.0", id="beta = 0"),
+    pytest.param("beta = -1", "beta must be positive, got -1.0", id="beta = -1"),
+    # an observable of norm 0 makes the auto threshold 0
+    pytest.param("observable.kind = site_multiplier\nobservable.amplitude = 0.0",
+                 "beta must be positive, got 0.0 (auto: half the observable norm 0.0)",
+                 id="auto-with-zero-norm"),
+])
+def test_main_rejects_non_positive_beta(tmp_path, capsys, line, message):
     cfg = _write(tmp_path, MINIMAL + line + "\n")
     out = tmp_path / "cli-out"
     assert main(["--config", str(cfg), "--out-dir", str(out)]) == 2
-    assert "must be positive" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
 
 
@@ -253,10 +262,29 @@ def test_main_stops_a_non_finite_field_before_any_hartree_step(tmp_path, capsys,
 @pytest.mark.parametrize("line, message", [
     ("dt = 0", "dt must be positive"),
     ("t_final = -1", "t_final must be finite and nonnegative"),
+    # t_final / dt beyond the step cap, finite and infinite: neither may hang
+    ("dt = 1e-300", r"^dt = 1e-300 needs t_final / dt = 4\.9+5e\+299 steps, beyond"),
+    ("dt = 1e-320", r"^dt = 1e-320 needs t_final / dt = inf steps, beyond the cap"),
 ])
 def test_time_grid_is_checked_by_the_plan(tmp_path, line, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(_write(tmp_path, MINIMAL + line + "\n"))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("particle_counts = 2,30", "Fock sector for N=30, M=8 (d=1) has dimension "
+                               "10295472, exceeding the cap 200000"),
+    ("init.width = 0", "cannot normalize a state of norm nan"),
+])
+def test_main_rejects_a_plan_it_cannot_run_before_any_work(tmp_path, capsys, line,
+                                                           message):
+    cfg = _write(tmp_path, MINIMAL + line + "\n")
+    out = tmp_path / "cli-out"
+    start = time.perf_counter()
+    assert main(["--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", ["field.base = gaussian_bump(1e10, 1.5)",

@@ -76,9 +76,8 @@ def test_over_cap_sector_fails_before_any_hartree_work(monkeypatch):
         raise AssertionError("Hartree ran before the sectors were built")
 
     monkeypatch.setattr(mflab.ensemble, "evolve_hartree_batch", no_hartree)
-    plan = _plan(RANDOM_SPEC, counts=(2, 30))  # N=30 on 8 sites: dim 10,295,472
     with pytest.raises(ResourceError, match=r"N=30, M=8 \(d=1\)"):
-        run_ensemble(plan)
+        _plan(RANDOM_SPEC, counts=(2, 30))  # N=30 on 8 sites: dim 10,295,472
     # the patched name is the one run_ensemble calls, so the check above bites
     with pytest.raises(AssertionError, match="Hartree ran"):
         run_ensemble(_plan(RANDOM_SPEC))
@@ -94,9 +93,9 @@ def test_over_cap_sector_fails_before_any_sector_is_built(monkeypatch):
 
     monkeypatch.setattr(mflab.ensemble, "build_fock_basis", recording_build)
     with pytest.raises(ResourceError, match=r"N=30, M=8 \(d=1\)"):
-        run_ensemble(_plan(RANDOM_SPEC, counts=(2, 3, 30)))
+        _plan(RANDOM_SPEC, counts=(2, 3, 30))
     assert built == []
-    # the patched name is the one run_ensemble calls, and it climbs once
+    # the patched name is the one run_ensemble calls, once per N
     run_ensemble(_plan(RANDOM_SPEC, counts=(2, 3), samples=1))
     assert built == [2, 3]
 

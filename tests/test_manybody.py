@@ -122,7 +122,7 @@ def test_dimension_cap_enforced():
 def test_occupations_are_narrow_and_weights_float64(d, m, n):
     g = build_grid(d, m, 2.0 * m)
     lower = build_fock_basis(n - 1, g, max_rdm_order=2)
-    basis = build_fock_basis(n, g, max_rdm_order=2, below=lower)
+    basis = build_fock_basis(n, g, max_rdm_order=2)
     occ = basis.occupations
     assert occ.dtype == np.min_scalar_type(n)  # uint16 at N=300, uint8 at N=6
     assert np.array_equal(basis.rank(occ), np.arange(len(basis)))
@@ -140,30 +140,6 @@ def test_occupations_are_narrow_and_weights_float64(d, m, n):
     np.testing.assert_allclose(assemble_hamiltonian(basis, v),
                                (pair - values[0] * n) / (2.0 * n),
                                rtol=1e-12, atol=1e-12)
-
-
-def test_climb_from_a_lower_sector_is_bitwise_the_climb_from_the_vacuum():
-    g = build_grid(2, 3, 3.0)
-    sectors, below = [], None
-    for n in (1, 3, 4):
-        below = build_fock_basis(n, g, max_rdm_order=2, below=below)
-        sectors.append(below)
-    for basis in sectors:
-        alone = build_fock_basis(basis.n_particles, g, max_rdm_order=2)
-        assert np.array_equal(basis.occupations, alone.occupations)
-        assert basis.occupations.dtype == alone.occupations.dtype
-        assert len(basis.annihilators) == len(alone.annihilators)
-        for got, want in zip((basis.one_body, *basis.annihilators),
-                             (alone.one_body, *alone.annihilators)):
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
-    with pytest.raises(DomainError, match="cannot climb"):
-        build_fock_basis(3, g, below=sectors[1])
-    with pytest.raises(DomainError, match="cannot climb"):
-        build_fock_basis(5, build_grid(2, 3, 6.0), below=sectors[1])
-    with pytest.raises(DomainError, match="order 1, too few for order 3"):
-        build_fock_basis(5, g, max_rdm_order=3,
-                         below=build_fock_basis(4, g, max_rdm_order=1))
 
 
 def test_per_field_steps_allocate_o_dim_bytes():
