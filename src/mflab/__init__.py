@@ -8,8 +8,8 @@ the mean-field expectations shrinks as N grows.
 from .ensemble import (ExperimentPlan, SampleResult, SummaryRow, estimate,
                        run_ensemble, run_sample, tail_diagnostic)
 from .grid import (LatticeGrid, WaveFunction, build_grid, convolve,
-                   convolve_spectrum, gaussian_packet, laplacian_apply,
-                   normalize, plane_wave, uniform_state)
+                   convolve_spectrum, gaussian_packet, normalize,
+                   plane_wave, uniform_state)
 from .hartree import (HartreeRunParams, evolve_hartree, evolve_hartree_batch,
                       field_spectra, hartree_expectation, hartree_step,
                       potential_phase)
@@ -25,8 +25,8 @@ __all__ = [
     "ExperimentPlan", "SampleResult", "SummaryRow", "estimate",
     "run_ensemble", "run_sample", "tail_diagnostic",
     "LatticeGrid", "WaveFunction", "build_grid", "convolve",
-    "convolve_spectrum", "gaussian_packet", "laplacian_apply", "normalize",
-    "plane_wave", "uniform_state",
+    "convolve_spectrum", "gaussian_packet", "normalize", "plane_wave",
+    "uniform_state",
     "HartreeRunParams", "evolve_hartree", "evolve_hartree_batch",
     "field_spectra", "hartree_expectation", "hartree_step", "potential_phase",
     "FockBasis", "ManyBodyState", "assemble_hamiltonian",

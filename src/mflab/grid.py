@@ -86,21 +86,10 @@ def normalize(psi: WaveFunction) -> WaveFunction:
     return WaveFunction(psi.grid, psi.amplitudes / n)
 
 
-def _laplacian_array(grid: LatticeGrid, arr: np.ndarray) -> np.ndarray:
-    """2d+1-point periodic stencil acting on a flat array."""
-    a = arr.reshape(grid.shape)
-    out = np.zeros_like(a)
-    inv_h2 = 1.0 / grid.h ** 2
-    for axis in range(grid.d):
-        out += (np.roll(a, 1, axis=axis) + np.roll(a, -1, axis=axis) - 2.0 * a) * inv_h2
-    return out.ravel()
-
-
-def laplacian_apply(grid: LatticeGrid, psi: WaveFunction) -> WaveFunction:
-    """Apply the discrete Laplacian; linear and self-adjoint in the h-weighted product."""
-    if psi.grid != grid:
-        raise DimensionError("wavefunction does not live on the given grid")
-    return WaveFunction(grid, _laplacian_array(grid, psi.amplitudes))
+def lattice_dispersion(grid: LatticeGrid) -> np.ndarray:
+    """Eigenvalues of -Lap per Fourier multi-index, shaped like the grid."""
+    lam_axis = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(grid.m) / grid.m)) / grid.h ** 2
+    return sum(np.meshgrid(*[lam_axis] * grid.d, indexing="ij"))
 
 
 def convolve(grid: LatticeGrid, v: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DimensionError, DomainError
-from .grid import (LatticeGrid, WaveFunction, _laplacian_array, convolve,
-                   convolve_spectrum, grid_fft)
+from .grid import (LatticeGrid, WaveFunction, convolve, convolve_spectrum,
+                   grid_fft, lattice_dispersion)
 from .observables import PObservable
 from .random_field import RandomField
 
@@ -57,12 +57,6 @@ class HartreeRunParams:
     @property
     def effective_dt(self) -> float:
         return self.t_final / self.steps if self.steps else self.dt
-
-
-def lattice_dispersion(grid: LatticeGrid) -> np.ndarray:
-    """Eigenvalues of -Lap per Fourier multi-index, shaped like the grid."""
-    lam_axis = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(grid.m) / grid.m)) / grid.h ** 2
-    return sum(np.meshgrid(*[lam_axis] * grid.d, indexing="ij"))
 
 
 def field_spectra(fields: Sequence[RandomField], grid: LatticeGrid) -> np.ndarray:
@@ -133,9 +127,11 @@ def hartree_expectation(psi: WaveFunction, a: PObservable) -> float:
 
 
 def hartree_energy(psi: WaveFunction, v: RandomField) -> float:
-    """Discrete energy: kinetic quadratic form plus half the interaction term."""
+    """Discrete energy: the kinetic form h^d sum_k lambda_k |fftn(psi)_k|^2 / M^d
+    (Parseval, with the flow's dispersion) plus half the interaction term."""
     grid, amps = psi.grid, psi.amplitudes
-    kin = -grid.cell_volume * np.vdot(amps, _laplacian_array(grid, amps)).real
+    spectrum = np.abs(grid_fft(amps.reshape(grid.shape), grid.d)) ** 2
+    kin = grid.cell_volume * np.sum(lattice_dispersion(grid) * spectrum) / grid.n_sites
     density = np.abs(amps) ** 2
     pot = 0.5 * grid.cell_volume * float(np.sum(convolve(grid, v.values, density) * density))
     return float(kin + pot)

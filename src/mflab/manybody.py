@@ -31,8 +31,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import ConsistencyError, DimensionError, DomainError, ResourceError
-from .grid import LatticeGrid, WaveFunction, _laplacian_array
-from .hartree import lattice_dispersion
+from .grid import LatticeGrid, WaveFunction, lattice_dispersion
 from .observables import PObservable, lift_factor
 
 DIMENSION_CAP = 200_000
@@ -102,10 +101,24 @@ def _add_particle(occ: np.ndarray, n: int) -> tuple[np.ndarray, scipy.sparse.csr
     return raised, a
 
 
-def kinetic_matrix(grid: LatticeGrid) -> np.ndarray:
-    """One-particle matrix of -Lap (columns are stencil images of unit vectors)."""
-    units = np.eye(grid.n_sites, dtype=np.complex128)
-    return -np.stack([_laplacian_array(grid, e) for e in units], axis=1).real
+def kinetic_matrix(grid: LatticeGrid) -> scipy.sparse.csr_matrix:
+    """T = -Lap, the 2d+1-point periodic stencil, as a CSR matrix with
+    sorted rows and O(sites * d) entries.
+
+    Per axis, 2/h^2 on the diagonal and -1/h^2 at each of the two periodic
+    neighbours (one site on M = 2, which gets -2/h^2). Its eigenvalues are
+    lattice_dispersion(grid).
+    """
+    idx = np.arange(grid.n_sites).reshape(grid.shape)
+    inv_h2 = 1.0 / grid.h ** 2
+    rows = np.tile(idx.ravel(), 3 * grid.d)
+    cols = np.concatenate([np.roll(idx, s, axis).ravel()
+                           for axis in range(grid.d) for s in (0, 1, -1)])
+    vals = np.repeat([2.0 * inv_h2, -inv_h2, -inv_h2] * grid.d, grid.n_sites)
+    # duplicates (the d diagonal terms, the M = 2 neighbours) are summed here
+    t = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(grid.n_sites,) * 2)
+    t.sort_indices()
+    return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +169,7 @@ def _blocks(length: int) -> list[slice]:
 
 
 def _one_body(a: scipy.sparse.csr_matrix, occ: np.ndarray,
-              t: np.ndarray) -> scipy.sparse.csr_matrix:
+              t: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
     """CSR of sum_{x,y} T_xy adag_x a_y on the sector with occupations occ
     and stacked annihilator a, as _add_particle builds them.
 
@@ -169,11 +182,11 @@ def _one_body(a: scipy.sparse.csr_matrix, occ: np.ndarray,
     sites = t.shape[0]
     dim = occ.shape[0]
     sub_dim = a.shape[0] // sites
-    diagonal = occ @ np.diag(t)  # first: it makes a float copy of occ
-    off = t - np.diag(np.diag(t))
-    # the periodic stencil gives every site the same number of neighbours
-    nbr = np.nonzero(off)[1].reshape(sites, -1)
-    amp = off[np.arange(sites)[:, None], nbr]
+    diagonal = occ @ t.diagonal()  # first: it makes a float copy of occ
+    # every site has the same number of neighbours, in sorted columns
+    off = t.indices != np.repeat(np.arange(sites), np.diff(t.indptr))
+    nbr = t.indices[off].astype(np.intp).reshape(sites, -1)
+    amp = t.data[off].reshape(sites, -1)
     deg = nbr.shape[1]
     nnz = dim + deg * a.nnz
     # int32 indices: under DIMENSION_CAP, nnz is at most 4,609,521 (d=3, M=3, N=5)

@@ -215,7 +215,7 @@ def test_criterion_5_oracle_equivalence():
         v3 = sample_field(FieldSpec(base="gaussian_bump(1.0, 0.8)",
                                     mode_stddevs=(0.6,)), 99, g3)
         h2q = b2.one_body.toarray() + np.diag(assemble_hamiltonian(b2, v3))
-        t = kinetic_matrix(g3)
+        t = kinetic_matrix(g3).toarray()
         pair = np.array([v3.values[(x - y) % 3]
                          for x in range(3) for y in range(3)])
         h_full = np.kron(t, np.eye(3)) + np.kron(np.eye(3), t) + np.diag(pair) / 2

@@ -6,8 +6,9 @@ import mflab.hartree
 from mflab.ensemble import (ExperimentPlan, SampleResult, estimate,
                             run_ensemble, run_sample, tail_diagnostic)
 from mflab.errors import ConsistencyError, DomainError, ResourceError
-from mflab.grid import WaveFunction, build_grid, gaussian_packet
-from mflab.hartree import HartreeRunParams, lattice_dispersion
+from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
+                        lattice_dispersion)
+from mflab.hartree import HartreeRunParams
 from mflab.observables import condensate_projector, operator_norm
 from mflab.random_field import FieldSpec, mix_seed
 

@@ -3,8 +3,9 @@ import pytest
 
 from mflab.errors import ConfigError, DimensionError
 from mflab.grid import (WaveFunction, build_grid, convolve, gaussian_packet,
-                        grid_fft, laplacian_apply, normalize, plane_wave,
+                        grid_fft, lattice_dispersion, normalize, plane_wave,
                         uniform_state)
+from mflab.manybody import kinetic_matrix
 
 
 def test_build_grid_examples():
@@ -30,26 +31,28 @@ def test_build_grid_rejects_bad_parameters(d, m, length):
 
 def test_laplacian_of_constant_is_zero():
     g = build_grid(1, 8, 8.0)
-    psi = WaveFunction(g, np.full(8, 3.7 + 0.2j))
-    out = laplacian_apply(g, psi)
-    assert np.max(np.abs(out.amplitudes)) == 0.0
+    out = kinetic_matrix(g) @ np.full(8, 3.7 + 0.2j)
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_laplacian_delta_stencil():
     g = build_grid(1, 4, 4.0)  # h = 1
-    psi = WaveFunction(g, np.array([1, 0, 0, 0], dtype=complex))
-    out = laplacian_apply(g, psi)
-    # 3-point stencil applied by hand with periodic wrap
-    assert np.allclose(out.amplitudes, [-2, 1, 0, 1], atol=1e-15)
+    # T = -Lap: the 3-point stencil by hand with periodic wrap, negated
+    col = kinetic_matrix(g).toarray()[:, 0]
+    assert np.allclose(col, [2, -1, 0, -1], atol=1e-15)
 
 
 def test_laplacian_plane_wave_eigenvalue():
     g = build_grid(1, 16, 4.0)
     k = 2 * np.pi / g.length
-    psi = WaveFunction(g, np.exp(1j * k * g.axis_coordinates()))
-    out = laplacian_apply(g, psi)
-    lam = -(2 - 2 * np.cos(k * g.h)) / g.h ** 2
-    assert np.allclose(out.amplitudes, lam * psi.amplitudes, atol=1e-12)
+    psi = np.exp(1j * k * g.axis_coordinates())
+    out = kinetic_matrix(g) @ psi
+    lam = (2 - 2 * np.cos(k * g.h)) / g.h ** 2
+    assert np.allclose(out, lam * psi, atol=1e-12)
+
+
+def _apply_t(g, psi):
+    return WaveFunction(g, kinetic_matrix(g) @ psi.amplitudes)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -58,8 +61,8 @@ def test_laplacian_self_adjoint(seed):
     g = build_grid(1, 12, 5.0)
     chi = WaveFunction(g, rng.standard_normal(12) + 1j * rng.standard_normal(12))
     psi = WaveFunction(g, rng.standard_normal(12) + 1j * rng.standard_normal(12))
-    lhs = chi.inner(laplacian_apply(g, psi))
-    rhs = laplacian_apply(g, chi).inner(psi)
+    lhs = chi.inner(_apply_t(g, psi))
+    rhs = _apply_t(g, chi).inner(psi)
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -68,16 +71,16 @@ def test_laplacian_self_adjoint_2d():
     g = build_grid(2, 4, 4.0)
     chi = WaveFunction(g, rng.standard_normal(16) + 1j * rng.standard_normal(16))
     psi = WaveFunction(g, rng.standard_normal(16) + 1j * rng.standard_normal(16))
-    assert abs(chi.inner(laplacian_apply(g, psi))
-               - laplacian_apply(g, chi).inner(psi)) < 1e-12
+    assert abs(chi.inner(_apply_t(g, psi)) - _apply_t(g, chi).inner(psi)) < 1e-12
 
 
-def test_laplacian_grid_mismatch():
-    g = build_grid(1, 8, 8.0)
-    other = build_grid(1, 8, 4.0)
-    psi = WaveFunction(other, np.ones(8, dtype=complex))
-    with pytest.raises(DimensionError):
-        laplacian_apply(g, psi)
+@pytest.mark.parametrize("d,m", [(1, 2), (1, 3), (1, 8), (2, 2), (2, 4), (3, 2), (3, 4)])
+def test_kinetic_spectrum_is_the_lattice_dispersion(d, m):
+    # the many-body interval [N min lambda, N max lambda] rests on this
+    g = build_grid(d, m, 0.7 * m)
+    lam = np.sort(lattice_dispersion(g).ravel())
+    eig = np.linalg.eigvalsh(kinetic_matrix(g).toarray())
+    assert np.max(np.abs(eig - lam)) <= 1e-13 * lam.max()
 
 
 def _convolve_direct(grid, v, rho):

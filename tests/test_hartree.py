@@ -3,11 +3,10 @@ import pytest
 
 from mflab.errors import ConsistencyError, DimensionError, DomainError
 from mflab.grid import (WaveFunction, build_grid, convolve, gaussian_packet,
-                        normalize, plane_wave)
+                        lattice_dispersion, normalize, plane_wave)
 from mflab.hartree import (HartreeRunParams, evolve_hartree,
                            evolve_hartree_batch, field_spectra, hartree_energy,
-                           hartree_expectation, hartree_step,
-                           lattice_dispersion, potential_phase)
+                           hartree_expectation, hartree_step, potential_phase)
 from mflab.observables import PObservable, condensate_projector, operator_norm
 from mflab.random_field import FieldSpec, sample_field
 

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -8,9 +10,11 @@ import scipy.linalg
 import scipy.sparse
 import scipy.special
 
+import mflab.hartree
+import mflab.manybody
 from mflab.errors import DimensionError, DomainError, ResourceError
-from mflab.grid import WaveFunction, build_grid, gaussian_packet, normalize
-from mflab.hartree import lattice_dispersion
+from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
+                        lattice_dispersion, normalize)
 from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree, _rank,
                             _spectral_interval, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
@@ -96,7 +100,7 @@ def test_basis_is_bitwise_the_sparse_product_construction(d, m, n, p):
     occ = _reference_occupations(n, g.n_sites)
     annihilators = [_reference_annihilator(_reference_occupations(n - k, g.n_sites), n - k)
                     for k in range(p)]
-    t = kinetic_matrix(g)
+    t = kinetic_matrix(g).toarray()
     a = annihilators[0]
     hopping = scipy.sparse.kron(scipy.sparse.csr_matrix(t - np.diag(np.diag(t))),
                                 scipy.sparse.identity(a.shape[0] // g.n_sites),
@@ -160,6 +164,33 @@ def test_per_field_steps_allocate_o_dim_bytes():
         assert peak < limit
 
 
+def test_sector_build_makes_no_dense_sites_by_sites_operator():
+    g = build_grid(2, 48, 48.0)  # 2,304 sites; the N = 1 sector is far under the cap
+    tracemalloc.start()
+    try:
+        build_fock_basis(1, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * g.n_sites ** 2  # one dense complex sites x sites array
+
+
+def _import_parts(module):
+    """Every dotted component named by an import statement of the module."""
+    parts = set()
+    for node in ast.walk(ast.parse(pathlib.Path(module.__file__).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in (getattr(node, "module", None) or "", *(a.name for a in node.names)):
+                parts.update(name.split("."))
+    return parts
+
+
+def test_the_two_dynamics_do_not_import_each_other():
+    # the exact and the mean-field dynamics meet only in ensemble
+    assert "hartree" not in _import_parts(mflab.manybody)
+    assert "manybody" not in _import_parts(mflab.hartree)
+
+
 # --- Hamiltonian ----------------------------------------------------------
 
 def test_single_particle_hamiltonian_is_kinetic_matrix():
@@ -168,7 +199,7 @@ def test_single_particle_hamiltonian_is_kinetic_matrix():
     basis = build_fock_basis(1, g)
     h = assemble_hamiltonian(basis, v)
     # basis states are lexicographic: occupation at site (M-1-i) ... map explicitly
-    t = kinetic_matrix(g)
+    t = kinetic_matrix(g).toarray()
     dense = basis.one_body.toarray() + np.diag(h)
     perm = basis.rank(np.eye(5, dtype=int))
     assert np.max(np.abs(dense[np.ix_(perm, perm)] - t)) < 1e-12
@@ -225,7 +256,7 @@ def test_hamiltonian_matches_first_quantized_projection():
     basis = build_fock_basis(n, g)
     h2q = basis.one_body.toarray() + np.diag(assemble_hamiltonian(basis, v))
 
-    t = kinetic_matrix(g)
+    t = kinetic_matrix(g).toarray()
     eye = np.eye(3)
     vv = v.values
     pair = np.array([vv[(x - y) % 3] for x in range(3) for y in range(3)])
