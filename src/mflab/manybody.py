@@ -19,6 +19,9 @@ Propagation is one Chebyshev expansion of e^{-iHt} (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967, 1984) over an interval that provably holds the
 spectrum of H, from the lattice dispersion and min/max of h, truncated by a
 proven bound on its Bessel-coefficient tail; it draws no random numbers.
+H is real, so its recurrence runs on the real and imaginary parts of Psi_0
+as real vectors, and the reduced density matrices compose the annihilators
+as gathers, each having one entry a row.
 DIMENSION_CAP caps each sector, and _MAX_RT the product r*t that sets the degree;
 ensemble checks the pathwise bound |X_N| <= ||a|| against the plan's norm.
 """
@@ -182,7 +185,13 @@ def _one_body(a: scipy.sparse.csr_matrix, occ: np.ndarray,
     sites = t.shape[0]
     dim = occ.shape[0]
     sub_dim = a.shape[0] // sites
-    diagonal = occ @ t.diagonal()  # first: it makes a float copy of occ
+    # the product makes a float64 copy of the rows it reads, so it reads 2^j
+    # rows at a time with at most 16 * _BLOCK_ROWS entries in all; BLAS
+    # rounds each row of such a block as in one pass over all of occ (and
+    # at N = 1, where blocks can be shorter, each row has one nonzero entry)
+    step = 1 << max(0, (16 * _BLOCK_ROWS // sites).bit_length() - 1)
+    diagonal = np.concatenate([occ[i:i + step] @ t.diagonal()
+                               for i in range(0, dim, step)])
     # every site has the same number of neighbours, in sorted columns
     off = t.indices != np.repeat(np.arange(sites), np.diff(t.indptr))
     nbr = t.indices[off].astype(np.intp).reshape(sites, -1)
@@ -319,12 +328,6 @@ def product_state_lift(phi: WaveFunction, basis: FockBasis) -> ManyBodyState:
     return ManyBodyState(basis=basis, coefficients=coeffs)
 
 
-def _matmul(mat, vec: np.ndarray) -> np.ndarray:
-    """Real sparse matrix times a complex array, without a complex copy of mat."""
-    flat = np.ascontiguousarray(vec).view(np.float64).reshape(vec.shape[0], -1)
-    return (mat @ flat).view(np.complex128).reshape((mat.shape[0],) + vec.shape[1:])
-
-
 def _check_diagonal(basis: FockBasis, h) -> None:
     if np.shape(h) != (len(basis),):
         raise DimensionError(
@@ -380,13 +383,38 @@ def _bessel_j(x: float, k: int) -> np.ndarray:
     return j[:k + 1] / (j[0] + 2.0 * j[2::2].sum())
 
 
+def _chebyshev_terms(mat, shift: np.ndarray, r: float, u: np.ndarray):
+    """T_0(A) u, T_1(A) u, T_2(A) u, ... for A = (mat + diag(shift)) / r and
+    a real vector u, one mat @ x per term past the first.
+
+    Each term is rounded as the same step on a complex vector rounds its real
+    and its imaginary part: numpy divides a complex array by r as a product
+    with 1 / r, hence the first step's * (1.0 / r).
+    """
+    prev, cur = u, (mat @ u + shift * u) * (1.0 / r)
+    yield prev
+    while True:
+        yield cur
+        nxt = mat @ cur
+        nxt += shift * cur
+        nxt *= 2.0 / r
+        nxt -= prev
+        prev, cur = cur, nxt
+
+
 def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodyState:
     """Psi_t = e^{-i H t} Psi_0, H = one_body + diag(h), by one Chebyshev expansion.
 
     With [c - r, c + r] an interval holding the spectrum of H and A = (H - c)/r,
     e^{-iHt} = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(A). The series
     stops at the degree K whose Bessel tail is provably below 2^-53, and
-    T_k(A) Psi_0 follows the three-term recurrence, one sparse product per degree.
+    T_k(A) Psi_0 follows the three-term recurrence. A is real, so it runs on
+    Re Psi_0, and on Im Psi_0 when that is not zero, as real vectors: one
+    sparse product per vector and degree. (-i)^k J_k is real for even k and
+    imaginary for odd k, so each term adds to one part of the sum, the odd
+    terms of Im Psi_0 negated; the two vectors advance together, so each
+    part adds its terms in the order of k, bit for bit as a recurrence on
+    complex vectors would.
     A ResourceError stops r*t above _MAX_RT, or not a number, before the degree
     search, which thus always ends.
     """
@@ -405,14 +433,19 @@ def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodySta
         raise ResourceError(f"propagation needs r*t = {x!r} (half-width {r!r}, "
                             f"t = {t!r}), beyond the cap {_MAX_RT}")
     k = _chebyshev_degree(x)
-    coef = 2.0 * np.array([1, -1j, -1, 1j])[np.arange(k + 1) % 4] * _bessel_j(x, k)
+    # (2 - delta_j0) (-i)^j J_j, over i for odd j, so that all are real
+    coef = 2.0 * np.array([1.0, -1.0, -1.0, 1.0])[np.arange(k + 1) % 4] * _bessel_j(x, k)
     coef[0] /= 2
     shift = h - c
-    prev, cur = f, (_matmul(mat, f) + shift * f) / r
-    out = coef[0] * prev + coef[1] * cur
-    for a in coef[2:]:
-        prev, cur = cur, (2.0 / r) * (_matmul(mat, cur) + shift * cur) - prev
-        out += a * cur
+    out = np.zeros(len(f), dtype=np.complex128)
+    parts = [(_chebyshev_terms(mat, shift, r, f.real.copy()),
+              [out.real, out.imag], coef)]
+    if f.imag.any():
+        parts.append((_chebyshev_terms(mat, shift, r, f.imag.copy()),
+                      [out.imag, out.real], np.where(np.arange(k + 1) % 2, -coef, coef)))
+    for j in range(k + 1):
+        for terms, acc, a in parts:
+            acc[j % 2] += a[j] * next(terms)
     out *= np.exp(-1j * c * t)
     return ManyBodyState(psi0.basis, out)
 
@@ -428,14 +461,33 @@ def reduced_density_matrix(psi: ManyBodyState, p: int) -> np.ndarray:
     if p > len(psi.basis.annihilators):
         raise DomainError(f"the basis was built for RDMs up to order "
                           f"{len(psi.basis.annihilators)}, got p={p}")
-    # column X of w is a_{x_k}...a_{x_1} Psi, X = (x_1..x_k) in row-major order
-    w = psi.coefficients[:, None]
-    for a in psi.basis.annihilators[:p]:
-        w = _matmul(a, w).reshape(sites, -1, w.shape[1])
-        w = w.transpose(1, 2, 0).reshape(w.shape[1], -1)
-    # raw[X, Y] = <a_Y Psi, a_X Psi>, with a conjugated copy of one row block
-    # at a time, not of all of w
-    raw = sum(w[rows].T @ w[rows].conj() for rows in _blocks(len(w)))
+    # row m, column X = (x_1..x_p) in row-major order of w is
+    # (a_{x_p}...a_{x_1} Psi)[m] for the states m of the N-p sector. Each
+    # annihilator has one entry a row, so a_x w is a gather times a weight:
+    # for a block of m at a time, the rows of a_{x_p}..a_{x_2} are followed
+    # up to the N-1 sector, then those of a_{x_1}, one x_1 at a time, up to
+    # Psi, and the weights are applied from a_{x_1} down, in the order of the
+    # products; no temporary holds more than one x_1 of the block
+    top, *lower = psi.basis.annihilators[:p]
+    x = np.arange(sites)[:, None]
+    states = np.arange(psi.basis.annihilators[p - 1].shape[0] // sites)[:, None]
+    raw = 0
+    for block in _blocks(len(states)):
+        pos, weights = states[block], []
+        for a in reversed(lower):
+            row = (x * (a.shape[0] // sites) + pos[:, None, :]).reshape(len(pos), -1)
+            weights.append(a.data[row])
+            pos = a.indices[row]
+        w = np.empty((len(pos), sites, pos.shape[1]), dtype=np.complex128)
+        for x_1, (indices, data) in enumerate(zip(top.indices.reshape(sites, -1),
+                                                  top.data.reshape(sites, -1))):
+            np.multiply(np.take(psi.coefficients, indices[pos]), data[pos], out=w[:, x_1])
+        for k, d in enumerate(reversed(weights), 1):
+            by_site = w.reshape(len(w), sites ** k, -1)
+            by_site *= d[:, None, :]
+        w = w.reshape(len(w), -1)
+        # raw[X, Y] = <a_Y Psi, a_X Psi>, summed block by block
+        raw += w.T @ w.conj()
     scale = math.exp(math.lgamma(n - p + 1) - math.lgamma(n + 1))
     return (scale / psi.basis.grid.cell_volume ** p) * raw
 
@@ -457,4 +509,7 @@ def energy_expectation(psi: ManyBodyState, h: np.ndarray) -> float:
     """<Psi, H Psi> for H = one_body + diag(h)."""
     _check_diagonal(psi.basis, h)
     c = psi.coefficients
-    return float(np.vdot(c, _matmul(psi.basis.one_body, c) + h * c).real)
+    hc = h * c
+    hc.real += psi.basis.one_body @ c.real
+    hc.imag += psi.basis.one_body @ c.imag
+    return float(np.vdot(c, hc).real)

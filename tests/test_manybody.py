@@ -14,7 +14,7 @@ import mflab.hartree
 import mflab.manybody
 from mflab.errors import DimensionError, DomainError, ResourceError
 from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
-                        lattice_dispersion, normalize)
+                        lattice_dispersion, normalize, plane_wave)
 from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree, _rank,
                             _spectral_interval, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
@@ -93,7 +93,8 @@ def _reference_annihilator(occ, n):
 
 
 @pytest.mark.parametrize("d,m,n,p", [(1, 2, 3, 3), (1, 5, 1, 1), (1, 8, 8, 2),
-                                     (2, 3, 2, 2), (2, 4, 4, 1), (3, 2, 3, 3)])
+                                     (2, 3, 2, 2), (2, 4, 4, 1), (3, 2, 3, 3),
+                                     (2, 4, 5, 1)])
 def test_basis_is_bitwise_the_sparse_product_construction(d, m, n, p):
     g = build_grid(d, m, 0.7 * m)  # spacing 0.7: products round, so their order shows
     basis = build_fock_basis(n, g, max_rdm_order=p)
@@ -173,6 +174,18 @@ def test_sector_build_makes_no_dense_sites_by_sites_operator():
     finally:
         tracemalloc.stop()
     assert peak < 16 * g.n_sites ** 2  # one dense complex sites x sites array
+
+
+def test_kinetic_diagonal_reads_the_occupations_in_bounded_blocks():
+    # 4,096 sites and 4,096 states: a float64 copy of all occupations is 128 MiB
+    g = build_grid(2, 64, 64.0)
+    tracemalloc.start()
+    try:
+        build_fock_basis(1, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def _import_parts(module):
@@ -385,20 +398,68 @@ def test_hamiltonian_shift_is_global_phase():
         manybody_expectation(b, obs), abs=1e-9)
 
 
+def _initial_states(g):
+    """A real state, a plane wave and a Gaussian packet with a phase gradient."""
+    x = g.axis_coordinates()
+    return (gaussian_packet(g), plane_wave(g, 1),
+            WaveFunction(g, gaussian_packet(g).amplitudes * np.exp(0.3j * x)))
+
+
+KRYLOV_CASES = ((4, 2, 0.5), (8, 4, 4.0), (8, 4, 40.0))
+
+
 def test_krylov_matches_dense_exponential():
     # dimension 10 at t = 0.5, dimension 330 at t = 4 (||tH||_1 ~ 42), and
     # dimension 330 at t = 40, where the Chebyshev degree runs to the hundreds
-    for m, n, t in ((4, 2, 0.5), (8, 4, 4.0), (8, 4, 40.0)):
+    for m, n, t in KRYLOV_CASES:
         g = build_grid(1, m, float(m))
         basis = build_fock_basis(n, g)
         v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,), seed=17)
         h = assemble_hamiltonian(basis, v)
-        psi = product_state_lift(gaussian_packet(g), basis)
-        propagated = evolve_manybody(psi, h, t).coefficients
         dense_h = basis.one_body.toarray() + np.diag(h)
-        dense = scipy.linalg.expm(-1j * t * dense_h) @ psi.coefficients
-        assert np.linalg.norm(propagated - dense) < 1e-9
-        assert abs(np.linalg.norm(propagated) - 1.0) < 1e-10
+        for phi in _initial_states(g):
+            psi = product_state_lift(phi, basis)
+            propagated = evolve_manybody(psi, h, t).coefficients
+            dense = scipy.linalg.expm(-1j * t * dense_h) @ psi.coefficients
+            assert np.linalg.norm(propagated - dense) < 1e-9
+            assert abs(np.linalg.norm(propagated) - 1.0) < 1e-10
+
+
+def _complex_chebyshev(psi0, h, t):
+    """The Chebyshev sum of evolve_manybody as one recurrence on complex vectors."""
+    f = psi0.coefficients
+    mat = psi0.basis.one_body
+
+    def matmul(vec):
+        return (mat @ vec.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+
+    c, r = _spectral_interval(psi0.basis, h)
+    k = _chebyshev_degree(r * t)
+    coef = 2.0 * np.array([1, -1j, -1, 1j])[np.arange(k + 1) % 4] * _bessel_j(r * t, k)
+    coef[0] /= 2
+    shift = h - c
+    prev, cur = f, (matmul(f) + shift * f) / r
+    out = coef[0] * prev + coef[1] * cur
+    for a in coef[2:]:
+        prev, cur = cur, (2.0 / r) * (matmul(cur) + shift * cur) - prev
+        out += a * cur
+    return out * np.exp(-1j * c * t)
+
+
+def test_real_recurrence_is_the_complex_recurrence():
+    for m, n, t in KRYLOV_CASES:
+        g = build_grid(1, m, float(m))
+        basis = build_fock_basis(n, g)
+        v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,), seed=17)
+        h = assemble_hamiltonian(basis, v)
+        real, *complex_ = (product_state_lift(phi, basis) for phi in _initial_states(g))
+        assert not real.coefficients.imag.any()
+        assert np.array_equal(evolve_manybody(real, h, t).coefficients,
+                              _complex_chebyshev(real, h, t))
+        for psi in complex_:
+            assert psi.coefficients.imag.any()
+            got = evolve_manybody(psi, h, t).coefficients
+            assert np.max(np.abs(got - _complex_chebyshev(psi, h, t))) < 1e-14
 
 
 BESSEL_ARGUMENTS = (1e-3, 0.5, 3.0, 30.0, 120.0, 700.0)
@@ -507,6 +568,48 @@ def test_rdm_trace_hermiticity_positivity(p):
     assert np.max(np.abs(gamma - gamma.conj().T)) < 1e-12
     evals = np.linalg.eigvalsh(g.cell_volume ** p * gamma)
     assert np.min(evals) >= -1e-12
+
+
+def _sparse_product_rdm(psi, p):
+    """The p-RDM from products of the stacked annihilators with a complex block."""
+    sites = psi.basis.sites
+    w = psi.coefficients[:, None]
+    for a in psi.basis.annihilators[:p]:
+        flat = np.ascontiguousarray(w).view(np.float64)
+        w = (a @ flat).view(np.complex128).reshape(sites, -1, w.shape[1])
+        w = w.transpose(1, 2, 0).reshape(w.shape[1], -1)
+    raw = sum(w[rows].T @ w[rows].conj() for rows in mflab.manybody._blocks(len(w)))
+    n = psi.basis.n_particles
+    scale = math.exp(math.lgamma(n - p + 1) - math.lgamma(n + 1))
+    return (scale / psi.basis.grid.cell_volume ** p) * raw
+
+
+@pytest.mark.parametrize("d,m,n,p", [(2, 4, 6, 1), (1, 8, 10, 2), (1, 4, 31, 3),
+                                     (1, 3, 3, 3)])
+def test_rdm_is_bitwise_the_sparse_product_rdm(d, m, n, p):
+    # the first three have 15,504, 6,435 and 4,495 states in the N-p sector,
+    # so several row blocks; the last has the vacuum alone
+    g = build_grid(d, m, 2.0 * m)
+    basis = build_fock_basis(n, g, max_rdm_order=p)
+    rng = np.random.default_rng(37 + p)
+    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    for psi in (ManyBodyState(basis, coeffs / np.linalg.norm(coeffs)),
+                product_state_lift(gaussian_packet(g), basis)):
+        assert np.array_equal(reduced_density_matrix(psi, p), _sparse_product_rdm(psi, p))
+
+
+def test_rdm_streams_its_gathers():
+    g = build_grid(2, 4, 8.0)  # the reach workload's N=6 sector
+    basis = build_fock_basis(6, g, max_rdm_order=1)
+    psi = product_state_lift(gaussian_packet(g), basis)
+    sub_dim = basis.annihilators[0].shape[0] // basis.sites
+    tracemalloc.start()
+    try:
+        reduced_density_matrix(psi, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < basis.sites * sub_dim * 16  # the complex product a Psi, held whole
 
 
 def test_rdm_domain_errors():
