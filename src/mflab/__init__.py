@@ -6,35 +6,33 @@ the mean-field expectations shrinks as N grows.
 """
 
 from .ensemble import (ExperimentPlan, SampleResult, SummaryRow, estimate,
-                       run_ensemble, run_sample, tail_diagnostic)
+                       run_ensemble, tail_diagnostic)
 from .grid import (LatticeGrid, WaveFunction, build_grid, convolve,
                    convolve_spectrum, gaussian_packet, normalize,
                    plane_wave, uniform_state)
-from .hartree import (HartreeRunParams, evolve_hartree, evolve_hartree_batch,
-                      field_spectra, hartree_expectation, hartree_step,
-                      potential_phase)
+from .hartree import (HartreeRunParams, evolve_hartree_batch, field_spectra,
+                      hartree_expectation, hartree_step, potential_phase)
 from .manybody import (FockBasis, ManyBodyState, assemble_hamiltonian,
                        build_fock_basis, evolve_manybody, manybody_expectation,
                        product_state_lift, reduced_density_matrix)
 from .observables import (PObservable, condensate_projector, lift_factor,
                           operator_norm, site_multiplier)
-from .random_field import (FieldSpec, RandomField, field_bound, mix_seed,
-                           sample_field)
+from .random_field import FieldSpec, RandomField, mix_seed, sample_field
 
 __all__ = [
     "ExperimentPlan", "SampleResult", "SummaryRow", "estimate",
-    "run_ensemble", "run_sample", "tail_diagnostic",
+    "run_ensemble", "tail_diagnostic",
     "LatticeGrid", "WaveFunction", "build_grid", "convolve",
     "convolve_spectrum", "gaussian_packet", "normalize", "plane_wave",
     "uniform_state",
-    "HartreeRunParams", "evolve_hartree", "evolve_hartree_batch",
+    "HartreeRunParams", "evolve_hartree_batch",
     "field_spectra", "hartree_expectation", "hartree_step", "potential_phase",
     "FockBasis", "ManyBodyState", "assemble_hamiltonian",
     "build_fock_basis", "evolve_manybody", "manybody_expectation",
     "product_state_lift", "reduced_density_matrix",
     "PObservable", "condensate_projector", "lift_factor", "operator_norm",
     "site_multiplier",
-    "FieldSpec", "RandomField", "field_bound", "mix_seed", "sample_field",
+    "FieldSpec", "RandomField", "mix_seed", "sample_field",
 ]
 
 __version__ = "0.1.0"

@@ -23,6 +23,10 @@ from .ensemble import (ExperimentPlan, SampleResult, SummaryRow, estimate,
                        run_ensemble, tail_diagnostic)
 from .errors import ConsistencyError, MFLabError
 
+# A gap at or below this is roundoff: the triangle check grants it as slack,
+# and the log-log slope leaves it out of the fit.
+_ROUNDOFF = 1e-12
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -62,8 +66,9 @@ def summary_csv_text(rows: list[SummaryRow]) -> str:
 
 
 def loglog_slope(rows: list[SummaryRow]) -> float | None:
-    """Least-squares slope of log(mean_y) against log(N); None if undefined."""
-    pts = [(r.n, r.mean_y) for r in rows if r.mean_y > 0]
+    """Least-squares slope of log(mean_y) against log(N) over the N whose
+    mean_y exceeds _ROUNDOFF; None if fewer than two do."""
+    pts = [(r.n, r.mean_y) for r in rows if r.mean_y > _ROUNDOFF]
     if len(pts) < 2:
         return None
     ln_n = np.log([p[0] for p in pts])
@@ -118,7 +123,7 @@ def run_experiment(plan: ExperimentPlan, options: RunOptions) -> int:
         rows = estimate(results)
         for row in rows:
             gap = abs(row.mean_x_hartree - row.mean_x_manybody)
-            if not (gap <= row.mean_y + 1e-12):
+            if not (gap <= row.mean_y + _ROUNDOFF):
                 raise ConsistencyError(
                     f"triangle inequality violated at N={row.n}: "
                     f"|mean_X - mean_X_N| = {gap!r} > mean_Y = {row.mean_y!r}"

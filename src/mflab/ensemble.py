@@ -9,12 +9,11 @@ each sample in order. Each field is seeded from (base_seed, sample_index), so
 a sample's values do not depend on which other samples run with it.
 The plan checks its largest sector against the dimension cap and derives the
 observable norm and the Hartree time grid once, at construction, and
-_run_samples checks every |X| and |X_N| against that norm.
+run_ensemble checks every |X| and |X_N| against that norm.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ from .hartree import HartreeRunParams, evolve_hartree_batch, hartree_expectation
 from .manybody import (assemble_hamiltonian, build_fock_basis, check_fock_dimension,
                        evolve_manybody, manybody_expectation, product_state_lift)
 from .observables import PObservable, operator_norm
-from .random_field import FieldSpec, RandomField, mix_seed, sample_field
+from .random_field import FieldSpec, mix_seed, sample_field
 
 
 @dataclass(frozen=True)
@@ -93,22 +92,6 @@ def _in_sample(exc: MFLabError, plan: ExperimentPlan, i: int) -> MFLabError:
     return type(exc)(f"sample {i} (seed {mix_seed(plan.base_seed, i)}): {exc}")
 
 
-def _hartree_flows(plan: ExperimentPlan, indices: Sequence[int]
-                   ) -> list[tuple[RandomField, WaveFunction]]:
-    """Each sample's field and psi_t, from one batched Hartree flow."""
-    fields = []
-    for i in indices:
-        try:
-            fields.append(sample_field(plan.field_spec, mix_seed(plan.base_seed, i), plan.grid))
-        except MFLabError as exc:
-            raise _in_sample(exc, plan, i) from exc
-    try:
-        states = evolve_hartree_batch(plan.initial_state, fields, plan.hartree_params)
-    except MFLabError as exc:
-        raise _in_sample(exc, plan, indices[getattr(exc, "row", 0)]) from exc
-    return list(zip(fields, states))
-
-
 def _bounded(x: float, name: str, plan: ExperimentPlan) -> float:
     """x, once |x| <= the observable norm + 1e-12; NaN fails too."""
     if not (abs(x) <= plan.observable_norm + 1e-12):
@@ -117,8 +100,8 @@ def _bounded(x: float, name: str, plan: ExperimentPlan) -> float:
     return x
 
 
-def _run_samples(plan: ExperimentPlan, indices: Sequence[int]) -> list[SampleResult]:
-    """The samples at indices, in that order, against the same plan.
+def run_ensemble(plan: ExperimentPlan) -> list[SampleResult]:
+    """All samples, one after another, ordered by sample_index.
 
     Each N's sector and lifted initial state are built first, so the work
     done once per plan precedes the first field; then the Hartree flow runs
@@ -129,8 +112,18 @@ def _run_samples(plan: ExperimentPlan, indices: Sequence[int]) -> list[SampleRes
     for n in plan.particle_counts:
         basis = build_fock_basis(n, plan.grid, max_rdm_order=plan.observable.p)
         sectors.append((basis, product_state_lift(plan.initial_state, basis)))
+    fields = []
+    for i in range(plan.samples):
+        try:
+            fields.append(sample_field(plan.field_spec, mix_seed(plan.base_seed, i), plan.grid))
+        except MFLabError as exc:
+            raise _in_sample(exc, plan, i) from exc
+    try:
+        states = evolve_hartree_batch(plan.initial_state, fields, plan.hartree_params)
+    except MFLabError as exc:
+        raise _in_sample(exc, plan, getattr(exc, "row", 0)) from exc
     results = []
-    for i, (v, psi_t) in zip(indices, _hartree_flows(plan, indices)):
+    for i, (v, psi_t) in enumerate(zip(fields, states)):
         try:
             x_h = _bounded(hartree_expectation(psi_t, plan.observable), "X", plan)
             x_mb = {}
@@ -143,20 +136,6 @@ def _run_samples(plan: ExperimentPlan, indices: Sequence[int]) -> list[SampleRes
         results.append(SampleResult(sample_index=i, seed=mix_seed(plan.base_seed, i),
                                     x_hartree=x_h, x_manybody=x_mb))
     return results
-
-
-def run_sample(plan: ExperimentPlan, sample_index: int) -> SampleResult:
-    """One realization: Hartree once, many-body once per N, same field."""
-    if not (0 <= sample_index < plan.samples):
-        raise DomainError(
-            f"sample_index {sample_index} outside 0..{plan.samples - 1}"
-        )
-    return _run_samples(plan, [sample_index])[0]
-
-
-def run_ensemble(plan: ExperimentPlan) -> list[SampleResult]:
-    """All samples, one after another, ordered by sample_index."""
-    return _run_samples(plan, range(plan.samples))
 
 
 def estimate(results: list[SampleResult]) -> list[SummaryRow]:

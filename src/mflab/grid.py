@@ -71,12 +71,6 @@ class WaveFunction:
     def norm(self) -> float:
         return float(np.sqrt(self.grid.cell_volume * np.sum(np.abs(self.amplitudes) ** 2)))
 
-    def inner(self, other: "WaveFunction") -> complex:
-        """h-weighted inner product <self, other> (antilinear in self)."""
-        if other.grid != self.grid:
-            raise DimensionError("wavefunctions live on different grids")
-        return complex(self.grid.cell_volume * np.vdot(self.amplitudes, other.amplitudes))
-
 
 def normalize(psi: WaveFunction) -> WaveFunction:
     """psi scaled to unit norm; a DomainError unless its norm is finite and positive."""

@@ -9,7 +9,7 @@ The flow is batched: the states of S fields are one (S, *grid.shape) complex
 array, transformed over the grid axes only, so one `hartree_step` call moves
 every field one step. fft(v) is taken once per field and the kinetic phases
 once per run. The batch holds S * M^d * 16 B, times a few temporaries per
-step; `evolve_hartree` of one field is the case S = 1.
+step.
 """
 from __future__ import annotations
 
@@ -103,12 +103,6 @@ def evolve_hartree_batch(phi: WaveFunction, fields: Sequence[RandomField],
             exc.row = row
             raise exc
     return states
-
-
-def evolve_hartree(phi: WaveFunction, v: RandomField,
-                   params: HartreeRunParams) -> WaveFunction:
-    """psi_t of phi under one field: the batch of one."""
-    return evolve_hartree_batch(phi, [v], params)[0]
 
 
 def hartree_expectation(psi: WaveFunction, a: PObservable) -> float:

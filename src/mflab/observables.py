@@ -62,9 +62,6 @@ class PObservable:
     def sites(self) -> int:
         return round(self.kernel.shape[0] ** (1.0 / self.p))
 
-    def is_self_adjoint(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.kernel - self.kernel.conj().T)) <= tol)
-
 
 def operator_norm(a: PObservable, grid: LatticeGrid) -> float:
     """Spectral norm of h^{dp} K restricted to the permutation-symmetric subspace.

@@ -140,8 +140,3 @@ def sample_field(spec: FieldSpec, seed: int, grid: LatticeGrid) -> RandomField:
                           f"{float(np.max(np.abs(values)))!r})")
     values.setflags(write=False)
     return RandomField(grid=grid, values=values)
-
-
-def field_bound(field: RandomField) -> float:
-    """Sup norm of the realization."""
-    return float(np.max(np.abs(field.values)))

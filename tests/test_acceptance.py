@@ -11,7 +11,7 @@ from mflab.cli import run_experiment
 from mflab.config import RunOptions
 from mflab.ensemble import ExperimentPlan, estimate, run_ensemble, tail_diagnostic
 from mflab.grid import WaveFunction, build_grid, convolve, gaussian_packet, normalize
-from mflab.hartree import HartreeRunParams, evolve_hartree
+from mflab.hartree import HartreeRunParams, evolve_hartree_batch
 from mflab.manybody import (ManyBodyState, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
                             evolve_manybody, manybody_expectation,
@@ -115,7 +115,7 @@ def test_criterion_4_conservation_suite():
         # Hartree norm over 10^3 steps
         params = HartreeRunParams(t_final=1.0, dt=1e-3)
         assert params.steps == 1000
-        psi_t = evolve_hartree(PHI, v, params)
+        psi_t = evolve_hartree_batch(PHI, [v], params)[0]
         assert abs(psi_t.norm() - 1.0) < 1e-10
         # many-body norm and energy
         n = 5

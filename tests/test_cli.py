@@ -351,3 +351,23 @@ field.gaussian_mean = 0.7
     for line in lines:
         mean_y = float(line.split(",")[3])
         assert mean_y < 1e-8
+
+
+def _rows(mean_ys):
+    return [mflab.SummaryRow(n=n, mean_x_manybody=0.0, mean_x_hartree=0.0,
+                             mean_y=y, ci95_y=0.0, samples=4)
+            for n, y in enumerate(mean_ys, start=1)]
+
+
+def test_loglog_slope_fits_only_gaps_above_roundoff():
+    # configs/plane_wave.cfg at seed 20240817: the N = 1 gap is roundoff
+    rows = _rows([1.0647038806155251e-13, 0.015761190341077258,
+                  0.013813865997565011, 0.011600108190935876])
+    slope = mflab.cli.loglog_slope(rows)
+    assert f"{slope:+.3f}" == "-0.435"
+    assert slope == mflab.cli.loglog_slope(rows[1:])
+    # configs/constant.cfg: every gap is roundoff, so there is no rate to fit
+    rows = _rows([4.8405723873656825e-14, 4.9071857688431919e-14,
+                  4.7961634663806763e-14, 4.9515946898281982e-14])
+    assert mflab.cli.loglog_slope(rows) is None
+    assert mflab.cli.loglog_slope(_rows([1e-12, 2.8e-13])) is None

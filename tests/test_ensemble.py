@@ -4,7 +4,7 @@ import pytest
 import mflab.ensemble
 import mflab.hartree
 from mflab.ensemble import (ExperimentPlan, SampleResult, estimate,
-                            run_ensemble, run_sample, tail_diagnostic)
+                            run_ensemble, tail_diagnostic)
 from mflab.errors import ConsistencyError, DomainError, ResourceError
 from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
                         lattice_dispersion)
@@ -49,12 +49,13 @@ def test_constant_field_gap_vanishes():
 
 def test_free_single_particle_matches_closed_form():
     plan = _plan(FieldSpec(base="zero"), counts=(1,), samples=1, t=0.5)
-    result = run_sample(plan, 0)
+    result = run_ensemble(plan)[0]
     # free overlap via Fourier phases on the lattice
     spec = np.fft.fft(PHI.amplitudes)
     lam = lattice_dispersion(GRID).ravel()
     free = np.fft.ifft(spec * np.exp(-1j * 0.5 * lam))
-    expected = abs(WaveFunction(GRID, free).inner(PHI)) ** 2
+    expected = abs(GRID.cell_volume
+                   * np.vdot(WaveFunction(GRID, free).amplitudes, PHI.amplitudes)) ** 2
     assert result.x_manybody[1] == pytest.approx(expected, abs=1e-9)
     assert result.x_hartree == pytest.approx(expected, abs=1e-9)
     assert result.y[1] < 1e-8
@@ -62,14 +63,9 @@ def test_free_single_particle_matches_closed_form():
 
 def test_sample_seeds_derive_from_base_seed():
     plan = _plan(RANDOM_SPEC, samples=3)
+    results = run_ensemble(plan)
     for i in range(3):
-        assert run_sample(plan, i).seed == mix_seed(plan.base_seed, i)
-
-
-def test_sample_index_out_of_range():
-    plan = _plan(RANDOM_SPEC, samples=2)
-    with pytest.raises(DomainError):
-        run_sample(plan, 2)
+        assert results[i].seed == mix_seed(plan.base_seed, i)
 
 
 def test_over_cap_sector_fails_before_any_hartree_work(monkeypatch):
@@ -107,14 +103,21 @@ def test_run_sample_alone_equals_ensemble_rows():
     def values(r):
         return np.array([r.x_hartree, *r.x_manybody.values(), *r.y.values()])
 
+    def assert_same(row, other):
+        assert row.seed == other.seed
+        assert np.array_equal(values(row), values(other))
+
     first = run_ensemble(plan)
     second = run_ensemble(plan)
-    smaller = run_ensemble(_plan(RANDOM_SPEC, samples=3))
+    larger = run_ensemble(_plan(RANDOM_SPEC, samples=7))
     for i in range(plan.samples):
-        alone = run_sample(plan, i)
-        for row in (first[i], second[i]) + ((smaller[i],) if i < 3 else ()):
-            assert row.seed == alone.seed
-            assert np.array_equal(values(row), values(alone))
+        assert_same(first[i], second[i])
+        assert_same(first[i], larger[i])
+    # a row does not depend on the rows batched with it, down to a batch of one
+    for rows in (run_ensemble(_plan(RANDOM_SPEC, samples=2)),
+                 run_ensemble(_plan(RANDOM_SPEC, samples=1))):
+        for i, row in enumerate(rows):
+            assert_same(first[i], row)
 
 
 def test_hartree_norm_failure_names_sample_and_seed(monkeypatch):
@@ -132,7 +135,7 @@ def test_hartree_norm_failure_names_sample_and_seed(monkeypatch):
         run_ensemble(plan)
     seed = mix_seed(plan.base_seed, 1)
     with pytest.raises(DomainError, match=rf"^sample 1 \(seed {seed}\): Hartree norm"):
-        run_sample(plan, 1)
+        run_ensemble(_plan(RANDOM_SPEC, samples=2))
 
     def nan_step(psi, *args):
         out = step(psi, *args)

@@ -61,8 +61,8 @@ def test_laplacian_self_adjoint(seed):
     g = build_grid(1, 12, 5.0)
     chi = WaveFunction(g, rng.standard_normal(12) + 1j * rng.standard_normal(12))
     psi = WaveFunction(g, rng.standard_normal(12) + 1j * rng.standard_normal(12))
-    lhs = chi.inner(_apply_t(g, psi))
-    rhs = _apply_t(g, chi).inner(psi)
+    lhs = g.cell_volume * np.vdot(chi.amplitudes, _apply_t(g, psi).amplitudes)
+    rhs = g.cell_volume * np.vdot(_apply_t(g, chi).amplitudes, psi.amplitudes)
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -71,7 +71,9 @@ def test_laplacian_self_adjoint_2d():
     g = build_grid(2, 4, 4.0)
     chi = WaveFunction(g, rng.standard_normal(16) + 1j * rng.standard_normal(16))
     psi = WaveFunction(g, rng.standard_normal(16) + 1j * rng.standard_normal(16))
-    assert abs(chi.inner(_apply_t(g, psi)) - _apply_t(g, chi).inner(psi)) < 1e-12
+    lhs = g.cell_volume * np.vdot(chi.amplitudes, _apply_t(g, psi).amplitudes)
+    rhs = g.cell_volume * np.vdot(_apply_t(g, chi).amplitudes, psi.amplitudes)
+    assert abs(lhs - rhs) < 1e-12
 
 
 @pytest.mark.parametrize("d,m", [(1, 2), (1, 3), (1, 8), (2, 2), (2, 4), (3, 2), (3, 4)])

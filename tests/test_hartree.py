@@ -4,9 +4,9 @@ import pytest
 from mflab.errors import ConsistencyError, DimensionError, DomainError
 from mflab.grid import (WaveFunction, build_grid, convolve, gaussian_packet,
                         lattice_dispersion, normalize, plane_wave)
-from mflab.hartree import (HartreeRunParams, evolve_hartree,
-                           evolve_hartree_batch, field_spectra, hartree_energy,
-                           hartree_expectation, hartree_step, potential_phase)
+from mflab.hartree import (HartreeRunParams, evolve_hartree_batch,
+                           field_spectra, hartree_energy, hartree_expectation,
+                           hartree_step, potential_phase)
 from mflab.observables import PObservable, condensate_projector, operator_norm
 from mflab.random_field import FieldSpec, sample_field
 
@@ -66,7 +66,7 @@ def test_norm_conserved_over_thousand_steps():
     psi = gaussian_packet(GRID)
     v = _field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3, 0.1), seed=5)
     params = HartreeRunParams(t_final=1.0, dt=1e-3)
-    out = evolve_hartree(psi, v, params)
+    out = evolve_hartree_batch(psi, [v], params)[0]
     assert params.steps == 1000
     assert abs(out.norm() - 1.0) < 1e-10
 
@@ -77,7 +77,7 @@ def test_norm_conserved_over_hundred_thousand_steps():
     psi = gaussian_packet(GRID)
     v = _field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3, 0.1), seed=5)
     params = HartreeRunParams(t_final=100.0, dt=1e-3)
-    out = evolve_hartree(psi, v, params)
+    out = evolve_hartree_batch(psi, [v], params)[0]
     assert params.steps == 100_000
     assert abs(out.norm() - 1.0) < 1e-12 + params.steps * np.finfo(float).eps
 
@@ -85,7 +85,7 @@ def test_norm_conserved_over_hundred_thousand_steps():
 def test_non_unit_initial_state_rejected():
     psi = WaveFunction(GRID, 1.001 * gaussian_packet(GRID).amplitudes)
     with pytest.raises(DomainError, match="unit state"):
-        evolve_hartree(psi, _field(), HartreeRunParams(0.1, 0.01))
+        evolve_hartree_batch(psi, [_field()], HartreeRunParams(0.1, 0.01))[0]
 
 
 def test_exit_norm_check_names_the_drifting_field(monkeypatch):
@@ -113,7 +113,7 @@ def test_batch_equals_fields_evolved_alone(grid):
     params = HartreeRunParams(0.25, 0.25 / 64)
     batch = evolve_hartree_batch(psi, fields, params)
     for v, together in zip(fields, batch):
-        alone = evolve_hartree(psi, v, params)
+        alone = evolve_hartree_batch(psi, [v], params)[0]
         assert np.array_equal(together.amplitudes, alone.amplitudes)
 
 
@@ -121,7 +121,7 @@ def test_zero_time_is_identity():
     psi = gaussian_packet(GRID)
     v = _field(sigmas=(0.5,), seed=2)
     params = HartreeRunParams(t_final=0.0, dt=0.1)
-    out = evolve_hartree(psi, v, params)
+    out = evolve_hartree_batch(psi, [v], params)[0]
     assert np.array_equal(out.amplitudes, psi.amplitudes)
 
 
@@ -138,9 +138,9 @@ def test_constant_interaction_is_global_phase():
     v_const = _field(mean=c)
     v_zero = _field()
     params = HartreeRunParams(t_final=0.5, dt=0.5 / 512)
-    out = evolve_hartree(psi, v_const, params)
-    free = evolve_hartree(psi, v_zero, params)
-    overlap = free.inner(out)
+    out = evolve_hartree_batch(psi, [v_const], params)[0]
+    free = evolve_hartree_batch(psi, [v_zero], params)[0]
+    overlap = GRID.cell_volume * np.vdot(free.amplitudes, out.amplitudes)
     assert abs(abs(overlap) - 1.0) < 1e-12
 
 
@@ -150,7 +150,7 @@ def test_strang_splitting_is_second_order():
     t = 0.5
 
     def terminal(dt):
-        return evolve_hartree(psi, v, HartreeRunParams(t, dt)).amplitudes
+        return evolve_hartree_batch(psi, [v], HartreeRunParams(t, dt))[0].amplitudes
 
     ref = terminal(t / 1024)  # dt/16 reference
     err_coarse = np.linalg.norm(terminal(t / 64) - ref)
@@ -162,7 +162,7 @@ def test_energy_drift_is_small():
     psi = gaussian_packet(GRID)
     v = _field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3, 0.1), seed=4)
     e0 = hartree_energy(psi, v)
-    out = evolve_hartree(psi, v, HartreeRunParams(0.5, 0.5 / 512))
+    out = evolve_hartree_batch(psi, [v], HartreeRunParams(0.5, 0.5 / 512))[0]
     e1 = hartree_energy(out, v)
     assert abs(e1 - e0) / abs(e0) < 1e-6
 
@@ -171,9 +171,10 @@ def test_time_reversal_returns_initial_state():
     psi = gaussian_packet(GRID)
     v = _field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3), seed=6)
     params = HartreeRunParams(0.5, 0.5 / 512)
-    fwd = evolve_hartree(psi, v, params)
+    fwd = evolve_hartree_batch(psi, [v], params)[0]
     # v is real, so conjugation implements the backward flow
-    back = evolve_hartree(WaveFunction(GRID, fwd.amplitudes.conj()), v, params)
+    back = evolve_hartree_batch(WaveFunction(GRID, fwd.amplitudes.conj()), [v],
+                                params)[0]
     recovered = back.amplitudes.conj()
     phase = np.vdot(recovered, psi.amplitudes)
     phase /= abs(phase)
@@ -237,7 +238,7 @@ def test_grid_mismatch_rejected():
     with pytest.raises(DimensionError):
         _step(psi, [v], 0.01)
     with pytest.raises(DimensionError):
-        evolve_hartree(psi, v, HartreeRunParams(0.1, 0.01))
+        evolve_hartree_batch(psi, [v], HartreeRunParams(0.1, 0.01))[0]
 
 
 def test_params_snap_dt_to_horizon():

@@ -676,7 +676,7 @@ def test_single_particle_sector_is_free_evolution():
     spec = np.fft.fft(phi.amplitudes)
     free = np.fft.ifft(spec * np.exp(-1j * 0.5 * lattice_dispersion(g).ravel()))
     free_wf = WaveFunction(g, free)
-    expected = abs(free_wf.inner(WaveFunction(g, phi.amplitudes))) ** 2
+    expected = abs(g.cell_volume * np.vdot(free_wf.amplitudes, phi.amplitudes)) ** 2
     assert x1 == pytest.approx(expected, abs=1e-9)
 
 
