@@ -1,62 +1,48 @@
 """p-particle observables given by dense kernels on lattice^p x lattice^p.
 
-A kernel K acts as (a phi)(X) = h^{dp} sum_Y K(X;Y) phi(Y). Kernels are
-symmetrized at construction under simultaneous permutation of the p
-coordinate blocks in both arguments.
+A kernel K acts as (a phi)(X) = h^{dp} sum_Y K(X;Y) phi(Y) and is kept as
+given. mflab sees a only on bosonic states: <phi^(x)p, a phi^(x)p>,
+Tr(a gamma) for a bosonic gamma, and the norm on the symmetric subspace.
+phi^(x)p, gamma and that subspace are fixed by every simultaneous
+permutation of the p coordinate blocks, so none of the three changes if K is
+averaged over those permutations.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, ResourceError
 from .grid import LatticeGrid, WaveFunction, separable_profile
 
-
-def block_permutation_indices(p: int, sites: int) -> list[np.ndarray]:
-    """Flat-index maps for every permutation of the p coordinate blocks.
-
-    Index X = (x_1..x_p) is flattened row-major with x_1 most significant.
-    """
-    flat = np.arange(sites ** p).reshape((sites,) * p)
-    return [flat.transpose(np.argsort(perm)).ravel()
-            for perm in itertools.permutations(range(p))]
-
-
-def symmetrize_kernel(kernel: np.ndarray, p: int, sites: int) -> np.ndarray:
-    """Average the kernel over simultaneous block permutations of both arguments."""
-    out = np.zeros_like(kernel, dtype=np.complex128)
-    maps = block_permutation_indices(p, sites)
-    for idx in maps:
-        out += kernel[np.ix_(idx, idx)]
-    return out / len(maps)
+# a dense complex sites^p x sites^p kernel at the cap is 256 MiB
+KERNEL_DIMENSION_CAP = 4096
 
 
 @dataclass
 class PObservable:
-    """Bounded p-particle observable with a dense symmetrized kernel."""
+    """Bounded p-particle observable with a dense kernel on sites^p x sites^p.
+
+    The kernel is stored as a read-only complex copy, kept as given:
+    block-symmetrizing it would change no result (see the module docstring).
+    """
 
     p: int
     kernel: np.ndarray
 
-    @classmethod
-    def from_kernel(cls, p: int, kernel: np.ndarray) -> "PObservable":
-        kernel = np.asarray(kernel, dtype=np.complex128)
-        if p < 1:
-            raise DomainError(f"observable particle count must be >= 1, got {p}")
-        if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
-            raise DimensionError(f"kernel must be square, got shape {kernel.shape}")
-        dim = kernel.shape[0]
-        sites = round(dim ** (1.0 / p))
-        if sites ** p != dim:
-            raise DimensionError(
-                f"kernel dimension {dim} is not a p-th power of a site count (p={p})"
-            )
-        if p > 1:
-            kernel = symmetrize_kernel(kernel, p, sites)
-        return cls(p=p, kernel=kernel)
+    def __post_init__(self):
+        self.kernel = np.array(self.kernel, dtype=np.complex128)
+        self.kernel.setflags(write=False)
+        if self.p < 1:
+            raise DomainError(f"observable particle count must be >= 1, got {self.p}")
+        if self.kernel.ndim != 2 or self.kernel.shape[0] != self.kernel.shape[1]:
+            raise DimensionError(f"kernel must be square, got shape {self.kernel.shape}")
+        dim = self.kernel.shape[0]
+        if self.sites ** self.p != dim:
+            raise DimensionError(f"kernel dimension {dim} is not a p-th power "
+                                 f"of a site count (p={self.p})")
 
     @property
     def sites(self) -> int:
@@ -68,19 +54,28 @@ def operator_norm(a: PObservable, grid: LatticeGrid) -> float:
 
     The subspace has an orthonormal basis Q with one normalized indicator
     column per orbit of the block permutations (Q is the identity for p = 1),
-    so the norm is the largest singular value of Q^T (h^{dp} K) Q.
+    so the norm is the largest singular value of Q^T (h^{dp} K) Q. The orbit
+    of X = (x_1..x_p) is keyed by its sorted multi-index, and Q is sparse, so
+    the product costs O(sites^{2p}).
     """
     sites = a.sites
     if sites != grid.n_sites:
-        raise DimensionError(
-            f"kernel is built over {sites} sites, grid has {grid.n_sites}"
-        )
-    maps = np.stack(block_permutation_indices(a.p, sites))
-    _, orbit = np.unique(maps.min(axis=0), return_inverse=True)
-    q = np.zeros((orbit.size, orbit.max() + 1))
-    q[np.arange(orbit.size), orbit] = 1.0
-    q /= np.sqrt(q.sum(axis=0))
+        raise DimensionError(f"kernel is built over {sites} sites, grid has {grid.n_sites}")
+    shape = (sites,) * a.p
+    key = np.ravel_multi_index(np.sort(np.indices(shape).reshape(a.p, -1), axis=0), shape)
+    _, orbit, size = np.unique(key, return_inverse=True, return_counts=True)
+    # one entry a row: Q[X, orbit of X] = 1/sqrt(orbit size)
+    q = scipy.sparse.csr_array((1.0 / np.sqrt(size[orbit]), orbit, np.arange(key.size + 1)))
     return float(np.linalg.norm(q.T @ ((grid.cell_volume ** a.p) * a.kernel) @ q, 2))
+
+
+def check_kernel_dimension(p: int, sites: int) -> None:
+    """ResourceError if a p-particle kernel over `sites` sites has more than
+    KERNEL_DIMENSION_CAP rows; the stock observables call it before allocating."""
+    # sites >= 2 passes the cap by p = 13, so the power stays small for any p
+    if sites ** min(p, KERNEL_DIMENSION_CAP.bit_length()) > KERNEL_DIMENSION_CAP:
+        raise ResourceError(f"a {p}-particle kernel needs sites^p = {sites}^{p} rows, "
+                            f"above the cap of {KERNEL_DIMENSION_CAP:,}")
 
 
 def lift_factor(n: int, p: int) -> float:
@@ -97,12 +92,13 @@ def lift_factor(n: int, p: int) -> float:
 
 def condensate_projector(phi: WaveFunction, p: int = 1) -> PObservable:
     """p-fold tensor power of the rank-one projector |phi><phi|."""
+    check_kernel_dimension(p, phi.grid.n_sites)
     u = phi.amplitudes
     k1 = np.outer(u, u.conj())
     kernel = k1
     for _ in range(p - 1):
         kernel = np.kron(kernel, k1)
-    return PObservable.from_kernel(p, kernel)
+    return PObservable(p, kernel)
 
 
 def site_multiplier(grid: LatticeGrid, amplitude: float = 1.0,
@@ -111,7 +107,8 @@ def site_multiplier(grid: LatticeGrid, amplitude: float = 1.0,
 
     For d > 1 the profile is a product of the axis profiles.
     """
+    check_kernel_dimension(1, grid.n_sites)
     x = grid.axis_coordinates()
     f = amplitude * separable_profile(grid, np.cos(2.0 * np.pi * mode * x / grid.length))
     kernel = np.diag(f.astype(np.complex128)) / grid.cell_volume
-    return PObservable.from_kernel(1, kernel)
+    return PObservable(1, kernel)

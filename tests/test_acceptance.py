@@ -195,7 +195,7 @@ def test_criterion_5_oracle_equivalence():
         for p in (1, 2):
             raw = (rng.standard_normal((3 ** p, 3 ** p))
                    + 1j * rng.standard_normal((3 ** p, 3 ** p)))
-            a = PObservable.from_kernel(p, raw + raw.conj().T)
+            a = PObservable(p, raw + raw.conj().T)
             a_l2 = g3.cell_volume ** p * a.kernel
             ps = _symmetrizer(n3, 3)
             lifted = lift_factor(n3, p) * ps @ np.kron(

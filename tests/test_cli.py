@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -321,15 +322,36 @@ def test_main_rejects_observable_order_above_smallest_count(tmp_path, capsys):
     assert not out.exists()
 
 
+def _child_env():
+    src = str(Path(mflab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+def test_main_rejects_an_oversized_kernel_before_allocating_it(tmp_path):
+    # 16 sites and p = 4 pass every other check (Fock dimension 3,876), but
+    # the kernel would be 65,536 x 65,536 (64 GiB). The run is a child with a
+    # 2 GiB address space, so a missing check ends in a MemoryError there.
+    cfg = _write(tmp_path, "dimension = 2\nsites = 4\nbox_length = 8.0\n"
+                           "particle_counts = 4\nsamples = 1\nobservable.p = 4\n")
+    out = tmp_path / "cli-out"
+    limit = 2 ** 31
+    done = subprocess.run(
+        [sys.executable, "-m", "mflab.cli", "--config", str(cfg), "--out-dir", str(out)],
+        env=dict(_child_env(), OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.splitlines() == [
+        "error: a 4-particle kernel needs sites^p = 16^4 rows, above the cap of 4,096"]
+    assert not out.exists()
+
+
 def test_cli_import_leaves_unused_scipy_modules_unloaded():
     # importing mflab.cli is part of every run's wall time
     unused = ("scipy.special", "scipy.linalg", "scipy.sparse.linalg", "scipy.fft")
-    src = str(Path(mflab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     code = ("import sys, mflab.cli; "
             f"print(sorted(m for m in {unused!r} if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 

@@ -200,8 +200,8 @@ def test_expectation_product_kernel_factorizes():
                                  + 1j * rng.standard_normal(8)))
     raw = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     b = raw + raw.conj().T
-    a2 = PObservable.from_kernel(2, np.kron(b, b))
-    one_body = PObservable.from_kernel(1, b)
+    a2 = PObservable(2, np.kron(b, b))
+    one_body = PObservable(1, b)
     x1 = hartree_expectation(psi, one_body)
     x2 = hartree_expectation(psi, a2)
     # direct double sum over the p=2 kernel
@@ -224,8 +224,8 @@ def test_expectation_bounded_by_operator_norm():
 
 def test_non_self_adjoint_kernel_rejected():
     rng = np.random.default_rng(2)
-    a = PObservable.from_kernel(1, rng.standard_normal((8, 8))
-                                + 1j * rng.standard_normal((8, 8)))
+    a = PObservable(1, rng.standard_normal((8, 8))
+                    + 1j * rng.standard_normal((8, 8)))
     psi = gaussian_packet(GRID)
     with pytest.raises(ConsistencyError):
         hartree_expectation(psi, a)

@@ -638,7 +638,7 @@ def test_expectation_matches_lifted_operator_oracle(p):
     rng = np.random.default_rng(31 + p)
     raw = (rng.standard_normal((3 ** p, 3 ** p))
            + 1j * rng.standard_normal((3 ** p, 3 ** p)))
-    a = PObservable.from_kernel(p, raw + raw.conj().T)
+    a = PObservable(p, raw + raw.conj().T)
     for trial in range(3):
         coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         coeffs /= np.linalg.norm(coeffs)

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from mflab.errors import DomainError
-from mflab.grid import build_grid, gaussian_packet, plane_wave
-from mflab.observables import (PObservable, block_permutation_indices,
-                               condensate_projector, lift_factor,
-                               operator_norm, site_multiplier,
-                               symmetrize_kernel)
+from mflab.errors import DimensionError, DomainError
+from mflab.grid import WaveFunction, build_grid, gaussian_packet, normalize, plane_wave
+from mflab.hartree import hartree_expectation
+from mflab.manybody import (ManyBodyState, build_fock_basis, manybody_expectation,
+                            product_state_lift)
+from mflab.observables import (PObservable, condensate_projector, lift_factor,
+                               operator_norm, site_multiplier)
 
 
 def test_lift_factor_p1_is_one():
@@ -45,6 +46,27 @@ def test_lift_factor_domain():
         lift_factor(2, 0)
 
 
+@pytest.mark.parametrize("p, kernel, error", [
+    (0, np.eye(4), DomainError),
+    (1, np.ones((4, 3)), DimensionError),
+    (2, np.eye(8), DimensionError),  # 8 is not a square
+])
+def test_constructor_validates_the_kernel(p, kernel, error):
+    with pytest.raises(error):
+        PObservable(p, kernel)
+
+
+def test_kernel_is_a_read_only_copy():
+    g = build_grid(1, 8, 8.0)
+    k = np.eye(8, dtype=complex)
+    a = PObservable(1, k)
+    k[0, 0] = 5.0
+    assert np.array_equal(a.kernel, np.eye(8))
+    assert operator_norm(a, g) == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(ValueError, match="read-only"):
+        a.kernel[0, 0] = 5.0
+
+
 def test_operator_norm_rank_one_projector():
     g = build_grid(1, 8, 8.0)
     phi = gaussian_packet(g)
@@ -54,7 +76,7 @@ def test_operator_norm_rank_one_projector():
 
 def test_operator_norm_identity_kernel():
     g = build_grid(1, 8, 4.0)
-    a = PObservable.from_kernel(1, np.eye(8) / g.cell_volume)
+    a = PObservable(1, np.eye(8) / g.cell_volume)
     assert operator_norm(a, g) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -81,7 +103,7 @@ def test_operator_norm_p2_matches_dense_eigensolver():
     anti = np.zeros(16)
     anti[0 * 4 + 1], anti[1 * 4 + 0] = 1 / math.sqrt(2), -1 / math.sqrt(2)
     herm = raw + raw.conj().T + 100.0 * np.outer(anti, anti)
-    a = PObservable.from_kernel(2, herm)
+    a = PObservable(2, herm)
     basis = _symmetric_basis_p2(4)
     assert basis.shape == (16, 10)  # 10-dimensional symmetric subspace
     b = g.cell_volume ** 2 * a.kernel
@@ -103,7 +125,7 @@ def test_operator_norm_p3_matches_combinations_basis():
     for perm in itertools.permutations(range(p)):
         sign = np.linalg.det(np.eye(p)[list(perm)])
         anti[np.ravel_multi_index(perm, (sites,) * p)] = sign / math.sqrt(6)
-    a = PObservable.from_kernel(p, raw + raw.conj().T + 100.0 * np.outer(anti, anti))
+    a = PObservable(p, raw + raw.conj().T + 100.0 * np.outer(anti, anti))
     cols = []
     for combo in itertools.combinations_with_replacement(range(sites), p):
         perms = set(itertools.permutations(combo))
@@ -125,24 +147,18 @@ def test_operator_norm_near_degenerate_site_multiplier():
     assert operator_norm(site_multiplier(g), g) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_symmetrize_kernel_is_idempotent():
-    rng = np.random.default_rng(9)
-    raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    once = symmetrize_kernel(raw, 2, 4)
-    twice = symmetrize_kernel(once, 2, 4)
-    assert np.max(np.abs(once - twice)) < 1e-14
-
-
 def test_operator_norm_invariant_under_resymmetrization():
     rng = np.random.default_rng(13)
     g = build_grid(1, 4, 2.0)
     raw = rng.standard_normal((16, 16))
-    # a large eigenvalue on an antisymmetric vector: symmetrizing keeps it,
-    # and the restriction must not see it
+    # a large eigenvalue on an antisymmetric vector: swapping the blocks
+    # keeps it, and the restriction must not see it
     anti = np.zeros(16)
     anti[1 * 4 + 2], anti[2 * 4 + 1] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-    a = PObservable.from_kernel(2, raw + raw.T + 100.0 * np.outer(anti, anti))
-    a2 = PObservable.from_kernel(2, a.kernel)  # symmetrize again
+    a = PObservable(2, raw + raw.T + 100.0 * np.outer(anti, anti))
+    swap = np.arange(16).reshape(4, 4).T.ravel()  # (x_1, x_2) -> (x_2, x_1)
+    a2 = PObservable(2, a.kernel[np.ix_(swap, swap)])
+    assert np.max(np.abs(a2.kernel - a.kernel)) > 0.1
     basis = _symmetric_basis_p2(4)
     restricted = basis.T @ (g.cell_volume ** 2 * a.kernel) @ basis
     dense = float(np.max(np.abs(np.linalg.eigvalsh(restricted))))
@@ -150,12 +166,41 @@ def test_operator_norm_invariant_under_resymmetrization():
     assert operator_norm(a2, g) == pytest.approx(dense, rel=1e-8)
 
 
-def test_kernel_block_symmetry_enforced():
-    rng = np.random.default_rng(2)
-    a = PObservable.from_kernel(2, rng.standard_normal((9, 9)))
-    maps = block_permutation_indices(2, 3)
-    swap = maps[1]
-    assert np.max(np.abs(a.kernel - a.kernel[np.ix_(swap, swap)])) < 1e-14
+def _block_symmetrized(kernel, p, sites):
+    """K averaged over the p! simultaneous permutations of its coordinate
+    blocks, from explicit multi-indices."""
+    shape = (sites,) * p
+    out = np.zeros_like(kernel)
+    for perm in itertools.permutations(range(p)):
+        idx = [np.ravel_multi_index([x[k] for k in perm], shape)
+               for x in itertools.product(range(sites), repeat=p)]
+        out += kernel[np.ix_(idx, idx)]
+    return out / math.factorial(p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_results_invariant_under_block_symmetrization(p):
+    # kernels are kept as given: X, X_N and the norm see a kernel only on
+    # bosonic states, so they must not change when it is block-symmetrized
+    rng = np.random.default_rng(50 + p)
+    sites, n = 4, 4
+    g = build_grid(1, sites, 3.0)
+    raw = (rng.standard_normal((sites ** p,) * 2)
+           + 1j * rng.standard_normal((sites ** p,) * 2))
+    kernel = raw + raw.conj().T
+    sym = _block_symmetrized(kernel, p, sites)
+    assert np.max(np.abs(kernel - sym)) > 0.1
+    phi = normalize(WaveFunction(g, rng.standard_normal(sites)
+                                 + 1j * rng.standard_normal(sites)))
+    basis = build_fock_basis(n, g)
+    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    states = (ManyBodyState(basis, coeffs / np.linalg.norm(coeffs)),
+              product_state_lift(phi, basis))
+    given, symmetrized = (
+        [hartree_expectation(phi, a), *(manybody_expectation(psi, a) for psi in states),
+         operator_norm(a, g)]
+        for a in (PObservable(p, kernel), PObservable(p, sym)))
+    assert given == pytest.approx(symmetrized, abs=1e-12)
 
 
 def test_condensate_projector_tensor_power():
@@ -175,17 +220,3 @@ def test_site_multiplier_norm_is_max_abs():
     expected = np.max(np.abs(1.5 * np.cos(2 * np.pi * x / g.length)))
     assert operator_norm(a, g) == pytest.approx(expected, rel=1e-8)
     assert np.max(np.abs(a.kernel - a.kernel.conj().T)) <= 1e-12
-
-
-def test_all_block_permutations_present():
-    maps = block_permutation_indices(3, 2)
-    assert len(maps) == math.factorial(3)
-    flats = {tuple(m) for m in maps}
-    assert len(flats) == 6
-    # each map sends X = (x_1..x_p) to (x_perm(1)..x_perm(p)), row-major
-    for p, sites in ((3, 2), (2, 5), (4, 3)):
-        maps = block_permutation_indices(p, sites)
-        for perm, idx in zip(itertools.permutations(range(p)), maps):
-            for flat, x in enumerate(itertools.product(range(sites), repeat=p)):
-                assert idx[flat] == np.ravel_multi_index([x[k] for k in perm],
-                                                         (sites,) * p)
