@@ -7,9 +7,9 @@ with low variance. A run is one sequential pipeline: build each N's sector,
 run one batched Hartree flow over every field, then the many-body work of
 each sample in order. Each field is seeded from (base_seed, sample_index), so
 a sample's values do not depend on which other samples run with it.
-The plan checks its largest sector against the dimension cap and derives the
-observable norm and the Hartree time grid once, at construction, and
-run_ensemble checks every |X| and |X_N| against that norm.
+The plan checks its largest sector against the dimension and propagation
+caps and derives the observable norm and the Hartree time grid once, at
+construction, and run_ensemble checks every |X| and |X_N| against that norm.
 """
 from __future__ import annotations
 
@@ -22,15 +22,17 @@ from .errors import ConsistencyError, DomainError, MFLabError
 from .grid import LatticeGrid, WaveFunction
 from .hartree import HartreeRunParams, evolve_hartree_batch, hartree_expectation
 from .manybody import (assemble_hamiltonian, build_fock_basis, check_fock_dimension,
-                       evolve_manybody, manybody_expectation, product_state_lift)
+                       check_propagation, evolve_manybody, manybody_expectation,
+                       product_state_lift)
 from .observables import PObservable, operator_norm
 from .random_field import FieldSpec, mix_seed, sample_field
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One experiment, whose largest Fock sector is within the dimension cap;
-    observable_norm and hartree_params are derived at construction."""
+    """One experiment, whose largest Fock sector is within the dimension cap
+    and can be propagated to t_final; observable_norm and hartree_params are
+    derived at construction."""
 
     grid: LatticeGrid
     field_spec: FieldSpec
@@ -56,6 +58,7 @@ class ExperimentPlan:
             raise DomainError(f"observable.p = {self.observable.p} exceeds the "
                               f"smallest particle count {counts[0]}")
         check_fock_dimension(counts[-1], self.grid)
+        check_propagation(counts[-1], self.grid, self.t_final)
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
         object.__setattr__(self, "particle_counts", counts)

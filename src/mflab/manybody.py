@@ -19,11 +19,11 @@ Propagation is one Chebyshev expansion of e^{-iHt} (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967, 1984) over an interval that provably holds the
 spectrum of H, from the lattice dispersion and min/max of h, truncated by a
 proven bound on its Bessel-coefficient tail; it draws no random numbers.
-H is real, so its recurrence runs on the real and imaginary parts of Psi_0
-as real vectors, and the reduced density matrices compose the annihilators
-as gathers, each having one entry a row.
-DIMENSION_CAP caps each sector, and _MAX_RT the product r*t that sets the degree;
-ensemble checks the pathwise bound |X_N| <= ||a|| against the plan's norm.
+H is real, so the recurrence runs one loop on real vectors for each of
+Re Psi_0 and Im Psi_0 that is not exactly zero, and the reduced density
+matrices compose the annihilators as gathers, each having one entry a row.
+DIMENSION_CAP caps each sector and _MAX_RT the r*t that sets the degree, both
+checked for a plan's largest N first; ensemble checks that |X_N| <= ||a||.
 """
 from __future__ import annotations
 
@@ -241,6 +241,16 @@ def check_fock_dimension(n: int, grid: LatticeGrid) -> None:
         )
 
 
+def check_propagation(n: int, grid: LatticeGrid, t: float) -> None:
+    """Fail with a ResourceError if no field can propagate the N-particle sector
+    to time t: whatever h, _spectral_interval's r is >= N (max - min lambda)/2."""
+    lam = lattice_dispersion(grid)
+    x = n * float(lam.max() - lam.min()) / 2 * t
+    if x > _MAX_RT:
+        raise ResourceError(f"propagation of N={n} to t = {t!r} needs r*t >= {x!r} "
+                            f"for every field, beyond the cap {_MAX_RT}")
+
+
 def build_fock_basis(n: int, grid: LatticeGrid,
                      max_rdm_order: int | None = None) -> FockBasis:
     """The N-particle sector, climbed from the vacuum, with annihilation maps
@@ -284,9 +294,7 @@ class ManyBodyState:
 def interaction_matrix(grid: LatticeGrid, values: np.ndarray) -> np.ndarray:
     """V[x, y] = v(x - y) with periodic differences per axis."""
     v = np.asarray(values).reshape(grid.shape)
-    s = grid.n_sites
-    idx = np.arange(s)
-    coords = np.array(np.unravel_index(idx, grid.shape))  # (d, s)
+    coords = np.indices(grid.shape).reshape(grid.d, -1)  # (d, s)
     diff = (coords[:, :, None] - coords[:, None, :]) % grid.m  # (d, s, s)
     return v[tuple(diff)]
 
@@ -369,37 +377,21 @@ def _bessel_j(x: float, k: int) -> np.ndarray:
     """J_0(x), ..., J_k(x) for x > 0 by Miller's backward recurrence.
 
     The recurrence J_{n-1} = (2n/x) J_n - J_{n+1} runs down from J_{s+1} = 0,
-    J_s = 1 at an even s well past k (Numerical Recipes, bessj), is rescaled
-    before it can overflow, and is normalized by J_0 + 2 sum_n J_{2n} = 1.
+    J_s = 1 at an even s well past k (Numerical Recipes, bessj), and is
+    normalized by J_0 + 2 sum_n J_{2n} = 1. A step whose (2n/x) J_n would pass
+    2^1000 first rescales every value by the power of two that brings J_n
+    below 1, which rounds nothing (at x <= 300 no value passes 4e184).
     """
     s = k + 2 + math.isqrt(160 * k)
     s += s % 2
     j = [0.0, 1.0]
     for n in range(s, 0, -1):
-        j.append(2.0 * n / x * j[-1] - j[-2])
-        if abs(j[-1]) > 1e250:
-            j = [val * 1e-250 for val in j]
+        step = 2.0 * n / x
+        if abs(j[-1]) * step > 2.0 ** 1000:
+            j = [math.ldexp(val, -math.frexp(j[-1])[1]) for val in j]
+        j.append(step * j[-1] - j[-2])
     j = np.array(j[:0:-1])  # J_0 .. J_s, unnormalized
     return j[:k + 1] / (j[0] + 2.0 * j[2::2].sum())
-
-
-def _chebyshev_terms(mat, shift: np.ndarray, r: float, u: np.ndarray):
-    """T_0(A) u, T_1(A) u, T_2(A) u, ... for A = (mat + diag(shift)) / r and
-    a real vector u, one mat @ x per term past the first.
-
-    Each term is rounded as the same step on a complex vector rounds its real
-    and its imaginary part: numpy divides a complex array by r as a product
-    with 1 / r, hence the first step's * (1.0 / r).
-    """
-    prev, cur = u, (mat @ u + shift * u) * (1.0 / r)
-    yield prev
-    while True:
-        yield cur
-        nxt = mat @ cur
-        nxt += shift * cur
-        nxt *= 2.0 / r
-        nxt -= prev
-        prev, cur = cur, nxt
 
 
 def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodyState:
@@ -408,13 +400,13 @@ def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodySta
     With [c - r, c + r] an interval holding the spectrum of H and A = (H - c)/r,
     e^{-iHt} = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(A). The series
     stops at the degree K whose Bessel tail is provably below 2^-53, and
-    T_k(A) Psi_0 follows the three-term recurrence. A is real, so it runs on
-    Re Psi_0, and on Im Psi_0 when that is not zero, as real vectors: one
-    sparse product per vector and degree. (-i)^k J_k is real for even k and
-    imaginary for odd k, so each term adds to one part of the sum, the odd
-    terms of Im Psi_0 negated; the two vectors advance together, so each
-    part adds its terms in the order of k, bit for bit as a recurrence on
-    complex vectors would.
+    T_k(A) u follows the three-term recurrence. A is real, so each real part
+    u of Psi_0 = Re + i Im that is not exactly zero runs its own loop on real
+    vectors, one sparse product per degree. (-i)^k J_k is real for even k and
+    imaginary for odd k, so the loop sums the even-degree and the odd-degree
+    terms apart, each in the order of k, and adds (even + i odd) unit e^{-ict}
+    to the result once, unit being 1 for Re and i for Im; numpy rounds x y and
+    x (i y) alike, so Psi_0 = i u gives i times the result for u bit for bit.
     A ResourceError stops r*t above _MAX_RT, or not a number, before the degree
     search, which thus always ends.
     """
@@ -437,16 +429,23 @@ def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodySta
     coef = 2.0 * np.array([1.0, -1.0, -1.0, 1.0])[np.arange(k + 1) % 4] * _bessel_j(x, k)
     coef[0] /= 2
     shift = h - c
+    phase = np.exp(-1j * c * t)
     out = np.zeros(len(f), dtype=np.complex128)
-    parts = [(_chebyshev_terms(mat, shift, r, f.real.copy()),
-              [out.real, out.imag], coef)]
-    if f.imag.any():
-        parts.append((_chebyshev_terms(mat, shift, r, f.imag.copy()),
-                      [out.imag, out.real], np.where(np.arange(k + 1) % 2, -coef, coef)))
-    for j in range(k + 1):
-        for terms, acc, a in parts:
-            acc[j % 2] += a[j] * next(terms)
-    out *= np.exp(-1j * c * t)
+    for unit, u in ((1.0, f.real), (1j, f.imag)):
+        if not u.any():
+            continue
+        # numpy divides a complex vector by r as a product with 1 / r, so
+        # each part rounds as in a recurrence on complex vectors
+        prev, cur = u, (mat @ u + shift * u) * (1.0 / r)
+        sums = [coef[0] * prev, coef[1] * cur]  # the even and the odd degrees
+        for j in range(2, k + 1):
+            nxt = mat @ cur
+            nxt += shift * cur
+            nxt *= 2.0 / r
+            nxt -= prev
+            prev, cur = cur, nxt
+            sums[j % 2] += coef[j] * cur
+        out += (sums[0] + 1j * sums[1]) * (unit * phase)
     return ManyBodyState(psi0.basis, out)
 
 

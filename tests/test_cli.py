@@ -276,6 +276,9 @@ def test_time_grid_is_checked_by_the_plan(tmp_path, line, message):
     ("particle_counts = 2,30", "Fock sector for N=30, M=8 (d=1) has dimension "
                                "10295472, exceeding the cap 200000"),
     ("init.width = 0", "cannot normalize a state of norm nan"),
+    # r >= N (max - min of the dispersion) / 2 = 12 at N = 6 for every field
+    ("t_final = 2000.0", "propagation of N=6 to t = 2000.0 needs r*t >= 24000.0 "
+                         "for every field, beyond the cap 10000.0"),
 ])
 def test_main_rejects_a_plan_it_cannot_run_before_any_work(tmp_path, capsys, line,
                                                            message):

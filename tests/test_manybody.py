@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import math
 import pathlib
@@ -462,7 +463,40 @@ def test_real_recurrence_is_the_complex_recurrence():
             assert np.max(np.abs(got - _complex_chebyshev(psi, h, t))) < 1e-14
 
 
-BESSEL_ARGUMENTS = (1e-3, 0.5, 3.0, 30.0, 120.0, 700.0)
+class _CountingMatrix:
+    """A sparse matrix that counts its products with a vector."""
+
+    def __init__(self, mat):
+        self.mat, self.products = mat, 0
+
+    def __matmul__(self, vec):
+        self.products += 1
+        return self.mat @ vec
+
+
+def test_propagation_skips_a_part_of_psi0_that_is_zero():
+    g = build_grid(1, 8, 8.0)
+    basis = build_fock_basis(4, g)
+    v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,), seed=17)
+    h = assemble_hamiltonian(basis, v)
+    t = 0.5
+    c, r = _spectral_interval(basis, h)
+    k = _chebyshev_degree(r * t)  # one product per degree past the first
+    real = product_state_lift(gaussian_packet(g), basis).coefficients
+    cases = {"real": real, "imaginary": 1j * real,
+             "complex": product_state_lift(plane_wave(g, 1), basis).coefficients}
+    assert not cases["imaginary"].real.any()
+    products, out = {}, {}
+    for name, coefficients in cases.items():
+        counted = dataclasses.replace(basis, one_body=_CountingMatrix(basis.one_body))
+        out[name] = evolve_manybody(ManyBodyState(counted, coefficients), h, t).coefficients
+        products[name] = counted.one_body.products
+    assert products == {"real": k, "imaginary": k, "complex": 2 * k}
+    assert np.array_equal(out["imaginary"], 1j * out["real"])
+
+
+# down to 1e-300, where a step of Miller's recurrence grows by 2n/x ~ 1e301
+BESSEL_ARGUMENTS = (1e-300, 1e-200, 1e-100, 1e-3, 0.5, 3.0, 30.0, 120.0, 700.0)
 
 
 @pytest.mark.parametrize("x", BESSEL_ARGUMENTS)
