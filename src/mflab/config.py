@@ -55,8 +55,12 @@ def _parse_kv_file(path: str | Path) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     out: dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

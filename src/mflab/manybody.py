@@ -4,20 +4,20 @@ A FockBasis is one N-particle sector, built once and only read afterwards:
 the occupation vectors with total N in lexicographic order, where a vector's
 position is its rank in the combinatorial number system (Knuth, TAOCP 4A,
 7.2.1.3), and the field-independent operators: the stacked annihilation maps
-a_x for the reduced density matrices and the one-body CSR matrix
-sum_{x,y} T_{xy} adag_x a_y. Each sector is built on its own, upward from
+a_x for the reduced density matrices and the hopping CSR matrix one_body =
+sum_{x != y} T_{xy} adag_x a_y. Each sector is built on its own, upward from
 the vacuum: adding a particle at x changes a vector's rank by sums over one
 lookup table, so each annihilator is written directly as a CSR matrix with one
-entry a row, and one_body row by row from the top annihilator, with no sparse
-products. A field enters only through the pair term,
-which is diagonal in the occupation basis:
-    h = (1/2N) sum_{x,y} v(x-y) adag_x adag_y a_y a_x = (occ V occ - v(0) N) / 2N,
+entry a row, and one_body from the top annihilator, with no sparse products.
+The rest of H is diagonal in the occupation basis: sum_x T_xx n_x = N T_xx,
+the same on every state, and the pair term
+    (1/2N) sum_{x,y} v(x-y) adag_x adag_y a_y a_x = (occ V occ - v(0) N) / 2N,
 which reproduces (1/N) sum_{i<j} v(x_i - x_j) exactly, including same-site
 pairs with weight v(0) n_x (n_x - 1)/2. So a field's Hamiltonian is the
-(dim,) array h, and H = one_body + diag(h) with one one_body for every field.
+(dim,) array h of both, and H = one_body + diag(h), one_body shared by every field.
 Propagation is one Chebyshev expansion of e^{-iHt} (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967, 1984) over an interval that provably holds the
-spectrum of H, from the lattice dispersion and min/max of h, truncated by a
+spectrum of H, from the hopping dispersion and min/max of h, truncated by a
 proven bound on its Bessel-coefficient tail; it draws no random numbers.
 H is real, so the recurrence runs one loop on real vectors for each of
 Re Psi_0 and Im Psi_0 that is not exactly zero, and the reduced density
@@ -104,21 +104,26 @@ def _add_particle(occ: np.ndarray, n: int) -> tuple[np.ndarray, scipy.sparse.csr
     return raised, a
 
 
+def _kinetic_diagonal(grid: LatticeGrid) -> float:
+    """T_xx = 2d/h^2, the diagonal of T = -Lap, the same at every site."""
+    return 2.0 * grid.d / grid.h ** 2
+
+
 def kinetic_matrix(grid: LatticeGrid) -> scipy.sparse.csr_matrix:
     """T = -Lap, the 2d+1-point periodic stencil, as a CSR matrix with
     sorted rows and O(sites * d) entries.
 
-    Per axis, 2/h^2 on the diagonal and -1/h^2 at each of the two periodic
-    neighbours (one site on M = 2, which gets -2/h^2). Its eigenvalues are
-    lattice_dispersion(grid).
+    _kinetic_diagonal on the diagonal and, per axis, -1/h^2 at each of the two
+    periodic neighbours (one site on M = 2, which gets -2/h^2). Its
+    eigenvalues are lattice_dispersion(grid).
     """
     idx = np.arange(grid.n_sites).reshape(grid.shape)
     inv_h2 = 1.0 / grid.h ** 2
-    rows = np.tile(idx.ravel(), 3 * grid.d)
-    cols = np.concatenate([np.roll(idx, s, axis).ravel()
-                           for axis in range(grid.d) for s in (0, 1, -1)])
-    vals = np.repeat([2.0 * inv_h2, -inv_h2, -inv_h2] * grid.d, grid.n_sites)
-    # duplicates (the d diagonal terms, the M = 2 neighbours) are summed here
+    rows = np.tile(idx.ravel(), 2 * grid.d + 1)
+    cols = np.concatenate([idx.ravel()] + [np.roll(idx, s, axis).ravel()
+                                           for axis in range(grid.d) for s in (1, -1)])
+    vals = np.repeat([_kinetic_diagonal(grid)] + [-inv_h2] * (2 * grid.d), grid.n_sites)
+    # duplicates (the M = 2 neighbours) are summed here
     t = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(grid.n_sites,) * 2)
     t.sort_indices()
     return t
@@ -130,16 +135,16 @@ class FockBasis:
 
     occupations[i] is the occupation vector of rank i, in the narrowest
     unsigned dtype that holds N (uint8 up to N = 255), so it takes dim * sites
-    bytes; the pair diagonal and the lift read it in row blocks, so their
+    bytes; assemble_hamiltonian and the lift read it in row blocks, so their
     temporaries take O(dim) bytes, not 8 * dim * sites. annihilators[k] stacks
     a_x over the sites from the N-k sector to the N-k-1 sector, as a
     (sites * dim(N-k-1), dim(N-k)) matrix with one entry a row. one_body is
-    the CSR matrix of sum_{x,y} T_{xy} adag_x a_y, kinetic diagonal included,
-    with sorted rows. All are built by build_fock_basis from rank arithmetic,
-    each array written once. The spectral interval of propagation needs no
-    per-basis array: it comes from the lattice dispersion and N. All arrays
-    are read-only, so the one basis built per plan serves every sample and
-    no sample can alter it for the next.
+    the CSR matrix of the hopping sum_{x != y} T_{xy} adag_x a_y, with sorted
+    rows and no diagonal entry (that is assemble_hamiltonian's). All are built
+    by build_fock_basis from rank arithmetic, each array written once. The
+    spectral interval of propagation needs no per-basis array: it comes from
+    the lattice dispersion and N. All arrays are read-only, so the one basis
+    built per plan serves every sample and no sample can alter it for the next.
     """
 
     n_particles: int
@@ -171,62 +176,44 @@ def _blocks(length: int) -> list[slice]:
     return [slice(i, i + _BLOCK_ROWS) for i in range(0, length, _BLOCK_ROWS)]
 
 
-def _one_body(a: scipy.sparse.csr_matrix, occ: np.ndarray,
+def _one_body(a: scipy.sparse.csr_matrix,
               t: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
-    """CSR of sum_{x,y} T_xy adag_x a_y on the sector with occupations occ
-    and stacked annihilator a, as _add_particle builds them.
+    """CSR of the hopping sum_{x != y} T_xy adag_x a_y on the sector whose
+    stacked annihilator a is, as _add_particle builds it.
 
-    Row i holds its diagonal sum_x T_xx n_x, then, for each occupied x of i
-    (k = i - e_x, read from a's CSC) and each neighbour y of x, the entry at
-    column rank(k + e_y) with value a_x(k) * (T_xy * a_y(k)), where a_x(k) is
-    the one entry of a's row x*dim(N-1) + k and rank(k + e_y) is its column
-    for y. Its rows are sorted last.
+    For each occupied x of row i (k = i - e_x, read from a's CSC) and each
+    neighbour y of x, row i holds the entry at column rank(k + e_y) with
+    value a_x(k) * (T_xy * a_y(k)), where a_x(k) is the one entry of a's row
+    x*dim(N-1) + k and rank(k + e_y) is its column for y. Its rows are
+    sorted last.
     """
     sites = t.shape[0]
-    dim = occ.shape[0]
     sub_dim = a.shape[0] // sites
-    # the product makes a float64 copy of the rows it reads, so it reads 2^j
-    # rows at a time with at most 16 * _BLOCK_ROWS entries in all; BLAS
-    # rounds each row of such a block as in one pass over all of occ (and
-    # at N = 1, where blocks can be shorter, each row has one nonzero entry)
-    step = 1 << max(0, (16 * _BLOCK_ROWS // sites).bit_length() - 1)
-    diagonal = np.concatenate([occ[i:i + step] @ t.diagonal()
-                               for i in range(0, dim, step)])
     # every site has the same number of neighbours, in sorted columns
     off = t.indices != np.repeat(np.arange(sites), np.diff(t.indptr))
     nbr = t.indices[off].astype(np.intp).reshape(sites, -1)
     amp = t.data[off].reshape(sites, -1)
     deg = nbr.shape[1]
-    nnz = dim + deg * a.nnz
-    # int32 indices: under DIMENSION_CAP, nnz is at most 4,609,521 (d=3, M=3, N=5)
+    # int32 indices: under DIMENSION_CAP, nnz is at most 4,439,610 (d=3, M=3, N=5)
     csc = a.tocsc()
     x, k = np.divmod(csc.indices.astype(np.int32, copy=False), sub_dim)
-    # row i holds its diagonal, then deg entries per entry of a's column i
-    indptr = (np.arange(dim + 1) + deg * csc.indptr).astype(np.int32)
-    slot = np.arange(0, deg * x.size, deg, dtype=np.int32)
-    slot += np.repeat(np.arange(dim, dtype=np.int32), np.diff(csc.indptr))
+    # row i holds deg entries per entry of a's column i, neighbour j in column j
+    indptr = (deg * csc.indptr).astype(np.int32)
     a_x = csc.data  # the rest of the CSC copy is freed here
     del csc
-    indices = np.empty(nnz, dtype=np.int32)
-    data = np.empty(nnz)
-    indices[indptr[:-1]] = np.arange(dim)
-    data[indptr[:-1]] = diagonal
-    # a block of a's entries at a time, one neighbour slot per pass, so that
-    # no temporary beside indices and data has more than _BLOCK_ROWS entries
+    indices = np.empty((x.size, deg), dtype=np.int32)
+    data = np.empty((x.size, deg))
+    # a block of a's entries at a time, one neighbour per pass, so that no
+    # temporary beside indices and data has more than _BLOCK_ROWS entries
     for entries in _blocks(x.size):
         x_e, k_e, a_e = x[entries].astype(np.intp), k[entries], a_x[entries]
-        slot_e = slot[entries].astype(np.intp)
-        for y, t_xy in zip(nbr.T, amp.T):
-            slot_e += 1
-            row = y[x_e]
-            row *= sub_dim
-            row += k_e  # a's row y*dim(N-1) + k
-            indices[slot_e] = a.indices[row]
-            value = t_xy[x_e]
-            value *= a.data[row]
-            value *= a_e  # a_x(k) * (T_xy * a_y(k)), rounded as A^T (T A) rounds it
-            data[slot_e] = value
-    one_body = scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
+        for j, (y, t_xy) in enumerate(zip(nbr.T, amp.T)):
+            row = y[x_e] * sub_dim + k_e  # a's row y*dim(N-1) + k
+            indices[entries, j] = a.indices[row]
+            # a_x(k) * (T_xy * a_y(k)), rounded as A^T (T A) rounds it
+            data[entries, j] = t_xy[x_e] * a.data[row] * a_e
+    one_body = scipy.sparse.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                                       shape=(a.shape[1],) * 2)
     one_body.sort_indices()
     return one_body
 
@@ -263,7 +250,7 @@ def build_fock_basis(n: int, grid: LatticeGrid,
     for particles in range(1, n + 1):
         occ, a = _add_particle(occ, particles)
         annihilators = ((a,) + annihilators)[:depth]
-    one_body = _one_body(annihilators[0], occ, kinetic_matrix(grid))
+    one_body = _one_body(annihilators[0], kinetic_matrix(grid))
     for mat in (one_body, *annihilators):
         for arr in (mat.data, mat.indices, mat.indptr):
             arr.setflags(write=False)
@@ -300,8 +287,8 @@ def interaction_matrix(grid: LatticeGrid, values: np.ndarray) -> np.ndarray:
 
 
 def assemble_hamiltonian(basis: FockBasis, v) -> np.ndarray:
-    """The pair diagonal h of field v on the basis's sector, as a float64
-    (dim,) array; the sector's Hamiltonian is H = basis.one_body + diag(h)."""
+    """The diagonal h of H (the kinetic N T_xx plus the pair term) of field v on
+    the basis's sector, as a float64 (dim,) array; H = basis.one_body + diag(h)."""
     n = basis.n_particles
     values = np.asarray(v.values, dtype=np.float64).ravel()
     if values.size != basis.sites:
@@ -312,7 +299,7 @@ def assemble_hamiltonian(basis: FockBasis, v) -> np.ndarray:
     pair = np.empty(len(occ))
     for rows in _blocks(len(occ)):
         pair[rows] = ((occ[rows] @ v_mat) * occ[rows]).sum(axis=1)
-    return (pair - float(values[0]) * n) / (2.0 * n)
+    return (pair - float(values[0]) * n) / (2.0 * n) + n * _kinetic_diagonal(basis.grid)
 
 
 def product_state_lift(phi: WaveFunction, basis: FockBasis) -> ManyBodyState:
@@ -339,19 +326,19 @@ def product_state_lift(phi: WaveFunction, basis: FockBasis) -> ManyBodyState:
 def _check_diagonal(basis: FockBasis, h) -> None:
     if np.shape(h) != (len(basis),):
         raise DimensionError(
-            f"pair diagonal has shape {np.shape(h)}, the basis has {len(basis)} states")
+            f"diagonal of H has shape {np.shape(h)}, the basis has {len(basis)} states")
 
 
 def _spectral_interval(basis: FockBasis, h: np.ndarray) -> tuple[float, float]:
     """Center c and half-width r of an interval that holds every eigenvalue of
     H = one_body + diag(h).
 
-    one_body is the second quantization of T = -Lap, whose eigenvalues are
-    lattice_dispersion, so on the N sector its spectrum lies in
-    [N min lambda, N max lambda]; by Weyl's inequality diag(h) widens that by
-    [min h, max h]. r > 0: build_grid requires m >= 2, so max lambda > 0 = min lambda.
+    one_body is the second quantization of the hopping T - T_xx (T = -Lap),
+    whose eigenvalues are lattice_dispersion - T_xx, so on the N sector its
+    spectrum lies in N times their range; by Weyl's inequality diag(h) widens
+    that by [min h, max h]. r > 0: build_grid requires m >= 2, so max > min.
     """
-    lam = lattice_dispersion(basis.grid)
+    lam = lattice_dispersion(basis.grid) - _kinetic_diagonal(basis.grid)
     n = basis.n_particles
     lo = n * float(lam.min()) + float(np.min(h))
     hi = n * float(lam.max()) + float(np.max(h))
@@ -364,6 +351,8 @@ def _chebyshev_degree(x: float) -> int:
     |J_j(x)| <= (x/2)^j / j! (DLMF 10.14.4), and past j = k+1 successive bounds
     shrink by at least x/(2(k+2)) < 1, so this bounds sum_{j>k} 2|J_j(x)|.
     """
+    if x / 2 == 0:  # x <= 2^-1074 or r*t = 0: the k = 1 bound x^2/4 is 0, log(x/2) fails
+        return 1
     k = 1
     while True:
         q = x / (2.0 * (k + 2))
@@ -374,16 +363,20 @@ def _chebyshev_degree(x: float) -> int:
 
 
 def _bessel_j(x: float, k: int) -> np.ndarray:
-    """J_0(x), ..., J_k(x) for x > 0 by Miller's backward recurrence.
+    """J_0(x), ..., J_k(x) for x >= 0 by Miller's backward recurrence.
 
     The recurrence J_{n-1} = (2n/x) J_n - J_{n+1} runs down from J_{s+1} = 0,
     J_s = 1 at an even s well past k (Numerical Recipes, bessj), and is
     normalized by J_0 + 2 sum_n J_{2n} = 1. A step whose (2n/x) J_n would pass
     2^1000 first rescales every value by the power of two that brings J_n
-    below 1, which rounds nothing (at x <= 300 no value passes 4e184).
+    below 1, which rounds nothing (at x <= 300 no value passes 4e184). Where
+    the first step 2s/x overflows, x < 2s 2^-1024, so J_0 = 1 - x^2/4 + ...,
+    J_1 = x/2 - ... and J_n <= (x/2)^2 for n >= 2 round to 1, x/2 and 0.
     """
     s = k + 2 + math.isqrt(160 * k)
     s += s % 2
+    if x * 2.0 ** 1023 < s:  # 2s/x > 2^1024, so the first step would overflow
+        return np.array([1.0, x / 2] + [0.0] * (k - 1))[:k + 1]
     j = [0.0, 1.0]
     for n in range(s, 0, -1):
         step = 2.0 * n / x

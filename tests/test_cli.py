@@ -93,6 +93,16 @@ def test_malformed_line_rejected(tmp_path):
         parse_config(_write(tmp_path, "dimension 1\n"))
 
 
+def test_main_reports_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"sites = 8\n\xff\xfe bad\n")
+    out = tmp_path / "cli-out"
+    assert main(["--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cfg}: not UTF-8 text (invalid start byte at byte 10)"]
+    assert not out.exists()
+
+
 def test_run_experiment_writes_outputs(tmp_path):
     plan, options = parse_config(_write(tmp_path, SMALL_RUN))
     options.output_dir = str(tmp_path / "out")
@@ -289,6 +299,18 @@ def test_main_rejects_a_plan_it_cannot_run_before_any_work(tmp_path, capsys, lin
     assert time.perf_counter() - start < 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", [
+    "t_final = 1e-308",  # below r*t ~ 1e-306 Miller's first step overflows
+    # r = 7.7e-4 at N = 6 on this box, so r*t rounds to 0
+    "box_length = 1000\nt_final = 5e-324\ndt = 5e-324",
+], ids=["subnormal", "zero"])
+def test_main_runs_a_time_where_r_t_is_subnormal(tmp_path, lines):
+    cfg = _write(tmp_path, MINIMAL + "samples = 2\n" + lines + "\n")
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[3]) for row in rows] == pytest.approx([0, 0, 0], abs=1e-14)
 
 
 @pytest.mark.parametrize("line", ["field.base = gaussian_bump(1e10, 1.5)",

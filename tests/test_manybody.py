@@ -16,6 +16,7 @@ import mflab.manybody
 from mflab.errors import DimensionError, DomainError, ResourceError
 from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
                         lattice_dispersion, normalize, plane_wave)
+from mflab.hartree import hartree_energy
 from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree, _rank,
                             _spectral_interval, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
@@ -107,8 +108,8 @@ def test_basis_is_bitwise_the_sparse_product_construction(d, m, n, p):
     hopping = scipy.sparse.kron(scipy.sparse.csr_matrix(t - np.diag(np.diag(t))),
                                 scipy.sparse.identity(a.shape[0] // g.n_sites),
                                 format="csr")
-    # A^T (T_offdiag (x) 1) A = sum_{x != y} T_xy adag_x a_y, plus sum_x T_xx n_x
-    one_body = (a.T @ (hopping @ a) + scipy.sparse.diags(occ @ np.diag(t))).tocsr()
+    # A^T (T_offdiag (x) 1) A = sum_{x != y} T_xy adag_x a_y
+    one_body = (a.T @ (hopping @ a)).tocsr()
     one_body.sort_indices()
     assert np.array_equal(basis.occupations, occ)
     assert len(basis.annihilators) == p
@@ -116,6 +117,10 @@ def test_basis_is_bitwise_the_sparse_product_construction(d, m, n, p):
         assert got.shape == want.shape
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+    # no diagonal entry, and one entry per neighbour y of x for each entry of a
+    rows = np.repeat(np.arange(len(occ)), np.diff(basis.one_body.indptr))
+    assert not np.any(basis.one_body.indices == rows)
+    assert basis.one_body.nnz == (np.count_nonzero(t[0]) - 1) * a.nnz
 
 
 def test_dimension_cap_enforced():
@@ -144,7 +149,7 @@ def test_occupations_are_narrow_and_weights_float64(d, m, n):
     occ64 = occ.astype(np.int64)
     pair = ((occ64 @ interaction_matrix(g, values)) * occ64).sum(axis=1)
     np.testing.assert_allclose(assemble_hamiltonian(basis, v),
-                               (pair - values[0] * n) / (2.0 * n),
+                               (pair - values[0] * n) / (2.0 * n) + n * 2 * d / g.h ** 2,
                                rtol=1e-12, atol=1e-12)
 
 
@@ -178,7 +183,8 @@ def test_sector_build_makes_no_dense_sites_by_sites_operator():
 
 
 def test_kinetic_diagonal_reads_the_occupations_in_bounded_blocks():
-    # 4,096 sites and 4,096 states: a float64 copy of all occupations is 128 MiB
+    # 4,096 sites and 4,096 states: a float64 copy of all occupations is 128 MiB;
+    # one_body has no diagonal, so this bounds the whole N = 1 build
     g = build_grid(2, 64, 64.0)
     tracemalloc.start()
     try:
@@ -229,6 +235,28 @@ def test_constant_interaction_shifts_by_scalar(n):
     h_free = kin + np.diag(assemble_hamiltonian(basis, _field(g)))
     shift = c * (n - 1) / 2  # (1/N) * binom(N,2) * c
     assert np.max(np.abs(h_const - h_free - shift * np.eye(len(basis)))) < 1e-12
+
+
+@pytest.mark.parametrize("d,m,length,n", [(1, 8, 8.0, 1), (1, 8, 8.0, 2), (1, 8, 8.0, 4),
+                                          (1, 8, 8.0, 6), (2, 4, 8.0, 1), (2, 4, 8.0, 2),
+                                          (2, 4, 8.0, 3), (1, 5, 3.5, 2), (1, 5, 3.5, 5)])
+def test_product_state_energy_is_the_hartree_energy_with_n_minus_1_pairs(d, m, length, n):
+    # <phi^N, H phi^N> = N <phi, T phi> + (N - 1) pot, with pot the interaction
+    # half of the Hartree energy, since (1/N) sum_{i<j} v counts N(N-1)/2 pairs
+    g = build_grid(d, m, length)
+    rng = np.random.default_rng(5)
+    random_phi = normalize(WaveFunction(g, rng.normal(size=g.n_sites)
+                                        + 1j * rng.normal(size=g.n_sites)))
+    basis = build_fock_basis(n, g, max_rdm_order=1)
+    for phi in (gaussian_packet(g), random_phi):
+        psi = product_state_lift(phi, basis)
+        for seed in (1, 2):
+            v = _field(g, base="gaussian_bump(1.0, 1.5)", sigmas=(0.5,), seed=seed)
+            e_mf = hartree_energy(phi, v)
+            pot = e_mf - hartree_energy(phi, _field(g))
+            assert pot != 0
+            e_n = energy_expectation(psi, assemble_hamiltonian(basis, v)) / n
+            assert abs(e_n - (e_mf - pot / n)) <= 1e-12 * abs(e_mf)
 
 
 def _occupation_to_full(coeffs, basis, sites):
@@ -495,8 +523,11 @@ def test_propagation_skips_a_part_of_psi0_that_is_zero():
     assert np.array_equal(out["imaginary"], 1j * out["real"])
 
 
-# down to 1e-300, where a step of Miller's recurrence grows by 2n/x ~ 1e301
-BESSEL_ARGUMENTS = (1e-300, 1e-200, 1e-100, 1e-3, 0.5, 3.0, 30.0, 120.0, 700.0)
+# down to 1e-300, where a step of Miller's recurrence grows by 2n/x ~ 1e301, and
+# below 1e-306, where that step overflows, to the least double and to 0, where
+# r*t underflows
+BESSEL_ARGUMENTS = (0.0, 5e-324, 1e-308, 1e-307, 1e-300, 1e-200, 1e-100, 1e-3, 0.5,
+                    3.0, 30.0, 120.0, 700.0)
 
 
 @pytest.mark.parametrize("x", BESSEL_ARGUMENTS)
@@ -517,7 +548,7 @@ def test_chebyshev_degree_bounds_bessel_tail(x):
 
 @pytest.mark.parametrize("d,m,n", [(1, 2, 3), (1, 6, 3), (2, 3, 2)])
 def test_gershgorin_interval_contains_spectrum(d, m, n):
-    # the dGamma(T) + Weyl interval holds the spectrum and is no wider than
+    # the dGamma(T - T_xx) + Weyl interval holds the spectrum and is no wider than
     # the Gershgorin interval of the same H
     g = build_grid(d, m, float(m))
     basis = build_fock_basis(n, g)
@@ -748,7 +779,7 @@ def test_assemble_rejects_mismatched_basis():
     basis = build_fock_basis(2, g)
     with pytest.raises(DimensionError):
         assemble_hamiltonian(basis, _field(build_grid(1, 5, 5.0)))
-    # a pair diagonal of another sector's length
+    # a diagonal of another sector's length
     short = assemble_hamiltonian(build_fock_basis(1, g), _field(g))
     psi = product_state_lift(gaussian_packet(g), basis)
     with pytest.raises(DimensionError):

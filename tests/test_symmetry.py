@@ -2,11 +2,12 @@
 
 No dense reference reaches the top sectors of the benchmark workloads (the
 dimension is 54,264 on `reach`), so these tests check what H = one_body +
-diag(h) must conserve for every field instead: H commutes with the lattice
-translations (T is periodic and the pair term depends on x - y) and with the
-inversion x -> -x (T is a symmetric stencil and every field is even), and
-e^{-iHt} conserves <H>. Each test runs the workload's largest N against
-sample 0's field.
+diag(h), the hopping plus the kinetic constant and the pair term, must
+conserve for every field instead: H commutes with the lattice translations
+(the hopping is periodic, and the pair term depends on x - y) and with the
+inversion x -> -x (the hopping is a symmetric stencil and every field is
+even), and e^{-iHt} conserves <H>. Each test runs the workload's largest N
+against sample 0's field.
 """
 from pathlib import Path
 
@@ -24,7 +25,7 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
 
 def _workload(name):
-    """A workload's plan, its top sector and sample 0's pair diagonal there."""
+    """A workload's plan, its top sector and sample 0's diagonal h of H there."""
     plan, _ = parse_config(WORKLOADS / f"{name}.cfg")
     basis = build_fock_basis(plan.particle_counts[-1], plan.grid,
                              max_rdm_order=plan.observable.p)
