@@ -5,7 +5,7 @@ sampled interaction fields and checks that the gap between the quantum and
 the mean-field expectations shrinks as N grows.
 """
 
-from .ensemble import (ExperimentPlan, SampleResult, SummaryRow, estimate,
+from .ensemble import (EnsembleResult, ExperimentPlan, SummaryRow, estimate,
                        run_ensemble, tail_diagnostic)
 from .grid import (LatticeGrid, WaveFunction, build_grid, convolve,
                    convolve_spectrum, gaussian_packet, normalize,
@@ -20,7 +20,7 @@ from .observables import (PObservable, condensate_projector, lift_factor,
 from .random_field import FieldSpec, RandomField, mix_seed, sample_field
 
 __all__ = [
-    "ExperimentPlan", "SampleResult", "SummaryRow", "estimate",
+    "EnsembleResult", "ExperimentPlan", "SummaryRow", "estimate",
     "run_ensemble", "tail_diagnostic",
     "LatticeGrid", "WaveFunction", "build_grid", "convolve",
     "convolve_spectrum", "gaussian_packet", "normalize", "plane_wave",

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunOptions, format_resolved, parse_config
-from .ensemble import (ExperimentPlan, SampleResult, SummaryRow, estimate,
+from .ensemble import (EnsembleResult, ExperimentPlan, SummaryRow, estimate,
                        run_ensemble, tail_diagnostic)
 from .errors import ConsistencyError, MFLabError
 
@@ -44,20 +44,18 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def samples_csv_text(results: list[SampleResult]) -> str:
+def samples_csv_text(result: EnsembleResult) -> str:
     lines = ["sample_index,seed,N,x_manybody,x_hartree,y"]
-    for r in sorted(results, key=lambda s: s.sample_index):
-        for n in sorted(r.x_manybody):
-            lines.append(",".join([
-                str(r.sample_index), str(r.seed), str(n),
-                _fmt(r.x_manybody[n]), _fmt(r.x_hartree), _fmt(r.y[n]),
-            ]))
+    per_sample = zip(result.seeds, result.x_hartree, result.x_manybody.T, result.y.T)
+    for i, (seed, x_h, xs, ys) in enumerate(per_sample):
+        for n, x, y in zip(result.counts, xs, ys):
+            lines.append(",".join([str(i), str(seed), str(n), _fmt(x), _fmt(x_h), _fmt(y)]))
     return "\n".join(lines) + "\n"
 
 
 def summary_csv_text(rows: list[SummaryRow]) -> str:
     lines = ["N,mean_x_manybody,mean_x_hartree,mean_y,ci95_y,samples"]
-    for row in sorted(rows, key=lambda r: r.n):
+    for row in rows:
         lines.append(",".join([
             str(row.n), _fmt(row.mean_x_manybody), _fmt(row.mean_x_hartree),
             _fmt(row.mean_y), _fmt(row.ci95_y), str(row.samples),
@@ -84,7 +82,7 @@ def report_text(rows: list[SummaryRow], norm_a: float, beta: float,
     lines.append("")
     lines.append(f"{'N':>6} {'mean_X_N':>24} {'mean_X':>24} "
                  f"{'mean_Y_N':>24} {'ci95_Y_N':>24}")
-    for row in sorted(rows, key=lambda r: r.n):
+    for row in rows:
         lines.append(f"{row.n:>6} {_fmt(row.mean_x_manybody):>24} "
                      f"{_fmt(row.mean_x_hartree):>24} {_fmt(row.mean_y):>24} "
                      f"{_fmt(row.ci95_y):>24}")
@@ -92,7 +90,7 @@ def report_text(rows: list[SummaryRow], norm_a: float, beta: float,
     per_n, hartree_tail = tails
     lines.append(f"tail diagnostic at beta = {_fmt(beta)} "
                  "(empirical E(|X_N| 1{|X_N| >= beta}))")
-    for n in sorted(per_n):
+    for n in per_n:
         lines.append(f"  N = {n:<4} tail = {_fmt(per_n[n])}")
     lines.append(f"  Hartree  tail = {_fmt(hartree_tail)}")
     lines.append("")
@@ -119,8 +117,8 @@ def run_experiment(plan: ExperimentPlan, options: RunOptions) -> int:
         return 1
 
     try:
-        results = run_ensemble(plan)
-        rows = estimate(results)
+        result = run_ensemble(plan)
+        rows = estimate(result)
         for row in rows:
             gap = abs(row.mean_x_hartree - row.mean_x_manybody)
             if not (gap <= row.mean_y + _ROUNDOFF):
@@ -128,7 +126,7 @@ def run_experiment(plan: ExperimentPlan, options: RunOptions) -> int:
                     f"triangle inequality violated at N={row.n}: "
                     f"|mean_X - mean_X_N| = {gap!r} > mean_Y = {row.mean_y!r}"
                 )
-        tails = tail_diagnostic(results, options.beta)
+        tails = tail_diagnostic(result, options.beta)
     except MFLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -138,7 +136,7 @@ def run_experiment(plan: ExperimentPlan, options: RunOptions) -> int:
     marker = out_dir / "config.resolved"
     try:
         marker.unlink(missing_ok=True)
-        _write_atomic(out_dir / "samples.csv", samples_csv_text(results))
+        _write_atomic(out_dir / "samples.csv", samples_csv_text(result))
         _write_atomic(out_dir / "summary.csv", summary_csv_text(rows))
         _write_atomic(out_dir / "report.txt",
                       report_text(rows, plan.observable_norm, options.beta, tails))

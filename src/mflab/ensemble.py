@@ -67,17 +67,28 @@ class ExperimentPlan:
                            operator_norm(self.observable, self.grid))
 
 
-@dataclass
-class SampleResult:
-    sample_index: int
-    seed: int
-    x_hartree: float
-    x_manybody: dict[int, float]
+@dataclass(frozen=True)
+class EnsembleResult:
+    """X_N per (N, sample) next to X per sample: counts ascending, samples in
+    index order; at least one of each, and every shape consistent."""
+
+    counts: tuple[int, ...]
+    seeds: tuple[int, ...]
+    x_hartree: np.ndarray
+    x_manybody: np.ndarray
+
+    def __post_init__(self):
+        k, s = len(self.counts), len(self.seeds)
+        if not (k and s and self.x_hartree.shape == (s,)
+                and self.x_manybody.shape == (k, s)):
+            raise DomainError(f"a result table needs >= 1 N, >= 1 sample and shapes ({s},) "
+                              f"and ({k}, {s}); got {self.x_hartree.shape} and "
+                              f"{self.x_manybody.shape}")
 
     @property
-    def y(self) -> dict[int, float]:
-        """The gap Y_N = |X - X_N| per N."""
-        return {n: abs(self.x_hartree - x) for n, x in self.x_manybody.items()}
+    def y(self) -> np.ndarray:
+        """The gap Y_N = |X - X_N| per (N, sample)."""
+        return np.abs(self.x_hartree - self.x_manybody)
 
 
 @dataclass(frozen=True)
@@ -90,9 +101,9 @@ class SummaryRow:
     samples: int
 
 
-def _in_sample(exc: MFLabError, plan: ExperimentPlan, i: int) -> MFLabError:
+def _in_sample(exc: MFLabError, i: int, seeds: tuple[int, ...]) -> MFLabError:
     """The same error, prefixed with the sample it happened in."""
-    return type(exc)(f"sample {i} (seed {mix_seed(plan.base_seed, i)}): {exc}")
+    return type(exc)(f"sample {i} (seed {seeds[i]}): {exc}")
 
 
 def _bounded(x: float, name: str, plan: ExperimentPlan) -> float:
@@ -103,8 +114,8 @@ def _bounded(x: float, name: str, plan: ExperimentPlan) -> float:
     return x
 
 
-def run_ensemble(plan: ExperimentPlan) -> list[SampleResult]:
-    """All samples, one after another, ordered by sample_index.
+def run_ensemble(plan: ExperimentPlan) -> EnsembleResult:
+    """The result table of all samples, run one after another in index order.
 
     Each N's sector and lifted initial state are built first, so the work
     done once per plan precedes the first field; then the Hartree flow runs
@@ -115,53 +126,41 @@ def run_ensemble(plan: ExperimentPlan) -> list[SampleResult]:
     for n in plan.particle_counts:
         basis = build_fock_basis(n, plan.grid, max_rdm_order=plan.observable.p)
         sectors.append((basis, product_state_lift(plan.initial_state, basis)))
+    seeds = tuple(mix_seed(plan.base_seed, i) for i in range(plan.samples))
     fields = []
-    for i in range(plan.samples):
+    for i, seed in enumerate(seeds):
         try:
-            fields.append(sample_field(plan.field_spec, mix_seed(plan.base_seed, i), plan.grid))
+            fields.append(sample_field(plan.field_spec, seed, plan.grid))
         except MFLabError as exc:
-            raise _in_sample(exc, plan, i) from exc
+            raise _in_sample(exc, i, seeds) from exc
     try:
         states = evolve_hartree_batch(plan.initial_state, fields, plan.hartree_params)
     except MFLabError as exc:
-        raise _in_sample(exc, plan, getattr(exc, "row", 0)) from exc
-    results = []
+        raise _in_sample(exc, getattr(exc, "row", 0), seeds) from exc
+    x_h = np.empty(plan.samples)
+    x_mb = np.empty((len(sectors), plan.samples))
     for i, (v, psi_t) in enumerate(zip(fields, states)):
         try:
-            x_h = _bounded(hartree_expectation(psi_t, plan.observable), "X", plan)
-            x_mb = {}
-            for basis, psi0 in sectors:
+            x_h[i] = _bounded(hartree_expectation(psi_t, plan.observable), "X", plan)
+            for k, (basis, psi0) in enumerate(sectors):
                 psi_n = evolve_manybody(psi0, assemble_hamiltonian(basis, v), plan.t_final)
-                x_mb[basis.n_particles] = _bounded(
+                x_mb[k, i] = _bounded(
                     manybody_expectation(psi_n, plan.observable), "X_N", plan)
         except MFLabError as exc:
-            raise _in_sample(exc, plan, i) from exc
-        results.append(SampleResult(sample_index=i, seed=mix_seed(plan.base_seed, i),
-                                    x_hartree=x_h, x_manybody=x_mb))
-    return results
+            raise _in_sample(exc, i, seeds) from exc
+    return EnsembleResult(plan.particle_counts, seeds, x_h, x_mb)
 
 
-def estimate(results: list[SampleResult]) -> list[SummaryRow]:
+def estimate(result: EnsembleResult) -> list[SummaryRow]:
     """Per-N sample means with 95% normal-approximation half-widths."""
-    if not results:
-        raise DomainError("cannot summarize an empty result set")
-    results = sorted(results, key=lambda r: r.sample_index)
-    counts = sorted(results[0].x_manybody)
-    s = len(results)
+    s = len(result.seeds)
+    mean_x_hartree = float(np.mean(result.x_hartree))
     rows = []
-    for n in counts:
-        xs = np.array([r.x_manybody[n] for r in results])
-        ys = np.array([r.y[n] for r in results])
-        xh = np.array([r.x_hartree for r in results])
+    for n, xs, ys in zip(result.counts, result.x_manybody, result.y):
         sd = float(np.std(ys, ddof=1)) if s > 1 else 0.0
-        rows.append(SummaryRow(
-            n=n,
-            mean_x_manybody=float(np.mean(xs)),
-            mean_x_hartree=float(np.mean(xh)),
-            mean_y=float(np.mean(ys)),
-            ci95_y=1.96 * sd / math.sqrt(s),
-            samples=s,
-        ))
+        rows.append(SummaryRow(n=n, mean_x_manybody=float(np.mean(xs)),
+                               mean_x_hartree=mean_x_hartree, mean_y=float(np.mean(ys)),
+                               ci95_y=1.96 * sd / math.sqrt(s), samples=s))
     return rows
 
 
@@ -171,17 +170,10 @@ def check_beta(beta: float) -> None:
         raise DomainError(f"beta must be positive, got {beta!r}")
 
 
-def tail_diagnostic(results: list[SampleResult], beta: float
+def tail_diagnostic(result: EnsembleResult, beta: float
                     ) -> tuple[dict[int, float], float]:
     """Empirical E(|X_N| 1{|X_N| >= beta}) per N, and the same for X."""
     check_beta(beta)
-    if not results:
-        raise DomainError("cannot diagnose an empty result set")
-    counts = sorted(results[0].x_manybody)
-    per_n = {}
-    for n in counts:
-        xs = np.array([abs(r.x_manybody[n]) for r in results])
-        per_n[n] = float(np.mean(np.where(xs >= beta, xs, 0.0)))
-    xh = np.array([abs(r.x_hartree) for r in results])
-    hartree_tail = float(np.mean(np.where(xh >= beta, xh, 0.0)))
-    return per_n, hartree_tail
+    x = np.abs(np.vstack([result.x_hartree, result.x_manybody]))
+    hartree_tail, *per_n = (float(np.mean(row)) for row in np.where(x >= beta, x, 0.0))
+    return dict(zip(result.counts, per_n)), hartree_tail

@@ -123,9 +123,10 @@ def test_samples_csv_round_trip(tmp_path):
     plan, options = parse_config(_write(tmp_path, SMALL_RUN))
     options.output_dir = str(tmp_path / "out")
     assert run_experiment(plan, options) == 0
-    results = {(r.sample_index, n): (r.x_manybody[n], r.x_hartree, r.y[n])
-               for r in run_ensemble(plan)
-               for n in r.x_manybody}
+    result = run_ensemble(plan)
+    results = {(i, n): (result.x_manybody[k, i], result.x_hartree[i], result.y[k, i])
+               for i in range(len(result.seeds))
+               for k, n in enumerate(result.counts)}
     lines = (tmp_path / "out" / "samples.csv").read_text().splitlines()
     assert lines[0] == "sample_index,seed,N,x_manybody,x_hartree,y"
     assert len(lines) == 1 + plan.samples * len(plan.particle_counts)

@@ -3,7 +3,7 @@ import pytest
 
 import mflab.ensemble
 import mflab.hartree
-from mflab.ensemble import (ExperimentPlan, SampleResult, estimate,
+from mflab.ensemble import (EnsembleResult, ExperimentPlan, estimate,
                             run_ensemble, tail_diagnostic)
 from mflab.errors import ConsistencyError, DomainError, ResourceError
 from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
@@ -31,41 +31,38 @@ RANDOM_SPEC = FieldSpec(base="gaussian_bump(1.0, 1.5)",
 
 def test_deterministic_field_gives_identical_samples():
     plan = _plan(FieldSpec(base="cosine(0.8, 1)"), samples=3)
-    results = run_ensemble(plan)
-    first = results[0]
-    for r in results[1:]:
-        assert r.x_hartree == first.x_hartree
-        assert r.x_manybody == first.x_manybody
-    rows = estimate(results)
+    result = run_ensemble(plan)
+    assert np.all(result.x_hartree == result.x_hartree[0])
+    assert np.all(result.x_manybody == result.x_manybody[:, :1])
+    rows = estimate(result)
     assert all(row.ci95_y == 0.0 for row in rows)
 
 
 def test_constant_field_gap_vanishes():
     plan = _plan(FieldSpec(base="zero", gaussian_mean=0.7), counts=(1, 2, 3),
                  samples=2)
-    for r in run_ensemble(plan):
-        assert all(y < 1e-8 for y in r.y.values())
+    assert np.all(run_ensemble(plan).y < 1e-8)
 
 
 def test_free_single_particle_matches_closed_form():
     plan = _plan(FieldSpec(base="zero"), counts=(1,), samples=1, t=0.5)
-    result = run_ensemble(plan)[0]
+    result = run_ensemble(plan)
     # free overlap via Fourier phases on the lattice
     spec = np.fft.fft(PHI.amplitudes)
     lam = lattice_dispersion(GRID).ravel()
     free = np.fft.ifft(spec * np.exp(-1j * 0.5 * lam))
     expected = abs(GRID.cell_volume
                    * np.vdot(WaveFunction(GRID, free).amplitudes, PHI.amplitudes)) ** 2
-    assert result.x_manybody[1] == pytest.approx(expected, abs=1e-9)
-    assert result.x_hartree == pytest.approx(expected, abs=1e-9)
-    assert result.y[1] < 1e-8
+    assert result.x_manybody[0, 0] == pytest.approx(expected, abs=1e-9)
+    assert result.x_hartree[0] == pytest.approx(expected, abs=1e-9)
+    assert result.y[0, 0] < 1e-8
 
 
 def test_sample_seeds_derive_from_base_seed():
     plan = _plan(RANDOM_SPEC, samples=3)
-    results = run_ensemble(plan)
+    result = run_ensemble(plan)
     for i in range(3):
-        assert results[i].seed == mix_seed(plan.base_seed, i)
+        assert result.seeds[i] == mix_seed(plan.base_seed, i)
 
 
 def test_over_cap_sector_fails_before_any_hartree_work(monkeypatch):
@@ -100,24 +97,24 @@ def test_over_cap_sector_fails_before_any_sector_is_built(monkeypatch):
 def test_run_sample_alone_equals_ensemble_rows():
     plan = _plan(RANDOM_SPEC, samples=5)
 
-    def values(r):
-        return np.array([r.x_hartree, *r.x_manybody.values(), *r.y.values()])
+    def values(r, i):
+        return np.array([r.x_hartree[i], *r.x_manybody[:, i], *r.y[:, i]])
 
-    def assert_same(row, other):
-        assert row.seed == other.seed
-        assert np.array_equal(values(row), values(other))
+    def assert_same(table, other, i):
+        assert table.seeds[i] == other.seeds[i]
+        assert np.array_equal(values(table, i), values(other, i))
 
     first = run_ensemble(plan)
     second = run_ensemble(plan)
     larger = run_ensemble(_plan(RANDOM_SPEC, samples=7))
     for i in range(plan.samples):
-        assert_same(first[i], second[i])
-        assert_same(first[i], larger[i])
-    # a row does not depend on the rows batched with it, down to a batch of one
-    for rows in (run_ensemble(_plan(RANDOM_SPEC, samples=2)),
-                 run_ensemble(_plan(RANDOM_SPEC, samples=1))):
-        for i, row in enumerate(rows):
-            assert_same(first[i], row)
+        assert_same(first, second, i)
+        assert_same(first, larger, i)
+    # a sample does not depend on the samples batched with it, down to a batch of one
+    for table in (run_ensemble(_plan(RANDOM_SPEC, samples=2)),
+                  run_ensemble(_plan(RANDOM_SPEC, samples=1))):
+        for i in range(len(table.seeds)):
+            assert_same(first, table, i)
 
 
 def test_hartree_norm_failure_names_sample_and_seed(monkeypatch):
@@ -176,13 +173,12 @@ def test_particle_counts_must_ascend():
 
 
 def test_estimate_statistics_against_direct_oracle():
-    base = SampleResult(sample_index=0, seed=1, x_hartree=0.5,
-                        x_manybody={2: 0.4})
-    other = SampleResult(sample_index=1, seed=2, x_hartree=0.5,
-                         x_manybody={2: 0.2})
-    assert base.y == {2: pytest.approx(0.1)}
-    assert other.y == {2: pytest.approx(0.3)}
-    rows = estimate([base, other])
+    table = EnsembleResult(counts=(2,), seeds=(1, 2),
+                           x_hartree=np.array([0.5, 0.5]),
+                           x_manybody=np.array([[0.4, 0.2]]))
+    assert table.y[0, 0] == pytest.approx(0.1)
+    assert table.y[0, 1] == pytest.approx(0.3)
+    rows = estimate(table)
     assert len(rows) == 1
     row = rows[0]
     # direct mean/variance computation
@@ -204,54 +200,69 @@ def test_estimate_triangle_inequality():
 
 def test_estimate_rejects_empty():
     with pytest.raises(DomainError):
-        estimate([])
+        estimate(EnsembleResult(counts=(2,), seeds=(), x_hartree=np.empty(0),
+                                x_manybody=np.empty((1, 0))))
+
+
+def test_result_table_rejects_a_shape_that_disagrees():
+    for x_hartree, x_manybody in [
+        (np.zeros(3), np.zeros((2, 2))),  # x_hartree longer than seeds
+        (np.zeros((2, 1)), np.zeros((2, 2))),  # x_hartree not one-dimensional
+        (np.zeros(2), np.zeros((1, 2))),  # x_manybody short of one N
+        (np.zeros(2), np.zeros((2, 3))),  # x_manybody wider than seeds
+        (np.zeros(2), np.zeros((2, 2, 1))),
+    ]:
+        with pytest.raises(DomainError, match=r"shapes \(2,\) and \(2, 2\); got "):
+            EnsembleResult(counts=(2, 3), seeds=(7, 8), x_hartree=x_hartree,
+                           x_manybody=x_manybody)
+    with pytest.raises(DomainError, match=r">= 1 N, >= 1 sample .*; got \(2,\) and \(0, 2\)$"):
+        EnsembleResult(counts=(), seeds=(7, 8), x_hartree=np.zeros(2),
+                       x_manybody=np.zeros((0, 2)))
 
 
 def test_pathwise_bound_holds():
     plan = _plan(RANDOM_SPEC, samples=6)
     bound = operator_norm(OBS, GRID)
-    for r in run_ensemble(plan):
-        assert abs(r.x_hartree) <= bound + 1e-12
-        assert all(abs(x) <= bound + 1e-12 for x in r.x_manybody.values())
+    result = run_ensemble(plan)
+    assert np.all(np.abs(result.x_hartree) <= bound + 1e-12)
+    assert np.all(np.abs(result.x_manybody) <= bound + 1e-12)
 
 
 def test_tail_diagnostic_behaviour():
     plan = _plan(RANDOM_SPEC, samples=6)
-    results = run_ensemble(plan)
+    result = run_ensemble(plan)
     bound = operator_norm(OBS, GRID)
-    above, h_above = tail_diagnostic(results, 1.1 * bound)
+    above, h_above = tail_diagnostic(result, 1.1 * bound)
     assert h_above == 0.0
     assert all(v == 0.0 for v in above.values())
-    tiny, h_tiny = tail_diagnostic(results, 1e-12)
-    for n in tiny:
-        assert tiny[n] == pytest.approx(
-            np.mean([abs(r.x_manybody[n]) for r in results]), abs=1e-15)
-    assert h_tiny == pytest.approx(
-        np.mean([abs(r.x_hartree) for r in results]), abs=1e-15)
+    tiny, h_tiny = tail_diagnostic(result, 1e-12)
+    assert list(tiny) == list(plan.particle_counts)
+    for n, row in zip(tiny, result.x_manybody):
+        assert tiny[n] == pytest.approx(np.mean(np.abs(row)), abs=1e-15)
+    assert h_tiny == pytest.approx(np.mean(np.abs(result.x_hartree)), abs=1e-15)
     # nonincreasing in beta
     betas = [0.1, 0.5, 0.9, 1.3]
     prev = {n: np.inf for n in tiny}
     for beta in betas:
-        cur, _ = tail_diagnostic(results, beta)
+        cur, _ = tail_diagnostic(result, beta)
         for n in cur:
             assert cur[n] <= prev[n] + 1e-15
         prev = cur
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(DomainError, match="beta must be positive"):
-            tail_diagnostic(results, bad)
+            tail_diagnostic(result, bad)
 
 
 def test_reproducible_across_thread_counts():
     plan = _plan(RANDOM_SPEC, samples=6)
     first = run_ensemble(plan)
     second = run_ensemble(plan)
-    assert [r.sample_index for r in first] == list(range(plan.samples))
-    for a, b in zip(first, second):
-        assert a.sample_index == b.sample_index
-        assert a.seed == b.seed
-        assert a.x_hartree == b.x_hartree
-        assert a.x_manybody == b.x_manybody
-        assert a.y == b.y
+    assert len(first.seeds) == plan.samples
+    assert first.counts == second.counts == plan.particle_counts
+    assert first.seeds == second.seeds
+    assert np.array_equal(first.x_hartree, second.x_hartree)
+    assert np.array_equal(first.x_manybody, second.x_manybody)
+    assert np.array_equal(first.y, second.y)
 
 
 def test_mean_gap_shrinks_with_n():
