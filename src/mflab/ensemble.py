@@ -10,6 +10,8 @@ a sample's values do not depend on which other samples run with it.
 The plan checks its largest sector against the dimension and propagation
 caps and derives the observable norm and the Hartree time grid once, at
 construction, and run_ensemble checks every |X| and |X_N| against that norm.
+A run's product is one EnsembleResult table, X_N per (N, sample) next to X
+per sample, which estimate and tail_diagnostic reduce row by row.
 """
 from __future__ import annotations
 
@@ -120,7 +122,8 @@ def run_ensemble(plan: ExperimentPlan) -> EnsembleResult:
     Each N's sector and lifted initial state are built first, so the work
     done once per plan precedes the first field; then the Hartree flow runs
     once for all the fields, and each sample does its many-body work against
-    its own field.
+    its own field. Each seed is derived once and serves the field, the
+    sample's error prefix and the table alike.
     """
     sectors = []
     for n in plan.particle_counts:

@@ -49,6 +49,12 @@ def build_grid(d: int, m: int, length: float) -> LatticeGrid:
         raise ConfigError(f"sites per axis must be >= 2, got {m}")
     if not (length > 0):
         raise ConfigError(f"box length must be positive, got {length}")
+    # sites^p <= KERNEL_DIMENSION_CAP = 2^12 and M >= 2 give d*p <= 12, so the
+    # extreme powers of h formed are h^24 (cell_volume^(2p)) and 1/h^2: for h in
+    # [2^-40, 2^40] every one is a normal double
+    if not (2.0 ** -40 <= length / m <= 2.0 ** 40):
+        raise ConfigError(f"box length {length!r} on {m} sites gives spacing "
+                          f"h = {length / m!r}, outside [2^-40, 2^40]")
     return LatticeGrid(d=int(d), m=int(m), length=float(length))
 
 
@@ -136,7 +142,7 @@ def gaussian_packet(grid: LatticeGrid, center: float | None = None,
     # minimal-image distance on the circle
     dx = (x - c + L / 2) % L - L / 2
     with np.errstate(all="ignore"):  # a non-finite profile fails in normalize
-        amps = separable_profile(grid, np.exp(-dx ** 2 / (2.0 * w ** 2)))
+        amps = separable_profile(grid, np.exp(-dx ** 2 / (2.0 * np.float64(w) ** 2)))
     return normalize(WaveFunction(grid, amps.astype(np.complex128)))
 
 

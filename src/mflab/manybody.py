@@ -160,10 +160,6 @@ class FockBasis:
     def __len__(self) -> int:
         return self.occupations.shape[0]
 
-    def rank(self, occupations) -> np.ndarray:
-        """Positions of occupation vectors (last axis) in this basis."""
-        return _rank(occupations, self.n_particles)
-
 
 def _blocks(length: int) -> list[slice]:
     """Consecutive slices of at most _BLOCK_ROWS that cover range(length).

@@ -96,7 +96,8 @@ def _base_profile(base: str, grid: LatticeGrid) -> np.ndarray:
     if name == "gaussian_bump":
         amplitude, width = params
         dx = (x + L / 2) % L - L / 2  # minimal-image distance to 0
-        return amplitude * separable_profile(grid, np.exp(-dx ** 2 / (2.0 * width ** 2)))
+        bump = np.exp(-dx ** 2 / (2.0 * np.float64(width) ** 2))  # flat if width^2 = inf
+        return amplitude * separable_profile(grid, bump)
     # cosine(amplitude, mode)
     amplitude, mode = params
     return amplitude * separable_profile(grid, np.cos(2.0 * np.pi * mode * x / L))

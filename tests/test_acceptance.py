@@ -12,7 +12,7 @@ from mflab.config import RunOptions
 from mflab.ensemble import ExperimentPlan, estimate, run_ensemble, tail_diagnostic
 from mflab.grid import WaveFunction, build_grid, convolve, gaussian_packet, normalize
 from mflab.hartree import HartreeRunParams, evolve_hartree_batch
-from mflab.manybody import (ManyBodyState, assemble_hamiltonian,
+from mflab.manybody import (ManyBodyState, _rank, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
                             evolve_manybody, manybody_expectation,
                             product_state_lift)
@@ -157,7 +157,7 @@ def _occupation_to_full(coeffs, basis, sites):
         flat = 0
         for x in tup:
             flat = flat * sites + x
-        full[flat] = coeffs[basis.rank(occ)] * w
+        full[flat] = coeffs[_rank(occ, basis.n_particles)] * w
     return full
 
 

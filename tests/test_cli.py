@@ -35,6 +35,13 @@ field.sigmas = 0.5,0.2
 """
 
 
+def _minimal_with(lines: str) -> str:
+    """MINIMAL plus lines; a key that lines sets replaces MINIMAL's."""
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in MINIMAL.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept + [lines]) + "\n"
+
+
 def _write(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -169,6 +176,23 @@ def test_outputs_identical_across_thread_counts(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_run_reproduces_from_its_config_resolved(tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["--config", str(_write(tmp_path, SMALL_RUN)), "--out-dir", str(first)]) == 0
+    assert main(["--config", str(first / "config.resolved"), "--out-dir", str(again)]) == 0
+    for name in ("samples.csv", "summary.csv", "report.txt"):
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+
+
+@pytest.mark.parametrize("line", ["init.width = 1e200",
+                                  "field.base = gaussian_bump(1.0, 1e200)"])
+def test_main_runs_a_gaussian_whose_width_squared_overflows(tmp_path, line):
+    cfg = _write(tmp_path, MINIMAL + "samples = 2\n" + line + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+
+
 def test_failed_write_leaves_no_commit_marker(tmp_path, monkeypatch, capsys):
     plan, options = parse_config(_write(tmp_path, SMALL_RUN))
     options.output_dir = str(tmp_path / "out")
@@ -290,10 +314,17 @@ def test_time_grid_is_checked_by_the_plan(tmp_path, line, message):
     # r >= N (max - min of the dispersion) / 2 = 12 at N = 6 for every field
     ("t_final = 2000.0", "propagation of N=6 to t = 2000.0 needs r*t >= 24000.0 "
                          "for every field, beyond the cap 10000.0"),
+    # spacings whose powers of h overflow or leave the normal range
+    ("box_length = 1e160", "box length 1e+160 on 8 sites gives spacing h = 1.25e+159, "
+                           "outside [2^-40, 2^40]"),
+    ("dimension = 3\nbox_length = 1e110", "box length 1e+110 on 8 sites gives spacing "
+                                          "h = 1.25e+109, outside [2^-40, 2^40]"),
+    ("box_length = 1e-160", "box length 1e-160 on 8 sites gives spacing h = 1.25e-161, "
+                            "outside [2^-40, 2^40]"),
 ])
 def test_main_rejects_a_plan_it_cannot_run_before_any_work(tmp_path, capsys, line,
                                                            message):
-    cfg = _write(tmp_path, MINIMAL + line + "\n")
+    cfg = _write(tmp_path, _minimal_with(line))
     out = tmp_path / "cli-out"
     start = time.perf_counter()
     assert main(["--config", str(cfg), "--out-dir", str(out)]) == 2

@@ -23,10 +23,19 @@ def test_build_grid_spacing_consistency():
 
 
 @pytest.mark.parametrize("d,m,length", [(0, 8, 1.0), (4, 8, 1.0), (1, 1, 1.0),
-                                        (1, 8, 0.0), (1, 8, -2.0)])
+                                        (1, 8, 0.0), (1, 8, -2.0),
+                                        # spacings whose powers overflow or leave
+                                        # the normal range
+                                        (1, 8, 1e160), (3, 8, 1e110), (1, 8, 1e-160)])
 def test_build_grid_rejects_bad_parameters(d, m, length):
     with pytest.raises(ConfigError):
         build_grid(d, m, length)
+
+
+def test_gaussian_packet_of_overflowing_width_is_uniform():
+    g = build_grid(2, 4, 4.0)
+    wide = gaussian_packet(g, width=1e200)  # width^2 = inf: a flat profile
+    assert np.array_equal(wide.amplitudes, uniform_state(g).amplitudes)
 
 
 def test_laplacian_of_constant_is_zero():

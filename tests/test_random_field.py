@@ -33,6 +33,16 @@ def test_cosine_amplitude_bound():
     assert np.max(np.abs(f.values)) == pytest.approx(2.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_bump_of_overflowing_width_is_its_amplitude(d):
+    grid = build_grid(d, 4, 4.0)
+    wide = sample_field(FieldSpec(base="gaussian_bump(1.0, 1e200)",
+                                  mode_stddevs=(0.5,)), 31, grid)
+    flat = sample_field(FieldSpec(base="zero", gaussian_mean=1.0,
+                                  mode_stddevs=(0.5,)), 31, grid)
+    assert np.array_equal(wide.values, flat.values)
+
+
 def test_sampling_is_bit_deterministic():
     spec = FieldSpec(base="gaussian_bump(0.7, 1.0)", gaussian_mean=0.2,
                      mode_stddevs=(0.5, 0.3, 0.1))

@@ -16,8 +16,9 @@ import pytest
 
 from mflab.config import parse_config
 from mflab.grid import WaveFunction
-from mflab.manybody import (assemble_hamiltonian, build_fock_basis, energy_expectation,
-                            evolve_manybody, manybody_expectation, product_state_lift)
+from mflab.manybody import (_rank, assemble_hamiltonian, build_fock_basis,
+                            energy_expectation, evolve_manybody, manybody_expectation,
+                            product_state_lift)
 from mflab.observables import PObservable
 from mflab.random_field import mix_seed, sample_field
 
@@ -58,7 +59,7 @@ def test_an_inversion_even_packet_stays_even():
     # which is -L/2 on the periodic lattice, so it is even under x -> -x
     coords = np.indices(g.shape).reshape(g.d, -1)
     mirror = np.ravel_multi_index(tuple(-coords % g.m), g.shape)
-    reflected = basis.rank(basis.occupations[:, mirror])
+    reflected = _rank(basis.occupations[:, mirror], basis.n_particles)
     assert not np.array_equal(reflected, np.arange(len(basis)))
 
     def odd_part(psi):
