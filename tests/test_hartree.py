@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mflab.errors import ConsistencyError, DimensionError, DomainError
+from mflab.errors import DimensionError, DomainError
 from mflab.grid import (WaveFunction, build_grid, convolve, gaussian_packet,
                         lattice_dispersion, normalize, plane_wave)
 from mflab.hartree import (HartreeRunParams, evolve_hartree_batch,
@@ -224,11 +224,8 @@ def test_expectation_bounded_by_operator_norm():
 
 def test_non_self_adjoint_kernel_rejected():
     rng = np.random.default_rng(2)
-    a = PObservable(1, rng.standard_normal((8, 8))
-                    + 1j * rng.standard_normal((8, 8)))
-    psi = gaussian_packet(GRID)
-    with pytest.raises(ConsistencyError):
-        hartree_expectation(psi, a)
+    with pytest.raises(DomainError, match="finite and self-adjoint"):
+        PObservable(1, rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
 
 
 def test_grid_mismatch_rejected():

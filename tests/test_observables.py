@@ -50,6 +50,9 @@ def test_lift_factor_domain():
     (0, np.eye(4), DomainError),
     (1, np.ones((4, 3)), DimensionError),
     (2, np.eye(8), DimensionError),  # 8 is not a square
+    (1, np.triu(np.ones((4, 4))), DomainError),  # not self-adjoint
+    (1, np.diag([1.0, np.nan, 1.0, 1.0]), DomainError),
+    (1, np.diag([1.0, np.inf, 1.0, 1.0]), DomainError),
 ])
 def test_constructor_validates_the_kernel(p, kernel, error):
     with pytest.raises(error):
