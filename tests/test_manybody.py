@@ -15,13 +15,13 @@ import mflab.hartree
 import mflab.manybody
 from mflab.errors import DimensionError, DomainError, ResourceError
 from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
-                        lattice_dispersion, normalize, plane_wave)
+                        interaction_matrix, lattice_dispersion, normalize,
+                        plane_wave)
 from mflab.hartree import hartree_energy
 from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree, _rank,
                             _spectral_interval, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
-                            evolve_manybody, interaction_matrix,
-                            kinetic_matrix, manybody_expectation,
+                            evolve_manybody, kinetic_matrix, manybody_expectation,
                             product_state_lift, reduced_density_matrix)
 from mflab.observables import (PObservable, condensate_projector, lift_factor,
                                operator_norm)
@@ -148,7 +148,7 @@ def test_occupations_are_narrow_and_weights_float64(d, m, n):
     v = _field(g, base="gaussian_bump(1.0, 1.5)", mean=0.3)
     values = np.asarray(v.values, dtype=np.float64).ravel()
     occ64 = occ.astype(np.int64)
-    pair = ((occ64 @ interaction_matrix(g, values)) * occ64).sum(axis=1)
+    pair = ((occ64 @ interaction_matrix(g, v)) * occ64).sum(axis=1)
     np.testing.assert_allclose(assemble_hamiltonian(basis, v),
                                (pair - values[0] * n) / (2.0 * n) + n * 2 * d / g.h ** 2,
                                rtol=1e-12, atol=1e-12)
@@ -774,6 +774,12 @@ def test_expectation_p_larger_than_n_rejected():
     a = condensate_projector(gaussian_packet(g), p=2)
     with pytest.raises(DomainError):
         manybody_expectation(psi, a)
+
+
+def test_assemble_rejects_a_field_on_another_grid_with_as_many_sites():
+    basis = build_fock_basis(2, build_grid(1, 16, 16.0))
+    with pytest.raises(DimensionError, match="lives on"):
+        assemble_hamiltonian(basis, _field(build_grid(2, 4, 8.0), mean=0.3))
 
 
 def test_assemble_rejects_mismatched_basis():
