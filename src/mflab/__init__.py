@@ -11,8 +11,7 @@ from .grid import (LatticeGrid, WaveFunction, build_grid, convolve,
                    convolve_spectrum, gaussian_packet, normalize,
                    plane_wave, uniform_state)
 from .hartree import (HartreeRunParams, evolve_hartree_batch, field_spectra,
-                      hartree_expectation, hartree_step, mean_field,
-                      mean_field_operator, potential_phase)
+                      hartree_expectation, hartree_step, potential_phase)
 from .manybody import (FockBasis, ManyBodyState, assemble_hamiltonian,
                        build_fock_basis, evolve_manybody, manybody_expectation,
                        product_state_lift, reduced_density_matrix)
@@ -27,8 +26,7 @@ __all__ = [
     "convolve_spectrum", "gaussian_packet", "normalize", "plane_wave",
     "uniform_state",
     "HartreeRunParams", "evolve_hartree_batch",
-    "field_spectra", "hartree_expectation", "hartree_step", "mean_field",
-    "mean_field_operator", "potential_phase",
+    "field_spectra", "hartree_expectation", "hartree_step", "potential_phase",
     "FockBasis", "ManyBodyState", "assemble_hamiltonian",
     "build_fock_basis", "evolve_manybody", "manybody_expectation",
     "product_state_lift", "reduced_density_matrix",

@@ -125,20 +125,6 @@ def convolve_spectrum(grid: LatticeGrid, fv: np.ndarray, rho: np.ndarray) -> np.
     return grid.cell_volume * grid_fft(spectrum, grid.d, np.fft.ifft).real
 
 
-def interaction_matrix(grid: LatticeGrid, field) -> np.ndarray:
-    """The circulant V[x, y] = v(x - y), periodic per axis, of a field on `grid`.
-
-    A DimensionError unless the field lives on `grid`: two grids with the same
-    number of sites are not interchangeable. Takes n_sites^2 floats.
-    """
-    if field.grid != grid:
-        raise DimensionError(f"the field lives on {field.grid}, not on {grid}")
-    v = np.asarray(field.values, dtype=np.float64).reshape(grid.shape)
-    coords = np.indices(grid.shape).reshape(grid.d, -1)  # (d, n)
-    diff = (coords[:, :, None] - coords[:, None, :]) % grid.m  # (d, n, n)
-    return v[tuple(diff)]
-
-
 def separable_profile(grid: LatticeGrid, prof: np.ndarray) -> np.ndarray:
     """prof(x_1) * ... * prof(x_d) from one axis profile, flattened row-major."""
     return functools.reduce(np.multiply.outer, [prof] * grid.d).ravel()

@@ -12,13 +12,9 @@ mean-field evaluation per step.
 
 The flow is batched: the states of S fields are one (S, *grid.shape) complex
 array, transformed over the grid axes only, so one `hartree_step` call moves
-every field one step. The mean field v * |psi|^2 takes one of two forms,
-chosen by the grid alone. On at most DENSE_SITE_LIMIT = 16 sites it is one
-(1, n) @ (n, n) product per field with its circulant h^d V^T, which costs
-less than the FFT calls at that size; the circulants hold S * n^2 * 8 B,
-2 KiB per field at 16 sites. Above, it is the FFT convolution with fft(v),
-S * n * 16 B. Either is built once per run, like the kinetic phases. The
-batch holds S * n * 16 B, times a few temporaries per step.
+every field one step. fft(v) is taken once per field and the kinetic phases
+once per run. The batch holds S * M^d * 16 B, times a few temporaries per
+step.
 """
 from __future__ import annotations
 
@@ -29,18 +25,14 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .grid import (LatticeGrid, WaveFunction, convolve_spectrum, grid_fft,
-                   interaction_matrix, lattice_dispersion)
+from .grid import (LatticeGrid, WaveFunction, convolve, convolve_spectrum,
+                   grid_fft, lattice_dispersion)
 from .observables import PObservable
 from .random_field import RandomField
 
 _NORM_TOL = 1e-12
 # about 2,000 times the default t_final / dt of 512 steps
 _MAX_STEPS = 10**6
-# the mean field is the circulant product on grids of at most this many sites.
-# Memory sets it: the circulants are 8x fftn(v) at 16 sites, and would take
-# 3.3 GB for 10^5 fields at 64. It depends on the grid alone, never on S
-DENSE_SITE_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -80,35 +72,23 @@ def field_spectra(fields: Sequence[RandomField], grid: LatticeGrid) -> np.ndarra
     return np.stack([np.fft.fftn(v.values.reshape(grid.shape)) for v in fields])
 
 
-def mean_field_operator(fields: Sequence[RandomField], grid: LatticeGrid) -> np.ndarray:
-    """What `mean_field` applies for each field: on at most DENSE_SITE_LIMIT
-    sites the transposed circulant h^d V^T, (S, n, n); above, fftn(v), (S, *grid.shape)."""
-    if grid.n_sites > DENSE_SITE_LIMIT:
-        return field_spectra(fields, grid)
-    return np.stack([(grid.cell_volume * interaction_matrix(grid, v)).T for v in fields])
-
-
-def mean_field(rho: np.ndarray, op: np.ndarray, grid: LatticeGrid) -> np.ndarray:
-    """v * rho of every field on a batch rho, (S, *grid.shape), with op from
-    `mean_field_operator`."""
-    if grid.n_sites > DENSE_SITE_LIMIT:
-        return convolve_spectrum(grid, op, rho)
-    # one (1, n) @ (n, n) product per field, so its bits do not depend on the batch
-    return np.matmul(rho.reshape(len(rho), 1, -1), op).reshape(rho.shape)
-
-
-def potential_phase(psi: np.ndarray, op: np.ndarray, dt: float,
+def potential_phase(psi: np.ndarray, fv: np.ndarray, dt: float,
                     grid: LatticeGrid) -> np.ndarray:
-    """Pointwise phase e^{-i dt (v * |psi|^2)} on a batch; it leaves |psi|^2 as it is."""
-    return psi * np.exp(-1j * dt * mean_field(np.abs(psi) ** 2, op, grid))
+    """Pointwise phase e^{-i dt (v * |psi|^2)} on a batch, with fv = fftn(v);
+    it leaves |psi|^2 as it is."""
+    return psi * np.exp(-1j * dt * convolve_spectrum(grid, fv, np.abs(psi) ** 2))
 
 
-def hartree_step(psi: np.ndarray, op: np.ndarray, dt: float, grid: LatticeGrid,
+def hartree_step(psi: np.ndarray, fv: np.ndarray, dt: float, grid: LatticeGrid,
                  kinetic_phases: np.ndarray) -> np.ndarray:
     """The kinetic step K(dt), then the phase V(dt), of the batch psi, shape
-    (S, *grid.shape); see `evolve_hartree_batch` for how it composes to Strang."""
+    (S, *grid.shape).
+
+    Looped alone this is the first-order Lie splitting, not a Strang step:
+    `evolve_hartree_batch` wraps the loop in V(dt/2) ... V(-dt/2) to make it one.
+    """
     out = grid_fft(grid_fft(psi, grid.d) * kinetic_phases, grid.d, np.fft.ifft)
-    return potential_phase(out, op, dt, grid)
+    return potential_phase(out, fv, dt, grid)
 
 
 def evolve_hartree_batch(phi: WaveFunction, fields: Sequence[RandomField],
@@ -119,17 +99,17 @@ def evolve_hartree_batch(phi: WaveFunction, fields: Sequence[RandomField],
     an ulp per step of roundoff; an exit failure carries its field's `row`.
     """
     grid = phi.grid
-    op = mean_field_operator(fields, grid)
+    fv = field_spectra(fields, grid)
     if not (abs(phi.norm() - 1.0) <= _NORM_TOL):
         raise DomainError(f"the Hartree flow requires a unit state, norm = {phi.norm()!r}")
     steps, dt = params.steps, params.effective_dt
     phases = np.exp(-1j * dt * lattice_dispersion(grid))
     psi = np.repeat(phi.amplitudes.reshape(1, *grid.shape), len(fields), axis=0)
     if steps:
-        psi = potential_phase(psi, op, dt / 2, grid)
+        psi = potential_phase(psi, fv, dt / 2, grid)
         for _ in range(steps):
-            psi = hartree_step(psi, op, dt, grid, phases)
-        psi = potential_phase(psi, op, -dt / 2, grid)
+            psi = hartree_step(psi, fv, dt, grid, phases)
+        psi = potential_phase(psi, fv, -dt / 2, grid)
     states = [WaveFunction(grid, row) for row in psi]
     for row, state in enumerate(states):
         if not (abs(state.norm() - 1.0) <= _NORM_TOL + steps * np.finfo(float).eps):
@@ -150,11 +130,12 @@ def hartree_expectation(psi: WaveFunction, a: PObservable) -> float:
 
 def hartree_energy(psi: WaveFunction, v: RandomField) -> float:
     """Discrete energy: the kinetic form h^d sum_k lambda_k |fftn(psi)_k|^2 / M^d
-    (Parseval, with the flow's dispersion) plus half the interaction term
-    h^2d rho V rho, with the n_sites^2 circulant V of v."""
+    (Parseval, with the flow's dispersion) plus half the interaction term."""
     grid, amps = psi.grid, psi.amplitudes
+    if v.grid != grid:
+        raise DimensionError(f"the field lives on {v.grid}, not on {grid}")
     spectrum = np.abs(grid_fft(amps.reshape(grid.shape), grid.d)) ** 2
     kin = grid.cell_volume * np.sum(lattice_dispersion(grid) * spectrum) / grid.n_sites
     density = np.abs(amps) ** 2
-    pot = 0.5 * grid.cell_volume ** 2 * float(density @ interaction_matrix(grid, v) @ density)
+    pot = 0.5 * grid.cell_volume * float(np.sum(convolve(grid, v.values, density) * density))
     return float(kin + pot)

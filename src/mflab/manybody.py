@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import DimensionError, DomainError, ResourceError
-from .grid import LatticeGrid, WaveFunction, interaction_matrix, lattice_dispersion
+from .grid import LatticeGrid, WaveFunction, lattice_dispersion
 from .observables import PObservable, lift_factor
 
 DIMENSION_CAP = 200_000
@@ -274,16 +274,28 @@ class ManyBodyState:
         return float(np.linalg.norm(self.coefficients))
 
 
+def interaction_matrix(grid: LatticeGrid, values: np.ndarray) -> np.ndarray:
+    """V[x, y] = v(x - y) with periodic differences per axis."""
+    v = np.asarray(values).reshape(grid.shape)
+    coords = np.indices(grid.shape).reshape(grid.d, -1)  # (d, s)
+    diff = (coords[:, :, None] - coords[:, None, :]) % grid.m  # (d, s, s)
+    return v[tuple(diff)]
+
+
 def assemble_hamiltonian(basis: FockBasis, v) -> np.ndarray:
     """The diagonal h of H (the kinetic N T_xx plus the pair term) of field v on
     the basis's sector, as a float64 (dim,) array; H = basis.one_body + diag(h)."""
     n = basis.n_particles
+    # two grids with the same number of sites are not interchangeable
+    if v.grid != basis.grid:
+        raise DimensionError(f"the field lives on {v.grid}, not on {basis.grid}")
+    values = np.asarray(v.values, dtype=np.float64).ravel()
     occ = basis.occupations
-    v_mat = interaction_matrix(basis.grid, v)
+    v_mat = interaction_matrix(basis.grid, values)
     pair = np.empty(len(occ))
     for rows in _blocks(len(occ)):
         pair[rows] = ((occ[rows] @ v_mat) * occ[rows]).sum(axis=1)
-    return (pair - float(v_mat[0, 0]) * n) / (2.0 * n) + n * _kinetic_diagonal(basis.grid)
+    return (pair - float(values[0]) * n) / (2.0 * n) + n * _kinetic_diagonal(basis.grid)
 
 
 def product_state_lift(phi: WaveFunction, basis: FockBasis) -> ManyBodyState:

@@ -3,10 +3,9 @@ import pytest
 
 from mflab.errors import ConfigError, DimensionError
 from mflab.grid import (WaveFunction, build_grid, convolve, gaussian_packet,
-                        grid_fft, interaction_matrix, lattice_dispersion,
-                        normalize, plane_wave, uniform_state)
+                        grid_fft, lattice_dispersion, normalize, plane_wave,
+                        uniform_state)
 from mflab.manybody import kinetic_matrix
-from mflab.random_field import RandomField
 
 
 def test_build_grid_examples():
@@ -173,14 +172,6 @@ def test_convolve_size_mismatch():
     g = build_grid(1, 8, 8.0)
     with pytest.raises(DimensionError):
         convolve(g, np.ones(4), np.ones(8))
-
-
-def test_interaction_matrix_rejects_a_field_on_another_grid_with_as_many_sites():
-    g = build_grid(1, 16, 16.0)
-    other = build_grid(2, 4, 8.0)
-    with pytest.raises(DimensionError, match="lives on"):
-        interaction_matrix(g, RandomField(other, np.ones(16)))
-    assert interaction_matrix(other, RandomField(other, np.ones(16))).shape == (16, 16)
 
 
 def test_initial_states_are_normalized():

@@ -1,19 +1,14 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from mflab.config import parse_config
 from mflab.errors import DimensionError, DomainError
-from mflab.grid import (WaveFunction, build_grid, convolve, convolve_spectrum,
-                        gaussian_packet, lattice_dispersion, normalize,
-                        plane_wave)
-from mflab.hartree import (DENSE_SITE_LIMIT, HartreeRunParams,
-                           evolve_hartree_batch, field_spectra, hartree_energy,
-                           hartree_expectation, hartree_step, mean_field,
-                           mean_field_operator, potential_phase)
+from mflab.grid import (WaveFunction, build_grid, convolve, gaussian_packet,
+                        lattice_dispersion, normalize, plane_wave)
+from mflab.hartree import (HartreeRunParams, evolve_hartree_batch,
+                           field_spectra, hartree_energy, hartree_expectation,
+                           hartree_step, potential_phase)
 from mflab.observables import PObservable, condensate_projector, operator_norm
-from mflab.random_field import FieldSpec, RandomField, sample_field
+from mflab.random_field import FieldSpec, sample_field
 
 
 GRID = build_grid(1, 8, 8.0)
@@ -31,8 +26,8 @@ def _batch(psi, copies=1, grid=GRID):
 
 def _step(psi, fields, dt, grid=GRID):
     phases = np.exp(-1j * dt * lattice_dispersion(grid))
-    return hartree_step(_batch(psi, len(fields), grid),
-                        mean_field_operator(fields, grid), dt, grid, phases)
+    return hartree_step(_batch(psi, len(fields), grid), field_spectra(fields, grid),
+                        dt, grid, phases)
 
 
 def test_free_step_multiplies_plane_wave_by_dispersion_phase():
@@ -49,10 +44,10 @@ def test_kinetic_disabled_leaves_pure_nonlinear_phase():
     psi = gaussian_packet(GRID)
     v = _field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3), seed=3)
     dt = 0.05
-    op = mean_field_operator([v], GRID)
+    fv = field_spectra([v], GRID)
     # the two half-step phases of a Strang step, without the kinetic step
-    out = potential_phase(potential_phase(_batch(psi), op, dt / 2, GRID),
-                          op, dt / 2, GRID)
+    out = potential_phase(potential_phase(_batch(psi), fv, dt / 2, GRID),
+                          fv, dt / 2, GRID)
     w = convolve(GRID, v.values, np.abs(psi.amplitudes) ** 2)
     expected = psi.amplitudes * np.exp(-1j * dt * w)
     assert np.max(np.abs(out[0] - expected)) < 1e-14
@@ -77,9 +72,8 @@ def test_norm_conserved_over_thousand_steps():
 
 
 def test_norm_conserved_over_hundred_thousand_steps():
-    # roundoff drifts the norm by about 2.4e-17 per step, 2.35e-12 here with one
-    # mean-field evaluation per step (2.33e-12 with two): more than a fixed
-    # 1e-12, well inside 1e-12 plus one ulp per step
+    # roundoff drifts the norm by about 2.3e-17 per step, 2.33e-12 here: more
+    # than a fixed 1e-12, well inside 1e-12 plus one ulp per step
     psi = gaussian_packet(GRID)
     v = _field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3, 0.1), seed=5)
     params = HartreeRunParams(t_final=100.0, dt=1e-3)
@@ -244,39 +238,15 @@ def test_grid_mismatch_rejected():
         evolve_hartree_batch(psi, [v], HartreeRunParams(0.1, 0.01))[0]
 
 
-def test_a_field_on_another_grid_with_as_many_sites_is_rejected():
-    grid = build_grid(1, 16, 16.0)
-    v = _field(base="gaussian_bump(1.0, 1.5)", grid=build_grid(2, 4, 8.0))
-    with pytest.raises(DimensionError, match="lives on"):
-        mean_field_operator([v], grid)
-    with pytest.raises(DimensionError, match="lives on"):
-        evolve_hartree_batch(gaussian_packet(grid), [v], HartreeRunParams(0.1, 0.01))
-
-
 def test_energy_rejects_a_field_on_another_grid_with_as_many_sites():
     v = _field(base="gaussian_bump(1.0, 1.5)", grid=build_grid(2, 4, 8.0))
     with pytest.raises(DimensionError, match="lives on"):
         hartree_energy(gaussian_packet(build_grid(1, 16, 16.0)), v)
 
 
-@pytest.mark.parametrize("d, m", [(1, 2), (1, 8), (1, 16), (2, 2), (2, 4), (3, 2)])
-def test_dense_mean_field_equals_the_fft_convolution(d, m):
-    grid = build_grid(d, m, 1.5 * m)
-    assert grid.n_sites <= DENSE_SITE_LIMIT
-    rng = np.random.default_rng(10 * d + m)
-    # a sampled field is even; the one drawn here is not, which pins V against V^T
-    fields = [_field(base="gaussian_bump(1.0, 1.5)", mean=0.3, grid=grid),
-              RandomField(grid, rng.standard_normal(grid.n_sites))]
-    rho = rng.random((2, *grid.shape))
-    dense = mean_field(rho, mean_field_operator(fields, grid), grid)
-    fft = convolve_spectrum(grid, field_spectra(fields, grid), rho)
-    assert np.max(np.abs(dense - fft)) < 1e-13
-
-
-@pytest.mark.parametrize("d, m", [(2, 4), (1, 101)], ids=["dense", "fft"])
+@pytest.mark.parametrize("d, m", [(2, 4), (1, 101)], ids=["d2-M4", "d1-M101"])
 def test_merged_flow_matches_unmerged_strang_steps(d, m):
     grid = build_grid(d, m, 8.0)
-    assert (grid.n_sites <= DENSE_SITE_LIMIT) == (m == 4)
     psi = gaussian_packet(grid)
     v = _field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5,), seed=7, grid=grid)
     params = HartreeRunParams(0.5, 0.5 / 512)
@@ -292,14 +262,6 @@ def test_merged_flow_matches_unmerged_strang_steps(d, m):
         ref = half_phase(np.fft.ifftn(np.fft.fftn(half_phase(ref)) * kinetic))
     out = evolve_hartree_batch(psi, [v], params)[0]
     assert np.max(np.abs(out.amplitudes - ref.ravel())) < 1e-12
-
-
-def test_shipped_configs_straddle_the_dense_site_limit():
-    # so that running every shipped config runs both forms of the mean field
-    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
-    sites = {cfg.stem: parse_config(cfg)[0].grid.n_sites for cfg in configs}
-    assert sites.pop("site_multiplier") > DENSE_SITE_LIMIT
-    assert sites and max(sites.values()) <= DENSE_SITE_LIMIT
 
 
 def test_params_snap_dt_to_horizon():

@@ -15,13 +15,13 @@ import mflab.hartree
 import mflab.manybody
 from mflab.errors import DimensionError, DomainError, ResourceError
 from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
-                        interaction_matrix, lattice_dispersion, normalize,
-                        plane_wave)
+                        lattice_dispersion, normalize, plane_wave)
 from mflab.hartree import hartree_energy
 from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree, _rank,
                             _spectral_interval, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
-                            evolve_manybody, kinetic_matrix, manybody_expectation,
+                            evolve_manybody, interaction_matrix,
+                            kinetic_matrix, manybody_expectation,
                             product_state_lift, reduced_density_matrix)
 from mflab.observables import (PObservable, condensate_projector, lift_factor,
                                operator_norm)
@@ -148,7 +148,7 @@ def test_occupations_are_narrow_and_weights_float64(d, m, n):
     v = _field(g, base="gaussian_bump(1.0, 1.5)", mean=0.3)
     values = np.asarray(v.values, dtype=np.float64).ravel()
     occ64 = occ.astype(np.int64)
-    pair = ((occ64 @ interaction_matrix(g, v)) * occ64).sum(axis=1)
+    pair = ((occ64 @ interaction_matrix(g, values)) * occ64).sum(axis=1)
     np.testing.assert_allclose(assemble_hamiltonian(basis, v),
                                (pair - values[0] * n) / (2.0 * n) + n * 2 * d / g.h ** 2,
                                rtol=1e-12, atol=1e-12)
