@@ -12,11 +12,12 @@ from .grid import (LatticeGrid, WaveFunction, build_grid, convolve,
                    plane_wave, uniform_state)
 from .hartree import (HartreeRunParams, evolve_hartree_batch, field_spectra,
                       hartree_expectation, hartree_step, potential_phase)
-from .manybody import (FockBasis, ManyBodyState, assemble_hamiltonian,
-                       build_fock_basis, evolve_manybody, manybody_expectation,
-                       product_state_lift, reduced_density_matrix)
+from .manybody import (AnnihilatorGather, FockBasis, ManyBodyState,
+                       annihilator_gather, assemble_hamiltonian, build_fock_basis,
+                       evolve_manybody, manybody_expectation, product_state_lift,
+                       reduced_density_matrix)
 from .observables import (PObservable, condensate_projector, lift_factor,
-                          operator_norm, site_multiplier)
+                          operator_norm, site_multiplier, spectral_factors)
 from .random_field import FieldSpec, RandomField, mix_seed, sample_field
 
 __all__ = [
@@ -27,11 +28,11 @@ __all__ = [
     "uniform_state",
     "HartreeRunParams", "evolve_hartree_batch",
     "field_spectra", "hartree_expectation", "hartree_step", "potential_phase",
-    "FockBasis", "ManyBodyState", "assemble_hamiltonian",
-    "build_fock_basis", "evolve_manybody", "manybody_expectation",
-    "product_state_lift", "reduced_density_matrix",
+    "AnnihilatorGather", "FockBasis", "ManyBodyState", "annihilator_gather",
+    "assemble_hamiltonian", "build_fock_basis", "evolve_manybody",
+    "manybody_expectation", "product_state_lift", "reduced_density_matrix",
     "PObservable", "condensate_projector", "lift_factor", "operator_norm",
-    "site_multiplier",
+    "site_multiplier", "spectral_factors",
     "FieldSpec", "RandomField", "mix_seed", "sample_field",
 ]
 

@@ -8,8 +8,9 @@ run one batched Hartree flow over every field, then the many-body work of
 each sample in order. Each field is seeded from (base_seed, sample_index), so
 a sample's values do not depend on which other samples run with it.
 The plan checks its largest sector against the dimension and propagation
-caps and derives the observable norm, its roundoff slack and the Hartree time
-grid once, at construction; run_ensemble checks each |X| and |X_N| against both.
+caps and derives the observable's spectral factors and norm (one eigensolve),
+the roundoff slack and the Hartree time grid once, at construction;
+run_ensemble checks each |X| and |X_N| against the norm and the slack.
 A run's product is one EnsembleResult table, X_N per (N, sample) next to X
 per sample, which estimate and tail_diagnostic reduce row by row.
 """
@@ -23,18 +24,18 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, MFLabError
 from .grid import LatticeGrid, WaveFunction
 from .hartree import HartreeRunParams, evolve_hartree_batch, hartree_expectation
-from .manybody import (assemble_hamiltonian, build_fock_basis, check_fock_dimension,
-                       check_propagation, evolve_manybody, manybody_expectation,
-                       product_state_lift)
-from .observables import PObservable, operator_norm
+from .manybody import (annihilator_gather, assemble_hamiltonian, build_fock_basis,
+                       check_fock_dimension, check_propagation, evolve_manybody,
+                       manybody_expectation, product_state_lift)
+from .observables import PObservable, spectral_factors
 from .random_field import FieldSpec, mix_seed, sample_field
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
     """One experiment, whose largest Fock sector is within the dimension cap, can be
-    propagated to t_final and keeps its statistics finite; observable_norm, roundoff
-    and hartree_params are derived at construction."""
+    propagated to t_final and keeps its statistics finite; observable_factors,
+    observable_norm, roundoff and hartree_params are derived at construction."""
 
     grid: LatticeGrid
     field_spec: FieldSpec
@@ -45,6 +46,8 @@ class ExperimentPlan:
     particle_counts: tuple[int, ...]
     samples: int
     base_seed: int
+    # (mu, u) of spectral_factors and the largest |mu|, from one eigensolve
+    observable_factors: tuple[np.ndarray, np.ndarray] = field(init=False)
     observable_norm: float = field(init=False)
     # slack on X, which scales with the norm as X does: the pathwise bound and the
     # triangle check grant it, and the log-log slope leaves out gaps at or below it
@@ -68,10 +71,12 @@ class ExperimentPlan:
             raise DomainError("samples must be >= 1")
         object.__setattr__(self, "particle_counts", counts)
         object.__setattr__(self, "hartree_params", HartreeRunParams(self.t_final, self.dt))
-        norm = operator_norm(self.observable, self.grid)
+        factors = spectral_factors(self.observable, self.grid)
+        norm = float(np.abs(factors[0]).max(initial=0.0))
         # each |Y| <= 2 norm, and np.std in estimate sums `samples` squares
         if not (self.samples * (2 * norm) * (2 * norm) < math.inf):
             raise DomainError(f"observable norm {norm!r}: samples * (2 norm)^2 overflows")
+        object.__setattr__(self, "observable_factors", factors)
         object.__setattr__(self, "observable_norm", norm)
         object.__setattr__(self, "roundoff", 1e-12 * norm)
 
@@ -126,16 +131,17 @@ def _bounded(x: float, name: str, plan: ExperimentPlan) -> float:
 def run_ensemble(plan: ExperimentPlan) -> EnsembleResult:
     """The result table of all samples, run one after another in index order.
 
-    Each N's sector and lifted initial state are built first, so the work
-    done once per plan precedes the first field; then the Hartree flow runs
-    once for all the fields, and each sample does its many-body work against
-    its own field. Each seed is derived once and serves the field, the
-    sample's error prefix and the table alike.
+    Each N's sector, lifted initial state and annihilator gather are built
+    first, so the work done once per plan precedes the first field; then the
+    Hartree flow runs once for all the fields, and each sample does its
+    many-body work against its own field. Each seed is derived once and
+    serves the field, the sample's error prefix and the table alike.
     """
     sectors = []
     for n in plan.particle_counts:
         basis = build_fock_basis(n, plan.grid, max_rdm_order=plan.observable.p)
-        sectors.append((basis, product_state_lift(plan.initial_state, basis)))
+        sectors.append((basis, product_state_lift(plan.initial_state, basis),
+                        annihilator_gather(basis, plan.observable.p)))
     seeds = tuple(mix_seed(plan.base_seed, i) for i in range(plan.samples))
     fields = []
     for i, seed in enumerate(seeds):
@@ -152,10 +158,10 @@ def run_ensemble(plan: ExperimentPlan) -> EnsembleResult:
     for i, (v, psi_t) in enumerate(zip(fields, states)):
         try:
             x_h[i] = _bounded(hartree_expectation(psi_t, plan.observable), "X", plan)
-            for k, (basis, psi0) in enumerate(sectors):
+            for k, (basis, psi0, gather) in enumerate(sectors):
                 psi_n = evolve_manybody(psi0, assemble_hamiltonian(basis, v), plan.t_final)
-                x_mb[k, i] = _bounded(
-                    manybody_expectation(psi_n, plan.observable), "X_N", plan)
+                x_mb[k, i] = _bounded(manybody_expectation(
+                    psi_n, gather, plan.observable_factors), "X_N", plan)
         except MFLabError as exc:
             raise _in_sample(exc, i, seeds) from exc
     return EnsembleResult(plan.particle_counts, seeds, x_h, x_mb)

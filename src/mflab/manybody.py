@@ -20,8 +20,11 @@ J. Chem. Phys. 81, 3967, 1984) over an interval that provably holds the
 spectrum of H, from the hopping dispersion and min/max of h, truncated by a
 proven bound on its Bessel-coefficient tail; it draws no random numbers.
 H is real, so the recurrence runs one loop on real vectors for each of
-Re Psi_0 and Im Psi_0 that is not exactly zero, and the reduced density
-matrices compose the annihilators as gathers, each having one entry a row.
+Re Psi_0 and Im Psi_0 that is not exactly zero. Each annihilator has one
+entry a row, so w = a_{x_p}...a_{x_1} Psi is a gather, wt * Psi[idx], built
+once per (plan, N) by annihilator_gather; X_N is sum_k mu_k ||w conj(U_k)||^2
+over the observable's spectral factors, scaled by N^-p, without forming the
+reduced density matrix, which the same gather code serves as an oracle.
 DIMENSION_CAP caps each sector and _MAX_RT the r*t that sets the degree, both
 checked for a plan's largest N first; ensemble checks that |X_N| <= ||a||.
 """
@@ -29,13 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
 
 from .errors import DimensionError, DomainError, ResourceError
 from .grid import LatticeGrid, WaveFunction, lattice_dispersion
-from .observables import PObservable, lift_factor
 
 DIMENSION_CAP = 200_000
 # r*t at most 1e4 allows Chebyshev degree 13,623 (long_time needs at most 153)
@@ -371,7 +374,9 @@ def _bessel_j(x: float, k: int) -> np.ndarray:
     """
     s = k + 2 + math.isqrt(160 * k)
     s += s % 2
-    if x * 2.0 ** 1023 < s:  # 2s/x > 2^1024, so the first step would overflow
+    # 2s/x > 2^1024, so the first step would overflow; scaling s, not x, by the
+    # power of two is exact and cannot itself overflow
+    if x < s * 2.0 ** -1023:
         return np.array([1.0, x / 2] + [0.0] * (k - 1))[:k + 1]
     j = [0.0, 1.0]
     for n in range(s, 0, -1):
@@ -440,54 +445,128 @@ def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodySta
 
 # --- reduced density matrices and expectations ----------------------------
 
-def reduced_density_matrix(psi: ManyBodyState, p: int) -> np.ndarray:
-    """Trace-one p-particle reduced density matrix as a kernel on lattice^p."""
-    n = psi.basis.n_particles
-    sites = psi.basis.sites
+def _chain(annihilators: tuple[scipy.sparse.csr_matrix, ...], sites: int,
+           rows: slice) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Gather indices and weights of w = a_{x_p}...a_{x_1} Psi on rows `rows` of
+    the N-p sector, for the first p = len(annihilators) stacked annihilators.
+
+    Row m, column X = (x_1..x_p) in row-major order of w is (a_{x_p}...a_{x_1}
+    Psi)[m]. Each annihilator has one entry a row, so w is Psi[idx] times the
+    weights f_1, ..., f_p of a_{x_1} (the top one), ..., a_{x_p}, applied in
+    that order by _scale: the rows of a_{x_p}..a_{x_2} are followed up to the
+    N-1 sector, then those of a_{x_1} up to Psi. f_k has one column per
+    (x_k..x_p), as it does not depend on x_1..x_{k-1}. For p = 1, idx and f_1
+    are views of the top annihilator's arrays.
+    """
+    if len(annihilators) == 1:  # a_{x_1} Psi reads the top annihilator as it is
+        a = annihilators[0]
+        return a.indices.reshape(sites, -1).T[rows], [a.data.reshape(sites, -1).T[rows]]
+    pos = np.arange(annihilators[-1].shape[0] // sites)[rows, None]
+    x, factors = np.arange(sites)[:, None], []
+    for a in reversed(annihilators):
+        row = (x * (a.shape[0] // sites) + pos[:, None, :]).reshape(len(pos), -1)
+        factors.append(a.data[row])
+        pos = a.indices[row]
+    return pos, factors[::-1]
+
+
+def _scale(w: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """w (C-contiguous) times each factor of _chain in order, in place: a
+    factor with c columns multiplies every block of c columns of w."""
+    for f in factors:
+        by_block = w.reshape(len(w), -1, f.shape[1])
+        by_block *= f[:, None, :]
+    return w
+
+
+def _check_order(basis: FockBasis, p: int) -> None:
+    n = basis.n_particles
     if p < 1 or p > n:
         raise DomainError(f"need 1 <= p <= N, got p={p}, N={n}")
-    if p > len(psi.basis.annihilators):
+    if p > len(basis.annihilators):
         raise DomainError(f"the basis was built for RDMs up to order "
-                          f"{len(psi.basis.annihilators)}, got p={p}")
-    # row m, column X = (x_1..x_p) in row-major order of w is
-    # (a_{x_p}...a_{x_1} Psi)[m] for the states m of the N-p sector. Each
-    # annihilator has one entry a row, so a_x w is a gather times a weight:
-    # for a block of m at a time, the rows of a_{x_p}..a_{x_2} are followed
-    # up to the N-1 sector, then those of a_{x_1}, one x_1 at a time, up to
-    # Psi, and the weights are applied from a_{x_1} down, in the order of the
-    # products; no temporary holds more than one x_1 of the block
-    top, *lower = psi.basis.annihilators[:p]
-    x = np.arange(sites)[:, None]
-    states = np.arange(psi.basis.annihilators[p - 1].shape[0] // sites)[:, None]
+                          f"{len(basis.annihilators)}, got p={p}")
+
+
+class AnnihilatorGather(NamedTuple):
+    """w = wt * Psi[idx], the (dim(N-p), sites^p) array a_{x_p}...a_{x_1} Psi of
+    any state Psi of one sector (see _chain), as built by annihilator_gather."""
+
+    p: int
+    idx: np.ndarray
+    wt: np.ndarray
+
+
+def annihilator_gather(basis: FockBasis, p: int) -> AnnihilatorGather:
+    """The gather of a_{x_p}...a_{x_1} on the basis's sector, built once per
+    (plan, N) and read by every state of it.
+
+    For p = 1 it is a view of the top annihilator and takes no memory. For
+    p >= 2 it is composed block by block into an index (the annihilators'
+    int32) and one float64 weight per (row, X): 12 bytes per entry, 12 *
+    dim(N-p) * sites^p in all (1.26 MiB for p = 2, 8 sites, N = 8).
+    """
+    _check_order(basis, p)
+    annihilators, sites = basis.annihilators[:p], basis.sites
+    if p == 1:
+        idx, (wt,) = _chain(annihilators, sites, slice(None))
+        return AnnihilatorGather(1, idx, wt)
+    shape = (annihilators[-1].shape[0] // sites, sites ** p)
+    idx = np.empty(shape, dtype=annihilators[0].indices.dtype)
+    wt = np.empty(shape)
+    for rows in _blocks(shape[0]):
+        idx[rows], (wt[rows], *factors) = _chain(annihilators, sites, rows)
+        _scale(wt[rows], factors)
+    idx.setflags(write=False)
+    wt.setflags(write=False)
+    return AnnihilatorGather(p, idx, wt)
+
+
+def reduced_density_matrix(psi: ManyBodyState, p: int) -> np.ndarray:
+    """Trace-one p-particle reduced density matrix as a kernel on lattice^p.
+
+    The oracle of manybody_expectation: raw[X, Y] = <a_Y Psi, a_X Psi> = (w^T
+    conj(w))[X, Y] for w from _chain, summed block by block, where the
+    weights apply in the order of the annihilator products.
+    """
+    _check_order(psi.basis, p)
+    n = psi.basis.n_particles
     raw = 0
-    for block in _blocks(len(states)):
-        pos, weights = states[block], []
-        for a in reversed(lower):
-            row = (x * (a.shape[0] // sites) + pos[:, None, :]).reshape(len(pos), -1)
-            weights.append(a.data[row])
-            pos = a.indices[row]
-        w = np.empty((len(pos), sites, pos.shape[1]), dtype=np.complex128)
-        for x_1, (indices, data) in enumerate(zip(top.indices.reshape(sites, -1),
-                                                  top.data.reshape(sites, -1))):
-            np.multiply(np.take(psi.coefficients, indices[pos]), data[pos], out=w[:, x_1])
-        for k, d in enumerate(reversed(weights), 1):
-            by_site = w.reshape(len(w), sites ** k, -1)
-            by_site *= d[:, None, :]
-        w = w.reshape(len(w), -1)
-        # raw[X, Y] = <a_Y Psi, a_X Psi>, summed block by block
+    for rows in _blocks(fock_dimension(n - p, psi.basis.sites)):
+        idx, factors = _chain(psi.basis.annihilators[:p], psi.basis.sites, rows)
+        w = _scale(np.take(psi.coefficients, idx), factors)
         raw += w.T @ w.conj()
     scale = math.exp(math.lgamma(n - p + 1) - math.lgamma(n + 1))
     return (scale / psi.basis.grid.cell_volume ** p) * raw
 
 
-def manybody_expectation(psi: ManyBodyState, a: PObservable) -> float:
-    """X_N = lift_factor(N, p) * Re Tr(a gamma^(p)); a plan checks |X_N| <= ||a||.
-    gamma^(p) is Hermitian and a PObservable self-adjoint, so Im Tr is roundoff."""
-    if a.sites != psi.basis.sites:
+def manybody_expectation(psi: ManyBodyState, gather: AnnihilatorGather,
+                         factors: tuple[np.ndarray, np.ndarray]) -> float:
+    """X_N = lift_factor(N, p) Tr(a gamma^(p)) from gather, the sector's
+    annihilator_gather, and factors = (mu, u), the observable's spectral_factors.
+
+    Each row w_m of w = a_{x_p}...a_{x_1} Psi is symmetric in X, so with
+    h^{dp} K = sum_k mu_k U_k U_k^H on that subspace,
+    Tr(a gamma^(p)) = (N-p)!/N! sum_m <w_m, h^{dp} K w_m>, and
+    X_N = N^-p sum_k mu_k ||w conj(U_k)||^2; a plan checks |X_N| <= ||a||.
+    conj(w) U, the conjugate of w conj(U), is one product per row block, and
+    its squares are summed without BLAS, so X_N has the same bits at every
+    BLAS thread count.
+    """
+    mu, u = factors
+    basis, p = psi.basis, gather.p
+    if u.shape[0] != basis.sites ** p:
         raise DimensionError("observable kernel does not match the basis grid")
-    gamma = reduced_density_matrix(psi, a.p)
-    val = psi.basis.grid.cell_volume ** (2 * a.p) * np.sum(a.kernel * gamma.T)
-    return float(val.real) * lift_factor(psi.basis.n_particles, a.p)
+    if gather.idx.shape != (fock_dimension(basis.n_particles - p, basis.sites), u.shape[0]):
+        raise DimensionError(f"the gather of shape {gather.idx.shape} is not of the "
+                             f"state's sector")
+    psi_bar = psi.coefficients.conj()
+    sums = np.zeros(len(mu))
+    for rows in _blocks(len(gather.idx)):
+        z = (np.take(psi_bar, gather.idx[rows]) * gather.wt[rows]) @ u
+        sums += np.einsum("mk,mk->k", z.real, z.real)
+        sums += np.einsum("mk,mk->k", z.imag, z.imag)
+    return float(np.einsum("k,k->", mu, sums)) / basis.n_particles ** p
 
 
 def energy_expectation(psi: ManyBodyState, h: np.ndarray) -> float:

@@ -2,7 +2,8 @@
 
 A kernel K acts as (a phi)(X) = h^{dp} sum_Y K(X;Y) phi(Y) and is kept as
 given. mflab sees a only on bosonic states: <phi^(x)p, a phi^(x)p>,
-Tr(a gamma) for a bosonic gamma, and the norm on the symmetric subspace.
+Tr(a gamma) for a bosonic gamma, through the spectral factors on the
+symmetric subspace, and the norm there.
 phi^(x)p, gamma and that subspace are fixed by every simultaneous
 permutation of the p coordinate blocks, so none of the three changes if K is
 averaged over those permutations.
@@ -55,14 +56,18 @@ class PObservable:
         return round(self.kernel.shape[0] ** (1.0 / self.p))
 
 
-def operator_norm(a: PObservable, grid: LatticeGrid) -> float:
-    """Spectral norm of h^{dp} K restricted to the permutation-symmetric subspace.
+def spectral_factors(a: PObservable, grid: LatticeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (mu, u) of h^{dp} K restricted to the permutation-symmetric subspace,
+    from one Hermitian eigensolve: mu is (r,) and u is (sites^p, r), read-only.
 
     The subspace has an orthonormal basis Q with one normalized indicator
     column per orbit of the block permutations (Q is the identity for p = 1),
-    so the norm is the largest |eigenvalue| of the Hermitian Q^T (h^{dp} K) Q. The
-    orbit of X = (x_1..x_p) is keyed by its sorted multi-index, and Q is sparse, so
-    the product costs O(sites^{2p}).
+    so the eigenpairs (mu_k, V_k) of the Hermitian Q^T (h^{dp} K) Q give
+    h^{dp} K = sum_k mu_k U_k U_k^H on that subspace, with U = Q V. The orbit of
+    X = (x_1..x_p) is keyed by its sorted multi-index, and Q is sparse, so the
+    product costs O(sites^{2p}). Only the r pairs with |mu| > dim_sym eps max|mu|
+    are kept, the numerical-rank rule of np.linalg.matrix_rank: the rest are
+    roundoff, and dropping them moves <v, a v> by at most dim_sym eps ||a|| ||v||^2.
     """
     sites = a.sites
     if sites != grid.n_sites:
@@ -73,7 +78,18 @@ def operator_norm(a: PObservable, grid: LatticeGrid) -> float:
     # one entry a row: Q[X, orbit of X] = 1/sqrt(orbit size)
     q = scipy.sparse.csr_array((1.0 / np.sqrt(size[orbit]), orbit, np.arange(key.size + 1)))
     b = q.T @ ((grid.cell_volume ** a.p) * a.kernel) @ q
-    return float(np.abs(np.linalg.eigvalsh(b)).max())
+    mu, v = np.linalg.eigh(b)
+    keep = np.abs(mu) > len(b) * np.finfo(float).eps * np.abs(mu).max(initial=0.0)
+    mu, u = mu[keep], q @ v[:, keep]
+    mu.setflags(write=False)
+    u.setflags(write=False)
+    return mu, u
+
+
+def operator_norm(a: PObservable, grid: LatticeGrid) -> float:
+    """Spectral norm of h^{dp} K on the permutation-symmetric subspace: the
+    largest |mu| of spectral_factors, 0 for the zero observable."""
+    return float(np.abs(spectral_factors(a, grid)[0]).max(initial=0.0))
 
 
 def check_kernel_dimension(p: int, sites: int) -> None:

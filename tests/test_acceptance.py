@@ -12,12 +12,12 @@ from mflab.config import RunOptions
 from mflab.ensemble import ExperimentPlan, estimate, run_ensemble, tail_diagnostic
 from mflab.grid import WaveFunction, build_grid, convolve, gaussian_packet, normalize
 from mflab.hartree import HartreeRunParams, evolve_hartree_batch
-from mflab.manybody import (ManyBodyState, _rank, assemble_hamiltonian,
+from mflab.manybody import (ManyBodyState, _rank, annihilator_gather, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
                             evolve_manybody, manybody_expectation,
                             product_state_lift)
 from mflab.observables import (PObservable, condensate_projector, lift_factor,
-                               operator_norm)
+                               operator_norm, spectral_factors)
 from mflab.random_field import FieldSpec, sample_field
 
 
@@ -205,7 +205,8 @@ def test_criterion_5_oracle_equivalence():
                 c /= np.linalg.norm(c)
                 full = _occupation_to_full(c, b3, 3)
                 oracle = np.vdot(full, lifted @ full).real
-                got = manybody_expectation(ManyBodyState(b3, c), a)
+                got = manybody_expectation(ManyBodyState(b3, c), annihilator_gather(b3, p),
+                                           spectral_factors(a, g3))
                 assert abs(got - oracle) < 1e-10
 
         # (d) second- vs first-quantized Hamiltonian, N = 2, M = 3

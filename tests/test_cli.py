@@ -406,6 +406,21 @@ def test_main_rejects_an_oversized_kernel_before_allocating_it(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", ["configs/site_multiplier.cfg",
+                                    "perfbench/workloads/long_time.cfg"], ids=["p1", "p2"])
+def test_outputs_are_byte_identical_at_one_and_two_blas_threads(tmp_path, config):
+    # a 101-site observable with 101 spectral pairs, and a p = 2 observable whose
+    # X_N was once a BLAS Gram that two threads summed in another order
+    cfg = Path(__file__).resolve().parents[1] / config
+    for threads in ("1", "2"):
+        subprocess.run([sys.executable, "-m", "mflab.cli", "--config", str(cfg),
+                        "--out-dir", str(tmp_path / threads)],
+                       env=dict(_child_env(), OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, check=True)
+    for name in ("samples.csv", "summary.csv", "report.txt"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_cli_import_leaves_unused_scipy_modules_unloaded():
     # importing mflab.cli is part of every run's wall time
     unused = ("scipy.special", "scipy.linalg", "scipy.sparse.linalg", "scipy.fft")

@@ -9,7 +9,7 @@ from mflab.errors import ConsistencyError, DomainError, ResourceError
 from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
                         lattice_dispersion)
 from mflab.hartree import HartreeRunParams
-from mflab.observables import condensate_projector, operator_norm
+from mflab.observables import condensate_projector, operator_norm, site_multiplier
 from mflab.random_field import FieldSpec, mix_seed
 
 
@@ -154,6 +154,17 @@ def test_expectation_beyond_the_observable_norm_names_the_sample(monkeypatch, na
     with pytest.raises(ConsistencyError, match=rf"^sample 0 \(seed {seed}\): \|X(_N)?\| "
                                                r"= .* exceeds the observable norm"):
         run_ensemble(plan)
+
+
+def test_zero_observable_has_no_spectral_pairs_and_x_n_exactly_zero():
+    plan = ExperimentPlan(grid=GRID, field_spec=RANDOM_SPEC, initial_state=PHI,
+                          observable=site_multiplier(GRID, amplitude=0.0), t_final=0.25,
+                          dt=0.25 / 128, particle_counts=(2, 3), samples=2, base_seed=5)
+    mu, u = plan.observable_factors
+    assert mu.shape == (0,) and u.shape == (GRID.n_sites, 0)
+    assert plan.observable_norm == 0.0
+    result = run_ensemble(plan)
+    assert np.array_equal(result.x_manybody, np.zeros((2, 2)))
 
 
 def test_plan_builds_and_checks_its_time_grid_once():

@@ -1,9 +1,11 @@
 import ast
 import dataclasses
+import functools
 import itertools
 import math
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,13 +20,13 @@ from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
                         lattice_dispersion, normalize, plane_wave)
 from mflab.hartree import hartree_energy
 from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree, _rank,
-                            _spectral_interval, assemble_hamiltonian,
+                            _spectral_interval, annihilator_gather, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
                             evolve_manybody, interaction_matrix,
                             kinetic_matrix, manybody_expectation,
                             product_state_lift, reduced_density_matrix)
 from mflab.observables import (PObservable, condensate_projector, lift_factor,
-                               operator_norm)
+                               operator_norm, site_multiplier, spectral_factors)
 from mflab.random_field import FieldSpec, RandomField, sample_field
 
 
@@ -424,9 +426,10 @@ def test_hamiltonian_shift_is_global_phase():
     a = evolve_manybody(psi, h, t)
     b = evolve_manybody(psi, shifted, t)
     assert np.max(np.abs(b.coefficients - np.exp(-1j * c * t) * a.coefficients)) < 1e-9
-    obs = condensate_projector(gaussian_packet(g))
-    assert manybody_expectation(a, obs) == pytest.approx(
-        manybody_expectation(b, obs), abs=1e-9)
+    gather = annihilator_gather(basis, 1)
+    factors = spectral_factors(condensate_projector(gaussian_packet(g)), g)
+    assert manybody_expectation(a, gather, factors) == pytest.approx(
+        manybody_expectation(b, gather, factors), abs=1e-9)
 
 
 def _initial_states(g):
@@ -538,6 +541,16 @@ def test_bessel_coefficients_match_scipy(x):
     got = _bessel_j(x, k)
     assert got.shape == (k + 1,)
     assert np.max(np.abs(got - scipy.special.jv(np.arange(k + 1), x))) < 1e-13
+
+
+@pytest.mark.parametrize("x", [0.5, 60.0, 300.0])
+def test_bessel_coefficients_of_a_numpy_float_are_those_of_a_float(x):
+    # the small-x guard must not overflow: x * 2^1023 does so with a warning for
+    # a numpy float, and silently for a float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _bessel_j(np.float64(x), 100)
+    assert np.array_equal(got, _bessel_j(x, 100))
 
 
 @pytest.mark.parametrize("x", BESSEL_ARGUMENTS)
@@ -712,8 +725,82 @@ def test_expectation_matches_lifted_operator_oracle(p):
         psi = ManyBodyState(basis, coeffs)
         full = _occupation_to_full(coeffs, basis, 3)
         oracle = np.vdot(full, _lifted_operator_dense(a, n, g) @ full).real
-        got = manybody_expectation(psi, a)
+        got = manybody_expectation(psi, annihilator_gather(basis, p),
+                                   spectral_factors(a, g))
         assert got == pytest.approx(oracle, abs=1e-10)
+
+
+def _random_state(basis, rng):
+    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    return ManyBodyState(basis, coeffs / np.linalg.norm(coeffs))
+
+
+def _test_kernel(kind, g, p, rng):
+    sites = g.n_sites
+    if kind == "rank-one":
+        phi = normalize(WaveFunction(g, rng.standard_normal(sites)
+                                     + 1j * rng.standard_normal(sites)))
+        return condensate_projector(phi, p)
+    if kind == "diagonal":  # the site multiplier's p-fold product, with zeros
+        return PObservable(p, functools.reduce(np.kron,
+                                               [site_multiplier(g, 1.5).kernel] * p))
+    shape = (sites ** p,) * 2
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return PObservable(p, raw + raw.conj().T)
+
+
+@pytest.mark.parametrize("kind", ["rank-one", "diagonal", "full-rank"])
+@pytest.mark.parametrize("m,n,p", [(4, 5, 1), (4, 5, 2), (4, 5, 3), (8, 10, 2)])
+def test_expectation_from_spectral_factors_matches_the_rdm_trace(m, n, p, kind):
+    # (8, 10, 2) has 6,435 rows in the N-p sector, so two gather blocks
+    g = build_grid(1, m, 0.75 * m)
+    basis = build_fock_basis(n, g, max_rdm_order=p)
+    rng = np.random.default_rng(60 + 7 * p + m)
+    a = _test_kernel(kind, g, p, rng)
+    gather, factors = annihilator_gather(basis, p), spectral_factors(a, g)
+    for psi in (_random_state(basis, rng), product_state_lift(gaussian_packet(g), basis)):
+        gamma = reduced_density_matrix(psi, p)
+        trace = g.cell_volume ** (2 * p) * np.sum(a.kernel * gamma.T)
+        oracle = lift_factor(n, p) * trace.real
+        got = manybody_expectation(psi, gather, factors)
+        assert abs(got - oracle) <= 1e-13 * operator_norm(a, g)
+
+
+def _symmetric_basis(sites, p):
+    """An orthonormal basis of the permutation-symmetric subspace, one column
+    per multiset of sites, independent of spectral_factors' orbit keys."""
+    cols = []
+    for combo in itertools.combinations_with_replacement(range(sites), p):
+        perms = set(itertools.permutations(combo))
+        e = np.zeros(sites ** p)
+        for perm in perms:
+            e[np.ravel_multi_index(perm, (sites,) * p)] = 1.0 / math.sqrt(len(perms))
+        cols.append(e)
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_dropped_spectral_pairs_move_x_n_by_at_most_their_bound(p):
+    g = build_grid(1, 4, 3.0)
+    q = _symmetric_basis(4, p)
+    dim_sym = q.shape[1]
+    cut = dim_sym * np.finfo(float).eps  # relative to the largest |mu|, here 1
+    # two eigenvalues above the numerical-rank cut, one below it and a null space
+    lam = np.zeros(dim_sym)
+    lam[:3] = [1.0, -10 * cut, cut / 10]
+    rng = np.random.default_rng(70 + p)
+    v, _ = np.linalg.qr(rng.standard_normal((dim_sym,) * 2)
+                        + 1j * rng.standard_normal((dim_sym,) * 2))
+    a = PObservable(p, (q @ v * lam) @ (q @ v).conj().T / g.cell_volume ** p)
+    mu, u = spectral_factors(a, g)
+    assert len(mu) == 2
+    mu_all, v_all = np.linalg.eigh(q.T @ (g.cell_volume ** p * a.kernel) @ q)
+    basis = build_fock_basis(5, g, max_rdm_order=p)
+    gather = annihilator_gather(basis, p)
+    for psi in (_random_state(basis, rng), product_state_lift(gaussian_packet(g), basis)):
+        kept = manybody_expectation(psi, gather, (mu, u))
+        restored = manybody_expectation(psi, gather, (mu_all, q @ v_all))
+        assert abs(restored - kept) <= cut * operator_norm(a, g)
 
 
 def test_expectation_of_initial_product_state():
@@ -724,7 +811,8 @@ def test_expectation_of_initial_product_state():
     psi = product_state_lift(phi, basis)
     for p in (1, 2):
         a = condensate_projector(phi, p=p)
-        got = manybody_expectation(psi, a)
+        got = manybody_expectation(psi, annihilator_gather(basis, p),
+                                   spectral_factors(a, g))
         # at t=0 the state is phi^(x)N, so Tr(a gamma) = <phi^p, a phi^p> = 1
         assert got == pytest.approx(lift_factor(n, p), abs=1e-12)
 
@@ -738,7 +826,7 @@ def test_single_particle_sector_is_free_evolution():
     psi0 = product_state_lift(phi, basis)
     psi_t = evolve_manybody(psi0, h, 0.5)
     a = condensate_projector(phi)
-    x1 = manybody_expectation(psi_t, a)
+    x1 = manybody_expectation(psi_t, annihilator_gather(basis, 1), spectral_factors(a, g))
     # free lattice evolution via Fourier phases; interaction is absent at N=1
     spec = np.fft.fft(phi.amplitudes)
     free = np.fft.ifft(spec * np.exp(-1j * 0.5 * lattice_dispersion(g).ravel()))
@@ -752,20 +840,22 @@ def test_expectation_respects_norm_bound():
     basis = build_fock_basis(3, g)
     a = condensate_projector(gaussian_packet(g))
     bound = operator_norm(a, g)
+    gather, factors = annihilator_gather(basis, 1), spectral_factors(a, g)
     rng = np.random.default_rng(41)
     for _ in range(5):
         coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         coeffs /= np.linalg.norm(coeffs)
-        x = manybody_expectation(ManyBodyState(basis, coeffs), a)
+        x = manybody_expectation(ManyBodyState(basis, coeffs), gather, factors)
         assert abs(x) <= bound + 1e-12
 
 
 def test_expectation_rejects_observable_of_another_grid():
     g = build_grid(1, 4, 4.0)
     psi = product_state_lift(gaussian_packet(g), build_fock_basis(2, g))
-    a = condensate_projector(gaussian_packet(build_grid(1, 5, 5.0)))
+    g5 = build_grid(1, 5, 5.0)
+    a = condensate_projector(gaussian_packet(g5))
     with pytest.raises(DimensionError, match="does not match the basis grid"):
-        manybody_expectation(psi, a)
+        manybody_expectation(psi, annihilator_gather(psi.basis, 1), spectral_factors(a, g5))
 
 
 def test_expectation_p_larger_than_n_rejected():
@@ -773,7 +863,7 @@ def test_expectation_p_larger_than_n_rejected():
     psi = product_state_lift(gaussian_packet(g), build_fock_basis(1, g))
     a = condensate_projector(gaussian_packet(g), p=2)
     with pytest.raises(DomainError):
-        manybody_expectation(psi, a)
+        manybody_expectation(psi, annihilator_gather(psi.basis, 2), spectral_factors(a, g))
 
 
 def test_assemble_rejects_a_field_on_another_grid_with_as_many_sites():

@@ -7,10 +7,10 @@ import pytest
 from mflab.errors import DimensionError, DomainError
 from mflab.grid import WaveFunction, build_grid, gaussian_packet, normalize, plane_wave
 from mflab.hartree import hartree_expectation
-from mflab.manybody import (ManyBodyState, build_fock_basis, manybody_expectation,
-                            product_state_lift)
+from mflab.manybody import (ManyBodyState, annihilator_gather, build_fock_basis,
+                            manybody_expectation, product_state_lift)
 from mflab.observables import (PObservable, condensate_projector, lift_factor,
-                               operator_norm, site_multiplier)
+                               operator_norm, site_multiplier, spectral_factors)
 
 
 def test_lift_factor_p1_is_one():
@@ -200,7 +200,9 @@ def test_results_invariant_under_block_symmetrization(p):
     states = (ManyBodyState(basis, coeffs / np.linalg.norm(coeffs)),
               product_state_lift(phi, basis))
     given, symmetrized = (
-        [hartree_expectation(phi, a), *(manybody_expectation(psi, a) for psi in states),
+        [hartree_expectation(phi, a),
+         *(manybody_expectation(psi, annihilator_gather(basis, p), spectral_factors(a, g))
+           for psi in states),
          operator_norm(a, g)]
         for a in (PObservable(p, kernel), PObservable(p, sym)))
     assert given == pytest.approx(symmetrized, abs=1e-12)

@@ -16,10 +16,10 @@ import pytest
 
 from mflab.config import parse_config
 from mflab.grid import WaveFunction
-from mflab.manybody import (_rank, assemble_hamiltonian, build_fock_basis,
-                            energy_expectation, evolve_manybody, manybody_expectation,
-                            product_state_lift)
-from mflab.observables import PObservable
+from mflab.manybody import (_rank, annihilator_gather, assemble_hamiltonian,
+                            build_fock_basis, energy_expectation, evolve_manybody,
+                            manybody_expectation, product_state_lift)
+from mflab.observables import PObservable, spectral_factors
 from mflab.random_field import mix_seed, sample_field
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
@@ -45,9 +45,10 @@ def test_x_n_is_invariant_under_a_lattice_translation(name, shift):
     kernel = a.kernel.reshape(g.shape * (2 * a.p))
     moved_a = PObservable(a.p, np.roll(kernel, shift * (2 * a.p), tuple(
         range(2 * a.p * g.d))).reshape(a.kernel.shape))
+    gather = annihilator_gather(basis, a.p)
     x_n, moved_x_n = (
-        manybody_expectation(evolve_manybody(product_state_lift(u, basis), h,
-                                             plan.t_final), obs)
+        manybody_expectation(evolve_manybody(product_state_lift(u, basis), h, plan.t_final),
+                             gather, spectral_factors(obs, g))
         for u, obs in ((phi, a), (moved_phi, moved_a)))
     assert abs(moved_x_n - x_n) < 1e-13
 
