@@ -157,7 +157,7 @@ def run_ensemble(plan: ExperimentPlan) -> EnsembleResult:
     x_mb = np.empty((len(sectors), plan.samples))
     for i, (v, psi_t) in enumerate(zip(fields, states)):
         try:
-            x_h[i] = _bounded(hartree_expectation(psi_t, plan.observable), "X", plan)
+            x_h[i] = _bounded(hartree_expectation(psi_t, plan.observable_factors), "X", plan)
             for k, (basis, psi0, gather) in enumerate(sectors):
                 psi_n = evolve_manybody(psi0, assemble_hamiltonian(basis, v), plan.t_final)
                 x_mb[k, i] = _bounded(manybody_expectation(

@@ -49,9 +49,9 @@ def build_grid(d: int, m: int, length: float) -> LatticeGrid:
         raise ConfigError(f"sites per axis must be >= 2, got {m}")
     if not (length > 0):
         raise ConfigError(f"box length must be positive, got {length}")
-    # sites^p <= KERNEL_DIMENSION_CAP = 2^12 and M >= 2 give d*p <= 12, so the
-    # extreme powers of h formed are h^24 (cell_volume^(2p)) and 1/h^2: for h in
-    # [2^-40, 2^40] every one is a normal double
+    # sites^p <= KERNEL_DIMENSION_CAP = 2^12 and M >= 2 give d*p <= 12, so for h in
+    # [2^-40, 2^40] every power formed is a normal double: h^12 (cell_volume^p),
+    # 1/h^2, and the h^24 of the dense double sum h^{2dp} <psi, K psi> that checks X
     if not (2.0 ** -40 <= length / m <= 2.0 ** 40):
         raise ConfigError(f"box length {length!r} on {m} sites gives spacing "
                           f"h = {length / m!r}, outside [2^-40, 2^40]")

@@ -8,7 +8,8 @@ per step. V leaves |psi|^2 as it is, so V(dt/2) V(dt/2) = V(dt): the closing
 half-step of one Strang step and the opening one of the next merge ("first
 same as last", McLachlan & Quispel, Acta Numerica 11, 2002), and `steps`
 Strang steps run as V(dt/2), `steps` x [K(dt), V(dt)], V(-dt/2), one
-mean-field evaluation per step.
+mean-field evaluation per step. X is read from the observable's spectral
+factors, the same (mu, U) that the many-body X_N reads.
 
 The flow is batched: the states of S fields are one (S, *grid.shape) complex
 array, transformed over the grid axes only, so one `hartree_step` call moves
@@ -18,6 +19,7 @@ step.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -27,7 +29,6 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .grid import (LatticeGrid, WaveFunction, convolve, convolve_spectrum,
                    grid_fft, lattice_dispersion)
-from .observables import PObservable
 from .random_field import RandomField
 
 _NORM_TOL = 1e-12
@@ -119,13 +120,18 @@ def evolve_hartree_batch(phi: WaveFunction, fields: Sequence[RandomField],
     return states
 
 
-def hartree_expectation(psi: WaveFunction, a: PObservable) -> float:
-    """X = Re <psi^(x)p, a psi^(x)p>; a PObservable is self-adjoint, so Im is roundoff."""
+def hartree_expectation(psi: WaveFunction, factors: tuple[np.ndarray, np.ndarray]) -> float:
+    """X = <psi^(x)p, a psi^(x)p> = sum_k mu_k |U_k^H (h^{d/2} psi)^(x)p|^2 from the
+    observable's spectral_factors (mu, u), which hold on the symmetric psi^(x)p;
+    p is read from u's sites^p rows, and |z|^2 is summed without BLAS, as for X_N."""
+    mu, u = factors
     grid = psi.grid
-    if a.sites != grid.n_sites:
-        raise DimensionError("observable kernel does not match the state's grid")
-    vec = reduce(np.kron, [psi.amplitudes] * a.p)
-    return float((grid.cell_volume ** (2 * a.p) * np.vdot(vec, a.kernel @ vec)).real)
+    p = max(1, round(math.log(len(u), grid.n_sites)))
+    if grid.n_sites ** p != len(u):
+        raise DimensionError(f"the factors' {len(u)} rows are not a power of the "
+                             f"state's {grid.n_sites} sites")
+    z = reduce(np.kron, [math.sqrt(grid.cell_volume) * psi.amplitudes.conj()] * p) @ u
+    return float(np.einsum("k,k->", mu, z.real * z.real + z.imag * z.imag))
 
 
 def hartree_energy(psi: WaveFunction, v: RandomField) -> float:

@@ -23,8 +23,9 @@ H is real, so the recurrence runs one loop on real vectors for each of
 Re Psi_0 and Im Psi_0 that is not exactly zero. Each annihilator has one
 entry a row, so w = a_{x_p}...a_{x_1} Psi is a gather, wt * Psi[idx], built
 once per (plan, N) by annihilator_gather; X_N is sum_k mu_k ||w conj(U_k)||^2
-over the observable's spectral factors, scaled by N^-p, without forming the
-reduced density matrix, which the same gather code serves as an oracle.
+over the observable's spectral factors, the ones the Hartree X reads, scaled
+by N^-p, without forming the reduced density matrix, which the same gather
+code serves as an oracle.
 DIMENSION_CAP caps each sector and _MAX_RT the r*t that sets the degree, both
 checked for a plan's largest N first; ensemble checks that |X_N| <= ||a||.
 """
@@ -244,6 +245,8 @@ def build_fock_basis(n: int, grid: LatticeGrid,
     if n < 1:
         raise DomainError(f"particle number must be >= 1, got {n}")
     check_fock_dimension(n, grid)
+    if max_rdm_order is not None and max_rdm_order < 1:
+        raise DomainError(f"max_rdm_order must be >= 1, got {max_rdm_order}")
     depth = n if max_rdm_order is None else min(max_rdm_order, n)
     occ, annihilators = np.zeros((1, grid.n_sites), dtype=np.uint8), ()
     for particles in range(1, n + 1):
@@ -542,7 +545,7 @@ def reduced_density_matrix(psi: ManyBodyState, p: int) -> np.ndarray:
 
 def manybody_expectation(psi: ManyBodyState, gather: AnnihilatorGather,
                          factors: tuple[np.ndarray, np.ndarray]) -> float:
-    """X_N = lift_factor(N, p) Tr(a gamma^(p)) from gather, the sector's
+    """X_N = N!/(N^p (N-p)!) Tr(a gamma^(p)) from gather, the sector's
     annihilator_gather, and factors = (mu, u), the observable's spectral_factors.
 
     Each row w_m of w = a_{x_p}...a_{x_1} Psi is symmetric in X, so with

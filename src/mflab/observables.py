@@ -1,12 +1,12 @@
 """p-particle observables given by dense kernels on lattice^p x lattice^p.
 
 A kernel K acts as (a phi)(X) = h^{dp} sum_Y K(X;Y) phi(Y) and is kept as
-given. mflab sees a only on bosonic states: <phi^(x)p, a phi^(x)p>,
-Tr(a gamma) for a bosonic gamma, through the spectral factors on the
-symmetric subspace, and the norm there.
-phi^(x)p, gamma and that subspace are fixed by every simultaneous
-permutation of the p coordinate blocks, so none of the three changes if K is
-averaged over those permutations.
+given. mflab sees a only on bosonic states, so a plan turns K once into
+spectral_factors (mu, U) on the symmetric subspace, and reads all three of
+X = <phi^(x)p, a phi^(x)p>, X_N = Tr(a gamma) for a bosonic gamma, and the
+norm max|mu| from them. phi^(x)p, gamma and that subspace are fixed by every
+simultaneous permutation of the p coordinate blocks, so none of the three
+changes if K is averaged over those permutations.
 """
 from __future__ import annotations
 
@@ -86,29 +86,15 @@ def spectral_factors(a: PObservable, grid: LatticeGrid) -> tuple[np.ndarray, np.
     return mu, u
 
 
-def operator_norm(a: PObservable, grid: LatticeGrid) -> float:
-    """Spectral norm of h^{dp} K on the permutation-symmetric subspace: the
-    largest |mu| of spectral_factors, 0 for the zero observable."""
-    return float(np.abs(spectral_factors(a, grid)[0]).max(initial=0.0))
-
-
 def check_kernel_dimension(p: int, sites: int) -> None:
-    """ResourceError if a p-particle kernel over `sites` sites has more than
-    KERNEL_DIMENSION_CAP rows; the stock observables call it before allocating."""
+    """DomainError if p < 1, ResourceError if a p-particle kernel over `sites` sites
+    has more than KERNEL_DIMENSION_CAP rows; the stock observables call it first."""
+    if p < 1:
+        raise DomainError(f"observable particle count must be >= 1, got {p}")
     # sites >= 2 passes the cap by p = 13, so the power stays small for any p
     if sites ** min(p, KERNEL_DIMENSION_CAP.bit_length()) > KERNEL_DIMENSION_CAP:
         raise ResourceError(f"a {p}-particle kernel needs sites^p = {sites}^{p} rows, "
                             f"above the cap of {KERNEL_DIMENSION_CAP:,}")
-
-
-def lift_factor(n: int, p: int) -> float:
-    """Prefactor N!/(N^p (N-p)!) of the N-body lift, as a stable product."""
-    if p < 1 or p > n:
-        raise DomainError(f"need 1 <= p <= N, got p={p}, N={n}")
-    out = 1.0
-    for k in range(p):
-        out *= (n - k) / n
-    return out
 
 
 # --- stock observables ----------------------------------------------------

@@ -9,7 +9,7 @@ from mflab.errors import ConsistencyError, DomainError, ResourceError
 from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
                         lattice_dispersion)
 from mflab.hartree import HartreeRunParams
-from mflab.observables import condensate_projector, operator_norm, site_multiplier
+from mflab.observables import condensate_projector, site_multiplier, spectral_factors
 from mflab.random_field import FieldSpec, mix_seed
 
 
@@ -165,6 +165,7 @@ def test_zero_observable_has_no_spectral_pairs_and_x_n_exactly_zero():
     assert plan.observable_norm == 0.0
     result = run_ensemble(plan)
     assert np.array_equal(result.x_manybody, np.zeros((2, 2)))
+    assert np.array_equal(result.x_hartree, np.zeros(2))
 
 
 def test_plan_builds_and_checks_its_time_grid_once():
@@ -233,7 +234,7 @@ def test_result_table_rejects_a_shape_that_disagrees():
 
 def test_pathwise_bound_holds():
     plan = _plan(RANDOM_SPEC, samples=6)
-    bound = operator_norm(OBS, GRID)
+    bound = np.abs(spectral_factors(OBS, GRID)[0]).max()
     result = run_ensemble(plan)
     assert np.all(np.abs(result.x_hartree) <= bound + 1e-12)
     assert np.all(np.abs(result.x_manybody) <= bound + 1e-12)
@@ -242,7 +243,7 @@ def test_pathwise_bound_holds():
 def test_tail_diagnostic_behaviour():
     plan = _plan(RANDOM_SPEC, samples=6)
     result = run_ensemble(plan)
-    bound = operator_norm(OBS, GRID)
+    bound = np.abs(spectral_factors(OBS, GRID)[0]).max()
     above, h_above = tail_diagnostic(result, 1.1 * bound)
     assert h_above == 0.0
     assert all(v == 0.0 for v in above.values())

@@ -7,7 +7,7 @@ from mflab.grid import (WaveFunction, build_grid, convolve, gaussian_packet,
 from mflab.hartree import (HartreeRunParams, evolve_hartree_batch,
                            field_spectra, hartree_energy, hartree_expectation,
                            hartree_step, potential_phase)
-from mflab.observables import PObservable, condensate_projector, operator_norm
+from mflab.observables import PObservable, condensate_projector, spectral_factors
 from mflab.random_field import FieldSpec, sample_field
 
 
@@ -184,14 +184,14 @@ def test_time_reversal_returns_initial_state():
 def test_expectation_projector_on_own_state():
     psi = gaussian_packet(GRID)
     a = condensate_projector(psi)
-    assert hartree_expectation(psi, a) == pytest.approx(1.0, abs=1e-12)
+    assert hartree_expectation(psi, spectral_factors(a, GRID)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expectation_projector_on_orthogonal_state():
     phi = plane_wave(GRID, 1)
     chi = plane_wave(GRID, 2)
     a = condensate_projector(phi)
-    assert abs(hartree_expectation(chi, a)) < 1e-12
+    assert abs(hartree_expectation(chi, spectral_factors(a, GRID))) < 1e-12
 
 
 def test_expectation_product_kernel_factorizes():
@@ -202,8 +202,8 @@ def test_expectation_product_kernel_factorizes():
     b = raw + raw.conj().T
     a2 = PObservable(2, np.kron(b, b))
     one_body = PObservable(1, b)
-    x1 = hartree_expectation(psi, one_body)
-    x2 = hartree_expectation(psi, a2)
+    x1 = hartree_expectation(psi, spectral_factors(one_body, GRID))
+    x2 = hartree_expectation(psi, spectral_factors(a2, GRID))
     # direct double sum over the p=2 kernel
     vec = np.kron(psi.amplitudes, psi.amplitudes)
     direct = GRID.cell_volume ** 4 * np.vdot(vec, np.kron(b, b) @ vec).real
@@ -214,12 +214,27 @@ def test_expectation_product_kernel_factorizes():
 def test_expectation_bounded_by_operator_norm():
     rng = np.random.default_rng(1)
     a = condensate_projector(gaussian_packet(GRID))
-    bound = operator_norm(a, GRID)
+    bound = np.abs(spectral_factors(a, GRID)[0]).max()
     for seed in range(5):
         rng = np.random.default_rng(seed)
         psi = normalize(WaveFunction(GRID, rng.standard_normal(8)
                                      + 1j * rng.standard_normal(8)))
-        assert abs(hartree_expectation(psi, a)) <= bound + 1e-12
+        assert abs(hartree_expectation(psi, spectral_factors(a, GRID))) <= bound + 1e-12
+
+
+def test_expectation_rejects_factors_of_another_grid():
+    psi = gaussian_packet(GRID)
+    for g, p in ((build_grid(1, 5, 5.0), 1), (build_grid(1, 3, 3.0), 2),
+                 (build_grid(2, 4, 8.0), 1)):
+        factors = spectral_factors(condensate_projector(gaussian_packet(g), p), g)
+        with pytest.raises(DimensionError, match="not a power of the state's 8 sites"):
+            hartree_expectation(psi, factors)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_zero_observable_has_x_exactly_zero(p):
+    a = PObservable(p, np.zeros((8 ** p,) * 2))
+    assert hartree_expectation(gaussian_packet(GRID), spectral_factors(a, GRID)) == 0.0
 
 
 def test_non_self_adjoint_kernel_rejected():

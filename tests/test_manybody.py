@@ -18,15 +18,15 @@ import mflab.manybody
 from mflab.errors import DimensionError, DomainError, ResourceError
 from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
                         lattice_dispersion, normalize, plane_wave)
-from mflab.hartree import hartree_energy
+from mflab.hartree import hartree_energy, hartree_expectation
 from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree, _rank,
                             _spectral_interval, annihilator_gather, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
                             evolve_manybody, interaction_matrix,
                             kinetic_matrix, manybody_expectation,
                             product_state_lift, reduced_density_matrix)
-from mflab.observables import (PObservable, condensate_projector, lift_factor,
-                               operator_norm, site_multiplier, spectral_factors)
+from mflab.observables import (PObservable, condensate_projector, site_multiplier,
+                               spectral_factors)
 from mflab.random_field import FieldSpec, RandomField, sample_field
 
 
@@ -44,6 +44,12 @@ def test_basis_sizes():
     assert len(build_fock_basis(2, g3)) == 6
     g8 = build_grid(1, 8, 8.0)
     assert len(build_fock_basis(3, g8)) == 120
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_basis_rejects_an_rdm_order_below_one(order):
+    with pytest.raises(DomainError, match=rf"max_rdm_order must be >= 1, got {order}$"):
+        build_fock_basis(2, build_grid(1, 3, 3.0), max_rdm_order=order)
 
 
 def test_basis_matches_brute_force_enumeration():
@@ -707,7 +713,7 @@ def _lifted_operator_dense(a, n, grid):
     a_l2 = grid.cell_volume ** a.p * a.kernel
     full = np.kron(a_l2, np.eye(sites ** (n - a.p)))
     ps = _symmetrizer(n, sites)
-    return lift_factor(n, a.p) * ps @ full @ ps
+    return math.perm(n, a.p) / n ** a.p * ps @ full @ ps
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -761,9 +767,41 @@ def test_expectation_from_spectral_factors_matches_the_rdm_trace(m, n, p, kind):
     for psi in (_random_state(basis, rng), product_state_lift(gaussian_packet(g), basis)):
         gamma = reduced_density_matrix(psi, p)
         trace = g.cell_volume ** (2 * p) * np.sum(a.kernel * gamma.T)
-        oracle = lift_factor(n, p) * trace.real
+        oracle = math.perm(n, p) / n ** p * trace.real
         got = manybody_expectation(psi, gather, factors)
-        assert abs(got - oracle) <= 1e-13 * operator_norm(a, g)
+        assert abs(got - oracle) <= 1e-13 * np.abs(factors[0]).max()
+
+
+@pytest.mark.parametrize("kind", ["rank-one", "diagonal", "full-rank"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_hartree_expectation_from_spectral_factors_matches_the_double_sum(p, kind):
+    g = build_grid(1, 4, 3.0)
+    rng = np.random.default_rng(80 + p)
+    a = _test_kernel(kind, g, p, rng)
+    factors = spectral_factors(a, g)
+    for phi in (gaussian_packet(g), normalize(WaveFunction(
+            g, rng.standard_normal(4) + 1j * rng.standard_normal(4)))):
+        vec = functools.reduce(np.kron, [phi.amplitudes] * p)
+        oracle = g.cell_volume ** (2 * p) * np.vdot(vec, a.kernel @ vec).real
+        got = hartree_expectation(phi, factors)
+        assert abs(got - oracle) <= 1e-13 * np.abs(factors[0]).max()
+
+
+@pytest.mark.parametrize("kind", ["rank-one", "diagonal", "full-rank"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_x_n_at_time_zero_is_x_times_the_lift_prefactor(p, kind):
+    # at t = 0, gamma_N^(p) of phi^(x)N is |phi^(x)p><phi^(x)p|, so the two
+    # dynamics agree up to N!/(N^p (N-p)!); h = 0.75 keeps every power of h visible
+    g, n = build_grid(1, 4, 3.0), 5
+    rng = np.random.default_rng(90 + p)
+    a = _test_kernel(kind, g, p, rng)
+    factors = spectral_factors(a, g)
+    phi = normalize(WaveFunction(g, rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    basis = build_fock_basis(n, g, max_rdm_order=p)
+    x_n = manybody_expectation(product_state_lift(phi, basis),
+                               annihilator_gather(basis, p), factors)
+    x = hartree_expectation(phi, factors)
+    assert abs(x_n - math.perm(n, p) / n ** p * x) <= 1e-13 * np.abs(factors[0]).max()
 
 
 def _symmetric_basis(sites, p):
@@ -800,7 +838,7 @@ def test_dropped_spectral_pairs_move_x_n_by_at_most_their_bound(p):
     for psi in (_random_state(basis, rng), product_state_lift(gaussian_packet(g), basis)):
         kept = manybody_expectation(psi, gather, (mu, u))
         restored = manybody_expectation(psi, gather, (mu_all, q @ v_all))
-        assert abs(restored - kept) <= cut * operator_norm(a, g)
+        assert abs(restored - kept) <= cut * np.abs(mu).max()
 
 
 def test_expectation_of_initial_product_state():
@@ -814,7 +852,7 @@ def test_expectation_of_initial_product_state():
         got = manybody_expectation(psi, annihilator_gather(basis, p),
                                    spectral_factors(a, g))
         # at t=0 the state is phi^(x)N, so Tr(a gamma) = <phi^p, a phi^p> = 1
-        assert got == pytest.approx(lift_factor(n, p), abs=1e-12)
+        assert got == pytest.approx(math.perm(n, p) / n ** p, abs=1e-12)
 
 
 def test_single_particle_sector_is_free_evolution():
@@ -839,8 +877,8 @@ def test_expectation_respects_norm_bound():
     g = build_grid(1, 4, 4.0)
     basis = build_fock_basis(3, g)
     a = condensate_projector(gaussian_packet(g))
-    bound = operator_norm(a, g)
     gather, factors = annihilator_gather(basis, 1), spectral_factors(a, g)
+    bound = np.abs(factors[0]).max()
     rng = np.random.default_rng(41)
     for _ in range(5):
         coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))

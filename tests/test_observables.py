@@ -9,41 +9,8 @@ from mflab.grid import WaveFunction, build_grid, gaussian_packet, normalize, pla
 from mflab.hartree import hartree_expectation
 from mflab.manybody import (ManyBodyState, annihilator_gather, build_fock_basis,
                             manybody_expectation, product_state_lift)
-from mflab.observables import (PObservable, condensate_projector, lift_factor,
-                               operator_norm, site_multiplier, spectral_factors)
-
-
-def test_lift_factor_p1_is_one():
-    for n in (1, 2, 5, 17, 64):
-        assert lift_factor(n, 1) == 1.0
-
-
-def test_lift_factor_small_cases():
-    # direct factorial arithmetic: N!/(N^p (N-p)!)
-    assert lift_factor(3, 2) == pytest.approx(6 / (9 * 1), abs=1e-15)
-    assert lift_factor(2, 2) == pytest.approx(2 / (4 * 1), abs=1e-15)
-
-
-def test_lift_factor_matches_factorials():
-    for n in range(1, 20):
-        for p in range(1, n + 1):
-            exact = math.factorial(n) / (n ** p * math.factorial(n - p))
-            assert lift_factor(n, p) == pytest.approx(exact, rel=1e-13)
-
-
-def test_lift_factor_range_and_monotonicity():
-    for p in (1, 2, 3):
-        vals = [lift_factor(n, p) for n in range(p, 65)]
-        assert all(0 < v <= 1 for v in vals)
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert lift_factor(64, 2) > 0.96  # approaches 1 for fixed p
-
-
-def test_lift_factor_domain():
-    with pytest.raises(DomainError):
-        lift_factor(2, 3)
-    with pytest.raises(DomainError):
-        lift_factor(2, 0)
+from mflab.observables import (PObservable, condensate_projector, site_multiplier,
+                               spectral_factors)
 
 
 @pytest.mark.parametrize("p, kernel, error", [
@@ -59,13 +26,20 @@ def test_constructor_validates_the_kernel(p, kernel, error):
         PObservable(p, kernel)
 
 
+@pytest.mark.parametrize("p", [0, -1])
+def test_condensate_projector_rejects_a_particle_count_below_one(p):
+    phi = gaussian_packet(build_grid(1, 4, 4.0))
+    with pytest.raises(DomainError, match=rf"particle count must be >= 1, got {p}$"):
+        condensate_projector(phi, p)
+
+
 def test_kernel_is_a_read_only_copy():
     g = build_grid(1, 8, 8.0)
     k = np.eye(8, dtype=complex)
     a = PObservable(1, k)
     k[0, 0] = 5.0
     assert np.array_equal(a.kernel, np.eye(8))
-    assert operator_norm(a, g) == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError, match="read-only"):
         a.kernel[0, 0] = 5.0
 
@@ -74,13 +48,13 @@ def test_operator_norm_rank_one_projector():
     g = build_grid(1, 8, 8.0)
     phi = gaussian_packet(g)
     a = condensate_projector(phi, p=1)
-    assert operator_norm(a, g) == pytest.approx(1.0, abs=1e-8)
+    assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_operator_norm_identity_kernel():
     g = build_grid(1, 8, 4.0)
     a = PObservable(1, np.eye(8) / g.cell_volume)
-    assert operator_norm(a, g) == pytest.approx(1.0, abs=1e-8)
+    assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(1.0, abs=1e-8)
 
 
 def _symmetric_basis_p2(sites):
@@ -112,12 +86,12 @@ def test_operator_norm_p2_matches_dense_eigensolver():
     b = g.cell_volume ** 2 * a.kernel
     restricted = basis.T @ b @ basis
     dense = float(np.max(np.abs(np.linalg.eigvalsh(restricted))))
-    assert operator_norm(a, g) == pytest.approx(dense, rel=1e-8)
+    assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(dense, rel=1e-8)
 
 
 def test_operator_norm_p3_matches_combinations_basis():
     # orthonormal symmetric basis from multisets of sites, independent of the
-    # orbit construction in operator_norm
+    # orbit construction in spectral_factors
     rng = np.random.default_rng(17)
     sites, p = 3, 3
     g = build_grid(1, sites, 2.0)
@@ -140,14 +114,15 @@ def test_operator_norm_p3_matches_combinations_basis():
     assert q.shape == (27, 10)
     restricted = q.T @ (g.cell_volume ** p * a.kernel) @ q
     dense = float(np.max(np.abs(np.linalg.eigvalsh(restricted))))
-    assert operator_norm(a, g) == pytest.approx(dense, rel=1e-12)
+    assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(dense, rel=1e-12)
 
 
 def test_operator_norm_near_degenerate_site_multiplier():
     # the top two singular values, 1 and cos(pi/101), differ by about 5e-4;
     # the norm must still come out exactly
     g = build_grid(1, 101, 101.0)
-    assert operator_norm(site_multiplier(g), g) == pytest.approx(1.0, abs=1e-14)
+    mu, _ = spectral_factors(site_multiplier(g), g)
+    assert np.abs(mu).max() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_operator_norm_invariant_under_resymmetrization():
@@ -165,8 +140,8 @@ def test_operator_norm_invariant_under_resymmetrization():
     basis = _symmetric_basis_p2(4)
     restricted = basis.T @ (g.cell_volume ** 2 * a.kernel) @ basis
     dense = float(np.max(np.abs(np.linalg.eigvalsh(restricted))))
-    assert operator_norm(a, g) == pytest.approx(dense, rel=1e-8)
-    assert operator_norm(a2, g) == pytest.approx(dense, rel=1e-8)
+    assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(dense, rel=1e-8)
+    assert np.abs(spectral_factors(a2, g)[0]).max() == pytest.approx(dense, rel=1e-8)
 
 
 def _block_symmetrized(kernel, p, sites):
@@ -200,11 +175,10 @@ def test_results_invariant_under_block_symmetrization(p):
     states = (ManyBodyState(basis, coeffs / np.linalg.norm(coeffs)),
               product_state_lift(phi, basis))
     given, symmetrized = (
-        [hartree_expectation(phi, a),
-         *(manybody_expectation(psi, annihilator_gather(basis, p), spectral_factors(a, g))
-           for psi in states),
-         operator_norm(a, g)]
-        for a in (PObservable(p, kernel), PObservable(p, sym)))
+        [hartree_expectation(phi, factors),
+         *(manybody_expectation(psi, annihilator_gather(basis, p), factors) for psi in states),
+         np.abs(factors[0]).max()]
+        for factors in (spectral_factors(PObservable(p, k), g) for k in (kernel, sym)))
     assert given == pytest.approx(symmetrized, abs=1e-12)
 
 
@@ -223,5 +197,5 @@ def test_site_multiplier_norm_is_max_abs():
     a = site_multiplier(g, amplitude=1.5, mode=1)
     x = g.axis_coordinates()
     expected = np.max(np.abs(1.5 * np.cos(2 * np.pi * x / g.length)))
-    assert operator_norm(a, g) == pytest.approx(expected, rel=1e-8)
+    assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(expected, rel=1e-8)
     assert np.max(np.abs(a.kernel - a.kernel.conj().T)) <= 1e-12
