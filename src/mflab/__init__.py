@@ -16,8 +16,8 @@ from .manybody import (AnnihilatorGather, FockBasis, ManyBodyState,
                        annihilator_gather, assemble_hamiltonian, build_fock_basis,
                        evolve_manybody, manybody_expectation, product_state_lift,
                        reduced_density_matrix)
-from .observables import (PObservable, condensate_projector, site_multiplier,
-                          spectral_factors)
+from .observables import (PObservable, SpectralFactors, condensate_projector,
+                          site_multiplier, spectral_factors)
 from .random_field import FieldSpec, RandomField, mix_seed, sample_field
 
 __all__ = [
@@ -31,8 +31,8 @@ __all__ = [
     "AnnihilatorGather", "FockBasis", "ManyBodyState", "annihilator_gather",
     "assemble_hamiltonian", "build_fock_basis", "evolve_manybody",
     "manybody_expectation", "product_state_lift", "reduced_density_matrix",
-    "PObservable", "condensate_projector", "site_multiplier", "spectral_factors",
-    "FieldSpec", "RandomField", "mix_seed", "sample_field",
+    "PObservable", "SpectralFactors", "condensate_projector", "site_multiplier",
+    "spectral_factors", "FieldSpec", "RandomField", "mix_seed", "sample_field",
 ]
 
 __version__ = "0.1.0"

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, MFLabError
+from .errors import ConsistencyError, DimensionError, DomainError, MFLabError
 from .grid import LatticeGrid, WaveFunction
 from .hartree import HartreeRunParams, evolve_hartree_batch, hartree_expectation
 from .manybody import (annihilator_gather, assemble_hamiltonian, build_fock_basis,
                        check_fock_dimension, check_propagation, evolve_manybody,
                        manybody_expectation, product_state_lift)
-from .observables import PObservable, spectral_factors
+from .observables import PObservable, SpectralFactors, spectral_factors
 from .random_field import FieldSpec, mix_seed, sample_field
 
 
@@ -46,8 +46,8 @@ class ExperimentPlan:
     particle_counts: tuple[int, ...]
     samples: int
     base_seed: int
-    # (mu, u) of spectral_factors and the largest |mu|, from one eigensolve
-    observable_factors: tuple[np.ndarray, np.ndarray] = field(init=False)
+    # spectral_factors on the plan's grid and the largest |mu|, from one eigensolve
+    observable_factors: SpectralFactors = field(init=False)
     observable_norm: float = field(init=False)
     # slack on X, which scales with the norm as X does: the pathwise bound and the
     # triangle check grant it, and the log-log slope leaves out gaps at or below it
@@ -69,10 +69,12 @@ class ExperimentPlan:
         check_propagation(counts[-1], self.grid, self.t_final)
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
+        if self.initial_state.grid != self.grid:
+            raise DimensionError("the initial state and the plan live on different grids")
         object.__setattr__(self, "particle_counts", counts)
         object.__setattr__(self, "hartree_params", HartreeRunParams(self.t_final, self.dt))
         factors = spectral_factors(self.observable, self.grid)
-        norm = float(np.abs(factors[0]).max(initial=0.0))
+        norm = float(np.abs(factors.mu).max(initial=0.0))
         # each |Y| <= 2 norm, and np.std in estimate sums `samples` squares
         if not (self.samples * (2 * norm) * (2 * norm) < math.inf):
             raise DomainError(f"observable norm {norm!r}: samples * (2 norm)^2 overflows")

@@ -8,8 +8,8 @@ per step. V leaves |psi|^2 as it is, so V(dt/2) V(dt/2) = V(dt): the closing
 half-step of one Strang step and the opening one of the next merge ("first
 same as last", McLachlan & Quispel, Acta Numerica 11, 2002), and `steps`
 Strang steps run as V(dt/2), `steps` x [K(dt), V(dt)], V(-dt/2), one
-mean-field evaluation per step. X is read from the observable's spectral
-factors, the same (mu, U) that the many-body X_N reads.
+mean-field evaluation per step. X is the quadratic form of the observable's
+SpectralFactors on the row conj(h^{d/2} psi)^(x)p, as X_N is on conj(w).
 
 The flow is batched: the states of S fields are one (S, *grid.shape) complex
 array, transformed over the grid axes only, so one `hartree_step` call moves
@@ -120,18 +120,12 @@ def evolve_hartree_batch(phi: WaveFunction, fields: Sequence[RandomField],
     return states
 
 
-def hartree_expectation(psi: WaveFunction, factors: tuple[np.ndarray, np.ndarray]) -> float:
+def hartree_expectation(psi: WaveFunction, factors) -> float:
     """X = <psi^(x)p, a psi^(x)p> = sum_k mu_k |U_k^H (h^{d/2} psi)^(x)p|^2 from the
-    observable's spectral_factors (mu, u), which hold on the symmetric psi^(x)p;
-    p is read from u's sites^p rows, and |z|^2 is summed without BLAS, as for X_N."""
-    mu, u = factors
-    grid = psi.grid
-    p = max(1, round(math.log(len(u), grid.n_sites)))
-    if grid.n_sites ** p != len(u):
-        raise DimensionError(f"the factors' {len(u)} rows are not a power of the "
-                             f"state's {grid.n_sites} sites")
-    z = reduce(np.kron, [math.sqrt(grid.cell_volume) * psi.amplitudes.conj()] * p) @ u
-    return float(np.einsum("k,k->", mu, z.real * z.real + z.imag * z.imag))
+    observable's SpectralFactors, which hold on the symmetric psi^(x)p."""
+    factors.check_grid(psi.grid)
+    row = math.sqrt(psi.grid.cell_volume) * psi.amplitudes.conj()
+    return factors.quadratic_form([reduce(np.kron, [row] * factors.p).reshape(1, -1)])
 
 
 def hartree_energy(psi: WaveFunction, v: RandomField) -> float:

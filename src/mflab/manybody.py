@@ -22,10 +22,10 @@ proven bound on its Bessel-coefficient tail; it draws no random numbers.
 H is real, so the recurrence runs one loop on real vectors for each of
 Re Psi_0 and Im Psi_0 that is not exactly zero. Each annihilator has one
 entry a row, so w = a_{x_p}...a_{x_1} Psi is a gather, wt * Psi[idx], built
-once per (plan, N) by annihilator_gather; X_N is sum_k mu_k ||w conj(U_k)||^2
-over the observable's spectral factors, the ones the Hartree X reads, scaled
-by N^-p, without forming the reduced density matrix, which the same gather
-code serves as an oracle.
+once per (plan, N) by annihilator_gather; X_N is N^-p sum_k mu_k
+||w conj(U_k)||^2, the quadratic form of the observable's SpectralFactors on
+the row blocks of conj(w), the form the Hartree X reads, without forming the
+reduced density matrix, which the same gather code serves as an oracle.
 DIMENSION_CAP caps each sector and _MAX_RT the r*t that sets the degree, both
 checked for a plan's largest N first; ensemble checks that |X_N| <= ||a||.
 """
@@ -495,7 +495,6 @@ class AnnihilatorGather(NamedTuple):
     """w = wt * Psi[idx], the (dim(N-p), sites^p) array a_{x_p}...a_{x_1} Psi of
     any state Psi of one sector (see _chain), as built by annihilator_gather."""
 
-    p: int
     idx: np.ndarray
     wt: np.ndarray
 
@@ -513,7 +512,7 @@ def annihilator_gather(basis: FockBasis, p: int) -> AnnihilatorGather:
     annihilators, sites = basis.annihilators[:p], basis.sites
     if p == 1:
         idx, (wt,) = _chain(annihilators, sites, slice(None))
-        return AnnihilatorGather(1, idx, wt)
+        return AnnihilatorGather(idx, wt)
     shape = (annihilators[-1].shape[0] // sites, sites ** p)
     idx = np.empty(shape, dtype=annihilators[0].indices.dtype)
     wt = np.empty(shape)
@@ -522,7 +521,7 @@ def annihilator_gather(basis: FockBasis, p: int) -> AnnihilatorGather:
         _scale(wt[rows], factors)
     idx.setflags(write=False)
     wt.setflags(write=False)
-    return AnnihilatorGather(p, idx, wt)
+    return AnnihilatorGather(idx, wt)
 
 
 def reduced_density_matrix(psi: ManyBodyState, p: int) -> np.ndarray:
@@ -543,33 +542,24 @@ def reduced_density_matrix(psi: ManyBodyState, p: int) -> np.ndarray:
     return (scale / psi.basis.grid.cell_volume ** p) * raw
 
 
-def manybody_expectation(psi: ManyBodyState, gather: AnnihilatorGather,
-                         factors: tuple[np.ndarray, np.ndarray]) -> float:
+def manybody_expectation(psi: ManyBodyState, gather: AnnihilatorGather, factors) -> float:
     """X_N = N!/(N^p (N-p)!) Tr(a gamma^(p)) from gather, the sector's
-    annihilator_gather, and factors = (mu, u), the observable's spectral_factors.
+    annihilator_gather of order p, and the observable's SpectralFactors.
 
     Each row w_m of w = a_{x_p}...a_{x_1} Psi is symmetric in X, so with
     h^{dp} K = sum_k mu_k U_k U_k^H on that subspace,
     Tr(a gamma^(p)) = (N-p)!/N! sum_m <w_m, h^{dp} K w_m>, and
-    X_N = N^-p sum_k mu_k ||w conj(U_k)||^2; a plan checks |X_N| <= ||a||.
-    conj(w) U, the conjugate of w conj(U), is one product per row block, and
-    its squares are summed without BLAS, so X_N has the same bits at every
-    BLAS thread count.
+    X_N = N^-p sum_k mu_k ||w conj(U_k)||^2, the factors' quadratic form on the
+    row blocks of conj(w); a plan checks |X_N| <= ||a||.
     """
-    mu, u = factors
-    basis, p = psi.basis, gather.p
-    if u.shape[0] != basis.sites ** p:
-        raise DimensionError("observable kernel does not match the basis grid")
-    if gather.idx.shape != (fock_dimension(basis.n_particles - p, basis.sites), u.shape[0]):
+    basis, n, p = psi.basis, psi.basis.n_particles, factors.p
+    factors.check_grid(basis.grid)
+    if p > n or gather.idx.shape != (fock_dimension(n - p, basis.sites), basis.sites ** p):
         raise DimensionError(f"the gather of shape {gather.idx.shape} is not of the "
-                             f"state's sector")
+                             f"state's sector and the factors' order p={p}")
     psi_bar = psi.coefficients.conj()
-    sums = np.zeros(len(mu))
-    for rows in _blocks(len(gather.idx)):
-        z = (np.take(psi_bar, gather.idx[rows]) * gather.wt[rows]) @ u
-        sums += np.einsum("mk,mk->k", z.real, z.real)
-        sums += np.einsum("mk,mk->k", z.imag, z.imag)
-    return float(np.einsum("k,k->", mu, sums)) / basis.n_particles ** p
+    return factors.quadratic_form(np.take(psi_bar, gather.idx[rows]) * gather.wt[rows]
+                                  for rows in _blocks(len(gather.idx))) / n ** p
 
 
 def energy_expectation(psi: ManyBodyState, h: np.ndarray) -> float:

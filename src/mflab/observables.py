@@ -2,16 +2,18 @@
 
 A kernel K acts as (a phi)(X) = h^{dp} sum_Y K(X;Y) phi(Y) and is kept as
 given. mflab sees a only on bosonic states, so a plan turns K once into
-spectral_factors (mu, U) on the symmetric subspace, and reads all three of
-X = <phi^(x)p, a phi^(x)p>, X_N = Tr(a gamma) for a bosonic gamma, and the
-norm max|mu| from them. phi^(x)p, gamma and that subspace are fixed by every
+SpectralFactors (mu, U, grid, p) on the symmetric subspace: X = <phi^(x)p,
+a phi^(x)p> and X_N = Tr(a gamma), gamma bosonic, are its quadratic_form, and
+the norm is max|mu|. phi^(x)p, gamma and that subspace are fixed by every
 simultaneous permutation of the p coordinate blocks, so none of the three
 changes if K is averaged over those permutations.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -43,22 +45,40 @@ class PObservable:
         if self.kernel.ndim != 2 or self.kernel.shape[0] != self.kernel.shape[1]:
             raise DimensionError(f"kernel must be square, got shape {self.kernel.shape}")
         dim = self.kernel.shape[0]
-        if self.sites ** self.p != dim:
-            raise DimensionError(f"kernel dimension {dim} is not a p-th power "
-                                 f"of a site count (p={self.p})")
+        if round(dim ** (1.0 / self.p)) ** self.p != dim:
+            raise DimensionError(f"kernel dimension {dim} is not a p-th power (p={self.p})")
         # a NaN or inf stops the `and` before K - K^H is formed
         if not (np.isfinite(k).all() and np.abs(k - k.conj().T).max(initial=0.0)
                 <= 1e-12 * np.abs(k).max(initial=0.0)):
             raise DomainError("kernel must be finite and self-adjoint to 1e-12 max|K|")
 
-    @property
-    def sites(self) -> int:
-        return round(self.kernel.shape[0] ** (1.0 / self.p))
+
+class SpectralFactors(NamedTuple):
+    """h^{dp} K = sum_k mu_k U_k U_k^H on the symmetric p-particle subspace over grid."""
+
+    mu: np.ndarray
+    u: np.ndarray
+    grid: LatticeGrid
+    p: int
+
+    def check_grid(self, grid: LatticeGrid) -> None:
+        if grid != self.grid:
+            raise DimensionError(f"the factors hold on {self.grid}, the state on {grid}")
+
+    def quadratic_form(self, conj_blocks: Iterable[np.ndarray]) -> float:
+        """sum_m <w_m, a w_m> = sum_k mu_k sum_m |(conj(w) U)[m, k]|^2 for symmetric rows
+        w_m: one product per row block of conj(w), squares summed without BLAS."""
+        sums = np.zeros(len(self.mu))
+        for b in conj_blocks:
+            z = b @ self.u
+            sums += np.einsum("mk,mk->k", z.real, z.real)
+            sums += np.einsum("mk,mk->k", z.imag, z.imag)
+        return float(np.einsum("k,k->", self.mu, sums))
 
 
-def spectral_factors(a: PObservable, grid: LatticeGrid) -> tuple[np.ndarray, np.ndarray]:
+def spectral_factors(a: PObservable, grid: LatticeGrid) -> SpectralFactors:
     """Eigenpairs (mu, u) of h^{dp} K restricted to the permutation-symmetric subspace,
-    from one Hermitian eigensolve: mu is (r,) and u is (sites^p, r), read-only.
+    from one Hermitian eigensolve: mu is (r,), u is (sites^p, r), read-only, with grid and p.
 
     The subspace has an orthonormal basis Q with one normalized indicator
     column per orbit of the block permutations (Q is the identity for p = 1),
@@ -69,10 +89,9 @@ def spectral_factors(a: PObservable, grid: LatticeGrid) -> tuple[np.ndarray, np.
     are kept, the numerical-rank rule of np.linalg.matrix_rank: the rest are
     roundoff, and dropping them moves <v, a v> by at most dim_sym eps ||a|| ||v||^2.
     """
-    sites = a.sites
-    if sites != grid.n_sites:
-        raise DimensionError(f"kernel is built over {sites} sites, grid has {grid.n_sites}")
-    shape = (sites,) * a.p
+    if len(a.kernel) != grid.n_sites ** a.p:
+        raise DimensionError(f"the kernel has {len(a.kernel)} rows, not {grid.n_sites}^{a.p}")
+    shape = (grid.n_sites,) * a.p
     key = np.ravel_multi_index(np.sort(np.indices(shape).reshape(a.p, -1), axis=0), shape)
     _, orbit, size = np.unique(key, return_inverse=True, return_counts=True)
     # one entry a row: Q[X, orbit of X] = 1/sqrt(orbit size)
@@ -83,7 +102,7 @@ def spectral_factors(a: PObservable, grid: LatticeGrid) -> tuple[np.ndarray, np.
     mu, u = mu[keep], q @ v[:, keep]
     mu.setflags(write=False)
     u.setflags(write=False)
-    return mu, u
+    return SpectralFactors(mu, u, grid, a.p)
 
 
 def check_kernel_dimension(p: int, sites: int) -> None:

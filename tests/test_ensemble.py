@@ -5,7 +5,7 @@ import mflab.ensemble
 import mflab.hartree
 from mflab.ensemble import (EnsembleResult, ExperimentPlan, estimate,
                             run_ensemble, tail_diagnostic)
-from mflab.errors import ConsistencyError, DomainError, ResourceError
+from mflab.errors import ConsistencyError, DimensionError, DomainError, ResourceError
 from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
                         lattice_dispersion)
 from mflab.hartree import HartreeRunParams
@@ -160,12 +160,21 @@ def test_zero_observable_has_no_spectral_pairs_and_x_n_exactly_zero():
     plan = ExperimentPlan(grid=GRID, field_spec=RANDOM_SPEC, initial_state=PHI,
                           observable=site_multiplier(GRID, amplitude=0.0), t_final=0.25,
                           dt=0.25 / 128, particle_counts=(2, 3), samples=2, base_seed=5)
-    mu, u = plan.observable_factors
+    mu, u, *_ = plan.observable_factors
     assert mu.shape == (0,) and u.shape == (GRID.n_sites, 0)
     assert plan.observable_norm == 0.0
     result = run_ensemble(plan)
     assert np.array_equal(result.x_manybody, np.zeros((2, 2)))
     assert np.array_equal(result.x_hartree, np.zeros(2))
+
+
+def test_plan_rejects_an_initial_state_on_another_grid():
+    # as many sites as the plan's grid, but h = 0.25: caught before any sector is built
+    with pytest.raises(DimensionError, match="initial state and the plan live on different"):
+        ExperimentPlan(grid=GRID, field_spec=RANDOM_SPEC,
+                       initial_state=gaussian_packet(build_grid(1, 8, 2.0)),
+                       observable=OBS, t_final=0.25, dt=0.25 / 128, particle_counts=(2,),
+                       samples=1, base_seed=1)
 
 
 def test_plan_builds_and_checks_its_time_grid_once():

@@ -227,8 +227,20 @@ def test_expectation_rejects_factors_of_another_grid():
     for g, p in ((build_grid(1, 5, 5.0), 1), (build_grid(1, 3, 3.0), 2),
                  (build_grid(2, 4, 8.0), 1)):
         factors = spectral_factors(condensate_projector(gaussian_packet(g), p), g)
-        with pytest.raises(DimensionError, match="not a power of the state's 8 sites"):
+        with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
             hartree_expectation(psi, factors)
+
+
+@pytest.mark.parametrize("factor_grid,p,state_grid", [
+    (build_grid(1, 4, 4.0), 2, build_grid(1, 16, 16.0)),  # 4^2 rows, as 16 sites have
+    (GRID, 1, build_grid(1, 8, 2.0)),  # the same 8 sites, another h
+])
+def test_expectation_rejects_factors_with_the_rows_of_another_grid(factor_grid, p,
+                                                                   state_grid):
+    factors = spectral_factors(condensate_projector(gaussian_packet(factor_grid), p),
+                               factor_grid)
+    with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
+        hartree_expectation(gaussian_packet(state_grid), factors)
 
 
 @pytest.mark.parametrize("p", [1, 2])

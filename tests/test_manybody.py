@@ -25,8 +25,8 @@ from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree, _rank,
                             evolve_manybody, interaction_matrix,
                             kinetic_matrix, manybody_expectation,
                             product_state_lift, reduced_density_matrix)
-from mflab.observables import (PObservable, condensate_projector, site_multiplier,
-                               spectral_factors)
+from mflab.observables import (PObservable, SpectralFactors, condensate_projector,
+                               site_multiplier, spectral_factors)
 from mflab.random_field import FieldSpec, RandomField, sample_field
 
 
@@ -830,14 +830,14 @@ def test_dropped_spectral_pairs_move_x_n_by_at_most_their_bound(p):
     v, _ = np.linalg.qr(rng.standard_normal((dim_sym,) * 2)
                         + 1j * rng.standard_normal((dim_sym,) * 2))
     a = PObservable(p, (q @ v * lam) @ (q @ v).conj().T / g.cell_volume ** p)
-    mu, u = spectral_factors(a, g)
+    mu, u, *_ = spectral_factors(a, g)
     assert len(mu) == 2
     mu_all, v_all = np.linalg.eigh(q.T @ (g.cell_volume ** p * a.kernel) @ q)
     basis = build_fock_basis(5, g, max_rdm_order=p)
     gather = annihilator_gather(basis, p)
     for psi in (_random_state(basis, rng), product_state_lift(gaussian_packet(g), basis)):
-        kept = manybody_expectation(psi, gather, (mu, u))
-        restored = manybody_expectation(psi, gather, (mu_all, q @ v_all))
+        kept = manybody_expectation(psi, gather, SpectralFactors(mu, u, g, p))
+        restored = manybody_expectation(psi, gather, SpectralFactors(mu_all, q @ v_all, g, p))
         assert abs(restored - kept) <= cut * np.abs(mu).max()
 
 
@@ -892,8 +892,27 @@ def test_expectation_rejects_observable_of_another_grid():
     psi = product_state_lift(gaussian_packet(g), build_fock_basis(2, g))
     g5 = build_grid(1, 5, 5.0)
     a = condensate_projector(gaussian_packet(g5))
-    with pytest.raises(DimensionError, match="does not match the basis grid"):
+    with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
         manybody_expectation(psi, annihilator_gather(psi.basis, 1), spectral_factors(a, g5))
+
+
+def test_expectation_rejects_factors_of_a_grid_with_another_spacing():
+    g, coarse = build_grid(1, 8, 2.0), build_grid(1, 8, 8.0)
+    psi = product_state_lift(gaussian_packet(g), build_fock_basis(2, g))
+    factors = spectral_factors(condensate_projector(gaussian_packet(coarse)), coarse)
+    with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
+        manybody_expectation(psi, annihilator_gather(psi.basis, 1), factors)
+
+
+@pytest.mark.parametrize("n", [1, 3])  # at N = 1 there is no N - p sector for p = 2
+def test_expectation_rejects_a_gather_of_another_order(n):
+    g = build_grid(1, 4, 4.0)
+    basis = build_fock_basis(n, g)
+    psi = product_state_lift(gaussian_packet(g), basis)
+    factors = spectral_factors(condensate_projector(gaussian_packet(g), 2), g)
+    with pytest.raises(DimensionError, match=r"is not of the state's sector and the "
+                                             r"factors' order p=2$"):
+        manybody_expectation(psi, annihilator_gather(basis, 1), factors)
 
 
 def test_expectation_p_larger_than_n_rejected():

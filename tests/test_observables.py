@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,24 @@ from mflab.observables import (PObservable, condensate_projector, site_multiplie
 def test_constructor_validates_the_kernel(p, kernel, error):
     with pytest.raises(error):
         PObservable(p, kernel)
+
+
+@pytest.mark.parametrize("p, m, message", [
+    (1, 4, "the kernel has 4 rows, not 8^1"),
+    (2, 4, "the kernel has 16 rows, not 8^2"),
+    (1, 64, "the kernel has 64 rows, not 8^1"),  # 64 = 8^2: the rows alone fit p = 2
+])
+def test_spectral_factors_reject_a_kernel_of_another_site_count(p, m, message):
+    g = build_grid(1, 8, 8.0)
+    with pytest.raises(DimensionError, match=rf"^{re.escape(message)}$"):
+        spectral_factors(PObservable(p, np.eye(m ** p)), g)
+
+
+def test_spectral_factors_carry_their_grid_and_order():
+    g = build_grid(1, 4, 3.0)
+    factors = spectral_factors(condensate_projector(gaussian_packet(g), 2), g)
+    assert (factors.grid, factors.p) == (g, 2)
+    assert factors[0] is factors.mu and factors.u.shape == (16, 1)
 
 
 @pytest.mark.parametrize("p", [0, -1])
@@ -121,7 +140,7 @@ def test_operator_norm_near_degenerate_site_multiplier():
     # the top two singular values, 1 and cos(pi/101), differ by about 5e-4;
     # the norm must still come out exactly
     g = build_grid(1, 101, 101.0)
-    mu, _ = spectral_factors(site_multiplier(g), g)
+    mu, *_ = spectral_factors(site_multiplier(g), g)
     assert np.abs(mu).max() == pytest.approx(1.0, abs=1e-14)
 
 
