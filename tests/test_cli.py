@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import re
@@ -222,6 +223,19 @@ def test_unwritable_out_dir_leaves_nothing_behind(tmp_path):
     assert not (blocker / "out").exists()
 
 
+def test_outputs_get_the_mode_a_plain_open_gives_under_the_umask(tmp_path):
+    cfg = _write(tmp_path, SMALL_RUN)
+    for umask, mode in [(0o022, 0o644), (0o077, 0o600)]:
+        out = tmp_path / f"out-{umask:o}"
+        old = os.umask(umask)
+        try:
+            assert main(["--config", str(cfg), "--out-dir", str(out)]) == 0
+        finally:
+            os.umask(old)
+        for name in ("config.resolved", "samples.csv", "summary.csv", "report.txt"):
+            assert (out / name).stat().st_mode & 0o777 == mode, (umask, name)
+
+
 def test_main_with_overrides(tmp_path):
     cfg = _write(tmp_path, SMALL_RUN)
     out = tmp_path / "cli-out"
@@ -429,6 +443,59 @@ def test_cli_import_leaves_unused_scipy_modules_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_outputs_are_written_without_the_locale_encoding(tmp_path):
+    # the config is read as UTF-8 and config.resolved repeats its values, so
+    # the outputs must not be written in whatever encoding the locale names
+    cfg = Path(__file__).resolve().parents[1] / "perfbench/workloads/smoke.cfg"
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "mflab.cli", "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
+        env=_child_env(), capture_output=True, text=True)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+
+
+def test_main_freezes_the_heap_at_exit_once_however_often_it_runs(tmp_path):
+    # atexit handlers run last in, first out: the reporter, registered before
+    # main, runs after main's hook and before the finalization collections.
+    # gc.freeze is swapped for a counter, so each registered hook is counted.
+    cfg = _write(tmp_path, SMALL_RUN)
+    runs = [["--config", str(cfg), "--out-dir", str(tmp_path / out)] for out in "ab"]
+    code = ("import atexit, gc, sys, mflab.cli\n"
+            "calls, freeze = [], gc.freeze\n"
+            "gc.freeze = lambda: (calls.append(1), freeze())\n"
+            "atexit.register(lambda: print(len(calls), gc.get_freeze_count()))\n"
+            f"sys.exit(max(mflab.cli.main(argv) for argv in {runs!r}))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, check=True)
+    hooks, frozen = map(int, done.stdout.splitlines()[-1].split())
+    assert hooks == 1 and frozen > 0
+
+
+@pytest.mark.parametrize("call", ["", "run_ensemble(parse_config(sys.argv[1])[0])"],
+                         ids=["import", "run_ensemble"])
+def test_library_use_leaves_the_garbage_collector_alone(tmp_path, call):
+    # the reporter is registered first, so it runs after any exit hook mflab adds
+    cfg = _write(tmp_path, SMALL_RUN)
+    code = ("import atexit, gc, sys\n"
+            "before = (gc.isenabled(), gc.get_threshold())\n"
+            "atexit.register(lambda: print(gc.get_freeze_count(),\n"
+            "                              (gc.isenabled(), gc.get_threshold()) == before))\n"
+            "import mflab.cli\n"
+            "from mflab.config import parse_config\n"
+            "from mflab.ensemble import run_ensemble\n"
+            f"{call}\n")
+    done = subprocess.run([sys.executable, "-c", code, str(cfg)], env=_child_env(),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "True"]
+
+
+def test_main_leaves_in_process_collection_alone(tmp_path):
+    cfg = _write(tmp_path, SMALL_RUN)
+    enabled = gc.isenabled()
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled() == enabled
 
 
 def test_constant_field_report_shows_exactness(tmp_path):
