@@ -12,10 +12,9 @@ from .grid import (LatticeGrid, WaveFunction, build_grid, convolve,
                    plane_wave, uniform_state)
 from .hartree import (HartreeRunParams, evolve_hartree_batch, field_spectra,
                       hartree_expectation, hartree_step, potential_phase)
-from .manybody import (AnnihilatorGather, FockBasis, ManyBodyState,
-                       annihilator_gather, assemble_hamiltonian, build_fock_basis,
-                       evolve_manybody, manybody_expectation, product_state_lift,
-                       reduced_density_matrix)
+from .manybody import (FockBasis, ManyBodyState, assemble_hamiltonian,
+                       build_fock_basis, evolve_manybody, manybody_expectation,
+                       product_state_lift, reduced_density_matrix)
 from .observables import (PObservable, SpectralFactors, condensate_projector,
                           site_multiplier, spectral_factors)
 from .random_field import FieldSpec, RandomField, mix_seed, sample_field
@@ -28,9 +27,9 @@ __all__ = [
     "uniform_state",
     "HartreeRunParams", "evolve_hartree_batch",
     "field_spectra", "hartree_expectation", "hartree_step", "potential_phase",
-    "AnnihilatorGather", "FockBasis", "ManyBodyState", "annihilator_gather",
-    "assemble_hamiltonian", "build_fock_basis", "evolve_manybody",
-    "manybody_expectation", "product_state_lift", "reduced_density_matrix",
+    "FockBasis", "ManyBodyState", "assemble_hamiltonian", "build_fock_basis",
+    "evolve_manybody", "manybody_expectation", "product_state_lift",
+    "reduced_density_matrix",
     "PObservable", "SpectralFactors", "condensate_projector", "site_multiplier",
     "spectral_factors", "FieldSpec", "RandomField", "mix_seed", "sample_field",
 ]

@@ -17,25 +17,27 @@ per sample, which estimate and tail_diagnostic reduce row by row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConsistencyError, DimensionError, DomainError, MFLabError
-from .grid import LatticeGrid, WaveFunction
+from .grid import NORM_TOL, LatticeGrid, WaveFunction
 from .hartree import HartreeRunParams, evolve_hartree_batch, hartree_expectation
-from .manybody import (annihilator_gather, assemble_hamiltonian, build_fock_basis,
-                       check_fock_dimension, check_propagation, evolve_manybody,
-                       manybody_expectation, product_state_lift)
+from .manybody import (assemble_hamiltonian, build_fock_basis, check_fock_dimension,
+                       check_propagation, evolve_manybody, manybody_expectation,
+                       product_state_lift)
 from .observables import PObservable, SpectralFactors, spectral_factors
 from .random_field import FieldSpec, mix_seed, sample_field
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One experiment, whose largest Fock sector is within the dimension cap, can be
-    propagated to t_final and keeps its statistics finite; observable_factors,
-    observable_norm, roundoff and hartree_params are derived at construction."""
+    """One experiment from a unit state, whose largest Fock sector is within the
+    dimension cap, can be propagated to t_final and keeps its statistics finite;
+    observable_factors, observable_norm, roundoff and hartree_params are derived
+    at construction."""
 
     grid: LatticeGrid
     field_spec: FieldSpec
@@ -55,6 +57,10 @@ class ExperimentPlan:
     hartree_params: HartreeRunParams = field(init=False)
 
     def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral)
+                   for n in (*self.particle_counts, self.samples)):
+            raise DomainError(f"particle counts and samples must be integers, got "
+                              f"{tuple(self.particle_counts)} and {self.samples!r}")
         counts = tuple(int(n) for n in self.particle_counts)
         if not counts:
             raise DomainError("particle_counts must be nonempty")
@@ -71,6 +77,8 @@ class ExperimentPlan:
             raise DomainError("samples must be >= 1")
         if self.initial_state.grid != self.grid:
             raise DimensionError("the initial state and the plan live on different grids")
+        if not (abs(self.initial_state.norm() - 1.0) <= NORM_TOL):
+            raise DomainError(f"initial state norm {self.initial_state.norm()!r} is not 1")
         object.__setattr__(self, "particle_counts", counts)
         object.__setattr__(self, "hartree_params", HartreeRunParams(self.t_final, self.dt))
         factors = spectral_factors(self.observable, self.grid)
@@ -133,17 +141,16 @@ def _bounded(x: float, name: str, plan: ExperimentPlan) -> float:
 def run_ensemble(plan: ExperimentPlan) -> EnsembleResult:
     """The result table of all samples, run one after another in index order.
 
-    Each N's sector, lifted initial state and annihilator gather are built
-    first, so the work done once per plan precedes the first field; then the
-    Hartree flow runs once for all the fields, and each sample does its
-    many-body work against its own field. Each seed is derived once and
-    serves the field, the sample's error prefix and the table alike.
+    Each N's lifted initial state, whose basis is the sector with the gather
+    of the observable's order, is built first, so the work done once per plan
+    precedes the first field; then the Hartree flow runs once for all the
+    fields, and each sample does its many-body work against its own field.
+    Each seed is derived once and serves the field, the sample's error prefix
+    and the table alike.
     """
-    sectors = []
-    for n in plan.particle_counts:
-        basis = build_fock_basis(n, plan.grid, max_rdm_order=plan.observable.p)
-        sectors.append((basis, product_state_lift(plan.initial_state, basis),
-                        annihilator_gather(basis, plan.observable.p)))
+    lifted = [product_state_lift(plan.initial_state,
+                                 build_fock_basis(n, plan.grid, plan.observable.p))
+              for n in plan.particle_counts]
     seeds = tuple(mix_seed(plan.base_seed, i) for i in range(plan.samples))
     fields = []
     for i, seed in enumerate(seeds):
@@ -156,14 +163,14 @@ def run_ensemble(plan: ExperimentPlan) -> EnsembleResult:
     except MFLabError as exc:
         raise _in_sample(exc, getattr(exc, "row", 0), seeds) from exc
     x_h = np.empty(plan.samples)
-    x_mb = np.empty((len(sectors), plan.samples))
+    x_mb = np.empty((len(lifted), plan.samples))
     for i, (v, psi_t) in enumerate(zip(fields, states)):
         try:
             x_h[i] = _bounded(hartree_expectation(psi_t, plan.observable_factors), "X", plan)
-            for k, (basis, psi0, gather) in enumerate(sectors):
-                psi_n = evolve_manybody(psi0, assemble_hamiltonian(basis, v), plan.t_final)
-                x_mb[k, i] = _bounded(manybody_expectation(
-                    psi_n, gather, plan.observable_factors), "X_N", plan)
+            for k, psi in enumerate(lifted):
+                psi_n = evolve_manybody(psi, assemble_hamiltonian(psi.basis, v), plan.t_final)
+                x_mb[k, i] = _bounded(manybody_expectation(psi_n, plan.observable_factors),
+                                      "X_N", plan)
         except MFLabError as exc:
             raise _in_sample(exc, i, seeds) from exc
     return EnsembleResult(plan.particle_counts, seeds, x_h, x_mb)

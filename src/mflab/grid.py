@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
 
+# how far from 1 the norm of a state that must be a unit vector may be
+NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LatticeGrid:

@@ -27,11 +27,10 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .grid import (LatticeGrid, WaveFunction, convolve, convolve_spectrum,
-                   grid_fft, lattice_dispersion)
+from .grid import (NORM_TOL, LatticeGrid, WaveFunction, convolve,
+                   convolve_spectrum, grid_fft, lattice_dispersion)
 from .random_field import RandomField
 
-_NORM_TOL = 1e-12
 # about 2,000 times the default t_final / dt of 512 steps
 _MAX_STEPS = 10**6
 
@@ -96,12 +95,12 @@ def evolve_hartree_batch(phi: WaveFunction, fields: Sequence[RandomField],
                          params: HartreeRunParams) -> list[WaveFunction]:
     """psi_t of phi under each field, all fields advanced together on phi's grid.
 
-    The norm is checked at entry to 1e-12, and per field at exit to 1e-12 plus
+    The norm is checked at entry to NORM_TOL, and per field at exit to NORM_TOL plus
     an ulp per step of roundoff; an exit failure carries its field's `row`.
     """
     grid = phi.grid
     fv = field_spectra(fields, grid)
-    if not (abs(phi.norm() - 1.0) <= _NORM_TOL):
+    if not (abs(phi.norm() - 1.0) <= NORM_TOL):
         raise DomainError(f"the Hartree flow requires a unit state, norm = {phi.norm()!r}")
     steps, dt = params.steps, params.effective_dt
     phases = np.exp(-1j * dt * lattice_dispersion(grid))
@@ -113,7 +112,7 @@ def evolve_hartree_batch(phi: WaveFunction, fields: Sequence[RandomField],
         psi = potential_phase(psi, fv, -dt / 2, grid)
     states = [WaveFunction(grid, row) for row in psi]
     for row, state in enumerate(states):
-        if not (abs(state.norm() - 1.0) <= _NORM_TOL + steps * np.finfo(float).eps):
+        if not (abs(state.norm() - 1.0) <= NORM_TOL + steps * np.finfo(float).eps):
             exc = DomainError(f"Hartree norm drifted to {state.norm()!r} after {steps} steps")
             exc.row = row
             raise exc

@@ -3,14 +3,14 @@
 A FockBasis is one N-particle sector, built once and only read afterwards:
 the occupation vectors with total N in lexicographic order, where a vector's
 position is its rank in the combinatorial number system (Knuth, TAOCP 4A,
-7.2.1.3), and the field-independent operators: the stacked annihilation maps
-a_x for the reduced density matrices and the hopping CSR matrix one_body =
-sum_{x != y} T_{xy} adag_x a_y. Each sector is built on its own, upward from
-the vacuum: adding a particle at x changes a vector's rank by sums over one
-lookup table, so each annihilator is written directly as a CSR matrix with one
-entry a row, and one_body from the top annihilator, with no sparse products.
-The rest of H is diagonal in the occupation basis: sum_x T_xx n_x = N T_xx,
-the same on every state, and the pair term
+7.2.1.3), and the field-independent operators its states are read through:
+the hopping CSR matrix one_body = sum_{x != y} T_{xy} adag_x a_y and the
+gather of order p below. Each sector is built on its own, upward from the
+vacuum: adding a particle at x changes a vector's rank by sums over one
+lookup table, so each stacked annihilator map is written directly as a CSR
+matrix with one entry a row, and one_body from the top one, with no sparse
+products. The rest of H is diagonal in the occupation basis: sum_x T_xx n_x =
+N T_xx, the same on every state, and the pair term
     (1/2N) sum_{x,y} v(x-y) adag_x adag_y a_y a_x = (occ V occ - v(0) N) / 2N,
 which reproduces (1/N) sum_{i<j} v(x_i - x_j) exactly, including same-site
 pairs with weight v(0) n_x (n_x - 1)/2. So a field's Hamiltonian is the
@@ -20,12 +20,12 @@ J. Chem. Phys. 81, 3967, 1984) over an interval that provably holds the
 spectrum of H, from the hopping dispersion and min/max of h, truncated by a
 proven bound on its Bessel-coefficient tail; it draws no random numbers.
 H is real, so the recurrence runs one loop on real vectors for each of
-Re Psi_0 and Im Psi_0 that is not exactly zero. Each annihilator has one
-entry a row, so w = a_{x_p}...a_{x_1} Psi is a gather, wt * Psi[idx], built
-once per (plan, N) by annihilator_gather; X_N is N^-p sum_k mu_k
+Re Psi_0 and Im Psi_0 that is not exactly zero. Each annihilator map has one
+entry a row, so w = a_{x_p}...a_{x_1} Psi is a gather, wt * Psi[idx], which
+the sector holds for the one order p its samples read; X_N is N^-p sum_k mu_k
 ||w conj(U_k)||^2, the quadratic form of the observable's SpectralFactors on
 the row blocks of conj(w), the form the Hartree X reads, without forming the
-reduced density matrix, which the same gather code serves as an oracle.
+reduced density matrix, which the same gather serves as an oracle.
 DIMENSION_CAP caps each sector and _MAX_RT the r*t that sets the degree, both
 checked for a plan's largest N first; ensemble checks that |X_N| <= ||a||.
 """
@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
 
 from .errors import DimensionError, DomainError, ResourceError
-from .grid import LatticeGrid, WaveFunction, lattice_dispersion
+from .grid import NORM_TOL, LatticeGrid, WaveFunction, lattice_dispersion
 
 DIMENSION_CAP = 200_000
 # r*t at most 1e4 allows Chebyshev degree 13,623 (long_time needs at most 153)
@@ -140,26 +139,25 @@ class FockBasis:
     occupations[i] is the occupation vector of rank i, in the narrowest
     unsigned dtype that holds N (uint8 up to N = 255), so it takes dim * sites
     bytes; assemble_hamiltonian and the lift read it in row blocks, so their
-    temporaries take O(dim) bytes, not 8 * dim * sites. annihilators[k] stacks
-    a_x over the sites from the N-k sector to the N-k-1 sector, as a
-    (sites * dim(N-k-1), dim(N-k)) matrix with one entry a row. one_body is
-    the CSR matrix of the hopping sum_{x != y} T_{xy} adag_x a_y, with sorted
-    rows and no diagonal entry (that is assemble_hamiltonian's). All are built
-    by build_fock_basis from rank arithmetic, each array written once. The
-    spectral interval of propagation needs no per-basis array: it comes from
-    the lattice dispersion and N. All arrays are read-only, so the one basis
-    built per plan serves every sample and no sample can alter it for the next.
+    temporaries take O(dim) bytes, not 8 * dim * sites. one_body is the CSR
+    matrix of the hopping sum_{x != y} T_{xy} adag_x a_y, with sorted rows and
+    no diagonal entry (that is assemble_hamiltonian's). The gather of order p
+    gives w = a_{x_p}...a_{x_1} Psi = gather_wt * Psi[gather_idx], the
+    (dim(N-p), sites^p) array that X_N and the RDM read (see _chain). All are
+    built by build_fock_basis from rank arithmetic, each array written once.
+    The spectral interval of propagation needs no per-basis array: it comes
+    from the lattice dispersion and N. All arrays are read-only, so the one
+    basis built per plan serves every sample and no sample can alter it for
+    the next.
     """
 
     n_particles: int
     grid: LatticeGrid
     occupations: np.ndarray
-    annihilators: tuple[scipy.sparse.csr_matrix, ...]
     one_body: scipy.sparse.csr_matrix
-
-    @property
-    def sites(self) -> int:
-        return self.grid.n_sites
+    p: int
+    gather_idx: np.ndarray
+    gather_wt: np.ndarray
 
     def __len__(self) -> int:
         return self.occupations.shape[0]
@@ -230,35 +228,70 @@ def check_fock_dimension(n: int, grid: LatticeGrid) -> None:
 
 def check_propagation(n: int, grid: LatticeGrid, t: float) -> None:
     """Fail with a ResourceError if no field can propagate the N-particle sector
-    to time t: whatever h, _spectral_interval's r is >= N (max - min lambda)/2."""
-    lam = lattice_dispersion(grid)
-    x = n * float(lam.max() - lam.min()) / 2 * t
+    to time t: whatever h, _spectral_interval's r is at least its r at h = 0."""
+    x = _spectral_interval(n, grid, 0.0)[1] * t
     if x > _MAX_RT:
         raise ResourceError(f"propagation of N={n} to t = {t!r} needs r*t >= {x!r} "
                             f"for every field, beyond the cap {_MAX_RT}")
 
 
-def build_fock_basis(n: int, grid: LatticeGrid,
-                     max_rdm_order: int | None = None) -> FockBasis:
-    """The N-particle sector, climbed from the vacuum, with annihilation maps
-    for RDMs of every order up to max_rdm_order (default and at most N)."""
-    if n < 1:
-        raise DomainError(f"particle number must be >= 1, got {n}")
+def _chain(maps: tuple[scipy.sparse.csr_matrix, ...], sites: int,
+           rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices and weights of w = a_{x_p}...a_{x_1} Psi on rows `rows` of
+    the N-p sector, for the climb's last p = len(maps) stacked annihilator maps.
+
+    Row m, column X = (x_1..x_p) in row-major order of w is (a_{x_p}...a_{x_1}
+    Psi)[m]. Each stacked annihilator has one entry a row, so w is Psi[idx]
+    times the weights f_1, ..., f_p of a_{x_1} (the top one), ..., a_{x_p}: the
+    rows of a_{x_p}..a_{x_2} are followed up to the N-1 sector, then those of
+    a_{x_1} up to Psi. f_k has one column per (x_k..x_p), as it does not depend
+    on x_1..x_{k-1}, and multiplies every block of that many columns of f_1 in
+    the order of k.
+    """
+    pos = np.arange(maps[-1].shape[0] // sites)[rows, None]
+    x, factors = np.arange(sites)[:, None], []
+    for a in reversed(maps):
+        row = (x * (a.shape[0] // sites) + pos[:, None, :]).reshape(len(pos), -1)
+        factors.append(a.data[row])
+        pos = a.indices[row]
+    wt = factors.pop()
+    for f in reversed(factors):
+        by_block = wt.reshape(len(wt), -1, f.shape[1])
+        by_block *= f[:, None, :]
+    return pos, wt
+
+
+def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1) -> FockBasis:
+    """The N-particle sector, climbed from the vacuum, with its gather of order p.
+
+    The climb keeps its last p stacked annihilator maps as locals: one_body is
+    built from the top one and the gather from all p, and then they are
+    dropped. For p = 1 the gather is a view of the top map's arrays and takes
+    no memory of its own. For p >= 2 it is composed block by block into an
+    index (the maps' int32) and one float64 weight per (row, X): 12 bytes per
+    entry, 12 * dim(N-p) * sites^p in all (1.26 MiB for p = 2, 8 sites, N = 8).
+    """
+    if not 1 <= p <= n:
+        raise DomainError(f"need 1 <= p <= N, got p={p}, N={n}")
     check_fock_dimension(n, grid)
-    if max_rdm_order is not None and max_rdm_order < 1:
-        raise DomainError(f"max_rdm_order must be >= 1, got {max_rdm_order}")
-    depth = n if max_rdm_order is None else min(max_rdm_order, n)
-    occ, annihilators = np.zeros((1, grid.n_sites), dtype=np.uint8), ()
+    sites = grid.n_sites
+    occ, maps = np.zeros((1, sites), dtype=np.uint8), ()
     for particles in range(1, n + 1):
         occ, a = _add_particle(occ, particles)
-        annihilators = ((a,) + annihilators)[:depth]
-    one_body = _one_body(annihilators[0], kinetic_matrix(grid))
-    for mat in (one_body, *annihilators):
-        for arr in (mat.data, mat.indices, mat.indptr):
-            arr.setflags(write=False)
-    occ.setflags(write=False)
-    return FockBasis(n_particles=n, grid=grid, occupations=occ,
-                     annihilators=annihilators, one_body=one_body)
+        maps = ((a,) + maps)[:p]
+    top = maps[0]
+    one_body = _one_body(top, kinetic_matrix(grid))
+    if p == 1:  # a_{x_1} Psi reads the top map as it is
+        idx, wt = top.indices.reshape(sites, -1).T, top.data.reshape(sites, -1).T
+    else:
+        shape = (maps[-1].shape[0] // sites, sites ** p)
+        idx, wt = np.empty(shape, dtype=top.indices.dtype), np.empty(shape)
+        for rows in _blocks(shape[0]):
+            idx[rows], wt[rows] = _chain(maps, sites, rows)
+    for arr in (occ, one_body.data, one_body.indices, one_body.indptr, idx, wt):
+        arr.setflags(write=False)
+    return FockBasis(n_particles=n, grid=grid, occupations=occ, one_body=one_body,
+                     p=p, gather_idx=idx, gather_wt=wt)
 
 
 @dataclass
@@ -307,7 +340,7 @@ def assemble_hamiltonian(basis: FockBasis, v) -> np.ndarray:
 def product_state_lift(phi: WaveFunction, basis: FockBasis) -> ManyBodyState:
     """Coefficients of the N-fold product state phi^(x)N in the occupation
     basis, N being the basis's particle number."""
-    if not (abs(phi.norm() - 1.0) <= 1e-12):
+    if not (abs(phi.norm() - 1.0) <= NORM_TOL):
         raise DomainError(f"product lift requires a unit state, norm = {phi.norm()!r}")
     if phi.grid != basis.grid:
         raise DimensionError("state does not live on the basis grid")
@@ -320,7 +353,7 @@ def product_state_lift(phi: WaveFunction, basis: FockBasis) -> ManyBodyState:
         log_norm[rows] = log_fact[occ[rows]].sum(axis=1)
     coeffs = np.exp(0.5 * (log_fact[n] - log_norm)).astype(np.complex128)
     powers = u[None, :] ** np.arange(n + 1)[:, None]  # powers[k, x] = u_x^k
-    for x in range(basis.sites):
+    for x in range(basis.grid.n_sites):
         coeffs *= powers[occ[:, x], x]
     return ManyBodyState(basis=basis, coefficients=coeffs)
 
@@ -331,17 +364,16 @@ def _check_diagonal(basis: FockBasis, h) -> None:
             f"diagonal of H has shape {np.shape(h)}, the basis has {len(basis)} states")
 
 
-def _spectral_interval(basis: FockBasis, h: np.ndarray) -> tuple[float, float]:
+def _spectral_interval(n: int, grid: LatticeGrid, h) -> tuple[float, float]:
     """Center c and half-width r of an interval that holds every eigenvalue of
-    H = one_body + diag(h).
+    H = one_body + diag(h) on the N sector.
 
     one_body is the second quantization of the hopping T - T_xx (T = -Lap),
     whose eigenvalues are lattice_dispersion - T_xx, so on the N sector its
     spectrum lies in N times their range; by Weyl's inequality diag(h) widens
     that by [min h, max h]. r > 0: build_grid requires m >= 2, so max > min.
     """
-    lam = lattice_dispersion(basis.grid) - _kinetic_diagonal(basis.grid)
-    n = basis.n_particles
+    lam = lattice_dispersion(grid) - _kinetic_diagonal(grid)
     lo = n * float(lam.min()) + float(np.min(h))
     hi = n * float(lam.max()) + float(np.max(h))
     return (hi + lo) / 2, (hi - lo) / 2
@@ -410,13 +442,13 @@ def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodySta
     _check_diagonal(psi0.basis, h)
     if not (t >= 0):
         raise DomainError(f"evolution time must be nonnegative, got {t}")
-    if not (abs(psi0.norm() - 1.0) <= 1e-12):
+    if not (abs(psi0.norm() - 1.0) <= NORM_TOL):
         raise DomainError("evolve_manybody requires a normalized state")
     f = psi0.coefficients
     if t == 0:
         return ManyBodyState(psi0.basis, f.copy())
     mat = psi0.basis.one_body
-    c, r = _spectral_interval(psi0.basis, h)
+    c, r = _spectral_interval(psi0.basis.n_particles, psi0.basis.grid, h)
     x = r * t
     if not (x <= _MAX_RT):
         raise ResourceError(f"propagation needs r*t = {x!r} (half-width {r!r}, "
@@ -448,103 +480,30 @@ def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodySta
 
 # --- reduced density matrices and expectations ----------------------------
 
-def _chain(annihilators: tuple[scipy.sparse.csr_matrix, ...], sites: int,
-           rows: slice) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Gather indices and weights of w = a_{x_p}...a_{x_1} Psi on rows `rows` of
-    the N-p sector, for the first p = len(annihilators) stacked annihilators.
-
-    Row m, column X = (x_1..x_p) in row-major order of w is (a_{x_p}...a_{x_1}
-    Psi)[m]. Each annihilator has one entry a row, so w is Psi[idx] times the
-    weights f_1, ..., f_p of a_{x_1} (the top one), ..., a_{x_p}, applied in
-    that order by _scale: the rows of a_{x_p}..a_{x_2} are followed up to the
-    N-1 sector, then those of a_{x_1} up to Psi. f_k has one column per
-    (x_k..x_p), as it does not depend on x_1..x_{k-1}. For p = 1, idx and f_1
-    are views of the top annihilator's arrays.
-    """
-    if len(annihilators) == 1:  # a_{x_1} Psi reads the top annihilator as it is
-        a = annihilators[0]
-        return a.indices.reshape(sites, -1).T[rows], [a.data.reshape(sites, -1).T[rows]]
-    pos = np.arange(annihilators[-1].shape[0] // sites)[rows, None]
-    x, factors = np.arange(sites)[:, None], []
-    for a in reversed(annihilators):
-        row = (x * (a.shape[0] // sites) + pos[:, None, :]).reshape(len(pos), -1)
-        factors.append(a.data[row])
-        pos = a.indices[row]
-    return pos, factors[::-1]
+def _gathered(basis: FockBasis, coefficients: np.ndarray):
+    """The row blocks of w = gather_wt * coefficients[gather_idx] on the sector."""
+    for rows in _blocks(len(basis.gather_idx)):
+        w = np.take(coefficients, basis.gather_idx[rows])
+        w *= basis.gather_wt[rows]
+        yield w
 
 
-def _scale(w: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    """w (C-contiguous) times each factor of _chain in order, in place: a
-    factor with c columns multiplies every block of c columns of w."""
-    for f in factors:
-        by_block = w.reshape(len(w), -1, f.shape[1])
-        by_block *= f[:, None, :]
-    return w
-
-
-def _check_order(basis: FockBasis, p: int) -> None:
-    n = basis.n_particles
-    if p < 1 or p > n:
-        raise DomainError(f"need 1 <= p <= N, got p={p}, N={n}")
-    if p > len(basis.annihilators):
-        raise DomainError(f"the basis was built for RDMs up to order "
-                          f"{len(basis.annihilators)}, got p={p}")
-
-
-class AnnihilatorGather(NamedTuple):
-    """w = wt * Psi[idx], the (dim(N-p), sites^p) array a_{x_p}...a_{x_1} Psi of
-    any state Psi of one sector (see _chain), as built by annihilator_gather."""
-
-    idx: np.ndarray
-    wt: np.ndarray
-
-
-def annihilator_gather(basis: FockBasis, p: int) -> AnnihilatorGather:
-    """The gather of a_{x_p}...a_{x_1} on the basis's sector, built once per
-    (plan, N) and read by every state of it.
-
-    For p = 1 it is a view of the top annihilator and takes no memory. For
-    p >= 2 it is composed block by block into an index (the annihilators'
-    int32) and one float64 weight per (row, X): 12 bytes per entry, 12 *
-    dim(N-p) * sites^p in all (1.26 MiB for p = 2, 8 sites, N = 8).
-    """
-    _check_order(basis, p)
-    annihilators, sites = basis.annihilators[:p], basis.sites
-    if p == 1:
-        idx, (wt,) = _chain(annihilators, sites, slice(None))
-        return AnnihilatorGather(idx, wt)
-    shape = (annihilators[-1].shape[0] // sites, sites ** p)
-    idx = np.empty(shape, dtype=annihilators[0].indices.dtype)
-    wt = np.empty(shape)
-    for rows in _blocks(shape[0]):
-        idx[rows], (wt[rows], *factors) = _chain(annihilators, sites, rows)
-        _scale(wt[rows], factors)
-    idx.setflags(write=False)
-    wt.setflags(write=False)
-    return AnnihilatorGather(idx, wt)
-
-
-def reduced_density_matrix(psi: ManyBodyState, p: int) -> np.ndarray:
-    """Trace-one p-particle reduced density matrix as a kernel on lattice^p.
+def reduced_density_matrix(psi: ManyBodyState) -> np.ndarray:
+    """Trace-one p-particle reduced density matrix as a kernel on lattice^p, p
+    being the order of the gather of psi's sector.
 
     The oracle of manybody_expectation: raw[X, Y] = <a_Y Psi, a_X Psi> = (w^T
-    conj(w))[X, Y] for w from _chain, summed block by block, where the
-    weights apply in the order of the annihilator products.
+    conj(w))[X, Y] for w from the same gather, summed block by block.
     """
-    _check_order(psi.basis, p)
-    n = psi.basis.n_particles
-    raw = 0
-    for rows in _blocks(fock_dimension(n - p, psi.basis.sites)):
-        idx, factors = _chain(psi.basis.annihilators[:p], psi.basis.sites, rows)
-        w = _scale(np.take(psi.coefficients, idx), factors)
-        raw += w.T @ w.conj()
+    n, p = psi.basis.n_particles, psi.basis.p
+    raw = sum(w.T @ w.conj() for w in _gathered(psi.basis, psi.coefficients))
     scale = math.exp(math.lgamma(n - p + 1) - math.lgamma(n + 1))
     return (scale / psi.basis.grid.cell_volume ** p) * raw
 
 
-def manybody_expectation(psi: ManyBodyState, gather: AnnihilatorGather, factors) -> float:
-    """X_N = N!/(N^p (N-p)!) Tr(a gamma^(p)) from gather, the sector's
-    annihilator_gather of order p, and the observable's SpectralFactors.
+def manybody_expectation(psi: ManyBodyState, factors) -> float:
+    """X_N = N!/(N^p (N-p)!) Tr(a gamma^(p)) from the gather of psi's sector
+    and the observable's SpectralFactors, which must be of the sector's order p.
 
     Each row w_m of w = a_{x_p}...a_{x_1} Psi is symmetric in X, so with
     h^{dp} K = sum_k mu_k U_k U_k^H on that subspace,
@@ -552,14 +511,13 @@ def manybody_expectation(psi: ManyBodyState, gather: AnnihilatorGather, factors)
     X_N = N^-p sum_k mu_k ||w conj(U_k)||^2, the factors' quadratic form on the
     row blocks of conj(w); a plan checks |X_N| <= ||a||.
     """
-    basis, n, p = psi.basis, psi.basis.n_particles, factors.p
+    basis = psi.basis
     factors.check_grid(basis.grid)
-    if p > n or gather.idx.shape != (fock_dimension(n - p, basis.sites), basis.sites ** p):
-        raise DimensionError(f"the gather of shape {gather.idx.shape} is not of the "
-                             f"state's sector and the factors' order p={p}")
-    psi_bar = psi.coefficients.conj()
-    return factors.quadratic_form(np.take(psi_bar, gather.idx[rows]) * gather.wt[rows]
-                                  for rows in _blocks(len(gather.idx))) / n ** p
+    if factors.p != basis.p:
+        raise DimensionError(f"the factors are of order p={factors.p}, the state's "
+                             f"sector gathers order p={basis.p}")
+    return (factors.quadratic_form(_gathered(basis, psi.coefficients.conj()))
+            / basis.n_particles ** basis.p)
 
 
 def energy_expectation(psi: ManyBodyState, h: np.ndarray) -> float:

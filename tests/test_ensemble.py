@@ -186,6 +186,30 @@ def test_plan_builds_and_checks_its_time_grid_once():
     assert plan.hartree_params == HartreeRunParams(plan.t_final, plan.dt)
 
 
+@pytest.mark.parametrize("scale", [2.0, np.nan])
+def test_plan_rejects_an_initial_state_that_is_not_a_unit_vector(scale):
+    # caught at construction, not in the lift after the first sector is built
+    with pytest.raises(DomainError, match=r"^initial state norm .* is not 1$"):
+        ExperimentPlan(grid=GRID, field_spec=RANDOM_SPEC,
+                       initial_state=WaveFunction(GRID, scale * PHI.amplitudes),
+                       observable=OBS, t_final=0.25, dt=0.25 / 128, particle_counts=(2,),
+                       samples=1, base_seed=1)
+
+
+@pytest.mark.parametrize("counts, samples", [((2.7, 4.2), 4), ((2.0, 3), 4), ((2, 3), 2.5)])
+def test_plan_rejects_counts_that_are_not_integers(counts, samples):
+    # neither truncated (2.7 -> 2) nor left to fail in run_ensemble's range()
+    with pytest.raises(DomainError, match=r"^particle counts and samples must be integers"):
+        _plan(RANDOM_SPEC, counts=counts, samples=samples)
+
+
+def test_plan_keeps_counts_of_any_integer_type():
+    plan = _plan(RANDOM_SPEC, counts=(np.int64(2), np.uint8(3)), samples=np.int32(2))
+    assert plan.particle_counts == (2, 3)
+    assert all(type(n) is int for n in plan.particle_counts)
+    assert run_ensemble(plan).x_manybody.shape == (2, 2)
+
+
 def test_particle_counts_must_ascend():
     with pytest.raises(DomainError):
         _plan(RANDOM_SPEC, counts=(4, 2))

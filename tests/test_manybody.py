@@ -20,7 +20,7 @@ from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
                         lattice_dispersion, normalize, plane_wave)
 from mflab.hartree import hartree_energy, hartree_expectation
 from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree, _rank,
-                            _spectral_interval, annihilator_gather, assemble_hamiltonian,
+                            _spectral_interval, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
                             evolve_manybody, interaction_matrix,
                             kinetic_matrix, manybody_expectation,
@@ -48,8 +48,15 @@ def test_basis_sizes():
 
 @pytest.mark.parametrize("order", [0, -1])
 def test_basis_rejects_an_rdm_order_below_one(order):
-    with pytest.raises(DomainError, match=rf"max_rdm_order must be >= 1, got {order}$"):
-        build_fock_basis(2, build_grid(1, 3, 3.0), max_rdm_order=order)
+    with pytest.raises(DomainError, match=rf"need 1 <= p <= N, got p={order}, N=2$"):
+        build_fock_basis(2, build_grid(1, 3, 3.0), order)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_basis_rejects_an_rdm_order_above_n(n):
+    # a state of N particles has no (N+1)-particle reduced density matrix
+    with pytest.raises(DomainError, match=rf"need 1 <= p <= N, got p={n + 1}, N={n}$"):
+        build_fock_basis(n, build_grid(1, 3, 3.0), n + 1)
 
 
 def test_basis_matches_brute_force_enumeration():
@@ -103,17 +110,34 @@ def _reference_annihilator(occ, n):
         shape=(sites * sub_dim, dim))
 
 
+def _reference_gather(n, g, p):
+    """a_{x_p}...a_{x_1} as one sparse product of the stacked reference maps,
+    (1 (x) a_p) ... (1 (x) a_2) a_1, the identities over x_1..x_{k-1}: row
+    (x_1..x_p) * dim(N-p) + m, in row-major order of X, has one entry."""
+    sites, gather = g.n_sites, None
+    for k in range(p):
+        a = _reference_annihilator(_reference_occupations(n - k, sites), n - k)
+        gather = a if k == 0 else scipy.sparse.kron(
+            scipy.sparse.identity(sites ** k), a, format="csr") @ gather
+    assert gather.nnz == gather.shape[0]
+    return gather.tocsr()
+
+
+def _reference_gather_arrays(n, g, p):
+    """The reference gather's indices and weights as (dim(N-p), sites^p) arrays."""
+    gather = _reference_gather(n, g, p)
+    return (arr.reshape(g.n_sites ** p, -1).T for arr in (gather.indices, gather.data))
+
+
 @pytest.mark.parametrize("d,m,n,p", [(1, 2, 3, 3), (1, 5, 1, 1), (1, 8, 8, 2),
                                      (2, 3, 2, 2), (2, 4, 4, 1), (3, 2, 3, 3),
                                      (2, 4, 5, 1)])
 def test_basis_is_bitwise_the_sparse_product_construction(d, m, n, p):
     g = build_grid(d, m, 0.7 * m)  # spacing 0.7: products round, so their order shows
-    basis = build_fock_basis(n, g, max_rdm_order=p)
+    basis = build_fock_basis(n, g, p)
     occ = _reference_occupations(n, g.n_sites)
-    annihilators = [_reference_annihilator(_reference_occupations(n - k, g.n_sites), n - k)
-                    for k in range(p)]
     t = kinetic_matrix(g).toarray()
-    a = annihilators[0]
+    a = _reference_annihilator(occ, n)
     hopping = scipy.sparse.kron(scipy.sparse.csr_matrix(t - np.diag(np.diag(t))),
                                 scipy.sparse.identity(a.shape[0] // g.n_sites),
                                 format="csr")
@@ -121,11 +145,13 @@ def test_basis_is_bitwise_the_sparse_product_construction(d, m, n, p):
     one_body = (a.T @ (hopping @ a)).tocsr()
     one_body.sort_indices()
     assert np.array_equal(basis.occupations, occ)
-    assert len(basis.annihilators) == p
-    for got, want in zip((basis.one_body, *basis.annihilators), (one_body, *annihilators)):
-        assert got.shape == want.shape
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+    assert basis.one_body.shape == one_body.shape
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(basis.one_body, attr), getattr(one_body, attr)), attr
+    idx, wt = _reference_gather_arrays(n, g, p)
+    assert basis.p == p
+    assert np.array_equal(basis.gather_idx, idx)
+    assert np.array_equal(basis.gather_wt, wt)
     # no diagonal entry, and one entry per neighbour y of x for each entry of a
     rows = np.repeat(np.arange(len(occ)), np.diff(basis.one_body.indptr))
     assert not np.any(basis.one_body.indices == rows)
@@ -141,18 +167,17 @@ def test_dimension_cap_enforced():
 @pytest.mark.parametrize("d,m,n", [(1, 2, 300), (2, 4, 6)])
 def test_occupations_are_narrow_and_weights_float64(d, m, n):
     g = build_grid(d, m, 2.0 * m)
-    lower = build_fock_basis(n - 1, g, max_rdm_order=2)
-    basis = build_fock_basis(n, g, max_rdm_order=2)
+    basis = build_fock_basis(n, g, 2)
     occ = basis.occupations
     assert occ.dtype == np.min_scalar_type(n)  # uint16 at N=300, uint8 at N=6
     assert np.array_equal(_rank(occ, basis.n_particles), np.arange(len(basis)))
-    # row x*dim(N-k-1) + j of annihilators[k] holds sqrt(n_x) of its column's
-    # state in the N-k sector, i.e. sqrt(m_x + 1) for the state j below it
-    for a, upper in zip(basis.annihilators, (basis, lower)):
-        assert a.data.dtype == np.float64
-        x = np.arange(a.shape[0]) // (a.shape[0] // g.n_sites)
-        want = np.sqrt(upper.occupations[a.indices, x].astype(np.float64))
-        assert np.array_equal(a.data, want)
+    # column (x_1, x_2) of row m weighs a_{x_2} a_{x_1} by sqrt(n_{x_1}) of the
+    # gathered state, then sqrt(n_{x_2}) of that state less one particle at x_1
+    assert basis.gather_wt.dtype == np.float64
+    x_1, x_2 = np.indices((g.n_sites,) * 2).reshape(2, -1)
+    n_1 = occ[basis.gather_idx, x_1].astype(np.float64)
+    n_2 = occ[basis.gather_idx, x_2] - (x_1 == x_2).astype(np.float64)
+    assert np.array_equal(basis.gather_wt, np.sqrt(n_1) * np.sqrt(n_2))
     v = _field(g, base="gaussian_bump(1.0, 1.5)", mean=0.3)
     values = np.asarray(v.values, dtype=np.float64).ravel()
     occ64 = occ.astype(np.int64)
@@ -162,13 +187,33 @@ def test_occupations_are_narrow_and_weights_float64(d, m, n):
                                rtol=1e-12, atol=1e-12)
 
 
+def test_sector_holds_the_top_annihilator_once_as_its_gather():
+    g = build_grid(2, 4, 8.0)  # the reach workload's N=6 sector, p = 1
+    build_fock_basis(2, g)  # first-call allocations are not the sector's
+    tracemalloc.start()
+    try:
+        basis = build_fock_basis(6, g)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    sub_dim = math.comb(5 + g.n_sites - 1, 5)
+    top = g.n_sites * sub_dim * (4 + 8)  # a_x stacked: an int32 column, a float64 a row
+    assert basis.gather_idx.shape == (sub_dim, g.n_sites)
+    assert basis.gather_idx.nbytes + basis.gather_wt.nbytes == top
+    ob = basis.one_body
+    rest = basis.occupations.nbytes + ob.data.nbytes + ob.indices.nbytes + ob.indptr.nbytes
+    # a copy of the top map beside the one the gather reads would add `top` more
+    assert held < rest + top + top / 4
+    assert not (basis.gather_idx.flags.owndata or basis.gather_wt.flags.owndata)
+
+
 def test_per_field_steps_allocate_o_dim_bytes():
     g = build_grid(2, 4, 8.0)  # the reach workload's N=6 sector
-    basis = build_fock_basis(6, g, max_rdm_order=1)
-    assert (len(basis), basis.sites) == (54_264, 16)
+    basis = build_fock_basis(6, g)
+    assert (len(basis), g.n_sites) == (54_264, 16)
     v = _field(g, base="gaussian_bump(1.0, 1.5)", sigmas=(0.5,), seed=3)
     phi = gaussian_packet(g)
-    limit = len(basis) * basis.sites * 8 / 2  # half of one (dim, sites) float64
+    limit = len(basis) * g.n_sites * 8 / 2  # half of one (dim, sites) float64
     for step in (lambda: assemble_hamiltonian(basis, v),
                  lambda: product_state_lift(phi, basis)):
         tracemalloc.start()
@@ -256,7 +301,7 @@ def test_product_state_energy_is_the_hartree_energy_with_n_minus_1_pairs(d, m, l
     rng = np.random.default_rng(5)
     random_phi = normalize(WaveFunction(g, rng.normal(size=g.n_sites)
                                         + 1j * rng.normal(size=g.n_sites)))
-    basis = build_fock_basis(n, g, max_rdm_order=1)
+    basis = build_fock_basis(n, g)
     for phi in (gaussian_packet(g), random_phi):
         psi = product_state_lift(phi, basis)
         for seed in (1, 2):
@@ -432,10 +477,9 @@ def test_hamiltonian_shift_is_global_phase():
     a = evolve_manybody(psi, h, t)
     b = evolve_manybody(psi, shifted, t)
     assert np.max(np.abs(b.coefficients - np.exp(-1j * c * t) * a.coefficients)) < 1e-9
-    gather = annihilator_gather(basis, 1)
     factors = spectral_factors(condensate_projector(gaussian_packet(g)), g)
-    assert manybody_expectation(a, gather, factors) == pytest.approx(
-        manybody_expectation(b, gather, factors), abs=1e-9)
+    assert manybody_expectation(a, factors) == pytest.approx(
+        manybody_expectation(b, factors), abs=1e-9)
 
 
 def _initial_states(g):
@@ -473,7 +517,7 @@ def _complex_chebyshev(psi0, h, t):
     def matmul(vec):
         return (mat @ vec.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
 
-    c, r = _spectral_interval(psi0.basis, h)
+    c, r = _spectral_interval(psi0.basis.n_particles, psi0.basis.grid, h)
     k = _chebyshev_degree(r * t)
     coef = 2.0 * np.array([1, -1j, -1, 1j])[np.arange(k + 1) % 4] * _bessel_j(r * t, k)
     coef[0] /= 2
@@ -519,7 +563,7 @@ def test_propagation_skips_a_part_of_psi0_that_is_zero():
     v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,), seed=17)
     h = assemble_hamiltonian(basis, v)
     t = 0.5
-    c, r = _spectral_interval(basis, h)
+    c, r = _spectral_interval(basis.n_particles, basis.grid, h)
     k = _chebyshev_degree(r * t)  # one product per degree past the first
     real = product_state_lift(gaussian_packet(g), basis).coefficients
     cases = {"real": real, "imaginary": 1j * real,
@@ -579,7 +623,7 @@ def test_gershgorin_interval_contains_spectrum(d, m, n):
     dense = basis.one_body.toarray() + np.diag(h)
     radius = np.abs(dense - np.diag(np.diag(dense))).sum(axis=1)
     gershgorin = (np.max(np.diag(dense) + radius) - np.min(np.diag(dense) - radius)) / 2
-    c, r = _spectral_interval(basis, h)
+    c, r = _spectral_interval(basis.n_particles, basis.grid, h)
     evals = np.linalg.eigvalsh(dense)
     assert 0 < r <= gershgorin
     assert c - r <= evals[0] and evals[-1] <= c + r
@@ -634,7 +678,7 @@ def test_rdm_of_product_state_is_projector():
     phi = normalize(WaveFunction(g, rng.standard_normal(4)
                                  + 1j * rng.standard_normal(4)))
     psi = product_state_lift(phi, build_fock_basis(3, g))
-    gamma = reduced_density_matrix(psi, 1)
+    gamma = reduced_density_matrix(psi)
     expected = np.outer(phi.amplitudes, phi.amplitudes.conj())
     assert np.max(np.abs(gamma - expected)) < 1e-12
 
@@ -642,12 +686,12 @@ def test_rdm_of_product_state_is_projector():
 @pytest.mark.parametrize("p", [1, 2])
 def test_rdm_trace_hermiticity_positivity(p):
     g = build_grid(1, 4, 4.0)
-    basis = build_fock_basis(3, g)
+    basis = build_fock_basis(3, g, p)
     rng = np.random.default_rng(29)
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     coeffs /= np.linalg.norm(coeffs)
     psi = ManyBodyState(basis, coeffs)
-    gamma = reduced_density_matrix(psi, p)
+    gamma = reduced_density_matrix(psi)
     trace = g.cell_volume ** p * np.trace(gamma)
     assert trace.real == pytest.approx(1.0, abs=1e-12)
     assert abs(trace.imag) < 1e-12
@@ -657,15 +701,13 @@ def test_rdm_trace_hermiticity_positivity(p):
 
 
 def _sparse_product_rdm(psi, p):
-    """The p-RDM from products of the stacked annihilators with a complex block."""
-    sites = psi.basis.sites
-    w = psi.coefficients[:, None]
-    for a in psi.basis.annihilators[:p]:
-        flat = np.ascontiguousarray(w).view(np.float64)
-        w = (a @ flat).view(np.complex128).reshape(sites, -1, w.shape[1])
-        w = w.transpose(1, 2, 0).reshape(w.shape[1], -1)
+    """The p-RDM from the reference sparse product a_{x_p}...a_{x_1} applied to
+    the coefficients as a real (dim, 2) block."""
+    g, n = psi.basis.grid, psi.basis.n_particles
+    flat = psi.coefficients[:, None].view(np.float64)
+    w = (_reference_gather(n, g, p) @ flat).view(np.complex128)
+    w = np.ascontiguousarray(w.reshape(g.n_sites ** p, -1).T)
     raw = sum(w[rows].T @ w[rows].conj() for rows in mflab.manybody._blocks(len(w)))
-    n = psi.basis.n_particles
     scale = math.exp(math.lgamma(n - p + 1) - math.lgamma(n + 1))
     return (scale / psi.basis.grid.cell_volume ** p) * raw
 
@@ -676,33 +718,26 @@ def test_rdm_is_bitwise_the_sparse_product_rdm(d, m, n, p):
     # the first three have 15,504, 6,435 and 4,495 states in the N-p sector,
     # so several row blocks; the last has the vacuum alone
     g = build_grid(d, m, 2.0 * m)
-    basis = build_fock_basis(n, g, max_rdm_order=p)
+    basis = build_fock_basis(n, g, p)
     rng = np.random.default_rng(37 + p)
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     for psi in (ManyBodyState(basis, coeffs / np.linalg.norm(coeffs)),
                 product_state_lift(gaussian_packet(g), basis)):
-        assert np.array_equal(reduced_density_matrix(psi, p), _sparse_product_rdm(psi, p))
+        assert np.array_equal(reduced_density_matrix(psi), _sparse_product_rdm(psi, p))
 
 
 def test_rdm_streams_its_gathers():
     g = build_grid(2, 4, 8.0)  # the reach workload's N=6 sector
-    basis = build_fock_basis(6, g, max_rdm_order=1)
+    basis = build_fock_basis(6, g)
     psi = product_state_lift(gaussian_packet(g), basis)
-    sub_dim = basis.annihilators[0].shape[0] // basis.sites
+    sub_dim, sites = basis.gather_idx.shape
     tracemalloc.start()
     try:
-        reduced_density_matrix(psi, 1)
+        reduced_density_matrix(psi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < basis.sites * sub_dim * 16  # the complex product a Psi, held whole
-
-
-def test_rdm_domain_errors():
-    g = build_grid(1, 3, 3.0)
-    psi = product_state_lift(gaussian_packet(g), build_fock_basis(2, g))
-    with pytest.raises(DomainError):
-        reduced_density_matrix(psi, 3)
+    assert peak < sites * sub_dim * 16  # the complex product a Psi, held whole
 
 
 # --- expectations ---------------------------------------------------------
@@ -720,7 +755,7 @@ def _lifted_operator_dense(a, n, grid):
 def test_expectation_matches_lifted_operator_oracle(p):
     g = build_grid(1, 3, 3.0)
     n = 3
-    basis = build_fock_basis(n, g)
+    basis = build_fock_basis(n, g, p)
     rng = np.random.default_rng(31 + p)
     raw = (rng.standard_normal((3 ** p, 3 ** p))
            + 1j * rng.standard_normal((3 ** p, 3 ** p)))
@@ -731,8 +766,7 @@ def test_expectation_matches_lifted_operator_oracle(p):
         psi = ManyBodyState(basis, coeffs)
         full = _occupation_to_full(coeffs, basis, 3)
         oracle = np.vdot(full, _lifted_operator_dense(a, n, g) @ full).real
-        got = manybody_expectation(psi, annihilator_gather(basis, p),
-                                   spectral_factors(a, g))
+        got = manybody_expectation(psi, spectral_factors(a, g))
         assert got == pytest.approx(oracle, abs=1e-10)
 
 
@@ -760,15 +794,15 @@ def _test_kernel(kind, g, p, rng):
 def test_expectation_from_spectral_factors_matches_the_rdm_trace(m, n, p, kind):
     # (8, 10, 2) has 6,435 rows in the N-p sector, so two gather blocks
     g = build_grid(1, m, 0.75 * m)
-    basis = build_fock_basis(n, g, max_rdm_order=p)
+    basis = build_fock_basis(n, g, p)
     rng = np.random.default_rng(60 + 7 * p + m)
     a = _test_kernel(kind, g, p, rng)
-    gather, factors = annihilator_gather(basis, p), spectral_factors(a, g)
+    factors = spectral_factors(a, g)
     for psi in (_random_state(basis, rng), product_state_lift(gaussian_packet(g), basis)):
-        gamma = reduced_density_matrix(psi, p)
+        gamma = reduced_density_matrix(psi)
         trace = g.cell_volume ** (2 * p) * np.sum(a.kernel * gamma.T)
         oracle = math.perm(n, p) / n ** p * trace.real
-        got = manybody_expectation(psi, gather, factors)
+        got = manybody_expectation(psi, factors)
         assert abs(got - oracle) <= 1e-13 * np.abs(factors[0]).max()
 
 
@@ -797,9 +831,8 @@ def test_x_n_at_time_zero_is_x_times_the_lift_prefactor(p, kind):
     a = _test_kernel(kind, g, p, rng)
     factors = spectral_factors(a, g)
     phi = normalize(WaveFunction(g, rng.standard_normal(4) + 1j * rng.standard_normal(4)))
-    basis = build_fock_basis(n, g, max_rdm_order=p)
-    x_n = manybody_expectation(product_state_lift(phi, basis),
-                               annihilator_gather(basis, p), factors)
+    basis = build_fock_basis(n, g, p)
+    x_n = manybody_expectation(product_state_lift(phi, basis), factors)
     x = hartree_expectation(phi, factors)
     assert abs(x_n - math.perm(n, p) / n ** p * x) <= 1e-13 * np.abs(factors[0]).max()
 
@@ -833,11 +866,10 @@ def test_dropped_spectral_pairs_move_x_n_by_at_most_their_bound(p):
     mu, u, *_ = spectral_factors(a, g)
     assert len(mu) == 2
     mu_all, v_all = np.linalg.eigh(q.T @ (g.cell_volume ** p * a.kernel) @ q)
-    basis = build_fock_basis(5, g, max_rdm_order=p)
-    gather = annihilator_gather(basis, p)
+    basis = build_fock_basis(5, g, p)
     for psi in (_random_state(basis, rng), product_state_lift(gaussian_packet(g), basis)):
-        kept = manybody_expectation(psi, gather, SpectralFactors(mu, u, g, p))
-        restored = manybody_expectation(psi, gather, SpectralFactors(mu_all, q @ v_all, g, p))
+        kept = manybody_expectation(psi, SpectralFactors(mu, u, g, p))
+        restored = manybody_expectation(psi, SpectralFactors(mu_all, q @ v_all, g, p))
         assert abs(restored - kept) <= cut * np.abs(mu).max()
 
 
@@ -845,12 +877,10 @@ def test_expectation_of_initial_product_state():
     g = build_grid(1, 3, 3.0)
     n = 3
     phi = gaussian_packet(g)
-    basis = build_fock_basis(n, g)
-    psi = product_state_lift(phi, basis)
     for p in (1, 2):
+        psi = product_state_lift(phi, build_fock_basis(n, g, p))
         a = condensate_projector(phi, p=p)
-        got = manybody_expectation(psi, annihilator_gather(basis, p),
-                                   spectral_factors(a, g))
+        got = manybody_expectation(psi, spectral_factors(a, g))
         # at t=0 the state is phi^(x)N, so Tr(a gamma) = <phi^p, a phi^p> = 1
         assert got == pytest.approx(math.perm(n, p) / n ** p, abs=1e-12)
 
@@ -864,7 +894,7 @@ def test_single_particle_sector_is_free_evolution():
     psi0 = product_state_lift(phi, basis)
     psi_t = evolve_manybody(psi0, h, 0.5)
     a = condensate_projector(phi)
-    x1 = manybody_expectation(psi_t, annihilator_gather(basis, 1), spectral_factors(a, g))
+    x1 = manybody_expectation(psi_t, spectral_factors(a, g))
     # free lattice evolution via Fourier phases; interaction is absent at N=1
     spec = np.fft.fft(phi.amplitudes)
     free = np.fft.ifft(spec * np.exp(-1j * 0.5 * lattice_dispersion(g).ravel()))
@@ -877,13 +907,13 @@ def test_expectation_respects_norm_bound():
     g = build_grid(1, 4, 4.0)
     basis = build_fock_basis(3, g)
     a = condensate_projector(gaussian_packet(g))
-    gather, factors = annihilator_gather(basis, 1), spectral_factors(a, g)
+    factors = spectral_factors(a, g)
     bound = np.abs(factors[0]).max()
     rng = np.random.default_rng(41)
     for _ in range(5):
         coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         coeffs /= np.linalg.norm(coeffs)
-        x = manybody_expectation(ManyBodyState(basis, coeffs), gather, factors)
+        x = manybody_expectation(ManyBodyState(basis, coeffs), factors)
         assert abs(x) <= bound + 1e-12
 
 
@@ -893,7 +923,7 @@ def test_expectation_rejects_observable_of_another_grid():
     g5 = build_grid(1, 5, 5.0)
     a = condensate_projector(gaussian_packet(g5))
     with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
-        manybody_expectation(psi, annihilator_gather(psi.basis, 1), spectral_factors(a, g5))
+        manybody_expectation(psi, spectral_factors(a, g5))
 
 
 def test_expectation_rejects_factors_of_a_grid_with_another_spacing():
@@ -901,26 +931,21 @@ def test_expectation_rejects_factors_of_a_grid_with_another_spacing():
     psi = product_state_lift(gaussian_packet(g), build_fock_basis(2, g))
     factors = spectral_factors(condensate_projector(gaussian_packet(coarse)), coarse)
     with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
-        manybody_expectation(psi, annihilator_gather(psi.basis, 1), factors)
+        manybody_expectation(psi, factors)
 
 
 @pytest.mark.parametrize("n", [1, 3])  # at N = 1 there is no N - p sector for p = 2
 def test_expectation_rejects_a_gather_of_another_order(n):
     g = build_grid(1, 4, 4.0)
-    basis = build_fock_basis(n, g)
-    psi = product_state_lift(gaussian_packet(g), basis)
-    factors = spectral_factors(condensate_projector(gaussian_packet(g), 2), g)
-    with pytest.raises(DimensionError, match=r"is not of the state's sector and the "
-                                             r"factors' order p=2$"):
-        manybody_expectation(psi, annihilator_gather(basis, 1), factors)
-
-
-def test_expectation_p_larger_than_n_rejected():
-    g = build_grid(1, 3, 3.0)
-    psi = product_state_lift(gaussian_packet(g), build_fock_basis(1, g))
-    a = condensate_projector(gaussian_packet(g), p=2)
-    with pytest.raises(DomainError):
-        manybody_expectation(psi, annihilator_gather(psi.basis, 2), spectral_factors(a, g))
+    phi = gaussian_packet(g)
+    orders = [(1, 2), (2, 1)] if n > 1 else [(1, 2)]
+    for basis_p, factors_p in orders:
+        psi = product_state_lift(phi, build_fock_basis(n, g, basis_p))
+        factors = spectral_factors(condensate_projector(phi, factors_p), g)
+        with pytest.raises(DimensionError, match=rf"the factors are of order p={factors_p}, "
+                                                 rf"the state's sector gathers order "
+                                                 rf"p={basis_p}$"):
+            manybody_expectation(psi, factors)
 
 
 def test_assemble_rejects_a_field_on_another_grid_with_as_many_sites():

@@ -8,8 +8,8 @@ import pytest
 from mflab.errors import DimensionError, DomainError
 from mflab.grid import WaveFunction, build_grid, gaussian_packet, normalize, plane_wave
 from mflab.hartree import hartree_expectation
-from mflab.manybody import (ManyBodyState, annihilator_gather, build_fock_basis,
-                            manybody_expectation, product_state_lift)
+from mflab.manybody import (ManyBodyState, build_fock_basis, manybody_expectation,
+                            product_state_lift)
 from mflab.observables import (PObservable, condensate_projector, site_multiplier,
                                spectral_factors)
 
@@ -189,13 +189,13 @@ def test_results_invariant_under_block_symmetrization(p):
     assert np.max(np.abs(kernel - sym)) > 0.1
     phi = normalize(WaveFunction(g, rng.standard_normal(sites)
                                  + 1j * rng.standard_normal(sites)))
-    basis = build_fock_basis(n, g)
+    basis = build_fock_basis(n, g, p)
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     states = (ManyBodyState(basis, coeffs / np.linalg.norm(coeffs)),
               product_state_lift(phi, basis))
     given, symmetrized = (
         [hartree_expectation(phi, factors),
-         *(manybody_expectation(psi, annihilator_gather(basis, p), factors) for psi in states),
+         *(manybody_expectation(psi, factors) for psi in states),
          np.abs(factors[0]).max()]
         for factors in (spectral_factors(PObservable(p, k), g) for k in (kernel, sym)))
     assert given == pytest.approx(symmetrized, abs=1e-12)

@@ -16,7 +16,7 @@ import pytest
 
 from mflab.config import parse_config
 from mflab.grid import WaveFunction
-from mflab.manybody import (_rank, annihilator_gather, assemble_hamiltonian,
+from mflab.manybody import (_rank, assemble_hamiltonian,
                             build_fock_basis, energy_expectation, evolve_manybody,
                             manybody_expectation, product_state_lift)
 from mflab.observables import PObservable, spectral_factors
@@ -28,8 +28,7 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 def _workload(name):
     """A workload's plan, its top sector and sample 0's diagonal h of H there."""
     plan, _ = parse_config(WORKLOADS / f"{name}.cfg")
-    basis = build_fock_basis(plan.particle_counts[-1], plan.grid,
-                             max_rdm_order=plan.observable.p)
+    basis = build_fock_basis(plan.particle_counts[-1], plan.grid, plan.observable.p)
     v = sample_field(plan.field_spec, mix_seed(plan.base_seed, 0), plan.grid)
     return plan, basis, assemble_hamiltonian(basis, v)
 
@@ -45,10 +44,9 @@ def test_x_n_is_invariant_under_a_lattice_translation(name, shift):
     kernel = a.kernel.reshape(g.shape * (2 * a.p))
     moved_a = PObservable(a.p, np.roll(kernel, shift * (2 * a.p), tuple(
         range(2 * a.p * g.d))).reshape(a.kernel.shape))
-    gather = annihilator_gather(basis, a.p)
     x_n, moved_x_n = (
         manybody_expectation(evolve_manybody(product_state_lift(u, basis), h, plan.t_final),
-                             gather, spectral_factors(obs, g))
+                             spectral_factors(obs, g))
         for u, obs in ((phi, a), (moved_phi, moved_a)))
     assert abs(moved_x_n - x_n) < 1e-13
 
@@ -75,7 +73,7 @@ def test_an_inversion_even_packet_stays_even():
 def test_propagation_conserves_energy_at_production_size():
     plan, basis, h = _workload("reach")
     packet = product_state_lift(plan.initial_state, basis)
-    phase = np.exp(0.3j * np.arange(basis.sites))  # a complex Psi_0 too
+    phase = np.exp(0.3j * np.arange(basis.grid.n_sites))  # a complex Psi_0 too
     boosted = product_state_lift(
         WaveFunction(plan.grid, plan.initial_state.amplitudes * phase), basis)
     assert boosted.coefficients.imag.any()
