@@ -7,9 +7,8 @@ the mean-field expectations shrinks as N grows.
 
 from .ensemble import (EnsembleResult, ExperimentPlan, SummaryRow, estimate,
                        run_ensemble, tail_diagnostic)
-from .grid import (LatticeGrid, WaveFunction, build_grid, convolve,
-                   convolve_spectrum, gaussian_packet, normalize,
-                   plane_wave, uniform_state)
+from .grid import (LatticeGrid, WaveFunction, convolve, convolve_spectrum,
+                   gaussian_packet, normalize, plane_wave, uniform_state)
 from .hartree import (HartreeRunParams, evolve_hartree_batch, field_spectra,
                       hartree_expectation, hartree_step, potential_phase)
 from .manybody import (FockBasis, ManyBodyState, assemble_hamiltonian,
@@ -22,7 +21,7 @@ from .random_field import FieldSpec, RandomField, mix_seed, sample_field
 __all__ = [
     "EnsembleResult", "ExperimentPlan", "SummaryRow", "estimate",
     "run_ensemble", "tail_diagnostic",
-    "LatticeGrid", "WaveFunction", "build_grid", "convolve",
+    "LatticeGrid", "WaveFunction", "convolve",
     "convolve_spectrum", "gaussian_packet", "normalize", "plane_wave",
     "uniform_state",
     "HartreeRunParams", "evolve_hartree_batch",

@@ -2,10 +2,18 @@
 
 Unknown keys are rejected; missing keys fall back to the defaults below. The
 fully resolved configuration is echoed next to the results so a run can be
-reproduced from its output directory alone. Numbers must be finite; the
-ranges of t_final, dt and the particle counts are ExperimentPlan's to check,
-and that of beta is ensemble.check_beta's, after `beta = auto` resolves here
-to half the plan's observable norm.
+reproduced from its output directory alone. This module only parses: it turns
+text into numbers (each finite, else a ConfigError naming its key), resolves
+`dt` and `beta = auto` (half the plan's observable norm), and maps the
+DomainError of the type that owns a value rule to a ConfigError in one place:
+
+    rule                                    owner                   error
+    d in {1,2,3}, M >= 2, L > 0, h range    grid.LatticeGrid        DomainError
+    sigma_k >= 0                            random_field.FieldSpec  DomainError
+    K < M/2 modes, 0 <= base_seed < 2^64    ensemble.ExperimentPlan DomainError
+    p >= 1                                  observables.PObservable DomainError
+    t_final, dt, N's, samples, caps         ensemble.ExperimentPlan DomainError
+    beta > 0                                ensemble.check_beta     DomainError
 """
 from __future__ import annotations
 
@@ -14,10 +22,10 @@ from pathlib import Path
 
 from .errors import ConfigError, DomainError
 from .ensemble import ExperimentPlan, check_beta
-from .grid import LatticeGrid, WaveFunction, build_grid, gaussian_packet, \
-    plane_wave, uniform_state
+from .grid import LatticeGrid, WaveFunction, gaussian_packet, plane_wave, \
+    uniform_state
 from .observables import PObservable, condensate_projector, site_multiplier
-from .random_field import FieldSpec, check_mode_count, parse_finite
+from .random_field import FieldSpec, parse_finite
 
 _DEFAULTS = {
     "dimension": "1",
@@ -120,8 +128,6 @@ def _build_observable(cfg: dict, grid: LatticeGrid,
                       phi: WaveFunction) -> PObservable:
     kind = cfg["observable.kind"]
     p = _get_int(cfg, "observable.p")
-    if p < 1:
-        raise ConfigError("key 'observable.p': must be a positive integer")
     if kind == "condensate_projector":
         return condensate_projector(phi, p=p)
     if kind == "site_multiplier":
@@ -134,7 +140,8 @@ def _build_observable(cfg: dict, grid: LatticeGrid,
 
 def parse_config(path: str | Path, overrides: dict[str, str] | None = None
                  ) -> tuple[ExperimentPlan, RunOptions]:
-    """Read, validate and resolve a config file into a runnable plan.
+    """Read and resolve a config file into a runnable plan, which the types it
+    is built from validate.
 
     overrides (key -> value strings, e.g. from command-line flags) replace the
     file's values before resolution, so they pass the same checks.
@@ -146,32 +153,20 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None
             raise ConfigError(f"override: unknown key {key!r}")
         cfg[key] = value
 
-    grid = build_grid(_get_int(cfg, "dimension"), _get_int(cfg, "sites"),
-                      _get_float(cfg, "box_length"))
-
-    t_final = _get_float(cfg, "t_final")
-    dt = _get_float(cfg, "dt") if cfg["dt"] else (t_final / 512 if t_final > 0 else 1.0)
-
-    field_spec = FieldSpec(
-        base=cfg["field.base"],
-        gaussian_mean=_get_float(cfg, "field.gaussian_mean"),
-        mode_stddevs=_float_list(cfg, "field.sigmas"),
-    )
-    check_mode_count(field_spec, grid)
-
-    phi = _build_initial_state(cfg, grid)
-    observable = _build_observable(cfg, grid, phi)
-
-    base_seed = _get_int(cfg, "base_seed")
-    if not (0 <= base_seed < 2 ** 64):
-        raise ConfigError("key 'base_seed': must fit in 64 unsigned bits")
-
     try:
+        grid = LatticeGrid(_get_int(cfg, "dimension"), _get_int(cfg, "sites"),
+                           _get_float(cfg, "box_length"))
+        t_final = _get_float(cfg, "t_final")
+        dt = _get_float(cfg, "dt") if cfg["dt"] else (t_final / 512 if t_final > 0 else 1.0)
+        field_spec = FieldSpec(base=cfg["field.base"],
+                               gaussian_mean=_get_float(cfg, "field.gaussian_mean"),
+                               mode_stddevs=_float_list(cfg, "field.sigmas"))
+        phi = _build_initial_state(cfg, grid)
         plan = ExperimentPlan(
             grid=grid, field_spec=field_spec, initial_state=phi,
-            observable=observable, t_final=t_final, dt=dt,
+            observable=_build_observable(cfg, grid, phi), t_final=t_final, dt=dt,
             particle_counts=_int_list(cfg, "particle_counts"),
-            samples=_get_int(cfg, "samples"), base_seed=base_seed,
+            samples=_get_int(cfg, "samples"), base_seed=_get_int(cfg, "base_seed"),
         )
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc

@@ -29,15 +29,15 @@ from .manybody import (assemble_hamiltonian, build_fock_basis, check_fock_dimens
                        check_propagation, evolve_manybody, manybody_expectation,
                        product_state_lift)
 from .observables import PObservable, SpectralFactors, spectral_factors
-from .random_field import FieldSpec, mix_seed, sample_field
+from .random_field import FieldSpec, check_mode_count, mix_seed, sample_field
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One experiment from a unit state, whose largest Fock sector is within the
-    dimension cap, can be propagated to t_final and keeps its statistics finite;
-    observable_factors, observable_norm, roundoff and hartree_params are derived
-    at construction."""
+    """One experiment from a unit state, K < M/2 modes and an integer base_seed in
+    [0, 2^64), whose largest Fock sector is within the dimension cap, can be
+    propagated to t_final and keeps its statistics finite; observable_factors,
+    observable_norm, roundoff and hartree_params are derived at construction."""
 
     grid: LatticeGrid
     field_spec: FieldSpec
@@ -57,6 +57,10 @@ class ExperimentPlan:
     hartree_params: HartreeRunParams = field(init=False)
 
     def __post_init__(self):
+        check_mode_count(self.field_spec, self.grid)
+        seed = self.base_seed
+        if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 64):
+            raise DomainError(f"base_seed must fit in 64 unsigned bits, got {seed!r}")
         if not all(isinstance(n, numbers.Integral)
                    for n in (*self.particle_counts, self.samples)):
             raise DomainError(f"particle counts and samples must be integers, got "
@@ -80,6 +84,7 @@ class ExperimentPlan:
         if not (abs(self.initial_state.norm() - 1.0) <= NORM_TOL):
             raise DomainError(f"initial state norm {self.initial_state.norm()!r} is not 1")
         object.__setattr__(self, "particle_counts", counts)
+        object.__setattr__(self, "base_seed", int(seed))
         object.__setattr__(self, "hartree_params", HartreeRunParams(self.t_final, self.dt))
         factors = spectral_factors(self.observable, self.grid)
         norm = float(np.abs(factors.mu).max(initial=0.0))

@@ -6,22 +6,38 @@ quantities converge to their continuum counterparts under refinement.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 
 # how far from 1 the norm of a state that must be a unit vector may be
 NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LatticeGrid:
-    """Periodic box [0, L)^d sampled at M points per axis, spacing h = L/M."""
+    """Periodic box [0, L)^d sampled at M points per axis, spacing h = L/M:
+    integers d in {1, 2, 3} and M >= 2, L > 0 and h in [2^-40, 2^40]."""
 
     d: int
     m: int
     length: float
+
+    def __post_init__(self):
+        if not (isinstance(self.d, numbers.Integral) and self.d in (1, 2, 3)):
+            raise DomainError(f"dimension must be 1, 2 or 3, got {self.d}")
+        if not (isinstance(self.m, numbers.Integral) and self.m >= 2):
+            raise DomainError(f"sites per axis must be an integer >= 2, got {self.m}")
+        if not (self.length > 0):
+            raise DomainError(f"box length must be positive, got {self.length}")
+        # sites^p <= KERNEL_DIMENSION_CAP = 2^12 and M >= 2 give d*p <= 12, so for h in
+        # [2^-40, 2^40] every power formed is a normal double: h^12 (cell_volume^p),
+        # 1/h^2, and the h^24 of the dense double sum h^{2dp} <psi, K psi> that checks X
+        if not (2.0 ** -40 <= self.h <= 2.0 ** 40):
+            raise DomainError(f"box length {self.length!r} on {self.m} sites gives "
+                              f"spacing h = {self.h!r}, outside [2^-40, 2^40]")
 
     @property
     def h(self) -> float:
@@ -42,22 +58,6 @@ class LatticeGrid:
     def axis_coordinates(self) -> np.ndarray:
         """Site coordinates x_j = j*h along one axis."""
         return np.arange(self.m) * self.h
-
-
-def build_grid(d: int, m: int, length: float) -> LatticeGrid:
-    if d not in (1, 2, 3):
-        raise ConfigError(f"dimension must be 1, 2 or 3, got {d}")
-    if m < 2:
-        raise ConfigError(f"sites per axis must be >= 2, got {m}")
-    if not (length > 0):
-        raise ConfigError(f"box length must be positive, got {length}")
-    # sites^p <= KERNEL_DIMENSION_CAP = 2^12 and M >= 2 give d*p <= 12, so for h in
-    # [2^-40, 2^40] every power formed is a normal double: h^12 (cell_volume^p),
-    # 1/h^2, and the h^24 of the dense double sum h^{2dp} <psi, K psi> that checks X
-    if not (2.0 ** -40 <= length / m <= 2.0 ** 40):
-        raise ConfigError(f"box length {length!r} on {m} sites gives spacing "
-                          f"h = {length / m!r}, outside [2^-40, 2^40]")
-    return LatticeGrid(d=int(d), m=int(m), length=float(length))
 
 
 @dataclass

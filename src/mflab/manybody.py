@@ -371,7 +371,7 @@ def _spectral_interval(n: int, grid: LatticeGrid, h) -> tuple[float, float]:
     one_body is the second quantization of the hopping T - T_xx (T = -Lap),
     whose eigenvalues are lattice_dispersion - T_xx, so on the N sector its
     spectrum lies in N times their range; by Weyl's inequality diag(h) widens
-    that by [min h, max h]. r > 0: build_grid requires m >= 2, so max > min.
+    that by [min h, max h]. r > 0: LatticeGrid requires m >= 2, so max > min.
     """
     lam = lattice_dispersion(grid) - _kinetic_diagonal(grid)
     lo = n * float(lam.min()) + float(np.min(h))

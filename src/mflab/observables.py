@@ -106,12 +106,11 @@ def spectral_factors(a: PObservable, grid: LatticeGrid) -> SpectralFactors:
 
 
 def check_kernel_dimension(p: int, sites: int) -> None:
-    """DomainError if p < 1, ResourceError if a p-particle kernel over `sites` sites
-    has more than KERNEL_DIMENSION_CAP rows; the stock observables call it first."""
-    if p < 1:
-        raise DomainError(f"observable particle count must be >= 1, got {p}")
-    # sites >= 2 passes the cap by p = 13, so the power stays small for any p
-    if sites ** min(p, KERNEL_DIMENSION_CAP.bit_length()) > KERNEL_DIMENSION_CAP:
+    """ResourceError if a p-particle kernel over `sites` sites has more than
+    KERNEL_DIMENSION_CAP rows; the stock observables call it first."""
+    # sites >= 2 passes the cap by p = 13, so the power stays small for any p;
+    # p < 1, which PObservable rejects, counts as 0: sites**-10**400 overflows a float
+    if sites ** min(max(p, 0), KERNEL_DIMENSION_CAP.bit_length()) > KERNEL_DIMENSION_CAP:
         raise ResourceError(f"a {p}-particle kernel needs sites^p = {sites}^{p} rows, "
                             f"above the cap of {KERNEL_DIMENSION_CAP:,}")
 
@@ -121,8 +120,9 @@ def check_kernel_dimension(p: int, sites: int) -> None:
 def condensate_projector(phi: WaveFunction, p: int = 1) -> PObservable:
     """p-fold tensor power of the rank-one projector |phi><phi|."""
     check_kernel_dimension(p, phi.grid.n_sites)
-    u = phi.amplitudes
-    return PObservable(p, reduce(np.kron, [np.outer(u, u.conj())] * p))
+    # for p < 1 the product is empty, the 1 x 1 start, and PObservable rejects p
+    factors = (np.outer(phi.amplitudes, phi.amplitudes.conj()) for _ in range(p))
+    return PObservable(p, reduce(np.kron, factors, np.ones((1, 1))))
 
 
 def site_multiplier(grid: LatticeGrid, amplitude: float = 1.0,

@@ -41,7 +41,7 @@ class FieldSpec:
 
     def __post_init__(self):
         if not all(s >= 0 for s in self.mode_stddevs):  # NaN fails too
-            raise ConfigError("mode standard deviations must be nonnegative")
+            raise DomainError("mode standard deviations must be nonnegative")
         _parse_base(self.base)  # validate eagerly
 
 
@@ -107,7 +107,7 @@ def check_mode_count(spec: FieldSpec, grid: LatticeGrid) -> None:
     """Reject K >= M/2 Gaussian modes: the grid would alias them."""
     K = len(spec.mode_stddevs)
     if K >= grid.m / 2:
-        raise ConfigError(
+        raise DomainError(
             f"{K} Gaussian modes requested but K < M/2 = {grid.m / 2} is required "
             "(no aliased modes)"
         )

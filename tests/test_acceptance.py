@@ -10,7 +10,7 @@ import scipy.linalg
 from mflab.cli import run_experiment
 from mflab.config import RunOptions
 from mflab.ensemble import ExperimentPlan, estimate, run_ensemble, tail_diagnostic
-from mflab.grid import WaveFunction, build_grid, convolve, gaussian_packet, normalize
+from mflab.grid import LatticeGrid, WaveFunction, convolve, gaussian_packet, normalize
 from mflab.hartree import HartreeRunParams, evolve_hartree_batch
 from mflab.manybody import (ManyBodyState, _rank, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
@@ -20,7 +20,7 @@ from mflab.observables import PObservable, condensate_projector, spectral_factor
 from mflab.random_field import FieldSpec, sample_field
 
 
-GRID = build_grid(1, 8, 8.0)
+GRID = LatticeGrid(1, 8, 8.0)
 PHI = gaussian_packet(GRID)
 OBS = condensate_projector(PHI)
 
@@ -187,7 +187,7 @@ def test_criterion_5_oracle_equivalence():
         assert np.max(np.abs(convolve(GRID, vv, rho) - direct)) < 1e-10
 
         # (c) brute-force lifted operator vs RDM route, N = 3, M = 3, p = 1, 2
-        g3 = build_grid(1, 3, 3.0)
+        g3 = LatticeGrid(1, 3, 3.0)
         n3 = 3
         for p in (1, 2):
             b3 = build_fock_basis(n3, g3, p)

@@ -396,6 +396,17 @@ def test_main_rejects_observable_order_above_smallest_count(tmp_path, capsys):
     assert not out.exists()
 
 
+# -10**400 overflows a float, so the kernel cap must not form sites**p for it
+@pytest.mark.parametrize("p", [0, -1, -10 ** 400], ids=["0", "-1", "-10**400"])
+def test_main_rejects_an_observable_order_below_one(tmp_path, capsys, p):
+    cfg = _write(tmp_path, MINIMAL + f"observable.p = {p}\n")
+    out = tmp_path / "cli-out"
+    assert main(["--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: observable particle count must be >= 1, got {p}"]
+    assert not out.exists()
+
+
 def _child_env():
     src = str(Path(mflab.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(

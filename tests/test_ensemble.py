@@ -6,14 +6,14 @@ import mflab.hartree
 from mflab.ensemble import (EnsembleResult, ExperimentPlan, estimate,
                             run_ensemble, tail_diagnostic)
 from mflab.errors import ConsistencyError, DimensionError, DomainError, ResourceError
-from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
+from mflab.grid import (LatticeGrid, WaveFunction, gaussian_packet,
                         lattice_dispersion)
 from mflab.hartree import HartreeRunParams
 from mflab.observables import condensate_projector, site_multiplier, spectral_factors
 from mflab.random_field import FieldSpec, mix_seed
 
 
-GRID = build_grid(1, 8, 8.0)
+GRID = LatticeGrid(1, 8, 8.0)
 PHI = gaussian_packet(GRID)
 OBS = condensate_projector(PHI)
 
@@ -172,7 +172,7 @@ def test_plan_rejects_an_initial_state_on_another_grid():
     # as many sites as the plan's grid, but h = 0.25: caught before any sector is built
     with pytest.raises(DimensionError, match="initial state and the plan live on different"):
         ExperimentPlan(grid=GRID, field_spec=RANDOM_SPEC,
-                       initial_state=gaussian_packet(build_grid(1, 8, 2.0)),
+                       initial_state=gaussian_packet(LatticeGrid(1, 8, 2.0)),
                        observable=OBS, t_final=0.25, dt=0.25 / 128, particle_counts=(2,),
                        samples=1, base_seed=1)
 
@@ -208,6 +208,36 @@ def test_plan_keeps_counts_of_any_integer_type():
     assert plan.particle_counts == (2, 3)
     assert all(type(n) is int for n in plan.particle_counts)
     assert run_ensemble(plan).x_manybody.shape == (2, 2)
+
+
+def test_plan_stores_a_base_seed_of_any_integer_type_as_int():
+    # mix_seed's 64-bit products overflow an np.int64 seed
+    plan = _plan(RANDOM_SPEC, samples=2, seed=np.int64(5))
+    assert type(plan.base_seed) is int
+    same = _plan(RANDOM_SPEC, samples=2, seed=5)
+    assert run_ensemble(plan).seeds == run_ensemble(same).seeds
+
+
+@pytest.mark.parametrize("build, message", [
+    *(pytest.param(lambda args=args: LatticeGrid(*args), message, id=f"LatticeGrid{args}")
+      for args, message in [
+          ((0, 8, 1.0), "dimension must be 1, 2 or 3"),
+          ((4, 8, 1.0), "dimension must be 1, 2 or 3"),
+          ((1, 1, 1.0), "sites per axis must be an integer >= 2"),
+          ((1, 8, 0.0), "box length must be positive"),
+          ((1, 8, -2.0), "box length must be positive"),
+          ((1, 8, 1e160), r"outside \[2\^-40, 2\^40\]"),
+          ((3, 8, 1e110), r"outside \[2\^-40, 2\^40\]"),
+          ((1, 8, 1e-160), r"outside \[2\^-40, 2\^40\]")]),
+    *(pytest.param(lambda seed=seed: _plan(RANDOM_SPEC, seed=seed),
+                   "base_seed must fit in 64 unsigned bits", id=f"base_seed={seed}")
+      for seed in (1.5, -3, 2 ** 70)),
+    pytest.param(lambda: _plan(FieldSpec(mode_stddevs=(0.1,) * (GRID.m // 2))),
+                 r"K < M/2 = 4\.0 is required", id="K=M/2"),
+])
+def test_library_rejects_at_construction_what_the_config_rejects(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
 
 
 def test_particle_counts_must_ascend():

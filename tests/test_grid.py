@@ -1,24 +1,24 @@
 import numpy as np
 import pytest
 
-from mflab.errors import ConfigError, DimensionError
-from mflab.grid import (WaveFunction, build_grid, convolve, gaussian_packet,
+from mflab.errors import DimensionError, DomainError
+from mflab.grid import (LatticeGrid, WaveFunction, convolve, gaussian_packet,
                         grid_fft, lattice_dispersion, normalize, plane_wave,
                         uniform_state)
 from mflab.manybody import kinetic_matrix
 
 
 def test_build_grid_examples():
-    g = build_grid(1, 8, 8.0)
+    g = LatticeGrid(1, 8, 8.0)
     assert g.h == 1.0 and g.n_sites == 8
-    g = build_grid(1, 4, 2.0)
+    g = LatticeGrid(1, 4, 2.0)
     assert g.h == 0.5 and g.n_sites == 4
-    g = build_grid(2, 4, 4.0)
+    g = LatticeGrid(2, 4, 4.0)
     assert g.h == 1.0 and g.n_sites == 16
 
 
 def test_build_grid_spacing_consistency():
-    g = build_grid(1, 7, 3.3)
+    g = LatticeGrid(1, 7, 3.3)
     assert g.h * g.m == pytest.approx(g.length, abs=1e-15)
 
 
@@ -28,31 +28,31 @@ def test_build_grid_spacing_consistency():
                                         # the normal range
                                         (1, 8, 1e160), (3, 8, 1e110), (1, 8, 1e-160)])
 def test_build_grid_rejects_bad_parameters(d, m, length):
-    with pytest.raises(ConfigError):
-        build_grid(d, m, length)
+    with pytest.raises(DomainError):
+        LatticeGrid(d, m, length)
 
 
 def test_gaussian_packet_of_overflowing_width_is_uniform():
-    g = build_grid(2, 4, 4.0)
+    g = LatticeGrid(2, 4, 4.0)
     wide = gaussian_packet(g, width=1e200)  # width^2 = inf: a flat profile
     assert np.array_equal(wide.amplitudes, uniform_state(g).amplitudes)
 
 
 def test_laplacian_of_constant_is_zero():
-    g = build_grid(1, 8, 8.0)
+    g = LatticeGrid(1, 8, 8.0)
     out = kinetic_matrix(g) @ np.full(8, 3.7 + 0.2j)
     assert np.max(np.abs(out)) == 0.0
 
 
 def test_laplacian_delta_stencil():
-    g = build_grid(1, 4, 4.0)  # h = 1
+    g = LatticeGrid(1, 4, 4.0)  # h = 1
     # T = -Lap: the 3-point stencil by hand with periodic wrap, negated
     col = kinetic_matrix(g).toarray()[:, 0]
     assert np.allclose(col, [2, -1, 0, -1], atol=1e-15)
 
 
 def test_laplacian_plane_wave_eigenvalue():
-    g = build_grid(1, 16, 4.0)
+    g = LatticeGrid(1, 16, 4.0)
     k = 2 * np.pi / g.length
     psi = np.exp(1j * k * g.axis_coordinates())
     out = kinetic_matrix(g) @ psi
@@ -67,7 +67,7 @@ def _apply_t(g, psi):
 @pytest.mark.parametrize("seed", range(5))
 def test_laplacian_self_adjoint(seed):
     rng = np.random.default_rng(seed)
-    g = build_grid(1, 12, 5.0)
+    g = LatticeGrid(1, 12, 5.0)
     chi = WaveFunction(g, rng.standard_normal(12) + 1j * rng.standard_normal(12))
     psi = WaveFunction(g, rng.standard_normal(12) + 1j * rng.standard_normal(12))
     lhs = g.cell_volume * np.vdot(chi.amplitudes, _apply_t(g, psi).amplitudes)
@@ -77,7 +77,7 @@ def test_laplacian_self_adjoint(seed):
 
 def test_laplacian_self_adjoint_2d():
     rng = np.random.default_rng(7)
-    g = build_grid(2, 4, 4.0)
+    g = LatticeGrid(2, 4, 4.0)
     chi = WaveFunction(g, rng.standard_normal(16) + 1j * rng.standard_normal(16))
     psi = WaveFunction(g, rng.standard_normal(16) + 1j * rng.standard_normal(16))
     lhs = g.cell_volume * np.vdot(chi.amplitudes, _apply_t(g, psi).amplitudes)
@@ -88,7 +88,7 @@ def test_laplacian_self_adjoint_2d():
 @pytest.mark.parametrize("d,m", [(1, 2), (1, 3), (1, 8), (2, 2), (2, 4), (3, 2), (3, 4)])
 def test_kinetic_spectrum_is_the_lattice_dispersion(d, m):
     # the many-body interval [N min lambda, N max lambda] rests on this
-    g = build_grid(d, m, 0.7 * m)
+    g = LatticeGrid(d, m, 0.7 * m)
     lam = np.sort(lattice_dispersion(g).ravel())
     eig = np.linalg.eigvalsh(kinetic_matrix(g).toarray())
     assert np.max(np.abs(eig - lam)) <= 1e-13 * lam.max()
@@ -111,7 +111,7 @@ def _convolve_direct(grid, v, rho):
 
 
 def test_convolve_constant_kernel():
-    g = build_grid(1, 8, 8.0)
+    g = LatticeGrid(1, 8, 8.0)
     rho = np.abs(np.random.default_rng(0).standard_normal(8))
     rho /= g.cell_volume * rho.sum()  # unit mass
     out = convolve(g, np.full(8, 2.5), rho)
@@ -119,7 +119,7 @@ def test_convolve_constant_kernel():
 
 
 def test_convolve_point_kernel():
-    g = build_grid(1, 8, 4.0)
+    g = LatticeGrid(1, 8, 4.0)
     v = np.zeros(8)
     v[0] = 3.0
     rho = np.random.default_rng(1).standard_normal(8)
@@ -130,7 +130,7 @@ def test_convolve_point_kernel():
 @pytest.mark.parametrize("seed", range(3))
 def test_convolve_matches_direct_sum(seed):
     rng = np.random.default_rng(seed)
-    g = build_grid(1, 8, 8.0)
+    g = LatticeGrid(1, 8, 8.0)
     v = rng.standard_normal(8)
     rho = rng.standard_normal(8)
     fast = convolve(g, v, rho)
@@ -140,7 +140,7 @@ def test_convolve_matches_direct_sum(seed):
 
 def test_convolve_matches_direct_sum_2d():
     rng = np.random.default_rng(11)
-    g = build_grid(2, 4, 4.0)
+    g = LatticeGrid(2, 4, 4.0)
     v = rng.standard_normal(16)
     rho = rng.standard_normal(16)
     assert np.max(np.abs(convolve(g, v, rho) - _convolve_direct(g, v, rho))) < 1e-10
@@ -148,7 +148,7 @@ def test_convolve_matches_direct_sum_2d():
 
 def test_convolve_even_kernel_commutes_with_reflection():
     rng = np.random.default_rng(3)
-    g = build_grid(1, 8, 8.0)
+    g = LatticeGrid(1, 8, 8.0)
     raw = rng.standard_normal(8)
     refl = lambda a: np.roll(a[::-1], 1)  # j -> (M - j) mod M
     v = 0.5 * (raw + refl(raw))
@@ -169,18 +169,18 @@ def test_grid_fft_is_bitwise_fftn(shape, d):
 
 
 def test_convolve_size_mismatch():
-    g = build_grid(1, 8, 8.0)
+    g = LatticeGrid(1, 8, 8.0)
     with pytest.raises(DimensionError):
         convolve(g, np.ones(4), np.ones(8))
 
 
 def test_initial_states_are_normalized():
-    g = build_grid(1, 16, 8.0)
+    g = LatticeGrid(1, 16, 8.0)
     for psi in (gaussian_packet(g), uniform_state(g), plane_wave(g, 2)):
         assert abs(psi.norm() - 1.0) < 1e-12
 
 
 def test_normalize_rescales():
-    g = build_grid(1, 8, 8.0)
+    g = LatticeGrid(1, 8, 8.0)
     psi = normalize(WaveFunction(g, np.arange(1, 9, dtype=complex)))
     assert abs(psi.norm() - 1.0) < 1e-12

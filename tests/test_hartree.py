@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mflab.errors import DimensionError, DomainError
-from mflab.grid import (WaveFunction, build_grid, convolve, gaussian_packet,
+from mflab.grid import (LatticeGrid, WaveFunction, convolve, gaussian_packet,
                         lattice_dispersion, normalize, plane_wave)
 from mflab.hartree import (HartreeRunParams, evolve_hartree_batch,
                            field_spectra, hartree_energy, hartree_expectation,
@@ -11,7 +11,7 @@ from mflab.observables import PObservable, condensate_projector, spectral_factor
 from mflab.random_field import FieldSpec, sample_field
 
 
-GRID = build_grid(1, 8, 8.0)
+GRID = LatticeGrid(1, 8, 8.0)
 
 
 def _field(base="zero", mean=0.0, sigmas=(), seed=0, grid=GRID):
@@ -104,7 +104,7 @@ def test_exit_norm_check_names_the_drifting_field(monkeypatch):
     assert info.value.row == 2
 
 
-@pytest.mark.parametrize("grid", [GRID, build_grid(2, 8, 8.0)],
+@pytest.mark.parametrize("grid", [GRID, LatticeGrid(2, 8, 8.0)],
                          ids=["d1", "d2"])
 def test_batch_equals_fields_evolved_alone(grid):
     psi = gaussian_packet(grid)
@@ -224,16 +224,16 @@ def test_expectation_bounded_by_operator_norm():
 
 def test_expectation_rejects_factors_of_another_grid():
     psi = gaussian_packet(GRID)
-    for g, p in ((build_grid(1, 5, 5.0), 1), (build_grid(1, 3, 3.0), 2),
-                 (build_grid(2, 4, 8.0), 1)):
+    for g, p in ((LatticeGrid(1, 5, 5.0), 1), (LatticeGrid(1, 3, 3.0), 2),
+                 (LatticeGrid(2, 4, 8.0), 1)):
         factors = spectral_factors(condensate_projector(gaussian_packet(g), p), g)
         with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
             hartree_expectation(psi, factors)
 
 
 @pytest.mark.parametrize("factor_grid,p,state_grid", [
-    (build_grid(1, 4, 4.0), 2, build_grid(1, 16, 16.0)),  # 4^2 rows, as 16 sites have
-    (GRID, 1, build_grid(1, 8, 2.0)),  # the same 8 sites, another h
+    (LatticeGrid(1, 4, 4.0), 2, LatticeGrid(1, 16, 16.0)),  # 4^2 rows, as 16 sites have
+    (GRID, 1, LatticeGrid(1, 8, 2.0)),  # the same 8 sites, another h
 ])
 def test_expectation_rejects_factors_with_the_rows_of_another_grid(factor_grid, p,
                                                                    state_grid):
@@ -257,7 +257,7 @@ def test_non_self_adjoint_kernel_rejected():
 
 def test_grid_mismatch_rejected():
     psi = gaussian_packet(GRID)
-    other = build_grid(1, 8, 4.0)
+    other = LatticeGrid(1, 8, 4.0)
     v = _field(grid=other)
     with pytest.raises(DimensionError):
         _step(psi, [v], 0.01)
@@ -266,14 +266,14 @@ def test_grid_mismatch_rejected():
 
 
 def test_energy_rejects_a_field_on_another_grid_with_as_many_sites():
-    v = _field(base="gaussian_bump(1.0, 1.5)", grid=build_grid(2, 4, 8.0))
+    v = _field(base="gaussian_bump(1.0, 1.5)", grid=LatticeGrid(2, 4, 8.0))
     with pytest.raises(DimensionError, match="lives on"):
-        hartree_energy(gaussian_packet(build_grid(1, 16, 16.0)), v)
+        hartree_energy(gaussian_packet(LatticeGrid(1, 16, 16.0)), v)
 
 
 @pytest.mark.parametrize("d, m", [(2, 4), (1, 101)], ids=["d2-M4", "d1-M101"])
 def test_merged_flow_matches_unmerged_strang_steps(d, m):
-    grid = build_grid(d, m, 8.0)
+    grid = LatticeGrid(d, m, 8.0)
     psi = gaussian_packet(grid)
     v = _field(base="gaussian_bump(1.0, 1.5)", sigmas=(0.5,), seed=7, grid=grid)
     params = HartreeRunParams(0.5, 0.5 / 512)

@@ -16,7 +16,7 @@ import scipy.special
 import mflab.hartree
 import mflab.manybody
 from mflab.errors import DimensionError, DomainError, ResourceError
-from mflab.grid import (WaveFunction, build_grid, gaussian_packet,
+from mflab.grid import (LatticeGrid, WaveFunction, gaussian_packet,
                         lattice_dispersion, normalize, plane_wave)
 from mflab.hartree import hartree_energy, hartree_expectation
 from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree, _rank,
@@ -38,29 +38,29 @@ def _field(grid, base="zero", mean=0.0, sigmas=(), seed=0):
 # --- basis ----------------------------------------------------------------
 
 def test_basis_sizes():
-    g5 = build_grid(1, 5, 5.0)
+    g5 = LatticeGrid(1, 5, 5.0)
     assert len(build_fock_basis(1, g5)) == 5
-    g3 = build_grid(1, 3, 3.0)
+    g3 = LatticeGrid(1, 3, 3.0)
     assert len(build_fock_basis(2, g3)) == 6
-    g8 = build_grid(1, 8, 8.0)
+    g8 = LatticeGrid(1, 8, 8.0)
     assert len(build_fock_basis(3, g8)) == 120
 
 
 @pytest.mark.parametrize("order", [0, -1])
 def test_basis_rejects_an_rdm_order_below_one(order):
     with pytest.raises(DomainError, match=rf"need 1 <= p <= N, got p={order}, N=2$"):
-        build_fock_basis(2, build_grid(1, 3, 3.0), order)
+        build_fock_basis(2, LatticeGrid(1, 3, 3.0), order)
 
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_basis_rejects_an_rdm_order_above_n(n):
     # a state of N particles has no (N+1)-particle reduced density matrix
     with pytest.raises(DomainError, match=rf"need 1 <= p <= N, got p={n + 1}, N={n}$"):
-        build_fock_basis(n, build_grid(1, 3, 3.0), n + 1)
+        build_fock_basis(n, LatticeGrid(1, 3, 3.0), n + 1)
 
 
 def test_basis_matches_brute_force_enumeration():
-    g = build_grid(1, 3, 3.0)
+    g = LatticeGrid(1, 3, 3.0)
     basis = build_fock_basis(2, g)
     brute = sorted({occ for occ in itertools.product(range(3), repeat=3)
                     if sum(occ) == 2})
@@ -70,7 +70,7 @@ def test_basis_matches_brute_force_enumeration():
 
 
 def test_basis_ordering_is_lexicographic():
-    g = build_grid(1, 4, 4.0)
+    g = LatticeGrid(1, 4, 4.0)
     basis = build_fock_basis(3, g)
     states = [tuple(occ) for occ in basis.occupations.tolist()]
     assert states == sorted(states)
@@ -78,7 +78,7 @@ def test_basis_ordering_is_lexicographic():
 
 @pytest.mark.parametrize("d,m,n", [(1, 8, 4), (2, 4, 3)])
 def test_rank_round_trip(d, m, n):
-    basis = build_fock_basis(n, build_grid(d, m, float(m)))
+    basis = build_fock_basis(n, LatticeGrid(d, m, float(m)))
     assert np.array_equal(_rank(basis.occupations, basis.n_particles),
                           np.arange(len(basis)))
 
@@ -133,7 +133,7 @@ def _reference_gather_arrays(n, g, p):
                                      (2, 3, 2, 2), (2, 4, 4, 1), (3, 2, 3, 3),
                                      (2, 4, 5, 1)])
 def test_basis_is_bitwise_the_sparse_product_construction(d, m, n, p):
-    g = build_grid(d, m, 0.7 * m)  # spacing 0.7: products round, so their order shows
+    g = LatticeGrid(d, m, 0.7 * m)  # spacing 0.7: products round, so their order shows
     basis = build_fock_basis(n, g, p)
     occ = _reference_occupations(n, g.n_sites)
     t = kinetic_matrix(g).toarray()
@@ -159,14 +159,14 @@ def test_basis_is_bitwise_the_sparse_product_construction(d, m, n, p):
 
 
 def test_dimension_cap_enforced():
-    g = build_grid(1, 8, 8.0)
+    g = LatticeGrid(1, 8, 8.0)
     with pytest.raises(ResourceError, match=r"N=30.*M=8"):
         build_fock_basis(30, g)  # dimension 10,295,472
 
 
 @pytest.mark.parametrize("d,m,n", [(1, 2, 300), (2, 4, 6)])
 def test_occupations_are_narrow_and_weights_float64(d, m, n):
-    g = build_grid(d, m, 2.0 * m)
+    g = LatticeGrid(d, m, 2.0 * m)
     basis = build_fock_basis(n, g, 2)
     occ = basis.occupations
     assert occ.dtype == np.min_scalar_type(n)  # uint16 at N=300, uint8 at N=6
@@ -188,7 +188,7 @@ def test_occupations_are_narrow_and_weights_float64(d, m, n):
 
 
 def test_sector_holds_the_top_annihilator_once_as_its_gather():
-    g = build_grid(2, 4, 8.0)  # the reach workload's N=6 sector, p = 1
+    g = LatticeGrid(2, 4, 8.0)  # the reach workload's N=6 sector, p = 1
     build_fock_basis(2, g)  # first-call allocations are not the sector's
     tracemalloc.start()
     try:
@@ -208,7 +208,7 @@ def test_sector_holds_the_top_annihilator_once_as_its_gather():
 
 
 def test_per_field_steps_allocate_o_dim_bytes():
-    g = build_grid(2, 4, 8.0)  # the reach workload's N=6 sector
+    g = LatticeGrid(2, 4, 8.0)  # the reach workload's N=6 sector
     basis = build_fock_basis(6, g)
     assert (len(basis), g.n_sites) == (54_264, 16)
     v = _field(g, base="gaussian_bump(1.0, 1.5)", sigmas=(0.5,), seed=3)
@@ -226,7 +226,7 @@ def test_per_field_steps_allocate_o_dim_bytes():
 
 
 def test_sector_build_makes_no_dense_sites_by_sites_operator():
-    g = build_grid(2, 48, 48.0)  # 2,304 sites; the N = 1 sector is far under the cap
+    g = LatticeGrid(2, 48, 48.0)  # 2,304 sites; the N = 1 sector is far under the cap
     tracemalloc.start()
     try:
         build_fock_basis(1, g)
@@ -239,7 +239,7 @@ def test_sector_build_makes_no_dense_sites_by_sites_operator():
 def test_kinetic_diagonal_reads_the_occupations_in_bounded_blocks():
     # 4,096 sites and 4,096 states: a float64 copy of all occupations is 128 MiB;
     # one_body has no diagonal, so this bounds the whole N = 1 build
-    g = build_grid(2, 64, 64.0)
+    g = LatticeGrid(2, 64, 64.0)
     tracemalloc.start()
     try:
         build_fock_basis(1, g)
@@ -268,7 +268,7 @@ def test_the_two_dynamics_do_not_import_each_other():
 # --- Hamiltonian ----------------------------------------------------------
 
 def test_single_particle_hamiltonian_is_kinetic_matrix():
-    g = build_grid(1, 5, 5.0)
+    g = LatticeGrid(1, 5, 5.0)
     v = _field(g, base="gaussian_bump(2.0, 1.0)", sigmas=(0.4,), seed=7)
     basis = build_fock_basis(1, g)
     h = assemble_hamiltonian(basis, v)
@@ -281,7 +281,7 @@ def test_single_particle_hamiltonian_is_kinetic_matrix():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_constant_interaction_shifts_by_scalar(n):
-    g = build_grid(1, 4, 4.0)
+    g = LatticeGrid(1, 4, 4.0)
     c = 0.9
     basis = build_fock_basis(n, g)
     kin = basis.one_body.toarray()
@@ -297,7 +297,7 @@ def test_constant_interaction_shifts_by_scalar(n):
 def test_product_state_energy_is_the_hartree_energy_with_n_minus_1_pairs(d, m, length, n):
     # <phi^N, H phi^N> = N <phi, T phi> + (N - 1) pot, with pot the interaction
     # half of the Hartree energy, since (1/N) sum_{i<j} v counts N(N-1)/2 pairs
-    g = build_grid(d, m, length)
+    g = LatticeGrid(d, m, length)
     rng = np.random.default_rng(5)
     random_phi = normalize(WaveFunction(g, rng.normal(size=g.n_sites)
                                         + 1j * rng.normal(size=g.n_sites)))
@@ -346,7 +346,7 @@ def _symmetrizer(n, sites):
 
 
 def test_hamiltonian_matches_first_quantized_projection():
-    g = build_grid(1, 3, 3.0)
+    g = LatticeGrid(1, 3, 3.0)
     n = 2
     v = _field(g, base="gaussian_bump(1.0, 0.8)", sigmas=(0.6,), seed=11)
     basis = build_fock_basis(n, g)
@@ -367,7 +367,7 @@ def test_hamiltonian_matches_first_quantized_projection():
 @pytest.mark.parametrize("d, m, n", [(1, 6, 2), (1, 5, 3), (2, 3, 2), (2, 3, 3)])
 def test_pair_diagonal_sees_only_the_even_part_of_v(d, m, n):
     # why every field is even: Hartree's v * |psi|^2 would see the odd part
-    g = build_grid(d, m, 0.9 * m)
+    g = LatticeGrid(d, m, 0.9 * m)
     v = np.random.default_rng(17).standard_normal(g.shape)
     even = 0.5 * (v + v[np.ix_(*[(-np.arange(m)) % m] * d)])
     assert not np.allclose(v, even)
@@ -378,7 +378,7 @@ def test_pair_diagonal_sees_only_the_even_part_of_v(d, m, n):
 
 
 def test_hamiltonian_is_hermitian():
-    g = build_grid(1, 4, 4.0)
+    g = LatticeGrid(1, 4, 4.0)
     v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,), seed=13)
     basis = build_fock_basis(3, g)
     h = basis.one_body.toarray() + np.diag(assemble_hamiltonian(basis, v))
@@ -388,7 +388,7 @@ def test_hamiltonian_is_hermitian():
 # --- product state lift ---------------------------------------------------
 
 def test_lift_fully_condensed():
-    g = build_grid(1, 2, 2.0)
+    g = LatticeGrid(1, 2, 2.0)
     phi = WaveFunction(g, np.array([g.h ** -0.5, 0.0], dtype=complex))
     basis = build_fock_basis(2, g)
     state = product_state_lift(phi, basis)
@@ -399,7 +399,7 @@ def test_lift_fully_condensed():
 
 
 def test_lift_uniform_two_site():
-    g = build_grid(1, 2, 2.0)
+    g = LatticeGrid(1, 2, 2.0)
     phi = normalize(WaveFunction(g, np.ones(2, dtype=complex)))
     basis = build_fock_basis(2, g)
     state = product_state_lift(phi, basis)
@@ -412,7 +412,7 @@ def test_lift_uniform_two_site():
 
 @pytest.mark.parametrize("n,m", [(2, 4), (3, 5), (5, 3)])
 def test_lift_is_normalized(n, m):
-    g = build_grid(1, m, float(m))
+    g = LatticeGrid(1, m, float(m))
     rng = np.random.default_rng(n * m)
     phi = normalize(WaveFunction(g, rng.standard_normal(m)
                                  + 1j * rng.standard_normal(m)))
@@ -421,7 +421,7 @@ def test_lift_is_normalized(n, m):
 
 
 def test_nan_state_or_time_fails_the_domain_checks():
-    g = build_grid(1, 4, 4.0)
+    g = LatticeGrid(1, 4, 4.0)
     basis = build_fock_basis(2, g)
     with pytest.raises(DomainError, match="unit state"):
         product_state_lift(WaveFunction(g, np.full(4, np.nan)), basis)
@@ -434,14 +434,14 @@ def test_nan_state_or_time_fails_the_domain_checks():
 
 
 def test_lift_rejects_unnormalized_state():
-    g = build_grid(1, 3, 3.0)
+    g = LatticeGrid(1, 3, 3.0)
     phi = WaveFunction(g, np.ones(3, dtype=complex))
     with pytest.raises(DomainError):
         product_state_lift(phi, build_fock_basis(2, g))
 
 
 def test_lift_matches_full_tensor_power():
-    g = build_grid(1, 3, 3.0)
+    g = LatticeGrid(1, 3, 3.0)
     rng = np.random.default_rng(21)
     phi = normalize(WaveFunction(g, rng.standard_normal(3)
                                  + 1j * rng.standard_normal(3)))
@@ -459,7 +459,7 @@ def test_lift_matches_full_tensor_power():
 # --- propagation ----------------------------------------------------------
 
 def test_zero_time_propagation_is_identity():
-    g = build_grid(1, 4, 4.0)
+    g = LatticeGrid(1, 4, 4.0)
     basis = build_fock_basis(2, g)
     h = assemble_hamiltonian(basis, _field(g, sigmas=(0.5,), seed=2))
     psi = product_state_lift(gaussian_packet(g), basis)
@@ -468,7 +468,7 @@ def test_zero_time_propagation_is_identity():
 
 
 def test_hamiltonian_shift_is_global_phase():
-    g = build_grid(1, 4, 4.0)
+    g = LatticeGrid(1, 4, 4.0)
     basis = build_fock_basis(2, g)
     h = assemble_hamiltonian(basis, _field(g, sigmas=(0.5,), seed=3))
     c, t = 1.3, 0.4
@@ -496,7 +496,7 @@ def test_krylov_matches_dense_exponential():
     # dimension 10 at t = 0.5, dimension 330 at t = 4 (||tH||_1 ~ 42), and
     # dimension 330 at t = 40, where the Chebyshev degree runs to the hundreds
     for m, n, t in KRYLOV_CASES:
-        g = build_grid(1, m, float(m))
+        g = LatticeGrid(1, m, float(m))
         basis = build_fock_basis(n, g)
         v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,), seed=17)
         h = assemble_hamiltonian(basis, v)
@@ -532,7 +532,7 @@ def _complex_chebyshev(psi0, h, t):
 
 def test_real_recurrence_is_the_complex_recurrence():
     for m, n, t in KRYLOV_CASES:
-        g = build_grid(1, m, float(m))
+        g = LatticeGrid(1, m, float(m))
         basis = build_fock_basis(n, g)
         v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,), seed=17)
         h = assemble_hamiltonian(basis, v)
@@ -558,7 +558,7 @@ class _CountingMatrix:
 
 
 def test_propagation_skips_a_part_of_psi0_that_is_zero():
-    g = build_grid(1, 8, 8.0)
+    g = LatticeGrid(1, 8, 8.0)
     basis = build_fock_basis(4, g)
     v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,), seed=17)
     h = assemble_hamiltonian(basis, v)
@@ -615,7 +615,7 @@ def test_chebyshev_degree_bounds_bessel_tail(x):
 def test_gershgorin_interval_contains_spectrum(d, m, n):
     # the dGamma(T - T_xx) + Weyl interval holds the spectrum and is no wider than
     # the Gershgorin interval of the same H
-    g = build_grid(d, m, float(m))
+    g = LatticeGrid(d, m, float(m))
     basis = build_fock_basis(n, g)
     v = _field(g, base="gaussian_bump(1.0, 1.0)", sigmas=(0.5,) * ((m - 1) // 2),
                seed=43)  # as many modes as the grid admits, none at m = 2
@@ -633,7 +633,7 @@ def test_gershgorin_interval_contains_spectrum(d, m, n):
                          ids=["nan-h", "inf-h", "huge-t"])
 def test_propagation_beyond_the_rt_cap_fails_before_the_degree_search(fill, t):
     # the degree grows like e*r*t/2, so an uncapped search on these would not end
-    g = build_grid(1, 4, 4.0)
+    g = LatticeGrid(1, 4, 4.0)
     basis = build_fock_basis(2, g)
     psi = product_state_lift(gaussian_packet(g), basis)
     with pytest.raises(ResourceError, match="beyond the cap"):
@@ -642,7 +642,7 @@ def test_propagation_beyond_the_rt_cap_fails_before_the_degree_search(fill, t):
 
 def test_propagation_draws_no_random_numbers():
     # ||tH||_1 ~ 69, where scipy's expm_multiply draws from numpy's global RNG
-    g = build_grid(1, 8, 8.0)
+    g = LatticeGrid(1, 8, 8.0)
     basis = build_fock_basis(6, g)
     v = _field(g, base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3, 0.1), seed=5)
     h = assemble_hamiltonian(basis, v)
@@ -659,7 +659,7 @@ def test_propagation_draws_no_random_numbers():
 
 
 def test_propagation_is_unitary_and_conserves_energy():
-    g = build_grid(1, 6, 6.0)
+    g = LatticeGrid(1, 6, 6.0)
     basis = build_fock_basis(3, g)
     v = _field(g, base="gaussian_bump(1.0, 1.2)", sigmas=(0.5, 0.2), seed=19)
     h = assemble_hamiltonian(basis, v)
@@ -673,7 +673,7 @@ def test_propagation_is_unitary_and_conserves_energy():
 # --- reduced density matrices ---------------------------------------------
 
 def test_rdm_of_product_state_is_projector():
-    g = build_grid(1, 4, 4.0)
+    g = LatticeGrid(1, 4, 4.0)
     rng = np.random.default_rng(23)
     phi = normalize(WaveFunction(g, rng.standard_normal(4)
                                  + 1j * rng.standard_normal(4)))
@@ -685,7 +685,7 @@ def test_rdm_of_product_state_is_projector():
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_rdm_trace_hermiticity_positivity(p):
-    g = build_grid(1, 4, 4.0)
+    g = LatticeGrid(1, 4, 4.0)
     basis = build_fock_basis(3, g, p)
     rng = np.random.default_rng(29)
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
@@ -717,7 +717,7 @@ def _sparse_product_rdm(psi, p):
 def test_rdm_is_bitwise_the_sparse_product_rdm(d, m, n, p):
     # the first three have 15,504, 6,435 and 4,495 states in the N-p sector,
     # so several row blocks; the last has the vacuum alone
-    g = build_grid(d, m, 2.0 * m)
+    g = LatticeGrid(d, m, 2.0 * m)
     basis = build_fock_basis(n, g, p)
     rng = np.random.default_rng(37 + p)
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
@@ -727,7 +727,7 @@ def test_rdm_is_bitwise_the_sparse_product_rdm(d, m, n, p):
 
 
 def test_rdm_streams_its_gathers():
-    g = build_grid(2, 4, 8.0)  # the reach workload's N=6 sector
+    g = LatticeGrid(2, 4, 8.0)  # the reach workload's N=6 sector
     basis = build_fock_basis(6, g)
     psi = product_state_lift(gaussian_packet(g), basis)
     sub_dim, sites = basis.gather_idx.shape
@@ -753,7 +753,7 @@ def _lifted_operator_dense(a, n, grid):
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_expectation_matches_lifted_operator_oracle(p):
-    g = build_grid(1, 3, 3.0)
+    g = LatticeGrid(1, 3, 3.0)
     n = 3
     basis = build_fock_basis(n, g, p)
     rng = np.random.default_rng(31 + p)
@@ -793,7 +793,7 @@ def _test_kernel(kind, g, p, rng):
 @pytest.mark.parametrize("m,n,p", [(4, 5, 1), (4, 5, 2), (4, 5, 3), (8, 10, 2)])
 def test_expectation_from_spectral_factors_matches_the_rdm_trace(m, n, p, kind):
     # (8, 10, 2) has 6,435 rows in the N-p sector, so two gather blocks
-    g = build_grid(1, m, 0.75 * m)
+    g = LatticeGrid(1, m, 0.75 * m)
     basis = build_fock_basis(n, g, p)
     rng = np.random.default_rng(60 + 7 * p + m)
     a = _test_kernel(kind, g, p, rng)
@@ -809,7 +809,7 @@ def test_expectation_from_spectral_factors_matches_the_rdm_trace(m, n, p, kind):
 @pytest.mark.parametrize("kind", ["rank-one", "diagonal", "full-rank"])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_hartree_expectation_from_spectral_factors_matches_the_double_sum(p, kind):
-    g = build_grid(1, 4, 3.0)
+    g = LatticeGrid(1, 4, 3.0)
     rng = np.random.default_rng(80 + p)
     a = _test_kernel(kind, g, p, rng)
     factors = spectral_factors(a, g)
@@ -826,7 +826,7 @@ def test_hartree_expectation_from_spectral_factors_matches_the_double_sum(p, kin
 def test_x_n_at_time_zero_is_x_times_the_lift_prefactor(p, kind):
     # at t = 0, gamma_N^(p) of phi^(x)N is |phi^(x)p><phi^(x)p|, so the two
     # dynamics agree up to N!/(N^p (N-p)!); h = 0.75 keeps every power of h visible
-    g, n = build_grid(1, 4, 3.0), 5
+    g, n = LatticeGrid(1, 4, 3.0), 5
     rng = np.random.default_rng(90 + p)
     a = _test_kernel(kind, g, p, rng)
     factors = spectral_factors(a, g)
@@ -852,7 +852,7 @@ def _symmetric_basis(sites, p):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_dropped_spectral_pairs_move_x_n_by_at_most_their_bound(p):
-    g = build_grid(1, 4, 3.0)
+    g = LatticeGrid(1, 4, 3.0)
     q = _symmetric_basis(4, p)
     dim_sym = q.shape[1]
     cut = dim_sym * np.finfo(float).eps  # relative to the largest |mu|, here 1
@@ -874,7 +874,7 @@ def test_dropped_spectral_pairs_move_x_n_by_at_most_their_bound(p):
 
 
 def test_expectation_of_initial_product_state():
-    g = build_grid(1, 3, 3.0)
+    g = LatticeGrid(1, 3, 3.0)
     n = 3
     phi = gaussian_packet(g)
     for p in (1, 2):
@@ -886,7 +886,7 @@ def test_expectation_of_initial_product_state():
 
 
 def test_single_particle_sector_is_free_evolution():
-    g = build_grid(1, 8, 8.0)
+    g = LatticeGrid(1, 8, 8.0)
     phi = gaussian_packet(g)
     v = _field(g, base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3), seed=37)
     basis = build_fock_basis(1, g)
@@ -904,7 +904,7 @@ def test_single_particle_sector_is_free_evolution():
 
 
 def test_expectation_respects_norm_bound():
-    g = build_grid(1, 4, 4.0)
+    g = LatticeGrid(1, 4, 4.0)
     basis = build_fock_basis(3, g)
     a = condensate_projector(gaussian_packet(g))
     factors = spectral_factors(a, g)
@@ -918,16 +918,16 @@ def test_expectation_respects_norm_bound():
 
 
 def test_expectation_rejects_observable_of_another_grid():
-    g = build_grid(1, 4, 4.0)
+    g = LatticeGrid(1, 4, 4.0)
     psi = product_state_lift(gaussian_packet(g), build_fock_basis(2, g))
-    g5 = build_grid(1, 5, 5.0)
+    g5 = LatticeGrid(1, 5, 5.0)
     a = condensate_projector(gaussian_packet(g5))
     with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
         manybody_expectation(psi, spectral_factors(a, g5))
 
 
 def test_expectation_rejects_factors_of_a_grid_with_another_spacing():
-    g, coarse = build_grid(1, 8, 2.0), build_grid(1, 8, 8.0)
+    g, coarse = LatticeGrid(1, 8, 2.0), LatticeGrid(1, 8, 8.0)
     psi = product_state_lift(gaussian_packet(g), build_fock_basis(2, g))
     factors = spectral_factors(condensate_projector(gaussian_packet(coarse)), coarse)
     with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
@@ -936,7 +936,7 @@ def test_expectation_rejects_factors_of_a_grid_with_another_spacing():
 
 @pytest.mark.parametrize("n", [1, 3])  # at N = 1 there is no N - p sector for p = 2
 def test_expectation_rejects_a_gather_of_another_order(n):
-    g = build_grid(1, 4, 4.0)
+    g = LatticeGrid(1, 4, 4.0)
     phi = gaussian_packet(g)
     orders = [(1, 2), (2, 1)] if n > 1 else [(1, 2)]
     for basis_p, factors_p in orders:
@@ -949,16 +949,16 @@ def test_expectation_rejects_a_gather_of_another_order(n):
 
 
 def test_assemble_rejects_a_field_on_another_grid_with_as_many_sites():
-    basis = build_fock_basis(2, build_grid(1, 16, 16.0))
+    basis = build_fock_basis(2, LatticeGrid(1, 16, 16.0))
     with pytest.raises(DimensionError, match="lives on"):
-        assemble_hamiltonian(basis, _field(build_grid(2, 4, 8.0), mean=0.3))
+        assemble_hamiltonian(basis, _field(LatticeGrid(2, 4, 8.0), mean=0.3))
 
 
 def test_assemble_rejects_mismatched_basis():
-    g = build_grid(1, 4, 4.0)
+    g = LatticeGrid(1, 4, 4.0)
     basis = build_fock_basis(2, g)
     with pytest.raises(DimensionError):
-        assemble_hamiltonian(basis, _field(build_grid(1, 5, 5.0)))
+        assemble_hamiltonian(basis, _field(LatticeGrid(1, 5, 5.0)))
     # a diagonal of another sector's length
     short = assemble_hamiltonian(build_fock_basis(1, g), _field(g))
     psi = product_state_lift(gaussian_packet(g), basis)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mflab.errors import DimensionError, DomainError
-from mflab.grid import WaveFunction, build_grid, gaussian_packet, normalize, plane_wave
+from mflab.grid import LatticeGrid, WaveFunction, gaussian_packet, normalize, plane_wave
 from mflab.hartree import hartree_expectation
 from mflab.manybody import (ManyBodyState, build_fock_basis, manybody_expectation,
                             product_state_lift)
@@ -33,13 +33,13 @@ def test_constructor_validates_the_kernel(p, kernel, error):
     (1, 64, "the kernel has 64 rows, not 8^1"),  # 64 = 8^2: the rows alone fit p = 2
 ])
 def test_spectral_factors_reject_a_kernel_of_another_site_count(p, m, message):
-    g = build_grid(1, 8, 8.0)
+    g = LatticeGrid(1, 8, 8.0)
     with pytest.raises(DimensionError, match=rf"^{re.escape(message)}$"):
         spectral_factors(PObservable(p, np.eye(m ** p)), g)
 
 
 def test_spectral_factors_carry_their_grid_and_order():
-    g = build_grid(1, 4, 3.0)
+    g = LatticeGrid(1, 4, 3.0)
     factors = spectral_factors(condensate_projector(gaussian_packet(g), 2), g)
     assert (factors.grid, factors.p) == (g, 2)
     assert factors[0] is factors.mu and factors.u.shape == (16, 1)
@@ -47,13 +47,13 @@ def test_spectral_factors_carry_their_grid_and_order():
 
 @pytest.mark.parametrize("p", [0, -1])
 def test_condensate_projector_rejects_a_particle_count_below_one(p):
-    phi = gaussian_packet(build_grid(1, 4, 4.0))
+    phi = gaussian_packet(LatticeGrid(1, 4, 4.0))
     with pytest.raises(DomainError, match=rf"particle count must be >= 1, got {p}$"):
         condensate_projector(phi, p)
 
 
 def test_kernel_is_a_read_only_copy():
-    g = build_grid(1, 8, 8.0)
+    g = LatticeGrid(1, 8, 8.0)
     k = np.eye(8, dtype=complex)
     a = PObservable(1, k)
     k[0, 0] = 5.0
@@ -64,14 +64,14 @@ def test_kernel_is_a_read_only_copy():
 
 
 def test_operator_norm_rank_one_projector():
-    g = build_grid(1, 8, 8.0)
+    g = LatticeGrid(1, 8, 8.0)
     phi = gaussian_packet(g)
     a = condensate_projector(phi, p=1)
     assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_operator_norm_identity_kernel():
-    g = build_grid(1, 8, 4.0)
+    g = LatticeGrid(1, 8, 4.0)
     a = PObservable(1, np.eye(8) / g.cell_volume)
     assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(1.0, abs=1e-8)
 
@@ -92,7 +92,7 @@ def _symmetric_basis_p2(sites):
 
 def test_operator_norm_p2_matches_dense_eigensolver():
     rng = np.random.default_rng(5)
-    g = build_grid(1, 4, 4.0)
+    g = LatticeGrid(1, 4, 4.0)
     raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     # a large eigenvalue on an antisymmetric vector, which the restriction
     # must not see
@@ -113,7 +113,7 @@ def test_operator_norm_p3_matches_combinations_basis():
     # orbit construction in spectral_factors
     rng = np.random.default_rng(17)
     sites, p = 3, 3
-    g = build_grid(1, sites, 2.0)
+    g = LatticeGrid(1, sites, 2.0)
     raw = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
     # a large eigenvalue on the antisymmetric vector, which the restriction
     # must not see
@@ -139,14 +139,14 @@ def test_operator_norm_p3_matches_combinations_basis():
 def test_operator_norm_near_degenerate_site_multiplier():
     # the top two singular values, 1 and cos(pi/101), differ by about 5e-4;
     # the norm must still come out exactly
-    g = build_grid(1, 101, 101.0)
+    g = LatticeGrid(1, 101, 101.0)
     mu, *_ = spectral_factors(site_multiplier(g), g)
     assert np.abs(mu).max() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_operator_norm_invariant_under_resymmetrization():
     rng = np.random.default_rng(13)
-    g = build_grid(1, 4, 2.0)
+    g = LatticeGrid(1, 4, 2.0)
     raw = rng.standard_normal((16, 16))
     # a large eigenvalue on an antisymmetric vector: swapping the blocks
     # keeps it, and the restriction must not see it
@@ -181,7 +181,7 @@ def test_results_invariant_under_block_symmetrization(p):
     # bosonic states, so they must not change when it is block-symmetrized
     rng = np.random.default_rng(50 + p)
     sites, n = 4, 4
-    g = build_grid(1, sites, 3.0)
+    g = LatticeGrid(1, sites, 3.0)
     raw = (rng.standard_normal((sites ** p,) * 2)
            + 1j * rng.standard_normal((sites ** p,) * 2))
     kernel = raw + raw.conj().T
@@ -202,7 +202,7 @@ def test_results_invariant_under_block_symmetrization(p):
 
 
 def test_condensate_projector_tensor_power():
-    g = build_grid(1, 4, 4.0)
+    g = LatticeGrid(1, 4, 4.0)
     phi = plane_wave(g, 1)
     a = condensate_projector(phi, p=2)
     u = phi.amplitudes
@@ -212,7 +212,7 @@ def test_condensate_projector_tensor_power():
 
 
 def test_site_multiplier_norm_is_max_abs():
-    g = build_grid(1, 8, 8.0)
+    g = LatticeGrid(1, 8, 8.0)
     a = site_multiplier(g, amplitude=1.5, mode=1)
     x = g.axis_coordinates()
     expected = np.max(np.abs(1.5 * np.cos(2 * np.pi * x / g.length)))

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from mflab.errors import ConfigError, DomainError
-from mflab.grid import build_grid
+from mflab.grid import LatticeGrid
 from mflab.random_field import FieldSpec, _base_profile, mix_seed, sample_field
 
 
-GRID = build_grid(1, 8, 8.0)
+GRID = LatticeGrid(1, 8, 8.0)
 
 
 def test_degenerate_spec_gives_zero_field():
@@ -35,7 +35,7 @@ def test_cosine_amplitude_bound():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_gaussian_bump_of_overflowing_width_is_its_amplitude(d):
-    grid = build_grid(d, 4, 4.0)
+    grid = LatticeGrid(d, 4, 4.0)
     wide = sample_field(FieldSpec(base="gaussian_bump(1.0, 1e200)",
                                   mode_stddevs=(0.5,)), 31, grid)
     flat = sample_field(FieldSpec(base="zero", gaussian_mean=1.0,
@@ -57,7 +57,7 @@ def test_evenness_after_symmetrization():
     # v equals its reflection bitwise: 0.5 * (a + b) is commutative
     for d, m, sigmas in [(1, 8, (1.0, 0.5, 0.2)), (1, 7, (0.8, 0.3)), (2, 4, (1.0,)),
                          (2, 5, (0.6, 0.4)), (3, 4, (0.9,)), (3, 5, (0.5, 0.25))]:
-        g = build_grid(d, m, 0.9 * m)
+        g = LatticeGrid(d, m, 0.9 * m)
         reflect = np.ix_(*[(-np.arange(m)) % m] * d)
         for base in ("zero", "gaussian_bump(0.7, 1.1)", "cosine(1.3, 1)"):
             spec = FieldSpec(base=base, gaussian_mean=0.3, mode_stddevs=sigmas)
@@ -67,7 +67,7 @@ def test_evenness_after_symmetrization():
 
 
 def test_evenness_2d():
-    g = build_grid(2, 4, 4.0)
+    g = LatticeGrid(2, 4, 4.0)
     spec = FieldSpec(base="zero", mode_stddevs=(1.0,))
     vals = sample_field(spec, 3, g).values.reshape(g.shape)
     for j in range(4):
@@ -104,7 +104,7 @@ def _loop_reference(spec, seed, grid):
 def test_mode_sums_are_bitwise_the_loop_reference(d, sites):
     rng = np.random.default_rng(d)
     for m in sites:
-        g = build_grid(d, m, 0.7 * m + 0.3)
+        g = LatticeGrid(d, m, 0.7 * m + 0.3)
         for K in range((m + 1) // 2):  # every K < M/2
             spec = FieldSpec(base="gaussian_bump(0.7, 1.1)", gaussian_mean=0.17,
                              mode_stddevs=tuple(rng.uniform(0, 2, K)))
@@ -169,13 +169,13 @@ def test_mode_coefficient_variance_calibration():
 
 def test_too_many_modes_rejected():
     spec = FieldSpec(base="zero", mode_stddevs=(0.1, 0.1, 0.1, 0.1))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         sample_field(spec, 0, GRID)  # K = 4 is not < M/2 = 4
 
 
 def test_negative_sigma_rejected():
     for s in (-0.1, float("nan")):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             FieldSpec(base="zero", mode_stddevs=(0.5, s))
 
 
