@@ -12,8 +12,9 @@ DomainError of the type that owns a value rule to a ConfigError in one place:
     sigma_k >= 0                            random_field.FieldSpec  DomainError
     K < M/2 modes, 0 <= base_seed < 2^64    ensemble.ExperimentPlan DomainError
     p >= 1                                  observables.PObservable DomainError
-    t_final, dt, N's, samples, caps         ensemble.ExperimentPlan DomainError
+    t_final, dt, N's, samples               ensemble.ExperimentPlan DomainError
     beta > 0                                ensemble.check_beta     DomainError
+    dimension, r*t and sample memory caps   ensemble.ExperimentPlan ResourceError
 """
 from __future__ import annotations
 

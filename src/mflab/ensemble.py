@@ -8,9 +8,10 @@ run one batched Hartree flow over every field, then the many-body work of
 each sample in order. Each field is seeded from (base_seed, sample_index), so
 a sample's values do not depend on which other samples run with it.
 The plan checks its largest sector against the dimension and propagation
-caps and derives the observable's spectral factors and norm (one eigensolve),
-the roundoff slack and the Hartree time grid once, at construction;
-run_ensemble checks each |X| and |X_N| against the norm and the slack.
+caps and its samples against SAMPLE_MEMORY_CAP, and derives the observable's
+spectral factors and norm (one eigensolve), the roundoff slack and the
+Hartree time grid once, at construction; run_ensemble checks each |X| and
+|X_N| against the norm and the slack.
 A run's product is one EnsembleResult table, X_N per (N, sample) next to X
 per sample, which estimate and tail_diagnostic reduce row by row.
 """
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, DomainError, MFLabError
+from .errors import (ConsistencyError, DimensionError, DomainError, MFLabError,
+                     ResourceError)
 from .grid import NORM_TOL, LatticeGrid, WaveFunction
 from .hartree import HartreeRunParams, evolve_hartree_batch, hartree_expectation
 from .manybody import (assemble_hamiltonian, build_fock_basis, check_fock_dimension,
@@ -31,13 +33,18 @@ from .manybody import (assemble_hamiltonian, build_fock_basis, check_fock_dimens
 from .observables import PObservable, SpectralFactors, spectral_factors
 from .random_field import FieldSpec, check_mode_count, mix_seed, sample_field
 
+# bytes that run_ensemble may hold along its sample axis, like DIMENSION_CAP a
+# module constant and not a parameter
+SAMPLE_MEMORY_CAP = 2 ** 30
+
 
 @dataclass(frozen=True)
 class ExperimentPlan:
     """One experiment from a unit state, K < M/2 modes and an integer base_seed in
     [0, 2^64), whose largest Fock sector is within the dimension cap, can be
-    propagated to t_final and keeps its statistics finite; observable_factors,
-    observable_norm, roundoff and hartree_params are derived at construction."""
+    propagated to t_final, whose samples fit SAMPLE_MEMORY_CAP and which keeps
+    its statistics finite; observable_factors, observable_norm, roundoff and
+    hartree_params are derived at construction."""
 
     grid: LatticeGrid
     field_spec: FieldSpec
@@ -79,6 +86,15 @@ class ExperimentPlan:
         check_propagation(counts[-1], self.grid, self.t_final)
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
+        # a sample holds its seed and field, its row of the batched Hartree flow
+        # (the state, the field's spectrum and the FFT temporaries: 105-118 bytes
+        # per site measured) and its X and X_N's
+        held = self.samples * (1024 + 128 * self.grid.n_sites + 8 * (len(counts) + 1))
+        if held > SAMPLE_MEMORY_CAP:
+            raise ResourceError(
+                f"{self.samples} samples would hold about {held / 2 ** 30:.3g} GiB of seeds, "
+                f"fields, Hartree states and results, above the cap of "
+                f"{SAMPLE_MEMORY_CAP // 2 ** 30} GiB")
         if self.initial_state.grid != self.grid:
             raise DimensionError("the initial state and the plan live on different grids")
         if not (abs(self.initial_state.norm() - 1.0) <= NORM_TOL):

@@ -5,12 +5,14 @@ the occupation vectors with total N in lexicographic order, where a vector's
 position is its rank in the combinatorial number system (Knuth, TAOCP 4A,
 7.2.1.3), and the field-independent operators its states are read through:
 the hopping CSR matrix one_body = sum_{x != y} T_{xy} adag_x a_y and the
-gather of order p below. Each sector is built on its own, upward from the
-vacuum: adding a particle at x changes a vector's rank by sums over one
-lookup table, so each stacked annihilator map is written directly as a CSR
-matrix with one entry a row, and one_body from the top one, with no sparse
-products. The rest of H is diagonal in the occupation basis: sum_x T_xx n_x =
-N T_xx, the same on every state, and the pair term
+gather of order p below. Each sector is built on its own: the N-p sector is
+enumerated directly, by one slice and one repeat per (site, total), and only
+the last p steps add a particle. Adding a particle at x changes a vector's
+rank by sums over one lookup table, so each of those p stacked annihilator
+maps is written directly as a CSR matrix with one entry a row, and one_body
+from the top one, with no sparse products. The rest of H is diagonal in the
+occupation basis: sum_x T_xx n_x = N T_xx, the same on every state, and the
+pair term
     (1/2N) sum_{x,y} v(x-y) adag_x adag_y a_y a_x = (occ V occ - v(0) N) / 2N,
 which reproduces (1/N) sum_{i<j} v(x_i - x_j) exactly, including same-site
 pairs with weight v(0) n_x (n_x - 1)/2. So a field's Hamiltonian is the
@@ -74,36 +76,79 @@ def _rank(occupations: np.ndarray, n: int) -> np.ndarray:
             - _later(sites, n)[np.arange(sites - 1), suffix[..., 1:]].sum(axis=-1))
 
 
+def _enumerate(n: int, sites: int) -> np.ndarray:
+    """The occupation vectors with total n on `sites` sites, in lexicographic
+    order and in the narrowest unsigned dtype that holds n.
+
+    A vector of total k on s + 1 sites is j = 0..k particles on its first site
+    followed by a vector of total k - j on the s sites after it. So with the
+    vectors E(k) on the last s sites stored by descending total, E(n), ...,
+    E(0), each in lexicographic order, E(k) on s + 1 sites has the first
+    column repeat(arange(k + 1), (dims of E(k), ..., E(0))) and the tail of
+    that store from E(k) on as its other columns: one slice and one repeat
+    per (site, total), O(sites * n) numpy calls. The last site builds only
+    total n.
+    """
+    dtype = np.min_scalar_type(n)
+    if n == 0:  # the vacuum, without the numpy calls of a step per site
+        return np.zeros((1, sites), dtype=dtype)
+    store = np.arange(n, -1, -1, dtype=dtype)[:, None]  # one site: totals n..0
+    counts = np.ones(n + 1, dtype=np.int64)  # counts[k] = len(E(k)) on s sites
+    for s in range(1, sites):
+        sizes = np.cumsum(counts)  # sizes[k] = len(E(k)) on s + 1 sites
+        totals = [n] if s == sites - 1 else range(n, -1, -1)
+        out = np.empty((sizes[totals].sum(), s + 1), dtype=dtype)
+        start = 0
+        for k in totals:
+            rows = slice(start, start + sizes[k])
+            out[rows, 0] = np.repeat(np.arange(k + 1, dtype=dtype), counts[k::-1])
+            out[rows, 1:] = store[len(store) - sizes[k]:]
+            start = rows.stop
+        store, counts = out, sizes
+    return store[:fock_dimension(n, sites)]  # on one site, E(n) alone
+
+
 def _add_particle(occ: np.ndarray, n: int) -> tuple[np.ndarray, scipy.sparse.csr_matrix]:
     """The n-particle sector from the lexicographic (n-1)-particle occupations occ.
 
     Returns the n-particle occupations, in lexicographic order and in the
-    narrowest unsigned dtype that holds n (the rank arithmetic is int64), and
-    the stacked annihilator a_x from it, a (sites * dim(n-1), dim(n)) CSR
-    matrix whose row x*dim(n-1) + k holds one entry, sqrt(occ[k, x] + 1), at
-    column rank(k + e_x). A particle at x raises R_j by one for j <= x, so by
-    _rank that column is dim - 1 - sum_{j<=x} later[j-1, R_j + 1]
-    - sum_{j>x} later[j-1, R_j], with R_j the suffix sums of k.
+    narrowest unsigned dtype that holds n, and the stacked annihilator a_x
+    from it, a (sites * dim(n-1), dim(n)) CSR matrix whose row
+    x*dim(n-1) + k holds one entry, sqrt(occ[k, x] + 1), at column
+    rank(k + e_x). A particle at x raises R_j by one for j <= x, so by _rank
+    that column is dim - 1 - sum_{j<=x} later[j-1, R_j + 1]
+    - sum_{j>x} later[j-1, R_j], with R_j the suffix sums of k. The rank
+    arithmetic is int64 on _blocks of occ's rows, written into the map's
+    int32 columns and float64 weights, so no temporary is (dim, sites) int64.
     """
     sub_dim, sites = occ.shape
+    dim = fock_dimension(n, sites)
     later = _later(sites, n)
-    suffix = np.cumsum(occ[:, ::-1], axis=1, dtype=np.int64)[:, ::-1]
     j = np.arange(sites - 1)
-    skipped = np.zeros((sub_dim, sites), dtype=np.int64)
-    np.cumsum(later[j, suffix[:, 1:] + 1], axis=1, out=skipped[:, 1:])
-    skipped[:, :-1] += np.cumsum(later[j, suffix[:, 1:]][:, ::-1], axis=1)[:, ::-1]
-    cols = (fock_dimension(n, sites) - 1 - skipped).T
-    # each n-particle vector is k + e_x for exactly one x at or before k's
-    # first particle, i.e. with sum(occ[k, x:]) = n - 1
-    ks, xs = np.nonzero(suffix == n - 1)
-    dest = cols[xs, ks]
-    raised = np.empty((dest.size, sites), dtype=np.min_scalar_type(n))
-    raised[dest] = occ[ks]
-    raised[dest, xs] += 1
-    # + 1.0: the weights must be float64, and sqrt of a uint8 is a float16
+    # int32 columns and indptr: sites * dim(n-1) < min(n, sites) * dim(n), far
+    # below 2^31 under DIMENSION_CAP
+    cols = np.empty((sites, sub_dim), dtype=np.int32)
+    weights = np.empty((sites, sub_dim))
+    raised = np.empty((dim, sites), dtype=np.min_scalar_type(n))
+    for rows in _blocks(sub_dim):
+        block = occ[rows]
+        suffix = np.cumsum(block[:, ::-1], axis=1, dtype=np.int64)[:, ::-1]
+        skipped = np.zeros(block.shape, dtype=np.int64)
+        np.cumsum(later[j, suffix[:, 1:] + 1], axis=1, out=skipped[:, 1:])
+        skipped[:, :-1] += np.cumsum(later[j, suffix[:, 1:]][:, ::-1], axis=1)[:, ::-1]
+        col = dim - 1 - skipped
+        cols[:, rows] = col.T
+        # + 1.0: the weights must be float64, and sqrt of a uint8 is a float16
+        weights[:, rows] = np.sqrt(block.T + 1.0)
+        # each n-particle vector is k + e_x for exactly one x at or before k's
+        # first particle, i.e. with sum(occ[k, x:]) = n - 1
+        ks, xs = np.nonzero(suffix == n - 1)
+        dest = col[ks, xs]
+        raised[dest] = block[ks]
+        raised[dest, xs] += 1
     a = scipy.sparse.csr_matrix(
-        (np.sqrt(occ.T + 1.0).ravel(), cols.ravel(), np.arange(cols.size + 1)),
-        shape=(cols.size, dest.size))
+        (weights.ravel(), cols.ravel(), np.arange(cols.size + 1, dtype=np.int32)),
+        shape=(cols.size, dim))
     return raised, a
 
 
@@ -144,7 +189,8 @@ class FockBasis:
     no diagonal entry (that is assemble_hamiltonian's). The gather of order p
     gives w = a_{x_p}...a_{x_1} Psi = gather_wt * Psi[gather_idx], the
     (dim(N-p), sites^p) array that X_N and the RDM read (see _chain). All are
-    built by build_fock_basis from rank arithmetic, each array written once.
+    built by build_fock_basis, from the N-p sector it enumerates and p steps
+    of rank arithmetic above it, each array written once.
     The spectral interval of propagation needs no per-basis array: it comes
     from the lattice dispersion and N. All arrays are read-only, so the one
     basis built per plan serves every sample and no sample can alter it for
@@ -194,17 +240,18 @@ def _one_body(a: scipy.sparse.csr_matrix,
     deg = nbr.shape[1]
     # int32 indices: under DIMENSION_CAP, nnz is at most 4,439,610 (d=3, M=3, N=5)
     csc = a.tocsc()
-    x, k = np.divmod(csc.indices.astype(np.int32, copy=False), sub_dim)
+    a_row = csc.indices.astype(np.int32, copy=False)  # x*dim(N-1) + k per entry
     # row i holds deg entries per entry of a's column i, neighbour j in column j
     indptr = (deg * csc.indptr).astype(np.int32)
     a_x = csc.data  # the rest of the CSC copy is freed here
     del csc
-    indices = np.empty((x.size, deg), dtype=np.int32)
-    data = np.empty((x.size, deg))
+    indices = np.empty((a_row.size, deg), dtype=np.int32)
+    data = np.empty((a_row.size, deg))
     # a block of a's entries at a time, one neighbour per pass, so that no
     # temporary beside indices and data has more than _BLOCK_ROWS entries
-    for entries in _blocks(x.size):
-        x_e, k_e, a_e = x[entries].astype(np.intp), k[entries], a_x[entries]
+    for entries in _blocks(a_row.size):
+        x_e, k_e = np.divmod(a_row[entries], sub_dim)
+        x_e, a_e = x_e.astype(np.intp), a_x[entries]
         for j, (y, t_xy) in enumerate(zip(nbr.T, amp.T)):
             row = y[x_e] * sub_dim + k_e  # a's row y*dim(N-1) + k
             indices[entries, j] = a.indices[row]
@@ -238,7 +285,8 @@ def check_propagation(n: int, grid: LatticeGrid, t: float) -> None:
 def _chain(maps: tuple[scipy.sparse.csr_matrix, ...], sites: int,
            rows: slice) -> tuple[np.ndarray, np.ndarray]:
     """Gather indices and weights of w = a_{x_p}...a_{x_1} Psi on rows `rows` of
-    the N-p sector, for the climb's last p = len(maps) stacked annihilator maps.
+    the N-p sector, for the stacked annihilator maps of the build's last
+    p = len(maps) steps.
 
     Row m, column X = (x_1..x_p) in row-major order of w is (a_{x_p}...a_{x_1}
     Psi)[m]. Each stacked annihilator has one entry a row, so w is Psi[idx]
@@ -262,12 +310,14 @@ def _chain(maps: tuple[scipy.sparse.csr_matrix, ...], sites: int,
 
 
 def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1) -> FockBasis:
-    """The N-particle sector, climbed from the vacuum, with its gather of order p.
+    """The N-particle sector with its gather of order p.
 
-    The climb keeps its last p stacked annihilator maps as locals: one_body is
-    built from the top one and the gather from all p, and then they are
-    dropped. For p = 1 the gather is a view of the top map's arrays and takes
-    no memory of its own. For p >= 2 it is composed block by block into an
+    The N-p sector is enumerated directly (_enumerate), and only the last p
+    steps climb, one _add_particle each, so no sector below N-p is built. The
+    p stacked annihilator maps of those steps are locals: one_body is built
+    from the top one and the gather from all p, and then they are dropped.
+    For p = 1 the gather is a view of the top map's arrays and takes no
+    memory of its own. For p >= 2 it is composed block by block into an
     index (the maps' int32) and one float64 weight per (row, X): 12 bytes per
     entry, 12 * dim(N-p) * sites^p in all (1.26 MiB for p = 2, 8 sites, N = 8).
     """
@@ -275,10 +325,10 @@ def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1) -> FockBasis:
         raise DomainError(f"need 1 <= p <= N, got p={p}, N={n}")
     check_fock_dimension(n, grid)
     sites = grid.n_sites
-    occ, maps = np.zeros((1, sites), dtype=np.uint8), ()
-    for particles in range(1, n + 1):
+    occ, maps = _enumerate(n - p, sites), ()
+    for particles in range(n - p + 1, n + 1):
         occ, a = _add_particle(occ, particles)
-        maps = ((a,) + maps)[:p]
+        maps = (a,) + maps
     top = maps[0]
     one_body = _one_body(top, kinetic_matrix(grid))
     if p == 1:  # a_{x_1} Psi reads the top map as it is

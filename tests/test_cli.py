@@ -431,6 +431,25 @@ def test_main_rejects_an_oversized_kernel_before_allocating_it(tmp_path):
     assert not out.exists()
 
 
+def test_main_rejects_a_sample_count_beyond_the_memory_cap(tmp_path):
+    # 10^12 seeds alone would take 44 TB. The run is a child with a 2 GiB
+    # address space, so a missing cap ends in a MemoryError there, with the
+    # output directory already made.
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "convergence.cfg"
+    out = tmp_path / "cli-out"
+    limit = 2 ** 31
+    done = subprocess.run(
+        [sys.executable, "-m", "mflab.cli", "--config", str(cfg),
+         "--samples", "1000000000000", "--out-dir", str(out)],
+        env=dict(_child_env(), OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.splitlines() == [
+        "error: 1000000000000 samples would hold about 1.94e+06 GiB of seeds, fields, "
+        "Hartree states and results, above the cap of 1 GiB"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", ["configs/site_multiplier.cfg",
                                     "perfbench/workloads/long_time.cfg"], ids=["p1", "p2"])
 def test_outputs_are_byte_identical_at_one_and_two_blas_threads(tmp_path, config):

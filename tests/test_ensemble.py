@@ -94,6 +94,23 @@ def test_over_cap_sector_fails_before_any_sector_is_built(monkeypatch):
     assert built == [2, 3]
 
 
+def test_plan_caps_the_memory_its_samples_hold(monkeypatch):
+    # 8 sites and 2 N's: 1024 + 128 * 8 + 8 * (2 + 1) = 2,072 bytes a sample
+    fits = mflab.ensemble.SAMPLE_MEMORY_CAP // 2_072
+    assert _plan(RANDOM_SPEC, samples=fits).samples == fits
+
+    def no_factors(*args, **kwargs):
+        raise AssertionError("the observable was factored before the sample cap")
+
+    monkeypatch.setattr(mflab.ensemble, "spectral_factors", no_factors)
+    with pytest.raises(ResourceError, match=r"^1000000000000 samples would hold about "
+                                            r"1\.93e\+06 GiB of seeds, fields, Hartree "
+                                            r"states and results, above the cap of 1 GiB$"):
+        _plan(RANDOM_SPEC, samples=10 ** 12)
+    with pytest.raises(ResourceError, match=f"^{fits + 1} samples"):
+        _plan(RANDOM_SPEC, samples=fits + 1)
+
+
 def test_run_sample_alone_equals_ensemble_rows():
     plan = _plan(RANDOM_SPEC, samples=5)
 

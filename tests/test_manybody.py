@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import pathlib
+import time
 import tracemalloc
 import warnings
 
@@ -19,7 +20,8 @@ from mflab.errors import DimensionError, DomainError, ResourceError
 from mflab.grid import (LatticeGrid, WaveFunction, gaussian_packet,
                         lattice_dispersion, normalize, plane_wave)
 from mflab.hartree import hartree_energy, hartree_expectation
-from mflab.manybody import (ManyBodyState, _bessel_j, _chebyshev_degree, _rank,
+from mflab.manybody import (DIMENSION_CAP, ManyBodyState, _add_particle, _bessel_j,
+                            _chain, _chebyshev_degree, _one_body, _rank,
                             _spectral_interval, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
                             evolve_manybody, interaction_matrix,
@@ -185,6 +187,109 @@ def test_occupations_are_narrow_and_weights_float64(d, m, n):
     np.testing.assert_allclose(assemble_hamiltonian(basis, v),
                                (pair - values[0] * n) / (2.0 * n) + n * 2 * d / g.h ** 2,
                                rtol=1e-12, atol=1e-12)
+
+
+def _climbed_basis(n, g, p):
+    """Occupations, one_body and gather of the N sector climbed from the
+    vacuum, one _add_particle per particle, keeping the last p maps."""
+    sites = g.n_sites
+    occ, maps = np.zeros((1, sites), dtype=np.uint8), ()
+    for particles in range(1, n + 1):
+        occ, a = _add_particle(occ, particles)
+        maps = ((a,) + maps)[:p]
+    idx, wt = _chain(maps, sites, slice(None))
+    return occ, _one_body(maps[0], kinetic_matrix(g)), idx, wt
+
+
+# d = 1-3, M = 2-4 and p = 1-3, N = p (the vacuum as the N-p sector) included
+@pytest.mark.parametrize("d,m,n,p", [(1, 2, 1, 1), (1, 3, 2, 2), (1, 4, 3, 3),
+                                     (1, 2, 9, 3), (1, 4, 12, 2), (2, 2, 4, 1),
+                                     (2, 3, 4, 2), (2, 4, 3, 3), (2, 4, 5, 1),
+                                     (3, 2, 3, 3), (3, 3, 3, 2), (3, 4, 2, 1)])
+@pytest.mark.parametrize("block_rows", [4096, 5])
+def test_build_matches_brute_force_and_a_climb_from_the_vacuum(monkeypatch, d, m, n, p,
+                                                               block_rows):
+    # 5 rows a block: every step spans several blocks, and most end short
+    monkeypatch.setattr(mflab.manybody, "_BLOCK_ROWS", block_rows)
+    g = LatticeGrid(d, m, 0.7 * m)
+    basis = build_fock_basis(n, g, p)
+    brute = sorted(tuple(np.bincount(c, minlength=g.n_sites))
+                   for c in itertools.combinations_with_replacement(range(g.n_sites), n))
+    assert basis.occupations.dtype == np.min_scalar_type(n)
+    assert basis.occupations.tolist() == [list(v) for v in brute]
+    occ, one_body, idx, wt = _climbed_basis(n, g, p)
+    assert basis.occupations.dtype == occ.dtype and np.array_equal(basis.occupations, occ)
+    for attr in ("indptr", "indices", "data"):
+        mine, climbed = getattr(basis.one_body, attr), getattr(one_body, attr)
+        assert mine.dtype == climbed.dtype and np.array_equal(mine, climbed), attr
+    assert np.array_equal(basis.gather_idx, idx) and basis.gather_idx.dtype == idx.dtype
+    assert np.array_equal(basis.gather_wt, wt) and basis.gather_wt.dtype == wt.dtype
+
+
+def test_build_climbs_only_its_last_p_steps(monkeypatch):
+    steps = []
+
+    def recording_step(occ, n):
+        steps.append((len(occ), n))
+        return _add_particle(occ, n)
+
+    monkeypatch.setattr(mflab.manybody, "_add_particle", recording_step)
+    build_fock_basis(80, LatticeGrid(1, 4, 4.0), 3)
+    # the N-p = 77 sector is enumerated, never climbed to
+    assert steps == [(math.comb(80, 3), 78), (math.comb(81, 3), 79), (math.comb(82, 3), 80)]
+
+
+def test_build_of_a_sector_in_extreme_shapes():
+    start = time.perf_counter()
+    basis = build_fock_basis(100_000, LatticeGrid(1, 2, 2.0))
+    # a recursion of O(N^2) Python steps would take hours here
+    assert time.perf_counter() - start < 5
+    j = np.arange(100_001)
+    assert basis.occupations.dtype == np.uint32
+    assert np.array_equal(basis.occupations, np.column_stack([j, 100_000 - j]))
+    # one particle: (0..0, 1), ..., (1, 0..0)
+    g = LatticeGrid(3, 3, 3.0)
+    assert np.array_equal(build_fock_basis(1, g).occupations, np.eye(27)[::-1])
+    # the largest N the cap allows on 3 sites
+    g = LatticeGrid(1, 3, 3.0)
+    n = max(k for k in range(1000) if math.comb(k + 2, 2) <= DIMENSION_CAP)
+    basis = build_fock_basis(n, g)
+    assert (n, len(basis)) == (630, 199_396)
+    assert np.array_equal(_rank(basis.occupations, n), np.arange(len(basis)))
+    occ = basis.occupations.astype(np.int64)
+    assert np.all(occ.sum(axis=1) == n)
+    assert np.array_equal(np.lexsort(occ.T[::-1]), np.arange(len(occ)))
+    with pytest.raises(ResourceError, match="N=631"):
+        build_fock_basis(n + 1, g)
+
+
+def test_build_peak_is_bounded_by_what_the_sector_keeps():
+    g = LatticeGrid(1, 4, 4.0)  # configs/large_n.cfg's largest sector, dimension 91,881
+    build_fock_basis(2, g)  # first-call allocations are not the sector's
+    tracemalloc.start()
+    try:
+        basis = build_fock_basis(80, g)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 91_881
+    # a build with (dim, sites) int64 temporaries peaks at 2.09 times what it keeps
+    assert peak <= 1.6 * held
+
+
+def test_add_particle_holds_no_sector_sized_int64_temporary():
+    g = LatticeGrid(1, 4, 4.0)
+    occ = build_fock_basis(79, g).occupations
+    tracemalloc.start()
+    try:
+        raised, a = _add_particle(occ, 80)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert raised.shape == (math.comb(83, 3), 4)
+    # the rank arithmetic runs on row blocks, so what it holds beside its
+    # outputs is far below one (dim(N-1), sites) int64 array
+    assert peak - held < occ.shape[0] * occ.shape[1] * 8 / 2
 
 
 def test_sector_holds_the_top_annihilator_once_as_its_gather():
