@@ -7,14 +7,14 @@ text into numbers (each finite, else a ConfigError naming its key), resolves
 `dt` and `beta = auto` (half the plan's observable norm), and maps the
 DomainError of the type that owns a value rule to a ConfigError in one place:
 
-    rule                                    owner                   error
-    d in {1,2,3}, M >= 2, L > 0, h range    grid.LatticeGrid        DomainError
-    sigma_k >= 0                            random_field.FieldSpec  DomainError
-    K < M/2 modes, 0 <= base_seed < 2^64    ensemble.ExperimentPlan DomainError
-    p >= 1                                  observables.PObservable DomainError
-    t_final, dt, N's, samples               ensemble.ExperimentPlan DomainError
-    beta > 0                                ensemble.check_beta     DomainError
-    dimension, r*t and sample memory caps   ensemble.ExperimentPlan ResourceError
+    rule                                    owner                       error
+    d in {1,2,3}, M >= 2, L > 0, h range    grid.LatticeGrid            DomainError
+    sigma_k >= 0                            random_field.FieldSpec      DomainError
+    K < M/2 modes, 0 <= base_seed < 2^64    ensemble.ExperimentPlan     DomainError
+    p >= 1                                  observables.SpectralFactors DomainError
+    t_final, dt, N's, samples               ensemble.ExperimentPlan     DomainError
+    beta > 0                                ensemble.check_beta         DomainError
+    dimension, r*t and sample memory caps   ensemble.ExperimentPlan     ResourceError
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .errors import ConfigError, DomainError
 from .ensemble import ExperimentPlan, check_beta
 from .grid import LatticeGrid, WaveFunction, gaussian_packet, plane_wave, \
     uniform_state
-from .observables import PObservable, condensate_projector, site_multiplier
+from .observables import SpectralFactors, condensate_projector, site_multiplier
 from .random_field import FieldSpec, parse_finite
 
 _DEFAULTS = {
@@ -125,8 +125,7 @@ def _build_initial_state(cfg: dict, grid: LatticeGrid) -> WaveFunction:
     raise ConfigError(f"key 'init.kind': unknown initial state {kind!r}")
 
 
-def _build_observable(cfg: dict, grid: LatticeGrid,
-                      phi: WaveFunction) -> PObservable:
+def _build_observable(cfg: dict, phi: WaveFunction) -> SpectralFactors:
     kind = cfg["observable.kind"]
     p = _get_int(cfg, "observable.p")
     if kind == "condensate_projector":
@@ -134,7 +133,7 @@ def _build_observable(cfg: dict, grid: LatticeGrid,
     if kind == "site_multiplier":
         if p != 1:
             raise ConfigError("key 'observable.p': site_multiplier is one-particle")
-        return site_multiplier(grid, amplitude=_get_float(cfg, "observable.amplitude"),
+        return site_multiplier(phi.grid, amplitude=_get_float(cfg, "observable.amplitude"),
                                mode=_get_int(cfg, "observable.mode"))
     raise ConfigError(f"key 'observable.kind': unknown observable {kind!r}")
 
@@ -165,7 +164,7 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None
         phi = _build_initial_state(cfg, grid)
         plan = ExperimentPlan(
             grid=grid, field_spec=field_spec, initial_state=phi,
-            observable=_build_observable(cfg, grid, phi), t_final=t_final, dt=dt,
+            observable=_build_observable(cfg, phi), t_final=t_final, dt=dt,
             particle_counts=_int_list(cfg, "particle_counts"),
             samples=_get_int(cfg, "samples"), base_seed=_get_int(cfg, "base_seed"),
         )

@@ -7,11 +7,10 @@ with low variance. A run is one sequential pipeline: build each N's sector,
 run one batched Hartree flow over every field, then the many-body work of
 each sample in order. Each field is seeded from (base_seed, sample_index), so
 a sample's values do not depend on which other samples run with it.
-The plan checks its largest sector against the dimension and propagation
-caps and its samples against SAMPLE_MEMORY_CAP, and derives the observable's
-spectral factors and norm (one eigensolve), the roundoff slack and the
-Hartree time grid once, at construction; run_ensemble checks each |X| and
-|X_N| against the norm and the slack.
+The plan checks its largest sector against the dimension and propagation caps
+and its samples against SAMPLE_MEMORY_CAP, holds the observable as its spectral
+factors and derives their norm max|mu|, the roundoff slack and the Hartree time
+grid once, at construction; run_ensemble bounds |X| and |X_N| by norm + slack.
 A run's product is one EnsembleResult table, X_N per (N, sample) next to X
 per sample, which estimate and tail_diagnostic reduce row by row.
 """
@@ -30,7 +29,7 @@ from .hartree import HartreeRunParams, evolve_hartree_batch, hartree_expectation
 from .manybody import (assemble_hamiltonian, build_fock_basis, check_fock_dimension,
                        check_propagation, evolve_manybody, manybody_expectation,
                        product_state_lift)
-from .observables import PObservable, SpectralFactors, spectral_factors
+from .observables import SpectralFactors
 from .random_field import FieldSpec, check_mode_count, mix_seed, sample_field
 
 # bytes that run_ensemble may hold along its sample axis, like DIMENSION_CAP a
@@ -41,22 +40,19 @@ SAMPLE_MEMORY_CAP = 2 ** 30
 @dataclass(frozen=True)
 class ExperimentPlan:
     """One experiment from a unit state, K < M/2 modes and an integer base_seed in
-    [0, 2^64), whose largest Fock sector is within the dimension cap, can be
-    propagated to t_final, whose samples fit SAMPLE_MEMORY_CAP and which keeps
-    its statistics finite; observable_factors, observable_norm, roundoff and
-    hartree_params are derived at construction."""
+    [0, 2^64), whose largest Fock sector fits the dimension cap and propagates to
+    t_final, whose samples fit SAMPLE_MEMORY_CAP, whose observable's factors hold on
+    its grid and whose statistics stay finite; its init=False fields are derived once."""
 
     grid: LatticeGrid
     field_spec: FieldSpec
     initial_state: WaveFunction
-    observable: PObservable
+    observable: SpectralFactors
     t_final: float
     dt: float
     particle_counts: tuple[int, ...]
     samples: int
     base_seed: int
-    # spectral_factors on the plan's grid and the largest |mu|, from one eigensolve
-    observable_factors: SpectralFactors = field(init=False)
     observable_norm: float = field(init=False)
     # slack on X, which scales with the norm as X does: the pathwise bound and the
     # triangle check grant it, and the log-log slope leaves out gaps at or below it
@@ -102,12 +98,11 @@ class ExperimentPlan:
         object.__setattr__(self, "particle_counts", counts)
         object.__setattr__(self, "base_seed", int(seed))
         object.__setattr__(self, "hartree_params", HartreeRunParams(self.t_final, self.dt))
-        factors = spectral_factors(self.observable, self.grid)
-        norm = float(np.abs(factors.mu).max(initial=0.0))
+        self.observable.check_grid(self.grid)
+        norm = float(np.abs(self.observable.mu).max(initial=0.0))
         # each |Y| <= 2 norm, and np.std in estimate sums `samples` squares
         if not (self.samples * (2 * norm) * (2 * norm) < math.inf):
             raise DomainError(f"observable norm {norm!r}: samples * (2 norm)^2 overflows")
-        object.__setattr__(self, "observable_factors", factors)
         object.__setattr__(self, "observable_norm", norm)
         object.__setattr__(self, "roundoff", 1e-12 * norm)
 
@@ -187,10 +182,10 @@ def run_ensemble(plan: ExperimentPlan) -> EnsembleResult:
     x_mb = np.empty((len(lifted), plan.samples))
     for i, (v, psi_t) in enumerate(zip(fields, states)):
         try:
-            x_h[i] = _bounded(hartree_expectation(psi_t, plan.observable_factors), "X", plan)
+            x_h[i] = _bounded(hartree_expectation(psi_t, plan.observable), "X", plan)
             for k, psi in enumerate(lifted):
                 psi_n = evolve_manybody(psi, assemble_hamiltonian(psi.basis, v), plan.t_final)
-                x_mb[k, i] = _bounded(manybody_expectation(psi_n, plan.observable_factors),
+                x_mb[k, i] = _bounded(manybody_expectation(psi_n, plan.observable),
                                       "X_N", plan)
         except MFLabError as exc:
             raise _in_sample(exc, i, seeds) from exc

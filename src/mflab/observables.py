@@ -1,27 +1,24 @@
-"""p-particle observables given by dense kernels on lattice^p x lattice^p.
+"""p-particle observables a, held as SpectralFactors on bosonic states.
 
-A kernel K acts as (a phi)(X) = h^{dp} sum_Y K(X;Y) phi(Y) and is kept as
-given. mflab sees a only on bosonic states, so a plan turns K once into
-SpectralFactors (mu, U, grid, p) on the symmetric subspace: X = <phi^(x)p,
-a phi^(x)p> and X_N = Tr(a gamma), gamma bosonic, are its quadratic_form, and
-the norm is max|mu|. phi^(x)p, gamma and that subspace are fixed by every
-simultaneous permutation of the p coordinate blocks, so none of the three
-changes if K is averaged over those permutations.
+mflab sees a only on bosonic states, where h^{dp} K = sum_k mu_k U_k U_k^H: X and X_N =
+Tr(a gamma) are the factors' quadratic_form, and the norm is max|mu|. The stock
+observables give them in closed form; spectral_factors finds them by one eigensolve
+for a PObservable, a dense kernel K with (a phi)(X) = h^{dp} sum_Y K(X;Y) phi(Y), and
+is unchanged if K is averaged over the permutations of its p coordinate blocks.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
 
 from .errors import DimensionError, DomainError, ResourceError
-from .grid import LatticeGrid, WaveFunction, separable_profile
+from .grid import NORM_TOL, LatticeGrid, WaveFunction, separable_profile
 
-# a dense complex sites^p x sites^p kernel at the cap is 256 MiB
+# sites^p: the rows of U and of the p >= 2 gather, and a 256 MiB dense complex kernel
 KERNEL_DIMENSION_CAP = 4096
 
 
@@ -53,13 +50,24 @@ class PObservable:
             raise DomainError("kernel must be finite and self-adjoint to 1e-12 max|K|")
 
 
-class SpectralFactors(NamedTuple):
-    """h^{dp} K = sum_k mu_k U_k U_k^H on the symmetric p-particle subspace over grid."""
+@dataclass(frozen=True, eq=False)
+class SpectralFactors:
+    """h^{dp} K = sum_k mu_k U_k U_k^H on the symmetric p-particle subspace over grid:
+    p >= 1, and mu of shape (r,) and u of shape (sites^p, r), which it sets read-only."""
 
     mu: np.ndarray
     u: np.ndarray
     grid: LatticeGrid
     p: int
+
+    def __post_init__(self):
+        if self.p < 1:
+            raise DomainError(f"observable particle count must be >= 1, got {self.p}")
+        if self.mu.ndim != 1 or self.u.shape != (self.grid.n_sites ** self.p, len(self.mu)):
+            raise DimensionError(f"factors of shapes {self.mu.shape} and {self.u.shape} "
+                                 f"do not fit {self.grid.n_sites}^{self.p} rows")
+        self.mu.setflags(write=False)
+        self.u.setflags(write=False)
 
     def check_grid(self, grid: LatticeGrid) -> None:
         if grid != self.grid:
@@ -76,18 +84,21 @@ class SpectralFactors(NamedTuple):
         return float(np.einsum("k,k->", self.mu, sums))
 
 
-def spectral_factors(a: PObservable, grid: LatticeGrid) -> SpectralFactors:
-    """Eigenpairs (mu, u) of h^{dp} K restricted to the permutation-symmetric subspace,
-    from one Hermitian eigensolve: mu is (r,), u is (sites^p, r), read-only, with grid and p.
+def _significant(mu: np.ndarray, u: np.ndarray, grid: LatticeGrid, p: int) -> SpectralFactors:
+    """The factors of the pairs with |mu| > dim eps max|mu|, dim = len(mu), the numerical rank
+    rule: the rest is roundoff, and dropping it moves <v, a v> by <= dim eps ||a|| ||v||^2."""
+    keep = np.abs(mu) > len(mu) * np.finfo(float).eps * np.abs(mu).max(initial=0.0)
+    return SpectralFactors(mu[keep], u[:, keep], grid, p)
 
-    The subspace has an orthonormal basis Q with one normalized indicator
-    column per orbit of the block permutations (Q is the identity for p = 1),
-    so the eigenpairs (mu_k, V_k) of the Hermitian Q^T (h^{dp} K) Q give
-    h^{dp} K = sum_k mu_k U_k U_k^H on that subspace, with U = Q V. The orbit of
-    X = (x_1..x_p) is keyed by its sorted multi-index, and Q is sparse, so the
-    product costs O(sites^{2p}). Only the r pairs with |mu| > dim_sym eps max|mu|
-    are kept, the numerical-rank rule of np.linalg.matrix_rank: the rest are
-    roundoff, and dropping them moves <v, a v> by at most dim_sym eps ||a|| ||v||^2.
+
+def spectral_factors(a: PObservable, grid: LatticeGrid) -> SpectralFactors:
+    """The SpectralFactors of a on grid: one Hermitian eigensolve on the symmetric subspace.
+
+    The subspace has an orthonormal basis Q with one normalized indicator column per
+    orbit of the block permutations (Q is the identity for p = 1), so the eigenpairs
+    (mu_k, V_k) of the Hermitian Q^T (h^{dp} K) Q give h^{dp} K = sum_k mu_k U_k U_k^H
+    on that subspace, with U = Q V. The orbit of X = (x_1..x_p) is keyed by its sorted
+    multi-index, and Q is sparse, so the product costs O(sites^{2p}).
     """
     if len(a.kernel) != grid.n_sites ** a.p:
         raise DimensionError(f"the kernel has {len(a.kernel)} rows, not {grid.n_sites}^{a.p}")
@@ -98,18 +109,12 @@ def spectral_factors(a: PObservable, grid: LatticeGrid) -> SpectralFactors:
     q = scipy.sparse.csr_array((1.0 / np.sqrt(size[orbit]), orbit, np.arange(key.size + 1)))
     b = q.T @ ((grid.cell_volume ** a.p) * a.kernel) @ q
     mu, v = np.linalg.eigh(b)
-    keep = np.abs(mu) > len(b) * np.finfo(float).eps * np.abs(mu).max(initial=0.0)
-    mu, u = mu[keep], q @ v[:, keep]
-    mu.setflags(write=False)
-    u.setflags(write=False)
-    return SpectralFactors(mu, u, grid, a.p)
+    return _significant(mu, q @ v, grid, a.p)
 
 
 def check_kernel_dimension(p: int, sites: int) -> None:
-    """ResourceError if a p-particle kernel over `sites` sites has more than
-    KERNEL_DIMENSION_CAP rows; the stock observables call it first."""
-    # sites >= 2 passes the cap by p = 13, so the power stays small for any p;
-    # p < 1, which PObservable rejects, counts as 0: sites**-10**400 overflows a float
+    """ResourceError if sites^p > KERNEL_DIMENSION_CAP; the stock observables call it first."""
+    # p is clamped: sites >= 2 passes the cap by p = 13, and sites**-10**400 overflows
     if sites ** min(max(p, 0), KERNEL_DIMENSION_CAP.bit_length()) > KERNEL_DIMENSION_CAP:
         raise ResourceError(f"a {p}-particle kernel needs sites^p = {sites}^{p} rows, "
                             f"above the cap of {KERNEL_DIMENSION_CAP:,}")
@@ -117,22 +122,22 @@ def check_kernel_dimension(p: int, sites: int) -> None:
 
 # --- stock observables ----------------------------------------------------
 
-def condensate_projector(phi: WaveFunction, p: int = 1) -> PObservable:
-    """p-fold tensor power of the rank-one projector |phi><phi|."""
+def condensate_projector(phi: WaveFunction, p: int = 1) -> SpectralFactors:
+    """p-fold tensor power of the rank-one projector |phi><phi| of a unit phi:
+    h^{dp} K = U U^H with U = (h^{d/2} phi)^(x)p, one unit symmetric column, so mu = (1,)."""
     check_kernel_dimension(p, phi.grid.n_sites)
-    # for p < 1 the product is empty, the 1 x 1 start, and PObservable rejects p
-    factors = (np.outer(phi.amplitudes, phi.amplitudes.conj()) for _ in range(p))
-    return PObservable(p, reduce(np.kron, factors, np.ones((1, 1))))
+    if not (abs(phi.norm() - 1.0) <= NORM_TOL):
+        raise DomainError(f"condensate projector requires a unit state, norm = {phi.norm()!r}")
+    # for p < 1 the product is empty, the start 1.0, and SpectralFactors rejects p
+    u = reduce(np.kron, [phi.grid.cell_volume ** 0.5 * phi.amplitudes] * max(p, 0), 1.0)
+    return SpectralFactors(np.ones(1), np.reshape(u, (-1, 1)), phi.grid, p)
 
 
 def site_multiplier(grid: LatticeGrid, amplitude: float = 1.0,
-                    mode: int = 1) -> PObservable:
-    """One-particle multiplication by the smooth function A*cos(2 pi mode x / L).
-
-    For d > 1 the profile is a product of the axis profiles.
-    """
+                    mode: int = 1) -> SpectralFactors:
+    """One-particle multiplication by the smooth f = A*cos(2 pi mode x / L), for d > 1 the
+    product of the axis profiles: h^d K = diag(f), so mu = f and U holds identity columns."""
     check_kernel_dimension(1, grid.n_sites)
     x = grid.axis_coordinates()
     f = amplitude * separable_profile(grid, np.cos(2.0 * np.pi * mode * x / grid.length))
-    kernel = np.diag(f.astype(np.complex128)) / grid.cell_volume
-    return PObservable(1, kernel)
+    return _significant(f, np.eye(f.size, dtype=np.complex128), grid, 1)

@@ -93,7 +93,7 @@ def test_criterion_3_pathwise_bound_and_tails(constant_results,
     name = "pathwise bound |X_N| <= ||a|| and vanishing tails"
     ok = False
     try:
-        bound = np.abs(spectral_factors(OBS, GRID)[0]).max()
+        bound = np.abs(OBS.mu).max()
         for result in (constant_results, convergence_results):
             assert np.all(np.abs(result.x_hartree) <= bound + 1e-12)
             assert np.all(np.abs(result.x_manybody) <= bound + 1e-12)

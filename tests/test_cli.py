@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -451,10 +452,12 @@ def test_main_rejects_a_sample_count_beyond_the_memory_cap(tmp_path):
 
 
 @pytest.mark.parametrize("config", ["configs/site_multiplier.cfg",
-                                    "perfbench/workloads/long_time.cfg"], ids=["p1", "p2"])
+                                    "perfbench/workloads/long_time.cfg",
+                                    "configs/wide_p2.cfg"], ids=["p1", "p2", "p2-64"])
 def test_outputs_are_byte_identical_at_one_and_two_blas_threads(tmp_path, config):
-    # a 101-site observable with 101 spectral pairs, and a p = 2 observable whose
-    # X_N was once a BLAS Gram that two threads summed in another order
+    # a 101-site observable with 101 spectral pairs, a p = 2 observable whose
+    # X_N was once a BLAS Gram that two threads summed in another order, and a
+    # 64-site p = 2 projector whose factors were once an eigh that threads split
     cfg = Path(__file__).resolve().parents[1] / config
     for threads in ("1", "2"):
         subprocess.run([sys.executable, "-m", "mflab.cli", "--config", str(cfg),
@@ -463,6 +466,28 @@ def test_outputs_are_byte_identical_at_one_and_two_blas_threads(tmp_path, config
                        capture_output=True, check=True)
     for name in ("samples.csv", "summary.csv", "report.txt"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_every_shipped_plan_is_built_without_an_eigensolve(monkeypatch):
+    # the stock observables give their factors in closed form; a dense 4,096-row
+    # kernel and its eigh once took wide_p2's plan 17 s and 1 GiB
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a shipped plan ran an eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    root = Path(__file__).resolve().parents[1]
+    configs = [*root.glob("configs/*.cfg"), *root.glob("perfbench/workloads/*.cfg")]
+    assert root / "configs" / "wide_p2.cfg" in configs
+    for cfg in configs:
+        tracemalloc.start()
+        try:
+            plan, _ = parse_config(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if cfg.name == "wide_p2.cfg":
+            assert (plan.observable.p, plan.grid.n_sites) == (2, 64)
+            assert peak < 8 * 2 ** 20
 
 
 def test_cli_import_leaves_unused_scipy_modules_unloaded():

@@ -9,7 +9,7 @@ from mflab.errors import ConsistencyError, DimensionError, DomainError, Resource
 from mflab.grid import (LatticeGrid, WaveFunction, gaussian_packet,
                         lattice_dispersion)
 from mflab.hartree import HartreeRunParams
-from mflab.observables import condensate_projector, site_multiplier, spectral_factors
+from mflab.observables import SpectralFactors, condensate_projector, site_multiplier
 from mflab.random_field import FieldSpec, mix_seed
 
 
@@ -99,10 +99,10 @@ def test_plan_caps_the_memory_its_samples_hold(monkeypatch):
     fits = mflab.ensemble.SAMPLE_MEMORY_CAP // 2_072
     assert _plan(RANDOM_SPEC, samples=fits).samples == fits
 
-    def no_factors(*args, **kwargs):
-        raise AssertionError("the observable was factored before the sample cap")
+    def no_check(*args, **kwargs):
+        raise AssertionError("the observable was read before the sample cap")
 
-    monkeypatch.setattr(mflab.ensemble, "spectral_factors", no_factors)
+    monkeypatch.setattr(SpectralFactors, "check_grid", no_check)
     with pytest.raises(ResourceError, match=r"^1000000000000 samples would hold about "
                                             r"1\.93e\+06 GiB of seeds, fields, Hartree "
                                             r"states and results, above the cap of 1 GiB$"):
@@ -177,7 +177,7 @@ def test_zero_observable_has_no_spectral_pairs_and_x_n_exactly_zero():
     plan = ExperimentPlan(grid=GRID, field_spec=RANDOM_SPEC, initial_state=PHI,
                           observable=site_multiplier(GRID, amplitude=0.0), t_final=0.25,
                           dt=0.25 / 128, particle_counts=(2, 3), samples=2, base_seed=5)
-    mu, u, *_ = plan.observable_factors
+    mu, u = plan.observable.mu, plan.observable.u
     assert mu.shape == (0,) and u.shape == (GRID.n_sites, 0)
     assert plan.observable_norm == 0.0
     result = run_ensemble(plan)
@@ -314,7 +314,7 @@ def test_result_table_rejects_a_shape_that_disagrees():
 
 def test_pathwise_bound_holds():
     plan = _plan(RANDOM_SPEC, samples=6)
-    bound = np.abs(spectral_factors(OBS, GRID)[0]).max()
+    bound = np.abs(OBS.mu).max()
     result = run_ensemble(plan)
     assert np.all(np.abs(result.x_hartree) <= bound + 1e-12)
     assert np.all(np.abs(result.x_manybody) <= bound + 1e-12)
@@ -323,7 +323,7 @@ def test_pathwise_bound_holds():
 def test_tail_diagnostic_behaviour():
     plan = _plan(RANDOM_SPEC, samples=6)
     result = run_ensemble(plan)
-    bound = np.abs(spectral_factors(OBS, GRID)[0]).max()
+    bound = np.abs(OBS.mu).max()
     above, h_above = tail_diagnostic(result, 1.1 * bound)
     assert h_above == 0.0
     assert all(v == 0.0 for v in above.values())

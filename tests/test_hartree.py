@@ -184,14 +184,14 @@ def test_time_reversal_returns_initial_state():
 def test_expectation_projector_on_own_state():
     psi = gaussian_packet(GRID)
     a = condensate_projector(psi)
-    assert hartree_expectation(psi, spectral_factors(a, GRID)) == pytest.approx(1.0, abs=1e-12)
+    assert hartree_expectation(psi, a) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expectation_projector_on_orthogonal_state():
     phi = plane_wave(GRID, 1)
     chi = plane_wave(GRID, 2)
     a = condensate_projector(phi)
-    assert abs(hartree_expectation(chi, spectral_factors(a, GRID))) < 1e-12
+    assert abs(hartree_expectation(chi, a)) < 1e-12
 
 
 def test_expectation_product_kernel_factorizes():
@@ -214,19 +214,19 @@ def test_expectation_product_kernel_factorizes():
 def test_expectation_bounded_by_operator_norm():
     rng = np.random.default_rng(1)
     a = condensate_projector(gaussian_packet(GRID))
-    bound = np.abs(spectral_factors(a, GRID)[0]).max()
+    bound = np.abs(a.mu).max()
     for seed in range(5):
         rng = np.random.default_rng(seed)
         psi = normalize(WaveFunction(GRID, rng.standard_normal(8)
                                      + 1j * rng.standard_normal(8)))
-        assert abs(hartree_expectation(psi, spectral_factors(a, GRID))) <= bound + 1e-12
+        assert abs(hartree_expectation(psi, a)) <= bound + 1e-12
 
 
 def test_expectation_rejects_factors_of_another_grid():
     psi = gaussian_packet(GRID)
     for g, p in ((LatticeGrid(1, 5, 5.0), 1), (LatticeGrid(1, 3, 3.0), 2),
                  (LatticeGrid(2, 4, 8.0), 1)):
-        factors = spectral_factors(condensate_projector(gaussian_packet(g), p), g)
+        factors = condensate_projector(gaussian_packet(g), p)
         with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
             hartree_expectation(psi, factors)
 
@@ -237,8 +237,7 @@ def test_expectation_rejects_factors_of_another_grid():
 ])
 def test_expectation_rejects_factors_with_the_rows_of_another_grid(factor_grid, p,
                                                                    state_grid):
-    factors = spectral_factors(condensate_projector(gaussian_packet(factor_grid), p),
-                               factor_grid)
+    factors = condensate_projector(gaussian_packet(factor_grid), p)
     with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
         hartree_expectation(gaussian_packet(state_grid), factors)
 

@@ -28,7 +28,7 @@ from mflab.manybody import (DIMENSION_CAP, ManyBodyState, _add_particle, _bessel
                             kinetic_matrix, manybody_expectation,
                             product_state_lift, reduced_density_matrix)
 from mflab.observables import (PObservable, SpectralFactors, condensate_projector,
-                               site_multiplier, spectral_factors)
+                               spectral_factors)
 from mflab.random_field import FieldSpec, RandomField, sample_field
 
 
@@ -582,7 +582,7 @@ def test_hamiltonian_shift_is_global_phase():
     a = evolve_manybody(psi, h, t)
     b = evolve_manybody(psi, shifted, t)
     assert np.max(np.abs(b.coefficients - np.exp(-1j * c * t) * a.coefficients)) < 1e-9
-    factors = spectral_factors(condensate_projector(gaussian_packet(g)), g)
+    factors = condensate_projector(gaussian_packet(g))
     assert manybody_expectation(a, factors) == pytest.approx(
         manybody_expectation(b, factors), abs=1e-9)
 
@@ -882,13 +882,14 @@ def _random_state(basis, rng):
 
 def _test_kernel(kind, g, p, rng):
     sites = g.n_sites
-    if kind == "rank-one":
+    if kind == "rank-one":  # the condensate projector's kernel
         phi = normalize(WaveFunction(g, rng.standard_normal(sites)
                                      + 1j * rng.standard_normal(sites)))
-        return condensate_projector(phi, p)
+        return PObservable(p, functools.reduce(
+            np.kron, [np.outer(phi.amplitudes, phi.amplitudes.conj())] * p))
     if kind == "diagonal":  # the site multiplier's p-fold product, with zeros
-        return PObservable(p, functools.reduce(np.kron,
-                                               [site_multiplier(g, 1.5).kernel] * p))
+        f = 1.5 * np.cos(2 * np.pi * g.axis_coordinates() / g.length)
+        return PObservable(p, functools.reduce(np.kron, [np.diag(f) / g.cell_volume] * p))
     shape = (sites ** p,) * 2
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return PObservable(p, raw + raw.conj().T)
@@ -908,7 +909,7 @@ def test_expectation_from_spectral_factors_matches_the_rdm_trace(m, n, p, kind):
         trace = g.cell_volume ** (2 * p) * np.sum(a.kernel * gamma.T)
         oracle = math.perm(n, p) / n ** p * trace.real
         got = manybody_expectation(psi, factors)
-        assert abs(got - oracle) <= 1e-13 * np.abs(factors[0]).max()
+        assert abs(got - oracle) <= 1e-13 * np.abs(factors.mu).max()
 
 
 @pytest.mark.parametrize("kind", ["rank-one", "diagonal", "full-rank"])
@@ -923,7 +924,7 @@ def test_hartree_expectation_from_spectral_factors_matches_the_double_sum(p, kin
         vec = functools.reduce(np.kron, [phi.amplitudes] * p)
         oracle = g.cell_volume ** (2 * p) * np.vdot(vec, a.kernel @ vec).real
         got = hartree_expectation(phi, factors)
-        assert abs(got - oracle) <= 1e-13 * np.abs(factors[0]).max()
+        assert abs(got - oracle) <= 1e-13 * np.abs(factors.mu).max()
 
 
 @pytest.mark.parametrize("kind", ["rank-one", "diagonal", "full-rank"])
@@ -939,7 +940,7 @@ def test_x_n_at_time_zero_is_x_times_the_lift_prefactor(p, kind):
     basis = build_fock_basis(n, g, p)
     x_n = manybody_expectation(product_state_lift(phi, basis), factors)
     x = hartree_expectation(phi, factors)
-    assert abs(x_n - math.perm(n, p) / n ** p * x) <= 1e-13 * np.abs(factors[0]).max()
+    assert abs(x_n - math.perm(n, p) / n ** p * x) <= 1e-13 * np.abs(factors.mu).max()
 
 
 def _symmetric_basis(sites, p):
@@ -968,14 +969,14 @@ def test_dropped_spectral_pairs_move_x_n_by_at_most_their_bound(p):
     v, _ = np.linalg.qr(rng.standard_normal((dim_sym,) * 2)
                         + 1j * rng.standard_normal((dim_sym,) * 2))
     a = PObservable(p, (q @ v * lam) @ (q @ v).conj().T / g.cell_volume ** p)
-    mu, u, *_ = spectral_factors(a, g)
-    assert len(mu) == 2
+    factors = spectral_factors(a, g)
+    assert len(factors.mu) == 2
     mu_all, v_all = np.linalg.eigh(q.T @ (g.cell_volume ** p * a.kernel) @ q)
     basis = build_fock_basis(5, g, p)
     for psi in (_random_state(basis, rng), product_state_lift(gaussian_packet(g), basis)):
-        kept = manybody_expectation(psi, SpectralFactors(mu, u, g, p))
+        kept = manybody_expectation(psi, factors)
         restored = manybody_expectation(psi, SpectralFactors(mu_all, q @ v_all, g, p))
-        assert abs(restored - kept) <= cut * np.abs(mu).max()
+        assert abs(restored - kept) <= cut * np.abs(factors.mu).max()
 
 
 def test_expectation_of_initial_product_state():
@@ -984,8 +985,7 @@ def test_expectation_of_initial_product_state():
     phi = gaussian_packet(g)
     for p in (1, 2):
         psi = product_state_lift(phi, build_fock_basis(n, g, p))
-        a = condensate_projector(phi, p=p)
-        got = manybody_expectation(psi, spectral_factors(a, g))
+        got = manybody_expectation(psi, condensate_projector(phi, p=p))
         # at t=0 the state is phi^(x)N, so Tr(a gamma) = <phi^p, a phi^p> = 1
         assert got == pytest.approx(math.perm(n, p) / n ** p, abs=1e-12)
 
@@ -998,8 +998,7 @@ def test_single_particle_sector_is_free_evolution():
     h = assemble_hamiltonian(basis, v)
     psi0 = product_state_lift(phi, basis)
     psi_t = evolve_manybody(psi0, h, 0.5)
-    a = condensate_projector(phi)
-    x1 = manybody_expectation(psi_t, spectral_factors(a, g))
+    x1 = manybody_expectation(psi_t, condensate_projector(phi))
     # free lattice evolution via Fourier phases; interaction is absent at N=1
     spec = np.fft.fft(phi.amplitudes)
     free = np.fft.ifft(spec * np.exp(-1j * 0.5 * lattice_dispersion(g).ravel()))
@@ -1011,9 +1010,8 @@ def test_single_particle_sector_is_free_evolution():
 def test_expectation_respects_norm_bound():
     g = LatticeGrid(1, 4, 4.0)
     basis = build_fock_basis(3, g)
-    a = condensate_projector(gaussian_packet(g))
-    factors = spectral_factors(a, g)
-    bound = np.abs(factors[0]).max()
+    factors = condensate_projector(gaussian_packet(g))
+    bound = np.abs(factors.mu).max()
     rng = np.random.default_rng(41)
     for _ in range(5):
         coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
@@ -1028,13 +1026,13 @@ def test_expectation_rejects_observable_of_another_grid():
     g5 = LatticeGrid(1, 5, 5.0)
     a = condensate_projector(gaussian_packet(g5))
     with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
-        manybody_expectation(psi, spectral_factors(a, g5))
+        manybody_expectation(psi, a)
 
 
 def test_expectation_rejects_factors_of_a_grid_with_another_spacing():
     g, coarse = LatticeGrid(1, 8, 2.0), LatticeGrid(1, 8, 8.0)
     psi = product_state_lift(gaussian_packet(g), build_fock_basis(2, g))
-    factors = spectral_factors(condensate_projector(gaussian_packet(coarse)), coarse)
+    factors = condensate_projector(gaussian_packet(coarse))
     with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
         manybody_expectation(psi, factors)
 
@@ -1046,7 +1044,7 @@ def test_expectation_rejects_a_gather_of_another_order(n):
     orders = [(1, 2), (2, 1)] if n > 1 else [(1, 2)]
     for basis_p, factors_p in orders:
         psi = product_state_lift(phi, build_fock_basis(n, g, basis_p))
-        factors = spectral_factors(condensate_projector(phi, factors_p), g)
+        factors = condensate_projector(phi, factors_p)
         with pytest.raises(DimensionError, match=rf"the factors are of order p={factors_p}, "
                                                  rf"the state's sector gathers order "
                                                  rf"p={basis_p}$"):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -10,8 +11,20 @@ from mflab.grid import LatticeGrid, WaveFunction, gaussian_packet, normalize, pl
 from mflab.hartree import hartree_expectation
 from mflab.manybody import (ManyBodyState, build_fock_basis, manybody_expectation,
                             product_state_lift)
-from mflab.observables import (PObservable, condensate_projector, site_multiplier,
-                               spectral_factors)
+from mflab.observables import (PObservable, SpectralFactors, condensate_projector,
+                               site_multiplier, spectral_factors)
+
+
+def _projector_kernel(phi, p):
+    """The kernel (|phi><phi|)^(x)p, from np.kron of outer products."""
+    return functools.reduce(np.kron, [np.outer(phi.amplitudes, phi.amplitudes.conj())] * p)
+
+
+def _multiplier_kernel(g, amplitude, mode):
+    """The kernel diag(f)/h^d of f = A prod_i cos(2 pi mode x_i / L), from site coordinates."""
+    x = np.indices(g.shape).reshape(g.d, -1) * g.h
+    f = amplitude * np.prod(np.cos(2 * np.pi * mode * x / g.length), axis=0)
+    return np.diag(f) / g.cell_volume
 
 
 @pytest.mark.parametrize("p, kernel, error", [
@@ -40,9 +53,9 @@ def test_spectral_factors_reject_a_kernel_of_another_site_count(p, m, message):
 
 def test_spectral_factors_carry_their_grid_and_order():
     g = LatticeGrid(1, 4, 3.0)
-    factors = spectral_factors(condensate_projector(gaussian_packet(g), 2), g)
+    factors = spectral_factors(PObservable(2, _projector_kernel(gaussian_packet(g), 2)), g)
     assert (factors.grid, factors.p) == (g, 2)
-    assert factors[0] is factors.mu and factors.u.shape == (16, 1)
+    assert factors.mu.shape == (1,) and factors.u.shape == (16, 1)
 
 
 @pytest.mark.parametrize("p", [0, -1])
@@ -58,7 +71,7 @@ def test_kernel_is_a_read_only_copy():
     a = PObservable(1, k)
     k[0, 0] = 5.0
     assert np.array_equal(a.kernel, np.eye(8))
-    assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(spectral_factors(a, g).mu).max() == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError, match="read-only"):
         a.kernel[0, 0] = 5.0
 
@@ -67,13 +80,13 @@ def test_operator_norm_rank_one_projector():
     g = LatticeGrid(1, 8, 8.0)
     phi = gaussian_packet(g)
     a = condensate_projector(phi, p=1)
-    assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(1.0, abs=1e-8)
+    assert np.abs(a.mu).max() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_operator_norm_identity_kernel():
     g = LatticeGrid(1, 8, 4.0)
     a = PObservable(1, np.eye(8) / g.cell_volume)
-    assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(1.0, abs=1e-8)
+    assert np.abs(spectral_factors(a, g).mu).max() == pytest.approx(1.0, abs=1e-8)
 
 
 def _symmetric_basis_p2(sites):
@@ -105,7 +118,7 @@ def test_operator_norm_p2_matches_dense_eigensolver():
     b = g.cell_volume ** 2 * a.kernel
     restricted = basis.T @ b @ basis
     dense = float(np.max(np.abs(np.linalg.eigvalsh(restricted))))
-    assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(dense, rel=1e-8)
+    assert np.abs(spectral_factors(a, g).mu).max() == pytest.approx(dense, rel=1e-8)
 
 
 def test_operator_norm_p3_matches_combinations_basis():
@@ -133,15 +146,14 @@ def test_operator_norm_p3_matches_combinations_basis():
     assert q.shape == (27, 10)
     restricted = q.T @ (g.cell_volume ** p * a.kernel) @ q
     dense = float(np.max(np.abs(np.linalg.eigvalsh(restricted))))
-    assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(dense, rel=1e-12)
+    assert np.abs(spectral_factors(a, g).mu).max() == pytest.approx(dense, rel=1e-12)
 
 
 def test_operator_norm_near_degenerate_site_multiplier():
     # the top two singular values, 1 and cos(pi/101), differ by about 5e-4;
     # the norm must still come out exactly
     g = LatticeGrid(1, 101, 101.0)
-    mu, *_ = spectral_factors(site_multiplier(g), g)
-    assert np.abs(mu).max() == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(site_multiplier(g).mu).max() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_operator_norm_invariant_under_resymmetrization():
@@ -159,8 +171,8 @@ def test_operator_norm_invariant_under_resymmetrization():
     basis = _symmetric_basis_p2(4)
     restricted = basis.T @ (g.cell_volume ** 2 * a.kernel) @ basis
     dense = float(np.max(np.abs(np.linalg.eigvalsh(restricted))))
-    assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(dense, rel=1e-8)
-    assert np.abs(spectral_factors(a2, g)[0]).max() == pytest.approx(dense, rel=1e-8)
+    assert np.abs(spectral_factors(a, g).mu).max() == pytest.approx(dense, rel=1e-8)
+    assert np.abs(spectral_factors(a2, g).mu).max() == pytest.approx(dense, rel=1e-8)
 
 
 def _block_symmetrized(kernel, p, sites):
@@ -196,7 +208,7 @@ def test_results_invariant_under_block_symmetrization(p):
     given, symmetrized = (
         [hartree_expectation(phi, factors),
          *(manybody_expectation(psi, factors) for psi in states),
-         np.abs(factors[0]).max()]
+         np.abs(factors.mu).max()]
         for factors in (spectral_factors(PObservable(p, k), g) for k in (kernel, sym)))
     assert given == pytest.approx(symmetrized, abs=1e-12)
 
@@ -207,8 +219,7 @@ def test_condensate_projector_tensor_power():
     a = condensate_projector(phi, p=2)
     u = phi.amplitudes
     expected = np.kron(np.outer(u, u.conj()), np.outer(u, u.conj()))
-    assert np.max(np.abs(a.kernel - expected)) < 1e-12
-    assert np.max(np.abs(a.kernel - a.kernel.conj().T)) <= 1e-12
+    assert np.max(np.abs((a.u * a.mu) @ a.u.conj().T / g.cell_volume ** 2 - expected)) < 1e-12
 
 
 def test_site_multiplier_norm_is_max_abs():
@@ -216,5 +227,62 @@ def test_site_multiplier_norm_is_max_abs():
     a = site_multiplier(g, amplitude=1.5, mode=1)
     x = g.axis_coordinates()
     expected = np.max(np.abs(1.5 * np.cos(2 * np.pi * x / g.length)))
-    assert np.abs(spectral_factors(a, g)[0]).max() == pytest.approx(expected, rel=1e-8)
-    assert np.max(np.abs(a.kernel - a.kernel.conj().T)) <= 1e-12
+    assert np.abs(a.mu).max() == pytest.approx(expected, rel=1e-8)
+    kernel = (a.u * a.mu) @ a.u.conj().T / g.cell_volume
+    assert np.max(np.abs(kernel - _multiplier_kernel(g, 1.5, 1))) <= 1e-12
+
+
+@pytest.mark.parametrize("d, m", [(1, 4), (2, 3), (3, 2)])
+@pytest.mark.parametrize("kind, p", [("projector", 1), ("projector", 2), ("projector", 3),
+                                     ("multiplier", 1)])
+def test_closed_form_factors_match_the_eigensolve_of_the_dense_kernel(d, m, kind, p):
+    # h = 0.75 keeps every power of h visible; on 4 sites f has two roundoff zeros
+    g = LatticeGrid(d, m, 0.75 * m)
+    rng = np.random.default_rng(100 + 10 * d + p)
+
+    def random_unit_state():
+        return normalize(WaveFunction(g, rng.standard_normal(g.n_sites)
+                                      + 1j * rng.standard_normal(g.n_sites)))
+
+    if kind == "projector":
+        phi = random_unit_state()
+        closed, kernel = condensate_projector(phi, p), _projector_kernel(phi, p)
+    else:
+        closed, kernel = site_multiplier(g, 1.5, 1), _multiplier_kernel(g, 1.5, 1)
+    dense = spectral_factors(PObservable(p, kernel), g)
+    assert np.abs(closed.mu).max() == pytest.approx(np.abs(dense.mu).max(), abs=1e-14)
+    psi = random_unit_state()
+    x, x_dense = (hartree_expectation(psi, factors) for factors in (closed, dense))
+    assert x == pytest.approx(x_dense, abs=1e-14)
+    basis = build_fock_basis(p + 2, g, p)
+    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    for state in (ManyBodyState(basis, coeffs / np.linalg.norm(coeffs)),
+                  product_state_lift(psi, basis)):
+        x_n, x_n_dense = (manybody_expectation(state, factors) for factors in (closed, dense))
+        assert x_n == pytest.approx(x_n_dense, abs=1e-14)
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0, 1.0 + 1e-9])
+def test_condensate_projector_rejects_a_state_that_is_not_a_unit_vector(scale):
+    # a closed-form mu = (1,) holds only for a unit phi; else the norm would be |phi|^{2p}
+    phi = gaussian_packet(LatticeGrid(1, 4, 4.0))
+    assert condensate_projector(WaveFunction(phi.grid, (1 + 1e-13) * phi.amplitudes)).p == 1
+    with pytest.raises(DomainError, match=r"^condensate projector requires a unit state, "
+                                          r"norm = "):
+        condensate_projector(WaveFunction(phi.grid, scale * phi.amplitudes), 2)
+
+
+def test_spectral_factors_check_their_layout_and_hold_read_only_arrays():
+    g = LatticeGrid(1, 4, 4.0)
+    factors = SpectralFactors(np.ones(2), np.zeros((16, 2)), g, 2)
+    stock = (condensate_projector(gaussian_packet(g), 2), site_multiplier(g))
+    for arr in (factors.mu, factors.u, *(f.mu for f in stock), *(f.u for f in stock)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 5.0
+    with pytest.raises(DomainError, match=r"^observable particle count must be >= 1, got 0$"):
+        SpectralFactors(np.ones(1), np.zeros((1, 1)), g, 0)
+    for mu, u, p in [(np.ones(2), np.zeros((4, 2)), 2), (np.ones(2), np.zeros((16, 3)), 2),
+                     (np.ones((2, 1)), np.zeros((4, 2)), 1), (np.ones(1), np.zeros(4), 1)]:
+        with pytest.raises(DimensionError, match=rf"^factors of shapes .* do not fit 4\^{p} "
+                                                 r"rows$"):
+            SpectralFactors(mu, u, g, p)

@@ -19,7 +19,7 @@ from mflab.grid import WaveFunction
 from mflab.manybody import (_rank, assemble_hamiltonian,
                             build_fock_basis, energy_expectation, evolve_manybody,
                             manybody_expectation, product_state_lift)
-from mflab.observables import PObservable, spectral_factors
+from mflab.observables import SpectralFactors
 from mflab.random_field import mix_seed, sample_field
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
@@ -40,13 +40,13 @@ def test_x_n_is_invariant_under_a_lattice_translation(name, shift):
     axes = tuple(range(g.d))
     moved_phi = WaveFunction(g, np.roll(phi.amplitudes.reshape(g.shape), shift, axes))
     assert not np.allclose(moved_phi.amplitudes, phi.amplitudes)
-    # the kernel's 2p site indices, each shifted by the same lattice vector
-    kernel = a.kernel.reshape(g.shape * (2 * a.p))
-    moved_a = PObservable(a.p, np.roll(kernel, shift * (2 * a.p), tuple(
-        range(2 * a.p * g.d))).reshape(a.kernel.shape))
+    # the p site indices of each factor's rows, each shifted by the same lattice vector
+    rows = a.u.reshape(g.shape * a.p + (-1,))
+    moved_a = SpectralFactors(a.mu, np.roll(rows, shift * a.p, tuple(
+        range(a.p * g.d))).reshape(a.u.shape), g, a.p)
     x_n, moved_x_n = (
         manybody_expectation(evolve_manybody(product_state_lift(u, basis), h, plan.t_final),
-                             spectral_factors(obs, g))
+                             obs)
         for u, obs in ((phi, a), (moved_phi, moved_a)))
     assert abs(moved_x_n - x_n) < 1e-13
 
