@@ -5,14 +5,13 @@ the occupation vectors with total N in lexicographic order, where a vector's
 position is its rank in the combinatorial number system (Knuth, TAOCP 4A,
 7.2.1.3), and the field-independent operators its states are read through:
 the hopping CSR matrix one_body = sum_{x != y} T_{xy} adag_x a_y and the
-gather of order p below. Each sector is built on its own: the N-p sector is
-enumerated directly, by one slice and one repeat per (site, total), and only
-the last p steps add a particle. Adding a particle at x changes a vector's
-rank by sums over one lookup table, so each of those p stacked annihilator
-maps is written directly as a CSR matrix with one entry a row, and one_body
-from the top one, with no sparse products. The rest of H is diagonal in the
-occupation basis: sum_x T_xx n_x = N T_xx, the same on every state, and the
-pair term
+gather of order p below. Each sector is built on its own: the sectors N-p
+to N are enumerated directly, by one slice and one repeat per (site, total).
+Adding a particle at x changes a vector's rank by sums over one lookup
+table, so each of the p annihilators between them is written directly as a
+gather, (a_x Psi)[k] = wt[k, x] * Psi[idx[k, x]], and one_body from the top
+one, with no sparse products. The rest of H is diagonal in the occupation
+basis: sum_x T_xx n_x = N T_xx, the same on every state, and the pair term
     (1/2N) sum_{x,y} v(x-y) adag_x adag_y a_y a_x = (occ V occ - v(0) N) / 2N,
 which reproduces (1/N) sum_{i<j} v(x_i - x_j) exactly, including same-site
 pairs with weight v(0) n_x (n_x - 1)/2. So a field's Hamiltonian is the
@@ -22,9 +21,9 @@ J. Chem. Phys. 81, 3967, 1984) over an interval that provably holds the
 spectrum of H, from the hopping dispersion and min/max of h, truncated by a
 proven bound on its Bessel-coefficient tail; it draws no random numbers.
 H is real, so the recurrence runs one loop on real vectors for each of
-Re Psi_0 and Im Psi_0 that is not exactly zero. Each annihilator map has one
-entry a row, so w = a_{x_p}...a_{x_1} Psi is a gather, wt * Psi[idx], which
-the sector holds for the one order p its samples read; X_N is N^-p sum_k mu_k
+Re Psi_0 and Im Psi_0 that is not exactly zero. The p gathers compose to
+one, so w = a_{x_p}...a_{x_1} Psi is a gather, wt * Psi[idx], which the
+sector holds for the one order p its samples read; X_N is N^-p sum_k mu_k
 ||w conj(U_k)||^2, the quadratic form of the observable's SpectralFactors on
 the row blocks of conj(w), the form the Hartree X reads, without forming the
 reduced density matrix, which the same gather serves as an oracle.
@@ -108,48 +107,34 @@ def _enumerate(n: int, sites: int) -> np.ndarray:
     return store[:fock_dimension(n, sites)]  # on one site, E(n) alone
 
 
-def _add_particle(occ: np.ndarray, n: int) -> tuple[np.ndarray, scipy.sparse.csr_matrix]:
-    """The n-particle sector from the lexicographic (n-1)-particle occupations occ.
+def _add_particle(occ: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gather of a_x from the n-particle sector onto the lexicographic
+    (n-1)-particle occupations occ: (a_x Psi)[k] = wt[k, x] * Psi[idx[k, x]].
 
-    Returns the n-particle occupations, in lexicographic order and in the
-    narrowest unsigned dtype that holds n, and the stacked annihilator a_x
-    from it, a (sites * dim(n-1), dim(n)) CSR matrix whose row
-    x*dim(n-1) + k holds one entry, sqrt(occ[k, x] + 1), at column
-    rank(k + e_x). A particle at x raises R_j by one for j <= x, so by _rank
-    that column is dim - 1 - sum_{j<=x} later[j-1, R_j + 1]
-    - sum_{j>x} later[j-1, R_j], with R_j the suffix sums of k. The rank
-    arithmetic is int64 on _blocks of occ's rows, written into the map's
-    int32 columns and float64 weights, so no temporary is (dim, sites) int64.
+    idx[k, x] = rank(k + e_x) and wt[k, x] = sqrt(occ[k, x] + 1), C-contiguous
+    (dim(n-1), sites) int32 and float64 arrays. A particle at x raises R_j by
+    one for j <= x, so by _rank idx[k, x] = dim - 1 - sum_{j<=x} later[j-1,
+    R_j + 1] - sum_{j>x} later[j-1, R_j], with R_j the suffix sums of k. The
+    rank arithmetic is int64 on _blocks of occ's rows, so no temporary is
+    (dim, sites) int64.
     """
     sub_dim, sites = occ.shape
     dim = fock_dimension(n, sites)
     later = _later(sites, n)
     j = np.arange(sites - 1)
-    # int32 columns and indptr: sites * dim(n-1) < min(n, sites) * dim(n), far
-    # below 2^31 under DIMENSION_CAP
-    cols = np.empty((sites, sub_dim), dtype=np.int32)
-    weights = np.empty((sites, sub_dim))
-    raised = np.empty((dim, sites), dtype=np.min_scalar_type(n))
+    # int32: every rank is below dim, which DIMENSION_CAP keeps far below 2^31
+    idx = np.empty((sub_dim, sites), dtype=np.int32)
+    wt = np.empty((sub_dim, sites))
     for rows in _blocks(sub_dim):
         block = occ[rows]
         suffix = np.cumsum(block[:, ::-1], axis=1, dtype=np.int64)[:, ::-1]
         skipped = np.zeros(block.shape, dtype=np.int64)
         np.cumsum(later[j, suffix[:, 1:] + 1], axis=1, out=skipped[:, 1:])
         skipped[:, :-1] += np.cumsum(later[j, suffix[:, 1:]][:, ::-1], axis=1)[:, ::-1]
-        col = dim - 1 - skipped
-        cols[:, rows] = col.T
+        idx[rows] = dim - 1 - skipped
         # + 1.0: the weights must be float64, and sqrt of a uint8 is a float16
-        weights[:, rows] = np.sqrt(block.T + 1.0)
-        # each n-particle vector is k + e_x for exactly one x at or before k's
-        # first particle, i.e. with sum(occ[k, x:]) = n - 1
-        ks, xs = np.nonzero(suffix == n - 1)
-        dest = col[ks, xs]
-        raised[dest] = block[ks]
-        raised[dest, xs] += 1
-    a = scipy.sparse.csr_matrix(
-        (weights.ravel(), cols.ravel(), np.arange(cols.size + 1, dtype=np.int32)),
-        shape=(cols.size, dim))
-    return raised, a
+        wt[rows] = np.sqrt(block + 1.0)
+    return idx, wt
 
 
 def _kinetic_diagonal(grid: LatticeGrid) -> float:
@@ -189,8 +174,8 @@ class FockBasis:
     no diagonal entry (that is assemble_hamiltonian's). The gather of order p
     gives w = a_{x_p}...a_{x_1} Psi = gather_wt * Psi[gather_idx], the
     (dim(N-p), sites^p) array that X_N and the RDM read (see _chain). All are
-    built by build_fock_basis, from the N-p sector it enumerates and p steps
-    of rank arithmetic above it, each array written once.
+    built by build_fock_basis, from the sectors N-p..N it enumerates and the
+    p gathers of rank arithmetic between them, each array written once.
     The spectral interval of propagation needs no per-basis array: it comes
     from the lattice dispersion and N. All arrays are read-only, so the one
     basis built per plan serves every sample and no sample can alter it for
@@ -212,53 +197,50 @@ class FockBasis:
 def _blocks(length: int) -> list[slice]:
     """Consecutive slices of at most _BLOCK_ROWS that cover range(length).
 
-    A step over the rows of a (dim, sites) array, or over an annihilator's
-    entries, runs block by block, so that its temporaries take
+    A step over the rows of a (dim, sites) array runs block by block, so
+    that its temporaries take
     O(_BLOCK_ROWS * sites) bytes, not O(dim * sites); a step that treats each
     row alone gives the same bits as one pass over all rows.
     """
     return [slice(i, i + _BLOCK_ROWS) for i in range(0, length, _BLOCK_ROWS)]
 
 
-def _one_body(a: scipy.sparse.csr_matrix,
+def _one_body(idx: np.ndarray, wt: np.ndarray, lower_occ: np.ndarray,
               t: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
-    """CSR of the hopping sum_{x != y} T_xy adag_x a_y on the sector whose
-    stacked annihilator a is, as _add_particle builds it.
+    """CSR of the hopping sum_{x != y} T_xy adag_x a_y on the N sector, from the
+    gather (idx, wt) of a_x onto the N-1 sector lower_occ (see _add_particle).
 
-    For each occupied x of row i (k = i - e_x, read from a's CSC) and each
-    neighbour y of x, row i holds the entry at column rank(k + e_y) with
-    value a_x(k) * (T_xy * a_y(k)), where a_x(k) is the one entry of a's row
-    x*dim(N-1) + k and rank(k + e_y) is its column for y. Its rows are
-    sorted last.
+    Each (k, x) is one occupied x of row i = idx[k, x] = k + e_x, and writes
+    that row's entries for the neighbours y of x straight to their slot: deg
+    entries per occupied site of i, in the order of x, so the offset of
+    (k, x) in row i is deg times the occupied sites of k before x. Neighbour
+    y has column idx[k, y] = rank(k + e_y) and value T_xy * wt[k, y] * wt[k, x].
+    Its rows are sorted last.
     """
     sites = t.shape[0]
-    sub_dim = a.shape[0] // sites
     # every site has the same number of neighbours, in sorted columns
     off = t.indices != np.repeat(np.arange(sites), np.diff(t.indptr))
     nbr = t.indices[off].astype(np.intp).reshape(sites, -1)
     amp = t.data[off].reshape(sites, -1)
     deg = nbr.shape[1]
-    # int32 indices: under DIMENSION_CAP, nnz is at most 4,439,610 (d=3, M=3, N=5)
-    csc = a.tocsc()
-    a_row = csc.indices.astype(np.int32, copy=False)  # x*dim(N-1) + k per entry
-    # row i holds deg entries per entry of a's column i, neighbour j in column j
-    indptr = (deg * csc.indptr).astype(np.int32)
-    a_x = csc.data  # the rest of the CSC copy is freed here
-    del csc
-    indices = np.empty((a_row.size, deg), dtype=np.int32)
-    data = np.empty((a_row.size, deg))
-    # a block of a's entries at a time, one neighbour per pass, so that no
-    # temporary beside indices and data has more than _BLOCK_ROWS entries
-    for entries in _blocks(a_row.size):
-        x_e, k_e = np.divmod(a_row[entries], sub_dim)
-        x_e, a_e = x_e.astype(np.intp), a_x[entries]
+    # row i holds deg entries per occupied site, and each is one (k, x); int32
+    # indices: under DIMENSION_CAP, nnz is at most 4,439,610 (d=3, M=3, N=5)
+    counts = deg * np.bincount(idx.ravel())
+    indptr = np.zeros(len(counts) + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    # a block of rows k at a time, one neighbour per pass, so that no
+    # temporary beside indices and data is more than (_BLOCK_ROWS, sites)
+    for rows in _blocks(len(idx)):
+        occupied = lower_occ[rows] != 0
+        start = indptr[idx[rows]] + deg * (np.cumsum(occupied, axis=1) - occupied)
+        idx_k, wt_k = idx[rows], wt[rows]
         for j, (y, t_xy) in enumerate(zip(nbr.T, amp.T)):
-            row = y[x_e] * sub_dim + k_e  # a's row y*dim(N-1) + k
-            indices[entries, j] = a.indices[row]
-            # a_x(k) * (T_xy * a_y(k)), rounded as A^T (T A) rounds it
-            data[entries, j] = t_xy[x_e] * a.data[row] * a_e
-    one_body = scipy.sparse.csr_matrix((data.ravel(), indices.ravel(), indptr),
-                                       shape=(a.shape[1],) * 2)
+            indices[start + j] = idx_k[:, y]
+            # T_xy * a_y * a_x, rounded as A^T (T A) rounds it
+            data[start + j] = t_xy * wt_k[:, y] * wt_k
+    one_body = scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
     one_body.sort_indices()
     return one_body
 
@@ -282,26 +264,26 @@ def check_propagation(n: int, grid: LatticeGrid, t: float) -> None:
                             f"for every field, beyond the cap {_MAX_RT}")
 
 
-def _chain(maps: tuple[scipy.sparse.csr_matrix, ...], sites: int,
+def _chain(gathers: tuple[tuple[np.ndarray, np.ndarray], ...],
            rows: slice) -> tuple[np.ndarray, np.ndarray]:
     """Gather indices and weights of w = a_{x_p}...a_{x_1} Psi on rows `rows` of
-    the N-p sector, for the stacked annihilator maps of the build's last
-    p = len(maps) steps.
+    the N-p sector, for the annihilator gathers (idx, wt) of the build's last
+    p = len(gathers) steps, the top one first.
 
     Row m, column X = (x_1..x_p) in row-major order of w is (a_{x_p}...a_{x_1}
-    Psi)[m]. Each stacked annihilator has one entry a row, so w is Psi[idx]
-    times the weights f_1, ..., f_p of a_{x_1} (the top one), ..., a_{x_p}: the
-    rows of a_{x_p}..a_{x_2} are followed up to the N-1 sector, then those of
-    a_{x_1} up to Psi. f_k has one column per (x_k..x_p), as it does not depend
-    on x_1..x_{k-1}, and multiplies every block of that many columns of f_1 in
-    the order of k.
+    Psi)[m]. Each gather has one entry per (row, site), so w is Psi[idx] times
+    the weights f_1, ..., f_p of a_{x_1} (the top one), ..., a_{x_p}: the
+    gathers of a_{x_p}..a_{x_2} are followed up to the N-1 sector, then that
+    of a_{x_1} up to Psi. f_k has one column per (x_k..x_p), as it does not
+    depend on x_1..x_{k-1}, and multiplies every block of that many columns of
+    f_1 in the order of k.
     """
-    pos = np.arange(maps[-1].shape[0] // sites)[rows, None]
-    x, factors = np.arange(sites)[:, None], []
-    for a in reversed(maps):
-        row = (x * (a.shape[0] // sites) + pos[:, None, :]).reshape(len(pos), -1)
-        factors.append(a.data[row])
-        pos = a.indices[row]
+    pos = np.arange(len(gathers[-1][0]))[rows, None]
+    x, factors = np.arange(gathers[-1][0].shape[1])[:, None], []
+    for idx, wt in reversed(gathers):
+        # column x * (columns so far) + c: x_k leads the columns of x_{k+1}..x_p
+        factors.append(wt[pos[:, None, :], x].reshape(len(pos), -1))
+        pos = idx[pos[:, None, :], x].reshape(len(pos), -1)
     wt = factors.pop()
     for f in reversed(factors):
         by_block = wt.reshape(len(wt), -1, f.shape[1])
@@ -312,32 +294,31 @@ def _chain(maps: tuple[scipy.sparse.csr_matrix, ...], sites: int,
 def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1) -> FockBasis:
     """The N-particle sector with its gather of order p.
 
-    The N-p sector is enumerated directly (_enumerate), and only the last p
-    steps climb, one _add_particle each, so no sector below N-p is built. The
-    p stacked annihilator maps of those steps are locals: one_body is built
-    from the top one and the gather from all p, and then they are dropped.
-    For p = 1 the gather is a view of the top map's arrays and takes no
-    memory of its own. For p >= 2 it is composed block by block into an
-    index (the maps' int32) and one float64 weight per (row, X): 12 bytes per
-    entry, 12 * dim(N-p) * sites^p in all (1.26 MiB for p = 2, 8 sites, N = 8).
+    The sectors N-p..N are enumerated directly (_enumerate), so no sector
+    below N-p is built, and each of the last p steps is one _add_particle
+    gather between two of them. Those gathers are locals: one_body is built
+    from the top one and the gather of order p from all p, and then the
+    others are dropped. For p = 1 the sector's gather is the top one as it
+    is. For p >= 2 it is composed block by block into an index (the gathers'
+    int32) and one float64 weight per (row, X): 12 bytes per entry,
+    12 * dim(N-p) * sites^p in all (1.26 MiB for p = 2, 8 sites, N = 8).
     """
     if not 1 <= p <= n:
         raise DomainError(f"need 1 <= p <= N, got p={p}, N={n}")
     check_fock_dimension(n, grid)
     sites = grid.n_sites
-    occ, maps = _enumerate(n - p, sites), ()
+    occ, gathers = _enumerate(n - p, sites), ()
     for particles in range(n - p + 1, n + 1):
-        occ, a = _add_particle(occ, particles)
-        maps = (a,) + maps
-    top = maps[0]
-    one_body = _one_body(top, kinetic_matrix(grid))
-    if p == 1:  # a_{x_1} Psi reads the top map as it is
-        idx, wt = top.indices.reshape(sites, -1).T, top.data.reshape(sites, -1).T
+        gathers = (_add_particle(occ, particles),) + gathers
+        lower, occ = occ, _enumerate(particles, sites)
+    one_body = _one_body(*gathers[0], lower, kinetic_matrix(grid))
+    if p == 1:
+        idx, wt = gathers[0]
     else:
-        shape = (maps[-1].shape[0] // sites, sites ** p)
-        idx, wt = np.empty(shape, dtype=top.indices.dtype), np.empty(shape)
+        shape = (len(gathers[-1][0]), sites ** p)
+        idx, wt = np.empty(shape, dtype=gathers[0][0].dtype), np.empty(shape)
         for rows in _blocks(shape[0]):
-            idx[rows], wt[rows] = _chain(maps, sites, rows)
+            idx[rows], wt[rows] = _chain(gathers, rows)
     for arr in (occ, one_body.data, one_body.indices, one_body.indptr, idx, wt):
         arr.setflags(write=False)
     return FockBasis(n_particles=n, grid=grid, occupations=occ, one_body=one_body,

@@ -84,11 +84,10 @@ class SpectralFactors:
         return float(np.einsum("k,k->", self.mu, sums))
 
 
-def _significant(mu: np.ndarray, u: np.ndarray, grid: LatticeGrid, p: int) -> SpectralFactors:
-    """The factors of the pairs with |mu| > dim eps max|mu|, dim = len(mu), the numerical rank
-    rule: the rest is roundoff, and dropping it moves <v, a v> by <= dim eps ||a|| ||v||^2."""
-    keep = np.abs(mu) > len(mu) * np.finfo(float).eps * np.abs(mu).max(initial=0.0)
-    return SpectralFactors(mu[keep], u[:, keep], grid, p)
+def _significant(mu: np.ndarray) -> np.ndarray:
+    """The mask of |mu| > dim eps max|mu|, dim = len(mu), the numerical rank rule: the rest
+    is roundoff, and dropping it moves <v, a v> by <= dim eps ||a|| ||v||^2."""
+    return np.abs(mu) > len(mu) * np.finfo(float).eps * np.abs(mu).max(initial=0.0)
 
 
 def spectral_factors(a: PObservable, grid: LatticeGrid) -> SpectralFactors:
@@ -109,7 +108,8 @@ def spectral_factors(a: PObservable, grid: LatticeGrid) -> SpectralFactors:
     q = scipy.sparse.csr_array((1.0 / np.sqrt(size[orbit]), orbit, np.arange(key.size + 1)))
     b = q.T @ ((grid.cell_volume ** a.p) * a.kernel) @ q
     mu, v = np.linalg.eigh(b)
-    return _significant(mu, q @ v, grid, a.p)
+    keep = _significant(mu)
+    return SpectralFactors(mu[keep], (q @ v)[:, keep], grid, a.p)
 
 
 def check_kernel_dimension(p: int, sites: int) -> None:
@@ -136,8 +136,12 @@ def condensate_projector(phi: WaveFunction, p: int = 1) -> SpectralFactors:
 def site_multiplier(grid: LatticeGrid, amplitude: float = 1.0,
                     mode: int = 1) -> SpectralFactors:
     """One-particle multiplication by the smooth f = A*cos(2 pi mode x / L), for d > 1 the
-    product of the axis profiles: h^d K = diag(f), so mu = f and U holds identity columns."""
+    product of the axis profiles: h^d K = diag(f), so mu = f and U holds identity columns,
+    written only for the sites that pass the rank cut."""
     check_kernel_dimension(1, grid.n_sites)
     x = grid.axis_coordinates()
     f = amplitude * separable_profile(grid, np.cos(2.0 * np.pi * mode * x / grid.length))
-    return _significant(f, np.eye(f.size, dtype=np.complex128), grid, 1)
+    keep_sites = np.flatnonzero(_significant(f))
+    u = np.zeros((f.size, keep_sites.size), dtype=np.complex128)
+    u[keep_sites, np.arange(keep_sites.size)] = 1
+    return SpectralFactors(f[keep_sites], u, grid, 1)

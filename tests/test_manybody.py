@@ -21,7 +21,7 @@ from mflab.grid import (LatticeGrid, WaveFunction, gaussian_packet,
                         lattice_dispersion, normalize, plane_wave)
 from mflab.hartree import hartree_energy, hartree_expectation
 from mflab.manybody import (DIMENSION_CAP, ManyBodyState, _add_particle, _bessel_j,
-                            _chain, _chebyshev_degree, _one_body, _rank,
+                            _chebyshev_degree, _enumerate, _rank,
                             _spectral_interval, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
                             evolve_manybody, interaction_matrix,
@@ -189,16 +189,56 @@ def test_occupations_are_narrow_and_weights_float64(d, m, n):
                                rtol=1e-12, atol=1e-12)
 
 
-def _climbed_basis(n, g, p):
-    """Occupations, one_body and gather of the N sector climbed from the
-    vacuum, one _add_particle per particle, keeping the last p maps."""
+@functools.lru_cache(maxsize=None)
+def _brute_force_sector(d, m, n, p):
+    """Occupations, one_body and gather of the N sector, entry by entry from the
+    itertools occupations, each product rounded in the build's order.
+
+    one_body's row i, an occupied x and a neighbour y of x hold T_xy a_y a_x
+    at the rank of i - e_x + e_y; gather column X = (x_1..x_p) of the N-p
+    state m is the rank of m + sum_k e_{x_k}, weighed by f_1 ... f_p left to
+    right, f_k = sqrt(n_{x_k}) of that state less x_1..x_{k-1}.
+    """
+    g = LatticeGrid(d, m, 0.7 * m)
     sites = g.n_sites
-    occ, maps = np.zeros((1, sites), dtype=np.uint8), ()
-    for particles in range(1, n + 1):
-        occ, a = _add_particle(occ, particles)
-        maps = ((a,) + maps)[:p]
-    idx, wt = _chain(maps, sites, slice(None))
-    return occ, _one_body(maps[0], kinetic_matrix(g)), idx, wt
+
+    def sector(k):
+        return sorted(tuple(np.bincount(c, minlength=sites).tolist())
+                      for c in itertools.combinations_with_replacement(range(sites), k))
+
+    states = sector(n)
+    rank = {s: i for i, s in enumerate(states)}
+    t = kinetic_matrix(g).toarray()
+    hops = [[(y, t[x, y]) for y in np.flatnonzero(t[x]) if y != x] for x in range(sites)]
+    rows, cols, vals = [], [], []
+    for i, s in enumerate(states):
+        for x in range(sites):
+            if s[x]:
+                for y, t_xy in hops[x]:
+                    dest = list(s)
+                    dest[x] -= 1
+                    dest[y] += 1
+                    # a_y = sqrt(n_y + 1) and a_x = sqrt(n_x) on i
+                    rows.append(i)
+                    cols.append(rank[tuple(dest)])
+                    vals.append(t_xy * math.sqrt(dest[y]) * math.sqrt(s[x]))
+    one_body = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(states),) * 2)
+    one_body.sort_indices()
+    lower = sector(n - p)
+    idx = np.empty((len(lower), sites ** p), dtype=np.int64)
+    wt = np.empty(idx.shape)
+    for row, low in enumerate(lower):
+        for col, xs in enumerate(itertools.product(range(sites), repeat=p)):
+            s = list(low)
+            for x in xs:
+                s[x] += 1
+            idx[row, col] = rank[tuple(s)]
+            w = 1.0  # 1.0 * f_1 is f_1
+            for x in xs:
+                w *= math.sqrt(s[x])
+                s[x] -= 1
+            wt[row, col] = w
+    return states, one_body, idx, wt
 
 
 # d = 1-3, M = 2-4 and p = 1-3, N = p (the vacuum as the N-p sector) included
@@ -207,35 +247,38 @@ def _climbed_basis(n, g, p):
                                      (2, 3, 4, 2), (2, 4, 3, 3), (2, 4, 5, 1),
                                      (3, 2, 3, 3), (3, 3, 3, 2), (3, 4, 2, 1)])
 @pytest.mark.parametrize("block_rows", [4096, 5])
-def test_build_matches_brute_force_and_a_climb_from_the_vacuum(monkeypatch, d, m, n, p,
-                                                               block_rows):
+def test_build_matches_a_brute_force_sector_entry_by_entry(monkeypatch, d, m, n, p,
+                                                           block_rows):
     # 5 rows a block: every step spans several blocks, and most end short
     monkeypatch.setattr(mflab.manybody, "_BLOCK_ROWS", block_rows)
-    g = LatticeGrid(d, m, 0.7 * m)
-    basis = build_fock_basis(n, g, p)
-    brute = sorted(tuple(np.bincount(c, minlength=g.n_sites))
-                   for c in itertools.combinations_with_replacement(range(g.n_sites), n))
+    basis = build_fock_basis(n, LatticeGrid(d, m, 0.7 * m), p)
+    states, one_body, idx, wt = _brute_force_sector(d, m, n, p)
     assert basis.occupations.dtype == np.min_scalar_type(n)
-    assert basis.occupations.tolist() == [list(v) for v in brute]
-    occ, one_body, idx, wt = _climbed_basis(n, g, p)
-    assert basis.occupations.dtype == occ.dtype and np.array_equal(basis.occupations, occ)
+    assert basis.occupations.tolist() == [list(s) for s in states]
     for attr in ("indptr", "indices", "data"):
-        mine, climbed = getattr(basis.one_body, attr), getattr(one_body, attr)
-        assert mine.dtype == climbed.dtype and np.array_equal(mine, climbed), attr
-    assert np.array_equal(basis.gather_idx, idx) and basis.gather_idx.dtype == idx.dtype
-    assert np.array_equal(basis.gather_wt, wt) and basis.gather_wt.dtype == wt.dtype
+        assert np.array_equal(getattr(basis.one_body, attr), getattr(one_body, attr)), attr
+    assert basis.one_body.indptr.dtype == basis.one_body.indices.dtype == np.int32
+    assert basis.gather_idx.dtype == np.int32 and np.array_equal(basis.gather_idx, idx)
+    assert basis.gather_wt.dtype == np.float64 and np.array_equal(basis.gather_wt, wt)
 
 
 def test_build_climbs_only_its_last_p_steps(monkeypatch):
-    steps = []
+    steps, totals = [], []
 
     def recording_step(occ, n):
         steps.append((len(occ), n))
         return _add_particle(occ, n)
 
+    def recording_enumerate(n, sites):
+        totals.append(n)
+        return _enumerate(n, sites)
+
     monkeypatch.setattr(mflab.manybody, "_add_particle", recording_step)
+    monkeypatch.setattr(mflab.manybody, "_enumerate", recording_enumerate)
     build_fock_basis(80, LatticeGrid(1, 4, 4.0), 3)
-    # the N-p = 77 sector is enumerated, never climbed to
+    # the sectors N-p = 77..80 are enumerated, none below; only the steps
+    # between them add a particle
+    assert totals == [77, 78, 79, 80]
     assert steps == [(math.comb(80, 3), 78), (math.comb(81, 3), 79), (math.comb(82, 3), 80)]
 
 
@@ -273,8 +316,9 @@ def test_build_peak_is_bounded_by_what_the_sector_keeps():
     finally:
         tracemalloc.stop()
     assert len(basis) == 91_881
-    # a build with (dim, sites) int64 temporaries peaks at 2.09 times what it keeps
-    assert peak <= 1.6 * held
+    # a build with (dim, sites) int64 temporaries peaks at 2.09 times what it
+    # keeps, and one with a CSC copy of the top annihilator at 1.43 times
+    assert peak <= 1.2 * held
 
 
 def test_add_particle_holds_no_sector_sized_int64_temporary():
@@ -282,11 +326,12 @@ def test_add_particle_holds_no_sector_sized_int64_temporary():
     occ = build_fock_basis(79, g).occupations
     tracemalloc.start()
     try:
-        raised, a = _add_particle(occ, 80)
+        idx, wt = _add_particle(occ, 80)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert raised.shape == (math.comb(83, 3), 4)
+    assert idx.shape == wt.shape == occ.shape
+    assert idx.flags.c_contiguous and wt.flags.c_contiguous
     # the rank arithmetic runs on row blocks, so what it holds beside its
     # outputs is far below one (dim(N-1), sites) int64 array
     assert peak - held < occ.shape[0] * occ.shape[1] * 8 / 2
@@ -302,14 +347,14 @@ def test_sector_holds_the_top_annihilator_once_as_its_gather():
     finally:
         tracemalloc.stop()
     sub_dim = math.comb(5 + g.n_sites - 1, 5)
-    top = g.n_sites * sub_dim * (4 + 8)  # a_x stacked: an int32 column, a float64 a row
+    top = g.n_sites * sub_dim * (4 + 8)  # a_x's gather: an int32 index, a float64 weight
     assert basis.gather_idx.shape == (sub_dim, g.n_sites)
     assert basis.gather_idx.nbytes + basis.gather_wt.nbytes == top
     ob = basis.one_body
     rest = basis.occupations.nbytes + ob.data.nbytes + ob.indices.nbytes + ob.indptr.nbytes
-    # a copy of the top map beside the one the gather reads would add `top` more
+    # a second copy of the top gather, in any format, would add `top` more
     assert held < rest + top + top / 4
-    assert not (basis.gather_idx.flags.owndata or basis.gather_wt.flags.owndata)
+    assert basis.gather_idx.flags.c_contiguous and basis.gather_wt.flags.c_contiguous
 
 
 def test_per_field_steps_allocate_o_dim_bytes():

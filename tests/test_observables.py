@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,21 @@ def test_site_multiplier_norm_is_max_abs():
     assert np.abs(a.mu).max() == pytest.approx(expected, rel=1e-8)
     kernel = (a.u * a.mu) @ a.u.conj().T / g.cell_volume
     assert np.max(np.abs(kernel - _multiplier_kernel(g, 1.5, 1))) <= 1e-12
+
+
+def test_site_multiplier_peak_is_what_it_keeps():
+    g = LatticeGrid(3, 16, 16.0)  # 4,096 sites, the most the kernel cap allows
+    site_multiplier(LatticeGrid(1, 4, 4.0))  # first-call allocations are not the factors'
+    tracemalloc.start()
+    try:
+        factors = site_multiplier(g)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 2,744 columns pass the rank cut; a full identity and its column copy
+    # peak at 2.49 times the 171.5 MiB U keeps
+    assert factors.u.shape == (4096, 2744)
+    assert peak <= 1.1 * held
 
 
 @pytest.mark.parametrize("d, m", [(1, 4), (2, 3), (3, 2)])
