@@ -9,8 +9,11 @@ each sample in order. Each field is seeded from (base_seed, sample_index), so
 a sample's values do not depend on which other samples run with it.
 The plan checks its largest sector against the dimension and propagation caps
 and its samples against SAMPLE_MEMORY_CAP, holds the observable as its spectral
-factors and derives their norm max|mu|, the roundoff slack and the Hartree time
-grid once, at construction; run_ensemble bounds |X| and |X_N| by norm + slack.
+factors and derives their norm max|mu|, the roundoff slack, the Hartree time
+grid and the site mirror of its sectors once, at construction: the inversion
+x -> -x when the initial state is even bit for bit, so that each sector is
+built, lifted and propagated as its mirror-even block, about half its states.
+run_ensemble bounds |X| and |X_N| by norm + slack.
 A run's product is one EnsembleResult table, X_N per (N, sample) next to X
 per sample, which estimate and tail_diagnostic reduce row by row.
 """
@@ -58,6 +61,10 @@ class ExperimentPlan:
     # triangle check grant it, and the log-log slope leaves out gaps at or below it
     roundoff: float = field(init=False)
     hartree_params: HartreeRunParams = field(init=False)
+    # the inversion x -> -x if the initial state equals its image bit for bit,
+    # else the identity: H commutes with the inversion, so an even Psi_0 stays
+    # even and each sector runs as its mirror-even block
+    mirror: np.ndarray = field(init=False)
 
     def __post_init__(self):
         check_mode_count(self.field_spec, self.grid)
@@ -98,6 +105,11 @@ class ExperimentPlan:
         object.__setattr__(self, "particle_counts", counts)
         object.__setattr__(self, "base_seed", int(seed))
         object.__setattr__(self, "hartree_params", HartreeRunParams(self.t_final, self.dt))
+        inversion, amps = self.grid.inversion(), self.initial_state.amplitudes
+        even = np.array_equal(amps[inversion], amps)
+        mirror = inversion if even else np.arange(self.grid.n_sites)
+        mirror.setflags(write=False)
+        object.__setattr__(self, "mirror", mirror)
         self.observable.check_grid(self.grid)
         norm = float(np.abs(self.observable.mu).max(initial=0.0))
         # each |Y| <= 2 norm, and np.std in estimate sums `samples` squares
@@ -165,7 +177,8 @@ def run_ensemble(plan: ExperimentPlan) -> EnsembleResult:
     and the table alike.
     """
     lifted = [product_state_lift(plan.initial_state,
-                                 build_fock_basis(n, plan.grid, plan.observable.p))
+                                 build_fock_basis(n, plan.grid, plan.observable.p,
+                                                  plan.mirror))
               for n in plan.particle_counts]
     seeds = tuple(mix_seed(plan.base_seed, i) for i in range(plan.samples))
     fields = []

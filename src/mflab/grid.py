@@ -59,6 +59,12 @@ class LatticeGrid:
         """Site coordinates x_j = j*h along one axis."""
         return np.arange(self.m) * self.h
 
+    def inversion(self) -> np.ndarray:
+        """The flat index of the site -x mod M per axis, for each site x: the
+        inversion x -> -x as a permutation of the sites (the identity at M = 2)."""
+        coords = np.indices(self.shape).reshape(self.d, -1)
+        return np.ravel_multi_index(tuple(-coords % self.m), self.shape)
+
 
 @dataclass
 class WaveFunction:

@@ -16,6 +16,15 @@ basis: sum_x T_xx n_x = N T_xx, the same on every state, and the pair term
 which reproduces (1/N) sum_{i<j} v(x_i - x_j) exactly, including same-site
 pairs with weight v(0) n_x (n_x - 1)/2. So a field's Hamiltonian is the
 (dim,) array h of both, and H = one_body + diag(h), one_body shared by every field.
+A sector may be built as its mirror-even block: the grid's inversion
+P: x -> -x commutes with H (the hopping is a symmetric stencil and the pair
+term sees only the even part of v), so a state Psi with Psi(Pi) = Psi(i) for
+every i stays so under e^{-iHt}, and is held by its values on the orbit
+representatives, each state i with rank(i) <= rank(Pi) (Sandvik, AIP Conf.
+Proc. 1297, 135, 2010). The block's
+rows are those of H at the representatives, with each column moved to its
+orbit, so every step below runs on the block as on a whole sector; only the
+norm and <H> weight a representative by the size of its orbit, 1 or 2.
 Propagation is one Chebyshev expansion of e^{-iHt} (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967, 1984) over an interval that provably holds the
 spectrum of H, from the hopping dispersion and min/max of h, truncated by a
@@ -23,7 +32,8 @@ proven bound on its Bessel-coefficient tail; it draws no random numbers.
 H is real, so the recurrence runs one loop on real vectors for each of
 Re Psi_0 and Im Psi_0 that is not exactly zero. The p gathers compose to
 one, so w = a_{x_p}...a_{x_1} Psi is a gather, wt * Psi[idx], which the
-sector holds for the one order p its samples read; X_N is N^-p sum_k mu_k
+sector holds for the one order p its samples read, composed with the orbit
+index on a block, so it reads the whole Psi; X_N is N^-p sum_k mu_k
 ||w conj(U_k)||^2, the quadratic form of the observable's SpectralFactors on
 the row blocks of conj(w), the form the Hartree X reads, without forming the
 reduced density matrix, which the same gather serves as an oracle.
@@ -112,15 +122,16 @@ def _add_particle(occ: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     (n-1)-particle occupations occ: (a_x Psi)[k] = wt[k, x] * Psi[idx[k, x]].
 
     idx[k, x] = rank(k + e_x) and wt[k, x] = sqrt(occ[k, x] + 1), C-contiguous
-    (dim(n-1), sites) int32 and float64 arrays. A particle at x raises R_j by
-    one for j <= x, so by _rank idx[k, x] = dim - 1 - sum_{j<=x} later[j-1,
-    R_j + 1] - sum_{j>x} later[j-1, R_j], with R_j the suffix sums of k. The
-    rank arithmetic is int64 on _blocks of occ's rows, so no temporary is
-    (dim, sites) int64.
+    (dim(n-1), sites) int32 and float64 arrays. By _rank, row k of occ has
+    rank k = dim(n-1) - 1 - sum_j later[j-1, R_j], with R_j the suffix sums
+    of k, and a particle at x raises R_j by one for j <= x, so
+    idx[k, x] = dim(n) - dim(n-1) + k - sum_{j<=x} rise[j-1, R_j], where
+    rise[j-1, r] = later[j-1, r + 1] - later[j-1, r]. The rank arithmetic is
+    int64 on _blocks of occ's rows, so no temporary is (dim, sites) int64.
     """
     sub_dim, sites = occ.shape
-    dim = fock_dimension(n, sites)
-    later = _later(sites, n)
+    shift = fock_dimension(n, sites) - sub_dim
+    rise = np.diff(_later(sites, n), axis=1)
     j = np.arange(sites - 1)
     # int32: every rank is below dim, which DIMENSION_CAP keeps far below 2^31
     idx = np.empty((sub_dim, sites), dtype=np.int32)
@@ -128,10 +139,10 @@ def _add_particle(occ: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     for rows in _blocks(sub_dim):
         block = occ[rows]
         suffix = np.cumsum(block[:, ::-1], axis=1, dtype=np.int64)[:, ::-1]
-        skipped = np.zeros(block.shape, dtype=np.int64)
-        np.cumsum(later[j, suffix[:, 1:] + 1], axis=1, out=skipped[:, 1:])
-        skipped[:, :-1] += np.cumsum(later[j, suffix[:, 1:]][:, ::-1], axis=1)[:, ::-1]
-        idx[rows] = dim - 1 - skipped
+        raised = np.zeros(block.shape, dtype=np.int64)
+        np.cumsum(rise[j, suffix[:, 1:]], axis=1, out=raised[:, 1:])
+        k = np.arange(rows.start, rows.start + len(block))
+        idx[rows] = (shift + k)[:, None] - raised
         # + 1.0: the weights must be float64, and sqrt of a uint8 is a float16
         wt[rows] = np.sqrt(block + 1.0)
     return idx, wt
@@ -164,22 +175,30 @@ def kinetic_matrix(grid: LatticeGrid) -> scipy.sparse.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """An N-boson sector on a grid and its field-independent operators.
+    """An N-boson sector on a grid, or its mirror-even block, and its
+    field-independent operators.
 
-    occupations[i] is the occupation vector of rank i, in the narrowest
-    unsigned dtype that holds N (uint8 up to N = 255), so it takes dim * sites
-    bytes; assemble_hamiltonian and the lift read it in row blocks, so their
-    temporaries take O(dim) bytes, not 8 * dim * sites. one_body is the CSR
-    matrix of the hopping sum_{x != y} T_{xy} adag_x a_y, with sorted rows and
-    no diagonal entry (that is assemble_hamiltonian's). The gather of order p
-    gives w = a_{x_p}...a_{x_1} Psi = gather_wt * Psi[gather_idx], the
-    (dim(N-p), sites^p) array that X_N and the RDM read (see _chain). All are
-    built by build_fock_basis, from the sectors N-p..N it enumerates and the
-    p gathers of rank arithmetic between them, each array written once.
-    The spectral interval of propagation needs no per-basis array: it comes
-    from the lattice dispersion and N. All arrays are read-only, so the one
-    basis built per plan serves every sample and no sample can alter it for
-    the next.
+    occupations[i] is the occupation vector of the block's row i, the i-th
+    representative in rank order (every state on the whole sector, where
+    mirror is the identity), in the narrowest unsigned dtype that holds N
+    (uint8 up to N = 255), so it takes dim * sites bytes; assemble_hamiltonian
+    and the lift read it in row blocks, so their temporaries take O(dim)
+    bytes, not 8 * dim * sites. one_body is the CSR matrix of the hopping
+    sum_{x != y} T_{xy} adag_x a_y on those rows, with each column moved to
+    its orbit, so a row may hold a column twice, or its own; with sorted rows
+    and, on a whole sector, no diagonal entry (that is assemble_hamiltonian's).
+    The gather of order p gives w = a_{x_p}...a_{x_1} Psi = gather_wt *
+    c[gather_idx] for the block's coefficients c, the (dim(N-p), sites^p)
+    array that X_N and the RDM read (see _chain): the N-p sector is whole.
+    mirror is the site permutation (the identity or the grid's inversion) and
+    multiplicity the size of each row's orbit, 1 or 2, the weight of its
+    coefficient in the norm. All are built by build_fock_basis, from the
+    sectors N-p..N it enumerates and the p gathers of rank arithmetic between
+    them, each array written once. The spectral interval of propagation needs
+    no per-basis array: it comes from the lattice dispersion and N, and the
+    block's spectrum is part of the sector's. All arrays are read-only, so
+    the one basis built per plan serves every sample and no sample can alter
+    it for the next.
     """
 
     n_particles: int
@@ -189,6 +208,8 @@ class FockBasis:
     p: int
     gather_idx: np.ndarray
     gather_wt: np.ndarray
+    mirror: np.ndarray
+    multiplicity: np.ndarray
 
     def __len__(self) -> int:
         return self.occupations.shape[0]
@@ -206,40 +227,63 @@ def _blocks(length: int) -> list[slice]:
 
 
 def _one_body(idx: np.ndarray, wt: np.ndarray, lower_occ: np.ndarray,
-              t: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
-    """CSR of the hopping sum_{x != y} T_xy adag_x a_y on the N sector, from the
-    gather (idx, wt) of a_x onto the N-1 sector lower_occ (see _add_particle).
+              t: scipy.sparse.csr_matrix, orbit: np.ndarray,
+              rep: np.ndarray) -> scipy.sparse.csr_matrix:
+    """CSR of the hopping sum_{x != y} T_xy adag_x a_y on the representative
+    rows of the N sector, from the gather (idx, wt) of a_x onto the N-1 sector
+    lower_occ (see _add_particle); rep[i] tells whether the state of rank i is
+    a representative, and orbit[i] is the block row of i's orbit.
 
-    Each (k, x) is one occupied x of row i = idx[k, x] = k + e_x, and writes
-    that row's entries for the neighbours y of x straight to their slot: deg
-    entries per occupied site of i, in the order of x, so the offset of
-    (k, x) in row i is deg times the occupied sites of k before x. Neighbour
-    y has column idx[k, y] = rank(k + e_y) and value T_xy * wt[k, y] * wt[k, x].
-    Its rows are sorted last.
+    Each (k, x) whose state i = idx[k, x] = k + e_x is a representative is one
+    occupied x of row orbit[i], and writes that row's entries for the
+    neighbours y of x straight to their slot: deg entries per occupied site of
+    i, in the order of x, so the offset of (k, x) in the row is deg times the
+    occupied sites of k before x. Neighbour y has column orbit[idx[k, y]], the
+    orbit of rank(k + e_y), and value T_xy * wt[k, y] * wt[k, x]. A state and
+    its mirror image share a column, so a row may hold a column twice; the
+    CSR product sums them. Its rows are sorted last. Each block of idx is
+    replaced by its orbits once read, so idx leaves as the gather of a_x from
+    the block: (a_x Psi)[k] = wt[k, x] * c[idx[k, x]] for Psi's block c.
     """
     sites = t.shape[0]
     # every site has the same number of neighbours, in sorted columns
     off = t.indices != np.repeat(np.arange(sites), np.diff(t.indptr))
     nbr = t.indices[off].astype(np.intp).reshape(sites, -1)
-    amp = t.data[off].reshape(sites, -1)
     deg = nbr.shape[1]
+    # per neighbour j and site x: T_xy, and y - x, the step from (k, x) to (k, y)
+    # in a row-major block
+    amp = t.data[off].reshape(sites, deg).T.copy()
+    step = (nbr - np.arange(sites)[:, None]).T.copy()
     # row i holds deg entries per occupied site, and each is one (k, x); int32
     # indices: under DIMENSION_CAP, nnz is at most 4,439,610 (d=3, M=3, N=5)
-    counts = deg * np.bincount(idx.ravel())
-    indptr = np.zeros(len(counts) + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
+    indptr = np.zeros(np.count_nonzero(rep) + 1, dtype=np.int32)
+    np.cumsum(deg * np.bincount(idx.ravel())[rep], out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty(indptr[-1])
-    # a block of rows k at a time, one neighbour per pass, so that no
-    # temporary beside indices and data is more than (_BLOCK_ROWS, sites)
+    # a block of rows k at a time, flattened, one neighbour per pass, so that
+    # no temporary beside indices and data is more than (_BLOCK_ROWS, sites)
     for rows in _blocks(len(idx)):
+        idx_k, wt_k = idx[rows].ravel(), wt[rows].ravel()
         occupied = lower_occ[rows] != 0
-        start = indptr[idx[rows]] + deg * (np.cumsum(occupied, axis=1) - occupied)
-        idx_k, wt_k = idx[rows], wt[rows]
-        for j, (y, t_xy) in enumerate(zip(nbr.T, amp.T)):
-            indices[start + j] = idx_k[:, y]
+        before = np.cumsum(occupied, axis=1, dtype=np.int32)
+        before -= occupied
+        kx = np.flatnonzero(np.take(rep, idx_k))  # the (k, x) of representatives
+        x = kx % sites
+        cols, wt_x = np.take(orbit, idx_k), np.take(wt_k, kx)
+        # a representative's orbit is its row
+        start = np.take(indptr, np.take(cols, kx))
+        start += deg * np.take(before, kx)
+        for j in range(deg):
+            ky = np.take(step[j], x)
+            ky += kx
+            slot = start + j
+            indices[slot] = np.take(cols, ky)
             # T_xy * a_y * a_x, rounded as A^T (T A) rounds it
-            data[start + j] = t_xy * wt_k[:, y] * wt_k
+            val = np.take(amp[j], x)
+            val *= np.take(wt_k, ky)
+            val *= wt_x
+            data[slot] = val
+        idx[rows] = cols.reshape(-1, sites)
     one_body = scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
     one_body.sort_indices()
     return one_body
@@ -291,27 +335,73 @@ def _chain(gathers: tuple[tuple[np.ndarray, np.ndarray], ...],
     return pos, wt
 
 
-def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1) -> FockBasis:
-    """The N-particle sector with its gather of order p.
+def _orbits(base: np.ndarray, gathers: tuple[tuple[np.ndarray, np.ndarray], ...],
+            mirror: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orbits {i, Pi} of the N sector under the site permutation mirror, P,
+    from the occupations of the N-p sector and the gathers of the p steps
+    above it, the top one first.
+
+    _rank gives rank(Pk) on the N-p sector, in _blocks of its rows. Above it,
+    P(k + e_x) = Pk + e_{P(x)}, so rank(P(k + e_x)) = idx[rank(Pk), P(x)]
+    climbs one gather at a time; every state of a sector is some k + e_x.
+    Returns rep, whether rank(i) <= rank(Pi), which makes i the representative
+    of its orbit; orbit, the block row of the representative of i's orbit; and
+    the size of each representative's orbit, 1 or 2.
+    """
+    mirrored = np.concatenate([_rank(base[rows][:, mirror], n - len(gathers))
+                               for rows in _blocks(len(base))])
+    sites = len(mirror)
+    for particles, (idx, _) in zip(range(n - len(gathers) + 1, n + 1), reversed(gathers)):
+        up = np.empty(fock_dimension(particles, sites), dtype=idx.dtype)
+        up[idx] = np.take(idx, mirrored, axis=0)[:, mirror]
+        mirrored = up
+    rank = np.arange(len(mirrored))
+    rep = mirrored >= rank
+    orbit = (np.cumsum(rep, dtype=np.int32) - 1)[np.minimum(rank, mirrored)]
+    return rep, orbit, (mirrored != rank)[rep].astype(np.uint8) + 1
+
+
+def _site_mirror(mirror, grid: LatticeGrid) -> np.ndarray:
+    """mirror as an int array, once it is the identity (None stands for it) or
+    the grid's inversion x -> -x; a DomainError otherwise. Both commute with
+    the hopping and with the pair term of every field, which sees only the
+    even part of v."""
+    identity = np.arange(grid.n_sites)
+    perm = identity if mirror is None else np.asarray(mirror)
+    if not (np.array_equal(perm, identity) or np.array_equal(perm, grid.inversion())):
+        raise DomainError("mirror must be the identity or the grid's inversion x -> -x")
+    return perm.astype(np.intp)
+
+
+def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1, mirror=None) -> FockBasis:
+    """The mirror-even block of the N-particle sector with its gather of order p.
 
     The sectors N-p..N are enumerated directly (_enumerate), so no sector
     below N-p is built, and each of the last p steps is one _add_particle
     gather between two of them. Those gathers are locals: one_body is built
     from the top one and the gather of order p from all p, and then the
-    others are dropped. For p = 1 the sector's gather is the top one as it
-    is. For p >= 2 it is composed block by block into an index (the gathers'
-    int32) and one float64 weight per (row, X): 12 bytes per entry,
-    12 * dim(N-p) * sites^p in all (1.26 MiB for p = 2, 8 sites, N = 8).
+    others are dropped. The block keeps each state i with rank(i) <= rank(Pi),
+    its orbit's representative (see _orbits), and the top gather is composed
+    with the orbit index, so w reads the whole Psi. For p = 1 the sector's
+    gather is the top one. For p >= 2 it is composed block by block into an
+    index (the gathers' int32) and one float64 weight per (row, X): 12 bytes
+    per entry, 12 * dim(N-p) * sites^p in all (1.26 MiB for p = 2, 8 sites,
+    N = 8). mirror, P, is the identity by default, which keeps the whole
+    sector, or the grid's inversion (_site_mirror).
     """
     if not 1 <= p <= n:
         raise DomainError(f"need 1 <= p <= N, got p={p}, N={n}")
     check_fock_dimension(n, grid)
     sites = grid.n_sites
-    occ, gathers = _enumerate(n - p, sites), ()
+    mirror = _site_mirror(mirror, grid)
+    base = occ = _enumerate(n - p, sites)
+    gathers = ()
     for particles in range(n - p + 1, n + 1):
         gathers = (_add_particle(occ, particles),) + gathers
         lower, occ = occ, _enumerate(particles, sites)
-    one_body = _one_body(*gathers[0], lower, kinetic_matrix(grid))
+    rep, orbit, multiplicity = _orbits(base, gathers, mirror, n)
+    # composes the top gather with orbit, so every gather below reads the block
+    one_body = _one_body(*gathers[0], lower, kinetic_matrix(grid), orbit, rep)
     if p == 1:
         idx, wt = gathers[0]
     else:
@@ -319,15 +409,19 @@ def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1) -> FockBasis:
         idx, wt = np.empty(shape, dtype=gathers[0][0].dtype), np.empty(shape)
         for rows in _blocks(shape[0]):
             idx[rows], wt[rows] = _chain(gathers, rows)
-    for arr in (occ, one_body.data, one_body.indices, one_body.indptr, idx, wt):
+    occ = occ[rep]
+    for arr in (occ, one_body.data, one_body.indices, one_body.indptr, idx, wt,
+                mirror, multiplicity):
         arr.setflags(write=False)
     return FockBasis(n_particles=n, grid=grid, occupations=occ, one_body=one_body,
-                     p=p, gather_idx=idx, gather_wt=wt)
+                     p=p, gather_idx=idx, gather_wt=wt, mirror=mirror,
+                     multiplicity=multiplicity)
 
 
 @dataclass
 class ManyBodyState:
-    """Coefficient vector over a Fock basis."""
+    """Coefficient vector over a Fock basis: Psi at each of its rows, so on a
+    mirror-even block Psi at each orbit's representative."""
 
     basis: FockBasis
     coefficients: np.ndarray
@@ -341,7 +435,9 @@ class ManyBodyState:
         self.coefficients = c
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
+        """||Psi||, each coefficient weighted by the size of its orbit."""
+        c = self.coefficients
+        return float(np.sqrt(self.basis.multiplicity @ (c.real ** 2 + c.imag ** 2)))
 
 
 def interaction_matrix(grid: LatticeGrid, values: np.ndarray) -> np.ndarray:
@@ -352,14 +448,26 @@ def interaction_matrix(grid: LatticeGrid, values: np.ndarray) -> np.ndarray:
     return v[tuple(diff)]
 
 
+def _check_mirror_even(basis: FockBasis, values: np.ndarray, what: str) -> None:
+    """Reject site values that differ from their mirror image on the basis's
+    sites. The mirror-even block holds no other state, and it stands for the
+    sector of an even field: the Hartree flow sees all of v, the pair term
+    only its even part, so only an even v gives both one interaction."""
+    if not np.array_equal(values[basis.mirror], values, equal_nan=True):
+        raise DomainError(f"{what} differs from its mirror image, and the sector "
+                          f"holds only its mirror-even block")
+
+
 def assemble_hamiltonian(basis: FockBasis, v) -> np.ndarray:
     """The diagonal h of H (the kinetic N T_xx plus the pair term) of field v on
-    the basis's sector, as a float64 (dim,) array; H = basis.one_body + diag(h)."""
+    the basis's rows, as a float64 (dim,) array; H = basis.one_body + diag(h).
+    On a mirror-even block, v must equal its mirror image."""
     n = basis.n_particles
     # two grids with the same number of sites are not interchangeable
     if v.grid != basis.grid:
         raise DimensionError(f"the field lives on {v.grid}, not on {basis.grid}")
     values = np.asarray(v.values, dtype=np.float64).ravel()
+    _check_mirror_even(basis, values, "the field")
     occ = basis.occupations
     v_mat = interaction_matrix(basis.grid, values)
     pair = np.empty(len(occ))
@@ -370,11 +478,13 @@ def assemble_hamiltonian(basis: FockBasis, v) -> np.ndarray:
 
 def product_state_lift(phi: WaveFunction, basis: FockBasis) -> ManyBodyState:
     """Coefficients of the N-fold product state phi^(x)N in the occupation
-    basis, N being the basis's particle number."""
+    basis, N being the basis's particle number. On a mirror-even block, phi
+    must equal its mirror image, so that the block holds phi^(x)N."""
     if not (abs(phi.norm() - 1.0) <= NORM_TOL):
         raise DomainError(f"product lift requires a unit state, norm = {phi.norm()!r}")
     if phi.grid != basis.grid:
         raise DimensionError("state does not live on the basis grid")
+    _check_mirror_even(basis, phi.amplitudes, "the state")
     n = basis.n_particles
     u = phi.grid.cell_volume ** 0.5 * phi.amplitudes  # unit l2 vector
     occ = basis.occupations
@@ -552,10 +662,11 @@ def manybody_expectation(psi: ManyBodyState, factors) -> float:
 
 
 def energy_expectation(psi: ManyBodyState, h: np.ndarray) -> float:
-    """<Psi, H Psi> for H = one_body + diag(h)."""
+    """<Psi, H Psi> for H = one_body + diag(h), each row weighted by the size of
+    its orbit: H Psi is even as Psi is."""
     _check_diagonal(psi.basis, h)
     c = psi.coefficients
     hc = h * c
     hc.real += psi.basis.one_body @ c.real
     hc.imag += psi.basis.one_body @ c.imag
-    return float(np.vdot(c, hc).real)
+    return float(np.vdot(c, psi.basis.multiplicity * hc).real)

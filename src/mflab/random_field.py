@@ -132,10 +132,8 @@ def sample_field(spec: FieldSpec, seed: int, grid: LatticeGrid) -> RandomField:
                                               + b[:, None] * np.sin(ang))).sum(axis=0)
                 # (m, 1, ..., 1) broadcasts along `axis` of the grid's shape
                 vals = vals + axis_field.reshape((grid.m,) + (1,) * (grid.d - 1 - axis))
-        reflected = vals
-        for axis in range(grid.d):
-            reflected = np.flip(np.roll(reflected, -1, axis=axis), axis=axis)
-        values = (0.5 * (vals + reflected)).ravel()
+        vals = vals.ravel()
+        values = 0.5 * (vals + vals[grid.inversion()])
     if not np.all(np.isfinite(values)):
         raise DomainError(f"sampled field is not finite (max |v| = "
                           f"{float(np.max(np.abs(values)))!r})")

@@ -7,8 +7,9 @@ from mflab.ensemble import (EnsembleResult, ExperimentPlan, estimate,
                             run_ensemble, tail_diagnostic)
 from mflab.errors import ConsistencyError, DimensionError, DomainError, ResourceError
 from mflab.grid import (LatticeGrid, WaveFunction, gaussian_packet,
-                        lattice_dispersion)
+                        lattice_dispersion, normalize, plane_wave)
 from mflab.hartree import HartreeRunParams
+from mflab.manybody import build_fock_basis
 from mflab.observables import SpectralFactors, condensate_projector, site_multiplier
 from mflab.random_field import FieldSpec, mix_seed
 
@@ -183,6 +184,29 @@ def test_zero_observable_has_no_spectral_pairs_and_x_n_exactly_zero():
     result = run_ensemble(plan)
     assert np.array_equal(result.x_manybody, np.zeros((2, 2)))
     assert np.array_equal(result.x_hartree, np.zeros(2))
+
+
+def test_plan_mirrors_its_sectors_only_for_an_initial_state_even_bit_for_bit():
+    plan = _plan(FieldSpec())
+    assert np.array_equal(plan.mirror, GRID.inversion())
+    assert not plan.mirror.flags.writeable
+    for phi in (plane_wave(GRID), normalize(WaveFunction(GRID, PHI.amplitudes + 1e-9 * (
+            np.arange(GRID.n_sites) == 1)))):
+        odd = ExperimentPlan(grid=GRID, field_spec=FieldSpec(), initial_state=phi,
+                             observable=condensate_projector(phi), t_final=0.25,
+                             dt=0.25 / 128, particle_counts=(2, 3), samples=2,
+                             base_seed=1)
+        assert np.array_equal(odd.mirror, np.arange(GRID.n_sites))
+
+
+def test_a_run_on_mirror_even_blocks_matches_one_on_whole_sectors(monkeypatch):
+    plan = _plan(RANDOM_SPEC, counts=(2, 4, 6), samples=3)
+    blocks = run_ensemble(plan)
+    monkeypatch.setattr(mflab.ensemble, "build_fock_basis",
+                        lambda n, grid, p, mirror: build_fock_basis(n, grid, p))
+    whole = run_ensemble(plan)
+    assert np.array_equal(blocks.x_hartree, whole.x_hartree)
+    np.testing.assert_allclose(blocks.x_manybody, whole.x_manybody, rtol=0, atol=1e-14)
 
 
 def test_plan_rejects_an_initial_state_on_another_grid():

@@ -184,3 +184,14 @@ def test_normalize_rescales():
     g = LatticeGrid(1, 8, 8.0)
     psi = normalize(WaveFunction(g, np.arange(1, 9, dtype=complex)))
     assert abs(psi.norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("d, m", [(1, 8), (1, 5), (2, 4), (3, 3), (2, 2)])
+def test_inversion_is_the_reflection_x_to_minus_x(d, m):
+    g = LatticeGrid(d, m, float(m))
+    inv = g.inversion()
+    coords = np.indices(g.shape).reshape(d, -1)
+    assert np.array_equal(coords[:, inv], -coords % m)
+    assert np.array_equal(inv[inv], np.arange(g.n_sites))  # an involution
+    # on M = 2 every site is its own mirror image
+    assert np.array_equal(inv, np.arange(g.n_sites)) == (m == 2)

@@ -160,6 +160,53 @@ def test_basis_is_bitwise_the_sparse_product_construction(d, m, n, p):
     assert basis.one_body.nnz == (np.count_nonzero(t[0]) - 1) * a.nnz
 
 
+@pytest.mark.parametrize("d,m,n,p", [(1, 8, 6, 1), (2, 4, 4, 2), (1, 7, 5, 3)])
+def test_block_rows_are_the_representatives_and_their_orbit_sizes(d, m, n, p):
+    g = LatticeGrid(d, m, 0.7 * m)
+    full, block = build_fock_basis(n, g, p), build_fock_basis(n, g, p, g.inversion())
+    mirrored = _rank(full.occupations[:, g.inversion()], n)
+    rep = mirrored >= np.arange(len(full))
+    assert np.array_equal(block.occupations, full.occupations[rep])
+    assert np.array_equal(block.multiplicity, np.where(mirrored[rep] == np.flatnonzero(rep),
+                                                       1, 2))
+    assert block.multiplicity.sum() == len(full)  # every state is in one orbit
+    # the gather reads each state's representative, with the same weights
+    reps = np.flatnonzero(rep)
+    assert np.array_equal(reps[block.gather_idx], np.minimum(full.gather_idx,
+                                                             mirrored[full.gather_idx]))
+    assert np.array_equal(block.gather_wt, full.gather_wt)
+    # one_body's rows are the full rows of the representatives, columns folded
+    fold = scipy.sparse.csr_matrix(
+        (np.ones(len(full)), (np.arange(len(full)), np.searchsorted(
+            reps, np.minimum(np.arange(len(full)), mirrored)))), shape=(len(full), len(block)))
+    np.testing.assert_allclose(block.one_body.toarray(),
+                               (full.one_body[reps] @ fold).toarray(), rtol=0, atol=1e-14)
+    for arr in (block.mirror, block.multiplicity):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("mirror", [np.roll(np.arange(8), 1), np.arange(7),
+                                    np.array([1, 0, 2, 3, 4, 5, 6, 7])],
+                         ids=["translation", "short", "swap"])
+def test_basis_rejects_a_mirror_other_than_identity_or_inversion(mirror):
+    with pytest.raises(DomainError, match="identity or the grid's inversion"):
+        build_fock_basis(2, LatticeGrid(1, 8, 8.0), 1, mirror)
+
+
+def test_norm_and_energy_weight_each_row_by_its_orbit():
+    g = LatticeGrid(1, 8, 8.0)
+    full, block = build_fock_basis(4, g), build_fock_basis(4, g, 1, g.inversion())
+    phi = gaussian_packet(g)
+    v = _field(g, base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3), seed=5)
+    lifted = [product_state_lift(phi, b) for b in (full, block)]
+    # the block holds about half the coefficients, but weighs them to norm 1
+    assert np.linalg.norm(lifted[1].coefficients) < 0.9
+    assert abs(lifted[1].norm() - 1.0) < 1e-13
+    e_full, e_block = (energy_expectation(psi, assemble_hamiltonian(psi.basis, v))
+                       for psi in lifted)
+    assert abs(e_block - e_full) < 1e-13 * abs(e_full)
+
+
 def test_dimension_cap_enforced():
     g = LatticeGrid(1, 8, 8.0)
     with pytest.raises(ResourceError, match=r"N=30.*M=8"):
