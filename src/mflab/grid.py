@@ -32,9 +32,9 @@ class LatticeGrid:
             raise DomainError(f"sites per axis must be an integer >= 2, got {self.m}")
         if not (self.length > 0):
             raise DomainError(f"box length must be positive, got {self.length}")
-        # sites^p <= KERNEL_DIMENSION_CAP = 2^12 and M >= 2 give d*p <= 12, so for h in
-        # [2^-40, 2^40] every power formed is a normal double: h^{d/2} (U and X's row),
-        # 1/h^2, and for a dense kernel h^12 (cell_volume^p) and the h^24 that checks X
+        # for h in [2^-40, 2^40] every power formed is a normal double: h^{d/2} (the
+        # observable's columns and X's row), 1/h^2, and h^d (cell_volume) for a dense
+        # kernel, which is one-particle; no power grows with p
         if not (2.0 ** -40 <= self.h <= 2.0 ** 40):
             raise DomainError(f"box length {self.length!r} on {self.m} sites gives "
                               f"spacing h = {self.h!r}, outside [2^-40, 2^40]")

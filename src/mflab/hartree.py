@@ -8,8 +8,8 @@ per step. V leaves |psi|^2 as it is, so V(dt/2) V(dt/2) = V(dt): the closing
 half-step of one Strang step and the opening one of the next merge ("first
 same as last", McLachlan & Quispel, Acta Numerica 11, 2002), and `steps`
 Strang steps run as V(dt/2), `steps` x [K(dt), V(dt)], V(-dt/2), one
-mean-field evaluation per step. X is the quadratic form of the observable's
-SpectralFactors on the row conj(h^{d/2} psi)^(x)p, as X_N is on conj(w).
+mean-field evaluation per step. X reads the observable's SpectralFactors by
+one product of the row conj(h^{d/2} psi) with their one-particle columns.
 
 The flow is batched: the states of S fields are one (S, *grid.shape) complex
 array, transformed over the grid axes only, so one `hartree_step` call moves
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -120,11 +119,11 @@ def evolve_hartree_batch(phi: WaveFunction, fields: Sequence[RandomField],
 
 
 def hartree_expectation(psi: WaveFunction, factors) -> float:
-    """X = <psi^(x)p, a psi^(x)p> = sum_k mu_k |U_k^H (h^{d/2} psi)^(x)p|^2 from the
-    observable's SpectralFactors, which hold on the symmetric psi^(x)p."""
+    """X = <psi^(x)p, a psi^(x)p> = sum_k mu_k |<u_k, h^{d/2} psi>|^{2p} from the
+    observable's SpectralFactors: one (1, sites) @ (sites, r) product."""
     factors.check_grid(psi.grid)
     row = math.sqrt(psi.grid.cell_volume) * psi.amplitudes.conj()
-    return factors.quadratic_form([reduce(np.kron, [row] * factors.p).reshape(1, -1)])
+    return factors.weighted_squares([(row.reshape(1, -1) @ factors.u) ** factors.p])
 
 
 def hartree_energy(psi: WaveFunction, v: RandomField) -> float:

@@ -4,13 +4,13 @@ A FockBasis is one N-particle sector, built once and only read afterwards:
 the occupation vectors with total N in lexicographic order, where a vector's
 position is its rank in the combinatorial number system (Knuth, TAOCP 4A,
 7.2.1.3), and the field-independent operators its states are read through:
-the hopping CSR matrix one_body = sum_{x != y} T_{xy} adag_x a_y and the
-gather of order p below. Each sector is built on its own: the sectors N-p
-to N are enumerated directly, by one slice and one repeat per (site, total).
-Adding a particle at x changes a vector's rank by sums over one lookup
-table, so each of the p annihilators between them is written directly as a
-gather, (a_x Psi)[k] = wt[k, x] * Psi[idx[k, x]], and one_body from the top
-one, with no sparse products. The rest of H is diagonal in the occupation
+the hopping CSR matrix one_body = sum_{x != y} T_{xy} adag_x a_y and the p
+annihilator gathers below it. Each sector is built on its own: the sectors
+N-p to N are enumerated directly, by one slice and one repeat per (site,
+total). Adding a particle at x changes a vector's rank by sums over one
+lookup table, so each of the p annihilators between them is written directly
+as a gather, (a_x Psi)[k] = wt[k, x] * Psi[idx[k, x]], and one_body from the
+top one, with no sparse products. The rest of H is diagonal in the occupation
 basis: sum_x T_xx n_x = N T_xx, the same on every state, and the pair term
     (1/2N) sum_{x,y} v(x-y) adag_x adag_y a_y a_x = (occ V occ - v(0) N) / 2N,
 which reproduces (1/N) sum_{i<j} v(x_i - x_j) exactly, including same-site
@@ -30,13 +30,13 @@ J. Chem. Phys. 81, 3967, 1984) over an interval that provably holds the
 spectrum of H, from the hopping dispersion and min/max of h, truncated by a
 proven bound on its Bessel-coefficient tail; it draws no random numbers.
 H is real, so the recurrence runs one loop on real vectors for each of
-Re Psi_0 and Im Psi_0 that is not exactly zero. The p gathers compose to
-one, so w = a_{x_p}...a_{x_1} Psi is a gather, wt * Psi[idx], which the
-sector holds for the one order p its samples read, composed with the orbit
-index on a block, so it reads the whole Psi; X_N is N^-p sum_k mu_k
-||w conj(U_k)||^2, the quadratic form of the observable's SpectralFactors on
-the row blocks of conj(w), the form the Hartree X reads, without forming the
-reduced density matrix, which the same gather serves as an oracle.
+Re Psi_0 and Im Psi_0 that is not exactly zero. The sector holds the p
+gathers its samples read, the top one composed with the orbit index on a
+block, so it reads the whole Psi. The observable's SpectralFactors hold
+h^{dp} K = sum_k mu_k |u_k^(x)p><u_k^(x)p|, so X_N = N^-p sum_k mu_k
+||a(conj u_k)^p Psi||^2 with a(conj u) = sum_x conj(u_x) a_x: p contractions,
+each through one gather, with no sites^p array and without forming the
+reduced density matrix; the top gather gives the one-particle one.
 DIMENSION_CAP caps each sector and _MAX_RT the r*t that sets the degree, both
 checked for a plan's largest N first; ensemble checks that |X_N| <= ||a||.
 """
@@ -187,16 +187,19 @@ class FockBasis:
     sum_{x != y} T_{xy} adag_x a_y on those rows, with each column moved to
     its orbit, so a row may hold a column twice, or its own; with sorted rows
     and, on a whole sector, no diagonal entry (that is assemble_hamiltonian's).
-    The gather of order p gives w = a_{x_p}...a_{x_1} Psi = gather_wt *
-    c[gather_idx] for the block's coefficients c, the (dim(N-p), sites^p)
-    array that X_N and the RDM read (see _chain): the N-p sector is whole.
-    mirror is the site permutation (the identity or the grid's inversion) and
-    multiplicity the size of each row's orbit, 1 or 2, the weight of its
-    coefficient in the norm. All are built by build_fock_basis, from the
-    sectors N-p..N it enumerates and the p gathers of rank arithmetic between
-    them, each array written once. The spectral interval of propagation needs
-    no per-basis array: it comes from the lattice dispersion and N, and the
-    block's spectrum is part of the sector's. All arrays are read-only, so
+    gathers holds the p annihilator gathers (idx, wt) from the N sector down
+    to the N-p one, top first, each a C-contiguous (dim(n-1), sites) int32
+    index and float64 weight (see _add_particle); the top one reads the
+    block's coefficients c, (a_x Psi)[k] = wt[k, x] * c[idx[k, x]], and the
+    sectors below it are whole. X_N and the RDM read them, and p is their
+    count. mirror is the site permutation (the identity or the grid's
+    inversion) and multiplicity the size of each row's orbit, 1 or 2, the
+    weight of its coefficient in the norm. All are built by
+    build_fock_basis, from the sectors N-p..N it enumerates and the p gathers
+    of rank arithmetic between them, each array written once. The spectral
+    interval of propagation needs no per-basis array: it comes from the
+    lattice dispersion and N, and the block's spectrum is part of the
+    sector's. All arrays are read-only, so
     the one basis built per plan serves every sample and no sample can alter
     it for the next.
     """
@@ -205,14 +208,16 @@ class FockBasis:
     grid: LatticeGrid
     occupations: np.ndarray
     one_body: scipy.sparse.csr_matrix
-    p: int
-    gather_idx: np.ndarray
-    gather_wt: np.ndarray
+    gathers: tuple[tuple[np.ndarray, np.ndarray], ...]
     mirror: np.ndarray
     multiplicity: np.ndarray
 
     def __len__(self) -> int:
         return self.occupations.shape[0]
+
+    @property
+    def p(self) -> int:
+        return len(self.gathers)
 
 
 def _blocks(length: int) -> list[slice]:
@@ -308,33 +313,6 @@ def check_propagation(n: int, grid: LatticeGrid, t: float) -> None:
                             f"for every field, beyond the cap {_MAX_RT}")
 
 
-def _chain(gathers: tuple[tuple[np.ndarray, np.ndarray], ...],
-           rows: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices and weights of w = a_{x_p}...a_{x_1} Psi on rows `rows` of
-    the N-p sector, for the annihilator gathers (idx, wt) of the build's last
-    p = len(gathers) steps, the top one first.
-
-    Row m, column X = (x_1..x_p) in row-major order of w is (a_{x_p}...a_{x_1}
-    Psi)[m]. Each gather has one entry per (row, site), so w is Psi[idx] times
-    the weights f_1, ..., f_p of a_{x_1} (the top one), ..., a_{x_p}: the
-    gathers of a_{x_p}..a_{x_2} are followed up to the N-1 sector, then that
-    of a_{x_1} up to Psi. f_k has one column per (x_k..x_p), as it does not
-    depend on x_1..x_{k-1}, and multiplies every block of that many columns of
-    f_1 in the order of k.
-    """
-    pos = np.arange(len(gathers[-1][0]))[rows, None]
-    x, factors = np.arange(gathers[-1][0].shape[1])[:, None], []
-    for idx, wt in reversed(gathers):
-        # column x * (columns so far) + c: x_k leads the columns of x_{k+1}..x_p
-        factors.append(wt[pos[:, None, :], x].reshape(len(pos), -1))
-        pos = idx[pos[:, None, :], x].reshape(len(pos), -1)
-    wt = factors.pop()
-    for f in reversed(factors):
-        by_block = wt.reshape(len(wt), -1, f.shape[1])
-        by_block *= f[:, None, :]
-    return pos, wt
-
-
 def _orbits(base: np.ndarray, gathers: tuple[tuple[np.ndarray, np.ndarray], ...],
             mirror: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The orbits {i, Pi} of the N sector under the site permutation mirror, P,
@@ -374,20 +352,17 @@ def _site_mirror(mirror, grid: LatticeGrid) -> np.ndarray:
 
 
 def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1, mirror=None) -> FockBasis:
-    """The mirror-even block of the N-particle sector with its gather of order p.
+    """The mirror-even block of the N-particle sector with its p gathers.
 
     The sectors N-p..N are enumerated directly (_enumerate), so no sector
     below N-p is built, and each of the last p steps is one _add_particle
-    gather between two of them. Those gathers are locals: one_body is built
-    from the top one and the gather of order p from all p, and then the
-    others are dropped. The block keeps each state i with rank(i) <= rank(Pi),
-    its orbit's representative (see _orbits), and the top gather is composed
-    with the orbit index, so w reads the whole Psi. For p = 1 the sector's
-    gather is the top one. For p >= 2 it is composed block by block into an
-    index (the gathers' int32) and one float64 weight per (row, X): 12 bytes
-    per entry, 12 * dim(N-p) * sites^p in all (1.26 MiB for p = 2, 8 sites,
-    N = 8). mirror, P, is the identity by default, which keeps the whole
-    sector, or the grid's inversion (_site_mirror).
+    gather between two of them, kept as it is: 12 * sites * dim(n-1) bytes
+    for the step to n (0.57 MiB for all four of p = 4, 8 sites, N = 8).
+    one_body is built from the top one. The block keeps each state i with
+    rank(i) <= rank(Pi), its orbit's representative (see _orbits), and the
+    top gather is composed with the orbit index, so it reads the whole Psi.
+    mirror, P, is the identity by default, which keeps the whole sector, or
+    the grid's inversion (_site_mirror).
     """
     if not 1 <= p <= n:
         raise DomainError(f"need 1 <= p <= N, got p={p}, N={n}")
@@ -400,22 +375,14 @@ def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1, mirror=None) -> Fock
         gathers = (_add_particle(occ, particles),) + gathers
         lower, occ = occ, _enumerate(particles, sites)
     rep, orbit, multiplicity = _orbits(base, gathers, mirror, n)
-    # composes the top gather with orbit, so every gather below reads the block
+    # composes the top gather with orbit, so it reads the block
     one_body = _one_body(*gathers[0], lower, kinetic_matrix(grid), orbit, rep)
-    if p == 1:
-        idx, wt = gathers[0]
-    else:
-        shape = (len(gathers[-1][0]), sites ** p)
-        idx, wt = np.empty(shape, dtype=gathers[0][0].dtype), np.empty(shape)
-        for rows in _blocks(shape[0]):
-            idx[rows], wt[rows] = _chain(gathers, rows)
     occ = occ[rep]
-    for arr in (occ, one_body.data, one_body.indices, one_body.indptr, idx, wt,
-                mirror, multiplicity):
+    for arr in (occ, one_body.data, one_body.indices, one_body.indptr, mirror,
+                multiplicity, *sum(gathers, ())):
         arr.setflags(write=False)
     return FockBasis(n_particles=n, grid=grid, occupations=occ, one_body=one_body,
-                     p=p, gather_idx=idx, gather_wt=wt, mirror=mirror,
-                     multiplicity=multiplicity)
+                     gathers=gathers, mirror=mirror, multiplicity=multiplicity)
 
 
 @dataclass
@@ -621,44 +588,55 @@ def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodySta
 
 # --- reduced density matrices and expectations ----------------------------
 
-def _gathered(basis: FockBasis, coefficients: np.ndarray):
-    """The row blocks of w = gather_wt * coefficients[gather_idx] on the sector."""
-    for rows in _blocks(len(basis.gather_idx)):
-        w = np.take(coefficients, basis.gather_idx[rows])
-        w *= basis.gather_wt[rows]
+def _gathered(idx: np.ndarray, wt: np.ndarray, c: np.ndarray):
+    """The row blocks of w = wt * c[idx], w[k, x] = (a_x Psi)[k] for the gather
+    (idx, wt) and the coefficients c of Psi."""
+    for rows in _blocks(len(idx)):
+        w = np.take(c, idx[rows])
+        w *= wt[rows]
         yield w
 
 
-def reduced_density_matrix(psi: ManyBodyState) -> np.ndarray:
-    """Trace-one p-particle reduced density matrix as a kernel on lattice^p, p
-    being the order of the gather of psi's sector.
+def _lowered(blocks, idx: np.ndarray, wt: np.ndarray, u: np.ndarray):
+    """The row blocks of z'[m, k] = sum_x wt[m, x] z[idx[m, x], k] u[x, k], the step
+    of the gather (idx, wt) on the columns of z, from the row blocks of z; z is
+    held whole, as idx reads it at random."""
+    z = np.concatenate(list(blocks))
+    for rows in _blocks(len(idx)):
+        yield np.einsum("mxk,mx,xk->mk", z[idx[rows]], wt[rows], u)
 
-    The oracle of manybody_expectation: raw[X, Y] = <a_Y Psi, a_X Psi> = (w^T
-    conj(w))[X, Y] for w from the same gather, summed block by block.
+
+def reduced_density_matrix(psi: ManyBodyState) -> np.ndarray:
+    """Trace-one one-particle reduced density matrix as a kernel on the lattice,
+    from the top gather of psi's sector, whatever its order p.
+
+    gamma[x, y] = <a_y Psi, a_x Psi> / (N h^d), the raw Gram (w^T conj(w))[x, y]
+    summed block by block.
     """
-    n, p = psi.basis.n_particles, psi.basis.p
-    raw = sum(w.T @ w.conj() for w in _gathered(psi.basis, psi.coefficients))
-    scale = math.exp(math.lgamma(n - p + 1) - math.lgamma(n + 1))
-    return (scale / psi.basis.grid.cell_volume ** p) * raw
+    basis = psi.basis
+    raw = sum(w.T @ w.conj() for w in _gathered(*basis.gathers[0], psi.coefficients))
+    return (1.0 / (basis.n_particles * basis.grid.cell_volume)) * raw
 
 
 def manybody_expectation(psi: ManyBodyState, factors) -> float:
-    """X_N = N!/(N^p (N-p)!) Tr(a gamma^(p)) from the gather of psi's sector
+    """X_N = N!/(N^p (N-p)!) Tr(a gamma^(p)) from the p gathers of psi's sector
     and the observable's SpectralFactors, which must be of the sector's order p.
 
-    Each row w_m of w = a_{x_p}...a_{x_1} Psi is symmetric in X, so with
-    h^{dp} K = sum_k mu_k U_k U_k^H on that subspace,
-    Tr(a gamma^(p)) = (N-p)!/N! sum_m <w_m, h^{dp} K w_m>, and
-    X_N = N^-p sum_k mu_k ||w conj(U_k)||^2, the factors' quadratic form on the
-    row blocks of conj(w); a plan checks |X_N| <= ||a||.
+    With h^{dp} K = sum_k mu_k |u_k^(x)p><u_k^(x)p|, X_N = N^-p sum_k mu_k
+    ||a(conj u_k)^p Psi||^2, a(conj u) = sum_x conj(u_x) a_x. The column k of
+    z_j = conj(a(conj u_k)^j Psi) is one contraction through the j-th gather:
+    z_1 = conj(w) u, w from the top gather, in row blocks, and each lower step
+    is _lowered, which holds z_{j-1} whole; a plan checks |X_N| <= ||a||.
     """
     basis = psi.basis
     factors.check_grid(basis.grid)
     if factors.p != basis.p:
         raise DimensionError(f"the factors are of order p={factors.p}, the state's "
                              f"sector gathers order p={basis.p}")
-    return (factors.quadratic_form(_gathered(basis, psi.coefficients.conj()))
-            / basis.n_particles ** basis.p)
+    z = (w @ factors.u for w in _gathered(*basis.gathers[0], psi.coefficients.conj()))
+    for idx, wt in basis.gathers[1:]:
+        z = _lowered(z, idx, wt, factors.u)
+    return factors.weighted_squares(z) / basis.n_particles ** basis.p
 
 
 def energy_expectation(psi: ManyBodyState, h: np.ndarray) -> float:

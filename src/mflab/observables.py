@@ -1,24 +1,27 @@
-"""p-particle observables a, held as SpectralFactors on bosonic states.
+"""p-particle observables a, held as SpectralFactors of one-particle columns.
 
-mflab sees a only on bosonic states, where h^{dp} K = sum_k mu_k U_k U_k^H: X and X_N =
-Tr(a gamma) are the factors' quadratic_form, and the norm is max|mu|. The stock
-observables give them in closed form; spectral_factors finds them by one eigensolve
-for a PObservable, a dense kernel K with (a phi)(X) = h^{dp} sum_Y K(X;Y) phi(Y), and
-is unchanged if K is averaged over the permutations of its p coordinate blocks.
+mflab sees a only on bosonic states, where it holds h^{dp} K = sum_k mu_k
+|u_k^(x)p><u_k^(x)p|, each u_k one column over the sites: X and X_N read the
+columns through one product or one gather a step (hartree_expectation,
+manybody_expectation), and the norm is max|mu|, the columns being orthonormal in
+every factor mflab builds. The stock observables are sums of tensor powers and give
+their factors in closed form; spectral_factors finds them by one eigensolve for a
+one-particle PObservable, a dense Hermitian kernel K with (a phi)(x) = h^d sum_y
+K(x;y) phi(y). A PObservable of p >= 2, on sites^p x sites^p, is read only on bosonic
+states, so averaging it over the permutations of its p coordinate blocks changes no
+result; mflab does not factor it, and tests use it as the dense oracle.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DimensionError, DomainError, ResourceError
 from .grid import NORM_TOL, LatticeGrid, WaveFunction, separable_profile
 
-# sites^p: the rows of U and of the p >= 2 gather, and a 256 MiB dense complex kernel
+# sites^p: the rows of a dense p-particle kernel, 256 MiB complex at the cap; it bounds p
 KERNEL_DIMENSION_CAP = 4096
 
 
@@ -52,8 +55,8 @@ class PObservable:
 
 @dataclass(frozen=True, eq=False)
 class SpectralFactors:
-    """h^{dp} K = sum_k mu_k U_k U_k^H on the symmetric p-particle subspace over grid:
-    p >= 1, and mu of shape (r,) and u of shape (sites^p, r), which it sets read-only."""
+    """h^{dp} K = sum_k mu_k |u_k^(x)p><u_k^(x)p| on the p-particle states over grid:
+    p >= 1, and mu of shape (r,) and u of shape (sites, r), which it sets read-only."""
 
     mu: np.ndarray
     u: np.ndarray
@@ -63,9 +66,9 @@ class SpectralFactors:
     def __post_init__(self):
         if self.p < 1:
             raise DomainError(f"observable particle count must be >= 1, got {self.p}")
-        if self.mu.ndim != 1 or self.u.shape != (self.grid.n_sites ** self.p, len(self.mu)):
+        if self.mu.ndim != 1 or self.u.shape != (self.grid.n_sites, len(self.mu)):
             raise DimensionError(f"factors of shapes {self.mu.shape} and {self.u.shape} "
-                                 f"do not fit {self.grid.n_sites}^{self.p} rows")
+                                 f"do not fit {self.grid.n_sites} rows")
         self.mu.setflags(write=False)
         self.u.setflags(write=False)
 
@@ -73,12 +76,11 @@ class SpectralFactors:
         if grid != self.grid:
             raise DimensionError(f"the factors hold on {self.grid}, the state on {grid}")
 
-    def quadratic_form(self, conj_blocks: Iterable[np.ndarray]) -> float:
-        """sum_m <w_m, a w_m> = sum_k mu_k sum_m |(conj(w) U)[m, k]|^2 for symmetric rows
-        w_m: one product per row block of conj(w), squares summed without BLAS."""
+    def weighted_squares(self, blocks: Iterable[np.ndarray]) -> float:
+        """sum_k mu_k sum_m |z[m, k]|^2 over the row blocks of z, one column per pair:
+        squares summed without BLAS."""
         sums = np.zeros(len(self.mu))
-        for b in conj_blocks:
-            z = b @ self.u
+        for z in blocks:
             sums += np.einsum("mk,mk->k", z.real, z.real)
             sums += np.einsum("mk,mk->k", z.imag, z.imag)
         return float(np.einsum("k,k->", self.mu, sums))
@@ -91,25 +93,16 @@ def _significant(mu: np.ndarray) -> np.ndarray:
 
 
 def spectral_factors(a: PObservable, grid: LatticeGrid) -> SpectralFactors:
-    """The SpectralFactors of a on grid: one Hermitian eigensolve on the symmetric subspace.
-
-    The subspace has an orthonormal basis Q with one normalized indicator column per
-    orbit of the block permutations (Q is the identity for p = 1), so the eigenpairs
-    (mu_k, V_k) of the Hermitian Q^T (h^{dp} K) Q give h^{dp} K = sum_k mu_k U_k U_k^H
-    on that subspace, with U = Q V. The orbit of X = (x_1..x_p) is keyed by its sorted
-    multi-index, and Q is sparse, so the product costs O(sites^{2p}).
-    """
+    """The SpectralFactors of a one-particle a on grid: the eigenpairs (mu_k, u_k) of the
+    Hermitian h^d K past the numerical rank cut, one eigh. A p >= 2 kernel is refused
+    with a DomainError: its eigenvectors are not tensor powers of columns."""
     if len(a.kernel) != grid.n_sites ** a.p:
         raise DimensionError(f"the kernel has {len(a.kernel)} rows, not {grid.n_sites}^{a.p}")
-    shape = (grid.n_sites,) * a.p
-    key = np.ravel_multi_index(np.sort(np.indices(shape).reshape(a.p, -1), axis=0), shape)
-    _, orbit, size = np.unique(key, return_inverse=True, return_counts=True)
-    # one entry a row: Q[X, orbit of X] = 1/sqrt(orbit size)
-    q = scipy.sparse.csr_array((1.0 / np.sqrt(size[orbit]), orbit, np.arange(key.size + 1)))
-    b = q.T @ ((grid.cell_volume ** a.p) * a.kernel) @ q
-    mu, v = np.linalg.eigh(b)
+    if a.p != 1:
+        raise DomainError(f"spectral_factors takes a one-particle kernel, got p={a.p}")
+    mu, v = np.linalg.eigh(grid.cell_volume * a.kernel)
     keep = _significant(mu)
-    return SpectralFactors(mu[keep], (q @ v)[:, keep], grid, a.p)
+    return SpectralFactors(mu[keep], v[:, keep], grid, 1)
 
 
 def check_kernel_dimension(p: int, sites: int) -> None:
@@ -124,19 +117,18 @@ def check_kernel_dimension(p: int, sites: int) -> None:
 
 def condensate_projector(phi: WaveFunction, p: int = 1) -> SpectralFactors:
     """p-fold tensor power of the rank-one projector |phi><phi| of a unit phi:
-    h^{dp} K = U U^H with U = (h^{d/2} phi)^(x)p, one unit symmetric column, so mu = (1,)."""
+    h^{dp} K = |u^(x)p><u^(x)p| for the one unit column u = h^{d/2} phi, so mu = (1,)."""
     check_kernel_dimension(p, phi.grid.n_sites)
     if not (abs(phi.norm() - 1.0) <= NORM_TOL):
         raise DomainError(f"condensate projector requires a unit state, norm = {phi.norm()!r}")
-    # for p < 1 the product is empty, the start 1.0, and SpectralFactors rejects p
-    u = reduce(np.kron, [phi.grid.cell_volume ** 0.5 * phi.amplitudes] * max(p, 0), 1.0)
-    return SpectralFactors(np.ones(1), np.reshape(u, (-1, 1)), phi.grid, p)
+    u = phi.grid.cell_volume ** 0.5 * phi.amplitudes
+    return SpectralFactors(np.ones(1), u.reshape(-1, 1), phi.grid, p)
 
 
 def site_multiplier(grid: LatticeGrid, amplitude: float = 1.0,
                     mode: int = 1) -> SpectralFactors:
     """One-particle multiplication by the smooth f = A*cos(2 pi mode x / L), for d > 1 the
-    product of the axis profiles: h^d K = diag(f), so mu = f and U holds identity columns,
+    product of the axis profiles: h^d K = diag(f), so mu = f and u holds identity columns,
     written only for the sites that pass the rank cut."""
     check_kernel_dimension(1, grid.n_sites)
     x = grid.axis_coordinates()

@@ -18,6 +18,7 @@ from mflab.manybody import (ManyBodyState, _rank, assemble_hamiltonian,
                             product_state_lift)
 from mflab.observables import PObservable, condensate_projector, spectral_factors
 from mflab.random_field import FieldSpec, sample_field
+from oracles import random_tensor_factors, tensor_power_kernel
 
 
 GRID = LatticeGrid(1, 8, 8.0)
@@ -186,14 +187,19 @@ def test_criterion_5_oracle_equivalence():
                 vv[(x - y) % GRID.m] * rho[y] for y in range(GRID.m))
         assert np.max(np.abs(convolve(GRID, vv, rho) - direct)) < 1e-10
 
-        # (c) brute-force lifted operator vs RDM route, N = 3, M = 3, p = 1, 2
+        # (c) brute-force lifted operator vs the gather route, N = 3, M = 3,
+        # p = 1 from a random kernel, p = 2 from random tensor-power factors
         g3 = LatticeGrid(1, 3, 3.0)
         n3 = 3
         for p in (1, 2):
             b3 = build_fock_basis(n3, g3, p)
-            raw = (rng.standard_normal((3 ** p, 3 ** p))
-                   + 1j * rng.standard_normal((3 ** p, 3 ** p)))
-            a = PObservable(p, raw + raw.conj().T)
+            if p == 1:
+                raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                a = PObservable(1, raw + raw.conj().T)
+                factors = spectral_factors(a, g3)
+            else:
+                factors = random_tensor_factors(g3, p, rng)
+                a = tensor_power_kernel(factors)
             a_l2 = g3.cell_volume ** p * a.kernel
             ps = _symmetrizer(n3, 3)
             lifted = math.perm(n3, p) / n3 ** p * ps @ np.kron(
@@ -204,7 +210,7 @@ def test_criterion_5_oracle_equivalence():
                 c /= np.linalg.norm(c)
                 full = _occupation_to_full(c, b3, 3)
                 oracle = np.vdot(full, lifted @ full).real
-                got = manybody_expectation(ManyBodyState(b3, c), spectral_factors(a, g3))
+                got = manybody_expectation(ManyBodyState(b3, c), factors)
                 assert abs(got - oracle) < 1e-10
 
         # (d) second- vs first-quantized Hamiltonian, N = 2, M = 3

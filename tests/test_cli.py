@@ -416,8 +416,8 @@ def _child_env():
 
 def test_main_rejects_an_oversized_kernel_before_allocating_it(tmp_path):
     # 16 sites and p = 4 pass every other check (Fock dimension 3,876), but
-    # the kernel would be 65,536 x 65,536 (64 GiB). The run is a child with a
-    # 2 GiB address space, so a missing check ends in a MemoryError there.
+    # sites^p = 65,536 is above the kernel cap, which bounds p: a dense kernel
+    # would be 64 GiB. The run is a child with a 2 GiB address space.
     cfg = _write(tmp_path, "dimension = 2\nsites = 4\nbox_length = 8.0\n"
                            "particle_counts = 4\nsamples = 1\nobservable.p = 4\n")
     out = tmp_path / "cli-out"
@@ -453,11 +453,13 @@ def test_main_rejects_a_sample_count_beyond_the_memory_cap(tmp_path):
 
 @pytest.mark.parametrize("config", ["configs/site_multiplier.cfg",
                                     "perfbench/workloads/long_time.cfg",
-                                    "configs/wide_p2.cfg"], ids=["p1", "p2", "p2-64"])
+                                    "configs/wide_p2.cfg", "configs/condensate_p4.cfg"],
+                         ids=["p1", "p2", "p2-64", "p4"])
 def test_outputs_are_byte_identical_at_one_and_two_blas_threads(tmp_path, config):
     # a 101-site observable with 101 spectral pairs, a p = 2 observable whose
-    # X_N was once a BLAS Gram that two threads summed in another order, and a
-    # 64-site p = 2 projector whose factors were once an eigh that threads split
+    # X_N was once a BLAS Gram that two threads summed in another order, a
+    # 64-site p = 2 projector whose factors were once an eigh that threads
+    # split, and a p = 4 projector, whose X_N takes four gather steps
     cfg = Path(__file__).resolve().parents[1] / config
     for threads in ("1", "2"):
         subprocess.run([sys.executable, "-m", "mflab.cli", "--config", str(cfg),

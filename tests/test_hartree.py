@@ -7,7 +7,8 @@ from mflab.grid import (LatticeGrid, WaveFunction, convolve, gaussian_packet,
 from mflab.hartree import (HartreeRunParams, evolve_hartree_batch,
                            field_spectra, hartree_energy, hartree_expectation,
                            hartree_step, potential_phase)
-from mflab.observables import PObservable, condensate_projector, spectral_factors
+from mflab.observables import (PObservable, SpectralFactors, condensate_projector,
+                               spectral_factors)
 from mflab.random_field import FieldSpec, sample_field
 
 
@@ -196,14 +197,12 @@ def test_expectation_projector_on_orthogonal_state():
 
 def test_expectation_product_kernel_factorizes():
     rng = np.random.default_rng(0)
-    psi = normalize(WaveFunction(GRID, rng.standard_normal(8)
-                                 + 1j * rng.standard_normal(8)))
-    raw = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    b = raw + raw.conj().T
-    a2 = PObservable(2, np.kron(b, b))
-    one_body = PObservable(1, b)
-    x1 = hartree_expectation(psi, spectral_factors(one_body, GRID))
-    x2 = hartree_expectation(psi, spectral_factors(a2, GRID))
+    psi, phi = (normalize(WaveFunction(GRID, rng.standard_normal(8)
+                                       + 1j * rng.standard_normal(8))) for _ in range(2))
+    # the p = 2 projector's kernel is b (x) b for the one-particle b = |phi><phi|
+    b = np.outer(phi.amplitudes, phi.amplitudes.conj())
+    x1 = hartree_expectation(psi, spectral_factors(PObservable(1, b), GRID))
+    x2 = hartree_expectation(psi, condensate_projector(phi, 2))
     # direct double sum over the p=2 kernel
     vec = np.kron(psi.amplitudes, psi.amplitudes)
     direct = GRID.cell_volume ** 4 * np.vdot(vec, np.kron(b, b) @ vec).real
@@ -232,7 +231,7 @@ def test_expectation_rejects_factors_of_another_grid():
 
 
 @pytest.mark.parametrize("factor_grid,p,state_grid", [
-    (LatticeGrid(1, 4, 4.0), 2, LatticeGrid(1, 16, 16.0)),  # 4^2 rows, as 16 sites have
+    (LatticeGrid(2, 4, 8.0), 2, LatticeGrid(1, 16, 16.0)),  # 16 rows, as 16 sites have
     (GRID, 1, LatticeGrid(1, 8, 2.0)),  # the same 8 sites, another h
 ])
 def test_expectation_rejects_factors_with_the_rows_of_another_grid(factor_grid, p,
@@ -244,8 +243,10 @@ def test_expectation_rejects_factors_with_the_rows_of_another_grid(factor_grid, 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_zero_observable_has_x_exactly_zero(p):
-    a = PObservable(p, np.zeros((8 ** p,) * 2))
-    assert hartree_expectation(gaussian_packet(GRID), spectral_factors(a, GRID)) == 0.0
+    zero = spectral_factors(PObservable(1, np.zeros((8, 8))), GRID)
+    assert zero.mu.shape == (0,)  # no pair passes the rank cut
+    factors = SpectralFactors(zero.mu, zero.u, GRID, p)
+    assert hartree_expectation(gaussian_packet(GRID), factors) == 0.0
 
 
 def test_non_self_adjoint_kernel_rejected():

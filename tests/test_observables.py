@@ -14,6 +14,7 @@ from mflab.manybody import (ManyBodyState, build_fock_basis, manybody_expectatio
                             product_state_lift)
 from mflab.observables import (PObservable, SpectralFactors, condensate_projector,
                                site_multiplier, spectral_factors)
+from oracles import tensor_power_kernel, x_n_oracle, x_oracle
 
 
 def _projector_kernel(phi, p):
@@ -54,9 +55,18 @@ def test_spectral_factors_reject_a_kernel_of_another_site_count(p, m, message):
 
 def test_spectral_factors_carry_their_grid_and_order():
     g = LatticeGrid(1, 4, 3.0)
-    factors = spectral_factors(PObservable(2, _projector_kernel(gaussian_packet(g), 2)), g)
-    assert (factors.grid, factors.p) == (g, 2)
-    assert factors.mu.shape == (1,) and factors.u.shape == (16, 1)
+    factors = spectral_factors(PObservable(1, _projector_kernel(gaussian_packet(g), 1)), g)
+    assert (factors.grid, factors.p) == (g, 1)
+    assert factors.mu.shape == (1,) and factors.u.shape == (4, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_spectral_factors_take_a_one_particle_kernel_only(p):
+    # the eigenvectors of a p >= 2 kernel are not tensor powers of site columns
+    g = LatticeGrid(1, 4, 3.0)
+    with pytest.raises(DomainError, match=rf"^spectral_factors takes a one-particle kernel, "
+                                          rf"got p={p}$"):
+        spectral_factors(PObservable(p, _projector_kernel(gaussian_packet(g), p)), g)
 
 
 @pytest.mark.parametrize("p", [0, -1])
@@ -104,38 +114,42 @@ def _symmetric_basis_p2(sites):
     return np.array(cols).T
 
 
+def _orthonormal_columns(rng, sites, r):
+    q, _ = np.linalg.qr(rng.standard_normal((sites, r)) + 1j * rng.standard_normal((sites, r)))
+    return q
+
+
 def test_operator_norm_p2_matches_dense_eigensolver():
+    # factors of orthonormal columns, as every factor mflab builds has: their norm
+    # max|mu| is that of the dense kernel on the symmetric subspace
     rng = np.random.default_rng(5)
     g = LatticeGrid(1, 4, 4.0)
-    raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    factors = SpectralFactors(np.array([0.7, -1.3, 0.4]), _orthonormal_columns(rng, 4, 3), g, 2)
     # a large eigenvalue on an antisymmetric vector, which the restriction
     # must not see
     anti = np.zeros(16)
     anti[0 * 4 + 1], anti[1 * 4 + 0] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-    herm = raw + raw.conj().T + 100.0 * np.outer(anti, anti)
-    a = PObservable(2, herm)
+    b = g.cell_volume ** 2 * tensor_power_kernel(factors).kernel + 100.0 * np.outer(anti, anti)
     basis = _symmetric_basis_p2(4)
     assert basis.shape == (16, 10)  # 10-dimensional symmetric subspace
-    b = g.cell_volume ** 2 * a.kernel
     restricted = basis.T @ b @ basis
     dense = float(np.max(np.abs(np.linalg.eigvalsh(restricted))))
-    assert np.abs(spectral_factors(a, g).mu).max() == pytest.approx(dense, rel=1e-8)
+    assert np.abs(factors.mu).max() == pytest.approx(dense, rel=1e-12)
 
 
 def test_operator_norm_p3_matches_combinations_basis():
-    # orthonormal symmetric basis from multisets of sites, independent of the
-    # orbit construction in spectral_factors
+    # orthonormal symmetric basis from multisets of sites
     rng = np.random.default_rng(17)
     sites, p = 3, 3
     g = LatticeGrid(1, sites, 2.0)
-    raw = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
+    factors = SpectralFactors(np.array([-2.1, 0.9]), _orthonormal_columns(rng, sites, 2), g, p)
     # a large eigenvalue on the antisymmetric vector, which the restriction
     # must not see
     anti = np.zeros(27)
     for perm in itertools.permutations(range(p)):
         sign = np.linalg.det(np.eye(p)[list(perm)])
         anti[np.ravel_multi_index(perm, (sites,) * p)] = sign / math.sqrt(6)
-    a = PObservable(p, raw + raw.conj().T + 100.0 * np.outer(anti, anti))
+    b = g.cell_volume ** p * tensor_power_kernel(factors).kernel + 100.0 * np.outer(anti, anti)
     cols = []
     for combo in itertools.combinations_with_replacement(range(sites), p):
         perms = set(itertools.permutations(combo))
@@ -145,9 +159,8 @@ def test_operator_norm_p3_matches_combinations_basis():
         cols.append(e)
     q = np.array(cols).T
     assert q.shape == (27, 10)
-    restricted = q.T @ (g.cell_volume ** p * a.kernel) @ q
-    dense = float(np.max(np.abs(np.linalg.eigvalsh(restricted))))
-    assert np.abs(spectral_factors(a, g).mu).max() == pytest.approx(dense, rel=1e-12)
+    dense = float(np.max(np.abs(np.linalg.eigvalsh(q.T @ b @ q))))
+    assert np.abs(factors.mu).max() == pytest.approx(dense, rel=1e-12)
 
 
 def test_operator_norm_near_degenerate_site_multiplier():
@@ -155,25 +168,6 @@ def test_operator_norm_near_degenerate_site_multiplier():
     # the norm must still come out exactly
     g = LatticeGrid(1, 101, 101.0)
     assert np.abs(site_multiplier(g).mu).max() == pytest.approx(1.0, abs=1e-14)
-
-
-def test_operator_norm_invariant_under_resymmetrization():
-    rng = np.random.default_rng(13)
-    g = LatticeGrid(1, 4, 2.0)
-    raw = rng.standard_normal((16, 16))
-    # a large eigenvalue on an antisymmetric vector: swapping the blocks
-    # keeps it, and the restriction must not see it
-    anti = np.zeros(16)
-    anti[1 * 4 + 2], anti[2 * 4 + 1] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-    a = PObservable(2, raw + raw.T + 100.0 * np.outer(anti, anti))
-    swap = np.arange(16).reshape(4, 4).T.ravel()  # (x_1, x_2) -> (x_2, x_1)
-    a2 = PObservable(2, a.kernel[np.ix_(swap, swap)])
-    assert np.max(np.abs(a2.kernel - a.kernel)) > 0.1
-    basis = _symmetric_basis_p2(4)
-    restricted = basis.T @ (g.cell_volume ** 2 * a.kernel) @ basis
-    dense = float(np.max(np.abs(np.linalg.eigvalsh(restricted))))
-    assert np.abs(spectral_factors(a, g).mu).max() == pytest.approx(dense, rel=1e-8)
-    assert np.abs(spectral_factors(a2, g).mu).max() == pytest.approx(dense, rel=1e-8)
 
 
 def _block_symmetrized(kernel, p, sites):
@@ -190,14 +184,18 @@ def _block_symmetrized(kernel, p, sites):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_results_invariant_under_block_symmetrization(p):
-    # kernels are kept as given: X, X_N and the norm see a kernel only on
-    # bosonic states, so they must not change when it is block-symmetrized
+    # a kernel is seen only on bosonic states: adding H - sym(H) to the factors'
+    # kernel K, for a Hermitian H and its block-symmetrization sym(H), leaves its
+    # restriction there as it is, so X and X_N of the factors must be the dense
+    # traces of K + H - sym(H), and of its block-symmetrization, alike
     rng = np.random.default_rng(50 + p)
     sites, n = 4, 4
     g = LatticeGrid(1, sites, 3.0)
     raw = (rng.standard_normal((sites ** p,) * 2)
            + 1j * rng.standard_normal((sites ** p,) * 2))
-    kernel = raw + raw.conj().T
+    factors = SpectralFactors(np.array([0.8, -0.5]), _orthonormal_columns(rng, sites, 2), g, p)
+    kernel = tensor_power_kernel(factors).kernel + raw + raw.conj().T
+    kernel -= _block_symmetrized(raw + raw.conj().T, p, sites)
     sym = _block_symmetrized(kernel, p, sites)
     assert np.max(np.abs(kernel - sym)) > 0.1
     phi = normalize(WaveFunction(g, rng.standard_normal(sites)
@@ -206,21 +204,22 @@ def test_results_invariant_under_block_symmetrization(p):
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     states = (ManyBodyState(basis, coeffs / np.linalg.norm(coeffs)),
               product_state_lift(phi, basis))
-    given, symmetrized = (
-        [hartree_expectation(phi, factors),
-         *(manybody_expectation(psi, factors) for psi in states),
-         np.abs(factors.mu).max()]
-        for factors in (spectral_factors(PObservable(p, k), g) for k in (kernel, sym)))
-    assert given == pytest.approx(symmetrized, abs=1e-12)
+    got = [hartree_expectation(phi, factors),
+           *(manybody_expectation(psi, factors) for psi in states)]
+    for k in (kernel, sym):
+        a = PObservable(p, k)
+        oracle = [x_oracle(phi, a), *(x_n_oracle(psi, a) for psi in states)]
+        assert got == pytest.approx(oracle, abs=1e-12)
 
 
 def test_condensate_projector_tensor_power():
     g = LatticeGrid(1, 4, 4.0)
     phi = plane_wave(g, 1)
     a = condensate_projector(phi, p=2)
+    assert a.u.shape == (4, 1)  # one column of the sites, not of sites^p
     u = phi.amplitudes
     expected = np.kron(np.outer(u, u.conj()), np.outer(u, u.conj()))
-    assert np.max(np.abs((a.u * a.mu) @ a.u.conj().T / g.cell_volume ** 2 - expected)) < 1e-12
+    assert np.max(np.abs(tensor_power_kernel(a).kernel - expected)) < 1e-12
 
 
 def test_site_multiplier_norm_is_max_abs():
@@ -262,20 +261,24 @@ def test_closed_form_factors_match_the_eigensolve_of_the_dense_kernel(d, m, kind
 
     if kind == "projector":
         phi = random_unit_state()
-        closed, kernel = condensate_projector(phi, p), _projector_kernel(phi, p)
+        closed, a = condensate_projector(phi, p), PObservable(p, _projector_kernel(phi, p))
     else:
-        closed, kernel = site_multiplier(g, 1.5, 1), _multiplier_kernel(g, 1.5, 1)
-    dense = spectral_factors(PObservable(p, kernel), g)
-    assert np.abs(closed.mu).max() == pytest.approx(np.abs(dense.mu).max(), abs=1e-14)
+        closed, a = site_multiplier(g, 1.5, 1), PObservable(1, _multiplier_kernel(g, 1.5, 1))
+    dense_norm = np.abs(np.linalg.eigvalsh(g.cell_volume ** p * a.kernel)).max()
+    assert np.abs(closed.mu).max() == pytest.approx(dense_norm, abs=1e-14)
+    if p == 1:
+        assert np.abs(spectral_factors(a, g).mu).max() == pytest.approx(dense_norm, abs=1e-14)
     psi = random_unit_state()
-    x, x_dense = (hartree_expectation(psi, factors) for factors in (closed, dense))
-    assert x == pytest.approx(x_dense, abs=1e-14)
+    assert hartree_expectation(psi, closed) == pytest.approx(x_oracle(psi, a), abs=1e-14)
     basis = build_fock_basis(p + 2, g, p)
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     for state in (ManyBodyState(basis, coeffs / np.linalg.norm(coeffs)),
                   product_state_lift(psi, basis)):
-        x_n, x_n_dense = (manybody_expectation(state, factors) for factors in (closed, dense))
-        assert x_n == pytest.approx(x_n_dense, abs=1e-14)
+        x_n = manybody_expectation(state, closed)
+        assert x_n == pytest.approx(x_n_oracle(state, a), abs=1e-14)
+        if p == 1:
+            assert x_n == pytest.approx(manybody_expectation(state, spectral_factors(a, g)),
+                                        abs=1e-14)
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0, 1.0 + 1e-9])
@@ -290,15 +293,15 @@ def test_condensate_projector_rejects_a_state_that_is_not_a_unit_vector(scale):
 
 def test_spectral_factors_check_their_layout_and_hold_read_only_arrays():
     g = LatticeGrid(1, 4, 4.0)
-    factors = SpectralFactors(np.ones(2), np.zeros((16, 2)), g, 2)
+    factors = SpectralFactors(np.ones(2), np.zeros((4, 2)), g, 2)
     stock = (condensate_projector(gaussian_packet(g), 2), site_multiplier(g))
     for arr in (factors.mu, factors.u, *(f.mu for f in stock), *(f.u for f in stock)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 5.0
     with pytest.raises(DomainError, match=r"^observable particle count must be >= 1, got 0$"):
         SpectralFactors(np.ones(1), np.zeros((1, 1)), g, 0)
-    for mu, u, p in [(np.ones(2), np.zeros((4, 2)), 2), (np.ones(2), np.zeros((16, 3)), 2),
+    # 16 rows, the sites^p of p = 2, are not the 4 sites of one column
+    for mu, u, p in [(np.ones(2), np.zeros((16, 2)), 2), (np.ones(2), np.zeros((4, 3)), 2),
                      (np.ones((2, 1)), np.zeros((4, 2)), 1), (np.ones(1), np.zeros(4), 1)]:
-        with pytest.raises(DimensionError, match=rf"^factors of shapes .* do not fit 4\^{p} "
-                                                 r"rows$"):
+        with pytest.raises(DimensionError, match=r"^factors of shapes .* do not fit 4 rows$"):
             SpectralFactors(mu, u, g, p)
