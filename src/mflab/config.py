@@ -12,9 +12,9 @@ DomainError of the type that owns a value rule to a ConfigError in one place:
     sigma_k >= 0                            random_field.FieldSpec      DomainError
     K < M/2 modes, 0 <= base_seed < 2^64    ensemble.ExperimentPlan     DomainError
     p >= 1                                  observables.SpectralFactors DomainError
-    t_final, dt, N's, samples               ensemble.ExperimentPlan     DomainError
+    t_final, dt, N's, samples, N^p range    ensemble.ExperimentPlan     DomainError
     beta > 0                                ensemble.check_beta         DomainError
-    dimension, r*t and sample memory caps   ensemble.ExperimentPlan     ResourceError
+    bytes a plan builds (MEMORY_CAP), r*t   ensemble.check_memory, Plan ResourceError
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, DomainError
-from .ensemble import ExperimentPlan, check_beta
+from .ensemble import ExperimentPlan, check_beta, check_memory
 from .grid import LatticeGrid, WaveFunction, gaussian_packet, plane_wave, \
     uniform_state
 from .observables import SpectralFactors, condensate_projector, site_multiplier
@@ -161,12 +161,14 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None
         field_spec = FieldSpec(base=cfg["field.base"],
                                gaussian_mean=_get_float(cfg, "field.gaussian_mean"),
                                mode_stddevs=_float_list(cfg, "field.sigmas"))
+        counts, samples = _int_list(cfg, "particle_counts"), _get_int(cfg, "samples")
+        # a lower bound, before any per-site array; the plan checks it in full
+        check_memory(grid, counts, _get_int(cfg, "observable.p"), samples, True, 0)
         phi = _build_initial_state(cfg, grid)
         plan = ExperimentPlan(
             grid=grid, field_spec=field_spec, initial_state=phi,
             observable=_build_observable(cfg, phi), t_final=t_final, dt=dt,
-            particle_counts=_int_list(cfg, "particle_counts"),
-            samples=_get_int(cfg, "samples"), base_seed=_get_int(cfg, "base_seed"),
+            particle_counts=counts, samples=samples, base_seed=_get_int(cfg, "base_seed"),
         )
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc

@@ -7,10 +7,10 @@ with low variance. A run is one sequential pipeline: build each N's sector,
 run one batched Hartree flow over every field, then the many-body work of
 each sample in order. Each field is seeded from (base_seed, sample_index), so
 a sample's values do not depend on which other samples run with it.
-The plan checks its largest sector against the dimension and propagation caps
-and its samples against SAMPLE_MEMORY_CAP, holds the observable as its spectral
-factors and derives their norm max|mu|, the roundoff slack, the Hartree time
-grid and the site mirror of its sectors once, at construction: the inversion
+The plan checks the bytes its shapes take against MEMORY_CAP (check_memory)
+and its largest sector against the propagation cap, holds the observable as its
+spectral factors and derives their norm max|mu|, the roundoff slack, the Hartree
+time grid and the site mirror of its sectors once, at construction: the inversion
 x -> -x when the initial state is even bit for bit, so that each sector is
 built, lifted and propagated as its mirror-even block, about half its states.
 run_ensemble bounds |X| and |X_N| by norm + slack.
@@ -29,23 +29,66 @@ from .errors import (ConsistencyError, DimensionError, DomainError, MFLabError,
                      ResourceError)
 from .grid import NORM_TOL, LatticeGrid, WaveFunction
 from .hartree import HartreeRunParams, evolve_hartree_batch, hartree_expectation
-from .manybody import (assemble_hamiltonian, build_fock_basis, check_fock_dimension,
+from .manybody import (_BLOCK_ROWS, assemble_hamiltonian, build_fock_basis,
                        check_propagation, evolve_manybody, manybody_expectation,
                        product_state_lift)
 from .observables import SpectralFactors
 from .random_field import FieldSpec, check_mode_count, mix_seed, sample_field
 
-# bytes that run_ensemble may hold along its sample axis, like DIMENSION_CAP a
-# module constant and not a parameter
-SAMPLE_MEMORY_CAP = 2 ** 30
+# the bytes a plan may build and hold, a module constant and not a parameter
+MEMORY_CAP = 2 ** 30
+
+
+def check_memory(grid: LatticeGrid, counts, p: int, samples: int, halved: bool,
+                 columns: int) -> float:
+    """The bytes a plan of these shapes builds and holds, summed from named terms
+    read from the code; past MEMORY_CAP, a ResourceError with the total and the
+    largest term. halved: each sector is its mirror-even block, about half its
+    states; columns: the observable's r. True and 0 give a lower bound, and
+    shapes a plan refuses are read as the nearest it accepts, for it to name."""
+    def states(n, sites):  # fock_dimension from lgamma: it may have millions of digits
+        log = math.lgamma(n + sites) - math.lgamma(n + 1) - math.lgamma(sites) if n >= 0 else -1e9
+        return math.exp(min(log, 709))
+    big = 2 ** 62  # one shape at 2^62 passes the cap; below it every term is a float
+    counts = sorted({min(n, big) for n in counts if n >= 1}) or [1]
+    p, s, top = min(max(p, 1), counts[0]), min(grid.n_sites, big), counts[-1]
+    share, deg = (0.5 if halved else 1), (2 * grid.d if grid.m > 2 else grid.d)
+    dim, below, occ = states(top, s), states(top - 1, s), s * np.min_scalar_type(top).itemsize
+    rows = min(_BLOCK_ROWS, below)
+    # building the top N beyond what it keeps (the sector and its copy in _enumerate,
+    # or the orbits and _one_body's row blocks), then one sample (V, assemble's row
+    # block, h, the Chebyshev vectors, X_N's row block and lower steps for p >= 2)
+    build = dim * occ + max(dim * occ, 48 * dim + 40 * rows * s)
+    sample = (16 * s * (s + min(_BLOCK_ROWS, share * dim)) + 96 * share * dim + 24 * rows * s
+              + 16 * columns * (rows + (p > 1) * (2 * below + rows * s)))
+    terms = {
+        # per N: 5 KiB of objects, occupations, orbit sizes, indptr, lifted state,
+        # the hopping CSR (12 B per neighbour of each (k, x) of the top gather)
+        # and the p gathers (12 B per site of each state of N-p..N-1)
+        "the sectors": sum(
+            5120 + share * states(n, s) * (s * np.min_scalar_type(n).itemsize + 21)
+            + 12 * s * (share * deg * states(n - 1, s) + states(n - 1, s + 1)
+                        - states(n - p - 1, s + 1)) for n in counts),
+        f"building N={top}" if build > sample else "one sample's many-body work":
+            max(build, sample),
+        # a seed, a field, a Hartree row (105-118 B per site measured), X and X_N's
+        "the samples": min(max(samples, 1), big) * (1032 + 128 * s + 8 * len(counts)),
+        "the observable and the plan": 16 * s * columns + 16384,
+    }
+    total = sum(terms.values())
+    if total > MEMORY_CAP:
+        name = max(terms, key=terms.get)
+        raise ResourceError(f"the plan would hold about {total / 2 ** 30:.3g} GiB, above the cap "
+                            f"of {MEMORY_CAP / 2 ** 30:g} GiB; the largest term is {name}, "
+                            f"{terms[name] / 2 ** 30:.3g} GiB")
+    return total
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One experiment from a unit state, K < M/2 modes and an integer base_seed in
-    [0, 2^64), whose largest Fock sector fits the dimension cap and propagates to
-    t_final, whose samples fit SAMPLE_MEMORY_CAP, whose observable's factors hold on
-    its grid and whose statistics stay finite; its init=False fields are derived once."""
+    """One experiment from a unit state, K < M/2 modes and a base_seed in [0, 2^64),
+    within MEMORY_CAP and the r*t cap, whose factors hold on its grid and whose
+    statistics and N^p stay finite; its init=False fields are derived once."""
 
     grid: LatticeGrid
     field_spec: FieldSpec
@@ -85,28 +128,22 @@ class ExperimentPlan:
         if self.observable.p > counts[0]:
             raise DomainError(f"observable.p = {self.observable.p} exceeds the "
                               f"smallest particle count {counts[0]}")
-        check_fock_dimension(counts[-1], self.grid)
-        check_propagation(counts[-1], self.grid, self.t_final)
+        if self.observable.p * math.log2(counts[-1]) >= 1000:  # X_N divides by N^p
+            raise DomainError(f"N^p = {counts[-1]}^{self.observable.p} is beyond 2^1000")
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
-        # a sample holds its seed and field, its row of the batched Hartree flow
-        # (the state, the field's spectrum and the FFT temporaries: 105-118 bytes
-        # per site measured) and its X and X_N's
-        held = self.samples * (1024 + 128 * self.grid.n_sites + 8 * (len(counts) + 1))
-        if held > SAMPLE_MEMORY_CAP:
-            raise ResourceError(
-                f"{self.samples} samples would hold about {held / 2 ** 30:.3g} GiB of seeds, "
-                f"fields, Hartree states and results, above the cap of "
-                f"{SAMPLE_MEMORY_CAP // 2 ** 30} GiB")
         if self.initial_state.grid != self.grid:
             raise DimensionError("the initial state and the plan live on different grids")
         if not (abs(self.initial_state.norm() - 1.0) <= NORM_TOL):
             raise DomainError(f"initial state norm {self.initial_state.norm()!r} is not 1")
+        inversion, amps = self.grid.inversion(), self.initial_state.amplitudes
+        even = np.array_equal(amps[inversion], amps)
+        check_memory(self.grid, counts, self.observable.p, self.samples,
+                     even and self.grid.m > 2, len(self.observable.mu))
+        check_propagation(counts[-1], self.grid, self.t_final)
         object.__setattr__(self, "particle_counts", counts)
         object.__setattr__(self, "base_seed", int(seed))
         object.__setattr__(self, "hartree_params", HartreeRunParams(self.t_final, self.dt))
-        inversion, amps = self.grid.inversion(), self.initial_state.amplitudes
-        even = np.array_equal(amps[inversion], amps)
         mirror = inversion if even else np.arange(self.grid.n_sites)
         mirror.setflags(write=False)
         object.__setattr__(self, "mirror", mirror)

@@ -18,7 +18,7 @@ class DomainError(MFLabError):
 
 
 class ResourceError(MFLabError):
-    """A configured resource limit (e.g. basis dimension cap) was exceeded."""
+    """A resource limit (MEMORY_CAP, the r*t cap, int32 indices) was exceeded."""
 
 
 class ConsistencyError(MFLabError):

@@ -37,8 +37,8 @@ h^{dp} K = sum_k mu_k |u_k^(x)p><u_k^(x)p|, so X_N = N^-p sum_k mu_k
 ||a(conj u_k)^p Psi||^2 with a(conj u) = sum_x conj(u_x) a_x: p contractions,
 each through one gather, with no sites^p array and without forming the
 reduced density matrix; the top gather gives the one-particle one.
-DIMENSION_CAP caps each sector and _MAX_RT the r*t that sets the degree, both
-checked for a plan's largest N first; ensemble checks that |X_N| <= ||a||.
+_MAX_RT caps the r*t that sets the degree, checked for a plan's largest N
+first; ensemble bounds the bytes of each plan and checks that |X_N| <= ||a||.
 """
 from __future__ import annotations
 
@@ -51,7 +51,6 @@ import scipy.sparse
 from .errors import DimensionError, DomainError, ResourceError
 from .grid import NORM_TOL, LatticeGrid, WaveFunction, lattice_dispersion
 
-DIMENSION_CAP = 200_000
 # r*t at most 1e4 allows Chebyshev degree 13,623 (long_time needs at most 153)
 _MAX_RT = 1e4
 
@@ -133,7 +132,7 @@ def _add_particle(occ: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     shift = fock_dimension(n, sites) - sub_dim
     rise = np.diff(_later(sites, n), axis=1)
     j = np.arange(sites - 1)
-    # int32: every rank is below dim, which DIMENSION_CAP keeps far below 2^31
+    # int32: every rank is below dim, which build_fock_basis keeps below 2^31
     idx = np.empty((sub_dim, sites), dtype=np.int32)
     wt = np.empty((sub_dim, sites))
     for rows in _blocks(sub_dim):
@@ -260,7 +259,7 @@ def _one_body(idx: np.ndarray, wt: np.ndarray, lower_occ: np.ndarray,
     amp = t.data[off].reshape(sites, deg).T.copy()
     step = (nbr - np.arange(sites)[:, None]).T.copy()
     # row i holds deg entries per occupied site, and each is one (k, x); int32
-    # indices: under DIMENSION_CAP, nnz is at most 4,439,610 (d=3, M=3, N=5)
+    # indices: nnz <= deg * sites * dim(N-1), which build_fock_basis keeps below 2^31
     indptr = np.zeros(np.count_nonzero(rep) + 1, dtype=np.int32)
     np.cumsum(deg * np.bincount(idx.ravel())[rep], out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
@@ -292,16 +291,6 @@ def _one_body(idx: np.ndarray, wt: np.ndarray, lower_occ: np.ndarray,
     one_body = scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
     one_body.sort_indices()
     return one_body
-
-
-def check_fock_dimension(n: int, grid: LatticeGrid) -> None:
-    """Fail with a ResourceError if the N-particle sector exceeds DIMENSION_CAP."""
-    dim = fock_dimension(n, grid.n_sites)
-    if dim > DIMENSION_CAP:
-        raise ResourceError(
-            f"Fock sector for N={n}, M={grid.m} (d={grid.d}) has dimension {dim}, "
-            f"exceeding the cap {DIMENSION_CAP}"
-        )
 
 
 def check_propagation(n: int, grid: LatticeGrid, t: float) -> None:
@@ -362,12 +351,17 @@ def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1, mirror=None) -> Fock
     rank(i) <= rank(Pi), its orbit's representative (see _orbits), and the
     top gather is composed with the orbit index, so it reads the whole Psi.
     mirror, P, is the identity by default, which keeps the whole sector, or
-    the grid's inversion (_site_mirror).
+    the grid's inversion (_site_mirror). A sector whose int32 ranks and CSR
+    indices could not hold 2d * sites * dim(n-1), the bound on its hopping
+    entries, is refused with a ResourceError before it is enumerated.
     """
     if not 1 <= p <= n:
         raise DomainError(f"need 1 <= p <= N, got p={p}, N={n}")
-    check_fock_dimension(n, grid)
     sites = grid.n_sites
+    entries = 2 * grid.d * sites * fock_dimension(n - 1, sites)
+    if entries >= 2 ** 31:
+        raise ResourceError(f"the N={n} sector on {sites} sites needs {entries:,} "
+                            f"int32 hopping indices, beyond 2^31")
     mirror = _site_mirror(mirror, grid)
     base = occ = _enumerate(n - p, sites)
     gathers = ()
@@ -408,11 +402,15 @@ class ManyBodyState:
 
 
 def interaction_matrix(grid: LatticeGrid, values: np.ndarray) -> np.ndarray:
-    """V[x, y] = v(x - y) with periodic differences per axis."""
-    v = np.asarray(values).reshape(grid.shape)
-    coords = np.indices(grid.shape).reshape(grid.d, -1)  # (d, s)
-    diff = (coords[:, :, None] - coords[:, None, :]) % grid.m  # (d, s, s)
-    return v[tuple(diff)]
+    """V[x, y] = v(x - y), periodic per axis, through one flat (sites, sites) index
+    built axis by axis from the (M, M) table of (i - j) mod M: one temporary."""
+    index = np.zeros((grid.n_sites,) * 2, dtype=np.intp)
+    table = np.subtract.outer(np.arange(grid.m), np.arange(grid.m)) % grid.m
+    for axis in range(grid.d):
+        coord = np.arange(grid.n_sites) // grid.m ** (grid.d - 1 - axis) % grid.m
+        index *= grid.m
+        index += table[coord[:, None], coord]
+    return np.asarray(values).reshape(grid.n_sites)[index]
 
 
 def _check_mirror_even(basis: FockBasis, values: np.ndarray, what: str) -> None:

@@ -18,11 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ResourceError
+from .errors import DimensionError, DomainError
 from .grid import NORM_TOL, LatticeGrid, WaveFunction, separable_profile
-
-# sites^p: the rows of a dense p-particle kernel, 256 MiB complex at the cap; it bounds p
-KERNEL_DIMENSION_CAP = 4096
 
 
 @dataclass
@@ -105,20 +102,11 @@ def spectral_factors(a: PObservable, grid: LatticeGrid) -> SpectralFactors:
     return SpectralFactors(mu[keep], v[:, keep], grid, 1)
 
 
-def check_kernel_dimension(p: int, sites: int) -> None:
-    """ResourceError if sites^p > KERNEL_DIMENSION_CAP; the stock observables call it first."""
-    # p is clamped: sites >= 2 passes the cap by p = 13, and sites**-10**400 overflows
-    if sites ** min(max(p, 0), KERNEL_DIMENSION_CAP.bit_length()) > KERNEL_DIMENSION_CAP:
-        raise ResourceError(f"a {p}-particle kernel needs sites^p = {sites}^{p} rows, "
-                            f"above the cap of {KERNEL_DIMENSION_CAP:,}")
-
-
 # --- stock observables ----------------------------------------------------
 
 def condensate_projector(phi: WaveFunction, p: int = 1) -> SpectralFactors:
     """p-fold tensor power of the rank-one projector |phi><phi| of a unit phi:
     h^{dp} K = |u^(x)p><u^(x)p| for the one unit column u = h^{d/2} phi, so mu = (1,)."""
-    check_kernel_dimension(p, phi.grid.n_sites)
     if not (abs(phi.norm() - 1.0) <= NORM_TOL):
         raise DomainError(f"condensate projector requires a unit state, norm = {phi.norm()!r}")
     u = phi.grid.cell_volume ** 0.5 * phi.amplitudes
@@ -130,7 +118,6 @@ def site_multiplier(grid: LatticeGrid, amplitude: float = 1.0,
     """One-particle multiplication by the smooth f = A*cos(2 pi mode x / L), for d > 1 the
     product of the axis profiles: h^d K = diag(f), so mu = f and u holds identity columns,
     written only for the sites that pass the rank cut."""
-    check_kernel_dimension(1, grid.n_sites)
     x = grid.axis_coordinates()
     f = amplitude * separable_profile(grid, np.cos(2.0 * np.pi * mode * x / grid.length))
     keep_sites = np.flatnonzero(_significant(f))

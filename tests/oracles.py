@@ -58,6 +58,15 @@ def composed_rdm(psi):
     return (1.0 / (math.perm(n, p) * basis.grid.cell_volume ** p)) * raw
 
 
+def interaction_matrix_oracle(grid, values):
+    """V[x, y] = v(x - y) from the (d, sites, sites) array of periodic coordinate
+    differences, indexing v on the grid's shape."""
+    v = np.asarray(values).reshape(grid.shape)
+    coords = np.indices(grid.shape).reshape(grid.d, -1)
+    diff = (coords[:, :, None] - coords[:, None, :]) % grid.m
+    return v[tuple(diff)]
+
+
 def tensor_power_kernel(factors):
     """The dense PObservable of factors: K = h^{-dp} sum_k mu_k |u_k^(x)p><u_k^(x)p|."""
     u = factors.u

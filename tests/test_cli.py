@@ -323,8 +323,9 @@ def test_time_grid_is_checked_by_the_plan(tmp_path, line, message):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("particle_counts = 2,30", "Fock sector for N=30, M=8 (d=1) has dimension "
-                               "10295472, exceeding the cap 200000"),
+    # the N = 30 block and its gathers, counted before the initial state is built
+    ("particle_counts = 2,30", "the plan would hold about 2.17 GiB, above the cap of "
+                               "1 GiB; the largest term is the sectors, 1.63 GiB"),
     ("init.width = 0", "cannot normalize a state of norm nan"),
     # r >= N (max - min of the dispersion) / 2 = 12 at N = 6 for every field
     ("t_final = 2000.0", "propagation of N=6 to t = 2000.0 needs r*t >= 24000.0 "
@@ -397,7 +398,7 @@ def test_main_rejects_observable_order_above_smallest_count(tmp_path, capsys):
     assert not out.exists()
 
 
-# -10**400 overflows a float, so the kernel cap must not form sites**p for it
+# -10**400 overflows a float, so the memory rule must not form a power of it
 @pytest.mark.parametrize("p", [0, -1, -10 ** 400], ids=["0", "-1", "-10**400"])
 def test_main_rejects_an_observable_order_below_one(tmp_path, capsys, p):
     cfg = _write(tmp_path, MINIMAL + f"observable.p = {p}\n")
@@ -414,41 +415,48 @@ def _child_env():
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
-def test_main_rejects_an_oversized_kernel_before_allocating_it(tmp_path):
-    # 16 sites and p = 4 pass every other check (Fock dimension 3,876), but
-    # sites^p = 65,536 is above the kernel cap, which bounds p: a dense kernel
-    # would be 64 GiB. The run is a child with a 2 GiB address space.
-    cfg = _write(tmp_path, "dimension = 2\nsites = 4\nbox_length = 8.0\n"
-                           "particle_counts = 4\nsamples = 1\nobservable.p = 4\n")
-    out = tmp_path / "cli-out"
+def _run_child(tmp_path, cfg, *flags):
+    """mflab on cfg in a child with a 2 GiB address space and one BLAS thread, so
+    that a missing memory check ends in a MemoryError there, not in a stall."""
     limit = 2 ** 31
-    done = subprocess.run(
-        [sys.executable, "-m", "mflab.cli", "--config", str(cfg), "--out-dir", str(out)],
+    return subprocess.run(
+        [sys.executable, "-m", "mflab.cli", "--config", str(cfg), *flags,
+         "--out-dir", str(tmp_path / "cli-out")],
         env=dict(_child_env(), OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
+def test_main_rejects_a_huge_grid_before_allocating_it(tmp_path):
+    # 10^15 sites: its initial state alone would take 14.2 PiB, and no sector,
+    # sample or per-site array is made before the plan is refused
+    done = _run_child(tmp_path, _write(tmp_path, "dimension = 3\nsites = 100000\n"))
     assert done.returncode == 2, done.stderr
-    assert done.stderr.splitlines() == [
-        "error: a 4-particle kernel needs sites^p = 16^4 rows, above the cap of 4,096"]
-    assert not out.exists()
+    assert len(done.stderr.splitlines()) == 1
+    assert re.match(r"^error: the plan would hold about \S+ GiB, above the cap of 1 GiB; "
+                    r"the largest term is building N=6, \S+ GiB$", done.stderr)
+    assert not (tmp_path / "cli-out").exists()
+
+
+def test_main_runs_a_four_particle_observable_on_sixteen_sites(tmp_path):
+    # sites^p = 65,536 rows, which no array has: the four gathers of the N = 4
+    # sector and one column of 16 sites are all an observable of order 4 holds
+    cfg = _write(tmp_path, "dimension = 2\nsites = 4\nbox_length = 8.0\n"
+                           "particle_counts = 4\nsamples = 1\nobservable.p = 4\n")
+    done = _run_child(tmp_path, cfg)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "cli-out" / "config.resolved").exists()
 
 
 def test_main_rejects_a_sample_count_beyond_the_memory_cap(tmp_path):
-    # 10^12 seeds alone would take 44 TB. The run is a child with a 2 GiB
-    # address space, so a missing cap ends in a MemoryError there, with the
-    # output directory already made.
+    # 10^12 seeds alone would take 44 TB; the check runs before the output
+    # directory is made
     cfg = Path(__file__).resolve().parents[1] / "configs" / "convergence.cfg"
-    out = tmp_path / "cli-out"
-    limit = 2 ** 31
-    done = subprocess.run(
-        [sys.executable, "-m", "mflab.cli", "--config", str(cfg),
-         "--samples", "1000000000000", "--out-dir", str(out)],
-        env=dict(_child_env(), OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    done = _run_child(tmp_path, cfg, "--samples", "1000000000000")
     assert done.returncode == 2, done.stderr
     assert done.stderr.splitlines() == [
-        "error: 1000000000000 samples would hold about 1.94e+06 GiB of seeds, fields, "
-        "Hartree states and results, above the cap of 1 GiB"]
-    assert not out.exists()
+        "error: the plan would hold about 1.94e+06 GiB, above the cap of 1 GiB; the "
+        "largest term is the samples, 1.94e+06 GiB"]
+    assert not (tmp_path / "cli-out").exists()
 
 
 @pytest.mark.parametrize("config", ["configs/site_multiplier.cfg",

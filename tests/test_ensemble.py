@@ -1,13 +1,18 @@
+import gc
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import mflab.ensemble
 import mflab.hartree
-from mflab.ensemble import (EnsembleResult, ExperimentPlan, estimate,
-                            run_ensemble, tail_diagnostic)
+from mflab.config import parse_config
+from mflab.ensemble import (MEMORY_CAP, EnsembleResult, ExperimentPlan, check_memory,
+                            estimate, run_ensemble, tail_diagnostic)
 from mflab.errors import ConsistencyError, DimensionError, DomainError, ResourceError
 from mflab.grid import (LatticeGrid, WaveFunction, gaussian_packet,
-                        lattice_dispersion, normalize, plane_wave)
+                        lattice_dispersion, normalize, plane_wave, uniform_state)
 from mflab.hartree import HartreeRunParams
 from mflab.manybody import build_fock_basis
 from mflab.observables import SpectralFactors, condensate_projector, site_multiplier
@@ -66,12 +71,17 @@ def test_sample_seeds_derive_from_base_seed():
         assert result.seeds[i] == mix_seed(plan.base_seed, i)
 
 
+# the N = 30 block holds 41 MB of occupations and 801 MB of gathers
+OVER_CAP_SECTORS = (r"^the plan would hold about 2\.1\d GiB, above the cap of 1 GiB; "
+                    r"the largest term is the sectors, 1\.6\d GiB$")
+
+
 def test_over_cap_sector_fails_before_any_hartree_work(monkeypatch):
     def no_hartree(*args, **kwargs):
         raise AssertionError("Hartree ran before the sectors were built")
 
     monkeypatch.setattr(mflab.ensemble, "evolve_hartree_batch", no_hartree)
-    with pytest.raises(ResourceError, match=r"N=30, M=8 \(d=1\)"):
+    with pytest.raises(ResourceError, match=OVER_CAP_SECTORS):
         _plan(RANDOM_SPEC, counts=(2, 30))  # N=30 on 8 sites: dim 10,295,472
     # the patched name is the one run_ensemble calls, so the check above bites
     with pytest.raises(AssertionError, match="Hartree ran"):
@@ -87,7 +97,7 @@ def test_over_cap_sector_fails_before_any_sector_is_built(monkeypatch):
         return build(n, *args, **kwargs)
 
     monkeypatch.setattr(mflab.ensemble, "build_fock_basis", recording_build)
-    with pytest.raises(ResourceError, match=r"N=30, M=8 \(d=1\)"):
+    with pytest.raises(ResourceError, match=OVER_CAP_SECTORS):
         _plan(RANDOM_SPEC, counts=(2, 3, 30))
     assert built == []
     # the patched name is the one run_ensemble calls, once per N
@@ -96,20 +106,82 @@ def test_over_cap_sector_fails_before_any_sector_is_built(monkeypatch):
 
 
 def test_plan_caps_the_memory_its_samples_hold(monkeypatch):
-    # 8 sites and 2 N's: 1024 + 128 * 8 + 8 * (2 + 1) = 2,072 bytes a sample
-    fits = mflab.ensemble.SAMPLE_MEMORY_CAP // 2_072
+    # 8 sites and 2 N's: 1032 + 128 * 8 + 8 * 2 = 2,072 bytes a sample
+    one = check_memory(GRID, (2, 3), 1, 1, True, 1)
+    assert check_memory(GRID, (2, 3), 1, 2, True, 1) - one == 2_072
+    fits = int((MEMORY_CAP - one) // 2_072) + 1
     assert _plan(RANDOM_SPEC, samples=fits).samples == fits
 
     def no_check(*args, **kwargs):
-        raise AssertionError("the observable was read before the sample cap")
+        raise AssertionError("the observable was read before the memory cap")
 
     monkeypatch.setattr(SpectralFactors, "check_grid", no_check)
-    with pytest.raises(ResourceError, match=r"^1000000000000 samples would hold about "
-                                            r"1\.93e\+06 GiB of seeds, fields, Hartree "
-                                            r"states and results, above the cap of 1 GiB$"):
+    with pytest.raises(ResourceError, match=r"^the plan would hold about 1\.93e\+06 GiB, "
+                                            r"above the cap of 1 GiB; the largest term is "
+                                            r"the samples, 1\.93e\+06 GiB$"):
         _plan(RANDOM_SPEC, samples=10 ** 12)
-    with pytest.raises(ResourceError, match=f"^{fits + 1} samples"):
+    with pytest.raises(ResourceError, match="the largest term is the samples"):
         _plan(RANDOM_SPEC, samples=fits + 1)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("perfbench/workloads/*.cfg"))
+# sectors up to 170,544 states, p = 2 and p = 4, and the N = 16 block on 8 sites
+SHAPES = {
+    "d1-m64-n3": "dimension = 1\nsites = 64\nparticle_counts = 3",
+    "d3-m3-n5": "dimension = 3\nsites = 3\nparticle_counts = 5",
+    "d1-m16-n7-p2": "dimension = 1\nsites = 16\nparticle_counts = 7\nobservable.p = 2",
+    "d1-m8-n14-p2": "dimension = 1\nsites = 8\nparticle_counts = 14\nobservable.p = 2",
+    "d2-m4-n4-p4": "dimension = 2\nsites = 4\nparticle_counts = 4\nobservable.p = 4",
+    "d1-m8-n16": "dimension = 1\nsites = 8\nparticle_counts = 16",
+}
+
+
+@pytest.mark.parametrize("config", [*SHIPPED, *SHAPES.values()],
+                         ids=[f"{c.parent.name}/{c.stem}" for c in SHIPPED] + list(SHAPES))
+def test_memory_estimate_is_within_twice_the_measured_peak(tmp_path, config):
+    # the peak from before parse_config to the return of run_ensemble
+    if isinstance(config, str):
+        (tmp_path / "shape.cfg").write_text(config + "\nsamples = 2\nt_final = 0.05\n")
+        config = tmp_path / "shape.cfg"
+    run_ensemble(parse_config(SHIPPED[-1])[0])  # first-call allocations are not the plan's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        plan = parse_config(config)[0]
+        run_ensemble(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    halved = not np.array_equal(plan.mirror, np.arange(plan.grid.n_sites))
+    estimate = check_memory(plan.grid, plan.particle_counts, plan.observable.p,
+                            plan.samples, halved, len(plan.observable.mu))
+    assert estimate / 2 <= peak <= estimate
+
+
+def test_memory_rule_admits_the_widest_one_particle_plan():
+    # d = 3, M = 16, N = 1 with site_multiplier: 2,744 columns, 171.5 MiB of U,
+    # a 256 MiB peak in interaction_matrix; 436 MiB peak measured for a run
+    total = check_memory(LatticeGrid(3, 16, 16.0), (1,), 1, 1, True, 2_744)
+    assert 436 * 2 ** 20 <= total <= MEMORY_CAP
+
+
+def test_plan_refuses_an_n_to_the_p_beyond_the_range_of_a_double():
+    g = LatticeGrid(1, 2, 2.0)
+    phi = uniform_state(g)
+
+    def plan(p):
+        return ExperimentPlan(grid=g, field_spec=FieldSpec(base="cosine(0.5, 1)"),
+                              initial_state=phi, observable=condensate_projector(phi, p),
+                              t_final=0.01, dt=0.01, particle_counts=(300,), samples=1,
+                              base_seed=1)
+
+    # 300^100 is about 2^823: X_N is N^-p times a finite sum
+    x_n = run_ensemble(plan(100)).x_manybody[0, 0]
+    assert np.isfinite(x_n) and 0 < x_n < 1
+    # 300^130 is about 2^1070, beyond the largest double
+    with pytest.raises(DomainError, match=r"^N\^p = 300\^130 is beyond 2\^1000$"):
+        plan(130)
 
 
 def test_run_sample_alone_equals_ensemble_rows():

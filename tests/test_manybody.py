@@ -20,7 +20,7 @@ from mflab.errors import DimensionError, DomainError, ResourceError
 from mflab.grid import (LatticeGrid, WaveFunction, gaussian_packet,
                         lattice_dispersion, normalize, plane_wave)
 from mflab.hartree import hartree_energy, hartree_expectation
-from mflab.manybody import (DIMENSION_CAP, ManyBodyState, _add_particle, _bessel_j,
+from mflab.manybody import (ManyBodyState, _add_particle, _bessel_j,
                             _chebyshev_degree, _enumerate, _rank,
                             _spectral_interval, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
@@ -30,8 +30,8 @@ from mflab.manybody import (DIMENSION_CAP, ManyBodyState, _add_particle, _bessel
 from mflab.observables import (PObservable, SpectralFactors, condensate_projector,
                                site_multiplier, spectral_factors)
 from mflab.random_field import FieldSpec, RandomField, sample_field
-from oracles import (composed_gather, composed_rdm, random_tensor_factors,
-                     tensor_power_kernel, x_n_oracle, x_oracle)
+from oracles import (composed_gather, composed_rdm, interaction_matrix_oracle,
+                     random_tensor_factors, tensor_power_kernel, x_n_oracle, x_oracle)
 
 
 def _field(grid, base="zero", mean=0.0, sigmas=(), seed=0):
@@ -215,10 +215,45 @@ def test_norm_and_energy_weight_each_row_by_its_orbit():
     assert abs(e_block - e_full) < 1e-13 * abs(e_full)
 
 
-def test_dimension_cap_enforced():
-    g = LatticeGrid(1, 8, 8.0)
-    with pytest.raises(ResourceError, match=r"N=30.*M=8"):
-        build_fock_basis(30, g)  # dimension 10,295,472
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3])
+def test_interaction_matrix_is_bitwise_the_coordinate_difference_oracle(d, m):
+    g = LatticeGrid(d, m, float(m))
+    values = np.random.default_rng(10 * d + m).standard_normal(g.n_sites)
+    v = interaction_matrix(g, values)
+    assert v.dtype == np.float64
+    assert np.array_equal(v, interaction_matrix_oracle(g, values))
+
+
+def test_interaction_matrix_peak_is_two_sites_by_sites_arrays():
+    g = LatticeGrid(3, 8, 8.0)  # 512 sites; the (d, s, s) difference alone is 24 s^2
+    values = np.random.default_rng(3).standard_normal(g.n_sites)
+    tracemalloc.start()
+    try:
+        interaction_matrix(g, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * g.n_sites ** 2 + 2 ** 20
+
+
+def _refused_peak(n, grid):
+    """The tracemalloc peak of build_fock_basis(n, grid), which must refuse the
+    sector with a ResourceError for its int32 indices."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match=rf"^the N={n} sector on {grid.n_sites} "
+                                                r"sites needs [\d,]+ int32 hopping indices"):
+            build_fock_basis(n, grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_int32_index_check_refuses_a_sector_before_enumerating_it():
+    # 2d * sites * dim(N-1) = 2 * 2 * 2^29 = 2^31 hopping entries; the sector
+    # would hold 2^29 + 1 states and 12 GiB of gathers
+    assert _refused_peak(2 ** 29, LatticeGrid(1, 2, 2.0)) < 2 ** 20
 
 
 @pytest.mark.parametrize("d,m,n", [(1, 2, 300), (2, 4, 6)])
@@ -350,17 +385,19 @@ def test_build_of_a_sector_in_extreme_shapes():
     # one particle: (0..0, 1), ..., (1, 0..0)
     g = LatticeGrid(3, 3, 3.0)
     assert np.array_equal(build_fock_basis(1, g).occupations, np.eye(27)[::-1])
-    # the largest N the cap allows on 3 sites
+    # many particles on 3 sites, and the least N whose 2d * sites * dim(N-1)
+    # reaches 2^31 there, refused before it is enumerated
     g = LatticeGrid(1, 3, 3.0)
-    n = max(k for k in range(1000) if math.comb(k + 2, 2) <= DIMENSION_CAP)
+    n = 630
     basis = build_fock_basis(n, g)
-    assert (n, len(basis)) == (630, 199_396)
+    assert len(basis) == 199_396
     assert np.array_equal(_rank(basis.occupations, n), np.arange(len(basis)))
     occ = basis.occupations.astype(np.int64)
     assert np.all(occ.sum(axis=1) == n)
     assert np.array_equal(np.lexsort(occ.T[::-1]), np.arange(len(occ)))
-    with pytest.raises(ResourceError, match="N=631"):
-        build_fock_basis(n + 1, g)
+    least = min(k for k in range(1, 10 ** 5) if 6 * math.comb(k + 1, 2) >= 2 ** 31)
+    assert least == 26_755
+    assert _refused_peak(least, g) < 2 ** 20
 
 
 def test_build_peak_is_bounded_by_what_the_sector_keeps():

@@ -233,7 +233,7 @@ def test_site_multiplier_norm_is_max_abs():
 
 
 def test_site_multiplier_peak_is_what_it_keeps():
-    g = LatticeGrid(3, 16, 16.0)  # 4,096 sites, the most the kernel cap allows
+    g = LatticeGrid(3, 16, 16.0)  # 4,096 sites
     site_multiplier(LatticeGrid(1, 4, 4.0))  # first-call allocations are not the factors'
     tracemalloc.start()
     try:
