@@ -10,8 +10,8 @@ a sample's values do not depend on which other samples run with it.
 The plan checks the bytes its shapes take against MEMORY_CAP (check_memory)
 and its largest sector against the propagation cap, holds the observable as its
 spectral factors and derives their norm max|mu|, the roundoff slack, the Hartree
-time grid and the site mirror of its sectors once, at construction: the inversion
-x -> -x when the initial state is even bit for bit, so that each sector is
+time grid and whether its sectors are halved once, at construction: when M > 2
+and the initial state equals its inversion x -> -x bit for bit, each sector is
 built, lifted and propagated as its mirror-even block, about half its states.
 run_ensemble bounds |X| and |X_N| by norm + slack.
 A run's product is one EnsembleResult table, X_N per (N, sample) next to X
@@ -104,10 +104,10 @@ class ExperimentPlan:
     # triangle check grant it, and the log-log slope leaves out gaps at or below it
     roundoff: float = field(init=False)
     hartree_params: HartreeRunParams = field(init=False)
-    # the inversion x -> -x if the initial state equals its image bit for bit,
-    # else the identity: H commutes with the inversion, so an even Psi_0 stays
-    # even and each sector runs as its mirror-even block
-    mirror: np.ndarray = field(init=False)
+    # M > 2 and the initial state equals its inversion x -> -x bit for bit: H
+    # commutes with the inversion, so an even Psi_0 stays even and each sector
+    # runs as its mirror-even block (at M = 2 the inversion fixes every site)
+    halved: bool = field(init=False)
 
     def __post_init__(self):
         check_mode_count(self.field_spec, self.grid)
@@ -136,17 +136,15 @@ class ExperimentPlan:
             raise DimensionError("the initial state and the plan live on different grids")
         if not (abs(self.initial_state.norm() - 1.0) <= NORM_TOL):
             raise DomainError(f"initial state norm {self.initial_state.norm()!r} is not 1")
-        inversion, amps = self.grid.inversion(), self.initial_state.amplitudes
-        even = np.array_equal(amps[inversion], amps)
-        check_memory(self.grid, counts, self.observable.p, self.samples,
-                     even and self.grid.m > 2, len(self.observable.mu))
+        amps = self.initial_state.amplitudes
+        halved = self.grid.m > 2 and np.array_equal(amps[self.grid.inversion()], amps)
+        check_memory(self.grid, counts, self.observable.p, self.samples, halved,
+                     len(self.observable.mu))
         check_propagation(counts[-1], self.grid, self.t_final)
         object.__setattr__(self, "particle_counts", counts)
         object.__setattr__(self, "base_seed", int(seed))
         object.__setattr__(self, "hartree_params", HartreeRunParams(self.t_final, self.dt))
-        mirror = inversion if even else np.arange(self.grid.n_sites)
-        mirror.setflags(write=False)
-        object.__setattr__(self, "mirror", mirror)
+        object.__setattr__(self, "halved", halved)
         self.observable.check_grid(self.grid)
         norm = float(np.abs(self.observable.mu).max(initial=0.0))
         # each |Y| <= 2 norm, and np.std in estimate sums `samples` squares
@@ -215,7 +213,7 @@ def run_ensemble(plan: ExperimentPlan) -> EnsembleResult:
     """
     lifted = [product_state_lift(plan.initial_state,
                                  build_fock_basis(n, plan.grid, plan.observable.p,
-                                                  plan.mirror))
+                                                  plan.halved))
               for n in plan.particle_counts]
     seeds = tuple(mix_seed(plan.base_seed, i) for i in range(plan.samples))
     fields = []

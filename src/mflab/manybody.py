@@ -16,7 +16,7 @@ basis: sum_x T_xx n_x = N T_xx, the same on every state, and the pair term
 which reproduces (1/N) sum_{i<j} v(x_i - x_j) exactly, including same-site
 pairs with weight v(0) n_x (n_x - 1)/2. So a field's Hamiltonian is the
 (dim,) array h of both, and H = one_body + diag(h), one_body shared by every field.
-A sector may be built as its mirror-even block: the grid's inversion
+A sector may be built halved, as its mirror-even block: the grid's inversion
 P: x -> -x commutes with H (the hopping is a symmetric stencil and the pair
 term sees only the even part of v), so a state Psi with Psi(Pi) = Psi(i) for
 every i stays so under e^{-iHt}, and is held by its values on the orbit
@@ -191,16 +191,15 @@ class FockBasis:
     index and float64 weight (see _add_particle); the top one reads the
     block's coefficients c, (a_x Psi)[k] = wt[k, x] * c[idx[k, x]], and the
     sectors below it are whole. X_N and the RDM read them, and p is their
-    count. mirror is the site permutation (the identity or the grid's
-    inversion) and multiplicity the size of each row's orbit, 1 or 2, the
-    weight of its coefficient in the norm. All are built by
-    build_fock_basis, from the sectors N-p..N it enumerates and the p gathers
-    of rank arithmetic between them, each array written once. The spectral
-    interval of propagation needs no per-basis array: it comes from the
-    lattice dispersion and N, and the block's spectrum is part of the
-    sector's. All arrays are read-only, so
-    the one basis built per plan serves every sample and no sample can alter
-    it for the next.
+    count. mirror is the grid's inversion on a block and the identity on a
+    whole sector, which the evenness checks read, and multiplicity the size
+    of each row's orbit, 1 or 2, the weight of its coefficient in the norm.
+    All are built by build_fock_basis, from the sectors N-p..N it enumerates
+    and the p gathers of rank arithmetic between them, each array written
+    once. The spectral interval of propagation needs no per-basis array: it
+    comes from the lattice dispersion and N, and the block's spectrum is part
+    of the sector's. All arrays are read-only, so the one basis built per
+    plan serves every sample and no sample can alter it for the next.
     """
 
     n_particles: int
@@ -304,9 +303,9 @@ def check_propagation(n: int, grid: LatticeGrid, t: float) -> None:
 
 def _orbits(base: np.ndarray, gathers: tuple[tuple[np.ndarray, np.ndarray], ...],
             mirror: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The orbits {i, Pi} of the N sector under the site permutation mirror, P,
-    from the occupations of the N-p sector and the gathers of the p steps
-    above it, the top one first.
+    """The orbits {i, Pi} of the N sector under the grid's inversion P, the
+    site permutation mirror, from the occupations of the N-p sector and the
+    gathers of the p steps above it, the top one first.
 
     _rank gives rank(Pk) on the N-p sector, in _blocks of its rows. Above it,
     P(k + e_x) = Pk + e_{P(x)}, so rank(P(k + e_x)) = idx[rank(Pk), P(x)]
@@ -328,32 +327,20 @@ def _orbits(base: np.ndarray, gathers: tuple[tuple[np.ndarray, np.ndarray], ...]
     return rep, orbit, (mirrored != rank)[rep].astype(np.uint8) + 1
 
 
-def _site_mirror(mirror, grid: LatticeGrid) -> np.ndarray:
-    """mirror as an int array, once it is the identity (None stands for it) or
-    the grid's inversion x -> -x; a DomainError otherwise. Both commute with
-    the hopping and with the pair term of every field, which sees only the
-    even part of v."""
-    identity = np.arange(grid.n_sites)
-    perm = identity if mirror is None else np.asarray(mirror)
-    if not (np.array_equal(perm, identity) or np.array_equal(perm, grid.inversion())):
-        raise DomainError("mirror must be the identity or the grid's inversion x -> -x")
-    return perm.astype(np.intp)
-
-
-def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1, mirror=None) -> FockBasis:
-    """The mirror-even block of the N-particle sector with its p gathers.
+def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1, halved: bool = False) -> FockBasis:
+    """The N-particle sector with its p gathers, or if halved its mirror-even block.
 
     The sectors N-p..N are enumerated directly (_enumerate), so no sector
     below N-p is built, and each of the last p steps is one _add_particle
     gather between two of them, kept as it is: 12 * sites * dim(n-1) bytes
     for the step to n (0.57 MiB for all four of p = 4, 8 sites, N = 8).
     one_body is built from the top one. The block keeps each state i with
-    rank(i) <= rank(Pi), its orbit's representative (see _orbits), and the
-    top gather is composed with the orbit index, so it reads the whole Psi.
-    mirror, P, is the identity by default, which keeps the whole sector, or
-    the grid's inversion (_site_mirror). A sector whose int32 ranks and CSR
-    indices could not hold 2d * sites * dim(n-1), the bound on its hopping
-    entries, is refused with a ResourceError before it is enumerated.
+    rank(i) <= rank(Pi) for the grid's inversion P, its orbit's representative
+    (see _orbits), and the top gather is composed with the orbit index, so it
+    reads the whole Psi. A whole sector's mirror is the identity, so every
+    state is its own orbit and nothing is ranked. A sector whose int32 ranks
+    and CSR indices could not hold 2d * sites * dim(n-1), the bound on its
+    hopping entries, is refused with a ResourceError before it is enumerated.
     """
     if not 1 <= p <= n:
         raise DomainError(f"need 1 <= p <= N, got p={p}, N={n}")
@@ -362,13 +349,18 @@ def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1, mirror=None) -> Fock
     if entries >= 2 ** 31:
         raise ResourceError(f"the N={n} sector on {sites} sites needs {entries:,} "
                             f"int32 hopping indices, beyond 2^31")
-    mirror = _site_mirror(mirror, grid)
+    mirror = grid.inversion() if halved else np.arange(sites)
     base = occ = _enumerate(n - p, sites)
     gathers = ()
     for particles in range(n - p + 1, n + 1):
         gathers = (_add_particle(occ, particles),) + gathers
         lower, occ = occ, _enumerate(particles, sites)
-    rep, orbit, multiplicity = _orbits(base, gathers, mirror, n)
+    if halved:
+        rep, orbit, multiplicity = _orbits(base, gathers, mirror, n)
+    else:
+        dim = len(occ)
+        rep, orbit, multiplicity = (np.ones(dim, dtype=bool), np.arange(dim, dtype=np.int32),
+                                    np.ones(dim, dtype=np.uint8))
     # composes the top gather with orbit, so it reads the block
     one_body = _one_body(*gathers[0], lower, kinetic_matrix(grid), orbit, rep)
     occ = occ[rep]
@@ -543,7 +535,9 @@ def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodySta
     to the result once, unit being 1 for Re and i for Im; numpy rounds x y and
     x (i y) alike, so Psi_0 = i u gives i times the result for u bit for bit.
     A ResourceError stops r*t above _MAX_RT, or not a number, before the degree
-    search, which thus always ends.
+    search, which thus always ends. At t = 0 the degree is 1, J = (1, 0) and
+    the phase 1, so Psi_0 comes back bit for bit, and a NaN or infinite h fails
+    there too, r*t being NaN.
     """
     _check_diagonal(psi0.basis, h)
     if not (t >= 0):
@@ -551,8 +545,6 @@ def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodySta
     if not (abs(psi0.norm() - 1.0) <= NORM_TOL):
         raise DomainError("evolve_manybody requires a normalized state")
     f = psi0.coefficients
-    if t == 0:
-        return ManyBodyState(psi0.basis, f.copy())
     mat = psi0.basis.one_body
     c, r = _spectral_interval(psi0.basis.n_particles, psi0.basis.grid, h)
     x = r * t

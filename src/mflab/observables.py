@@ -6,10 +6,8 @@ columns through one product or one gather a step (hartree_expectation,
 manybody_expectation), and the norm is max|mu|, the columns being orthonormal in
 every factor mflab builds. The stock observables are sums of tensor powers and give
 their factors in closed form; spectral_factors finds them by one eigensolve for a
-one-particle PObservable, a dense Hermitian kernel K with (a phi)(x) = h^d sum_y
-K(x;y) phi(y). A PObservable of p >= 2, on sites^p x sites^p, is read only on bosonic
-states, so averaging it over the permutations of its p coordinate blocks changes no
-result; mflab does not factor it, and tests use it as the dense oracle.
+PObservable, a dense Hermitian one-particle kernel K with (a phi)(x) = h^d sum_y
+K(x;y) phi(y).
 """
 from __future__ import annotations
 
@@ -24,26 +22,19 @@ from .grid import NORM_TOL, LatticeGrid, WaveFunction, separable_profile
 
 @dataclass
 class PObservable:
-    """Bounded p-particle observable with a dense kernel on sites^p x sites^p.
+    """Bounded one-particle observable with a dense kernel on sites x sites.
 
-    The kernel is stored as a read-only complex copy, kept as given:
-    block-symmetrizing it would change no result (see the module docstring).
-    It must be finite and self-adjoint, max|K - K^H| <= 1e-12 max|K|.
+    The kernel is stored as a read-only complex copy, kept as given. It must
+    be square, finite and self-adjoint, max|K - K^H| <= 1e-12 max|K|.
     """
 
-    p: int
     kernel: np.ndarray
 
     def __post_init__(self):
         self.kernel = k = np.array(self.kernel, dtype=np.complex128)
         k.setflags(write=False)
-        if self.p < 1:
-            raise DomainError(f"observable particle count must be >= 1, got {self.p}")
-        if self.kernel.ndim != 2 or self.kernel.shape[0] != self.kernel.shape[1]:
-            raise DimensionError(f"kernel must be square, got shape {self.kernel.shape}")
-        dim = self.kernel.shape[0]
-        if round(dim ** (1.0 / self.p)) ** self.p != dim:
-            raise DimensionError(f"kernel dimension {dim} is not a p-th power (p={self.p})")
+        if k.ndim != 2 or k.shape[0] != k.shape[1]:
+            raise DimensionError(f"kernel must be square, got shape {k.shape}")
         # a NaN or inf stops the `and` before K - K^H is formed
         if not (np.isfinite(k).all() and np.abs(k - k.conj().T).max(initial=0.0)
                 <= 1e-12 * np.abs(k).max(initial=0.0)):
@@ -90,13 +81,10 @@ def _significant(mu: np.ndarray) -> np.ndarray:
 
 
 def spectral_factors(a: PObservable, grid: LatticeGrid) -> SpectralFactors:
-    """The SpectralFactors of a one-particle a on grid: the eigenpairs (mu_k, u_k) of the
-    Hermitian h^d K past the numerical rank cut, one eigh. A p >= 2 kernel is refused
-    with a DomainError: its eigenvectors are not tensor powers of columns."""
-    if len(a.kernel) != grid.n_sites ** a.p:
-        raise DimensionError(f"the kernel has {len(a.kernel)} rows, not {grid.n_sites}^{a.p}")
-    if a.p != 1:
-        raise DomainError(f"spectral_factors takes a one-particle kernel, got p={a.p}")
+    """The SpectralFactors of a on grid: the eigenpairs (mu_k, u_k) of the Hermitian
+    h^d K past the numerical rank cut, one eigh."""
+    if len(a.kernel) != grid.n_sites:
+        raise DimensionError(f"the kernel has {len(a.kernel)} rows, not {grid.n_sites}")
     mu, v = np.linalg.eigh(grid.cell_volume * a.kernel)
     keep = _significant(mu)
     return SpectralFactors(mu[keep], v[:, keep], grid, 1)

@@ -7,11 +7,21 @@ X_N can be checked against Tr(K gamma^(p)) for a dense kernel K on sites^p.
 """
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from mflab.manybody import _blocks
-from mflab.observables import PObservable, SpectralFactors
+from mflab.observables import SpectralFactors
+
+
+@dataclass(frozen=True)
+class DenseKernel:
+    """A p-particle observable as its dense kernel K on sites^p x sites^p, with
+    (a Phi)(X) = h^{dp} sum_Y K(X; Y) Phi(Y); read only on bosonic states."""
+
+    p: int
+    kernel: np.ndarray
 
 
 def chain(gathers, rows):
@@ -68,12 +78,12 @@ def interaction_matrix_oracle(grid, values):
 
 
 def tensor_power_kernel(factors):
-    """The dense PObservable of factors: K = h^{-dp} sum_k mu_k |u_k^(x)p><u_k^(x)p|."""
+    """The DenseKernel of factors: K = h^{-dp} sum_k mu_k |u_k^(x)p><u_k^(x)p|."""
     u = factors.u
     powers = functools.reduce(lambda acc, _: (acc[:, None, :] * u).reshape(-1, u.shape[1]),
                               range(factors.p - 1), u)
     kernel = (powers * factors.mu) @ powers.conj().T
-    return PObservable(factors.p, kernel / factors.grid.cell_volume ** factors.p)
+    return DenseKernel(factors.p, kernel / factors.grid.cell_volume ** factors.p)
 
 
 def random_tensor_factors(grid, p, rng):

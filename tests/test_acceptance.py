@@ -195,7 +195,7 @@ def test_criterion_5_oracle_equivalence():
             b3 = build_fock_basis(n3, g3, p)
             if p == 1:
                 raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-                a = PObservable(1, raw + raw.conj().T)
+                a = PObservable(raw + raw.conj().T)
                 factors = spectral_factors(a, g3)
             else:
                 factors = random_tensor_factors(g3, p, rng)

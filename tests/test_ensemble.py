@@ -153,9 +153,8 @@ def test_memory_estimate_is_within_twice_the_measured_peak(tmp_path, config):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    halved = not np.array_equal(plan.mirror, np.arange(plan.grid.n_sites))
     estimate = check_memory(plan.grid, plan.particle_counts, plan.observable.p,
-                            plan.samples, halved, len(plan.observable.mu))
+                            plan.samples, plan.halved, len(plan.observable.mu))
     assert estimate / 2 <= peak <= estimate
 
 
@@ -258,24 +257,43 @@ def test_zero_observable_has_no_spectral_pairs_and_x_n_exactly_zero():
     assert np.array_equal(result.x_hartree, np.zeros(2))
 
 
+def _plan_from(phi):
+    return ExperimentPlan(grid=phi.grid, field_spec=FieldSpec(), initial_state=phi,
+                          observable=condensate_projector(phi), t_final=0.25, dt=0.25 / 128,
+                          particle_counts=(2, 3), samples=2, base_seed=1)
+
+
 def test_plan_mirrors_its_sectors_only_for_an_initial_state_even_bit_for_bit():
-    plan = _plan(FieldSpec())
-    assert np.array_equal(plan.mirror, GRID.inversion())
-    assert not plan.mirror.flags.writeable
-    for phi in (plane_wave(GRID), normalize(WaveFunction(GRID, PHI.amplitudes + 1e-9 * (
-            np.arange(GRID.n_sites) == 1)))):
-        odd = ExperimentPlan(grid=GRID, field_spec=FieldSpec(), initial_state=phi,
-                             observable=condensate_projector(phi), t_final=0.25,
-                             dt=0.25 / 128, particle_counts=(2, 3), samples=2,
-                             base_seed=1)
-        assert np.array_equal(odd.mirror, np.arange(GRID.n_sites))
+    assert _plan(FieldSpec()).halved is True  # the even packet on M = 8
+    nudged = normalize(WaveFunction(GRID, PHI.amplitudes + 1e-9 * (np.arange(8) == 1)))
+    # at M = 2 the inversion fixes every site, so the block would be the whole sector
+    for phi in (plane_wave(GRID), nudged, gaussian_packet(LatticeGrid(1, 2, 2.0))):
+        assert _plan_from(phi).halved is False
+
+
+def test_the_plan_passes_its_one_bool_to_the_memory_rule_and_every_sector(monkeypatch):
+    calls = []
+
+    def build(n, grid, p, halved):
+        calls.append(("build_fock_basis", halved))
+        return build_fock_basis(n, grid, p, halved)
+
+    monkeypatch.setattr(mflab.ensemble, "check_memory",
+                        lambda *args: calls.append(("check_memory", args[4])))
+    monkeypatch.setattr(mflab.ensemble, "build_fock_basis", build)
+    for phi in (PHI, plane_wave(GRID)):
+        calls.clear()
+        plan = _plan_from(phi)
+        run_ensemble(plan)
+        assert calls == [("check_memory", plan.halved)] + [("build_fock_basis", plan.halved)] * 2
 
 
 def test_a_run_on_mirror_even_blocks_matches_one_on_whole_sectors(monkeypatch):
     plan = _plan(RANDOM_SPEC, counts=(2, 4, 6), samples=3)
+    assert plan.halved
     blocks = run_ensemble(plan)
     monkeypatch.setattr(mflab.ensemble, "build_fock_basis",
-                        lambda n, grid, p, mirror: build_fock_basis(n, grid, p))
+                        lambda n, grid, p, halved: build_fock_basis(n, grid, p, False))
     whole = run_ensemble(plan)
     assert np.array_equal(blocks.x_hartree, whole.x_hartree)
     np.testing.assert_allclose(blocks.x_manybody, whole.x_manybody, rtol=0, atol=1e-14)

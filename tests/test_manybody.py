@@ -23,14 +23,14 @@ from mflab.hartree import hartree_energy, hartree_expectation
 from mflab.manybody import (ManyBodyState, _add_particle, _bessel_j,
                             _chebyshev_degree, _enumerate, _rank,
                             _spectral_interval, assemble_hamiltonian,
-                            build_fock_basis, energy_expectation,
+                            build_fock_basis, energy_expectation, fock_dimension,
                             evolve_manybody, interaction_matrix,
                             kinetic_matrix, manybody_expectation,
                             product_state_lift, reduced_density_matrix)
 from mflab.observables import (PObservable, SpectralFactors, condensate_projector,
                                site_multiplier, spectral_factors)
 from mflab.random_field import FieldSpec, RandomField, sample_field
-from oracles import (composed_gather, composed_rdm, interaction_matrix_oracle,
+from oracles import (DenseKernel, composed_gather, composed_rdm, interaction_matrix_oracle,
                      random_tensor_factors, tensor_power_kernel, x_n_oracle, x_oracle)
 
 
@@ -167,7 +167,7 @@ def test_basis_is_bitwise_the_sparse_product_construction(d, m, n, p):
 @pytest.mark.parametrize("d,m,n,p", [(1, 8, 6, 1), (2, 4, 4, 2), (1, 7, 5, 3)])
 def test_block_rows_are_the_representatives_and_their_orbit_sizes(d, m, n, p):
     g = LatticeGrid(d, m, 0.7 * m)
-    full, block = build_fock_basis(n, g, p), build_fock_basis(n, g, p, g.inversion())
+    full, block = build_fock_basis(n, g, p), build_fock_basis(n, g, p, halved=True)
     mirrored = _rank(full.occupations[:, g.inversion()], n)
     rep = mirrored >= np.arange(len(full))
     assert np.array_equal(block.occupations, full.occupations[rep])
@@ -189,21 +189,29 @@ def test_block_rows_are_the_representatives_and_their_orbit_sizes(d, m, n, p):
             reps, np.minimum(np.arange(len(full)), mirrored)))), shape=(len(full), len(block)))
     np.testing.assert_allclose(block.one_body.toarray(),
                                (full.one_body[reps] @ fold).toarray(), rtol=0, atol=1e-14)
-    for arr in (block.mirror, block.multiplicity):
+    assert np.array_equal(block.mirror, g.inversion())
+    assert np.array_equal(full.mirror, np.arange(g.n_sites))
+    for arr in (block.mirror, block.multiplicity, full.mirror, full.multiplicity):
         assert not arr.flags.writeable
 
 
-@pytest.mark.parametrize("mirror", [np.roll(np.arange(8), 1), np.arange(7),
-                                    np.array([1, 0, 2, 3, 4, 5, 6, 7])],
-                         ids=["translation", "short", "swap"])
-def test_basis_rejects_a_mirror_other_than_identity_or_inversion(mirror):
-    with pytest.raises(DomainError, match="identity or the grid's inversion"):
-        build_fock_basis(2, LatticeGrid(1, 8, 8.0), 1, mirror)
+@pytest.mark.parametrize("d,m,n,p", [(1, 4, 80, 1), (2, 4, 6, 1), (1, 8, 8, 2), (1, 2, 5, 3)])
+def test_a_whole_sector_takes_its_orbits_without_ranking(monkeypatch, d, m, n, p):
+    # every state is its own orbit: no rank of a mirrored sector, no climb
+    def refuse(*args):
+        raise AssertionError("a whole sector ranked its mirror image")
+
+    monkeypatch.setattr(mflab.manybody, "_rank", refuse)
+    g = LatticeGrid(d, m, float(m))
+    basis = build_fock_basis(n, g, p)
+    assert len(basis) == fock_dimension(n, g.n_sites)
+    assert basis.multiplicity.dtype == np.uint8
+    assert np.array_equal(basis.multiplicity, np.ones(len(basis)))
 
 
 def test_norm_and_energy_weight_each_row_by_its_orbit():
     g = LatticeGrid(1, 8, 8.0)
-    full, block = build_fock_basis(4, g), build_fock_basis(4, g, 1, g.inversion())
+    full, block = build_fock_basis(4, g), build_fock_basis(4, g, 1, halved=True)
     phi = gaussian_packet(g)
     v = _field(g, base="gaussian_bump(1.0, 1.5)", sigmas=(0.5, 0.3), seed=5)
     lifted = [product_state_lift(phi, b) for b in (full, block)]
@@ -459,7 +467,7 @@ def test_sector_holds_its_p_single_step_gathers_and_no_composition():
     build_fock_basis(2, g)  # first-call allocations are not the sector's
     tracemalloc.start()
     try:
-        basis = build_fock_basis(8, g, 4, g.inversion())
+        basis = build_fock_basis(8, g, 4, halved=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -721,13 +729,18 @@ def test_lift_matches_full_tensor_power():
 
 # --- propagation ----------------------------------------------------------
 
-def test_zero_time_propagation_is_identity():
-    g = LatticeGrid(1, 4, 4.0)
-    basis = build_fock_basis(2, g)
+@pytest.mark.parametrize("halved", [False, True], ids=["whole-complex", "block-even"])
+def test_zero_time_propagation_is_identity(halved):
+    # the Chebyshev path itself at degree 1: J = (1, 0), phase 1
+    g = LatticeGrid(1, 8, 8.0)
+    basis = build_fock_basis(4, g, 1, halved)
     h = assemble_hamiltonian(basis, _field(g, sigmas=(0.5,), seed=2))
-    psi = product_state_lift(gaussian_packet(g), basis)
+    phi = gaussian_packet(g) if halved else plane_wave(g, 1)
+    psi = product_state_lift(phi, basis)
+    # the plane wave runs both real-part loops, the even packet only Re's
+    assert psi.coefficients.imag.any() == (not halved)
     out = evolve_manybody(psi, h, 0.0)
-    assert np.array_equal(out.coefficients, psi.coefficients)
+    assert np.array_equal(out.coefficients.view(np.uint64), psi.coefficients.view(np.uint64))
 
 
 def test_hamiltonian_shift_is_global_phase():
@@ -892,8 +905,8 @@ def test_gershgorin_interval_contains_spectrum(d, m, n):
     assert c - r <= evals[0] and evals[-1] <= c + r
 
 
-@pytest.mark.parametrize("fill, t", [(np.nan, 0.5), (np.inf, 0.5), (0.0, 1e12)],
-                         ids=["nan-h", "inf-h", "huge-t"])
+@pytest.mark.parametrize("fill, t", [(np.nan, 0.5), (np.inf, 0.5), (0.0, 1e12), (np.nan, 0.0)],
+                         ids=["nan-h", "inf-h", "huge-t", "nan-h-at-t0"])
 def test_propagation_beyond_the_rt_cap_fails_before_the_degree_search(fill, t):
     # the degree grows like e*r*t/2, so an uncapped search on these would not end
     g = LatticeGrid(1, 4, 4.0)
@@ -1042,12 +1055,12 @@ def _random_state(basis, rng):
 
 
 def _test_factors(kind, g, p, rng):
-    """Factors of order p and the dense PObservable they stand for."""
+    """Factors of order p and the DenseKernel they stand for."""
     sites = g.n_sites
     if kind == "rank-one":  # the condensate projector, against its kron kernel
         phi = normalize(WaveFunction(g, rng.standard_normal(sites)
                                      + 1j * rng.standard_normal(sites)))
-        return condensate_projector(phi, p), PObservable(p, functools.reduce(
+        return condensate_projector(phi, p), DenseKernel(p, functools.reduce(
             np.kron, [np.outer(phi.amplitudes, phi.amplitudes.conj())] * p))
     if kind == "diagonal":  # the site multiplier's columns, with zeros, to the power p
         f = site_multiplier(g, 1.5, 1)
@@ -1055,8 +1068,8 @@ def _test_factors(kind, g, p, rng):
         return factors, tensor_power_kernel(factors)
     if p == 1:  # a random Hermitian kernel and its eigensolve
         raw = rng.standard_normal((sites, sites)) + 1j * rng.standard_normal((sites, sites))
-        a = PObservable(1, raw + raw.conj().T)
-        return spectral_factors(a, g), a
+        a = PObservable(raw + raw.conj().T)
+        return spectral_factors(a, g), DenseKernel(1, a.kernel)
     factors = random_tensor_factors(g, p, rng)
     return factors, tensor_power_kernel(factors)
 
@@ -1075,9 +1088,9 @@ def test_expectation_from_spectral_factors_matches_the_rdm_trace(m, n, p, kind):
 
 
 @pytest.mark.parametrize("d,m,n,p", [(1, 4, 5, 2), (1, 5, 6, 3), (2, 3, 4, 2), (1, 3, 3, 3)])
-@pytest.mark.parametrize("mirror", [False, True], ids=["whole", "block"])
+@pytest.mark.parametrize("halved", [False, True], ids=["whole", "block"])
 def test_x_n_of_tensor_power_factors_is_the_composed_rdm_trace(monkeypatch, d, m, n, p,
-                                                               mirror):
+                                                               halved):
     # r exceeds the dimension of the symmetric p-particle space, so K spans every
     # symmetric Hermitian kernel; 7 rows a block split every step into several
     monkeypatch.setattr(mflab.manybody, "_BLOCK_ROWS", 7)
@@ -1085,7 +1098,7 @@ def test_x_n_of_tensor_power_factors_is_the_composed_rdm_trace(monkeypatch, d, m
     rng = np.random.default_rng(200 + 10 * d + m + p)
     factors = random_tensor_factors(g, p, rng)
     a = tensor_power_kernel(factors)
-    basis = build_fock_basis(n, g, p, g.inversion() if mirror else None)
+    basis = build_fock_basis(n, g, p, halved)
     z = rng.standard_normal(g.n_sites) + 1j * rng.standard_normal(g.n_sites)
     phi = normalize(WaveFunction(g, z + z[g.inversion()]))  # even bit for bit
     for psi in (_random_state(basis, rng), product_state_lift(phi, basis)):
@@ -1126,7 +1139,7 @@ def test_dropped_spectral_pairs_move_x_n_by_at_most_their_bound():
     lam = np.array([1.0, -10 * cut, cut / 10, 0.0])
     rng = np.random.default_rng(71)
     v, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    a = PObservable(1, (v * lam) @ v.conj().T / g.cell_volume)
+    a = PObservable((v * lam) @ v.conj().T / g.cell_volume)
     factors = spectral_factors(a, g)
     assert len(factors.mu) == 2
     mu_all, v_all = np.linalg.eigh(g.cell_volume * a.kernel)

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +13,7 @@ from mflab.manybody import (ManyBodyState, build_fock_basis, manybody_expectatio
                             product_state_lift)
 from mflab.observables import (PObservable, SpectralFactors, condensate_projector,
                                site_multiplier, spectral_factors)
-from oracles import tensor_power_kernel, x_n_oracle, x_oracle
+from oracles import DenseKernel, tensor_power_kernel, x_n_oracle, x_oracle
 
 
 def _projector_kernel(phi, p):
@@ -29,44 +28,29 @@ def _multiplier_kernel(g, amplitude, mode):
     return np.diag(f) / g.cell_volume
 
 
-@pytest.mark.parametrize("p, kernel, error", [
-    (0, np.eye(4), DomainError),
-    (1, np.ones((4, 3)), DimensionError),
-    (2, np.eye(8), DimensionError),  # 8 is not a square
-    (1, np.triu(np.ones((4, 4))), DomainError),  # not self-adjoint
-    (1, np.diag([1.0, np.nan, 1.0, 1.0]), DomainError),
-    (1, np.diag([1.0, np.inf, 1.0, 1.0]), DomainError),
-])
-def test_constructor_validates_the_kernel(p, kernel, error):
+@pytest.mark.parametrize("kernel, error", [
+    (np.ones((4, 3)), DimensionError),
+    (np.triu(np.ones((4, 4))), DomainError),  # not self-adjoint
+    (np.diag([1.0, np.nan, 1.0, 1.0]), DomainError),
+    (np.diag([1.0, np.inf, 1.0, 1.0]), DomainError),
+], ids=["not-square", "not-self-adjoint", "nan", "inf"])
+def test_constructor_validates_the_kernel(kernel, error):
     with pytest.raises(error):
-        PObservable(p, kernel)
+        PObservable(kernel)
 
 
-@pytest.mark.parametrize("p, m, message", [
-    (1, 4, "the kernel has 4 rows, not 8^1"),
-    (2, 4, "the kernel has 16 rows, not 8^2"),
-    (1, 64, "the kernel has 64 rows, not 8^1"),  # 64 = 8^2: the rows alone fit p = 2
-])
-def test_spectral_factors_reject_a_kernel_of_another_site_count(p, m, message):
+@pytest.mark.parametrize("rows", [4, 16, 64])  # 64 = 8^2, the rows of a p = 2 kernel
+def test_spectral_factors_reject_a_kernel_of_another_site_count(rows):
     g = LatticeGrid(1, 8, 8.0)
-    with pytest.raises(DimensionError, match=rf"^{re.escape(message)}$"):
-        spectral_factors(PObservable(p, np.eye(m ** p)), g)
+    with pytest.raises(DimensionError, match=rf"^the kernel has {rows} rows, not 8$"):
+        spectral_factors(PObservable(np.eye(rows)), g)
 
 
 def test_spectral_factors_carry_their_grid_and_order():
     g = LatticeGrid(1, 4, 3.0)
-    factors = spectral_factors(PObservable(1, _projector_kernel(gaussian_packet(g), 1)), g)
+    factors = spectral_factors(PObservable(_projector_kernel(gaussian_packet(g), 1)), g)
     assert (factors.grid, factors.p) == (g, 1)
     assert factors.mu.shape == (1,) and factors.u.shape == (4, 1)
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_spectral_factors_take_a_one_particle_kernel_only(p):
-    # the eigenvectors of a p >= 2 kernel are not tensor powers of site columns
-    g = LatticeGrid(1, 4, 3.0)
-    with pytest.raises(DomainError, match=rf"^spectral_factors takes a one-particle kernel, "
-                                          rf"got p={p}$"):
-        spectral_factors(PObservable(p, _projector_kernel(gaussian_packet(g), p)), g)
 
 
 @pytest.mark.parametrize("p", [0, -1])
@@ -79,7 +63,7 @@ def test_condensate_projector_rejects_a_particle_count_below_one(p):
 def test_kernel_is_a_read_only_copy():
     g = LatticeGrid(1, 8, 8.0)
     k = np.eye(8, dtype=complex)
-    a = PObservable(1, k)
+    a = PObservable(k)
     k[0, 0] = 5.0
     assert np.array_equal(a.kernel, np.eye(8))
     assert np.abs(spectral_factors(a, g).mu).max() == pytest.approx(1.0, abs=1e-14)
@@ -96,7 +80,7 @@ def test_operator_norm_rank_one_projector():
 
 def test_operator_norm_identity_kernel():
     g = LatticeGrid(1, 8, 4.0)
-    a = PObservable(1, np.eye(8) / g.cell_volume)
+    a = PObservable(np.eye(8) / g.cell_volume)
     assert np.abs(spectral_factors(a, g).mu).max() == pytest.approx(1.0, abs=1e-8)
 
 
@@ -207,7 +191,7 @@ def test_results_invariant_under_block_symmetrization(p):
     got = [hartree_expectation(phi, factors),
            *(manybody_expectation(psi, factors) for psi in states)]
     for k in (kernel, sym):
-        a = PObservable(p, k)
+        a = DenseKernel(p, k)
         oracle = [x_oracle(phi, a), *(x_n_oracle(psi, a) for psi in states)]
         assert got == pytest.approx(oracle, abs=1e-12)
 
@@ -261,13 +245,14 @@ def test_closed_form_factors_match_the_eigensolve_of_the_dense_kernel(d, m, kind
 
     if kind == "projector":
         phi = random_unit_state()
-        closed, a = condensate_projector(phi, p), PObservable(p, _projector_kernel(phi, p))
+        closed, a = condensate_projector(phi, p), DenseKernel(p, _projector_kernel(phi, p))
     else:
-        closed, a = site_multiplier(g, 1.5, 1), PObservable(1, _multiplier_kernel(g, 1.5, 1))
+        closed, a = site_multiplier(g, 1.5, 1), DenseKernel(1, _multiplier_kernel(g, 1.5, 1))
     dense_norm = np.abs(np.linalg.eigvalsh(g.cell_volume ** p * a.kernel)).max()
     assert np.abs(closed.mu).max() == pytest.approx(dense_norm, abs=1e-14)
     if p == 1:
-        assert np.abs(spectral_factors(a, g).mu).max() == pytest.approx(dense_norm, abs=1e-14)
+        eigen = spectral_factors(PObservable(a.kernel), g)
+        assert np.abs(eigen.mu).max() == pytest.approx(dense_norm, abs=1e-14)
     psi = random_unit_state()
     assert hartree_expectation(psi, closed) == pytest.approx(x_oracle(psi, a), abs=1e-14)
     basis = build_fock_basis(p + 2, g, p)
@@ -277,8 +262,7 @@ def test_closed_form_factors_match_the_eigensolve_of_the_dense_kernel(d, m, kind
         x_n = manybody_expectation(state, closed)
         assert x_n == pytest.approx(x_n_oracle(state, a), abs=1e-14)
         if p == 1:
-            assert x_n == pytest.approx(manybody_expectation(state, spectral_factors(a, g)),
-                                        abs=1e-14)
+            assert x_n == pytest.approx(manybody_expectation(state, eigen), abs=1e-14)
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0, 1.0 + 1e-9])

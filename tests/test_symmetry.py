@@ -47,7 +47,7 @@ class _Sectors:
         self.plan = plan
         n, g, p = plan.particle_counts[-1], plan.grid, plan.observable.p
         self.full = build_fock_basis(n, g, p)
-        self.block = build_fock_basis(n, g, p, plan.mirror)
+        self.block = build_fock_basis(n, g, p, plan.halved)
         self.v = sample_field(plan.field_spec, mix_seed(plan.base_seed, 0), g)
         self.h_full = assemble_hamiltonian(self.full, self.v)
         self.h_block = assemble_hamiltonian(self.block, self.v)
@@ -87,8 +87,8 @@ def test_an_inversion_even_packet_stays_even(reach):
     # -L/2 on the periodic lattice, so it is even under x -> -x, and so is
     # e^{-iHt} of its lift; the mirror-even block rests on exactly this
     plan, basis = reach.plan, reach.full
-    assert np.array_equal(plan.mirror, plan.grid.inversion())
-    reflected = _rank(basis.occupations[:, plan.mirror], basis.n_particles)
+    assert plan.halved
+    reflected = _rank(basis.occupations[:, plan.grid.inversion()], basis.n_particles)
     assert not np.array_equal(reflected, np.arange(len(basis)))
 
     def odd_part(psi):
@@ -106,7 +106,7 @@ def test_propagation_conserves_energy_at_production_size(reach):
     packet = product_state_lift(plan.initial_state, basis)
     # a complex Psi_0 too, from a phase that is even, as the block requires
     k = np.arange(basis.grid.n_sites)
-    phase = np.exp(0.3j * (k + k[plan.mirror]))
+    phase = np.exp(0.3j * (k + k[basis.mirror]))
     boosted = product_state_lift(
         WaveFunction(plan.grid, plan.initial_state.amplitudes * phase), basis)
     assert boosted.coefficients.imag.any()
@@ -149,11 +149,14 @@ def test_the_mirror_even_block_propagates_as_the_whole_sector(d, m, n, p):
     phi = gaussian_packet(g)  # centered at L/2 = m/2, even bit for bit
     spec = FieldSpec(base="gaussian_bump(1.0, 1.5)", mode_stddevs=(0.5,) * ((m - 1) // 2))
     v = sample_field(spec, 7, g)
-    full, block = build_fock_basis(n, g, p), build_fock_basis(n, g, p, g.inversion())
+    full, block = build_fock_basis(n, g, p), build_fock_basis(n, g, p, halved=True)
     if m == 2:
         assert np.array_equal(block.mirror, np.arange(g.n_sites))
+        # the inversion's orbits, ranked and climbed, are the whole sector's closed form
         for attr in ("occupations", "multiplicity"):
             assert np.array_equal(getattr(block, attr), getattr(full, attr)), attr
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(block.one_body, attr), getattr(full.one_body, attr))
         for got, want in zip(sum(block.gathers, ()), sum(full.gathers, ()), strict=True):
             assert np.array_equal(got, want)
     else:
