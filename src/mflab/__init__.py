@@ -14,8 +14,8 @@ from .hartree import (HartreeRunParams, evolve_hartree_batch, field_spectra,
 from .manybody import (FockBasis, ManyBodyState, assemble_hamiltonian,
                        build_fock_basis, evolve_manybody, manybody_expectation,
                        product_state_lift, reduced_density_matrix)
-from .observables import (PObservable, SpectralFactors, condensate_projector,
-                          site_multiplier, spectral_factors)
+from .observables import (SpectralFactors, condensate_projector, site_multiplier,
+                          spectral_factors)
 from .random_field import FieldSpec, RandomField, mix_seed, sample_field
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "FockBasis", "ManyBodyState", "assemble_hamiltonian", "build_fock_basis",
     "evolve_manybody", "manybody_expectation", "product_state_lift",
     "reduced_density_matrix",
-    "PObservable", "SpectralFactors", "condensate_projector", "site_multiplier",
+    "SpectralFactors", "condensate_projector", "site_multiplier",
     "spectral_factors", "FieldSpec", "RandomField", "mix_seed", "sample_field",
 ]
 

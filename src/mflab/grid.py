@@ -2,6 +2,7 @@
 
 All inner products and norms carry the cell volume h^d so that discrete
 quantities converge to their continuum counterparts under refinement.
+The unit-norm rule (check_unit) and the evenness one (LatticeGrid.is_even) live here.
 """
 from __future__ import annotations
 
@@ -15,6 +16,13 @@ from .errors import DimensionError, DomainError
 
 # how far from 1 the norm of a state that must be a unit vector may be
 NORM_TOL = 1e-12
+
+
+def check_unit(norm: float, what: str) -> None:
+    """Reject a norm farther than NORM_TOL from 1; NaN fails too."""
+    if not (abs(norm - 1.0) <= NORM_TOL):
+        raise DomainError(f"{what} requires a unit state, norm = {norm!r}")
+
 
 @dataclass(frozen=True)
 class LatticeGrid:
@@ -64,6 +72,11 @@ class LatticeGrid:
         inversion x -> -x as a permutation of the sites (the identity at M = 2)."""
         coords = np.indices(self.shape).reshape(self.d, -1)
         return np.ravel_multi_index(tuple(-coords % self.m), self.shape)
+
+    def is_even(self, values: np.ndarray) -> bool:
+        """Whether the site values equal their image under the inversion bit for
+        bit, a NaN matching a NaN."""
+        return np.array_equal(values[self.inversion()], values, equal_nan=True)
 
 
 @dataclass

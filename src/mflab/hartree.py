@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .grid import (NORM_TOL, LatticeGrid, WaveFunction, convolve,
+from .grid import (NORM_TOL, LatticeGrid, WaveFunction, check_unit, convolve,
                    convolve_spectrum, grid_fft, lattice_dispersion)
 from .random_field import RandomField
 
@@ -94,13 +94,12 @@ def evolve_hartree_batch(phi: WaveFunction, fields: Sequence[RandomField],
                          params: HartreeRunParams) -> list[WaveFunction]:
     """psi_t of phi under each field, all fields advanced together on phi's grid.
 
-    The norm is checked at entry to NORM_TOL, and per field at exit to NORM_TOL plus
+    The norm is checked at entry by check_unit, and per field at exit to NORM_TOL plus
     an ulp per step of roundoff; an exit failure carries its field's `row`.
     """
     grid = phi.grid
     fv = field_spectra(fields, grid)
-    if not (abs(phi.norm() - 1.0) <= NORM_TOL):
-        raise DomainError(f"the Hartree flow requires a unit state, norm = {phi.norm()!r}")
+    check_unit(phi.norm(), "the Hartree flow")
     steps, dt = params.steps, params.effective_dt
     phases = np.exp(-1j * dt * lattice_dispersion(grid))
     psi = np.repeat(phi.amplitudes.reshape(1, *grid.shape), len(fields), axis=0)

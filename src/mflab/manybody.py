@@ -37,8 +37,9 @@ h^{dp} K = sum_k mu_k |u_k^(x)p><u_k^(x)p|, so X_N = N^-p sum_k mu_k
 ||a(conj u_k)^p Psi||^2 with a(conj u) = sum_x conj(u_x) a_x: p contractions,
 each through one gather, with no sites^p array and without forming the
 reduced density matrix; the top gather gives the one-particle one.
-_MAX_RT caps the r*t that sets the degree, checked for a plan's largest N
-first; ensemble bounds the bytes of each plan and checks that |X_N| <= ||a||.
+_MAX_RT caps the r*t that sets the degree and check_lift the N of a finite lift,
+both checked for a plan's largest N first; ensemble bounds the bytes of each
+plan and checks that |X_N| <= ||a||.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import DimensionError, DomainError, ResourceError
-from .grid import NORM_TOL, LatticeGrid, WaveFunction, lattice_dispersion
+from .grid import LatticeGrid, WaveFunction, check_unit, lattice_dispersion
 
 # r*t at most 1e4 allows Chebyshev degree 13,623 (long_time needs at most 153)
 _MAX_RT = 1e4
@@ -178,22 +179,22 @@ class FockBasis:
     field-independent operators.
 
     occupations[i] is the occupation vector of the block's row i, the i-th
-    representative in rank order (every state on the whole sector, where
-    mirror is the identity), in the narrowest unsigned dtype that holds N
-    (uint8 up to N = 255), so it takes dim * sites bytes; assemble_hamiltonian
-    and the lift read it in row blocks, so their temporaries take O(dim)
-    bytes, not 8 * dim * sites. one_body is the CSR matrix of the hopping
-    sum_{x != y} T_{xy} adag_x a_y on those rows, with each column moved to
-    its orbit, so a row may hold a column twice, or its own; with sorted rows
-    and, on a whole sector, no diagonal entry (that is assemble_hamiltonian's).
+    representative in rank order (every state on a whole sector), in the
+    narrowest unsigned dtype that holds N (uint8 up to N = 255), so it takes
+    dim * sites bytes; assemble_hamiltonian and the lift read it in row
+    blocks, so their temporaries take O(dim) bytes, not 8 * dim * sites.
+    one_body is the CSR matrix of the hopping sum_{x != y} T_{xy} adag_x a_y
+    on those rows, with each column moved to its orbit, so a row may hold a
+    column twice, or its own; with sorted rows and, on a whole sector, no
+    diagonal entry (that is assemble_hamiltonian's).
     gathers holds the p annihilator gathers (idx, wt) from the N sector down
     to the N-p one, top first, each a C-contiguous (dim(n-1), sites) int32
     index and float64 weight (see _add_particle); the top one reads the
     block's coefficients c, (a_x Psi)[k] = wt[k, x] * c[idx[k, x]], and the
     sectors below it are whole. X_N and the RDM read them, and p is their
-    count. mirror is the grid's inversion on a block and the identity on a
-    whole sector, which the evenness checks read, and multiplicity the size
-    of each row's orbit, 1 or 2, the weight of its coefficient in the norm.
+    count. halved tells a block from a whole sector, so the evenness checks
+    run on a block only, and multiplicity is the size of each row's orbit,
+    1 or 2, the weight of its coefficient in the norm.
     All are built by build_fock_basis, from the sectors N-p..N it enumerates
     and the p gathers of rank arithmetic between them, each array written
     once. The spectral interval of propagation needs no per-basis array: it
@@ -207,7 +208,7 @@ class FockBasis:
     occupations: np.ndarray
     one_body: scipy.sparse.csr_matrix
     gathers: tuple[tuple[np.ndarray, np.ndarray], ...]
-    mirror: np.ndarray
+    halved: bool
     multiplicity: np.ndarray
 
     def __len__(self) -> int:
@@ -337,10 +338,10 @@ def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1, halved: bool = False
     one_body is built from the top one. The block keeps each state i with
     rank(i) <= rank(Pi) for the grid's inversion P, its orbit's representative
     (see _orbits), and the top gather is composed with the orbit index, so it
-    reads the whole Psi. A whole sector's mirror is the identity, so every
-    state is its own orbit and nothing is ranked. A sector whose int32 ranks
-    and CSR indices could not hold 2d * sites * dim(n-1), the bound on its
-    hopping entries, is refused with a ResourceError before it is enumerated.
+    reads the whole Psi. On a whole sector every state is its own orbit, and
+    nothing is ranked. A sector whose int32 ranks and CSR indices could not
+    hold 2d * sites * dim(n-1), the bound on its hopping entries, is refused
+    with a ResourceError before it is enumerated.
     """
     if not 1 <= p <= n:
         raise DomainError(f"need 1 <= p <= N, got p={p}, N={n}")
@@ -349,14 +350,13 @@ def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1, halved: bool = False
     if entries >= 2 ** 31:
         raise ResourceError(f"the N={n} sector on {sites} sites needs {entries:,} "
                             f"int32 hopping indices, beyond 2^31")
-    mirror = grid.inversion() if halved else np.arange(sites)
     base = occ = _enumerate(n - p, sites)
     gathers = ()
     for particles in range(n - p + 1, n + 1):
         gathers = (_add_particle(occ, particles),) + gathers
         lower, occ = occ, _enumerate(particles, sites)
     if halved:
-        rep, orbit, multiplicity = _orbits(base, gathers, mirror, n)
+        rep, orbit, multiplicity = _orbits(base, gathers, grid.inversion(), n)
     else:
         dim = len(occ)
         rep, orbit, multiplicity = (np.ones(dim, dtype=bool), np.arange(dim, dtype=np.int32),
@@ -364,11 +364,11 @@ def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1, halved: bool = False
     # composes the top gather with orbit, so it reads the block
     one_body = _one_body(*gathers[0], lower, kinetic_matrix(grid), orbit, rep)
     occ = occ[rep]
-    for arr in (occ, one_body.data, one_body.indices, one_body.indptr, mirror,
-                multiplicity, *sum(gathers, ())):
+    for arr in (occ, one_body.data, one_body.indices, one_body.indptr, multiplicity,
+                *sum(gathers, ())):
         arr.setflags(write=False)
     return FockBasis(n_particles=n, grid=grid, occupations=occ, one_body=one_body,
-                     gathers=gathers, mirror=mirror, multiplicity=multiplicity)
+                     gathers=gathers, halved=halved, multiplicity=multiplicity)
 
 
 @dataclass
@@ -406,11 +406,11 @@ def interaction_matrix(grid: LatticeGrid, values: np.ndarray) -> np.ndarray:
 
 
 def _check_mirror_even(basis: FockBasis, values: np.ndarray, what: str) -> None:
-    """Reject site values that differ from their mirror image on the basis's
-    sites. The mirror-even block holds no other state, and it stands for the
-    sector of an even field: the Hartree flow sees all of v, the pair term
-    only its even part, so only an even v gives both one interaction."""
-    if not np.array_equal(values[basis.mirror], values, equal_nan=True):
+    """On a mirror-even block, reject site values that are not even. The block
+    holds no other state, and it stands for the sector of an even field: the
+    Hartree flow sees all of v, the pair term only its even part, so only an
+    even v gives both one interaction."""
+    if basis.halved and not basis.grid.is_even(values):
         raise DomainError(f"{what} differs from its mirror image, and the sector "
                           f"holds only its mirror-even block")
 
@@ -436,13 +436,14 @@ def assemble_hamiltonian(basis: FockBasis, v) -> np.ndarray:
 def product_state_lift(phi: WaveFunction, basis: FockBasis) -> ManyBodyState:
     """Coefficients of the N-fold product state phi^(x)N in the occupation
     basis, N being the basis's particle number. On a mirror-even block, phi
-    must equal its mirror image, so that the block holds phi^(x)N."""
-    if not (abs(phi.norm() - 1.0) <= NORM_TOL):
-        raise DomainError(f"product lift requires a unit state, norm = {phi.norm()!r}")
+    must equal its mirror image, so that the block holds phi^(x)N; N must pass
+    check_lift."""
+    check_unit(phi.norm(), "product lift")
     if phi.grid != basis.grid:
         raise DimensionError("state does not live on the basis grid")
     _check_mirror_even(basis, phi.amplitudes, "the state")
     n = basis.n_particles
+    check_lift(n, basis.grid)
     u = phi.grid.cell_volume ** 0.5 * phi.amplitudes  # unit l2 vector
     occ = basis.occupations
     log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
@@ -454,6 +455,19 @@ def product_state_lift(phi: WaveFunction, basis: FockBasis) -> ManyBodyState:
     for x in range(basis.grid.n_sites):
         coeffs *= powers[occ[:, x], x]
     return ManyBodyState(basis=basis, coefficients=coeffs)
+
+
+def check_lift(n: int, grid: LatticeGrid) -> None:
+    """Fail with a DomainError if the lift of an N-fold product state overflows:
+    its prefactor sqrt(N! / prod_x n_x!) peaks at the most even occupation,
+    q or q + 1 per site for q, r = divmod(N, sites), which every sector and
+    block holds, and must stay below the largest double."""
+    q, r = divmod(n, grid.n_sites)
+    peak = 0.5 * (math.lgamma(n + 1) - r * math.lgamma(q + 2)
+                  - (grid.n_sites - r) * math.lgamma(q + 1))
+    if peak > math.log(np.finfo(float).max):
+        raise DomainError(f"the product state of N={n} on {grid.n_sites} sites has a "
+                          f"coefficient prefactor of e^{peak:.6g}, beyond the largest double")
 
 
 def _check_diagonal(basis: FockBasis, h) -> None:
@@ -542,8 +556,7 @@ def evolve_manybody(psi0: ManyBodyState, h: np.ndarray, t: float) -> ManyBodySta
     _check_diagonal(psi0.basis, h)
     if not (t >= 0):
         raise DomainError(f"evolution time must be nonnegative, got {t}")
-    if not (abs(psi0.norm() - 1.0) <= NORM_TOL):
-        raise DomainError("evolve_manybody requires a normalized state")
+    check_unit(psi0.norm(), "evolve_manybody")
     f = psi0.coefficients
     mat = psi0.basis.one_body
     c, r = _spectral_interval(psi0.basis.n_particles, psi0.basis.grid, h)

@@ -5,9 +5,9 @@ mflab sees a only on bosonic states, where it holds h^{dp} K = sum_k mu_k
 columns through one product or one gather a step (hartree_expectation,
 manybody_expectation), and the norm is max|mu|, the columns being orthonormal in
 every factor mflab builds. The stock observables are sums of tensor powers and give
-their factors in closed form; spectral_factors finds them by one eigensolve for a
-PObservable, a dense Hermitian one-particle kernel K with (a phi)(x) = h^d sum_y
-K(x;y) phi(y).
+their factors in closed form; spectral_factors finds them by one eigensolve of a
+dense Hermitian one-particle kernel K, (a phi)(x) = h^d sum_y K(x;y) phi(y), which
+it checks itself.
 """
 from __future__ import annotations
 
@@ -17,34 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .grid import NORM_TOL, LatticeGrid, WaveFunction, separable_profile
-
-
-@dataclass
-class PObservable:
-    """Bounded one-particle observable with a dense kernel on sites x sites.
-
-    The kernel is stored as a read-only complex copy, kept as given. It must
-    be square, finite and self-adjoint, max|K - K^H| <= 1e-12 max|K|.
-    """
-
-    kernel: np.ndarray
-
-    def __post_init__(self):
-        self.kernel = k = np.array(self.kernel, dtype=np.complex128)
-        k.setflags(write=False)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise DimensionError(f"kernel must be square, got shape {k.shape}")
-        # a NaN or inf stops the `and` before K - K^H is formed
-        if not (np.isfinite(k).all() and np.abs(k - k.conj().T).max(initial=0.0)
-                <= 1e-12 * np.abs(k).max(initial=0.0)):
-            raise DomainError("kernel must be finite and self-adjoint to 1e-12 max|K|")
+from .grid import LatticeGrid, WaveFunction, check_unit, separable_profile
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralFactors:
     """h^{dp} K = sum_k mu_k |u_k^(x)p><u_k^(x)p| on the p-particle states over grid:
-    p >= 1, and mu of shape (r,) and u of shape (sites, r), which it sets read-only."""
+    p >= 1, and mu of shape (r,) and u of shape (sites, r), which it sets read-only.
+
+    The columns of u must be orthonormal, as in every factor mflab builds: a plan
+    takes max|mu| as the observable's norm, which holds only then, and this class
+    does not check it."""
 
     mu: np.ndarray
     u: np.ndarray
@@ -80,12 +63,18 @@ def _significant(mu: np.ndarray) -> np.ndarray:
     return np.abs(mu) > len(mu) * np.finfo(float).eps * np.abs(mu).max(initial=0.0)
 
 
-def spectral_factors(a: PObservable, grid: LatticeGrid) -> SpectralFactors:
-    """The SpectralFactors of a on grid: the eigenpairs (mu_k, u_k) of the Hermitian
-    h^d K past the numerical rank cut, one eigh."""
-    if len(a.kernel) != grid.n_sites:
-        raise DimensionError(f"the kernel has {len(a.kernel)} rows, not {grid.n_sites}")
-    mu, v = np.linalg.eigh(grid.cell_volume * a.kernel)
+def spectral_factors(kernel: np.ndarray, grid: LatticeGrid) -> SpectralFactors:
+    """The SpectralFactors on grid of the dense one-particle kernel K, (a phi)(x) = h^d
+    sum_y K(x;y) phi(y), which must be (sites, sites), finite and self-adjoint to 1e-12
+    max|K|: the eigenpairs (mu_k, u_k) of h^d K past the numerical rank cut, one eigh."""
+    k = np.asarray(kernel, dtype=np.complex128)
+    if k.shape != (grid.n_sites,) * 2:
+        raise DimensionError(f"the kernel has shape {k.shape}, not {(grid.n_sites,) * 2}")
+    # a NaN or inf stops the `and` before K - K^H is formed
+    if not (np.isfinite(k).all() and np.abs(k - k.conj().T).max(initial=0.0)
+            <= 1e-12 * np.abs(k).max(initial=0.0)):
+        raise DomainError("kernel must be finite and self-adjoint to 1e-12 max|K|")
+    mu, v = np.linalg.eigh(grid.cell_volume * k)
     keep = _significant(mu)
     return SpectralFactors(mu[keep], v[:, keep], grid, 1)
 
@@ -95,8 +84,7 @@ def spectral_factors(a: PObservable, grid: LatticeGrid) -> SpectralFactors:
 def condensate_projector(phi: WaveFunction, p: int = 1) -> SpectralFactors:
     """p-fold tensor power of the rank-one projector |phi><phi| of a unit phi:
     h^{dp} K = |u^(x)p><u^(x)p| for the one unit column u = h^{d/2} phi, so mu = (1,)."""
-    if not (abs(phi.norm() - 1.0) <= NORM_TOL):
-        raise DomainError(f"condensate projector requires a unit state, norm = {phi.norm()!r}")
+    check_unit(phi.norm(), "condensate projector")
     u = phi.grid.cell_volume ** 0.5 * phi.amplitudes
     return SpectralFactors(np.ones(1), u.reshape(-1, 1), phi.grid, p)
 

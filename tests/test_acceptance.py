@@ -16,9 +16,9 @@ from mflab.manybody import (ManyBodyState, _rank, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
                             evolve_manybody, manybody_expectation,
                             product_state_lift)
-from mflab.observables import PObservable, condensate_projector, spectral_factors
+from mflab.observables import condensate_projector, spectral_factors
 from mflab.random_field import FieldSpec, sample_field
-from oracles import random_tensor_factors, tensor_power_kernel
+from oracles import DenseKernel, random_tensor_factors, tensor_power_kernel
 
 
 GRID = LatticeGrid(1, 8, 8.0)
@@ -195,8 +195,8 @@ def test_criterion_5_oracle_equivalence():
             b3 = build_fock_basis(n3, g3, p)
             if p == 1:
                 raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-                a = PObservable(raw + raw.conj().T)
-                factors = spectral_factors(a, g3)
+                a = DenseKernel(1, raw + raw.conj().T)
+                factors = spectral_factors(a.kernel, g3)
             else:
                 factors = random_tensor_factors(g3, p, rng)
                 a = tensor_power_kernel(factors)

@@ -337,6 +337,10 @@ def test_time_grid_is_checked_by_the_plan(tmp_path, line, message):
                                           "h = 1.25e+109, outside [2^-40, 2^40]"),
     ("box_length = 1e-160", "box length 1e-160 on 8 sites gives spacing h = 1.25e-161, "
                             "outside [2^-40, 2^40]"),
+    # sqrt(N! / prod n_x!) of the lift at n = (1500, 1500) is e^1037.61, beyond a double
+    ("sites = 2\nparticle_counts = 3000\nsamples = 1\nt_final = 0.05",
+     "the product state of N=3000 on 2 sites has a coefficient prefactor of e^1037.61, "
+     "beyond the largest double"),
     # np.std of 64 gaps of up to 2e200 would sum squares beyond the largest double
     ("observable.kind = site_multiplier\nobservable.amplitude = 1e200",
      "observable norm 1e+200: samples * (2 norm)^2 overflows"),

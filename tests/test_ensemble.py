@@ -275,8 +275,9 @@ def test_the_plan_passes_its_one_bool_to_the_memory_rule_and_every_sector(monkey
     calls = []
 
     def build(n, grid, p, halved):
-        calls.append(("build_fock_basis", halved))
-        return build_fock_basis(n, grid, p, halved)
+        basis = build_fock_basis(n, grid, p, halved)
+        calls.append(("build_fock_basis", basis.halved))  # the sector keeps the bool
+        return basis
 
     monkeypatch.setattr(mflab.ensemble, "check_memory",
                         lambda *args: calls.append(("check_memory", args[4])))
@@ -320,7 +321,7 @@ def test_plan_builds_and_checks_its_time_grid_once():
 @pytest.mark.parametrize("scale", [2.0, np.nan])
 def test_plan_rejects_an_initial_state_that_is_not_a_unit_vector(scale):
     # caught at construction, not in the lift after the first sector is built
-    with pytest.raises(DomainError, match=r"^initial state norm .* is not 1$"):
+    with pytest.raises(DomainError, match=r"^the plan requires a unit state, norm = "):
         ExperimentPlan(grid=GRID, field_spec=RANDOM_SPEC,
                        initial_state=WaveFunction(GRID, scale * PHI.amplitudes),
                        observable=OBS, t_final=0.25, dt=0.25 / 128, particle_counts=(2,),

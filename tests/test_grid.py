@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from mflab.errors import DimensionError, DomainError
-from mflab.grid import (LatticeGrid, WaveFunction, convolve, gaussian_packet,
-                        grid_fft, lattice_dispersion, normalize, plane_wave,
-                        uniform_state)
+from mflab.grid import (NORM_TOL, LatticeGrid, WaveFunction, check_unit, convolve,
+                        gaussian_packet, grid_fft, lattice_dispersion, normalize,
+                        plane_wave, uniform_state)
 from mflab.manybody import kinetic_matrix
 
 
@@ -195,3 +195,23 @@ def test_inversion_is_the_reflection_x_to_minus_x(d, m):
     assert np.array_equal(inv[inv], np.arange(g.n_sites))  # an involution
     # on M = 2 every site is its own mirror image
     assert np.array_equal(inv, np.arange(g.n_sites)) == (m == 2)
+
+
+def test_is_even_compares_bit_for_bit_and_matches_nan_with_nan():
+    g = LatticeGrid(1, 8, 8.0)
+    z = np.random.default_rng(0).standard_normal(8)
+    even = z + z[g.inversion()]  # a + b and b + a round alike
+    assert g.is_even(even) and g.is_even(np.full(8, np.nan))
+    nudged = even.copy()
+    nudged[1] = np.nextafter(nudged[1], 2.0)
+    assert not g.is_even(nudged)
+    # on M = 2 every site is its own mirror image, so every vector is even
+    assert LatticeGrid(1, 2, 2.0).is_even(np.array([1.0, 2.0]))
+
+
+def test_check_unit_names_the_norm_it_refuses():
+    check_unit(1.0 - NORM_TOL / 2, "the flow")
+    for norm in (1.0 + 2 * NORM_TOL, 0.5, np.nan, np.inf):
+        with pytest.raises(DomainError, match=rf"^the flow requires a unit state, "
+                                              rf"norm = {norm!r}$"):
+            check_unit(norm, "the flow")

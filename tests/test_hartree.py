@@ -7,8 +7,7 @@ from mflab.grid import (LatticeGrid, WaveFunction, convolve, gaussian_packet,
 from mflab.hartree import (HartreeRunParams, evolve_hartree_batch,
                            field_spectra, hartree_energy, hartree_expectation,
                            hartree_step, potential_phase)
-from mflab.observables import (PObservable, SpectralFactors, condensate_projector,
-                               spectral_factors)
+from mflab.observables import SpectralFactors, condensate_projector, spectral_factors
 from mflab.random_field import FieldSpec, sample_field
 
 
@@ -201,7 +200,7 @@ def test_expectation_product_kernel_factorizes():
                                        + 1j * rng.standard_normal(8))) for _ in range(2))
     # the p = 2 projector's kernel is b (x) b for the one-particle b = |phi><phi|
     b = np.outer(phi.amplitudes, phi.amplitudes.conj())
-    x1 = hartree_expectation(psi, spectral_factors(PObservable(b), GRID))
+    x1 = hartree_expectation(psi, spectral_factors(b, GRID))
     x2 = hartree_expectation(psi, condensate_projector(phi, 2))
     # direct double sum over the p=2 kernel
     vec = np.kron(psi.amplitudes, psi.amplitudes)
@@ -243,7 +242,7 @@ def test_expectation_rejects_factors_with_the_rows_of_another_grid(factor_grid, 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_zero_observable_has_x_exactly_zero(p):
-    zero = spectral_factors(PObservable(np.zeros((8, 8))), GRID)
+    zero = spectral_factors(np.zeros((8, 8)), GRID)
     assert zero.mu.shape == (0,)  # no pair passes the rank cut
     factors = SpectralFactors(zero.mu, zero.u, GRID, p)
     assert hartree_expectation(gaussian_packet(GRID), factors) == 0.0
@@ -252,7 +251,8 @@ def test_zero_observable_has_x_exactly_zero(p):
 def test_non_self_adjoint_kernel_rejected():
     rng = np.random.default_rng(2)
     with pytest.raises(DomainError, match="finite and self-adjoint"):
-        PObservable(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        spectral_factors(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)),
+                         GRID)
 
 
 def test_grid_mismatch_rejected():

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import pathlib
+import re
 import time
 import tracemalloc
 import warnings
@@ -23,12 +24,12 @@ from mflab.hartree import hartree_energy, hartree_expectation
 from mflab.manybody import (ManyBodyState, _add_particle, _bessel_j,
                             _chebyshev_degree, _enumerate, _rank,
                             _spectral_interval, assemble_hamiltonian,
-                            build_fock_basis, energy_expectation, fock_dimension,
+                            build_fock_basis, check_lift, energy_expectation, fock_dimension,
                             evolve_manybody, interaction_matrix,
                             kinetic_matrix, manybody_expectation,
                             product_state_lift, reduced_density_matrix)
-from mflab.observables import (PObservable, SpectralFactors, condensate_projector,
-                               site_multiplier, spectral_factors)
+from mflab.observables import (SpectralFactors, condensate_projector, site_multiplier,
+                               spectral_factors)
 from mflab.random_field import FieldSpec, RandomField, sample_field
 from oracles import (DenseKernel, composed_gather, composed_rdm, interaction_matrix_oracle,
                      random_tensor_factors, tensor_power_kernel, x_n_oracle, x_oracle)
@@ -189,9 +190,8 @@ def test_block_rows_are_the_representatives_and_their_orbit_sizes(d, m, n, p):
             reps, np.minimum(np.arange(len(full)), mirrored)))), shape=(len(full), len(block)))
     np.testing.assert_allclose(block.one_body.toarray(),
                                (full.one_body[reps] @ fold).toarray(), rtol=0, atol=1e-14)
-    assert np.array_equal(block.mirror, g.inversion())
-    assert np.array_equal(full.mirror, np.arange(g.n_sites))
-    for arr in (block.mirror, block.multiplicity, full.mirror, full.multiplicity):
+    assert (block.halved, full.halved) == (True, False)
+    for arr in (block.multiplicity, full.multiplicity):
         assert not arr.flags.writeable
 
 
@@ -700,8 +700,51 @@ def test_nan_state_or_time_fails_the_domain_checks():
     with pytest.raises(DomainError, match="nonnegative"):
         evolve_manybody(psi, np.zeros(len(basis)), math.nan)
     psi.coefficients[0] = np.nan
-    with pytest.raises(DomainError, match="normalized"):
+    with pytest.raises(DomainError, match=r"^evolve_manybody requires a unit state, "
+                                          r"norm = nan$"):
         evolve_manybody(psi, np.zeros(len(basis)), 0.5)
+
+
+def test_evolve_manybody_names_the_norm_it_refuses():
+    g = LatticeGrid(1, 4, 4.0)
+    psi = product_state_lift(gaussian_packet(g), build_fock_basis(2, g))
+    twice = ManyBodyState(psi.basis, 2 * psi.coefficients)
+    with pytest.raises(DomainError, match=r"^evolve_manybody requires a unit state, norm = "
+                                          + re.escape(repr(twice.norm())) + "$"):
+        evolve_manybody(twice, np.zeros(len(psi.basis)), 0.5)
+
+
+@pytest.mark.parametrize("sites, largest", [(2, 2053), (3, 1298)])
+def test_the_lift_range_ends_where_the_largest_prefactor_overflows(sites, largest):
+    # sqrt(N! / prod n_x!) peaks at the most even occupation; past e^709.78 it is inf
+    g = LatticeGrid(1, sites, float(sites))
+    check_lift(largest, g)
+    with pytest.raises(DomainError, match=rf"^the product state of N={largest + 1} on "
+                                          rf"{sites} sites has a coefficient prefactor of "
+                                          r"e\^709\.\d+, beyond the largest double$"):
+        check_lift(largest + 1, g)
+
+
+def test_the_lift_refuses_an_n_beyond_its_range_and_is_a_unit_state_at_the_last_one():
+    g = LatticeGrid(1, 2, 2.0)
+    phi = gaussian_packet(g)
+    assert abs(product_state_lift(phi, build_fock_basis(2053, g)).norm() - 1.0) < 1e-12
+    with pytest.raises(DomainError, match=r"^the product state of N=2054 on 2 sites"):
+        product_state_lift(phi, build_fock_basis(2054, g))
+
+
+def test_a_whole_sector_compares_nothing_with_its_mirror_image(monkeypatch):
+    def refuse(self, values):
+        raise AssertionError("a whole sector compared values with their mirror image")
+
+    g = LatticeGrid(1, 8, 8.0)
+    full = build_fock_basis(3, g)
+    assert full.halved is False and build_fock_basis(3, g, halved=True).halved is True
+    monkeypatch.setattr(LatticeGrid, "is_even", refuse)
+    # neither is even: e^{ikx} mirrors to e^{-ikx}, and v(x) = x to v(-x)
+    odd = RandomField(g, np.arange(8.0))
+    assert assemble_hamiltonian(full, odd).shape == (len(full),)
+    assert abs(product_state_lift(plane_wave(g), full).norm() - 1.0) < 1e-12
 
 
 def test_lift_rejects_unnormalized_state():
@@ -1068,8 +1111,8 @@ def _test_factors(kind, g, p, rng):
         return factors, tensor_power_kernel(factors)
     if p == 1:  # a random Hermitian kernel and its eigensolve
         raw = rng.standard_normal((sites, sites)) + 1j * rng.standard_normal((sites, sites))
-        a = PObservable(raw + raw.conj().T)
-        return spectral_factors(a, g), DenseKernel(1, a.kernel)
+        a = DenseKernel(1, raw + raw.conj().T)
+        return spectral_factors(a.kernel, g), a
     factors = random_tensor_factors(g, p, rng)
     return factors, tensor_power_kernel(factors)
 
@@ -1139,10 +1182,10 @@ def test_dropped_spectral_pairs_move_x_n_by_at_most_their_bound():
     lam = np.array([1.0, -10 * cut, cut / 10, 0.0])
     rng = np.random.default_rng(71)
     v, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    a = PObservable((v * lam) @ v.conj().T / g.cell_volume)
-    factors = spectral_factors(a, g)
+    kernel = (v * lam) @ v.conj().T / g.cell_volume
+    factors = spectral_factors(kernel, g)
     assert len(factors.mu) == 2
-    mu_all, v_all = np.linalg.eigh(g.cell_volume * a.kernel)
+    mu_all, v_all = np.linalg.eigh(g.cell_volume * kernel)
     basis = build_fock_basis(5, g)
     for psi in (_random_state(basis, rng), product_state_lift(gaussian_packet(g), basis)):
         kept = manybody_expectation(psi, factors)

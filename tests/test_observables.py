@@ -11,8 +11,8 @@ from mflab.grid import LatticeGrid, WaveFunction, gaussian_packet, normalize, pl
 from mflab.hartree import hartree_expectation
 from mflab.manybody import (ManyBodyState, build_fock_basis, manybody_expectation,
                             product_state_lift)
-from mflab.observables import (PObservable, SpectralFactors, condensate_projector,
-                               site_multiplier, spectral_factors)
+from mflab.observables import (SpectralFactors, condensate_projector, site_multiplier,
+                               spectral_factors)
 from oracles import DenseKernel, tensor_power_kernel, x_n_oracle, x_oracle
 
 
@@ -28,27 +28,27 @@ def _multiplier_kernel(g, amplitude, mode):
     return np.diag(f) / g.cell_volume
 
 
-@pytest.mark.parametrize("kernel, error", [
-    (np.ones((4, 3)), DimensionError),
-    (np.triu(np.ones((4, 4))), DomainError),  # not self-adjoint
-    (np.diag([1.0, np.nan, 1.0, 1.0]), DomainError),
-    (np.diag([1.0, np.inf, 1.0, 1.0]), DomainError),
-], ids=["not-square", "not-self-adjoint", "nan", "inf"])
-def test_constructor_validates_the_kernel(kernel, error):
-    with pytest.raises(error):
-        PObservable(kernel)
+_SHAPE = r"^the kernel has shape \(.*\), not \(4, 4\)$"
+_SELF_ADJOINT = r"^kernel must be finite and self-adjoint to 1e-12 max\|K\|$"
 
 
-@pytest.mark.parametrize("rows", [4, 16, 64])  # 64 = 8^2, the rows of a p = 2 kernel
-def test_spectral_factors_reject_a_kernel_of_another_site_count(rows):
-    g = LatticeGrid(1, 8, 8.0)
-    with pytest.raises(DimensionError, match=rf"^the kernel has {rows} rows, not 8$"):
-        spectral_factors(PObservable(np.eye(rows)), g)
+@pytest.mark.parametrize("kernel, error, message", [
+    (np.ones((4, 3)), DimensionError, _SHAPE),
+    (np.ones(4), DimensionError, _SHAPE),
+    (np.eye(2), DimensionError, _SHAPE),  # another site count
+    (np.eye(16), DimensionError, _SHAPE),  # 16 = 4^2, the rows of a p = 2 kernel
+    (np.triu(np.ones((4, 4))), DomainError, _SELF_ADJOINT),
+    (np.diag([1.0, np.nan, 1.0, 1.0]), DomainError, _SELF_ADJOINT),
+    (np.diag([1.0, np.inf, 1.0, 1.0]), DomainError, _SELF_ADJOINT),
+], ids=["not-square", "one-axis", "2-sites", "16-sites", "not-self-adjoint", "nan", "inf"])
+def test_spectral_factors_validate_the_kernel(kernel, error, message):
+    with pytest.raises(error, match=message):
+        spectral_factors(kernel, LatticeGrid(1, 4, 4.0))
 
 
 def test_spectral_factors_carry_their_grid_and_order():
     g = LatticeGrid(1, 4, 3.0)
-    factors = spectral_factors(PObservable(_projector_kernel(gaussian_packet(g), 1)), g)
+    factors = spectral_factors(_projector_kernel(gaussian_packet(g), 1), g)
     assert (factors.grid, factors.p) == (g, 1)
     assert factors.mu.shape == (1,) and factors.u.shape == (4, 1)
 
@@ -60,15 +60,15 @@ def test_condensate_projector_rejects_a_particle_count_below_one(p):
         condensate_projector(phi, p)
 
 
-def test_kernel_is_a_read_only_copy():
+def test_spectral_factors_leave_the_kernel_as_given_and_keep_no_view_of_it():
     g = LatticeGrid(1, 8, 8.0)
     k = np.eye(8, dtype=complex)
-    a = PObservable(k)
+    factors = spectral_factors(k, g)
+    assert k.flags.writeable and np.array_equal(k, np.eye(8))
     k[0, 0] = 5.0
-    assert np.array_equal(a.kernel, np.eye(8))
-    assert np.abs(spectral_factors(a, g).mu).max() == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(factors.mu).max() == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError, match="read-only"):
-        a.kernel[0, 0] = 5.0
+        factors.mu[0] = 5.0
 
 
 def test_operator_norm_rank_one_projector():
@@ -80,8 +80,8 @@ def test_operator_norm_rank_one_projector():
 
 def test_operator_norm_identity_kernel():
     g = LatticeGrid(1, 8, 4.0)
-    a = PObservable(np.eye(8) / g.cell_volume)
-    assert np.abs(spectral_factors(a, g).mu).max() == pytest.approx(1.0, abs=1e-8)
+    factors = spectral_factors(np.eye(8) / g.cell_volume, g)
+    assert np.abs(factors.mu).max() == pytest.approx(1.0, abs=1e-8)
 
 
 def _symmetric_basis_p2(sites):
@@ -251,7 +251,7 @@ def test_closed_form_factors_match_the_eigensolve_of_the_dense_kernel(d, m, kind
     dense_norm = np.abs(np.linalg.eigvalsh(g.cell_volume ** p * a.kernel)).max()
     assert np.abs(closed.mu).max() == pytest.approx(dense_norm, abs=1e-14)
     if p == 1:
-        eigen = spectral_factors(PObservable(a.kernel), g)
+        eigen = spectral_factors(a.kernel, g)
         assert np.abs(eigen.mu).max() == pytest.approx(dense_norm, abs=1e-14)
     psi = random_unit_state()
     assert hartree_expectation(psi, closed) == pytest.approx(x_oracle(psi, a), abs=1e-14)

@@ -32,7 +32,7 @@ def _orbit(full, block):
     """orbit[i]: the row of the block that holds the orbit of the full
     sector's state of rank i, the lower of rank(i) and rank(Pi)."""
     n = full.n_particles
-    mirrored = _rank(full.occupations[:, block.mirror], n)
+    mirrored = _rank(full.occupations[:, full.grid.inversion()], n)
     reps = _rank(block.occupations, n)
     orbit = np.searchsorted(reps, np.minimum(np.arange(len(full)), mirrored))
     assert np.array_equal(reps[orbit], np.minimum(np.arange(len(full)), mirrored))
@@ -106,7 +106,7 @@ def test_propagation_conserves_energy_at_production_size(reach):
     packet = product_state_lift(plan.initial_state, basis)
     # a complex Psi_0 too, from a phase that is even, as the block requires
     k = np.arange(basis.grid.n_sites)
-    phase = np.exp(0.3j * (k + k[basis.mirror]))
+    phase = np.exp(0.3j * (k + k[basis.grid.inversion()]))
     boosted = product_state_lift(
         WaveFunction(plan.grid, plan.initial_state.amplitudes * phase), basis)
     assert boosted.coefficients.imag.any()
@@ -151,7 +151,7 @@ def test_the_mirror_even_block_propagates_as_the_whole_sector(d, m, n, p):
     v = sample_field(spec, 7, g)
     full, block = build_fock_basis(n, g, p), build_fock_basis(n, g, p, halved=True)
     if m == 2:
-        assert np.array_equal(block.mirror, np.arange(g.n_sites))
+        assert np.array_equal(g.inversion(), np.arange(g.n_sites))
         # the inversion's orbits, ranked and climbed, are the whole sector's closed form
         for attr in ("occupations", "multiplicity"):
             assert np.array_equal(getattr(block, attr), getattr(full, attr)), attr
