@@ -8,7 +8,8 @@ Outputs in the chosen directory:
   report.txt       convergence table, tail diagnostics and an informational
                    log-log slope of mean Y_N versus N
 
-Each output is UTF-8 text, the encoding the config is read in, with the
+Each output is UTF-8 text, the encoding the config is read in, written to a
+fresh hidden name by ``open(tmp, "x")`` and renamed into place, so it gets the
 permissions ``open(path, "w")`` would give it under the current umask.
 
 ``main`` registers ``gc.freeze`` to run at exit. The objects that numpy and
@@ -25,7 +26,6 @@ import atexit
 import gc
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,19 +41,15 @@ def _fmt(x: float) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    # mkstemp creates the file with mode 0600, which os.replace keeps; the
-    # umask is read by setting it and restoring it (the CLI is single-threaded)
-    umask = os.umask(0o077)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    # "x" creates a fresh name, with the mode of open(path, "w"), which os.replace keeps
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

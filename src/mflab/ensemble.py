@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConsistencyError, DimensionError, DomainError, MFLabError,
-                     ResourceError)
-from .grid import LatticeGrid, WaveFunction, check_unit
+from .errors import ConsistencyError, DomainError, MFLabError, ResourceError
+from .grid import LatticeGrid, WaveFunction, check_grid, check_unit
 from .hartree import HartreeRunParams, evolve_hartree_batch, hartree_expectation
 from .manybody import (_BLOCK_ROWS, assemble_hamiltonian, build_fock_basis, check_lift,
                        check_propagation, evolve_manybody, manybody_expectation,
@@ -134,18 +133,18 @@ class ExperimentPlan:
         check_lift(counts[-1], self.grid)
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
-        if self.initial_state.grid != self.grid:
-            raise DimensionError("the initial state and the plan live on different grids")
+        check_grid(self.initial_state.grid, self.grid, "the initial state")
         check_unit(self.initial_state.norm(), "the plan")
         halved = self.grid.m > 2 and self.grid.is_even(self.initial_state.amplitudes)
         check_memory(self.grid, counts, self.observable.p, self.samples, halved,
                      len(self.observable.mu))
+        # HartreeRunParams checks t_final before check_propagation reads it
+        object.__setattr__(self, "hartree_params", HartreeRunParams(self.t_final, self.dt))
         check_propagation(counts[-1], self.grid, self.t_final)
         object.__setattr__(self, "particle_counts", counts)
         object.__setattr__(self, "base_seed", int(seed))
-        object.__setattr__(self, "hartree_params", HartreeRunParams(self.t_final, self.dt))
         object.__setattr__(self, "halved", halved)
-        self.observable.check_grid(self.grid)
+        check_grid(self.observable.grid, self.grid, "the observable")
         norm = float(np.abs(self.observable.mu).max(initial=0.0))
         # each |Y| <= 2 norm, and np.std in estimate sums `samples` squares
         if not (self.samples * (2 * norm) * (2 * norm) < math.inf):

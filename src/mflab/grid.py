@@ -2,7 +2,8 @@
 
 All inner products and norms carry the cell volume h^d so that discrete
 quantities converge to their continuum counterparts under refinement.
-The unit-norm rule (check_unit) and the evenness one (LatticeGrid.is_even) live here.
+The unit-norm rule (check_unit), the same-grid one (check_grid), the evenness one
+(LatticeGrid.is_even) and the one FFT (grid_fft) live here.
 """
 from __future__ import annotations
 
@@ -22,6 +23,13 @@ def check_unit(norm: float, what: str) -> None:
     """Reject a norm farther than NORM_TOL from 1; NaN fails too."""
     if not (abs(norm - 1.0) <= NORM_TOL):
         raise DomainError(f"{what} requires a unit state, norm = {norm!r}")
+
+
+def check_grid(got: LatticeGrid, want: LatticeGrid, what: str) -> None:
+    """Reject an object on another grid: two grids with the same number of sites
+    are not interchangeable."""
+    if got != want:
+        raise DimensionError(f"{what} lives on {got}, not on {want}")
 
 
 @dataclass(frozen=True)
@@ -121,12 +129,13 @@ def convolve(grid: LatticeGrid, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"convolve expects vectors of {grid.n_sites} sites, got {v.size} and {rho.size}"
         )
-    fv = np.fft.fftn(v.reshape(grid.shape))
+    fv = grid_fft(v.reshape(grid.shape), grid.d)
     return convolve_spectrum(grid, fv, rho.reshape(grid.shape)).ravel()
 
 
 def grid_fft(a: np.ndarray, d: int, transform=np.fft.fft) -> np.ndarray:
-    """fftn of a over its trailing d axes (ifftn with transform=np.fft.ifft).
+    """fftn of a over its trailing d axes (ifftn with transform=np.fft.ifft), the
+    one FFT of mflab; leading axes are a batch.
 
     One 1-D call per axis, last axis first as np.fft.fftn orders them, so the
     result is bitwise that of fftn without its per-call argument handling,

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-from .grid import (NORM_TOL, LatticeGrid, WaveFunction, check_unit, convolve,
+from .errors import DomainError
+from .grid import (NORM_TOL, LatticeGrid, WaveFunction, check_grid, check_unit, convolve,
                    convolve_spectrum, grid_fft, lattice_dispersion)
 from .random_field import RandomField
 
@@ -66,9 +66,9 @@ class HartreeRunParams:
 
 def field_spectra(fields: Sequence[RandomField], grid: LatticeGrid) -> np.ndarray:
     """fftn(v) of every field, stacked as (S, *grid.shape)."""
-    if any(v.grid != grid for v in fields):
-        raise DimensionError("field and wavefunction live on different grids")
-    return np.stack([np.fft.fftn(v.values.reshape(grid.shape)) for v in fields])
+    for v in fields:
+        check_grid(v.grid, grid, "the field")
+    return grid_fft(np.stack([v.values.reshape(grid.shape) for v in fields]), grid.d)
 
 
 def potential_phase(psi: np.ndarray, fv: np.ndarray, dt: float,
@@ -120,7 +120,7 @@ def evolve_hartree_batch(phi: WaveFunction, fields: Sequence[RandomField],
 def hartree_expectation(psi: WaveFunction, factors) -> float:
     """X = <psi^(x)p, a psi^(x)p> = sum_k mu_k |<u_k, h^{d/2} psi>|^{2p} from the
     observable's SpectralFactors: one (1, sites) @ (sites, r) product."""
-    factors.check_grid(psi.grid)
+    check_grid(factors.grid, psi.grid, "the observable")
     row = math.sqrt(psi.grid.cell_volume) * psi.amplitudes.conj()
     return factors.weighted_squares([(row.reshape(1, -1) @ factors.u) ** factors.p])
 
@@ -129,8 +129,7 @@ def hartree_energy(psi: WaveFunction, v: RandomField) -> float:
     """Discrete energy: the kinetic form h^d sum_k lambda_k |fftn(psi)_k|^2 / M^d
     (Parseval, with the flow's dispersion) plus half the interaction term."""
     grid, amps = psi.grid, psi.amplitudes
-    if v.grid != grid:
-        raise DimensionError(f"the field lives on {v.grid}, not on {grid}")
+    check_grid(v.grid, grid, "the field")
     spectrum = np.abs(grid_fft(amps.reshape(grid.shape), grid.d)) ** 2
     kin = grid.cell_volume * np.sum(lattice_dispersion(grid) * spectrum) / grid.n_sites
     density = np.abs(amps) ** 2

@@ -50,7 +50,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import DimensionError, DomainError, ResourceError
-from .grid import LatticeGrid, WaveFunction, check_unit, lattice_dispersion
+from .grid import LatticeGrid, WaveFunction, check_grid, check_unit, lattice_dispersion
 
 # r*t at most 1e4 allows Chebyshev degree 13,623 (long_time needs at most 153)
 _MAX_RT = 1e4
@@ -420,9 +420,7 @@ def assemble_hamiltonian(basis: FockBasis, v) -> np.ndarray:
     the basis's rows, as a float64 (dim,) array; H = basis.one_body + diag(h).
     On a mirror-even block, v must equal its mirror image."""
     n = basis.n_particles
-    # two grids with the same number of sites are not interchangeable
-    if v.grid != basis.grid:
-        raise DimensionError(f"the field lives on {v.grid}, not on {basis.grid}")
+    check_grid(v.grid, basis.grid, "the field")
     values = np.asarray(v.values, dtype=np.float64).ravel()
     _check_mirror_even(basis, values, "the field")
     occ = basis.occupations
@@ -439,8 +437,7 @@ def product_state_lift(phi: WaveFunction, basis: FockBasis) -> ManyBodyState:
     must equal its mirror image, so that the block holds phi^(x)N; N must pass
     check_lift."""
     check_unit(phi.norm(), "product lift")
-    if phi.grid != basis.grid:
-        raise DimensionError("state does not live on the basis grid")
+    check_grid(phi.grid, basis.grid, "the state")
     _check_mirror_even(basis, phi.amplitudes, "the state")
     n = basis.n_particles
     check_lift(n, basis.grid)
@@ -632,7 +629,7 @@ def manybody_expectation(psi: ManyBodyState, factors) -> float:
     is _lowered, which holds z_{j-1} whole; a plan checks |X_N| <= ||a||.
     """
     basis = psi.basis
-    factors.check_grid(basis.grid)
+    check_grid(factors.grid, basis.grid, "the observable")
     if factors.p != basis.p:
         raise DimensionError(f"the factors are of order p={factors.p}, the state's "
                              f"sector gathers order p={basis.p}")

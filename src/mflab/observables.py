@@ -7,7 +7,7 @@ manybody_expectation), and the norm is max|mu|, the columns being orthonormal in
 every factor mflab builds. The stock observables are sums of tensor powers and give
 their factors in closed form; spectral_factors finds them by one eigensolve of a
 dense Hermitian one-particle kernel K, (a phi)(x) = h^d sum_y K(x;y) phi(y), which
-it checks itself.
+it checks itself. Whoever reads the factors checks their grid by grid.check_grid.
 """
 from __future__ import annotations
 
@@ -42,10 +42,6 @@ class SpectralFactors:
                                  f"do not fit {self.grid.n_sites} rows")
         self.mu.setflags(write=False)
         self.u.setflags(write=False)
-
-    def check_grid(self, grid: LatticeGrid) -> None:
-        if grid != self.grid:
-            raise DimensionError(f"the factors hold on {self.grid}, the state on {grid}")
 
     def weighted_squares(self, blocks: Iterable[np.ndarray]) -> float:
         """sum_k mu_k sum_m |z[m, k]|^2 over the row blocks of z, one column per pair:

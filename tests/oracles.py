@@ -4,14 +4,17 @@ A sector holds its p annihilator gathers one step each; the tests compose them
 here into the gather of order p, w = a_{x_p}...a_{x_1} Psi with one column per
 X = (x_1..x_p), and read the p-particle reduced density matrix from it, so that
 X_N can be checked against Tr(K gamma^(p)) for a dense kernel K on sites^p.
+occupation_to_full and symmetrizer carry a sector state into first
+quantization, on sites^N, for the checks against the tensor-product picture.
 """
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from mflab.manybody import _blocks
+from mflab.manybody import _blocks, _rank
 from mflab.observables import SpectralFactors
 
 
@@ -111,3 +114,37 @@ def x_n_oracle(psi, a):
     n, p = psi.basis.n_particles, a.p
     trace = psi.basis.grid.cell_volume ** (2 * p) * np.sum(a.kernel * composed_rdm(psi).T)
     return math.perm(n, p) / n ** p * trace.real
+
+
+def occupation_to_full(coeffs, basis, sites):
+    """Fock coefficients -> first-quantized l2 tensor vector."""
+    n = basis.n_particles
+    full = np.zeros(sites ** n, dtype=complex)
+    for tup in itertools.product(range(sites), repeat=n):
+        occ = tuple(tup.count(x) for x in range(sites))
+        w = math.sqrt(math.prod(math.factorial(k) for k in occ)
+                      / math.factorial(n))
+        flat = 0
+        for x in tup:
+            flat = flat * sites + x
+        full[flat] = coeffs[_rank(occ, basis.n_particles)] * w
+    return full
+
+
+def symmetrizer(n, sites):
+    """The projector onto the symmetric tensors of n factors over sites, as a
+    (sites^n, sites^n) matrix: the mean of the n! permutations of the factors."""
+    dim = sites ** n
+    p = np.zeros((dim, dim))
+    for perm in itertools.permutations(range(n)):
+        idx = np.zeros(dim, dtype=int)
+        digits = []
+        rest = np.arange(dim)
+        for _ in range(n):
+            digits.append(rest % sites)
+            rest = rest // sites
+        digits = digits[::-1]
+        for pos in range(n):
+            idx = idx * sites + digits[perm[pos]]
+        p[np.arange(dim), idx] += 1.0
+    return p / math.factorial(n)

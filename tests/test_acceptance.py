@@ -1,5 +1,4 @@
 """Acceptance suite: each criterion prints one PASS/FAIL line when it runs."""
-import itertools
 import math
 import time
 
@@ -12,13 +11,14 @@ from mflab.config import RunOptions
 from mflab.ensemble import ExperimentPlan, estimate, run_ensemble, tail_diagnostic
 from mflab.grid import LatticeGrid, WaveFunction, convolve, gaussian_packet, normalize
 from mflab.hartree import HartreeRunParams, evolve_hartree_batch
-from mflab.manybody import (ManyBodyState, _rank, assemble_hamiltonian,
+from mflab.manybody import (ManyBodyState, assemble_hamiltonian,
                             build_fock_basis, energy_expectation,
                             evolve_manybody, manybody_expectation,
                             product_state_lift)
 from mflab.observables import condensate_projector, spectral_factors
 from mflab.random_field import FieldSpec, sample_field
-from oracles import DenseKernel, random_tensor_factors, tensor_power_kernel
+from oracles import (DenseKernel, occupation_to_full, random_tensor_factors, symmetrizer,
+                     tensor_power_kernel)
 
 
 GRID = LatticeGrid(1, 8, 8.0)
@@ -130,37 +130,6 @@ def test_criterion_4_conservation_suite():
         _verdict(4, name, ok)
 
 
-def _symmetrizer(n, sites):
-    dim = sites ** n
-    p = np.zeros((dim, dim))
-    for perm in itertools.permutations(range(n)):
-        idx = np.zeros(dim, dtype=int)
-        digits = []
-        rest = np.arange(dim)
-        for _ in range(n):
-            digits.append(rest % sites)
-            rest = rest // sites
-        digits = digits[::-1]
-        for pos in range(n):
-            idx = idx * sites + digits[perm[pos]]
-        p[np.arange(dim), idx] += 1.0
-    return p / math.factorial(n)
-
-
-def _occupation_to_full(coeffs, basis, sites):
-    n = basis.n_particles
-    full = np.zeros(sites ** n, dtype=complex)
-    for tup in itertools.product(range(sites), repeat=n):
-        occ = tuple(tup.count(x) for x in range(sites))
-        w = math.sqrt(math.prod(math.factorial(k) for k in occ)
-                      / math.factorial(n))
-        flat = 0
-        for x in tup:
-            flat = flat * sites + x
-        full[flat] = coeffs[_rank(occ, basis.n_particles)] * w
-    return full
-
-
 def test_criterion_5_oracle_equivalence():
     name = "oracle equivalence (propagator, FFT, operator lift, Hamiltonian)"
     ok = False
@@ -201,14 +170,14 @@ def test_criterion_5_oracle_equivalence():
                 factors = random_tensor_factors(g3, p, rng)
                 a = tensor_power_kernel(factors)
             a_l2 = g3.cell_volume ** p * a.kernel
-            ps = _symmetrizer(n3, 3)
+            ps = symmetrizer(n3, 3)
             lifted = math.perm(n3, p) / n3 ** p * ps @ np.kron(
                 a_l2, np.eye(3 ** (n3 - p))) @ ps
             for trial in range(3):
                 c = (rng.standard_normal(len(b3))
                      + 1j * rng.standard_normal(len(b3)))
                 c /= np.linalg.norm(c)
-                full = _occupation_to_full(c, b3, 3)
+                full = occupation_to_full(c, b3, 3)
                 oracle = np.vdot(full, lifted @ full).real
                 got = manybody_expectation(ManyBodyState(b3, c), factors)
                 assert abs(got - oracle) < 1e-10
@@ -223,7 +192,7 @@ def test_criterion_5_oracle_equivalence():
         pair = np.array([v3.values[(x - y) % 3]
                          for x in range(3) for y in range(3)])
         h_full = np.kron(t, np.eye(3)) + np.kron(np.eye(3), t) + np.diag(pair) / 2
-        cols = np.array([_occupation_to_full(np.eye(6)[i], b2, 3)
+        cols = np.array([occupation_to_full(np.eye(6)[i], b2, 3)
                          for i in range(6)]).T.real
         h1q = cols.T @ h_full @ cols
         assert np.max(np.abs(h2q - h1q)) < 1e-12

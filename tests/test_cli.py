@@ -237,6 +237,37 @@ def test_outputs_get_the_mode_a_plain_open_gives_under_the_umask(tmp_path):
             assert (out / name).stat().st_mode & 0o777 == mode, (umask, name)
 
 
+def test_outputs_get_their_mode_without_the_umask_being_read(tmp_path, monkeypatch):
+    # the kernel applies the umask when open(.., "x") creates each output
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    cfg = _write(tmp_path, SMALL_RUN)
+    set_umask = os.umask
+    old = set_umask(0o027)
+    try:
+        monkeypatch.setattr(os, "umask", no_umask)
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+        (tmp_path / "plain").write_text("")
+    finally:
+        set_umask(old)
+    mode = (tmp_path / "plain").stat().st_mode & 0o777
+    assert mode == 0o640
+    for name in ("config.resolved", "samples.csv", "summary.csv", "report.txt"):
+        assert (tmp_path / "out" / name).stat().st_mode & 0o777 == mode, name
+
+
+def test_a_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    cfg = _write(tmp_path, SMALL_RUN)
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "rename refused" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_main_with_overrides(tmp_path):
     cfg = _write(tmp_path, SMALL_RUN)
     out = tmp_path / "cli-out"

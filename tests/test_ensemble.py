@@ -15,7 +15,7 @@ from mflab.grid import (LatticeGrid, WaveFunction, gaussian_packet,
                         lattice_dispersion, normalize, plane_wave, uniform_state)
 from mflab.hartree import HartreeRunParams
 from mflab.manybody import build_fock_basis
-from mflab.observables import SpectralFactors, condensate_projector, site_multiplier
+from mflab.observables import condensate_projector, site_multiplier
 from mflab.random_field import FieldSpec, mix_seed
 
 
@@ -112,10 +112,11 @@ def test_plan_caps_the_memory_its_samples_hold(monkeypatch):
     fits = int((MEMORY_CAP - one) // 2_072) + 1
     assert _plan(RANDOM_SPEC, samples=fits).samples == fits
 
-    def no_check(*args, **kwargs):
-        raise AssertionError("the observable was read before the memory cap")
+    def no_check(got, want, what):
+        if what == "the observable":
+            raise AssertionError("the observable was read before the memory cap")
 
-    monkeypatch.setattr(SpectralFactors, "check_grid", no_check)
+    monkeypatch.setattr(mflab.ensemble, "check_grid", no_check)
     with pytest.raises(ResourceError, match=r"^the plan would hold about 1\.93e\+06 GiB, "
                                             r"above the cap of 1 GiB; the largest term is "
                                             r"the samples, 1\.93e\+06 GiB$"):
@@ -302,7 +303,8 @@ def test_a_run_on_mirror_even_blocks_matches_one_on_whole_sectors(monkeypatch):
 
 def test_plan_rejects_an_initial_state_on_another_grid():
     # as many sites as the plan's grid, but h = 0.25: caught before any sector is built
-    with pytest.raises(DimensionError, match="initial state and the plan live on different"):
+    with pytest.raises(DimensionError, match=r"^the initial state lives on LatticeGrid\(d=1, "
+                                             r"m=8, length=2\.0\), not on LatticeGrid\("):
         ExperimentPlan(grid=GRID, field_spec=RANDOM_SPEC,
                        initial_state=gaussian_packet(LatticeGrid(1, 8, 2.0)),
                        observable=OBS, t_final=0.25, dt=0.25 / 128, particle_counts=(2,),
@@ -316,6 +318,15 @@ def test_plan_builds_and_checks_its_time_grid_once():
                        samples=1, base_seed=1)
     plan = _plan(RANDOM_SPEC)
     assert plan.hartree_params == HartreeRunParams(plan.t_final, plan.dt)
+
+
+@pytest.mark.parametrize("t_final", [np.inf, np.nan, -1.0])
+def test_plan_checks_the_time_before_the_propagation_cap_reads_it(t_final):
+    # a config cannot give inf (parse_finite refuses it), but a library caller can
+    with pytest.raises(DomainError, match=r"^t_final must be finite and nonnegative, got "):
+        ExperimentPlan(grid=GRID, field_spec=RANDOM_SPEC, initial_state=PHI,
+                       observable=OBS, t_final=t_final, dt=0.01, particle_counts=(2,),
+                       samples=1, base_seed=1)
 
 
 @pytest.mark.parametrize("scale", [2.0, np.nan])

@@ -7,6 +7,7 @@ columns to 1e-12, the tolerance of the benchmark's own golden gate.
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mflab.cli import main
@@ -22,8 +23,26 @@ def _rows(path):
         return list(csv.DictReader(fh))
 
 
-@pytest.mark.parametrize("workload", ["convergence", "reach", "long_time", "smoke"])
+WORKLOADS = ["convergence", "reach", "long_time", "smoke"]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_workload_matches_golden(workload, tmp_path):
+    _assert_run_matches_golden(workload, tmp_path)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_runs_on_grid_fft_alone(workload, tmp_path, monkeypatch):
+    # grid.grid_fft is the one FFT: no run reaches np.fft.fftn or ifftn
+    def no_fftn(*args, **kwargs):
+        raise AssertionError("np.fft.fftn or ifftn called")
+
+    monkeypatch.setattr(np.fft, "fftn", no_fftn)
+    monkeypatch.setattr(np.fft, "ifftn", no_fftn)
+    _assert_run_matches_golden(workload, tmp_path)
+
+
+def _assert_run_matches_golden(workload, tmp_path):
     status = main(["--config", str(PERFBENCH / "workloads" / f"{workload}.cfg"),
                    "--seed", str(GOLDEN_SEED), "--out-dir", str(tmp_path)])
     assert status == 0

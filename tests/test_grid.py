@@ -1,11 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
+from mflab.ensemble import ExperimentPlan
 from mflab.errors import DimensionError, DomainError
 from mflab.grid import (NORM_TOL, LatticeGrid, WaveFunction, check_unit, convolve,
                         gaussian_packet, grid_fft, lattice_dispersion, normalize,
                         plane_wave, uniform_state)
-from mflab.manybody import kinetic_matrix
+from mflab.hartree import field_spectra, hartree_energy, hartree_expectation
+from mflab.manybody import (assemble_hamiltonian, build_fock_basis, kinetic_matrix,
+                            manybody_expectation, product_state_lift)
+from mflab.observables import condensate_projector
+from mflab.random_field import FieldSpec, sample_field
 
 
 def test_build_grid_examples():
@@ -215,3 +222,41 @@ def test_check_unit_names_the_norm_it_refuses():
         with pytest.raises(DomainError, match=rf"^the flow requires a unit state, "
                                               rf"norm = {norm!r}$"):
             check_unit(norm, "the flow")
+
+
+# as many sites as WANT, but another spacing
+WANT, GOT = LatticeGrid(1, 8, 8.0), LatticeGrid(1, 8, 16.0)
+
+
+def _entry_points():
+    """Each entry point called with one object on GOT, everything else on WANT,
+    and the name it gives that object."""
+    phi, other = gaussian_packet(WANT), gaussian_packet(GOT)
+    v, v_other = (sample_field(FieldSpec(base="cosine(0.8, 1)"), 1, g) for g in (WANT, GOT))
+    basis = build_fock_basis(2, WANT)
+
+    def plan(state, observable):
+        return ExperimentPlan(grid=WANT, field_spec=FieldSpec(), initial_state=state,
+                              observable=observable, t_final=0.25, dt=0.25 / 128,
+                              particle_counts=(2,), samples=1, base_seed=1)
+
+    return {
+        "plan-state": (lambda: plan(other, condensate_projector(phi)), "the initial state"),
+        "plan-observable": (lambda: plan(phi, condensate_projector(other)), "the observable"),
+        "assemble_hamiltonian": (lambda: assemble_hamiltonian(basis, v_other), "the field"),
+        "product_state_lift": (lambda: product_state_lift(other, basis), "the state"),
+        "field_spectra": (lambda: field_spectra([v, v_other], WANT), "the field"),
+        "hartree_energy": (lambda: hartree_energy(phi, v_other), "the field"),
+        "hartree_expectation": (lambda: hartree_expectation(phi, condensate_projector(other)),
+                                "the observable"),
+        "manybody_expectation": (lambda: manybody_expectation(
+            product_state_lift(phi, basis), condensate_projector(other)), "the observable"),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_entry_points()))
+def test_every_entry_point_refuses_another_grid_with_the_one_message(entry):
+    call, what = _entry_points()[entry]
+    message = f"{what} lives on {GOT}, not on {WANT}"
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        call()

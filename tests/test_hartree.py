@@ -8,7 +8,7 @@ from mflab.hartree import (HartreeRunParams, evolve_hartree_batch,
                            field_spectra, hartree_energy, hartree_expectation,
                            hartree_step, potential_phase)
 from mflab.observables import SpectralFactors, condensate_projector, spectral_factors
-from mflab.random_field import FieldSpec, sample_field
+from mflab.random_field import FieldSpec, RandomField, sample_field
 
 
 GRID = LatticeGrid(1, 8, 8.0)
@@ -28,6 +28,17 @@ def _step(psi, fields, dt, grid=GRID):
     phases = np.exp(-1j * dt * lattice_dispersion(grid))
     return hartree_step(_batch(psi, len(fields), grid), field_spectra(fields, grid),
                         dt, grid, phases)
+
+
+@pytest.mark.parametrize("d, m", [(1, 2), (1, 8), (1, 64), (1, 101), (2, 3), (2, 4),
+                                  (3, 4), (3, 16)])
+def test_field_spectra_are_bitwise_the_fftn_of_each_field(d, m):
+    # one batched grid_fft over the stacked fields, the same bits as one fftn each
+    g = LatticeGrid(d, m, float(m))
+    rng = np.random.default_rng(m)
+    fields = [RandomField(g, rng.standard_normal(g.n_sites)) for _ in range(3)]
+    want = [np.fft.fftn(v.values.reshape(g.shape)) for v in fields]
+    assert np.array_equal(field_spectra(fields, g), np.stack(want))
 
 
 def test_free_step_multiplies_plane_wave_by_dispersion_phase():
@@ -225,7 +236,7 @@ def test_expectation_rejects_factors_of_another_grid():
     for g, p in ((LatticeGrid(1, 5, 5.0), 1), (LatticeGrid(1, 3, 3.0), 2),
                  (LatticeGrid(2, 4, 8.0), 1)):
         factors = condensate_projector(gaussian_packet(g), p)
-        with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
+        with pytest.raises(DimensionError, match=r"^the observable lives on .*, not on "):
             hartree_expectation(psi, factors)
 
 
@@ -236,7 +247,7 @@ def test_expectation_rejects_factors_of_another_grid():
 def test_expectation_rejects_factors_with_the_rows_of_another_grid(factor_grid, p,
                                                                    state_grid):
     factors = condensate_projector(gaussian_packet(factor_grid), p)
-    with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
+    with pytest.raises(DimensionError, match=r"^the observable lives on .*, not on "):
         hartree_expectation(gaussian_packet(state_grid), factors)
 
 

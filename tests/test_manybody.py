@@ -32,7 +32,8 @@ from mflab.observables import (SpectralFactors, condensate_projector, site_multi
                                spectral_factors)
 from mflab.random_field import FieldSpec, RandomField, sample_field
 from oracles import (DenseKernel, composed_gather, composed_rdm, interaction_matrix_oracle,
-                     random_tensor_factors, tensor_power_kernel, x_n_oracle, x_oracle)
+                     occupation_to_full, random_tensor_factors, symmetrizer,
+                     tensor_power_kernel, x_n_oracle, x_oracle)
 
 
 def _field(grid, base="zero", mean=0.0, sigmas=(), seed=0):
@@ -584,38 +585,6 @@ def test_product_state_energy_is_the_hartree_energy_with_n_minus_1_pairs(d, m, l
             assert abs(e_n - (e_mf - pot / n)) <= 1e-12 * abs(e_mf)
 
 
-def _occupation_to_full(coeffs, basis, sites):
-    """Fock coefficients -> first-quantized l2 tensor vector."""
-    n = basis.n_particles
-    full = np.zeros(sites ** n, dtype=complex)
-    for tup in itertools.product(range(sites), repeat=n):
-        occ = tuple(tup.count(x) for x in range(sites))
-        w = math.sqrt(math.prod(math.factorial(k) for k in occ)
-                      / math.factorial(n))
-        flat = 0
-        for x in tup:
-            flat = flat * sites + x
-        full[flat] = coeffs[_rank(occ, basis.n_particles)] * w
-    return full
-
-
-def _symmetrizer(n, sites):
-    dim = sites ** n
-    p = np.zeros((dim, dim))
-    for perm in itertools.permutations(range(n)):
-        idx = np.zeros(dim, dtype=int)
-        digits = []
-        rest = np.arange(dim)
-        for _ in range(n):
-            digits.append(rest % sites)
-            rest = rest // sites
-        digits = digits[::-1]
-        for pos in range(n):
-            idx = idx * sites + digits[perm[pos]]
-        p[np.arange(dim), idx] += 1.0
-    return p / math.factorial(n)
-
-
 def test_hamiltonian_matches_first_quantized_projection():
     g = LatticeGrid(1, 3, 3.0)
     n = 2
@@ -629,7 +598,7 @@ def test_hamiltonian_matches_first_quantized_projection():
     pair = np.array([vv[(x - y) % 3] for x in range(3) for y in range(3)])
     h_full = np.kron(t, eye) + np.kron(eye, t) + np.diag(pair) / n
 
-    cols = np.array([_occupation_to_full(np.eye(6)[i], basis, 3)
+    cols = np.array([occupation_to_full(np.eye(6)[i], basis, 3)
                      for i in range(6)]).T.real
     h1q = cols.T @ h_full @ cols
     assert np.max(np.abs(h2q - h1q)) < 1e-12
@@ -762,7 +731,7 @@ def test_lift_matches_full_tensor_power():
     n = 3
     basis = build_fock_basis(n, g)
     state = product_state_lift(phi, basis)
-    full = _occupation_to_full(state.coefficients, basis, 3)
+    full = occupation_to_full(state.coefficients, basis, 3)
     u = g.h ** 0.5 * phi.amplitudes
     tensor = u
     for _ in range(n - 1):
@@ -1070,7 +1039,7 @@ def _lifted_operator_dense(a, n, grid):
     sites = grid.n_sites
     a_l2 = grid.cell_volume ** a.p * a.kernel
     full = np.kron(a_l2, np.eye(sites ** (n - a.p)))
-    ps = _symmetrizer(n, sites)
+    ps = symmetrizer(n, sites)
     return math.perm(n, a.p) / n ** a.p * ps @ full @ ps
 
 
@@ -1085,7 +1054,7 @@ def test_expectation_matches_lifted_operator_oracle(p):
         coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         coeffs /= np.linalg.norm(coeffs)
         psi = ManyBodyState(basis, coeffs)
-        full = _occupation_to_full(coeffs, basis, 3)
+        full = occupation_to_full(coeffs, basis, 3)
         oracle = np.vdot(full, _lifted_operator_dense(a, n, g) @ full).real
         got = manybody_expectation(psi, factors)
         assert got == pytest.approx(oracle, abs=1e-10)
@@ -1239,7 +1208,7 @@ def test_expectation_rejects_observable_of_another_grid():
     psi = product_state_lift(gaussian_packet(g), build_fock_basis(2, g))
     g5 = LatticeGrid(1, 5, 5.0)
     a = condensate_projector(gaussian_packet(g5))
-    with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
+    with pytest.raises(DimensionError, match=r"^the observable lives on .*, not on "):
         manybody_expectation(psi, a)
 
 
@@ -1247,7 +1216,7 @@ def test_expectation_rejects_factors_of_a_grid_with_another_spacing():
     g, coarse = LatticeGrid(1, 8, 2.0), LatticeGrid(1, 8, 8.0)
     psi = product_state_lift(gaussian_packet(g), build_fock_basis(2, g))
     factors = condensate_projector(gaussian_packet(coarse))
-    with pytest.raises(DimensionError, match="the factors hold on .*, the state on "):
+    with pytest.raises(DimensionError, match=r"^the observable lives on .*, not on "):
         manybody_expectation(psi, factors)
 
 
