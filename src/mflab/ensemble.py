@@ -52,7 +52,7 @@ def check_memory(grid: LatticeGrid, counts, p: int, samples: int, halved: bool,
     big = 2 ** 62  # one shape at 2^62 passes the cap; below it every term is a float
     counts = sorted({min(n, big) for n in counts if n >= 1}) or [1]
     p, s, top = min(max(p, 1), counts[0]), min(grid.n_sites, big), counts[-1]
-    share, deg = (0.5 if halved else 1), (2 * grid.d if grid.m > 2 else grid.d)
+    share, deg = (0.5 if halved else 1), grid.degree
     dim, below, occ = states(top, s), states(top - 1, s), s * np.min_scalar_type(top).itemsize
     rows = min(_BLOCK_ROWS, below)
     # building the top N beyond what it keeps (the sector and its copy in _enumerate,

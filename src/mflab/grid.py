@@ -3,7 +3,8 @@
 All inner products and norms carry the cell volume h^d so that discrete
 quantities converge to their continuum counterparts under refinement.
 The unit-norm rule (check_unit), the same-grid one (check_grid), the evenness one
-(LatticeGrid.is_even) and the one FFT (grid_fft) live here.
+(LatticeGrid.is_even), the stencil of -Lap (LatticeGrid.neighbours) and the one
+FFT (grid_fft) live here.
 """
 from __future__ import annotations
 
@@ -80,6 +81,22 @@ class LatticeGrid:
         inversion x -> -x as a permutation of the sites (the identity at M = 2)."""
         coords = np.indices(self.shape).reshape(self.d, -1)
         return np.ravel_multi_index(tuple(-coords % self.m), self.shape)
+
+    @property
+    def degree(self) -> int:
+        """The periodic neighbours of each site: 2d, or d on M = 2, where the
+        steps +1 and -1 along an axis reach one site."""
+        return 2 * self.d if self.m > 2 else self.d
+
+    def neighbours(self) -> np.ndarray:
+        """The flat indices of each site's periodic neighbours, one step along
+        one axis, as a (sites, degree) table sorted ascending per site: the
+        stencil of -Lap off its diagonal."""
+        sites = np.arange(self.n_sites).reshape(self.shape)
+        table = np.sort(np.stack([np.roll(sites, step, axis).ravel() for axis in range(self.d)
+                                  for step in (1, -1)], axis=1), axis=1)
+        # on M = 2 each neighbour is reached twice, side by side once sorted
+        return table[:, ::2 * self.d // self.degree]
 
     def is_even(self, values: np.ndarray) -> bool:
         """Whether the site values equal their image under the inversion bit for

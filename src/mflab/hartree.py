@@ -65,7 +65,9 @@ class HartreeRunParams:
 
 
 def field_spectra(fields: Sequence[RandomField], grid: LatticeGrid) -> np.ndarray:
-    """fftn(v) of every field, stacked as (S, *grid.shape)."""
+    """fftn(v) of every field, stacked as (S, *grid.shape); S >= 1."""
+    if not len(fields):
+        raise DomainError("field_spectra needs at least one field, got an empty field list")
     for v in fields:
         check_grid(v.grid, grid, "the field")
     return grid_fft(np.stack([v.values.reshape(grid.shape) for v in fields]), grid.d)

@@ -153,26 +153,6 @@ def _kinetic_diagonal(grid: LatticeGrid) -> float:
     return 2.0 * grid.d / grid.h ** 2
 
 
-def kinetic_matrix(grid: LatticeGrid) -> scipy.sparse.csr_matrix:
-    """T = -Lap, the 2d+1-point periodic stencil, as a CSR matrix with
-    sorted rows and O(sites * d) entries.
-
-    _kinetic_diagonal on the diagonal and, per axis, -1/h^2 at each of the two
-    periodic neighbours (one site on M = 2, which gets -2/h^2). Its
-    eigenvalues are lattice_dispersion(grid).
-    """
-    idx = np.arange(grid.n_sites).reshape(grid.shape)
-    inv_h2 = 1.0 / grid.h ** 2
-    rows = np.tile(idx.ravel(), 2 * grid.d + 1)
-    cols = np.concatenate([idx.ravel()] + [np.roll(idx, s, axis).ravel()
-                                           for axis in range(grid.d) for s in (1, -1)])
-    vals = np.repeat([_kinetic_diagonal(grid)] + [-inv_h2] * (2 * grid.d), grid.n_sites)
-    # duplicates (the M = 2 neighbours) are summed here
-    t = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(grid.n_sites,) * 2)
-    t.sort_indices()
-    return t
-
-
 @dataclass(frozen=True, eq=False)
 class FockBasis:
     """An N-boson sector on a grid, or its mirror-even block, and its
@@ -230,34 +210,31 @@ def _blocks(length: int) -> list[slice]:
     return [slice(i, i + _BLOCK_ROWS) for i in range(0, length, _BLOCK_ROWS)]
 
 
-def _one_body(idx: np.ndarray, wt: np.ndarray, lower_occ: np.ndarray,
-              t: scipy.sparse.csr_matrix, orbit: np.ndarray,
+def _one_body(idx: np.ndarray, wt: np.ndarray, grid: LatticeGrid, orbit: np.ndarray,
               rep: np.ndarray) -> scipy.sparse.csr_matrix:
     """CSR of the hopping sum_{x != y} T_xy adag_x a_y on the representative
     rows of the N sector, from the gather (idx, wt) of a_x onto the N-1 sector
-    lower_occ (see _add_particle); rep[i] tells whether the state of rank i is
-    a representative, and orbit[i] is the block row of i's orbit.
+    (see _add_particle) and the grid's stencil; rep[i] tells whether the state
+    of rank i is a representative, and orbit[i] is the block row of i's orbit.
 
     Each (k, x) whose state i = idx[k, x] = k + e_x is a representative is one
     occupied x of row orbit[i], and writes that row's entries for the
     neighbours y of x straight to their slot: deg entries per occupied site of
     i, in the order of x, so the offset of (k, x) in the row is deg times the
-    occupied sites of k before x. Neighbour y has column orbit[idx[k, y]], the
-    orbit of rank(k + e_y), and value T_xy * wt[k, y] * wt[k, x]. A state and
-    its mirror image share a column, so a row may hold a column twice; the
-    CSR product sums them. Its rows are sorted last. Each block of idx is
-    replaced by its orbits once read, so idx leaves as the gather of a_x from
-    the block: (a_x Psi)[k] = wt[k, x] * c[idx[k, x]] for Psi's block c.
+    occupied sites of k before x, those with wt = sqrt(n + 1) > 1. Neighbour y
+    has column orbit[idx[k, y]], the orbit of rank(k + e_y), and value
+    T_xy * wt[k, y] * wt[k, x], T_xy = -1/h^2 per step from x to y (-2/h^2 on
+    M = 2, where two steps reach y). A state and its mirror image share a
+    column, so a row may hold a column twice; the CSR product sums them. Its
+    rows are sorted last. Each block of idx is replaced by its orbits once
+    read, so idx leaves as the gather of a_x from the block:
+    (a_x Psi)[k] = wt[k, x] * c[idx[k, x]] for Psi's block c.
     """
-    sites = t.shape[0]
-    # every site has the same number of neighbours, in sorted columns
-    off = t.indices != np.repeat(np.arange(sites), np.diff(t.indptr))
-    nbr = t.indices[off].astype(np.intp).reshape(sites, -1)
-    deg = nbr.shape[1]
-    # per neighbour j and site x: T_xy, and y - x, the step from (k, x) to (k, y)
-    # in a row-major block
-    amp = t.data[off].reshape(sites, deg).T.copy()
-    step = (nbr - np.arange(sites)[:, None]).T.copy()
+    sites, deg = grid.n_sites, grid.degree
+    amp = -(2 * grid.d / deg) / grid.h ** 2
+    # per neighbour j and site x: y - x, the step from (k, x) to (k, y) in a
+    # row-major block
+    step = (grid.neighbours() - np.arange(sites)[:, None]).T.copy()
     # row i holds deg entries per occupied site, and each is one (k, x); int32
     # indices: nnz <= deg * sites * dim(N-1), which build_fock_basis keeps below 2^31
     indptr = np.zeros(np.count_nonzero(rep) + 1, dtype=np.int32)
@@ -268,7 +245,7 @@ def _one_body(idx: np.ndarray, wt: np.ndarray, lower_occ: np.ndarray,
     # no temporary beside indices and data is more than (_BLOCK_ROWS, sites)
     for rows in _blocks(len(idx)):
         idx_k, wt_k = idx[rows].ravel(), wt[rows].ravel()
-        occupied = lower_occ[rows] != 0
+        occupied = wt[rows] > 1
         before = np.cumsum(occupied, axis=1, dtype=np.int32)
         before -= occupied
         kx = np.flatnonzero(np.take(rep, idx_k))  # the (k, x) of representatives
@@ -283,8 +260,7 @@ def _one_body(idx: np.ndarray, wt: np.ndarray, lower_occ: np.ndarray,
             slot = start + j
             indices[slot] = np.take(cols, ky)
             # T_xy * a_y * a_x, rounded as A^T (T A) rounds it
-            val = np.take(amp[j], x)
-            val *= np.take(wt_k, ky)
+            val = amp * np.take(wt_k, ky)
             val *= wt_x
             data[slot] = val
         idx[rows] = cols.reshape(-1, sites)
@@ -354,7 +330,7 @@ def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1, halved: bool = False
     gathers = ()
     for particles in range(n - p + 1, n + 1):
         gathers = (_add_particle(occ, particles),) + gathers
-        lower, occ = occ, _enumerate(particles, sites)
+        occ = _enumerate(particles, sites)
     if halved:
         rep, orbit, multiplicity = _orbits(base, gathers, grid.inversion(), n)
     else:
@@ -362,7 +338,7 @@ def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1, halved: bool = False
         rep, orbit, multiplicity = (np.ones(dim, dtype=bool), np.arange(dim, dtype=np.int32),
                                     np.ones(dim, dtype=np.uint8))
     # composes the top gather with orbit, so it reads the block
-    one_body = _one_body(*gathers[0], lower, kinetic_matrix(grid), orbit, rep)
+    one_body = _one_body(*gathers[0], grid, orbit, rep)
     occ = occ[rep]
     for arr in (occ, one_body.data, one_body.indices, one_body.indptr, multiplicity,
                 *sum(gathers, ())):

@@ -5,7 +5,8 @@ here into the gather of order p, w = a_{x_p}...a_{x_1} Psi with one column per
 X = (x_1..x_p), and read the p-particle reduced density matrix from it, so that
 X_N can be checked against Tr(K gamma^(p)) for a dense kernel K on sites^p.
 occupation_to_full and symmetrizer carry a sector state into first
-quantization, on sites^N, for the checks against the tensor-product picture.
+quantization, on sites^N, and kinetic_oracle builds the one-particle T = -Lap
+from its definition, for the checks against the tensor-product picture.
 """
 import functools
 import itertools
@@ -69,6 +70,20 @@ def composed_rdm(psi):
     raw = sum(w.T @ w.conj() for w in (np.take(psi.coefficients, idx[rows]) * wt[rows]
                                        for rows in _blocks(len(idx))))
     return (1.0 / (math.perm(n, p) * basis.grid.cell_volume ** p)) * raw
+
+
+def kinetic_oracle(grid):
+    """T = -Lap as a dense (sites, sites) matrix from its definition: 2d/h^2 on
+    the diagonal, minus each periodic shift of the identity, one step along one
+    axis either way, over h^2; on M = 2 the two shifts of an axis coincide and
+    add."""
+    sites = grid.n_sites
+    eye = np.eye(sites).reshape(sites, *grid.shape)
+    t = (2 * grid.d / grid.h ** 2) * np.eye(sites)
+    for axis in range(grid.d):
+        for step in (1, -1):
+            t -= np.roll(eye, step, axis=1 + axis).reshape(sites, sites) / grid.h ** 2
+    return t
 
 
 def interaction_matrix_oracle(grid, values):

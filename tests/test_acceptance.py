@@ -17,8 +17,8 @@ from mflab.manybody import (ManyBodyState, assemble_hamiltonian,
                             product_state_lift)
 from mflab.observables import condensate_projector, spectral_factors
 from mflab.random_field import FieldSpec, sample_field
-from oracles import (DenseKernel, occupation_to_full, random_tensor_factors, symmetrizer,
-                     tensor_power_kernel)
+from oracles import (DenseKernel, kinetic_oracle, occupation_to_full, random_tensor_factors,
+                     symmetrizer, tensor_power_kernel)
 
 
 GRID = LatticeGrid(1, 8, 8.0)
@@ -183,12 +183,11 @@ def test_criterion_5_oracle_equivalence():
                 assert abs(got - oracle) < 1e-10
 
         # (d) second- vs first-quantized Hamiltonian, N = 2, M = 3
-        from mflab.manybody import kinetic_matrix
         b2 = build_fock_basis(2, g3)
         v3 = sample_field(FieldSpec(base="gaussian_bump(1.0, 0.8)",
                                     mode_stddevs=(0.6,)), 99, g3)
         h2q = b2.one_body.toarray() + np.diag(assemble_hamiltonian(b2, v3))
-        t = kinetic_matrix(g3).toarray()
+        t = kinetic_oracle(g3)
         pair = np.array([v3.values[(x - y) % 3]
                          for x in range(3) for y in range(3)])
         h_full = np.kron(t, np.eye(3)) + np.kron(np.eye(3), t) + np.diag(pair) / 2

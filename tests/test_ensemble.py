@@ -127,7 +127,8 @@ def test_plan_caps_the_memory_its_samples_hold(monkeypatch):
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("perfbench/workloads/*.cfg"))
-# sectors up to 170,544 states, p = 2 and p = 4, and the N = 16 block on 8 sites
+# sectors up to 170,544 states, p = 2 and p = 4, the N = 16 block on 8 sites, and
+# d neighbours per site on M = 2 (whole sectors there, as M = 2 never halves)
 SHAPES = {
     "d1-m64-n3": "dimension = 1\nsites = 64\nparticle_counts = 3",
     "d3-m3-n5": "dimension = 3\nsites = 3\nparticle_counts = 5",
@@ -135,6 +136,7 @@ SHAPES = {
     "d1-m8-n14-p2": "dimension = 1\nsites = 8\nparticle_counts = 14\nobservable.p = 2",
     "d2-m4-n4-p4": "dimension = 2\nsites = 4\nparticle_counts = 4\nobservable.p = 4",
     "d1-m8-n16": "dimension = 1\nsites = 8\nparticle_counts = 16",
+    "d3-m2-n10": "dimension = 3\nsites = 2\nparticle_counts = 10",
 }
 
 

@@ -9,10 +9,10 @@ from mflab.grid import (NORM_TOL, LatticeGrid, WaveFunction, check_unit, convolv
                         gaussian_packet, grid_fft, lattice_dispersion, normalize,
                         plane_wave, uniform_state)
 from mflab.hartree import field_spectra, hartree_energy, hartree_expectation
-from mflab.manybody import (assemble_hamiltonian, build_fock_basis, kinetic_matrix,
+from mflab.manybody import (_rank, assemble_hamiltonian, build_fock_basis,
                             manybody_expectation, product_state_lift)
 from mflab.observables import condensate_projector
-from mflab.random_field import FieldSpec, sample_field
+from mflab.random_field import FieldSpec, RandomField, sample_field
 
 
 def test_build_grid_examples():
@@ -45,16 +45,39 @@ def test_gaussian_packet_of_overflowing_width_is_uniform():
     assert np.array_equal(wide.amplitudes, uniform_state(g).amplitudes)
 
 
+def _kinetic(g):
+    """T = -Lap as the program holds it: one_body + diag(h) of the N = 1 sector
+    at zero field, in site order (the state of rank perm[x] has its particle
+    at x)."""
+    basis = build_fock_basis(1, g)
+    h = assemble_hamiltonian(basis, RandomField(g, np.zeros(g.n_sites)))
+    perm = _rank(np.eye(g.n_sites, dtype=int), 1)
+    return (basis.one_body.toarray() + np.diag(h))[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_neighbours_are_the_sorted_distinct_unit_steps(d, m):
+    g = LatticeGrid(d, m, 1.0)
+    coords = np.indices(g.shape).reshape(d, -1).T
+    want = [sorted({int(np.ravel_multi_index(tuple((c + s * e) % m), g.shape))
+                    for e in np.eye(d, dtype=int) for s in (1, -1)}) for c in coords]
+    table = g.neighbours()
+    assert g.degree == (d if m == 2 else 2 * d)
+    assert table.shape == (g.n_sites, g.degree)
+    assert table.tolist() == want
+
+
 def test_laplacian_of_constant_is_zero():
     g = LatticeGrid(1, 8, 8.0)
-    out = kinetic_matrix(g) @ np.full(8, 3.7 + 0.2j)
+    out = _kinetic(g) @ np.full(8, 3.7 + 0.2j)
     assert np.max(np.abs(out)) == 0.0
 
 
 def test_laplacian_delta_stencil():
     g = LatticeGrid(1, 4, 4.0)  # h = 1
     # T = -Lap: the 3-point stencil by hand with periodic wrap, negated
-    col = kinetic_matrix(g).toarray()[:, 0]
+    col = _kinetic(g)[:, 0]
     assert np.allclose(col, [2, -1, 0, -1], atol=1e-15)
 
 
@@ -62,13 +85,13 @@ def test_laplacian_plane_wave_eigenvalue():
     g = LatticeGrid(1, 16, 4.0)
     k = 2 * np.pi / g.length
     psi = np.exp(1j * k * g.axis_coordinates())
-    out = kinetic_matrix(g) @ psi
+    out = _kinetic(g) @ psi
     lam = (2 - 2 * np.cos(k * g.h)) / g.h ** 2
     assert np.allclose(out, lam * psi, atol=1e-12)
 
 
 def _apply_t(g, psi):
-    return WaveFunction(g, kinetic_matrix(g) @ psi.amplitudes)
+    return WaveFunction(g, _kinetic(g) @ psi.amplitudes)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -97,7 +120,7 @@ def test_kinetic_spectrum_is_the_lattice_dispersion(d, m):
     # the many-body interval [N min lambda, N max lambda] rests on this
     g = LatticeGrid(d, m, 0.7 * m)
     lam = np.sort(lattice_dispersion(g).ravel())
-    eig = np.linalg.eigvalsh(kinetic_matrix(g).toarray())
+    eig = np.linalg.eigvalsh(_kinetic(g))
     assert np.max(np.abs(eig - lam)) <= 1e-13 * lam.max()
 
 

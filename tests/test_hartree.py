@@ -99,6 +99,12 @@ def test_non_unit_initial_state_rejected():
         evolve_hartree_batch(psi, [_field()], HartreeRunParams(0.1, 0.01))[0]
 
 
+def test_empty_field_list_is_refused_by_name():
+    with pytest.raises(DomainError, match="^field_spectra needs at least one field, "
+                                          "got an empty field list$"):
+        evolve_hartree_batch(gaussian_packet(GRID), [], HartreeRunParams(0.1, 0.01))
+
+
 def test_exit_norm_check_names_the_drifting_field(monkeypatch):
     import mflab.hartree
 

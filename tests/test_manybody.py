@@ -25,14 +25,13 @@ from mflab.manybody import (ManyBodyState, _add_particle, _bessel_j,
                             _chebyshev_degree, _enumerate, _rank,
                             _spectral_interval, assemble_hamiltonian,
                             build_fock_basis, check_lift, energy_expectation, fock_dimension,
-                            evolve_manybody, interaction_matrix,
-                            kinetic_matrix, manybody_expectation,
+                            evolve_manybody, interaction_matrix, manybody_expectation,
                             product_state_lift, reduced_density_matrix)
 from mflab.observables import (SpectralFactors, condensate_projector, site_multiplier,
                                spectral_factors)
 from mflab.random_field import FieldSpec, RandomField, sample_field
 from oracles import (DenseKernel, composed_gather, composed_rdm, interaction_matrix_oracle,
-                     occupation_to_full, random_tensor_factors, symmetrizer,
+                     kinetic_oracle, occupation_to_full, random_tensor_factors, symmetrizer,
                      tensor_power_kernel, x_n_oracle, x_oracle)
 
 
@@ -142,7 +141,7 @@ def test_basis_is_bitwise_the_sparse_product_construction(d, m, n, p):
     g = LatticeGrid(d, m, 0.7 * m)  # spacing 0.7: products round, so their order shows
     basis = build_fock_basis(n, g, p)
     occ = _reference_occupations(n, g.n_sites)
-    t = kinetic_matrix(g).toarray()
+    t = kinetic_oracle(g)
     a = _reference_annihilator(occ, n)
     hopping = scipy.sparse.kron(scipy.sparse.csr_matrix(t - np.diag(np.diag(t))),
                                 scipy.sparse.identity(a.shape[0] // g.n_sites),
@@ -308,7 +307,7 @@ def _brute_force_sector(d, m, n, p):
 
     states = sector(n)
     rank = {s: i for i, s in enumerate(states)}
-    t = kinetic_matrix(g).toarray()
+    t = kinetic_oracle(g)
     hops = [[(y, t[x, y]) for y in np.flatnonzero(t[x]) if y != x] for x in range(sites)]
     rows, cols, vals = [], [], []
     for i, s in enumerate(states):
@@ -545,7 +544,7 @@ def test_single_particle_hamiltonian_is_kinetic_matrix():
     basis = build_fock_basis(1, g)
     h = assemble_hamiltonian(basis, v)
     # basis states are lexicographic: occupation at site (M-1-i) ... map explicitly
-    t = kinetic_matrix(g).toarray()
+    t = kinetic_oracle(g)
     dense = basis.one_body.toarray() + np.diag(h)
     perm = _rank(np.eye(5, dtype=int), basis.n_particles)
     assert np.max(np.abs(dense[np.ix_(perm, perm)] - t)) < 1e-12
@@ -592,7 +591,7 @@ def test_hamiltonian_matches_first_quantized_projection():
     basis = build_fock_basis(n, g)
     h2q = basis.one_body.toarray() + np.diag(assemble_hamiltonian(basis, v))
 
-    t = kinetic_matrix(g).toarray()
+    t = kinetic_oracle(g)
     eye = np.eye(3)
     vv = v.values
     pair = np.array([vv[(x - y) % 3] for x in range(3) for y in range(3)])
