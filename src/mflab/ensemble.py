@@ -8,12 +8,12 @@ run one batched Hartree flow over every field, then the many-body work of
 each sample in order. Each field is seeded from (base_seed, sample_index), so
 a sample's values do not depend on which other samples run with it.
 The plan checks the bytes its shapes take against MEMORY_CAP (check_memory)
-and its largest sector against the propagation cap and the lift's range
-(check_propagation, check_lift), holds the observable as its
-spectral factors and derives their norm max|mu|, the roundoff slack, the Hartree
-time grid and whether its sectors are halved once, at construction: when M > 2
-and the initial state is even (LatticeGrid.is_even) under x -> -x, each sector is
-built, lifted and propagated as its mirror-even block, about half its states.
+and its largest sector against the propagation cap (check_propagation),
+holds the observable as its spectral factors and derives their norm max|mu|,
+the roundoff slack, the Hartree time grid and whether its sectors are halved
+once, at construction: when M > 2 and the initial state is even
+(LatticeGrid.is_even) under x -> -x, each sector is built, lifted and
+propagated as its mirror-even block, about half its states.
 run_ensemble bounds |X| and |X_N| by norm + slack.
 A run's product is one EnsembleResult table, X_N per (N, sample) next to X
 per sample, which estimate and tail_diagnostic reduce row by row.
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, MFLabError, ResourceError
 from .grid import LatticeGrid, WaveFunction, check_grid, check_unit
 from .hartree import HartreeRunParams, evolve_hartree_batch, hartree_expectation
-from .manybody import (_BLOCK_ROWS, assemble_hamiltonian, build_fock_basis, check_lift,
+from .manybody import (_BLOCK_ROWS, assemble_hamiltonian, build_fock_basis,
                        check_propagation, evolve_manybody, manybody_expectation,
                        product_state_lift)
 from .observables import SpectralFactors
@@ -87,8 +87,8 @@ def check_memory(grid: LatticeGrid, counts, p: int, samples: int, halved: bool,
 @dataclass(frozen=True)
 class ExperimentPlan:
     """One experiment from a unit state, K < M/2 modes and a base_seed in [0, 2^64),
-    within MEMORY_CAP, the r*t cap and the lift's range, whose factors hold on its
-    grid and whose statistics and N^p stay finite; its init=False fields are derived once."""
+    within MEMORY_CAP and the r*t cap, whose factors hold on its grid and whose
+    statistics and N^p stay finite; its init=False fields are derived once."""
 
     grid: LatticeGrid
     field_spec: FieldSpec
@@ -130,7 +130,6 @@ class ExperimentPlan:
                               f"smallest particle count {counts[0]}")
         if self.observable.p * math.log2(counts[-1]) >= 1000:  # X_N divides by N^p
             raise DomainError(f"N^p = {counts[-1]}^{self.observable.p} is beyond 2^1000")
-        check_lift(counts[-1], self.grid)
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
         check_grid(self.initial_state.grid, self.grid, "the initial state")

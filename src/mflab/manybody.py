@@ -37,9 +37,9 @@ h^{dp} K = sum_k mu_k |u_k^(x)p><u_k^(x)p|, so X_N = N^-p sum_k mu_k
 ||a(conj u_k)^p Psi||^2 with a(conj u) = sum_x conj(u_x) a_x: p contractions,
 each through one gather, with no sites^p array and without forming the
 reduced density matrix; the top gather gives the one-particle one.
-_MAX_RT caps the r*t that sets the degree and check_lift the N of a finite lift,
-both checked for a plan's largest N first; ensemble bounds the bytes of each
-plan and checks that |X_N| <= ||a||.
+_MAX_RT caps the r*t that sets the degree, checked for a plan's largest N
+first; the lift of phi^(x)N sums logs, so no N overflows it. ensemble bounds
+the bytes of each plan and checks that |X_N| <= ||a||.
 """
 from __future__ import annotations
 
@@ -99,8 +99,6 @@ def _enumerate(n: int, sites: int) -> np.ndarray:
     total n.
     """
     dtype = np.min_scalar_type(n)
-    if n == 0:  # the vacuum, without the numpy calls of a step per site
-        return np.zeros((1, sites), dtype=dtype)
     store = np.arange(n, -1, -1, dtype=dtype)[:, None]  # one site: totals n..0
     counts = np.ones(n + 1, dtype=np.int64)  # counts[k] = len(E(k)) on s sites
     for s in range(1, sites):
@@ -161,8 +159,8 @@ class FockBasis:
     occupations[i] is the occupation vector of the block's row i, the i-th
     representative in rank order (every state on a whole sector), in the
     narrowest unsigned dtype that holds N (uint8 up to N = 255), so it takes
-    dim * sites bytes; assemble_hamiltonian and the lift read it in row
-    blocks, so their temporaries take O(dim) bytes, not 8 * dim * sites.
+    dim * sites bytes; assemble_hamiltonian reads it in row blocks and the
+    lift by columns, so their temporaries take O(dim) bytes, not 8 * dim * sites.
     one_body is the CSR matrix of the hopping sum_{x != y} T_{xy} adag_x a_y
     on those rows, with each column moved to its orbit, so a row may hold a
     column twice, or its own; with sorted rows and, on a whole sector, no
@@ -316,13 +314,13 @@ def build_fock_basis(n: int, grid: LatticeGrid, p: int = 1, halved: bool = False
     (see _orbits), and the top gather is composed with the orbit index, so it
     reads the whole Psi. On a whole sector every state is its own orbit, and
     nothing is ranked. A sector whose int32 ranks and CSR indices could not
-    hold 2d * sites * dim(n-1), the bound on its hopping entries, is refused
-    with a ResourceError before it is enumerated.
+    hold grid.degree * sites * dim(n-1), the bound on its hopping entries, is
+    refused with a ResourceError before it is enumerated.
     """
     if not 1 <= p <= n:
         raise DomainError(f"need 1 <= p <= N, got p={p}, N={n}")
     sites = grid.n_sites
-    entries = 2 * grid.d * sites * fock_dimension(n - 1, sites)
+    entries = grid.degree * sites * fock_dimension(n - 1, sites)
     if entries >= 2 ** 31:
         raise ResourceError(f"the N={n} sector on {sites} sites needs {entries:,} "
                             f"int32 hopping indices, beyond 2^31")
@@ -366,7 +364,7 @@ class ManyBodyState:
     def norm(self) -> float:
         """||Psi||, each coefficient weighted by the size of its orbit."""
         c = self.coefficients
-        return float(np.sqrt(self.basis.multiplicity @ (c.real ** 2 + c.imag ** 2)))
+        return float(np.sqrt((self.basis.multiplicity * (c.real ** 2 + c.imag ** 2)).sum()))
 
 
 def interaction_matrix(grid: LatticeGrid, values: np.ndarray) -> np.ndarray:
@@ -410,37 +408,37 @@ def assemble_hamiltonian(basis: FockBasis, v) -> np.ndarray:
 def product_state_lift(phi: WaveFunction, basis: FockBasis) -> ManyBodyState:
     """Coefficients of the N-fold product state phi^(x)N in the occupation
     basis, N being the basis's particle number. On a mirror-even block, phi
-    must equal its mirror image, so that the block holds phi^(x)N; N must pass
-    check_lift."""
+    must equal its mirror image, so that the block holds phi^(x)N.
+
+    Row n's sqrt(N! / prod_x n_x!) prod_x u_x^{n_x}, u = h^{d/2} phi, is
+    w exp(L), L = lgamma(N+1)/2 + sum_x [n_x log|u_x| - lgamma(n_x+1)/2] and
+    w = prod_x (u_x/|u_x|)^{n_x} by repeated products, so no factor overflows
+    at any N and a real phi lifts to exactly real coefficients. One division
+    by the norm removes the rounding of lgamma(N+1)/2, common to every row.
+    """
     check_unit(phi.norm(), "product lift")
     check_grid(phi.grid, basis.grid, "the state")
     _check_mirror_even(basis, phi.amplitudes, "the state")
     n = basis.n_particles
-    check_lift(n, basis.grid)
-    u = phi.grid.cell_volume ** 0.5 * phi.amplitudes  # unit l2 vector
-    occ = basis.occupations
+    u = phi.grid.cell_volume ** 0.5 * phi.amplitudes
+    mag, held = np.abs(u), u != 0
     log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-    log_norm = np.empty(len(occ))
-    for rows in _blocks(len(occ)):
-        log_norm[rows] = log_fact[occ[rows]].sum(axis=1)
-    coeffs = np.exp(0.5 * (log_fact[n] - log_norm)).astype(np.complex128)
-    powers = u[None, :] ** np.arange(n + 1)[:, None]  # powers[k, x] = u_x^k
-    for x in range(basis.grid.n_sites):
-        coeffs *= powers[occ[:, x], x]
-    return ManyBodyState(basis=basis, coefficients=coeffs)
-
-
-def check_lift(n: int, grid: LatticeGrid) -> None:
-    """Fail with a DomainError if the lift of an N-fold product state overflows:
-    its prefactor sqrt(N! / prod_x n_x!) peaks at the most even occupation,
-    q or q + 1 per site for q, r = divmod(N, sites), which every sector and
-    block holds, and must stay below the largest double."""
-    q, r = divmod(n, grid.n_sites)
-    peak = 0.5 * (math.lgamma(n + 1) - r * math.lgamma(q + 2)
-                  - (grid.n_sites - r) * math.lgamma(q + 1))
-    if peak > math.log(np.finfo(float).max):
-        raise DomainError(f"the product state of N={n} on {grid.n_sites} sites has a "
-                          f"coefficient prefactor of e^{peak:.6g}, beyond the largest double")
+    # table[k, x] = k log|u_x| - lgamma(k+1)/2 and phase[k, x] = (u_x/|u_x|)^k, row 0
+    # exactly 0 and 1; where u_x = 0, log|u_x| and u_x/|u_x| are taken as 0, so its
+    # powers k >= 1 are 0. Divided part by part, a real u_x gives exactly +-1
+    table = (np.outer(np.arange(n + 1), np.log(mag, out=np.zeros(len(u)), where=held))
+             - 0.5 * log_fact[:, None])
+    phase = np.zeros((n + 1, len(u)), dtype=np.complex128)
+    np.divide(u.real, mag, out=phase.real, where=held)
+    np.divide(u.imag, mag, out=phase.imag, where=held)
+    phase[0] = 1
+    np.cumprod(phase, axis=0, out=phase)
+    log_c, coeffs = np.full(len(basis), 0.5 * log_fact[n]), np.ones(len(basis), np.complex128)
+    for x, occ in enumerate(basis.occupations.T):
+        log_c += table[occ, x]
+        coeffs *= phase[occ, x]
+    coeffs *= np.exp(log_c)
+    return ManyBodyState(basis, coeffs / ManyBodyState(basis, coeffs).norm())
 
 
 def _check_diagonal(basis: FockBasis, h) -> None:

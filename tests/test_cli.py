@@ -368,10 +368,6 @@ def test_time_grid_is_checked_by_the_plan(tmp_path, line, message):
                                           "h = 1.25e+109, outside [2^-40, 2^40]"),
     ("box_length = 1e-160", "box length 1e-160 on 8 sites gives spacing h = 1.25e-161, "
                             "outside [2^-40, 2^40]"),
-    # sqrt(N! / prod n_x!) of the lift at n = (1500, 1500) is e^1037.61, beyond a double
-    ("sites = 2\nparticle_counts = 3000\nsamples = 1\nt_final = 0.05",
-     "the product state of N=3000 on 2 sites has a coefficient prefactor of e^1037.61, "
-     "beyond the largest double"),
     # np.std of 64 gaps of up to 2e200 would sum squares beyond the largest double
     ("observable.kind = site_multiplier\nobservable.amplitude = 1e200",
      "observable norm 1e+200: samples * (2 norm)^2 overflows"),
@@ -397,6 +393,17 @@ def test_main_runs_a_time_where_r_t_is_subnormal(tmp_path, lines):
     assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
     rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
     assert [float(row.split(",")[3]) for row in rows] == pytest.approx([0, 0, 0], abs=1e-14)
+
+
+def test_main_runs_a_lift_whose_prefactor_is_beyond_a_double(tmp_path):
+    # sqrt(N! / prod n_x!) at N = 1298 on 3 sites nears the largest double; formed
+    # as one double, its rounding put X_N(0) at 1 + 1.02e-12, beyond the
+    # pathwise bound, and the run exited 1
+    cfg = _write(tmp_path, "sites = 3\nbox_length = 8.0\nparticle_counts = 1298\n"
+                           "samples = 1\nt_final = 0.0\n")
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    row = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1].split(",")
+    assert float(row[1]) == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("line", ["field.base = gaussian_bump(1e10, 1.5)",

@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.special
+import scipy.stats
 
 import mflab.hartree
 import mflab.manybody
@@ -24,7 +25,7 @@ from mflab.hartree import hartree_energy, hartree_expectation
 from mflab.manybody import (ManyBodyState, _add_particle, _bessel_j,
                             _chebyshev_degree, _enumerate, _rank,
                             _spectral_interval, assemble_hamiltonian,
-                            build_fock_basis, check_lift, energy_expectation, fock_dimension,
+                            build_fock_basis, energy_expectation, fock_dimension,
                             evolve_manybody, interaction_matrix, manybody_expectation,
                             product_state_lift, reduced_density_matrix)
 from mflab.observables import (SpectralFactors, condensate_projector, site_multiplier,
@@ -259,9 +260,24 @@ def _refused_peak(n, grid):
 
 
 def test_int32_index_check_refuses_a_sector_before_enumerating_it():
-    # 2d * sites * dim(N-1) = 2 * 2 * 2^29 = 2^31 hopping entries; the sector
-    # would hold 2^29 + 1 states and 12 GiB of gathers
-    assert _refused_peak(2 ** 29, LatticeGrid(1, 2, 2.0)) < 2 ** 20
+    # a site on M = 2 has d neighbours: degree * sites * dim(N-1) = 1 * 2 * 2^30
+    # = 2^31 hopping entries; the sector would hold 2^30 + 1 states and 24 GiB
+    # of gathers
+    assert _refused_peak(2 ** 30, LatticeGrid(1, 2, 2.0)) < 2 ** 20
+
+
+def test_int32_index_check_admits_a_sector_below_its_bound(monkeypatch):
+    # 1 * 2 * 2^29 = 2^30 entries fit, though 2d * sites * dim(N-1) would not;
+    # the check passes when the sector is enumerated, here stopped before it
+    class Enumerated(Exception):
+        pass
+
+    def stop(n, sites):
+        raise Enumerated
+
+    monkeypatch.setattr(mflab.manybody, "_enumerate", stop)
+    with pytest.raises(Enumerated):
+        build_fock_basis(2 ** 29, LatticeGrid(1, 2, 2.0))
 
 
 @pytest.mark.parametrize("d,m,n", [(1, 2, 300), (2, 4, 6)])
@@ -682,23 +698,58 @@ def test_evolve_manybody_names_the_norm_it_refuses():
         evolve_manybody(twice, np.zeros(len(psi.basis)), 0.5)
 
 
-@pytest.mark.parametrize("sites, largest", [(2, 2053), (3, 1298)])
-def test_the_lift_range_ends_where_the_largest_prefactor_overflows(sites, largest):
-    # sqrt(N! / prod n_x!) peaks at the most even occupation; past e^709.78 it is inf
-    g = LatticeGrid(1, sites, float(sites))
-    check_lift(largest, g)
-    with pytest.raises(DomainError, match=rf"^the product state of N={largest + 1} on "
-                                          rf"{sites} sites has a coefficient prefactor of "
-                                          r"e\^709\.\d+, beyond the largest double$"):
-        check_lift(largest + 1, g)
+@pytest.mark.parametrize("n", [3000, 10 ** 4])
+@pytest.mark.parametrize("amplitudes", [None, [0.6, -0.8]], ids=["packet", "balanced"])
+def test_lift_on_two_sites_is_the_binomial_law(n, amplitudes):
+    # |c_n|^2 = C(N, n_0) p^n_0 (1 - p)^(N - n_0), p = |u_0|^2 / ||u||^2, past
+    # N = 2053, the last at which sqrt(N! / prod n_x!) fits a double; the packet
+    # holds p = 1.1e-7, the balanced state p = 0.36, whose lgamma terms do not
+    # cancel: a relative error of about ulp(lgamma(N+1)), 2e-11 at N = 10^4
+    g = LatticeGrid(1, 2, 8.0)
+    phi = (gaussian_packet(g) if amplitudes is None
+           else normalize(WaveFunction(g, np.array(amplitudes, dtype=complex))))
+    basis = build_fock_basis(n, g)
+    c2 = np.abs(product_state_lift(phi, basis).coefficients) ** 2
+    w = np.abs(g.h ** 0.5 * phi.amplitudes) ** 2
+    pmf = scipy.stats.binom.pmf(basis.occupations[:, 0].astype(np.int64), n, w[0] / w.sum())
+    bulk = pmf > 1e-12 * pmf.max()
+    assert np.max(np.abs(c2[bulk] - pmf[bulk]) / pmf[bulk]) <= 1e-10
+    assert np.abs(c2 - pmf).sum() <= (1e-12 if amplitudes is None else 1e-10)
 
 
-def test_the_lift_refuses_an_n_beyond_its_range_and_is_a_unit_state_at_the_last_one():
-    g = LatticeGrid(1, 2, 2.0)
+@pytest.mark.parametrize("sites, n", [(2, 2053), (2, 10 ** 4), (3, 1298)])
+def test_x_n_of_the_condensate_projector_is_one_for_the_lift_at_large_n(sites, n):
+    # N = 2053 and 1298 are the last the lift reached when it formed
+    # sqrt(N! / prod n_x!) as one double, and its rounding put X_N(0) 1e-12
+    # above 1, beyond the pathwise bound; one normalisation removes it
+    g = LatticeGrid(1, sites, 8.0)
     phi = gaussian_packet(g)
-    assert abs(product_state_lift(phi, build_fock_basis(2053, g)).norm() - 1.0) < 1e-12
-    with pytest.raises(DomainError, match=r"^the product state of N=2054 on 2 sites"):
-        product_state_lift(phi, build_fock_basis(2054, g))
+    psi = product_state_lift(phi, build_fock_basis(n, g))
+    assert abs(manybody_expectation(psi, condensate_projector(phi)) - 1.0) <= 1e-14
+
+
+def test_a_real_state_lifts_to_exactly_real_coefficients():
+    # integer powers of -1 are exact; exp(i k arg u) would leave 1e-17 imaginary
+    # parts, and the propagator would run its second loop for them
+    g = LatticeGrid(1, 3, 3.0)
+    phi = normalize(WaveFunction(g, np.array([0.5, -0.7, -0.2], dtype=complex)))
+    for n in (3, 200):
+        psi = product_state_lift(phi, build_fock_basis(n, g))
+        assert not psi.coefficients.imag.any()
+        assert (psi.coefficients.real < 0).any()
+
+
+def test_a_state_with_exact_zeros_lifts_without_a_floating_point_event():
+    # no log or unit phase is taken of a zero u_x, so no 0 * log 0 forms
+    g = LatticeGrid(1, 3, 3.0)
+    phi = normalize(WaveFunction(g, np.array([0.6, 0.0, -0.8j])))
+    basis = build_fock_basis(4, g)
+    with np.errstate(all="raise"):
+        state = product_state_lift(phi, basis)
+    assert np.isfinite(state.coefficients).all()
+    u = g.h ** 0.5 * phi.amplitudes
+    tensor = functools.reduce(np.kron, [u] * 4)
+    assert np.max(np.abs(occupation_to_full(state.coefficients, basis, 3) - tensor)) < 1e-14
 
 
 def test_a_whole_sector_compares_nothing_with_its_mirror_image(monkeypatch):
